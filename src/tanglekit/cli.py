@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 from . import dot as dotmod
@@ -34,7 +35,7 @@ from .forbidden import (
 )
 from .orderfn import OrderFunction, parse_threshold, refine_injective, refines
 from .tst import build_thorough_tst, reduce_irreducible, validate_tst
-from .tot import tree_of_tangles, tree_of_tangles_in, verify_tot
+from .tot import tangle_nodes, tree_of_tangles, tree_of_tangles_in, verify_tot
 from .universe import (
     Universe,
     bipartition_universe,
@@ -82,15 +83,21 @@ def load_graph_text(path):
     return sorted(vertices), edges
 
 
+def _read_json(path):
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        _fail(1, error="invalid JSON", file=str(path), line=exc.lineno, column=exc.colno)
+
+
 def load_inputs(args):
-    """Resolve (system_or_universe, order, graph_info) from the run spec."""
+    """Resolve (system_or_universe, order) from the run spec."""
     sources = [s for s in (args.input, args.bipartition) if s]
     if len(sources) != 1:
         _fail(1, error="exactly one input source required",
               given=[s for s in ("--input" if args.input else None,
                                  "--bipartition" if args.bipartition else None) if s])
     order = None
-    graph = None
     if args.bipartition:
         ground = [tok for tok in args.bipartition.split(",") if tok]
         uni = bipartition_universe(ground)
@@ -99,11 +106,7 @@ def load_inputs(args):
         if not path.exists():
             _fail(1, error="input file not found", file=str(path))
         if path.suffix == ".json":
-            try:
-                obj = json.loads(path.read_text())
-            except json.JSONDecodeError as exc:
-                _fail(1, error="invalid JSON", file=str(path),
-                      line=exc.lineno, column=exc.colno)
+            obj = _read_json(path)
             if "join" in obj:
                 uni = Universe.from_json(obj)
             else:
@@ -111,26 +114,16 @@ def load_inputs(args):
         else:
             vertices, edges = load_graph_text(path)
             uni, order = graph_universe(vertices, edges)
-            graph = (vertices, edges)
     if args.order:
-        try:
-            obj = json.loads(Path(args.order).read_text())
-        except json.JSONDecodeError as exc:
-            _fail(1, error="invalid JSON", file=args.order,
-                  line=exc.lineno, column=exc.colno)
-        order = OrderFunction.from_json(uni, obj)
-    return uni, order, graph
+        order = OrderFunction.from_json(uni, _read_json(args.order))
+    return uni, order
 
 
 def load_family(args, uni, system, order):
     fam = ForbiddenFamily([])
     generate = []
     if args.forbidden:
-        try:
-            obj = json.loads(Path(args.forbidden).read_text())
-        except json.JSONDecodeError as exc:
-            _fail(1, error="invalid JSON", file=args.forbidden,
-                  line=exc.lineno, column=exc.colno)
+        obj = _read_json(args.forbidden)
         try:
             fam = ForbiddenFamily.from_json(obj)
         except (KeyError, TypeError, ValueError) as exc:
@@ -205,11 +198,11 @@ def tangle_list(tangles):
 
 
 def cmd_validate(args):
-    uni, order, _ = load_inputs(args)
+    uni, order = load_inputs(args)
     report = {"schema": "tanglekit/report-v1", "system": {
         "oriented": len(uni.elements()), "separations": len(uni.seps())}}
     if isinstance(uni.ground, Universe):
-        lat = validate_lattice(uni.ground)
+        lat = uni.ground.lattice_report or validate_lattice(uni.ground)
         report["lattice"] = {"ok": lat.ok, "failures": [
             {"axiom": a, "witness": list(w) if w else None} for a, w in lat.failures]}
         if not lat.ok:
@@ -225,24 +218,40 @@ def cmd_validate(args):
     return report
 
 
-def _restricted(args, uni, order):
-    k = parse_threshold(args.k)
-    if k is None:
-        return uni, None
-    require_order(order)
-    return restrict_Sk(uni, order, k), k
+# One command's inputs after the shared set-up steps of ``prepare``.
+Run = namedtuple("Run", "uni system order k bound family notes")
+
+
+def prepare(args, order_use="optional", use_k=True) -> Run:
+    """Load, restrict to S_k, check the bound, refine the order, load the family.
+
+    ``system`` is S_k, or the whole input when no threshold applies.
+    ``order_use`` is "optional" (needed only to restrict to S_k), "required",
+    or "injective": a non-injective order is then refined before the family is
+    generated, so the R triples use the refined order, and ``notes.order``
+    says so.  With ``use_k`` false the command ignores --k.
+    """
+    uni, order = load_inputs(args)
+    k = parse_threshold(args.k) if use_k else None
+    if order_use != "optional" or k is not None:
+        require_order(order)
+    system = uni if k is None else restrict_Sk(uni, order, k)
+    bound = check_bound(system, args)
+    notes = {}
+    if order_use == "injective":
+        order = ensure_injective(uni, order, notes)
+    family = load_family(args, uni, system, order)
+    return Run(uni, system, order, k, bound, family, notes)
 
 
 def cmd_tangles(args):
-    uni, order, _ = load_inputs(args)
-    system, k = _restricted(args, uni, order)
-    bound = check_bound(system, args)
-    fam = load_family(args, uni, system, order)
+    run = prepare(args)
     out = {"schema": "tanglekit/tangles-v1",
-           "k": str(k) if k is not None else "inf",
-           "tangles": tangle_list(enumerate_tangles(system, fam, bound=bound))}
-    if order is not None:
-        records = enumerate_tangles_in(uni, fam, order, bound=bound)
+           "k": str(run.k) if run.k is not None else "inf",
+           "tangles": tangle_list(enumerate_tangles(run.system, run.family,
+                                                    bound=run.bound))}
+    if run.order is not None:
+        records = enumerate_tangles_in(run.uni, run.family, run.order, bound=run.bound)
         out["tangles_in"] = [
             {"k": str(t.k), "elements": sorted(t.elements), "maximal": t.maximal}
             for t in records]
@@ -250,112 +259,80 @@ def cmd_tangles(args):
     return out
 
 
-def _build_tree(args, uni, order, notes):
-    system, k = _restricted(args, uni, order)
-    bound = check_bound(system, args)
-    order = ensure_injective(uni, require_order(order), notes)
-    fam = load_family(args, uni, system, order)
-    tree = build_thorough_tst(system, order, fam, bound=bound)
-    rep = validate_tst(tree, fam)
-    return system, order, fam, tree, rep, bound
-
-
-def cmd_tst(args):
-    uni, order, _ = load_inputs(args)
-    notes = {}
-    system, order, fam, tree, rep, _ = _build_tree(args, uni, order, notes)
+def emit_tree(args, name, tree, run):
+    rep = validate_tst(tree, run.family)
     obj = tree.to_json(rep.leaf_classes)
-    obj["notes"] = notes
+    obj["notes"] = run.notes
     obj["valid"] = rep.ok
-    write_artifact(args, "tst", obj)
-    write_dot(args, "tst", dotmod.tree_dot(tree, rep.leaf_classes))
+    write_artifact(args, name, obj)
+    write_dot(args, name, dotmod.tree_dot(tree, rep.leaf_classes))
     return obj
 
 
+def cmd_tst(args):
+    run = prepare(args, "injective")
+    tree = build_thorough_tst(run.system, run.order, run.family, bound=run.bound)
+    return emit_tree(args, "tst", tree, run)
+
+
 def cmd_reduce(args):
-    uni, order, _ = load_inputs(args)
-    notes = {}
-    system, order, fam, tree, rep, _ = _build_tree(args, uni, order, notes)
-    red = reduce_irreducible(tree, fam, order)
-    rep2 = validate_tst(red, fam)
-    obj = red.to_json(rep2.leaf_classes)
-    obj["notes"] = notes
-    obj["valid"] = rep2.ok
-    write_artifact(args, "reduce", obj)
-    write_dot(args, "reduce", dotmod.tree_dot(red, rep2.leaf_classes))
+    run = prepare(args, "injective")
+    tree = build_thorough_tst(run.system, run.order, run.family, bound=run.bound)
+    return emit_tree(args, "reduce", reduce_irreducible(tree, run.family, run.order), run)
+
+
+def emit_duality(args, name, res, run, exclusive=False):
+    obj = {"schema": "tanglekit/duality-v1", "kind": res.kind,
+           "notes": {**run.notes, **res.notes}}
+    if res.kind == "tangle":
+        obj["tangle"] = sorted(res.tangle)
+    else:
+        obj["stree"] = res.stree.to_json()
+        write_dot(args, f"{name}-stree", dotmod.stree_dot(res.stree))
+    if exclusive:
+        obj["exclusive"] = True
+    write_artifact(args, name, obj)
     return obj
 
 
 def cmd_duality(args):
-    uni, order, _ = load_inputs(args)
-    notes = {}
-    system, k = _restricted(args, uni, order)
-    bound = check_bound(system, args)
-    order = ensure_injective(uni, require_order(order), notes)
-    fam = load_family(args, uni, system, order)
-    res = dichotomy(system, order, fam, bound=bound,
+    run = prepare(args, "injective")
+    res = dichotomy(run.system, run.order, run.family, bound=run.bound,
                     check_exclusive=args.check_exclusive)
-    obj = {"schema": "tanglekit/duality-v1", "kind": res.kind,
-           "notes": {**notes, **res.notes}}
-    if res.kind == "tangle":
-        obj["tangle"] = sorted(res.tangle)
-    else:
-        obj["stree"] = res.stree.to_json()
-        write_dot(args, "duality-stree", dotmod.stree_dot(res.stree))
-    if args.check_exclusive:
-        obj["exclusive"] = True
-    write_artifact(args, "duality", obj)
-    return obj
+    return emit_duality(args, "duality", res, run, exclusive=args.check_exclusive)
 
 
 def cmd_newduality(args):
-    uni, order, _ = load_inputs(args)
-    k = parse_threshold(args.k)
-    require_order(order)
-    system = restrict_Sk(uni, order, k)
-    bound = check_bound(system, args)
-    fam = load_family(args, uni, system, order)
-    res = newduality(uni, order, k, fam, bound=bound,
+    run = prepare(args, "required")
+    res = newduality(run.uni, run.order, run.k, run.family, bound=run.bound,
                      check_exclusive=args.check_exclusive)
-    obj = {"schema": "tanglekit/duality-v1", "kind": res.kind, "notes": res.notes}
-    if res.kind == "tangle":
-        obj["tangle"] = sorted(res.tangle)
-    else:
-        obj["stree"] = res.stree.to_json()
-        write_dot(args, "newduality-stree", dotmod.stree_dot(res.stree))
-    write_artifact(args, "newduality", obj)
-    return obj
+    return emit_duality(args, "newduality", res, run)
 
 
 def cmd_tot(args):
-    uni, order, _ = load_inputs(args)
-    notes = {}
-    system, order, fam, tree, rep, bound = _build_tree(args, uni, order, notes)
-    n = tree_of_tangles(tree, system, order, fam, bound=bound,
+    run = prepare(args, "injective")
+    tree = build_thorough_tst(run.system, run.order, run.family, bound=run.bound)
+    n = tree_of_tangles(tree, run.system, run.order, run.family, bound=run.bound,
                         trust_rich=args.trust_rich)
-    tangles = enumerate_tangles(system, fam, bound=bound)
-    check = verify_tot(system, order, n, tangles)
+    tangles = enumerate_tangles(run.system, run.family, bound=run.bound)
+    check = verify_tot(run.system, run.order, n, tangles)
     obj = {"schema": "tanglekit/tot-v1", "N": sorted(n),
-           "verified": check.ok, "notes": notes}
+           "verified": check.ok, "notes": run.notes}
     write_artifact(args, "tot", obj)
-    from .tot import tangle_nodes
+    classes = validate_tst(tree, run.family).leaf_classes
     write_dot(args, "tot", dotmod.tree_dot(
-        tree, rep.leaf_classes, highlight_nodes=tangle_nodes(tree, fam)))
+        tree, classes, highlight_nodes=tangle_nodes(tree, run.family, classes)))
     return obj
 
 
 def cmd_totins(args):
-    uni, order, _ = load_inputs(args)
-    notes = {}
-    order = ensure_injective(uni, require_order(order), notes)
-    bound = check_bound(uni, args)
-    fam = load_family(args, uni, uni, order)
-    res = tree_of_tangles_in(uni, order, fam, bound=bound,
+    run = prepare(args, "injective", use_k=False)
+    res = tree_of_tangles_in(run.system, run.order, run.family, bound=run.bound,
                              trust_rich=args.trust_rich)
-    check = verify_tot(uni, order, res.distinguishers,
+    check = verify_tot(run.system, run.order, res.distinguishers,
                        [t.elements for t in res.maximal_tangles])
     obj = {"schema": "tanglekit/tot-v1", "N": sorted(res.distinguishers),
-           "verified": check.ok, "notes": notes,
+           "verified": check.ok, "notes": run.notes,
            "maximal_tangles": tangle_list(t.elements for t in res.maximal_tangles)}
     write_artifact(args, "totins", obj)
     write_dot(args, "totins", dotmod.tree_dot(
@@ -364,7 +341,7 @@ def cmd_totins(args):
 
 
 def cmd_refine_order(args):
-    uni, order, _ = load_inputs(args)
+    uni, order = load_inputs(args)
     require_order(order)
     if not isinstance(uni.ground, Universe):
         _fail(2, error="refine-order needs a universe (joins and meets)")
@@ -431,16 +408,11 @@ def main(argv=None) -> int:
             report["witness"] = repr(exc.witness)
         print(json.dumps(report, sort_keys=True), file=sys.stderr)
         return 1
-    except TheoremViolation as exc:
+    except (TheoremViolation, PreconditionError) as exc:
         print(json.dumps({"ok": False, "error": str(exc),
                           "kind": type(exc).__name__}, sort_keys=True),
               file=sys.stderr)
-        return 3
-    except PreconditionError as exc:
-        print(json.dumps({"ok": False, "error": str(exc),
-                          "kind": type(exc).__name__}, sort_keys=True),
-              file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, TheoremViolation) else 2
     print(json.dumps({"ok": True, "command": args.command,
                       "summary": _summary(result)}, sort_keys=True))
     return 0

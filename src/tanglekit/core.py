@@ -299,11 +299,7 @@ class SeparationSystem:
         w = self.consistency_witness(sigma)
         if w is not None:
             raise InconsistentSet(w)
-        m = mask_of(sigma)
-        out = m
-        for x in iter_mask(m):
-            out |= self._req[x]
-        return frozenset(iter_mask(out & self.members))
+        return frozenset(iter_mask(self.closure_mask(mask_of(sigma))))
 
     def closure_mask(self, mask: int) -> int:
         out = mask
@@ -340,31 +336,8 @@ class SeparationSystem:
         return bool(o1) and bool(o2) and o1 != o2
 
     def consistent_orientations(self, bound: int = ENUMERATION_BOUND):
-        """All consistent orientations of the member separations.
-
-        Backtracking over separations in canonical-handle order, trying the
-        smaller oriented handle first, so the output order is the
-        lexicographic order of oriented handles.  Exhaustive and
-        duplicate-free; prunes as soon as a partial set is inconsistent.
-        """
-        seps = self.seps()
-        if len(seps) > bound:
-            raise BoundExceeded(f"{len(seps)} separations exceed bound {bound}")
-        incompat = self._incompat
-        out = []
-
-        def walk(i, cur_mask, cur):
-            if i == len(seps):
-                out.append(frozenset(cur))
-                return
-            for h in self.orientations(seps[i]):
-                if not incompat[h] & cur_mask:
-                    cur.append(h)
-                    walk(i + 1, cur_mask | (1 << h), cur)
-                    cur.pop()
-
-        walk(0, 0, [])
-        return out
+        """All consistent orientations of the members, as ``orientations_avoiding``."""
+        return orientations_avoiding(self, (), bound)
 
     # -- serialization -------------------------------------------------------
 
@@ -406,6 +379,39 @@ class SeparationSystem:
 
     def __repr__(self):
         return f"<SeparationSystem {len(self)} seps / {len(self.elements())} oriented>"
+
+
+def orientations_avoiding(system, forbidden, bound: int = ENUMERATION_BOUND):
+    """The consistent orientations of the member separations containing no set
+    of ``forbidden``, in the lexicographic order of oriented handles.
+
+    Backtracking over separations in canonical-handle order, trying the
+    smaller oriented handle first.  Exhaustive and duplicate-free; prunes a
+    partial orientation as soon as it is inconsistent or contains a forbidden
+    set (both are monotone in the partial set), so an empty forbidden set
+    admits nothing.
+    """
+    seps = system.seps()
+    if len(seps) > bound:
+        raise BoundExceeded(f"{len(seps)} separations exceed bound {bound}")
+    masks = [mask_of(s) for s in forbidden]
+    incompat = system._incompat
+    out = []
+
+    def walk(i, cur_mask, cur):
+        if any(m & ~cur_mask == 0 for m in masks):
+            return
+        if i == len(seps):
+            out.append(frozenset(cur))
+            return
+        for h in system.orientations(seps[i]):
+            if not incompat[h] & cur_mask:
+                cur.append(h)
+                walk(i + 1, cur_mask | (1 << h), cur)
+                cur.pop()
+
+    walk(0, 0, [])
+    return out
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
+from .core import ENUMERATION_BOUND
 from .errors import (
     AmbiguousShiftChoice,
     BothOrNeither,
@@ -34,6 +35,7 @@ from .forbidden import (
     f_eff,
     is_rich,
     is_standard,
+    orientations_with_members,
 )
 from .orderfn import enumeration_refinement, refines
 from .tst import (
@@ -44,7 +46,8 @@ from .tst import (
     reduce_irreducible,
     validate_tst,
 )
-from .universe import Universe, is_structurally_submodular, is_submodular, restrict_Sk
+from .universe import (Universe, _universe_of, is_order_threshold_restriction,
+                       is_structurally_submodular, is_submodular, restrict_Sk)
 
 STREE_SCHEMA = "tanglekit/stree-v1"
 
@@ -163,7 +166,7 @@ class ConversionMap:
 # -- excludes-tangles verification ------------------------------------------------
 
 
-def stree_excludes_tangles(stree, family, bound=20):
+def stree_excludes_tangles(stree, family, bound=ENUMERATION_BOUND):
     """Every orientation of the system contains some node's star.
 
     Exhaustive over all 2^m orientations (not only consistent ones), which is
@@ -372,7 +375,7 @@ def stree_order_preserving(stree) -> bool:
     return True
 
 
-def stree_from_nested(system, bound=20) -> STree:
+def stree_from_nested(system, bound=ENUMERATION_BOUND) -> STree:
     """An S-tree over stars realizing a nested regular finite system.
 
     Nodes are the consistent orientations; two nodes are adjacent when they
@@ -414,13 +417,6 @@ def stree_from_nested(system, bound=20) -> STree:
 # -- shifting ---------------------------------------------------------------------
 
 
-def _universe_of(system):
-    g = system.ground
-    if not isinstance(g, Universe):
-        raise SystemValidationError("not-a-universe", witness=type(g).__name__)
-    return g
-
-
 def shift_map(system, r, s, t):
     """The shifting image of t under f-down from s to r (r <= s required).
 
@@ -460,15 +456,6 @@ def emulates(system, r, s) -> bool:
     return True
 
 
-def _is_order_threshold_restriction(system, order) -> bool:
-    inside = [order.of(h) for h in system.elements()]
-    outside = [order.of(h) for h in system.ground.elements()
-               if not system.contains(h)]
-    if not inside or not outside:
-        return True
-    return max(inside) < min(outside)
-
-
 def lemma_shift_select(system, order, tau, sigma, s):
     """The shift-lemma selection: minimum order, then maximal; checked output.
 
@@ -481,7 +468,7 @@ def lemma_shift_select(system, order, tau, sigma, s):
     ok, _ = is_structurally_submodular(g, order)
     if not ok:
         raise HypothesisFailure("order not structurally submodular on the universe")
-    if not _is_order_threshold_restriction(system, order):
+    if not is_order_threshold_restriction(system, order):
         raise HypothesisFailure("system is not an order-threshold restriction")
     tau = frozenset(tau)
     sigma = frozenset(sigma)
@@ -503,7 +490,7 @@ def lemma_shift_select(system, order, tau, sigma, s):
     return r, shift_star(system, r, s, sigma)
 
 
-def closed_under_shifting(system, family, order, bound=20):
+def closed_under_shifting(system, family, order, bound=ENUMERATION_BOUND):
     """Shift-closure check, quantified over every consistent orientation.
 
     For every family star inside an orientation and every weakly eclipsing,
@@ -511,10 +498,8 @@ def closed_under_shifting(system, family, order, bound=20):
     (tau, sigma, s, r) on failure.
     """
     _check_star_family(system, family)
-    for tau in system.consistent_orientations(bound=bound):
-        for sigma in family.sets:
-            if not sigma <= tau:
-                continue
+    for tau, inside in orientations_with_members(system, family, bound):
+        for sigma in inside:
             for s in sigma:
                 if system.is_trivial(s) or system.is_degenerate(s):
                     continue
@@ -544,7 +529,7 @@ class DichotomyResult:
     notes: dict = field(default_factory=dict)
 
 
-def dichotomy(system, order, family, bound=20, check_exclusive=False,
+def dichotomy(system, order, family, bound=ENUMERATION_BOUND, check_exclusive=False,
               assume_rich=False) -> DichotomyResult:
     """Exactly one of: a tangle of the system, or an S-tree over the family.
 
@@ -607,15 +592,15 @@ def dichotomy(system, order, family, bound=20, check_exclusive=False,
                            conversion=cmap, feff=feff, notes=notes)
 
 
-def newduality(uni, order, ell, family, bound=20, check_exclusive=False):
+def newduality(uni, order, ell, family, bound=ENUMERATION_BOUND,
+               check_exclusive=False):
     """The shifting-based dichotomy for S = U_ell.
 
     Verifies the order hypotheses, refines to an injective structurally
     submodular enumeration, checks closure under shifting, derives richness
     from it, and delegates to the dichotomy driver.
     """
-    if not isinstance(uni.ground, Universe):
-        raise SystemValidationError("not-a-universe", witness=type(uni.ground).__name__)
+    _universe_of(uni)
     sub_ok, _ = is_submodular(uni, order)
     struct_ok, _ = is_structurally_submodular(uni, order)
     injective = order.is_injective_on(uni)
@@ -630,8 +615,11 @@ def newduality(uni, order, ell, family, bound=20, check_exclusive=False):
         o2 = order
     else:
         o2 = enumeration_refinement(uni.ground, order)
-        assert refines(o2, order, uni.ground)[0]
-    if not _is_order_threshold_restriction(system, o2):
+        ok, witness = refines(o2, order, uni.ground)
+        if not ok:
+            raise TheoremViolation(
+                f"enumeration refinement does not refine the order; pair {witness}")
+    if not is_order_threshold_restriction(system, o2):
         raise HypothesisFailure("refined order does not keep S of threshold form")
     ok, witness = closed_under_shifting(system, family, o2, bound=bound)
     if not ok:

@@ -143,16 +143,15 @@ def singleton_family(system) -> ForbiddenFamily:
     return ForbiddenFamily([{h} for h in system.elements()])
 
 
+def _cut_value(side, weights) -> Fraction:
+    """Total weight of the edges (u, w) that the side bitmask separates."""
+    return sum((wt for (u, w), wt in weights.items()
+                if ((side >> u) & 1) != ((side >> w) & 1)), Fraction(0))
+
+
 def _cut_order(uni, weights, nv) -> OrderFunction:
-    vals = {}
-    for s in uni.seps():
-        a = s  # bipartition handle encodes the A-side bitmask
-        total = Fraction(0)
-        for (u, w), wt in weights.items():
-            if ((a >> u) & 1) != ((a >> w) & 1):
-                total += wt
-        vals[s] = total
-    return OrderFunction(uni, vals)
+    # bipartition handles encode the A-side bitmask
+    return OrderFunction(uni, {s: _cut_value(s, weights) for s in uni.seps()})
 
 
 def _subset_universe(sides, nv) -> Universe:
@@ -209,16 +208,9 @@ def random_universes(count=100, seed=2024, ground_size=4):
         for u in range(nv):
             for w in range(u + 1, nv):
                 weights[(u, w)] = Fraction(rng.randint(0, 4))
-        vals = {}
         sides_sorted = sorted(sides)
-        for s in uni.seps():
-            a = sides_sorted[s]
-            total = Fraction(0)
-            for (u, w), wt in weights.items():
-                if ((a >> u) & 1) != ((a >> w) & 1):
-                    total += wt
-            vals[s] = total
-        out.append((uni, OrderFunction(uni, vals)))
+        out.append((uni, OrderFunction(
+            uni, {s: _cut_value(sides_sorted[s], weights) for s in uni.seps()})))
     return out
 
 

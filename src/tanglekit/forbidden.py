@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import mask_of
-from .errors import BoundExceeded
+from .core import ENUMERATION_BOUND, orientations_avoiding
 from .universe import restrict_Sk
 
 FAMILY_SCHEMA = "tanglekit/forbidden-v1"
@@ -95,38 +94,9 @@ class Tangle:
     maximal: bool = False
 
 
-def enumerate_tangles(system, family, bound=20):
-    """All F-tangles of the member separations, in lexicographic handle order.
-
-    Backtracking with two prunes: consistency, and any forbidden set fully
-    inside the partial orientation (both are monotone in the partial set).
-    """
-    seps = system.seps()
-    if len(seps) > bound:
-        raise BoundExceeded(f"{len(seps)} separations exceed bound {bound}")
-    if any(not s for s in family.sets):
-        return []
-    member_masks = [mask_of(s) for s in family.sets]
-    incompat = system._incompat
-    out = []
-
-    def forbidden_hit(cur_mask):
-        return any(m & ~cur_mask == 0 for m in member_masks)
-
-    def walk(i, cur_mask, cur):
-        if forbidden_hit(cur_mask):
-            return
-        if i == len(seps):
-            out.append(frozenset(cur))
-            return
-        for h in system.orientations(seps[i]):
-            if not incompat[h] & cur_mask:
-                cur.append(h)
-                walk(i + 1, cur_mask | (1 << h), cur)
-                cur.pop()
-
-    walk(0, 0, [])
-    return out
+def enumerate_tangles(system, family, bound=ENUMERATION_BOUND):
+    """All F-tangles of the member separations, in lexicographic handle order."""
+    return orientations_avoiding(system, family.sets, bound)
 
 
 def order_thresholds(system, order):
@@ -137,7 +107,7 @@ def order_thresholds(system, order):
     return vals + [vals[-1] + 1]
 
 
-def enumerate_tangles_in(system, family, order, bound=20):
+def enumerate_tangles_in(system, family, order, bound=ENUMERATION_BOUND):
     """The F-tangles of every S_k, with maximality flags.
 
     A tangle is maximal when no tangle of any other threshold strictly
@@ -158,7 +128,7 @@ def enumerate_tangles_in(system, family, order, bound=20):
     return out
 
 
-def maximal_tangles_in(system, family, order, bound=20):
+def maximal_tangles_in(system, family, order, bound=ENUMERATION_BOUND):
     return [t for t in enumerate_tangles_in(system, family, order, bound=bound)
             if t.maximal]
 
@@ -212,30 +182,36 @@ def is_strongly_efficient(system, order, sigma, tau) -> bool:
     return efficiency_witness(system, order, sigma, tau, strong=True) is None
 
 
-def is_rich(system, family, order, bound=20):
+def orientations_with_members(system, family, bound=ENUMERATION_BOUND):
+    """(tau, members inside tau) for each consistent orientation tau holding a member.
+
+    Members are listed in ``family.sets`` order, so witnesses are stable.
+    """
+    for tau in system.consistent_orientations(bound=bound):
+        inside = [s for s in family.sets if s <= tau]
+        if inside:
+            yield tau, inside
+
+
+def is_rich(system, family, order, bound=ENUMERATION_BOUND):
     """Brute force over all consistent orientations; counterexample on failure.
 
     Rich: every consistent orientation with a forbidden subset has a
     strongly efficient forbidden subset.
     """
-    for tau in system.consistent_orientations(bound=bound):
-        inside = [s for s in family.sets if s <= tau]
-        if not inside:
-            continue
+    for tau, inside in orientations_with_members(system, family, bound):
         if not any(is_strongly_efficient(system, order, s, tau) for s in inside):
             return False, tau
     return True, None
 
 
-def closed_under_eclipsing(system, family, order, bound=20):
+def closed_under_eclipsing(system, family, order, bound=ENUMERATION_BOUND):
     """Replacement closure check, quantified over every consistent orientation.
 
     Witness is (tau, sigma, replaced, replacement) for the first failure.
     """
-    for tau in system.consistent_orientations(bound=bound):
-        for sigma in family.sets:
-            if not sigma <= tau:
-                continue
+    for tau, inside in orientations_with_members(system, family, bound):
+        for sigma in inside:
             for x in sigma:
                 for y in tau:
                     if y == x:

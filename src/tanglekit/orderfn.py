@@ -10,8 +10,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .core import SeparationSystem
+from .core import ENUMERATION_BOUND, SeparationSystem
 from .errors import NonSubmodularOrder, SystemValidationError, UnknownHandle
+from .forbidden import enumerate_tangles, order_thresholds
 from .universe import is_submodular, restrict_Sk
 
 ORDER_SCHEMA = "tanglekit/order-v1"
@@ -36,10 +37,6 @@ class OrderFunction:
         if missing:
             raise SystemValidationError("order-function-total", witness=missing[0])
         self._values = vals
-
-    @classmethod
-    def from_values(cls, system, values):
-        return cls(system, values)
 
     @classmethod
     def constant(cls, system, value=0):
@@ -196,26 +193,18 @@ def enumeration_refinement(uni, o: OrderFunction, iota=None) -> Enumeration:
     return Enumeration(uni, {s: i + 1 for i, s in enumerate(seps)})
 
 
-def tangles_preserved_under_refinement(system, family, o, o2, bound=20):
+def tangles_preserved_under_refinement(system, family, o, o2, bound=ENUMERATION_BOUND):
     """Check that every tangle at any o-threshold is a tangle at some o2-threshold.
 
     Exhausts thresholds at the distinct order values (plus a sentinel above
     the maximum).  Returns (ok, witness); the witness names the threshold and
     tangle that fail.
     """
-    from .forbidden import enumerate_tangles
-
-    def thresholds(fn):
-        vals = sorted({fn.of(s) for s in system.seps()})
-        if not vals:
-            return [None]
-        return vals + [vals[-1] + 1]
-
     o2_tangles = {}
-    for k2 in thresholds(o2):
+    for k2 in order_thresholds(system, o2):
         sub2 = restrict_Sk(system, o2, k2)
         o2_tangles[k2] = set(enumerate_tangles(sub2, family, bound=bound))
-    for k in thresholds(o):
+    for k in order_thresholds(system, o):
         sub = restrict_Sk(system, o, k)
         for tau in enumerate_tangles(sub, family, bound=bound):
             if not any(tau in ts for ts in o2_tangles.values()):

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import iter_mask
-from .errors import HypothesisFailure, NonInjectiveOrder
+from .core import ENUMERATION_BOUND, iter_mask
+from .errors import HypothesisFailure, NonInjectiveOrder, TheoremViolation
 from .forbidden import (
     is_rich,
     is_standard,
@@ -25,7 +25,8 @@ from .tst import (
     classify_leaf,
     is_thoroughly_ordered,
 )
-from .universe import Universe, is_structurally_submodular
+from .universe import (Universe, is_order_threshold_restriction,
+                       is_structurally_submodular)
 
 
 @dataclass
@@ -68,14 +69,18 @@ def optimal_distinguishers(system, order, tangles) -> frozenset:
 # -- extraction from a thoroughly ordered structure tree -----------------------------
 
 
-def tangle_nodes(tree, family) -> list:
-    """Non-leaves all of whose child subtrees contain a tangle leaf."""
-    classes = {l: classify_leaf(tree, family, l) for l in tree.leaves()}
+def tangle_nodes(tree, family, leaf_classes=None) -> list:
+    """Non-leaves all of whose child subtrees contain a tangle leaf.
+
+    Leaves are read with ``classify_leaf`` unless ``leaf_classes`` is given.
+    """
+    if leaf_classes is None:
+        leaf_classes = {l: classify_leaf(tree, family, l) for l in tree.leaves()}
     has_tangle_below = {}
     order = sorted(tree.nodes(), key=lambda v: -len(tree.beta(v)))
     for v in order:
         if tree.is_leaf(v):
-            has_tangle_below[v] = classes[v].kind == LEAF_TANGLE
+            has_tangle_below[v] = leaf_classes[v].kind == LEAF_TANGLE
         else:
             has_tangle_below[v] = any(has_tangle_below[w] for w in tree.children[v])
     return [v for v in tree.nodes()
@@ -93,16 +98,15 @@ class ToTHypotheses:
     rich: bool
 
 
-def check_tot_hypotheses(system, order, family, bound=20, trust_rich=False):
+def check_tot_hypotheses(system, order, family, bound=ENUMERATION_BOUND,
+                         trust_rich=False):
     """Eager checks for the tree-of-tangles theorem on S = U_k."""
     if not isinstance(system.ground, Universe):
         raise HypothesisFailure("system must live in a universe")
     uni = system.ground
     struct, _ = is_structurally_submodular(uni, order)
     injective = order.is_injective_on(uni)
-    inside = [order.of(h) for h in system.elements()]
-    outside = [order.of(h) for h in uni.elements() if not system.contains(h)]
-    threshold = not inside or not outside or max(inside) < min(outside)
+    threshold = is_order_threshold_restriction(system, order)
     robust = robustness_family(uni, order, target=system)
     included = all(t in family.sets for t in robust.sets)
     standard, _ = is_standard(family, system)
@@ -114,7 +118,8 @@ def check_tot_hypotheses(system, order, family, bound=20, trust_rich=False):
     return hyp
 
 
-def tree_of_tangles(tree, system, order, family, bound=20, trust_rich=False):
+def tree_of_tangles(tree, system, order, family, bound=ENUMERATION_BOUND,
+                    trust_rich=False):
     """The nested distinguisher set N read off a thoroughly ordered tree.
 
     N is the set of separations oriented at the tangle nodes; under the
@@ -128,7 +133,7 @@ def tree_of_tangles(tree, system, order, family, bound=20, trust_rich=False):
     return frozenset(tree.node_sep(v) for v in tangle_nodes(tree, family))
 
 
-def is_critical(tree, v, order, family, bound=20) -> bool:
+def is_critical(tree, v, order, family, bound=ENUMERATION_BOUND) -> bool:
     """A node is critical if an orientation of its separation is co-trivial or
     completes a robustness triple over the path closure."""
     sys = tree.system
@@ -159,7 +164,8 @@ class ToTInSResult:
     report: "ToTReport" = None
 
 
-def tree_of_tangles_in(system, order, family, bound=20, trust_rich=False):
+def tree_of_tangles_in(system, order, family, bound=ENUMERATION_BOUND,
+                       trust_rich=False):
     """The layered tree of tangles: separations at tangle nodes of the pruned
     full-system tree, distinguishing every pair of maximal tangles optimally."""
     if not isinstance(system.ground, Universe):
@@ -187,15 +193,10 @@ def tree_of_tangles_in(system, order, family, bound=20, trust_rich=False):
         if not any(w in forbidden_leaves for w in tree.children[v]):
             nodes.append(v)
     # cross-check against the recursive tangle-node reading
-    has_tangle_below = {}
-    for v in sorted(tree.nodes(), key=lambda u: -len(tree.beta(u))):
-        if tree.is_leaf(v):
-            has_tangle_below[v] = result.leaf_classes[v].kind == LEAF_TANGLE
-        else:
-            has_tangle_below[v] = any(has_tangle_below[w] for w in tree.children[v])
-    recursive = [v for v in tree.nodes() if not tree.is_leaf(v)
-                 and all(has_tangle_below[w] for w in tree.children[v])]
-    assert nodes == recursive, "two readings of tangle nodes disagree"
+    recursive = tangle_nodes(tree, family, result.leaf_classes)
+    if nodes != recursive:
+        raise TheoremViolation(
+            f"two readings of tangle nodes disagree: {nodes} and {recursive}")
     maximal = maximal_tangles_in(system, family, order, bound=bound)
     return ToTInSResult(
         distinguishers=frozenset(tree.node_sep(v) for v in nodes),

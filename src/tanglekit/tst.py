@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import iter_mask, mask_of
+from .core import ENUMERATION_BOUND, iter_mask, mask_of
 from .errors import (
     BoundExceeded,
     HypothesisFailure,
@@ -27,6 +27,7 @@ from .errors import (
     ReductionStuck,
     RichnessViolation,
     SystemValidationError,
+    TheoremViolation,
     UnknownHandle,
 )
 from .forbidden import avoids, is_rich, is_standard, order_thresholds
@@ -260,7 +261,7 @@ def is_thoroughly_ordered(tree, order) -> bool:
 # -- the thorough builder ---------------------------------------------------------
 
 
-def build_thorough_tst(system, order, family, bound=20) -> SeparationTree:
+def build_thorough_tst(system, order, family, bound=ENUMERATION_BOUND) -> SeparationTree:
     """The thoroughly ordered tangle structure tree of the member separations.
 
     Node rule: a forbidden subset inside the path closes a forbidden leaf;
@@ -285,7 +286,10 @@ def build_thorough_tst(system, order, family, bound=20) -> SeparationTree:
         if _family_subset_of(family, frozenset(iter_mask(beta))) is not None:
             continue  # forbidden leaf
         cl = system.closure_mask(beta)
-        assert system.is_consistent(set(iter_mask(cl))), "closure of a standard-safe path"
+        pair = system.consistency_witness(iter_mask(cl))
+        if pair is not None:
+            raise TheoremViolation(f"closure of the path {sorted(iter_mask(beta))} "
+                                   f"is inconsistent: pair {pair}")
         oriented = {system.sep(h) for h in iter_mask(cl)}
         unoriented = [s for s in seps if s not in oriented]
         if not unoriented:
@@ -301,7 +305,9 @@ def build_thorough_tst(system, order, family, bound=20) -> SeparationTree:
             children.append([])
             edge_label.append(h)
             kids.append(w)
-            assert system.is_consistent(set(iter_mask(beta | (1 << h))))
+            if not system.is_consistent(iter_mask(beta | (1 << h))):
+                raise TheoremViolation(f"path {sorted(iter_mask(beta))} plus {h} "
+                                       "is inconsistent")
         children[v] = kids
         for w in reversed(kids):
             stack.append((w, beta | (1 << edge_label[w])))
@@ -317,7 +323,9 @@ def display(tree, tau):
     v = tree.root
     while not tree.is_leaf(v):
         nxt = [w for w in tree.children[v] if tree.edge_label[w] in tau]
-        assert len(nxt) == 1, "orientation picks exactly one child"
+        if len(nxt) != 1:
+            raise TheoremViolation(f"orientation {sorted(tau)} picks children {nxt} "
+                                   f"at node {v}, not exactly one")
         v = nxt[0]
     return v
 
@@ -512,7 +520,8 @@ def _leaf_class_in_s(tree, family, order, leaf) -> LeafClass:
     return LeafClass(LEAF_TANGLE, tau)
 
 
-def check_rich_per_layer(system, order, family, bound=20, trust_rich=False):
+def check_rich_per_layer(system, order, family, bound=ENUMERATION_BOUND,
+                         trust_rich=False):
     """F must be rich and standard for every S_k; returns the threshold list."""
     ks = order_thresholds(system, order)
     for k in ks:
@@ -528,7 +537,8 @@ def check_rich_per_layer(system, order, family, bound=20, trust_rich=False):
     return ks
 
 
-def build_tst_in_S(system, order, family, bound=20, trust_rich=False) -> TstInS:
+def build_tst_in_S(system, order, family, bound=ENUMERATION_BOUND,
+                   trust_rich=False) -> TstInS:
     """Layered structure tree: the full thorough tree minus forbidden leaf pairs.
 
     Leaves classify per the maximal-tangle notion; sibling forbidden-leaf
@@ -560,7 +570,8 @@ def build_tst_in_S(system, order, family, bound=20, trust_rich=False) -> TstInS:
     )
 
 
-def validate_tst_in_s(result: TstInS, family, order, bound=20) -> TstReport:
+def validate_tst_in_s(result: TstInS, family, order,
+                      bound=ENUMERATION_BOUND) -> TstReport:
     """Oracle-grade validation of a layered tree per the maximal-tangle notion."""
     from .forbidden import maximal_tangles_in
 

@@ -24,6 +24,8 @@ UNIVERSE_SCHEMA = "tanglekit/universe-v1"
 class Universe(SeparationSystem):
     """A separation system whose poset is a lattice (total join/meet tables)."""
 
+    lattice_report = None  # from_tables keeps its validate_lattice report here
+
     def __init__(self, inv, up, labels, join, meet, members=None, ground=None):
         super().__init__(inv, up, labels, members=members, ground=ground)
         self._join = join
@@ -35,7 +37,7 @@ class Universe(SeparationSystem):
         uni = cls(base._inv, base._up, base.labels, tuple(map(tuple, join)),
                   tuple(map(tuple, meet)))
         if validate:
-            rep = validate_lattice(uni)
+            uni.lattice_report = rep = validate_lattice(uni)
             if not rep.ok:
                 axiom, witness = rep.failures[0]
                 raise SystemValidationError(axiom, witness=witness)
@@ -188,7 +190,7 @@ def graph_universe(vertices, edges, bound: int = 8):
     meet = [[index[(sides[i][0] | sides[j][0], sides[i][1] & sides[j][1])]
              for j in range(n)] for i in range(n)]
     uni = Universe(inv, up, labels, tuple(map(tuple, join)), tuple(map(tuple, meet)))
-    order = OrderFunction.from_values(
+    order = OrderFunction(
         uni, {uni.sep(i): Fraction(bin(a & b).count("1"))
               for i, (a, b) in enumerate(sides) if i <= inv[i]})
     return uni, order
@@ -203,6 +205,16 @@ def restrict_Sk(system: SeparationSystem, order, k) -> SeparationSystem:
         if order.of(h) < k:
             m |= 1 << h
     return system.restrict(m)
+
+
+def is_order_threshold_restriction(system, order) -> bool:
+    """True iff every member has a lower order than every non-member of the ground."""
+    inside = [order.of(h) for h in system.elements()]
+    outside = [order.of(h) for h in system.ground.elements()
+               if not system.contains(h)]
+    if not inside or not outside:
+        return True
+    return max(inside) < min(outside)
 
 
 # -- submodularity -----------------------------------------------------------

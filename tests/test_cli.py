@@ -242,3 +242,73 @@ def test_malformed_edge_line_location(workdir, capsys):
 def test_bounds_must_be_positive(workdir, capsys):
     code, _ = run(workdir, "tangles", "--bipartition", "1,2", "--bounds", "0")
     assert code == 1
+
+
+# sha256 of every artifact each subcommand writes on the P3 fixture.  Files
+# named *.graph / *.json are resolved inside the work directory.
+PINNED_ARTIFACTS = {
+    "tangles": (["--input", "p3.graph", "--k", "2", "--forbidden", "stars.json"], {
+        "tangles.json": "8880d9d64baf0297cd1ef45bc5fc9a2c64a0ddc6900ccdea4e5136ffa6660454"}),
+    "tst": (["--input", "p3.graph", "--k", "2", "--forbidden", "stars.json",
+             "--emit", "dot"], {
+        "tst.dot": "f299497b6d2bc60e30baef66c252636ea86075f805967c7d72226bff0afdd5c0",
+        "tst.json": "e45a81404265a0b1c8ef57f5d4894746493d880fa91e3e38f51eb9e15e6518bf"}),
+    "tot": (["--input", "p3.graph", "--k", "2", "--forbidden", "stars-full.json",
+             "--emit", "dot"], {
+        "tot.dot": "66b0cb5e1c3a6588174555e95e72945ce78205998ce0321e4cad56a9c4ce18d7",
+        "tot.json": "7a8c25343a5f16dd13a33f762bb61e75ffb8dadd4da30fab77a0ccff1b27f7b3"}),
+    "reduce": (["--input", "p3.graph", "--k", "2", "--forbidden", "stars.json"], {
+        "reduce.json": "461deac67d365a3f9d92b4bee925ae127f9a4893c4b0a1f5625d67b4eaa4b100"}),
+    "duality": (["--input", "p3.graph", "--k", "2", "--forbidden", "stars.json",
+                 "--check-exclusive"], {
+        "duality.json": "e9b0e06aedd065ad5ee82f8f2c68b24406cf766eabb7b0bcd52dee18b36ca9fe"}),
+    "newduality": (["--input", "p3.graph", "--k", "2", "--forbidden", "stars.json"], {
+        "newduality.json": "c3dccbd84f50de569d877d2acb801def2c3a75872f1deb6bdd0fcdd221a19ab4"}),
+    "totins": (["--input", "p3.graph", "--forbidden", "stars-full.json"], {
+        "totins.json": "f7d64c2555b38adb0b8cde87b8d2d62aaed7ed250a58dba2a6b9766fc7113b78"}),
+    "refine-order": (["--input", "p3.graph"], {
+        "refine-order.json": "a70792310ccb9274a0dba3ada4a84915c0cc6332cff57cd61d5976e3d8f3bfb9"}),
+    "validate": (["--input", "p3.json"], {
+        "validate.json": "f920daf8ea21fe3a7bd98cab4bfe8d07097ed0b19f001aa0248f0b00de6b209e"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_ARTIFACTS))
+def test_artifacts_pinned(workdir, command):
+    import hashlib
+    u, _ = p3_universe()
+    (workdir / "p3.json").write_text(json.dumps(u.to_json()))
+    args, want = PINNED_ARTIFACTS[command]
+    argv = [str(workdir / a) if a.endswith((".graph", ".json")) else a for a in args]
+    code, out = run(workdir, command, *argv)
+    assert code == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(out.iterdir())}
+    assert got == want
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_inconsistent_closure_exit_3_with_and_without_optimize(workdir, flags):
+    # the k=2 stars plus R over the whole universe leave a small separation
+    # below the degenerate one unforbidden; its path closure is inconsistent
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import tanglekit
+    u, o = p3_universe()
+    obj = graph_tangle_stars(u, o, "abc", [("a", "b"), ("b", "c")], 2).to_json()
+    obj["generate"] = ["R", "standardize"]
+    (workdir / "stars2-R.json").write_text(json.dumps(obj))
+    src = str(Path(tanglekit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "tanglekit.cli", "totins",
+         "--input", str(workdir / "p3.graph"),
+         "--forbidden", str(workdir / "stars2-R.json"), "--out", str(workdir / "out")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 3
+    err = json.loads(proc.stderr)
+    assert err["ok"] is False and err["kind"] == "TheoremViolation"
+    assert "inconsistent" in err["error"]
