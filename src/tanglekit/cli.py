@@ -134,9 +134,11 @@ def load_family(args, uni, system, order):
         if directive == "R":
             if order is None:
                 _fail(2, error="generator R needs an order function")
+            require_universe(uni, "generator R")
             fam = fam.extended(
                 robustness_family(uni, order, target=system).sets, "generated:R")
         elif directive == "profiles":
+            require_universe(uni, "generator profiles")
             fam = fam.extended(
                 profile_family(uni, target=system).sets, "generated:profile")
         elif directive == "standardize":
@@ -151,6 +153,11 @@ def require_order(order):
         _fail(2, error="this command needs an order function "
                        "(--order, or a graph input)")
     return order
+
+
+def require_universe(uni, what):
+    if not isinstance(uni.ground, Universe):
+        _fail(2, error=f"{what} needs a universe (joins and meets)")
 
 
 def ensure_injective(uni, order, notes):
@@ -173,10 +180,15 @@ def check_bound(system, args):
 # -- emission -------------------------------------------------------------------
 
 
-def write_artifact(args, name, obj):
+def _out_dir(args):
+    """The output directory (--out, else $TANGLEKIT_OUT, else .), created if missing."""
     outdir = Path(args.out or os.environ.get(OUT_ENV, "."))
     outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"{name}.json"
+    return outdir
+
+
+def write_artifact(args, name, obj):
+    path = _out_dir(args) / f"{name}.json"
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -184,8 +196,7 @@ def write_artifact(args, name, obj):
 def write_dot(args, name, text):
     if args.emit != "dot":
         return None
-    outdir = Path(args.out or os.environ.get(OUT_ENV, "."))
-    path = outdir / f"{name}.dot"
+    path = _out_dir(args) / f"{name}.dot"
     path.write_text(text)
     return path
 
@@ -343,8 +354,7 @@ def cmd_totins(args):
 def cmd_refine_order(args):
     uni, order = load_inputs(args)
     require_order(order)
-    if not isinstance(uni.ground, Universe):
-        _fail(2, error="refine-order needs a universe (joins and meets)")
+    require_universe(uni, "refine-order")
     refined = refine_injective(uni.ground, order)
     ok_sub, _ = is_submodular(uni, refined)
     obj = refined.to_json()

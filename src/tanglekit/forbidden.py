@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import ENUMERATION_BOUND, orientations_avoiding
-from .universe import restrict_Sk
+from .universe import handle_values, restrict_Sk
 
 FAMILY_SCHEMA = "tanglekit/forbidden-v1"
 
@@ -259,15 +259,16 @@ def robustness_family(uni, order, target=None) -> ForbiddenFamily:
     """
     target = uni if target is None else target
     g = uni.ground
+    val = handle_values(g, order)
     out = set()
     for r in uni.elements():
         if not target.contains(r):
             continue
-        ri = uni.inv(r)
+        ri, vr = uni.inv(r), val[r]
         for s in uni.seps():
             a = g.join(ri, s)
             b = g.join(ri, uni.inv(s))
-            if not (order.of(a) < order.of(r) and order.of(b) < order.of(r)):
+            if not (val[a] < vr and val[b] < vr):
                 continue
             triple = frozenset({r, a, b})
             if any(uni.is_degenerate(x) for x in triple):

@@ -11,9 +11,9 @@ import json
 from fractions import Fraction
 
 from .core import ENUMERATION_BOUND, SeparationSystem
-from .errors import NonSubmodularOrder, SystemValidationError, UnknownHandle
+from .errors import InputError, NonSubmodularOrder, SystemValidationError, UnknownHandle
 from .forbidden import enumerate_tangles, order_thresholds
-from .universe import is_submodular, restrict_Sk
+from .universe import handle_values, is_submodular, restrict_Sk
 
 ORDER_SCHEMA = "tanglekit/order-v1"
 
@@ -101,7 +101,11 @@ def parse_threshold(text):
     """CLI threshold: an integer, a 'p/q' rational, or 'inf' for everything."""
     if text is None or text in ("inf", "Inf", "INF"):
         return None
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"malformed threshold {text!r}: expected an integer, "
+                         "a p/q rational or inf") from exc
 
 
 # -- refinement --------------------------------------------------------------
@@ -109,11 +113,13 @@ def parse_threshold(text):
 
 def refines(o2, o1, system=None):
     """o2 refines o1: o1(r) < o1(s) implies o2(r) < o2(s).  Witness pair on failure."""
-    sys = (system or o1.system).ground if system is None else system
+    sys = o1.system if system is None else system
     seps = sys.seps()
+    v1, v2 = handle_values(sys.ground, o1), handle_values(sys.ground, o2)
     for r in seps:
+        r1, r2 = v1[r], v2[r]
         for s in seps:
-            if o1.of(r) < o1.of(s) and not o2.of(r) < o2.of(s):
+            if r1 < v1[s] and not r2 < v2[s]:
                 return False, (r, s)
     return True, None
 
@@ -138,11 +144,12 @@ def gamma(uni, n: int, iota: dict, s: int) -> int:
     Equivalently the indicator-weighted sum, so the base-n digits of the
     symmetrized value encode which separations point towards s.
     """
-    total = 0
-    for t in uni.elements():
-        if not uni.leq(s, t):
-            total += n ** iota[t]
-    return total
+    return _weight_sum(uni, {t: n ** iota[t] for t in uni.elements()}, s)
+
+
+def _weight_sum(uni, weights: dict, s: int) -> int:
+    """Sum of weights[t] over the members t of ``weights`` that are not >= s."""
+    return sum(w for t, w in weights.items() if not uni.leq(s, t))
 
 
 def symmetrize(uni, fn) -> OrderFunction:
@@ -174,10 +181,11 @@ def refine_injective(uni, o: OrderFunction, iota=None) -> OrderFunction:
     eps = min(gaps) if gaps else Fraction(1)
     m = len(uni.elements())
     scale = Fraction(eps, 2 * 3 ** m)
+    weights = {t: 3 ** iota[t] for t in uni.elements()}
     out = {}
     for s in uni.seps():
         ors = uni.orientations(s)
-        g = gamma(uni, 3, iota, ors[0]) + gamma(uni, 3, iota, ors[-1])
+        g = _weight_sum(uni, weights, ors[0]) + _weight_sum(uni, weights, ors[-1])
         out[s] = vals[s] + scale * g
     return OrderFunction(uni, out)
 

@@ -11,6 +11,7 @@ Two fixture conventions coexist (both are valid separation systems):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -227,14 +228,29 @@ def _universe_of(system):
     return g
 
 
+def handle_values(ground, fn):
+    """``fn`` on every handle of ``ground``, as integers over one common denominator.
+
+    ``fn`` is an order function or any callable on handles.  Every value is
+    scaled by the same positive integer (the lcm of the Fraction
+    denominators), so ``<``, ``<=`` and sums of values compare exactly as the
+    Fractions do, at integer speed.
+    """
+    val = fn.of if hasattr(fn, "of") else fn
+    fracs = [Fraction(val(h)) for h in range(ground.n_ground)]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs]
+
+
 def is_submodular(uni, fn):
     """u(r v s) + u(r ^ s) <= u(r) + u(s) over all oriented pairs; witness on failure."""
     g = _universe_of(uni)
     els = uni.elements()
-    val = fn.of if hasattr(fn, "of") else fn
+    val = handle_values(g, fn)
     for i, a in enumerate(els):
+        join, meet, va = g._join[a], g._meet[a], val[a]
         for b in els[i:]:
-            if val(g.join(a, b)) + val(g.meet(a, b)) > val(a) + val(b):
+            if val[join[b]] + val[meet[b]] > va + val[b]:
                 return False, (a, b)
     return True, None
 
@@ -243,10 +259,11 @@ def is_structurally_submodular(uni, fn):
     """u(r v s) <= u(r) or u(r ^ s) <= u(s), over all ordered oriented pairs."""
     g = _universe_of(uni)
     els = uni.elements()
-    val = fn.of if hasattr(fn, "of") else fn
+    val = handle_values(g, fn)
     for a in els:
+        join, meet, va = g._join[a], g._meet[a], val[a]
         for b in els:
-            if not (val(g.join(a, b)) <= val(a) or val(g.meet(a, b)) <= val(b)):
+            if not (val[join[b]] <= va or val[meet[b]] <= val[b]):
                 return False, (a, b)
     return True, None
 

@@ -60,3 +60,42 @@ def beta_by_path_walk(tree, node):
         out.add(tree.edge_label[node])
         node = tree.parent[node]
     return frozenset(out)
+
+
+# -- order hypotheses, by one Fraction lookup per use --------------------------
+
+
+def _value(fn):
+    return fn.of if hasattr(fn, "of") else fn
+
+
+def naive_is_submodular(uni, fn):
+    """u(r v s) + u(r ^ s) <= u(r) + u(s) over all oriented pairs; witness on failure."""
+    g, val = uni.ground, _value(fn)
+    els = uni.elements()
+    for i, a in enumerate(els):
+        for b in els[i:]:
+            if val(g.join(a, b)) + val(g.meet(a, b)) > val(a) + val(b):
+                return False, (a, b)
+    return True, None
+
+
+def naive_is_structurally_submodular(uni, fn):
+    """u(r v s) <= u(r) or u(r ^ s) <= u(s), over all ordered oriented pairs."""
+    g, val = uni.ground, _value(fn)
+    els = uni.elements()
+    for a in els:
+        for b in els:
+            if not (val(g.join(a, b)) <= val(a) or val(g.meet(a, b)) <= val(b)):
+                return False, (a, b)
+    return True, None
+
+
+def naive_refines(o2, o1, system):
+    """o1(r) < o1(s) implies o2(r) < o2(s) over all separation pairs; witness on failure."""
+    seps = system.seps()
+    for r in seps:
+        for s in seps:
+            if o1.of(r) < o1.of(s) and not o2.of(r) < o2.of(s):
+                return False, (r, s)
+    return True, None

@@ -312,3 +312,46 @@ def test_inconsistent_closure_exit_3_with_and_without_optimize(workdir, flags):
     err = json.loads(proc.stderr)
     assert err["ok"] is False and err["kind"] == "TheoremViolation"
     assert "inconsistent" in err["error"]
+
+
+def test_duality_stree_dot_into_fresh_out_dir(tmp_path, capsys):
+    # every singleton forbidden on the two-separation chain: the S-tree branch
+    from tanglekit.fixtures import chain2_system, singleton_family
+    from tanglekit.orderfn import OrderFunction
+    s = chain2_system()
+    (tmp_path / "sys.json").write_text(json.dumps(s.to_json()))
+    order = OrderFunction(s, {sep: i + 1 for i, sep in enumerate(s.seps())})
+    (tmp_path / "inj.json").write_text(json.dumps(order.to_json()))
+    (tmp_path / "singles.json").write_text(json.dumps(singleton_family(s).to_json()))
+    out = tmp_path / "fresh" / "out"
+    code = main(["duality", "--input", str(tmp_path / "sys.json"),
+                 "--order", str(tmp_path / "inj.json"),
+                 "--forbidden", str(tmp_path / "singles.json"),
+                 "--emit", "dot", "--out", str(out)])
+    assert code == 0
+    assert json.loads((out / "duality.json").read_text())["kind"] == "stree"
+    assert (out / "duality-stree.dot").read_text().startswith("graph stree")
+
+
+@pytest.mark.parametrize("k", ["abc", "1/0"])
+def test_malformed_threshold_exit_1(workdir, capsys, k):
+    code, _ = run(workdir, "tangles", "--input", str(workdir / "p3.graph"), "--k", k)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["ok"] is False and "malformed threshold" in err["error"]
+
+
+@pytest.mark.parametrize("generator", ["R", "profiles"])
+def test_generators_need_a_universe_exit_2(tmp_path, capsys, generator):
+    from tanglekit.fixtures import chain2_system
+    from tanglekit.orderfn import OrderFunction
+    s = chain2_system()
+    (tmp_path / "sys.json").write_text(json.dumps(s.to_json()))
+    (tmp_path / "order.json").write_text(json.dumps(OrderFunction.constant(s, 1).to_json()))
+    (tmp_path / "gen.json").write_text(json.dumps({"sets": [], "generate": [generator]}))
+    code = main(["tangles", "--input", str(tmp_path / "sys.json"),
+                 "--order", str(tmp_path / "order.json"),
+                 "--forbidden", str(tmp_path / "gen.json"), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == f"generator {generator} needs a universe (joins and meets)"
