@@ -163,7 +163,8 @@ def require_universe(uni, what):
 def ensure_injective(uni, order, notes):
     if order.is_injective_on(uni):
         return order
-    refined = refine_injective(uni.ground if uni.ground else uni, order)
+    require_universe(uni, "refining a non-injective order")
+    refined = refine_injective(uni.ground, order)
     notes["order"] = "refined to an injective order (deterministic, default iota)"
     return refined
 
@@ -315,6 +316,7 @@ def cmd_duality(args):
 
 def cmd_newduality(args):
     run = prepare(args, "required")
+    require_universe(run.uni, "newduality")
     res = newduality(run.uni, run.order, run.k, run.family, bound=run.bound,
                      check_exclusive=args.check_exclusive)
     return emit_duality(args, "newduality", res, run)

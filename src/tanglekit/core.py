@@ -63,7 +63,9 @@ class SeparationSystem:
         self.n_ground = len(self._inv)
         full = (1 << self.n_ground) - 1
         self.members = full if members is None else members
-        self.ground = ground if ground is not None else self
+        # None for a ground system: a reference to itself would be a cycle,
+        # freed only by the cycle collector rather than with its last use
+        self._ground = ground
         # down[a] = mask of b <= a; incompat[x] = handles y of other separations
         # with y <= x* (the "point away from each other" test).
         if ground is None:
@@ -138,6 +140,11 @@ class SeparationSystem:
                                 ground=self.ground)
 
     # -- basic structure ---------------------------------------------------
+
+    @property
+    def ground(self) -> "SeparationSystem":
+        """The system this one is a view of; a ground system is its own."""
+        return self if self._ground is None else self._ground
 
     def inv(self, h: int) -> int:
         return self._inv[h]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .core import SeparationSystem
 from .forbidden import ForbiddenFamily, eclipse_flags
 from .orderfn import OrderFunction
-from .universe import Universe, graph_universe
+from .universe import Universe, graph_universe, subset_universe
 
 
 def ptriv_system() -> SeparationSystem:
@@ -42,17 +42,11 @@ def chain_universe(seps: int) -> Universe:
     """A totally ordered universe of ``seps`` regular separations.
 
     Handles 0 < 1 < ... < 2*seps-1 with the order-reversing involution
-    h -> 2*seps-1-h; join/meet are max/min.
+    h -> 2*seps-1-h.
     """
     n = 2 * seps
-    inv = [n - 1 - h for h in range(n)]
-    leq = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    join = [[max(a, b) for b in range(n)] for a in range(n)]
-    meet = [[min(a, b) for b in range(n)] for a in range(n)]
-    labels = [f"c{h}" for h in range(n)]
-    base = SeparationSystem.from_relation(inv, leq, labels)
-    return Universe(base._inv, base._up, labels,
-                    tuple(map(tuple, join)), tuple(map(tuple, meet)))
+    up = [(1 << n) - (1 << h) for h in range(n)]  # h <= every handle from h on
+    return Universe([n - 1 - h for h in range(n)], up, [f"c{h}" for h in range(n)])
 
 
 def p3_universe():
@@ -154,28 +148,6 @@ def _cut_order(uni, weights, nv) -> OrderFunction:
     return OrderFunction(uni, {s: _cut_value(s, weights) for s in uni.seps()})
 
 
-def _subset_universe(sides, nv) -> Universe:
-    """A standalone universe over a complement/union/intersection-closed family."""
-    full = (1 << nv) - 1
-    sides = sorted(sides)
-    index = {a: i for i, a in enumerate(sides)}
-    n = len(sides)
-
-    def name(mask):
-        return "{" + ",".join(str(i + 1) for i in range(nv) if (mask >> i) & 1) + "}"
-
-    inv = [index[full ^ a] for a in sides]
-    labels = [name(a) + "|" + name(full ^ a) for a in sides]
-    up = [0] * n
-    for i, a in enumerate(sides):
-        for j, b in enumerate(sides):
-            if a & ~b == 0:
-                up[i] |= 1 << j
-    join = [[index[a | b] for b in sides] for a in sides]
-    meet = [[index[a & b] for b in sides] for a in sides]
-    return Universe(inv, up, labels, tuple(map(tuple, join)), tuple(map(tuple, meet)))
-
-
 def random_universes(count=100, seed=2024, ground_size=4):
     """Seeded random sub-universes of the bipartition lattice with cut orders.
 
@@ -203,7 +175,7 @@ def random_universes(count=100, seed=2024, ground_size=4):
                             sides.add(c)
                             sides.add(full ^ c)
                             changed = True
-        uni = _subset_universe(sides, nv)
+        uni = subset_universe(sides, range(1, nv + 1))
         weights = {}
         for u in range(nv):
             for w in range(u + 1, nv):

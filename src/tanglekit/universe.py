@@ -1,12 +1,15 @@
 """Universes: lattice-equipped separation systems, and concrete generators.
 
-Two fixture conventions coexist (both are valid separation systems):
+Join and meet are fixed by the poset: r v s is the least upper bound of r
+and s, r ^ s the greatest lower bound.  Generators build only the order and
+derive both tables from it; ``validate_lattice`` checks given tables by the
+same rule.  Two fixture conventions coexist (both are valid separation systems):
 
 * bipartition universes order by first-side inclusion, (A,B) <= (C,D) iff
-  A is a subset of C, with join/meet = union/intersection of first sides;
+  A is a subset of C, so join/meet follow as union/intersection of A-sides;
 * graph universes order by (A,B) <= (C,D) iff A contains C and B is contained
   in D, making the (V,A) separations the small ones, with the standard order
-  function |A n B|.
+  function |A n B|; join/meet follow as (A n C, B u D) and (A u C, B n D).
 """
 
 from __future__ import annotations
@@ -23,25 +26,33 @@ UNIVERSE_SCHEMA = "tanglekit/universe-v1"
 
 
 class Universe(SeparationSystem):
-    """A separation system whose poset is a lattice (total join/meet tables)."""
+    """A separation system whose poset is a lattice (total join/meet tables).
+
+    Without ``join`` and ``meet`` the tables are derived from the poset, and a
+    pair without a least upper (greatest lower) bound raises
+    SystemValidationError.
+    """
 
     lattice_report = None  # from_tables keeps its validate_lattice report here
 
-    def __init__(self, inv, up, labels, join, meet, members=None, ground=None):
+    def __init__(self, inv, up, labels, join=None, meet=None, members=None, ground=None):
         super().__init__(inv, up, labels, members=members, ground=ground)
+        if join is None:
+            join = _bound_table(self._up, "join-least-upper-bound")
+            meet = _bound_table(self._down, "meet-greatest-lower-bound")
         self._join = join
         self._meet = meet
 
     @classmethod
-    def from_tables(cls, inv, leq_pairs, join, meet, labels=None, validate=True):
+    def from_tables(cls, inv, leq_pairs, join, meet, labels=None):
+        """A validated universe with the given tables; raises on the first failure."""
         base = SeparationSystem.from_relation(inv, leq_pairs, labels)
         uni = cls(base._inv, base._up, base.labels, tuple(map(tuple, join)),
                   tuple(map(tuple, meet)))
-        if validate:
-            uni.lattice_report = rep = validate_lattice(uni)
-            if not rep.ok:
-                axiom, witness = rep.failures[0]
-                raise SystemValidationError(axiom, witness=witness)
+        uni.lattice_report = rep = validate_lattice(uni)
+        if not rep.ok:
+            axiom, witness = rep.failures[0]
+            raise SystemValidationError(axiom, witness=witness)
         return uni
 
     def join(self, a: int, b: int) -> int:
@@ -67,6 +78,8 @@ class Universe(SeparationSystem):
         meet = [[-1] * n for _ in range(n)]
         for name, tab in (("join", join), ("meet", meet)):
             for a, b, c in obj.get(name, []):
+                if not all(0 <= h < n for h in (a, b, c)):
+                    raise SystemValidationError("unknown-handle", witness=(a, b, c))
                 tab[a][b] = tab[b][a] = c
         if any(-1 in row for row in join) or any(-1 in row for row in meet):
             raise SystemValidationError("lattice-tables-total", witness=None)
@@ -84,13 +97,32 @@ class LatticeReport:
     failures: list  # (axiom, witness) pairs
 
 
-def validate_lattice(uni: Universe) -> LatticeReport:
-    """Exhaustive lattice axioms plus the two couplings everything downstream uses:
+def _bound_table(masks, axiom):
+    """table[a][b] = the element whose mask is masks[a] & masks[b].
 
-    r <= s iff r v s = s iff r ^ s = r, and (r v s)* = r* ^ s*.
+    With up-sets this is the least upper bound, with down-sets the greatest
+    lower bound.  A pair without one raises SystemValidationError(axiom).
+    """
+    handle = {m: h for h, m in enumerate(masks)}.get
+    table = tuple(tuple(handle(ma & mb) for mb in masks) for ma in masks)
+    for a, row in enumerate(table):
+        if None in row:
+            raise SystemValidationError(axiom, witness=(a, row.index(None)))
+    return table
+
+
+def validate_lattice(uni: Universe) -> LatticeReport:
+    """Every table entry against the rule the tables are derived by.
+
+    up[a v b] == up[a] & up[b] (least upper bound), down[a ^ b] == down[a] &
+    down[b] (greatest lower bound), and (r v s)* = r* ^ s*.  Commutativity,
+    associativity, absorption and r <= s iff r v s = s all follow; the two
+    commutativity checks stay to name a lopsided table.
     """
     failures = []
-    els = list(range(uni.n_ground))
+    up, down, inv = uni._up, uni._down, uni._inv
+    join, meet = uni._join, uni._meet
+    els = range(uni.n_ground)
 
     def chk(cond, axiom, witness):
         if not cond and len(failures) < 20:
@@ -98,55 +130,45 @@ def validate_lattice(uni: Universe) -> LatticeReport:
 
     for a in els:
         for b in els:
-            j, m = uni.join(a, b), uni.meet(a, b)
-            chk(j == uni.join(b, a), "join-commutative", (a, b))
-            chk(m == uni.meet(b, a), "meet-commutative", (a, b))
-            chk(uni.join(a, m) == a, "absorption", (a, b))
-            chk(uni.meet(a, j) == a, "absorption", (a, b))
-            chk(uni.leq(a, j) and uni.leq(b, j), "join-upper-bound", (a, b))
-            chk(uni.leq(m, a) and uni.leq(m, b), "meet-lower-bound", (a, b))
-            chk((uni.leq(a, b)) == (j == b), "leq-join-coupling", (a, b))
-            chk((uni.leq(a, b)) == (m == a), "leq-meet-coupling", (a, b))
-            chk(uni.inv(j) == uni.meet(uni.inv(a), uni.inv(b)),
-                "involution-de-morgan", (a, b))
-    for a in els:
-        for b in els:
-            for c in els:
-                if uni.join(uni.join(a, b), c) != uni.join(a, uni.join(b, c)):
-                    chk(False, "join-associative", (a, b, c))
-                if uni.meet(uni.meet(a, b), c) != uni.meet(a, uni.meet(b, c)):
-                    chk(False, "meet-associative", (a, b, c))
+            j, m = join[a][b], meet[a][b]
+            chk(j == join[b][a], "join-commutative", (a, b))
+            chk(m == meet[b][a], "meet-commutative", (a, b))
+            chk(up[j] == up[a] & up[b], "join-least-upper-bound", (a, b))
+            chk(down[m] == down[a] & down[b], "meet-greatest-lower-bound", (a, b))
+            chk(inv[j] == meet[inv[a]][inv[b]], "involution-de-morgan", (a, b))
     return LatticeReport(ok=not failures, failures=failures)
 
 
 # -- generators --------------------------------------------------------------
 
 
+def _side_name(mask, names):
+    return "{" + ",".join(str(x) for i, x in enumerate(names) if (mask >> i) & 1) + "}"
+
+
+def subset_universe(sides, names) -> Universe:
+    """The oriented bipartitions (A, V \\ A) whose first sides A are in ``sides``.
+
+    Each side is a bitmask over the ground set ``names``, and ``sides`` is
+    closed under complement.  (A,B) <= (C,D) iff A is a subset of C.
+    """
+    full = (1 << len(names)) - 1
+    sides = sorted(sides)
+    index = {a: i for i, a in enumerate(sides)}
+    up = [sum(1 << j for j, b in enumerate(sides) if a & ~b == 0) for a in sides]
+    return Universe([index[full ^ a] for a in sides], up,
+                    [_side_name(a, names) + "|" + _side_name(full ^ a, names) for a in sides])
+
+
 def bipartition_universe(ground_set, bound: int = 6) -> Universe:
     """All oriented bipartitions (A, V \\ A) of a finite set.
 
-    Handle i encodes A as the subset with membership bits i; (A,B) <= (C,D)
-    iff A is a subset of C; join/meet are union/intersection of first sides.
+    Handle i encodes A as the subset with membership bits i.
     """
     v = sorted(ground_set, key=str)
     if len(v) > bound:
         raise BoundExceeded(f"ground set of {len(v)} exceeds bound {bound}")
-    n = 1 << len(v)
-    full = n - 1
-
-    def side(mask):
-        return "{" + ",".join(str(v[i]) for i in range(len(v)) if (mask >> i) & 1) + "}"
-
-    inv = [full ^ a for a in range(n)]
-    labels = [side(a) + "|" + side(full ^ a) for a in range(n)]
-    up = [0] * n
-    for a in range(n):
-        for b in range(n):
-            if a & ~b == 0:
-                up[a] |= 1 << b
-    join = [[a | b for b in range(n)] for a in range(n)]
-    meet = [[a & b for b in range(n)] for a in range(n)]
-    return Universe(inv, up, labels, tuple(map(tuple, join)), tuple(map(tuple, meet)))
+    return subset_universe(range(1 << len(v)), v)
 
 
 def graph_universe(vertices, edges, bound: int = 8):
@@ -174,23 +196,11 @@ def graph_universe(vertices, edges, bound: int = 8):
         sides.append((a_mask, b_mask))
     sides.sort()
     index = {ab: i for i, ab in enumerate(sides)}
-    n = len(sides)
-
-    def name(mask):
-        return "{" + ",".join(str(verts[i]) for i in range(len(verts)) if (mask >> i) & 1) + "}"
-
     inv = [index[(b, a)] for a, b in sides]
-    labels = [name(a) + "|" + name(b) for a, b in sides]
-    up = [0] * n
-    for i, (a1, b1) in enumerate(sides):
-        for j, (a2, b2) in enumerate(sides):
-            if a2 & ~a1 == 0 and b1 & ~b2 == 0:
-                up[i] |= 1 << j
-    join = [[index[(sides[i][0] & sides[j][0], sides[i][1] | sides[j][1])]
-             for j in range(n)] for i in range(n)]
-    meet = [[index[(sides[i][0] | sides[j][0], sides[i][1] & sides[j][1])]
-             for j in range(n)] for i in range(n)]
-    uni = Universe(inv, up, labels, tuple(map(tuple, join)), tuple(map(tuple, meet)))
+    up = [sum(1 << j for j, (a2, b2) in enumerate(sides) if a2 & ~a1 == 0 and b1 & ~b2 == 0)
+          for a1, b1 in sides]
+    uni = Universe(inv, up, [_side_name(a, verts) + "|" + _side_name(b, verts)
+                             for a, b in sides])
     order = OrderFunction(
         uni, {uni.sep(i): Fraction(bin(a & b).count("1"))
               for i, (a, b) in enumerate(sides) if i <= inv[i]})

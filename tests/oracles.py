@@ -99,3 +99,74 @@ def naive_refines(o2, o1, system):
             if o1.of(r) < o1.of(s) and not o2.of(r) < o2.of(s):
                 return False, (r, s)
     return True, None
+
+
+# -- lattice tables, by the axioms and by leq alone ------------------------------
+
+
+def naive_validate_lattice(uni):
+    """Exhaustive lattice axioms plus the two couplings everything downstream uses:
+
+    r <= s iff r v s = s iff r ^ s = r, and (r v s)* = r* ^ s*.  The cubic
+    associativity loop makes this the slow, axiom-by-axiom reading.
+    """
+    from tanglekit.universe import LatticeReport
+
+    failures = []
+    els = list(range(uni.n_ground))
+
+    def chk(cond, axiom, witness):
+        if not cond and len(failures) < 20:
+            failures.append((axiom, witness))
+
+    for a in els:
+        for b in els:
+            j, m = uni.join(a, b), uni.meet(a, b)
+            chk(j == uni.join(b, a), "join-commutative", (a, b))
+            chk(m == uni.meet(b, a), "meet-commutative", (a, b))
+            chk(uni.join(a, m) == a, "absorption", (a, b))
+            chk(uni.meet(a, j) == a, "absorption", (a, b))
+            chk(uni.leq(a, j) and uni.leq(b, j), "join-upper-bound", (a, b))
+            chk(uni.leq(m, a) and uni.leq(m, b), "meet-lower-bound", (a, b))
+            chk((uni.leq(a, b)) == (j == b), "leq-join-coupling", (a, b))
+            chk((uni.leq(a, b)) == (m == a), "leq-meet-coupling", (a, b))
+            chk(uni.inv(j) == uni.meet(uni.inv(a), uni.inv(b)),
+                "involution-de-morgan", (a, b))
+    for a in els:
+        for b in els:
+            for c in els:
+                if uni.join(uni.join(a, b), c) != uni.join(a, uni.join(b, c)):
+                    chk(False, "join-associative", (a, b, c))
+                if uni.meet(uni.meet(a, b), c) != uni.meet(a, uni.meet(b, c)):
+                    chk(False, "meet-associative", (a, b, c))
+    return LatticeReport(ok=not failures, failures=failures)
+
+
+def naive_bound_table(system, leq):
+    """table[a][b]: the common ``leq``-bound of a and b that is ``leq`` all others.
+
+    With ``system.leq`` this is the least upper bound; with the flipped
+    relation, the greatest lower bound.  None where there is no such element.
+    Only ``leq`` is consulted: a walk down the common bounds ends at the least
+    one if there is one, and the walk's end is then checked against them all.
+    """
+    els = range(system.n_ground)
+    above = [[c for c in els if leq(a, c)] for a in els]
+
+    def least(a, b):
+        bounds = [c for c in above[a] if leq(b, c)]
+        low = None
+        for c in bounds:
+            if low is None or leq(c, low):
+                low = c
+        return low if all(leq(low, d) for d in bounds) else None
+
+    return [[least(a, b) for b in els] for a in els]
+
+
+def naive_join_table(system):
+    return naive_bound_table(system, system.leq)
+
+
+def naive_meet_table(system):
+    return naive_bound_table(system, lambda x, y: system.leq(y, x))

@@ -355,3 +355,50 @@ def test_generators_need_a_universe_exit_2(tmp_path, capsys, generator):
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == f"generator {generator} needs a universe (joins and meets)"
+
+
+@pytest.fixture()
+def plain_system(tmp_path):
+    """The two-separation chain (no joins or meets), a constant order, all singletons."""
+    from tanglekit.fixtures import chain2_system, singleton_family
+    from tanglekit.orderfn import OrderFunction
+    s = chain2_system()
+    (tmp_path / "sys.json").write_text(json.dumps(s.to_json()))
+    (tmp_path / "const.json").write_text(json.dumps(OrderFunction.constant(s, 1).to_json()))
+    (tmp_path / "singles.json").write_text(json.dumps(singleton_family(s).to_json()))
+    return tmp_path
+
+
+def run_plain(tmp_path, command, *extra):
+    return main([command, "--input", str(tmp_path / "sys.json"),
+                 "--order", str(tmp_path / "const.json"),
+                 "--forbidden", str(tmp_path / "singles.json"),
+                 "--out", str(tmp_path / "out"), *extra])
+
+
+def test_newduality_on_a_plain_system_exit_2(plain_system, capsys):
+    assert run_plain(plain_system, "newduality", "--k", "5") == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "newduality needs a universe (joins and meets)"
+
+
+@pytest.mark.parametrize("command", ["tst", "reduce", "tot", "duality", "totins"])
+def test_non_injective_order_on_a_plain_system_exit_2(plain_system, capsys, command):
+    # totins ignores --k and refines over the whole system
+    assert run_plain(plain_system, command, "--k", "5") == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "refining a non-injective order needs a universe (joins and meets)"
+
+
+@pytest.mark.parametrize("cell", [(1, 2, 99), (0, 2, -2), (0, 7, 0)])
+def test_universe_json_table_handles_out_of_range_exit_1(tmp_path, capsys, cell):
+    from tanglekit.universe import bipartition_universe
+    obj = bipartition_universe([1, 2]).to_json()
+    obj["join"].append(list(cell))
+    (tmp_path / "uni.json").write_text(json.dumps(obj))
+    code = main(["validate", "--input", str(tmp_path / "uni.json"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["axiom"] == "unknown-handle"
+    assert err["witness"] == repr(cell)

@@ -390,3 +390,20 @@ def test_display_uniqueness_property(pick_bits):
     tau = frozenset(tau)
     hits = [l for l in tree.leaves() if tree.beta(l) <= tau]
     assert len(hits) == 1
+
+
+def test_dropped_ground_system_is_freed_without_the_cycle_collector():
+    # a ground system is its own ground without referring to itself, so the
+    # last reference going frees it at once, views included
+    import gc
+    import weakref
+    gc.disable()
+    try:
+        uni = bipartition_universe([1, 2, 3])
+        view = uni.restrict(uni.members)
+        assert uni.ground is uni and view.ground is uni
+        ref = weakref.ref(uni)
+        del uni, view
+        assert ref() is None
+    finally:
+        gc.enable()

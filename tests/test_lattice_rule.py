@@ -1,0 +1,214 @@
+"""Join and meet as least upper and greatest lower bounds, against the oracles.
+
+Every generator derives its tables from the poset, and ``validate_lattice``
+checks each entry against the same rule.  The brute-force oracles in
+``oracles.py`` read the rule off ``leq`` alone, and the old axiom-by-axiom
+validator gives the verdict the library must match.
+"""
+
+import json
+import time
+from functools import lru_cache, partial
+
+import pytest
+from oracles import naive_join_table, naive_meet_table, naive_validate_lattice
+
+from tanglekit.cli import main
+from tanglekit.core import SeparationSystem
+from tanglekit.errors import SystemValidationError
+from tanglekit.fixtures import chain_universe, random_universes
+from tanglekit.universe import (
+    Universe,
+    bipartition_universe,
+    graph_universe,
+    validate_lattice,
+)
+
+
+def _path(n):
+    return n, [(i, i + 1) for i in range(n - 1)]
+
+
+def _cycle(n):
+    return n, [(i, (i + 1) % n) for i in range(n)]
+
+
+LADDER = {
+    "P3": _path(3), "P4": _path(4), "P5": _path(5), "P6": _path(6),
+    "C4": _cycle(4), "C5": _cycle(5), "C6": _cycle(6),
+    "K4": (4, [(i, j) for i in range(4) for j in range(i + 1, 4)]),
+    "K2,3": (5, [(i, 2 + j) for i in range(2) for j in range(3)]),
+    "K1,4": (5, [(0, j) for j in range(1, 5)]),
+}
+
+
+@lru_cache(maxsize=None)
+def ladder(name):
+    n, edges = LADDER[name]
+    return graph_universe(range(n), edges)[0]
+
+
+@lru_cache(maxsize=None)
+def randoms():
+    return [u for u, _ in random_universes()]
+
+
+def _replaced(table, cells):
+    """A copy of ``table`` with ``cells[(a, b)]`` written at both (a, b) and (b, a)."""
+    rows = [list(row) for row in table]
+    for (a, b), c in cells.items():
+        rows[a][b] = rows[b][a] = c
+    return tuple(map(tuple, rows))
+
+
+def _diamond_pair():
+    """0 < 1, 2 < 3, 4 < 5: both 3 and 4 are minimal upper bounds of 1 and 2.
+
+    The involution 0<->5, 1<->3, 2<->4 reverses the order, so this is a
+    separation system, but not a lattice.
+    """
+    leq = [(0, h) for h in range(1, 6)] + [(h, 5) for h in range(1, 5)]
+    leq += [(a, b) for a in (1, 2) for b in (3, 4)]
+    return SeparationSystem.from_relation([5, 3, 4, 1, 2, 0], leq)
+
+
+def _diamond_tables():
+    """The tables that pick 3 as 1 v 2 and 1 as 3 ^ 4; right everywhere else."""
+    s = _diamond_pair()
+    n = s.n_ground
+    join = [[b if s.leq(a, b) else a if s.leq(b, a) else {1: 3, 3: 5}[min(a, b)]
+             for b in range(n)] for a in range(n)]
+    meet = [[a if s.leq(a, b) else b if s.leq(b, a) else {1: 0, 3: 1}[min(a, b)]
+             for b in range(n)] for a in range(n)]
+    return s, join, meet
+
+
+def planted(name):
+    bip2 = bipartition_universe([1, 2])  # 0 = {}, 1 = {1}, 2 = {2}, 3 = {1,2}
+    inv, up, labels, join, meet = bip2._inv, bip2._up, bip2.labels, bip2._join, bip2._meet
+    if name == "noncommutative-join":
+        rows = [list(row) for row in join]
+        rows[0][1] = 2
+        join = tuple(map(tuple, rows))
+    elif name == "nonassociative-join":
+        # commutative, yet ({} v {1,2}) v {1} != {} v ({1,2} v {1})
+        join = _replaced(join, {(0, 3): 0})
+    elif name == "wrong-meet":
+        meet = _replaced(meet, {(1, 2): 1})
+    elif name == "de-morgan":
+        # right tables, but the involution pairs {} with {1} and {2} with {1,2}
+        inv = (1, 0, 3, 2)
+    elif name == "two-minimal-upper-bounds":
+        s, join, meet = _diamond_tables()
+        inv, up, labels = s._inv, s._up, s.labels
+    return Universe(inv, up, labels, join, meet)
+
+
+PLANTED = ["noncommutative-join", "nonassociative-join", "wrong-meet", "de-morgan",
+           "two-minimal-upper-bounds"]
+
+
+CHAINS = {f"chain{k}": partial(chain_universe, k) for k in (1, 2, 3, 4)}
+CASES = {
+    **{f"bip{k}": partial(bipartition_universe, range(1, k + 1)) for k in (2, 3, 4)},
+    **{name: partial(ladder, name) for name in LADDER},
+    **CHAINS,
+    **{f"planted-{name}": partial(planted, name) for name in PLANTED},
+}
+
+
+# -- the library's verdict is the old validator's -------------------------------
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_validator_agrees_with_oracle(name):
+    uni = CASES[name]()
+    want = naive_validate_lattice(uni)
+    got = validate_lattice(uni)
+    assert got.ok == want.ok
+    assert got.ok == (not name.startswith("planted-"))
+    if not got.ok:
+        assert got.failures[0][1] is not None
+
+
+def test_validator_agrees_with_oracle_on_random_universes():
+    for uni in randoms():
+        assert validate_lattice(uni).ok == naive_validate_lattice(uni).ok
+
+
+def test_planted_defects_are_the_named_ones():
+    axioms = {name: {a for a, _ in naive_validate_lattice(planted(name)).failures}
+              for name in PLANTED}
+    assert "join-commutative" in axioms["noncommutative-join"]
+    assert "join-commutative" not in axioms["nonassociative-join"]
+    assert "join-associative" in axioms["nonassociative-join"]
+    assert "meet-lower-bound" in axioms["wrong-meet"]
+    assert axioms["de-morgan"] == {"involution-de-morgan"}
+    assert validate_lattice(planted("de-morgan")).failures[0][0] == "involution-de-morgan"
+    first = validate_lattice(planted("two-minimal-upper-bounds")).failures[0]
+    assert first == ("join-least-upper-bound", (1, 2))
+
+
+# -- every derived table entry is the bound that leq alone finds -----------------
+
+
+GENERATED = {
+    **{name: partial(ladder, name) for name in LADDER},
+    **{f"B{k}": partial(bipartition_universe, range(k)) for k in range(1, 6)},
+    **CHAINS,
+}
+
+
+def assert_tables_are_bounds(uni):
+    els = range(uni.n_ground)
+    assert [[uni.join(a, b) for b in els] for a in els] == naive_join_table(uni)
+    assert [[uni.meet(a, b) for b in els] for a in els] == naive_meet_table(uni)
+
+
+@pytest.mark.parametrize("name", list(GENERATED))
+def test_generated_tables_are_least_upper_and_greatest_lower_bounds(name):
+    assert_tables_are_bounds(GENERATED[name]())
+
+
+def test_random_universe_tables_are_bounds():
+    for uni in randoms():
+        assert_tables_are_bounds(uni)
+
+
+def test_deriving_tables_of_a_non_lattice_raises_with_witness():
+    s = _diamond_pair()
+    with pytest.raises(SystemValidationError) as exc:
+        Universe(s._inv, s._up, s.labels)
+    assert exc.value.axiom == "join-least-upper-bound"
+    assert exc.value.witness == (1, 2)
+
+
+def test_from_tables_rejects_a_non_lattice():
+    s, join, meet = _diamond_tables()
+    leq = [(a, b) for a in range(s.n_ground) for b in range(s.n_ground) if s.leq(a, b)]
+    with pytest.raises(SystemValidationError) as exc:
+        Universe.from_tables(s._inv, leq, join, meet)
+    assert (exc.value.axiom, exc.value.witness) == ("join-least-upper-bound", (1, 2))
+
+
+def test_cli_rejects_a_universe_json_that_is_not_a_lattice(tmp_path, capsys):
+    blob = planted("two-minimal-upper-bounds").to_json()
+    (tmp_path / "uni.json").write_text(json.dumps(blob))
+    code = main(["validate", "--input", str(tmp_path / "uni.json"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert (err["axiom"], err["witness"]) == ("join-least-upper-bound", "(1, 2)")
+
+
+# -- the check stays quadratic ----------------------------------------------------
+
+
+def test_validate_lattice_on_p7_is_quick():
+    uni = graph_universe(range(7), _path(7)[1])[0]
+    assert uni.n_ground == 577
+    started = time.perf_counter()
+    rep = validate_lattice(uni)
+    elapsed = time.perf_counter() - started
+    assert rep.ok
+    assert elapsed < 5, f"validate_lattice on P7 took {elapsed:.1f}s"
