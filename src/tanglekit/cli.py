@@ -21,10 +21,8 @@ import sys
 from collections import namedtuple
 from pathlib import Path
 
-from . import dot as dotmod
 from .core import SeparationSystem
 from .errors import InputError, PreconditionError, TheoremViolation
-from .duality import dichotomy, newduality
 from .forbidden import (
     ForbiddenFamily,
     enumerate_tangles,
@@ -34,8 +32,6 @@ from .forbidden import (
     standardize,
 )
 from .orderfn import OrderFunction, parse_threshold, refine_injective, refines
-from .tst import build_thorough_tst, reduce_irreducible, validate_tst
-from .tot import tangle_nodes, tree_of_tangles, tree_of_tangles_in, verify_tot
 from .universe import (
     Universe,
     bipartition_universe,
@@ -194,11 +190,12 @@ def write_artifact(args, name, obj):
     return path
 
 
-def write_dot(args, name, text):
+def write_dot(args, name, render):
+    """With --emit dot, write ``render()`` as <name>.dot; otherwise render nothing."""
     if args.emit != "dot":
         return None
     path = _out_dir(args) / f"{name}.dot"
-    path.write_text(text)
+    path.write_text(render())
     return path
 
 
@@ -207,6 +204,9 @@ def tangle_list(tangles):
 
 
 # -- subcommands ------------------------------------------------------------------
+#
+# Each command imports the tst, dot, duality and tot names it uses in its own
+# body, so a command loads only the layers it runs.
 
 
 def cmd_validate(args):
@@ -272,35 +272,44 @@ def cmd_tangles(args):
 
 
 def emit_tree(args, name, tree, run):
+    from .dot import tree_dot
+    from .tst import validate_tst
+
     rep = validate_tst(tree, run.family)
     obj = tree.to_json(rep.leaf_classes)
     obj["notes"] = run.notes
     obj["valid"] = rep.ok
     write_artifact(args, name, obj)
-    write_dot(args, name, dotmod.tree_dot(tree, rep.leaf_classes))
+    write_dot(args, name, lambda: tree_dot(tree, rep.leaf_classes))
     return obj
 
 
 def cmd_tst(args):
+    from .tst import build_thorough_tst
+
     run = prepare(args, "injective")
     tree = build_thorough_tst(run.system, run.order, run.family, bound=run.bound)
     return emit_tree(args, "tst", tree, run)
 
 
 def cmd_reduce(args):
+    from .tst import build_thorough_tst, reduce_irreducible
+
     run = prepare(args, "injective")
     tree = build_thorough_tst(run.system, run.order, run.family, bound=run.bound)
     return emit_tree(args, "reduce", reduce_irreducible(tree, run.family, run.order), run)
 
 
 def emit_duality(args, name, res, run, exclusive=False):
+    from .dot import stree_dot
+
     obj = {"schema": "tanglekit/duality-v1", "kind": res.kind,
            "notes": {**run.notes, **res.notes}}
     if res.kind == "tangle":
         obj["tangle"] = sorted(res.tangle)
     else:
         obj["stree"] = res.stree.to_json()
-        write_dot(args, f"{name}-stree", dotmod.stree_dot(res.stree))
+        write_dot(args, f"{name}-stree", lambda: stree_dot(res.stree))
     if exclusive:
         obj["exclusive"] = True
     write_artifact(args, name, obj)
@@ -308,6 +317,8 @@ def emit_duality(args, name, res, run, exclusive=False):
 
 
 def cmd_duality(args):
+    from .duality import dichotomy
+
     run = prepare(args, "injective")
     res = dichotomy(run.system, run.order, run.family, bound=run.bound,
                     check_exclusive=args.check_exclusive)
@@ -315,6 +326,8 @@ def cmd_duality(args):
 
 
 def cmd_newduality(args):
+    from .duality import newduality
+
     run = prepare(args, "required")
     require_universe(run.uni, "newduality")
     res = newduality(run.uni, run.order, run.k, run.family, bound=run.bound,
@@ -323,6 +336,10 @@ def cmd_newduality(args):
 
 
 def cmd_tot(args):
+    from .dot import tree_dot
+    from .tot import tangle_nodes, tree_of_tangles, verify_tot
+    from .tst import build_thorough_tst, validate_tst
+
     run = prepare(args, "injective")
     tree = build_thorough_tst(run.system, run.order, run.family, bound=run.bound)
     n = tree_of_tangles(tree, run.system, run.order, run.family, bound=run.bound,
@@ -332,13 +349,20 @@ def cmd_tot(args):
     obj = {"schema": "tanglekit/tot-v1", "N": sorted(n),
            "verified": check.ok, "notes": run.notes}
     write_artifact(args, "tot", obj)
-    classes = validate_tst(tree, run.family).leaf_classes
-    write_dot(args, "tot", dotmod.tree_dot(
-        tree, classes, highlight_nodes=tangle_nodes(tree, run.family, classes)))
+
+    def render():
+        classes = validate_tst(tree, run.family).leaf_classes
+        return tree_dot(tree, classes,
+                        highlight_nodes=tangle_nodes(tree, run.family, classes))
+
+    write_dot(args, "tot", render)
     return obj
 
 
 def cmd_totins(args):
+    from .dot import tree_dot
+    from .tot import tree_of_tangles_in, verify_tot
+
     run = prepare(args, "injective", use_k=False)
     res = tree_of_tangles_in(run.system, run.order, run.family, bound=run.bound,
                              trust_rich=args.trust_rich)
@@ -348,7 +372,7 @@ def cmd_totins(args):
            "verified": check.ok, "notes": run.notes,
            "maximal_tangles": tangle_list(t.elements for t in res.maximal_tangles)}
     write_artifact(args, "totins", obj)
-    write_dot(args, "totins", dotmod.tree_dot(
+    write_dot(args, "totins", lambda: tree_dot(
         res.tree, res.leaf_classes, highlight_nodes=res.tangle_nodes))
     return obj
 

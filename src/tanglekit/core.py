@@ -24,8 +24,7 @@ small element.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections import namedtuple
 
 from .errors import BoundExceeded, InconsistentSet, SystemValidationError, UnknownHandle
 
@@ -421,19 +420,11 @@ def orientations_avoiding(system, forbidden, bound: int = ENUMERATION_BOUND):
     return out
 
 
-@dataclass(frozen=True)
-class ElementFlags:
-    small: bool
-    large: bool
-    trivial: bool
-    cotrivial: bool
-    degenerate: bool
+# The degeneracy flags of one oriented separation (all bools).
+ElementFlags = namedtuple("ElementFlags", "small large trivial cotrivial degenerate")
 
-
-@dataclass(frozen=True)
-class ClassifyReport:
-    flags: dict
-    regular: bool
+# flags: handle -> ElementFlags; regular: no member is small.
+ClassifyReport = namedtuple("ClassifyReport", "flags regular")
 
 
 def load_system(path) -> SeparationSystem:

@@ -10,7 +10,7 @@ the first place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import product
 
 from .core import ENUMERATION_BOUND
@@ -29,7 +29,6 @@ from .errors import (
     TrivialElementsPresent,
 )
 from .forbidden import (
-    ForbiddenFamily,
     eclipse_flags,
     enumerate_tangles,
     f_eff,
@@ -154,13 +153,11 @@ class STree:
         return f"<STree {self.n_nodes} nodes>"
 
 
-@dataclass(frozen=True)
-class ConversionMap:
-    """The witness map of the conversion: nodes to leaves, edges to tree edges."""
-
-    node_to_leaf: dict          # S-tree node -> leaf of the rooted tree
-    edge_to_tree_edge: dict     # oriented S-tree edge -> child node (= edge) of T
-    v_e: dict                   # frozenset S-tree edge -> non-leaf node of T
+# The witness map of the conversion: nodes to leaves, edges to tree edges.
+# node_to_leaf: S-tree node -> leaf of the rooted tree; edge_to_tree_edge:
+# oriented S-tree edge -> child node (= edge) of T; v_e: frozenset S-tree
+# edge -> non-leaf node of T.
+ConversionMap = namedtuple("ConversionMap", "node_to_leaf edge_to_tree_edge v_e")
 
 
 # -- excludes-tangles verification ------------------------------------------------
@@ -255,10 +252,8 @@ def convert_ftree(tree, family, allow_trivial=False):
     return stree, cmap
 
 
-@dataclass
-class ConversionReport:
-    ok: bool
-    failures: list
+# failures: the names of the failed clauses, sorted.
+ConversionReport = namedtuple("ConversionReport", "ok failures")
 
 
 def validate_conversion(tree, stree, cmap, family) -> ConversionReport:
@@ -517,16 +512,12 @@ def closed_under_shifting(system, family, order, bound=ENUMERATION_BOUND):
 # -- dichotomy drivers ----------------------------------------------------------------
 
 
-@dataclass
-class DichotomyResult:
-    kind: str                    # "tangle" | "stree"
-    tangle: frozenset = None
-    tree: object = None          # thorough structure tree (stree branch)
-    reduced: object = None
-    stree: object = None
-    conversion: ConversionMap = None
-    feff: ForbiddenFamily = None
-    notes: dict = field(default_factory=dict)
+# kind: "tangle" | "stree"; notes: dict.  The tangle branch sets tangle (a
+# frozenset); the stree branch sets tree (the thorough structure tree),
+# reduced, stree, conversion (a ConversionMap) and feff (a ForbiddenFamily).
+DichotomyResult = namedtuple(
+    "DichotomyResult", "kind notes tangle tree reduced stree conversion feff",
+    defaults=(None,) * 6)
 
 
 def dichotomy(system, order, family, bound=ENUMERATION_BOUND, check_exclusive=False,

@@ -8,7 +8,7 @@ eclipsing-closure and efficiency are all exhaustive checks at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .core import ENUMERATION_BOUND, orientations_avoiding
@@ -85,13 +85,10 @@ def avoids(tau, family: ForbiddenFamily) -> bool:
     return not any(s <= t for s in family.sets)
 
 
-@dataclass(frozen=True)
-class Tangle:
-    """A consistent avoiding orientation of some S_k, with its threshold."""
-
-    elements: frozenset
-    k: object = None  # Fraction threshold; None means the full system
-    maximal: bool = False
+# A consistent avoiding orientation of some S_k, with its threshold.
+# elements: frozenset of handles; k: Fraction threshold, None means the full
+# system; maximal: bool.
+Tangle = namedtuple("Tangle", "elements k maximal", defaults=(None, False))
 
 
 def enumerate_tangles(system, family, bound=ENUMERATION_BOUND):

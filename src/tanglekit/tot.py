@@ -8,7 +8,7 @@ tree, and the layered variant off the pruned tree of maximal tangles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import ENUMERATION_BOUND, iter_mask
 from .errors import HypothesisFailure, NonInjectiveOrder, TheoremViolation
@@ -29,17 +29,14 @@ from .universe import (Universe, is_order_threshold_restriction,
                        is_structurally_submodular)
 
 
-@dataclass
-class PairReport:
-    distinguishers: frozenset  # separations oriented differently by the pair
-    minimum_order: object      # Fraction, None when the pair is indistinct
-    optimal: frozenset         # the minimum-order distinguishers
+# distinguishers: separations oriented differently by the pair; minimum_order:
+# a Fraction, None when the pair is indistinct; optimal: the minimum-order
+# distinguishers.
+PairReport = namedtuple("PairReport", "distinguishers minimum_order optimal")
 
-
-@dataclass
-class DistinguisherReport:
-    pairs: dict                # (i, j) index pair -> PairReport
-    optimal_union: frozenset   # union of all optimal distinguishers
+# pairs: (i, j) index pair -> PairReport; optimal_union: union of all optimal
+# distinguishers.
+DistinguisherReport = namedtuple("DistinguisherReport", "pairs optimal_union")
 
 
 def distinguisher_report(system, order, tangles) -> DistinguisherReport:
@@ -88,14 +85,10 @@ def tangle_nodes(tree, family, leaf_classes=None) -> list:
             and all(has_tangle_below[w] for w in tree.children[v])]
 
 
-@dataclass
-class ToTHypotheses:
-    structurally_submodular: bool
-    injective: bool
-    threshold_form: bool
-    robustness_included: bool
-    standard: bool
-    rich: bool
+# One bool per hypothesis of the tree-of-tangles theorem.
+ToTHypotheses = namedtuple(
+    "ToTHypotheses", "structurally_submodular injective threshold_form "
+                     "robustness_included standard rich")
 
 
 def check_tot_hypotheses(system, order, family, bound=ENUMERATION_BOUND,
@@ -112,7 +105,7 @@ def check_tot_hypotheses(system, order, family, bound=ENUMERATION_BOUND,
     standard, _ = is_standard(family, system)
     rich = True if trust_rich else is_rich(system, family, order, bound=bound)[0]
     hyp = ToTHypotheses(struct, injective, threshold, included, standard, rich)
-    bad = [name for name, ok in vars(hyp).items() if not ok]
+    bad = [name for name, ok in hyp._asdict().items() if not ok]
     if bad:
         raise HypothesisFailure(f"tree-of-tangles hypotheses failed: {bad}")
     return hyp
@@ -154,14 +147,10 @@ def is_critical(tree, v, order, family, bound=ENUMERATION_BOUND) -> bool:
 # -- the layered tree of tangles -------------------------------------------------------
 
 
-@dataclass
-class ToTInSResult:
-    distinguishers: frozenset
-    tree: object
-    tangle_nodes: list
-    leaf_classes: dict
-    maximal_tangles: list
-    report: "ToTReport" = None
+# distinguishers: frozenset; tree: the layered SeparationTree; tangle_nodes:
+# list; leaf_classes: leaf -> LeafClass; maximal_tangles: list of Tangle.
+ToTInSResult = namedtuple(
+    "ToTInSResult", "distinguishers tree tangle_nodes leaf_classes maximal_tangles")
 
 
 def tree_of_tangles_in(system, order, family, bound=ENUMERATION_BOUND,
@@ -210,14 +199,11 @@ def tree_of_tangles_in(system, order, family, bound=ENUMERATION_BOUND,
 # -- validation ---------------------------------------------------------------------
 
 
-@dataclass
-class ToTReport:
-    ok: bool
-    nested: bool
-    crossing_pairs: list
-    undistinguished: list      # (i, j) tangle-index pairs missing an optimal member
-    missing: list              # oracle separations absent from N
-    extra: list                # N separations absent from the oracle set
+# undistinguished: (i, j) tangle-index pairs missing an optimal member;
+# missing: oracle separations absent from N; extra: N separations absent from
+# the oracle set.
+ToTReport = namedtuple(
+    "ToTReport", "ok nested crossing_pairs undistinguished missing extra")
 
 
 def verify_tot(system, order, distinguishers, tangles) -> ToTReport:

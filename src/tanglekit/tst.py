@@ -16,7 +16,7 @@ reduce_irreducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .core import ENUMERATION_BOUND, iter_mask, mask_of
 from .errors import (
@@ -30,7 +30,7 @@ from .errors import (
     TheoremViolation,
     UnknownHandle,
 )
-from .forbidden import avoids, is_rich, is_standard, order_thresholds
+from .forbidden import avoids, enumerate_tangles, is_rich, is_standard, order_thresholds
 from .universe import restrict_Sk
 
 TREE_SCHEMA = "tanglekit/tree-v1"
@@ -40,10 +40,9 @@ LEAF_FORBIDDEN = "forbidden"
 LEAF_UNRESOLVED = "unresolved"
 
 
-@dataclass(frozen=True)
-class LeafClass:
-    kind: str
-    witness: frozenset  # the tangle closure, or the forbidden subset
+# kind: LEAF_TANGLE, LEAF_FORBIDDEN or LEAF_UNRESOLVED; witness: the tangle
+# closure, or the forbidden subset (a frozenset).
+LeafClass = namedtuple("LeafClass", "kind witness")
 
 
 class SeparationTree:
@@ -148,11 +147,8 @@ class SeparationTree:
 # -- validation ----------------------------------------------------------------
 
 
-@dataclass
-class TstReport:
-    ok: bool
-    failures: list  # (node, reason) pairs
-    leaf_classes: dict = field(default_factory=dict)
+# failures: (node, reason) pairs; leaf_classes: leaf -> LeafClass.
+TstReport = namedtuple("TstReport", "ok failures leaf_classes")
 
 
 def _family_subset_of(family, members: frozenset):
@@ -346,12 +342,11 @@ def is_efficient_tree(tree, order) -> bool:
 # -- necessity and reduction --------------------------------------------------------
 
 
-@dataclass
-class NecessityReport:
-    edge_necessary_for: dict   # child node -> list of leaves the edge is necessary for
-    node_necessary: dict       # non-leaf node -> bool
-    irreducible: bool
-    leaf_classes: dict
+# edge_necessary_for: child node -> list of leaves the edge is necessary for;
+# node_necessary: non-leaf node -> bool; irreducible: bool; leaf_classes:
+# leaf -> LeafClass.
+NecessityReport = namedtuple(
+    "NecessityReport", "edge_necessary_for node_necessary irreducible leaf_classes")
 
 
 def necessity(tree, family, order=None) -> NecessityReport:
@@ -479,12 +474,9 @@ def reduce_irreducible(tree, family, order) -> SeparationTree:
 # -- layered trees (structure trees in S->) --------------------------------------
 
 
-@dataclass
-class TstInS:
-    tree: SeparationTree
-    leaf_classes: dict
-    bare_root: bool
-    thresholds: list
+# tree: the pruned SeparationTree; leaf_classes: leaf -> LeafClass;
+# bare_root: bool; thresholds: the order thresholds of the layers.
+TstInS = namedtuple("TstInS", "tree leaf_classes bare_root thresholds")
 
 
 def _leaf_class_in_s(tree, family, order, leaf) -> LeafClass:
@@ -522,10 +514,13 @@ def _leaf_class_in_s(tree, family, order, leaf) -> LeafClass:
 
 def check_rich_per_layer(system, order, family, bound=ENUMERATION_BOUND,
                          trust_rich=False):
-    """F must be rich and standard for every S_k; returns the threshold list."""
+    """F must be rich and standard for every S_k, and must forbid {s} for every
+    s below a degenerate separation d of an S_k that has an F-tangle: a path
+    through s would close up to the inconsistent {s, d}.  Returns the
+    threshold list."""
     ks = order_thresholds(system, order)
-    for k in ks:
-        sub = restrict_Sk(system, order, k)
+    layers = [(k, restrict_Sk(system, order, k)) for k in ks]
+    for k, sub in layers:
         ok, missing = is_standard(family, sub)
         if not ok:
             raise NotStandard(f"not standard for S_{k}: {sorted(map(sorted, missing))}")
@@ -534,6 +529,15 @@ def check_rich_per_layer(system, order, family, bound=ENUMERATION_BOUND,
             if not rich:
                 raise HypothesisFailure(
                     f"family not rich for S_{k}; counterexample {sorted(witness)}")
+    for k, sub in layers:
+        degenerate = [d for d in sub.elements() if sub.is_degenerate(d)]
+        below = [(s, d) for s in sub.elements() for d in degenerate
+                 if s != d and sub.leq(s, d) and avoids({s}, family)]
+        if below and enumerate_tangles(sub, family, bound=bound):
+            s, d = below[0]
+            raise HypothesisFailure(
+                f"family does not forbid {{{s}}} in S_{k}, which has a tangle "
+                f"and the degenerate separation {d} above {s}")
     return ks
 
 

@@ -15,7 +15,7 @@ same rule.  Two fixture conventions coexist (both are valid separation systems):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 
@@ -77,8 +77,12 @@ class Universe(SeparationSystem):
         join = [[-1] * n for _ in range(n)]
         meet = [[-1] * n for _ in range(n)]
         for name, tab in (("join", join), ("meet", meet)):
-            for a, b, c in obj.get(name, []):
-                if not all(0 <= h < n for h in (a, b, c)):
+            for cell in obj.get(name, []):
+                if not (isinstance(cell, list) and len(cell) == 3
+                        and all(type(h) is int for h in cell)):
+                    raise SystemValidationError("malformed-table-cell", witness=cell)
+                a, b, c = cell
+                if not all(0 <= h < n for h in cell):
                     raise SystemValidationError("unknown-handle", witness=(a, b, c))
                 tab[a][b] = tab[b][a] = c
         if any(-1 in row for row in join) or any(-1 in row for row in meet):
@@ -91,10 +95,8 @@ class Universe(SeparationSystem):
         return uni
 
 
-@dataclass(frozen=True)
-class LatticeReport:
-    ok: bool
-    failures: list  # (axiom, witness) pairs
+# failures: (axiom, witness) pairs.
+LatticeReport = namedtuple("LatticeReport", "ok failures")
 
 
 def _bound_table(masks, axiom):
@@ -292,21 +294,14 @@ def is_submodular_subsystem(system) -> bool:
 # -- corners -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CornerReport:
-    """The four corners of two separations, keyed by the orientation pair used.
-
-    slots maps (rk, sk) in {+,-}^2 to the oriented corner handle
-    r_orientation ^ s_orientation; corners is the set of underlying
-    separations; same_side_r / same_side_s group slot keys by side;
-    opposite_pairs are the two non-adjacent slot pairs.
-    """
-
-    slots: dict
-    corners: frozenset
-    same_side_r: tuple
-    same_side_s: tuple
-    opposite_pairs: tuple
+# The four corners of two separations, keyed by the orientation pair used.
+#
+# slots maps (rk, sk) in {+,-}^2 to the oriented corner handle
+# r_orientation ^ s_orientation; corners is the set of underlying
+# separations; same_side_r / same_side_s group slot keys by side;
+# opposite_pairs are the two non-adjacent slot pairs.
+CornerReport = namedtuple(
+    "CornerReport", "slots corners same_side_r same_side_s opposite_pairs")
 
 
 def corners(uni, r: int, s: int) -> CornerReport:

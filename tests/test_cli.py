@@ -287,10 +287,10 @@ def test_artifacts_pinned(workdir, command):
     assert got == want
 
 
-@pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_inconsistent_closure_exit_3_with_and_without_optimize(workdir, flags):
-    # the k=2 stars plus R over the whole universe leave a small separation
-    # below the degenerate one unforbidden; its path closure is inconsistent
+def run_stars2_r(workdir, flags, command):
+    """``command`` in a subprocess on P3 with the k=2 stars plus R over the
+    whole universe, which leave a small separation below the degenerate one
+    unforbidden; returns (exit code, stderr report)."""
     import os
     import subprocess
     import sys
@@ -303,13 +303,29 @@ def test_inconsistent_closure_exit_3_with_and_without_optimize(workdir, flags):
     (workdir / "stars2-R.json").write_text(json.dumps(obj))
     src = str(Path(tanglekit.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, *flags, "-m", "tanglekit.cli", "totins",
+        [sys.executable, *flags, "-m", "tanglekit.cli", command,
          "--input", str(workdir / "p3.graph"),
          "--forbidden", str(workdir / "stars2-R.json"), "--out", str(workdir / "out")],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 3
-    err = json.loads(proc.stderr)
+    return proc.returncode, json.loads(proc.stderr)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_degenerate_layer_hypothesis_exit_2_with_and_without_optimize(workdir, flags):
+    # totins checks every layer eagerly, before the tree is built
+    code, err = run_stars2_r(workdir, flags, "totins")
+    assert code == 2
+    assert err["ok"] is False and err["kind"] == "HypothesisFailure"
+    assert err["error"].startswith("family does not forbid {12} in S_")
+    assert err["error"].endswith("the degenerate separation 16 above 12")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_inconsistent_closure_exit_3_on_the_tst_command(workdir, flags):
+    # tst runs no per-layer check; the builder's closure check still reports
+    code, err = run_stars2_r(workdir, flags, "tst")
+    assert code == 3
     assert err["ok"] is False and err["kind"] == "TheoremViolation"
     assert "inconsistent" in err["error"]
 
@@ -401,4 +417,18 @@ def test_universe_json_table_handles_out_of_range_exit_1(tmp_path, capsys, cell)
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert err["axiom"] == "unknown-handle"
+    assert err["witness"] == repr(cell)
+
+
+@pytest.mark.parametrize("cell", [[0, 1], [0, 1, "x"], [0, 1, 1.0]])
+def test_universe_json_malformed_table_cell_exit_1(tmp_path, capsys, cell):
+    from tanglekit.universe import bipartition_universe
+    obj = bipartition_universe([1, 2]).to_json()
+    obj["join"].append(cell)
+    (tmp_path / "uni.json").write_text(json.dumps(obj))
+    code = main(["validate", "--input", str(tmp_path / "uni.json"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["axiom"] == "malformed-table-cell"
     assert err["witness"] == repr(cell)

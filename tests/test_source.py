@@ -1,16 +1,85 @@
 """Source-level guards on the package itself."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import tanglekit
+from tanglekit.fixtures import graph_tangle_stars, p3_universe
+
+PACKAGE = Path(tanglekit.__file__).parent
+# The layers only some commands run; importing the CLI loads none of them.
+COMMAND_LAYERS = ["tanglekit.dot", "tanglekit.duality", "tanglekit.tot", "tanglekit.tst"]
+
+
+def package_trees():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
 
 
 def test_no_assert_statements_in_package():
     # ``python -O`` strips asserts, so invariant checks must raise explicitly
     found = []
-    for path in sorted(Path(tanglekit.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in package_trees():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in src: {found}"
+
+
+def test_no_dataclasses_in_package():
+    # importing dataclasses (and inspect with it) costs every run 10-20 ms
+    found = []
+    for path, tree in package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "dataclasses"]
+    assert not found, f"dataclasses imported in src: {found}"
+
+
+def modules_added(code):
+    """Names ``code`` adds to sys.modules in a fresh interpreter, sorted."""
+    probe = ("import json, sys\n"
+             "before = set(sys.modules)\n"
+             f"{code}\n"
+             "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_loads_no_command_layer():
+    added = modules_added("import tanglekit.cli")
+    assert "tanglekit.cli" in added
+    assert not set(added) & {"dataclasses", *COMMAND_LAYERS}
+
+
+@pytest.mark.parametrize("command,argv,unused", [
+    ("refine-order", [], COMMAND_LAYERS),
+    ("tst", ["--k", "2", "--forbidden", "stars.json"],
+     ["tanglekit.duality", "tanglekit.tot"]),
+], ids=["refine-order", "tst"])
+def test_a_command_loads_only_the_layers_it_runs(tmp_path, command, argv, unused):
+    (tmp_path / "p3.graph").write_text("a b\nb c\n")
+    u, o = p3_universe()
+    stars = graph_tangle_stars(u, o, "abc", [("a", "b"), ("b", "c")], 2).to_json()
+    stars["generate"] = ["standardize"]
+    (tmp_path / "stars.json").write_text(json.dumps(stars))
+    args = [command, "--input", "p3.graph", *argv, "--out", "out"]
+    added = modules_added(f"import os; os.chdir({str(tmp_path)!r})\n"
+                          "from tanglekit.cli import main\n"
+                          f"assert main({args!r}) == 0")
+    assert (tmp_path / "out" / f"{command}.json").exists()
+    assert not set(added) & set(unused)

@@ -462,3 +462,43 @@ def test_degenerate_separation_single_child_build():
     leaf = tree.leaves()[0]
     assert rep.leaf_classes[leaf].kind == "tangle"
     assert display(tree, frozenset({0})) == leaf
+
+
+LAYER_GRAPHS = {
+    "P3": ("abc", [("a", "b"), ("b", "c")]),
+    "P4": ("abcd", [("a", "b"), ("b", "c"), ("c", "d")]),
+    "C4": ("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]),
+    "K4": ("abcd", [(x, y) for i, x in enumerate("abcd") for y in "abcd"[i + 1:]]),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("graph", sorted(LAYER_GRAPHS))
+def test_degenerate_layer_check_fires_exactly_when_a_closure_is_inconsistent(graph, k):
+    # the layered stars plus R and the standard singletons, as totins loads them;
+    # with the per-layer checks passed, the builder must not find an
+    # inconsistent path closure, and a degenerate-layer failure must mean it would
+    from tanglekit.errors import HypothesisFailure, TanglekitError, TheoremViolation
+    from tanglekit.forbidden import robustness_family
+    from tanglekit.tst import check_rich_per_layer
+    from tanglekit.universe import graph_universe
+    vertices, edges = LAYER_GRAPHS[graph]
+    u, o = graph_universe(vertices, edges)
+    o2 = refine_injective(u, o)
+    fam = graph_tangle_stars(u, o, vertices, edges, k)
+    fam = standardize(fam.extended(robustness_family(u, o2, target=u).sets, "R"), u)
+    try:
+        check_rich_per_layer(u, o2, fam, bound=64)
+        eager = None
+    except HypothesisFailure as exc:
+        eager = str(exc)
+    try:
+        build_thorough_tst(u, o2, fam, bound=64)
+        built = None
+    except TheoremViolation as exc:
+        built = str(exc)
+    except TanglekitError:
+        built = None
+    closure_fails = built is not None and built.startswith("closure of the path")
+    if eager is None or "degenerate separation" in eager:
+        assert closure_fails == (eager is not None), (eager, built)
