@@ -103,7 +103,7 @@ def load_inputs(args):
             _fail(1, error="input file not found", file=str(path))
         if path.suffix == ".json":
             obj = _read_json(path)
-            if "join" in obj:
+            if isinstance(obj, dict) and "join" in obj:
                 uni = Universe.from_json(obj)
             else:
                 uni = SeparationSystem.from_json(obj)

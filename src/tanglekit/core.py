@@ -23,7 +23,6 @@ small element.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 
 from .errors import BoundExceeded, InconsistentSet, SystemValidationError, UnknownHandle
@@ -369,19 +368,37 @@ class SeparationSystem:
         try:
             oriented = obj["oriented"]
             ids = [e["id"] for e in oriented]
+            invs = [e["inv"] for e in oriented]
         except (KeyError, TypeError) as exc:
             raise SystemValidationError("schema", witness=str(exc)) from exc
-        if sorted(ids) != list(range(len(ids))):
+        for h in ids + invs:
+            if type(h) is not int:
+                raise SystemValidationError("handle-not-int", witness=h)
+        n = len(ids)
+        if sorted(ids) != list(range(n)):
             raise SystemValidationError("ids-not-contiguous", witness=ids)
-        inv = [0] * len(ids)
-        labels = [""] * len(ids)
+        inv = [0] * n
+        labels = [""] * n
         for e in oriented:
             inv[e["id"]] = e["inv"]
             labels[e["id"]] = e.get("label", str(e["id"]))
-        sys = cls.from_relation(inv, [tuple(p) for p in obj.get("leq", [])], labels)
-        if "members" in obj:
-            return sys.restrict(mask_of(obj["members"]))
-        return sys
+        leq = obj.get("leq", [])
+        if not isinstance(leq, list):
+            raise SystemValidationError("malformed-leq", witness=leq)
+        for pair in leq:
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(type(h) is int for h in pair)):
+                raise SystemValidationError("malformed-leq", witness=pair)
+        sys = cls.from_relation(inv, [tuple(p) for p in leq], labels)
+        if "members" not in obj:
+            return sys
+        members = obj["members"]
+        if not isinstance(members, list):
+            raise SystemValidationError("malformed-members", witness=members)
+        for h in members:
+            if not (type(h) is int and 0 <= h < n):
+                raise SystemValidationError("malformed-members", witness=h)
+        return sys.restrict(mask_of(members))
 
     def __repr__(self):
         return f"<SeparationSystem {len(self)} seps / {len(self.elements())} oriented>"
@@ -425,8 +442,3 @@ ElementFlags = namedtuple("ElementFlags", "small large trivial cotrivial degener
 
 # flags: handle -> ElementFlags; regular: no member is small.
 ClassifyReport = namedtuple("ClassifyReport", "flags regular")
-
-
-def load_system(path) -> SeparationSystem:
-    with open(path) as f:
-        return SeparationSystem.from_json(json.load(f))

@@ -21,6 +21,7 @@ from .errors import (
     HypothesisFailure,
     NonInjectiveOrder,
     NonStarFamily,
+    NonSubmodularOrder,
     NotIrreducible,
     NotStandard,
     PreconditionError,
@@ -36,7 +37,7 @@ from .forbidden import (
     is_standard,
     orientations_with_members,
 )
-from .orderfn import enumeration_refinement, refines
+from .orderfn import refine_injective, refines
 from .tst import (
     LEAF_FORBIDDEN,
     LEAF_TANGLE,
@@ -45,8 +46,8 @@ from .tst import (
     reduce_irreducible,
     validate_tst,
 )
-from .universe import (Universe, _universe_of, is_order_threshold_restriction,
-                       is_structurally_submodular, is_submodular, restrict_Sk)
+from .universe import (_universe_of, is_order_threshold_restriction,
+                       is_structurally_submodular, restrict_Sk)
 
 STREE_SCHEMA = "tanglekit/stree-v1"
 
@@ -524,18 +525,13 @@ def dichotomy(system, order, family, bound=ENUMERATION_BOUND, check_exclusive=Fa
               assume_rich=False) -> DichotomyResult:
     """Exactly one of: a tangle of the system, or an S-tree over the family.
 
-    Preconditions checked eagerly: injective order (auto-refined through the
-    ambient universe when available), family standard and rich.  The S-tree
-    branch also needs a trivial-free system and a star family, and its
-    output stars are validated to lie in F_eff.
+    Preconditions checked eagerly: injective order, family standard and
+    rich.  The S-tree branch also needs a trivial-free system and a star
+    family, and its output stars are validated to lie in F_eff.
     """
     notes = {}
     if not order.is_injective_on(system):
-        if isinstance(system.ground, Universe):
-            order = enumeration_refinement(system.ground, order)
-            notes["order"] = "auto-refined to an injective enumeration"
-        else:
-            raise NonInjectiveOrder("order not injective and no universe to refine in")
+        raise NonInjectiveOrder("order function not injective on the system")
     ok, missing = is_standard(family, system)
     if not ok:
         raise NotStandard(f"missing singletons {sorted(map(sorted, missing))}")
@@ -587,29 +583,29 @@ def newduality(uni, order, ell, family, bound=ENUMERATION_BOUND,
                check_exclusive=False):
     """The shifting-based dichotomy for S = U_ell.
 
-    Verifies the order hypotheses, refines to an injective structurally
-    submodular enumeration, checks closure under shifting, derives richness
-    from it, and delegates to the dichotomy driver.
+    Keeps an injective structurally submodular order as given and refines a
+    submodular one with ``refine_injective``; the shifting machinery only
+    compares order values, so any injective refinement gives the same
+    result.  Then checks closure under shifting, derives richness from it,
+    and delegates to ``dichotomy``.
     """
     _universe_of(uni)
-    sub_ok, _ = is_submodular(uni, order)
-    struct_ok, _ = is_structurally_submodular(uni, order)
-    injective = order.is_injective_on(uni)
-    if not (sub_ok or (injective and struct_ok)):
-        raise HypothesisFailure(
-            "order must be submodular, or injective and structurally submodular")
-    system = restrict_Sk(uni, order, ell)
-    # trivial elements only obstruct the S-tree branch; the dichotomy driver
-    # raises when that branch is actually reached
-    _check_star_family(system, family)
-    if injective and struct_ok:
+    if order.is_injective_on(uni) and is_structurally_submodular(uni, order)[0]:
         o2 = order
     else:
-        o2 = enumeration_refinement(uni.ground, order)
+        try:
+            o2 = refine_injective(uni.ground, order)
+        except NonSubmodularOrder as exc:
+            raise HypothesisFailure("order must be submodular, or injective and "
+                                    "structurally submodular") from exc
         ok, witness = refines(o2, order, uni.ground)
         if not ok:
             raise TheoremViolation(
-                f"enumeration refinement does not refine the order; pair {witness}")
+                f"injective refinement does not refine the order; pair {witness}")
+    system = restrict_Sk(uni, order, ell)
+    # trivial elements only obstruct the S-tree branch; ``dichotomy`` raises
+    # when that branch is actually reached
+    _check_star_family(system, family)
     if not is_order_threshold_restriction(system, o2):
         raise HypothesisFailure("refined order does not keep S of threshold form")
     ok, witness = closed_under_shifting(system, family, o2, bound=bound)

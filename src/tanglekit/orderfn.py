@@ -76,7 +76,16 @@ class OrderFunction:
             orders = obj["orders"]
         except (KeyError, TypeError) as exc:
             raise SystemValidationError("schema", witness=str(exc)) from exc
-        return cls(system, {int(s): Fraction(v) for s, v in orders.items()})
+        if not isinstance(orders, dict):
+            raise SystemValidationError("malformed-orders", witness=orders)
+        values = {}
+        for s, v in orders.items():
+            try:
+                values[int(s)] = Fraction(v)
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise SystemValidationError("malformed-order-entry",
+                                            witness=(s, v)) from exc
+        return cls(system, values)
 
     def __repr__(self):
         return f"<OrderFunction on {len(self._values)} seps>"

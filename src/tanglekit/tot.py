@@ -119,8 +119,6 @@ def tree_of_tangles(tree, system, order, family, bound=ENUMERATION_BOUND,
     checked hypotheses it equals the brute-force optimal-distinguisher set.
     """
     check_tot_hypotheses(system, order, family, bound=bound, trust_rich=trust_rich)
-    if not order.is_injective_on(system):
-        raise NonInjectiveOrder("extraction needs an injective order")
     if not is_thoroughly_ordered(tree, order):
         raise HypothesisFailure("tree is not thoroughly ordered")
     return frozenset(tree.node_sep(v) for v in tangle_nodes(tree, family))

@@ -19,7 +19,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 
-from .core import SeparationSystem, iter_mask, mask_of
+from .core import SeparationSystem, iter_mask
 from .errors import BoundExceeded, SystemValidationError, UnknownHandle
 
 UNIVERSE_SCHEMA = "tanglekit/universe-v1"
@@ -71,13 +71,17 @@ class Universe(SeparationSystem):
 
     @classmethod
     def from_json(cls, obj) -> "Universe":
+        # base is the members' view; its arrays are the ground system's
         base = SeparationSystem.from_json({k: v for k, v in obj.items()
-                                           if k not in ("join", "meet", "members")})
+                                           if k not in ("join", "meet")})
         n = base.n_ground
         join = [[-1] * n for _ in range(n)]
         meet = [[-1] * n for _ in range(n)]
         for name, tab in (("join", join), ("meet", meet)):
-            for cell in obj.get(name, []):
+            cells = obj.get(name, [])
+            if not isinstance(cells, list):
+                raise SystemValidationError("malformed-table", witness=cells)
+            for cell in cells:
                 if not (isinstance(cell, list) and len(cell) == 3
                         and all(type(h) is int for h in cell)):
                     raise SystemValidationError("malformed-table-cell", witness=cell)
@@ -91,7 +95,7 @@ class Universe(SeparationSystem):
                               [(a, b) for a in range(n) for b in iter_mask(base._up[a])],
                               join, meet, base.labels)
         if "members" in obj:
-            return uni.restrict(mask_of(obj["members"]))
+            return uni.restrict(base.members)
         return uni
 
 

@@ -432,3 +432,54 @@ def test_universe_json_malformed_table_cell_exit_1(tmp_path, capsys, cell):
     err = json.loads(capsys.readouterr().err)
     assert err["axiom"] == "malformed-table-cell"
     assert err["witness"] == repr(cell)
+
+
+@pytest.mark.parametrize("field,value,axiom,witness", [
+    ("join", 5, "malformed-table", 5),
+    ("join", None, "malformed-table", None),
+    ("members", 5, "malformed-members", 5),
+    ("members", [0, "x"], "malformed-members", "x"),
+    ("members", [-1], "malformed-members", -1),
+    ("leq", 5, "malformed-leq", 5),
+    ("leq", [[0]], "malformed-leq", [0]),
+    ("leq", [[0, "x"]], "malformed-leq", [0, "x"]),
+    ("id", "x", "handle-not-int", "x"),
+    ("inv", "x", "handle-not-int", "x"),
+    ("document", 5, "schema", "'int' object is not subscriptable"),
+])
+def test_universe_json_malformed_field_exit_1(tmp_path, capsys, field, value, axiom,
+                                              witness):
+    from tanglekit.universe import bipartition_universe
+    obj = bipartition_universe([1, 2]).to_json()
+    if field in ("id", "inv"):
+        obj["oriented"][0][field] = value
+    elif field == "document":
+        obj = value
+    else:
+        obj[field] = value
+    (tmp_path / "uni.json").write_text(json.dumps(obj))
+    code = main(["validate", "--input", str(tmp_path / "uni.json"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["axiom"] == axiom
+    assert err["witness"] == repr(witness)
+
+
+@pytest.mark.parametrize("orders,axiom,witness", [
+    (5, "malformed-orders", 5),
+    ({"x": "1"}, "malformed-order-entry", ("x", "1")),
+    ({"0": "x"}, "malformed-order-entry", ("0", "x")),
+    ({"0": None}, "malformed-order-entry", ("0", None)),
+    ({"0": "1/0"}, "malformed-order-entry", ("0", "1/0")),
+])
+def test_order_json_malformed_exit_1(plain_system, capsys, orders, axiom, witness):
+    (plain_system / "bad.json").write_text(json.dumps(
+        {"schema": "tanglekit/order-v1", "orders": orders}))
+    code = main(["validate", "--input", str(plain_system / "sys.json"),
+                 "--order", str(plain_system / "bad.json"),
+                 "--out", str(plain_system / "out")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["axiom"] == axiom
+    assert err["witness"] == repr(witness)

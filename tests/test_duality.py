@@ -1,6 +1,7 @@
 """Conversion theorem, shifting machinery, and the dichotomy drivers."""
 
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,8 @@ from tanglekit.duality import (
 )
 from tanglekit.errors import (
     AmbiguousShiftChoice,
+    HypothesisFailure,
+    NonInjectiveOrder,
     NonStarFamily,
     NotIrreducible,
     NotStandard,
@@ -33,6 +36,7 @@ from tanglekit.errors import (
 from tanglekit.fixtures import (
     graph_tangle_stars,
     p3_universe,
+    p4_universe,
     ptriv_system,
     singleton_family,
 )
@@ -42,7 +46,7 @@ from tanglekit.forbidden import (
     is_rich,
     standardize,
 )
-from tanglekit.orderfn import OrderFunction, refine_injective
+from tanglekit.orderfn import OrderFunction, enumeration_refinement, refine_injective
 from tanglekit.tst import SeparationTree, build_thorough_tst, reduce_irreducible
 from tanglekit.universe import restrict_Sk
 
@@ -533,6 +537,105 @@ def test_newduality_derived_richness_matches_brute(p3_set):
     ok, _ = closed_under_shifting(s2, fam, o2)
     assert ok
     assert is_rich(s2, fam, o2)[0]
+
+
+# P3 and P4 with their |A n B| orders and the standardized graph-tangle stars.
+PATHS = {"P3": (p3_universe, "abc"), "P4": (p4_universe, "abcd")}
+
+
+def path_setting(name, k):
+    make, verts = PATHS[name]
+    u, o = make()
+    edges = list(zip(verts, verts[1:]))
+    fam = standardize(graph_tangle_stars(u, o, verts, edges, k), restrict_Sk(u, o, k))
+    return u, o, fam
+
+
+def outcome(run):
+    """The branch, tangle and S-tree of ``run()``, or the precondition it fails."""
+    try:
+        res = run()
+    except PreconditionError as exc:
+        return type(exc).__name__, str(exc)
+    return res.kind, res.tangle, res.stree and res.stree.to_json()
+
+
+def enumeration_oracle(u, o, k, fam):
+    """newduality's outcome spelled out on the enumeration refinement."""
+    e = enumeration_refinement(u, o)
+    system = restrict_Sk(u, o, k)
+    assert closed_under_shifting(system, fam, e)[0]
+    return outcome(lambda: dichotomy(system, e, fam, assume_rich=True))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(PATHS))
+def test_newduality_matches_the_enumeration_oracle(name, k):
+    u, o, fam = path_setting(name, k)
+    got = outcome(lambda: newduality(u, o, k, fam))
+    assert got == enumeration_oracle(u, o, k, fam)
+
+
+@pytest.mark.parametrize("name", sorted(PATHS))
+def test_newduality_matches_the_enumeration_oracle_on_an_stree(name):
+    # S_1 holds one separation; forbidding both its orientations leaves no
+    # tangle, so the S-tree branch runs
+    u, o, _ = path_setting(name, 1)
+    fam = singleton_family(restrict_Sk(u, o, 1))
+    got = outcome(lambda: newduality(u, o, 1, fam))
+    assert got[0] == "stree"
+    assert got == enumeration_oracle(u, o, 1, fam)
+
+
+def count_calls(monkeypatch, fn):
+    """Count the calls of ``fn`` through every tanglekit module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("tanglekit") and getattr(mod, fn.__name__, None) is fn:
+            monkeypatch.setattr(mod, fn.__name__, counted)
+    return calls
+
+
+def test_newduality_checks_each_order_hypothesis_once(monkeypatch):
+    from tanglekit.universe import is_structurally_submodular, is_submodular
+    u, o, fam = path_setting("P3", 2)
+    sub = count_calls(monkeypatch, is_submodular)
+    struct = count_calls(monkeypatch, is_structurally_submodular)
+    newduality(u, o, 2, fam)
+    assert (len(sub), len(struct)) == (1, 0)
+
+
+def test_newduality_keeps_an_enumeration_unrefined(monkeypatch):
+    from tanglekit import duality
+    u, o, fam = path_setting("P3", 2)
+    e = enumeration_refinement(u, o)
+    want = enumeration_oracle(u, o, 2, fam)
+    # e refines o, so the first |S_2| ranks are exactly S_2
+    ell = len(restrict_Sk(u, o, 2).seps()) + 1
+    assert restrict_Sk(u, e, ell).members == restrict_Sk(u, o, 2).members
+    refined = count_calls(monkeypatch, duality.refine_injective)
+    assert outcome(lambda: newduality(u, e, ell, fam)) == want
+    assert refined == []
+
+
+def test_newduality_rejects_a_nonsubmodular_noninjective_order(bip2):
+    lab = by_label(bip2)
+    vals = {bip2.sep(h): Fraction(0) for h in bip2.elements()}
+    vals[bip2.sep(lab["{1,2}|{}"])] = Fraction(5)
+    with pytest.raises(HypothesisFailure, match="must be submodular"):
+        newduality(bip2, OrderFunction(bip2, vals), 1, ForbiddenFamily([]))
+
+
+def test_dichotomy_rejects_a_noninjective_order(p3_set):
+    u, o, o2, s2 = p3_set
+    assert not o.is_injective_on(s2)
+    with pytest.raises(NonInjectiveOrder):
+        dichotomy(s2, o, ForbiddenFamily([]))
 
 
 def test_stree_json_round_trip(tangleless):

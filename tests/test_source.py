@@ -47,6 +47,27 @@ def test_no_dataclasses_in_package():
     assert not found, f"dataclasses imported in src: {found}"
 
 
+def test_one_refinement_path_in_package():
+    # refine_injective is the one refinement the package runs; the ranked
+    # enumeration is library API only, defined in orderfn and re-exported
+    found = []
+    for path, tree in package_trees():
+        if path.name in ("orderfn.py", "__init__.py"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in ("enumeration_refinement", "Enumeration"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"second refinement path in src: {found}"
+
+
 def modules_added(code):
     """Names ``code`` adds to sys.modules in a fresh interpreter, sorted."""
     probe = ("import json, sys\n"
