@@ -407,23 +407,22 @@ COMMANDS = {
 
 
 def build_parser():
+    """One parser for every command: they all take the same options."""
     p = argparse.ArgumentParser(
         prog="tanglekit",
         description="Tangles of finite separation systems, with oracles.")
-    sub = p.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--input", help="system/universe JSON or graph edge list")
-        sp.add_argument("--bipartition", help="comma-separated ground set")
-        sp.add_argument("--forbidden", help="forbidden family JSON")
-        sp.add_argument("--order", help="order function JSON")
-        sp.add_argument("--k", help="order threshold (int, p/q, or inf)")
-        sp.add_argument("--emit", choices=["json", "dot"], default="json")
-        sp.add_argument("--out", help=f"output directory (or ${OUT_ENV})")
-        sp.add_argument("--bounds", type=int, default=DEFAULT_BOUND)
-        sp.add_argument("--unsafe-bounds", action="store_true")
-        sp.add_argument("--check-exclusive", action="store_true")
-        sp.add_argument("--trust-rich", action="store_true")
+    p.add_argument("command", choices=list(COMMANDS))
+    p.add_argument("--input", help="system/universe JSON or graph edge list")
+    p.add_argument("--bipartition", help="comma-separated ground set")
+    p.add_argument("--forbidden", help="forbidden family JSON")
+    p.add_argument("--order", help="order function JSON")
+    p.add_argument("--k", help="order threshold (int, p/q, or inf)")
+    p.add_argument("--emit", choices=["json", "dot"], default="json")
+    p.add_argument("--out", help=f"output directory (or ${OUT_ENV})")
+    p.add_argument("--bounds", type=int, default=DEFAULT_BOUND)
+    p.add_argument("--unsafe-bounds", action="store_true")
+    p.add_argument("--check-exclusive", action="store_true")
+    p.add_argument("--trust-rich", action="store_true")
     return p
 
 

@@ -24,6 +24,7 @@ small element.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain
 
 from .errors import BoundExceeded, InconsistentSet, SystemValidationError, UnknownHandle
 
@@ -47,6 +48,21 @@ def iter_mask(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def transpose(rows, width: int) -> list:
+    """The ``width`` columns of a bit matrix: bit a of column b is bit b of
+    ``rows[a]``.  ``zip`` reads them off the rows' bit strings at C speed."""
+    if not rows:
+        return [0] * width
+    bits = [format(r | 1 << width, "b")[:0:-1] for r in reversed(rows)]
+    return [int("".join(col), 2) for col in zip(*bits)]
+
+
+def int_cells(cells, width: int) -> bool:
+    """True iff every cell is a list of ``width`` integers; checked in bulk."""
+    return (set(map(type, cells)) <= {list} and set(map(len, cells)) <= {width}
+            and set(map(type, chain.from_iterable(cells))) <= {int})
+
+
 class SeparationSystem:
     """A finite poset of oriented separations with order-reversing involution.
 
@@ -67,24 +83,12 @@ class SeparationSystem:
         # down[a] = mask of b <= a; incompat[x] = handles y of other separations
         # with y <= x* (the "point away from each other" test).
         if ground is None:
-            down = [0] * self.n_ground
-            for a in range(self.n_ground):
-                ua = self._up[a]
-                for b in iter_mask(ua):
-                    down[b] |= 1 << a
-            self._down = tuple(down)
-            incompat = []
-            for x in range(self.n_ground):
-                pair = (1 << x) | (1 << self._inv[x])
-                incompat.append(self._down[self._inv[x]] & ~pair)
-            self._incompat = tuple(incompat)
+            self._down = tuple(transpose(self._up, self.n_ground))
+            pairs = [(1 << x) | (1 << i) for x, i in enumerate(self._inv)]
+            self._incompat = tuple(self._down[i] & ~pair for i, pair in zip(self._inv, pairs))
             # req[x] = handles strictly above x with a different underlying
             # separation: exactly what x forces into a closure.
-            req = []
-            for x in range(self.n_ground):
-                pair = (1 << x) | (1 << self._inv[x])
-                req.append(self._up[x] & ~pair)
-            self._req = tuple(req)
+            self._req = tuple(u & ~pair for u, pair in zip(self._up, pairs))
         else:
             self._down = ground._down
             self._incompat = ground._incompat
@@ -385,11 +389,12 @@ class SeparationSystem:
         leq = obj.get("leq", [])
         if not isinstance(leq, list):
             raise SystemValidationError("malformed-leq", witness=leq)
-        for pair in leq:
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                    and all(type(h) is int for h in pair)):
-                raise SystemValidationError("malformed-leq", witness=pair)
-        sys = cls.from_relation(inv, [tuple(p) for p in leq], labels)
+        if not int_cells(leq, 2):  # find the first bad pair
+            for pair in leq:
+                if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                        and all(type(h) is int for h in pair)):
+                    raise SystemValidationError("malformed-leq", witness=pair)
+        sys = cls.from_relation(inv, leq, labels)
         if "members" not in obj:
             return sys
         members = obj["members"]

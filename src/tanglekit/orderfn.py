@@ -7,8 +7,8 @@ goes through floating point.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from operator import itemgetter
 
 from .core import ENUMERATION_BOUND, SeparationSystem
 from .errors import InputError, NonSubmodularOrder, SystemValidationError, UnknownHandle
@@ -81,6 +81,8 @@ class OrderFunction:
         values = {}
         for s, v in orders.items():
             try:
+                if type(v) not in (int, str):  # a JSON float is binary, a bool no order
+                    raise TypeError(f"order value {v!r}: write an integer or a p/q string")
                 values[int(s)] = Fraction(v)
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise SystemValidationError("malformed-order-entry",
@@ -151,14 +153,58 @@ def gamma(uni, n: int, iota: dict, s: int) -> int:
     """Sum of n^iota(t) over oriented members t that are not >= s.
 
     Equivalently the indicator-weighted sum, so the base-n digits of the
-    symmetrized value encode which separations point towards s.
+    symmetrized value encode which separations point towards s.  ``iota``
+    must map the members bijectively onto 0..m-1 (other keys are ignored);
+    otherwise SystemValidationError("iota-bijective") names a member.
     """
-    return _weight_sum(uni, {t: n ** iota[t] for t in uni.elements()}, s)
+    return _gamma_fn(uni, n, iota)(s)
 
 
-def _weight_sum(uni, weights: dict, s: int) -> int:
-    """Sum of weights[t] over the members t of ``weights`` that are not >= s."""
-    return sum(w for t, w in weights.items() if not uni.leq(s, t))
+def _iota_order(uni, iota) -> list:
+    """The members listed by their iota value; raises unless that is a bijection."""
+    els = uni.elements()
+    order = [None] * len(els)
+    for t in els:
+        i = iota.get(t)
+        if type(i) is not int or not 0 <= i < len(els) or order[i] is not None:
+            raise SystemValidationError("iota-bijective", witness=(t, i))
+        order[i] = t
+    return order
+
+
+def _gamma_fn(uni, n: int, iota: dict):
+    """s -> gamma(uni, n, iota, s), without one ``leq`` call per member.
+
+    The members not >= s are those outside s's up-set.  Written as 0/1
+    digits in iota order, highest iota first, that set is the sum as a
+    base-n numeral.
+    """
+    order = _iota_order(uni, iota)
+    if not order:
+        return lambda s: 0
+    digits = itemgetter(*reversed(order))
+    members, up, width = uni.members, uni.ground._up, uni.n_ground
+
+    def fn(s):
+        bits = format(members & ~up[s] | 1 << width, "b")[:0:-1]  # bits[t]: t not >= s
+        return _numeral("".join(digits(bits)), n)
+
+    return fn
+
+
+def _numeral(digits: str, base: int) -> int:
+    """The value of a string of 0/1 digits in ``base``, read exactly.
+
+    int() refuses more than 4300 digits in a base that is not a power of two
+    (sys.get_int_max_str_digits, never below 640), so chunks of 640 are read.
+    """
+    if not 2 <= base <= 36:
+        return sum(base ** i for i, d in enumerate(reversed(digits)) if d == "1")
+    value = 0
+    for i in range(0, len(digits), 640):
+        chunk = digits[i:i + 640]
+        value = value * base ** len(chunk) + int(chunk, base)
+    return value
 
 
 def symmetrize(uni, fn) -> OrderFunction:
@@ -182,20 +228,17 @@ def refine_injective(uni, o: OrderFunction, iota=None) -> OrderFunction:
     ok, witness = is_submodular(uni, o)
     if not ok:
         raise NonSubmodularOrder(f"witness pair {witness}")
-    if iota is None:
-        iota = default_iota(uni)
+    gamma3 = _gamma_fn(uni, 3, default_iota(uni) if iota is None else iota)
     vals = o.values_on(uni)
     distinct = sorted(set(vals.values()))
     gaps = [b - a for a, b in zip(distinct, distinct[1:])]
     eps = min(gaps) if gaps else Fraction(1)
     m = len(uni.elements())
     scale = Fraction(eps, 2 * 3 ** m)
-    weights = {t: 3 ** iota[t] for t in uni.elements()}
     out = {}
     for s in uni.seps():
         ors = uni.orientations(s)
-        g = _weight_sum(uni, weights, ors[0]) + _weight_sum(uni, weights, ors[-1])
-        out[s] = vals[s] + scale * g
+        out[s] = vals[s] + scale * (gamma3(ors[0]) + gamma3(ors[-1]))
     return OrderFunction(uni, out)
 
 

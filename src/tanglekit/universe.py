@@ -17,9 +17,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import product
+from functools import reduce
+from itertools import chain, islice, product
+from operator import and_, itemgetter
 
-from .core import SeparationSystem, iter_mask
+from .core import SeparationSystem, int_cells, iter_mask, transpose
 from .errors import BoundExceeded, SystemValidationError, UnknownHandle
 
 UNIVERSE_SCHEMA = "tanglekit/universe-v1"
@@ -38,17 +40,21 @@ class Universe(SeparationSystem):
     def __init__(self, inv, up, labels, join=None, meet=None, members=None, ground=None):
         super().__init__(inv, up, labels, members=members, ground=ground)
         if join is None:
-            join = _bound_table(self._up, "join-least-upper-bound")
-            meet = _bound_table(self._down, "meet-greatest-lower-bound")
-        self._join = join
-        self._meet = meet
+            join, meet = _lattice_tables(self._up, self._inv)
+        self._join = tuple(map(tuple, join))
+        self._meet = tuple(map(tuple, meet))
 
     @classmethod
     def from_tables(cls, inv, leq_pairs, join, meet, labels=None):
         """A validated universe with the given tables; raises on the first failure."""
-        base = SeparationSystem.from_relation(inv, leq_pairs, labels)
-        uni = cls(base._inv, base._up, base.labels, tuple(map(tuple, join)),
-                  tuple(map(tuple, meet)))
+        return cls._checked(SeparationSystem.from_relation(inv, leq_pairs, labels),
+                            join, meet)
+
+    @classmethod
+    def _checked(cls, base, join, meet):
+        """The universe on ``base``'s validated poset with the given tables,
+        after ``validate_lattice``; raises on the first failure."""
+        uni = cls(base._inv, base._up, base.labels, join, meet)
         uni.lattice_report = rep = validate_lattice(uni)
         if not rep.ok:
             axiom, witness = rep.failures[0]
@@ -75,25 +81,10 @@ class Universe(SeparationSystem):
         base = SeparationSystem.from_json({k: v for k, v in obj.items()
                                            if k not in ("join", "meet")})
         n = base.n_ground
-        join = [[-1] * n for _ in range(n)]
-        meet = [[-1] * n for _ in range(n)]
-        for name, tab in (("join", join), ("meet", meet)):
-            cells = obj.get(name, [])
-            if not isinstance(cells, list):
-                raise SystemValidationError("malformed-table", witness=cells)
-            for cell in cells:
-                if not (isinstance(cell, list) and len(cell) == 3
-                        and all(type(h) is int for h in cell)):
-                    raise SystemValidationError("malformed-table-cell", witness=cell)
-                a, b, c = cell
-                if not all(0 <= h < n for h in cell):
-                    raise SystemValidationError("unknown-handle", witness=(a, b, c))
-                tab[a][b] = tab[b][a] = c
+        join, meet = (_table_of_cells(obj.get(name, []), n) for name in ("join", "meet"))
         if any(-1 in row for row in join) or any(-1 in row for row in meet):
             raise SystemValidationError("lattice-tables-total", witness=None)
-        uni = cls.from_tables(base._inv,
-                              [(a, b) for a in range(n) for b in iter_mask(base._up[a])],
-                              join, meet, base.labels)
+        uni = cls._checked(base.ground, join, meet)
         if "members" in obj:
             return uni.restrict(base.members)
         return uni
@@ -103,18 +94,55 @@ class Universe(SeparationSystem):
 LatticeReport = namedtuple("LatticeReport", "ok failures")
 
 
-def _bound_table(masks, axiom):
-    """table[a][b] = the element whose mask is masks[a] & masks[b].
+def _table_of_cells(cells, n):
+    """The symmetric n x n table of ``[a, b, c]`` cells; -1 where no cell is given.
 
-    With up-sets this is the least upper bound, with down-sets the greatest
-    lower bound.  A pair without one raises SystemValidationError(axiom).
+    The cells are checked in bulk; only a list with a bad cell is walked cell
+    by cell, so the first bad cell is the witness.
     """
-    handle = {m: h for h, m in enumerate(masks)}.get
-    table = tuple(tuple(handle(ma & mb) for mb in masks) for ma in masks)
-    for a, row in enumerate(table):
+    if not isinstance(cells, list):
+        raise SystemValidationError("malformed-table", witness=cells)
+    if not (int_cells(cells, 3) and 0 <= min(chain.from_iterable(cells), default=0)
+            and max(chain.from_iterable(cells), default=0) < n):
+        for cell in cells:
+            if not (isinstance(cell, list) and len(cell) == 3
+                    and all(type(h) is int for h in cell)):
+                raise SystemValidationError("malformed-table-cell", witness=cell)
+            if not all(0 <= h < n for h in cell):
+                raise SystemValidationError("unknown-handle", witness=tuple(cell))
+    tab = [[-1] * n for _ in range(n)]
+    for a, b, c in cells:
+        tab[a][b] = tab[b][a] = c
+    return tab
+
+
+def _lattice_tables(up, inv):
+    """Join and meet tables derived from the up-sets and the involution.
+
+    r v s is the element whose up-set is up[r] & up[s] (the least upper
+    bound), found for s >= r and mirrored; a pair without one raises
+    SystemValidationError("join-least-upper-bound").  Meets follow from
+    (r v s)* = r* ^ s*, as the involution reverses the order.
+    """
+    handle = {m: h for h, m in enumerate(up)}.get
+    join = []
+    for a, ua in enumerate(up):
+        # one tuple per row, no partial rows: fewer heap holes, lower peak RSS
+        row = tuple(chain(map(itemgetter(a), join),
+                          map(handle, map(ua.__and__, islice(up, a, None)))))
         if None in row:
-            raise SystemValidationError(axiom, witness=(a, row.index(None)))
-    return table
+            raise SystemValidationError("join-least-upper-bound",
+                                        witness=(a, row.index(None)))
+        join.append(row)
+    meet = [_pick(inv, _pick(join[r], inv)) for r in inv]
+    return join, meet
+
+
+def _pick(seq, indices):
+    """``(seq[i] for i in indices)`` as a tuple, at C speed."""
+    if len(indices) < 2:  # itemgetter of one index returns the item itself
+        return tuple(seq[i] for i in indices)
+    return itemgetter(*indices)(seq)
 
 
 def validate_lattice(uni: Universe) -> LatticeReport:
@@ -124,24 +152,37 @@ def validate_lattice(uni: Universe) -> LatticeReport:
     down[b] (greatest lower bound), and (r v s)* = r* ^ s*.  Commutativity,
     associativity, absorption and r <= s iff r v s = s all follow; the two
     commutativity checks stay to name a lopsided table.
+
+    Each row of the tables is compared whole; a row that fails is walked
+    pair by pair, so the failures (at most 20) are listed in row-major order
+    with the checks in the order above.
     """
     failures = []
     up, down, inv = uni._up, uni._down, uni._inv
     join, meet = uni._join, uni._meet
     els = range(uni.n_ground)
+    join_cols, meet_cols = list(zip(*join)), list(zip(*meet))
 
     def chk(cond, axiom, witness):
         if not cond and len(failures) < 20:
             failures.append((axiom, witness))
 
     for a in els:
+        ja, ma = join[a], meet[a]
+        if (ja == join_cols[a] and ma == meet_cols[a]
+                and _pick(up, ja) == tuple(map(up[a].__and__, up))
+                and _pick(down, ma) == tuple(map(down[a].__and__, down))
+                and _pick(inv, ja) == _pick(meet[inv[a]], inv)):
+            continue
         for b in els:
-            j, m = join[a][b], meet[a][b]
+            j, m = ja[b], ma[b]
             chk(j == join[b][a], "join-commutative", (a, b))
             chk(m == meet[b][a], "meet-commutative", (a, b))
             chk(up[j] == up[a] & up[b], "join-least-upper-bound", (a, b))
             chk(down[m] == down[a] & down[b], "meet-greatest-lower-bound", (a, b))
             chk(inv[j] == meet[inv[a]][inv[b]], "involution-de-morgan", (a, b))
+        if len(failures) == 20:
+            break
     return LatticeReport(ok=not failures, failures=failures)
 
 
@@ -150,6 +191,14 @@ def validate_lattice(uni: Universe) -> LatticeReport:
 
 def _side_name(mask, names):
     return "{" + ",".join(str(x) for i, x in enumerate(names) if (mask >> i) & 1) + "}"
+
+
+def _supersets(sides, width):
+    """For each side (a bitmask below 1 << width), the mask of the handles whose
+    sides contain it: the AND, over its vertices, of the handles holding each."""
+    holders, everything = transpose(sides, width), (1 << len(sides)) - 1
+    return [reduce(and_, map(holders.__getitem__, iter_mask(side)), everything)
+            for side in sides]
 
 
 def subset_universe(sides, names) -> Universe:
@@ -161,7 +210,7 @@ def subset_universe(sides, names) -> Universe:
     full = (1 << len(names)) - 1
     sides = sorted(sides)
     index = {a: i for i, a in enumerate(sides)}
-    up = [sum(1 << j for j, b in enumerate(sides) if a & ~b == 0) for a in sides]
+    up = _supersets(sides, len(names))
     return Universe([index[full ^ a] for a in sides], up,
                     [_side_name(a, names) + "|" + _side_name(full ^ a, names) for a in sides])
 
@@ -203,8 +252,10 @@ def graph_universe(vertices, edges, bound: int = 8):
     sides.sort()
     index = {ab: i for i, ab in enumerate(sides)}
     inv = [index[(b, a)] for a, b in sides]
-    up = [sum(1 << j for j, (a2, b2) in enumerate(sides) if a2 & ~a1 == 0 and b1 & ~b2 == 0)
-          for a1, b1 in sides]
+    # (a2, b2) >= (a1, b1) iff b1 is inside b2 and V \ a1 inside V \ a2
+    full = (1 << len(verts)) - 1
+    up = list(map(int.__and__, _supersets([b for _, b in sides], len(verts)),
+                  _supersets([full ^ a for a, _ in sides], len(verts))))
     uni = Universe(inv, up, [_side_name(a, verts) + "|" + _side_name(b, verts)
                              for a, b in sides])
     order = OrderFunction(

@@ -170,3 +170,67 @@ def naive_join_table(system):
 
 def naive_meet_table(system):
     return naive_bound_table(system, lambda x, y: system.leq(y, x))
+
+
+# -- universe-layer kernels, by pairwise tests of the definitions ----------------
+
+
+def label_sides(label):
+    """The two sides of a generator label ``{a,b}|{c}``, as frozensets of names."""
+    return tuple(frozenset(x for x in side.strip("{}").split(",") if x)
+                 for side in label.split("|"))
+
+
+def naive_up_sets(uni, graph):
+    """up[i] = the mask of handles j >= i, read off the labels pair by pair.
+
+    Graph universes: (A,B) <= (C,D) iff A contains C and B is inside D.
+    Bipartition universes: (A,B) <= (C,D) iff A is inside C.
+    """
+    sides = [label_sides(label) for label in uni.labels]
+    if graph:
+        def leq(x, y):
+            return x[0] >= y[0] and x[1] <= y[1]
+    else:
+        def leq(x, y):
+            return x[0] <= y[0]
+    return [sum(1 << j for j, y in enumerate(sides) if leq(x, y)) for x in sides]
+
+
+def naive_down_sets(uni):
+    """down[i] = the mask of handles j <= i, by one ``leq`` call per pair."""
+    els = range(uni.n_ground)
+    return [sum(1 << j for j in els if uni.leq(j, i)) for i in els]
+
+
+def naive_gamma(uni, n, iota, s):
+    """Sum of n^iota(t) over the oriented members t that are not >= s."""
+    return sum(n ** iota[t] for t in uni.elements() if not uni.leq(s, t))
+
+
+def pairwise_validate_lattice(uni):
+    """The lattice rule checked pair by pair, every check on every pair.
+
+    The failure list (at most 20, row-major, in the order of the checks) is
+    the one ``validate_lattice`` must report entry for entry.
+    """
+    from tanglekit.universe import LatticeReport
+
+    failures = []
+    up, down, inv = uni._up, uni._down, uni._inv
+    join, meet = uni._join, uni._meet
+    els = range(uni.n_ground)
+
+    def chk(cond, axiom, witness):
+        if not cond and len(failures) < 20:
+            failures.append((axiom, witness))
+
+    for a in els:
+        for b in els:
+            j, m = join[a][b], meet[a][b]
+            chk(j == join[b][a], "join-commutative", (a, b))
+            chk(m == meet[b][a], "meet-commutative", (a, b))
+            chk(up[j] == up[a] & up[b], "join-least-upper-bound", (a, b))
+            chk(down[m] == down[a] & down[b], "meet-greatest-lower-bound", (a, b))
+            chk(inv[j] == meet[inv[a]][inv[b]], "involution-de-morgan", (a, b))
+    return LatticeReport(ok=not failures, failures=failures)

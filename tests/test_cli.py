@@ -287,6 +287,84 @@ def test_artifacts_pinned(workdir, command):
     assert got == want
 
 
+def other_interpreters():
+    """Every other CPython >= 3.10 on PATH, one per resolved executable.
+
+    Each candidate is probed first: a pyenv shim of a version that is not
+    selected exits non-zero and is skipped.
+    """
+    import os
+    import re
+    import subprocess
+    import sys
+
+    seen = {os.path.realpath(sys.executable)}
+    found = []
+    for folder in os.environ.get("PATH", "").split(os.pathsep):
+        try:
+            names = sorted(os.listdir(folder or "."))
+        except OSError:
+            continue
+        for name in names:
+            if not re.fullmatch(r"python(3(\.\d+)?)?", name):
+                continue
+            path = os.path.join(folder, name)
+            try:
+                probe = subprocess.run(
+                    [path, "-c", "import sys; print(sys.implementation.name, "
+                                 "sys.version_info >= (3, 10), sys.executable)"],
+                    capture_output=True, text=True, timeout=60)
+            except OSError:
+                continue
+            fields = probe.stdout.split(maxsplit=2)
+            if probe.returncode != 0 or fields[:2] != ["cpython", "True"]:
+                continue
+            real = os.path.realpath(fields[2].strip())
+            if real not in seen:
+                seen.add(real)
+                found.append(path)
+    return found
+
+
+# Runs each pinned command in one process: argv[1] is a JSON list of
+# [command, args, out directory].
+PINNED_RUNNER = """
+import json, sys
+from tanglekit.cli import main
+for command, args, out in json.loads(sys.argv[1]):
+    if main([command, *args, "--out", out]) != 0:
+        sys.exit(f"{command} failed")
+"""
+
+
+def test_artifacts_pinned_under_every_other_python(workdir):
+    import hashlib
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import tanglekit
+    pythons = other_interpreters()
+    if not pythons:
+        pytest.skip("no other CPython >= 3.10 on PATH")
+    u, _ = p3_universe()
+    (workdir / "p3.json").write_text(json.dumps(u.to_json()))
+    src = str(Path(tanglekit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    for i, python in enumerate(pythons):
+        runs = [[command,
+                 [str(workdir / a) if a.endswith((".graph", ".json")) else a for a in args],
+                 str(workdir / f"out-{i}-{command}")]
+                for command, (args, _) in sorted(PINNED_ARTIFACTS.items())]
+        proc = subprocess.run([python, "-c", PINNED_RUNNER, json.dumps(runs)],
+                              capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, (python, proc.stderr)
+        for command, _, out in runs:
+            got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted(Path(out).iterdir())}
+            assert got == PINNED_ARTIFACTS[command][1], (python, command)
+
+
 def run_stars2_r(workdir, flags, command):
     """``command`` in a subprocess on P3 with the k=2 stars plus R over the
     whole universe, which leave a small separation below the degenerate one
@@ -472,6 +550,8 @@ def test_universe_json_malformed_field_exit_1(tmp_path, capsys, field, value, ax
     ({"0": "x"}, "malformed-order-entry", ("0", "x")),
     ({"0": None}, "malformed-order-entry", ("0", None)),
     ({"0": "1/0"}, "malformed-order-entry", ("0", "1/0")),
+    ({"0": 0.1}, "malformed-order-entry", ("0", 0.1)),
+    ({"0": True}, "malformed-order-entry", ("0", True)),
 ])
 def test_order_json_malformed_exit_1(plain_system, capsys, orders, axiom, witness):
     (plain_system / "bad.json").write_text(json.dumps(
@@ -483,3 +563,43 @@ def test_order_json_malformed_exit_1(plain_system, capsys, orders, axiom, witnes
     err = json.loads(capsys.readouterr().err)
     assert err["axiom"] == axiom
     assert err["witness"] == repr(witness)
+
+
+def old_parser():
+    """The CLI parser as it was built with one subparser per command."""
+    import argparse
+    from tanglekit.cli import COMMANDS, DEFAULT_BOUND
+    p = argparse.ArgumentParser(prog="tanglekit")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name in COMMANDS:
+        sp = sub.add_parser(name)
+        for flag in ("--input", "--bipartition", "--forbidden", "--order", "--k", "--out"):
+            sp.add_argument(flag)
+        sp.add_argument("--emit", choices=["json", "dot"], default="json")
+        sp.add_argument("--bounds", type=int, default=DEFAULT_BOUND)
+        for flag in ("--unsafe-bounds", "--check-exclusive", "--trust-rich"):
+            sp.add_argument(flag, action="store_true")
+    return p
+
+
+@pytest.mark.parametrize("extra", [
+    [],
+    ["--input", "g.graph", "--k", "2", "--forbidden", "f.json", "--unsafe-bounds"],
+    ["--bipartition", "1,2", "--order", "o.json", "--emit", "dot", "--out", "o",
+     "--bounds", "7", "--check-exclusive", "--trust-rich", "--k", "inf"],
+])
+def test_one_parser_parses_every_command_as_the_subparsers_did(extra):
+    from tanglekit.cli import COMMANDS, build_parser
+    for command in COMMANDS:
+        argv = [command, *extra]
+        assert vars(build_parser().parse_args(argv)) == vars(old_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [[], ["nosuch"], ["tst", "--emit", "svg"],
+                                  ["tst", "--bounds", "x"], ["tst", "--nosuch"]])
+def test_parser_rejects_what_it_rejected(argv, capsys):
+    from tanglekit.cli import build_parser
+    for parser in (old_parser(), build_parser()):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2

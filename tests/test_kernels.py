@@ -1,0 +1,271 @@
+"""The whole-row kernels of the universe layer, each against its definition.
+
+Up- and down-sets, the derived tables, the base-3 perturbation and the
+lattice check all compute with whole masks and rows.  The oracles in
+``oracles.py`` recompute each one pair by pair from the definition.
+"""
+
+import json
+import random
+from functools import lru_cache
+
+import pytest
+from oracles import (
+    naive_down_sets,
+    naive_gamma,
+    naive_join_table,
+    naive_meet_table,
+    naive_up_sets,
+    pairwise_validate_lattice,
+)
+from test_lattice_rule import LADDER, PLANTED, _cycle, _path, planted
+
+from tanglekit.core import SeparationSystem, transpose
+from tanglekit.errors import SystemValidationError
+from tanglekit.fixtures import random_universes
+from tanglekit.orderfn import (
+    OrderFunction,
+    _numeral,
+    default_iota,
+    gamma,
+    refine_injective,
+)
+from tanglekit.universe import (
+    Universe,
+    bipartition_universe,
+    graph_universe,
+    restrict_Sk,
+    validate_lattice,
+)
+
+
+GRAPHS = {**LADDER, "P7": _path(7), "P8": _path(8), "C8": _cycle(8)}
+BIPARTITIONS = [f"B{k}" for k in range(1, 7)]
+
+
+@lru_cache(maxsize=None)
+def universe(name):
+    if name.startswith("B"):
+        return bipartition_universe(range(int(name[1:]))), None
+    n, edges = GRAPHS[name]
+    return graph_universe(range(n), edges)
+
+
+@lru_cache(maxsize=None)
+def randoms():
+    return random_universes()
+
+
+def one_element():
+    """The bipartition universe of the empty set: one degenerate separation."""
+    return bipartition_universe([])
+
+
+# -- up-sets and down-sets ------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", list(GRAPHS) + BIPARTITIONS)
+def test_up_and_down_sets_are_pairwise(name):
+    uni = universe(name)[0]
+    assert list(uni._up) == naive_up_sets(uni, graph=not name.startswith("B"))
+    assert list(uni._down) == naive_down_sets(uni)
+
+
+def test_random_universe_up_and_down_sets_are_pairwise():
+    for uni, _ in randoms():
+        assert list(uni._up) == naive_up_sets(uni, graph=False)
+        assert list(uni._down) == naive_down_sets(uni)
+
+
+def test_transpose_of_a_rectangular_bit_matrix():
+    rng = random.Random(7)
+    for rows, width in ((5, 3), (3, 9), (1, 1), (4, 0), (0, 4)):
+        matrix = [rng.getrandbits(width) if width else 0 for _ in range(rows)]
+        want = [sum(1 << a for a in range(rows) if (matrix[a] >> b) & 1)
+                for b in range(width)]
+        assert transpose(matrix, width) == want
+
+
+# -- derived tables ---------------------------------------------------------------
+#
+# test_lattice_rule.py checks both tables against naive_join_table and
+# naive_meet_table on the ladder, B1-B5, the chains and the random universes.
+
+
+def assert_tables_are_bounds(uni):
+    els = range(uni.n_ground)
+    assert [[uni.join(a, b) for b in els] for a in els] == naive_join_table(uni)
+    assert [[uni.meet(a, b) for b in els] for a in els] == naive_meet_table(uni)
+
+
+def test_derived_meet_on_b6_is_the_greatest_lower_bound():
+    assert_tables_are_bounds(universe("B6")[0])
+
+
+@pytest.mark.parametrize("name", ["P7", "C8"])
+def test_derived_meet_has_the_intersected_down_set(name):
+    # naive_meet_table is too slow here; read the greatest lower bound off
+    # the down-sets, pair by pair, without the involution
+    uni = universe(name)[0]
+    down = naive_down_sets(uni)
+    handle = {m: h for h, m in enumerate(down)}
+    for a in range(uni.n_ground):
+        assert list(uni._meet[a]) == [handle[down[a] & db] for db in down]
+
+
+def test_one_element_universe():
+    uni = one_element()
+    assert uni._join == uni._meet == ((0,),)
+    assert validate_lattice(uni).ok
+    assert_tables_are_bounds(uni)
+    refined = refine_injective(uni, OrderFunction.constant(uni, 1))
+    assert refined.to_json()["orders"] == {"0": "1/1"}
+
+
+# -- the base-3 perturbation -------------------------------------------------------
+
+
+def iotas(uni):
+    els = uni.elements()
+    shuffled = list(range(len(els)))
+    random.Random(len(els)).shuffle(shuffled)
+    return {
+        "default": default_iota(uni),
+        "reversed": {h: len(els) - 1 - i for i, h in enumerate(els)},
+        "shuffled": dict(zip(els, shuffled)),
+    }
+
+
+@pytest.mark.parametrize("name", ["P3", "P4", "C5", "K4", "B3", "B4"])
+def test_gamma_is_the_sum_definition(name):
+    uni = universe(name)[0]
+    for iota in iotas(uni).values():
+        for s in uni.elements():
+            assert gamma(uni, 3, iota, s) == naive_gamma(uni, 3, iota, s)
+
+
+def test_gamma_on_a_restricted_view():
+    uni, order = universe("P4")
+    view = restrict_Sk(uni, order, 2)
+    assert view.members != uni.members
+    for iota in iotas(view).values():
+        for s in view.elements():
+            assert gamma(view, 3, iota, s) == naive_gamma(view, 3, iota, s)
+
+
+@pytest.mark.parametrize("base", [0, 1, 2, 3, 10, 37])
+def test_gamma_in_other_bases(base):
+    uni = universe("B3")[0]
+    iota = iotas(uni)["shuffled"]
+    for s in uni.elements():
+        assert gamma(uni, base, iota, s) == naive_gamma(uni, base, iota, s)
+
+
+def test_chunked_numeral_of_a_10000_bit_mask():
+    mask = random.Random(10_000).getrandbits(10_000) | 1 << 9_999
+    digits = format(mask, "b")
+    assert len(digits) == 10_000  # past the 4300-digit limit of int(s, 3)
+    want = sum(3 ** i for i in range(10_000) if (mask >> i) & 1)
+    assert _numeral(digits, 3) == want
+    assert _numeral("", 3) == 0
+
+
+def test_refine_injective_makes_no_leq_call(monkeypatch):
+    uni, order = universe("P4")
+    calls = []
+    leq = SeparationSystem.leq
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return leq(self, a, b)
+
+    monkeypatch.setattr(SeparationSystem, "leq", counted)
+    refine_injective(uni, order)
+    gamma(uni, 3, default_iota(uni), 0)
+    assert calls == []
+
+
+# -- validate_lattice, row by row ---------------------------------------------------
+
+
+@pytest.mark.parametrize("name", PLANTED)
+def test_failure_lists_on_planted_defects(name):
+    uni = planted(name)
+    got = validate_lattice(uni)
+    assert not got.ok
+    assert got == pairwise_validate_lattice(uni)
+
+
+def _one_sided(table, a, b, c):
+    rows = [list(row) for row in table]
+    rows[a][b] = c
+    return rows
+
+
+def corrupted(uni, axiom, a, b):
+    """``uni`` with one table cell rewritten so that ``axiom`` fails at (a, b).
+
+    The commutativity cases write only (a, b), which a JSON table cannot
+    express, and the De Morgan case re-pairs the involution instead.  The
+    bound cases go through the universe JSON, which writes both (a, b) and
+    (b, a), and must stop there with the pairwise loop's first failure.
+    """
+    n = uni.n_ground
+    join, meet, inv = uni._join, uni._meet, uni._inv
+    if axiom == "join-commutative":
+        return Universe(inv, uni._up, uni.labels,
+                        _one_sided(join, a, b, (join[a][b] + 1) % n), meet)
+    if axiom == "meet-commutative":
+        return Universe(inv, uni._up, uni.labels,
+                        join, _one_sided(meet, a, b, (meet[a][b] + 1) % n))
+    if axiom == "involution-de-morgan":
+        # a relabelled involution: tables and order stay, the pairing moves
+        perm = list(inv)
+        perm[a], perm[b] = perm[b], perm[a]
+        perm[inv[a]], perm[inv[b]] = b, a
+        return Universe(perm, uni._up, uni.labels, join, meet)
+    name = "join" if axiom == "join-least-upper-bound" else "meet"
+    obj = json.loads(json.dumps(uni.to_json()))
+    cell = next(c for c in obj[name] if c[:2] == [min(a, b), max(a, b)])
+    cell[2] = (cell[2] + 1) % n
+    tables = {t: [[-1] * n for _ in range(n)] for t in ("join", "meet")}
+    for t, tab in tables.items():
+        for x, y, z in obj[t]:
+            tab[x][y] = tab[y][x] = z
+    with pytest.raises(SystemValidationError) as exc:
+        Universe.from_json(obj)
+    bad = Universe(inv, uni._up, uni.labels, tables["join"], tables["meet"])
+    first = pairwise_validate_lattice(bad).failures[0]
+    assert (exc.value.axiom, exc.value.witness) == first
+    return bad
+
+
+AXIOMS = ["join-commutative", "meet-commutative", "join-least-upper-bound",
+          "meet-greatest-lower-bound", "involution-de-morgan"]
+
+
+@pytest.mark.parametrize("axiom", AXIOMS)
+@pytest.mark.parametrize("name", ["B3", "P3", "K4"])
+def test_failure_lists_with_one_corrupted_cell(axiom, name):
+    uni = universe(name)[0]
+    els = range(uni.n_ground)
+    pairs = [(a, b) for a in els for b in els if a != b
+             and not (axiom == "involution-de-morgan" and uni.inv(a) in (a, b))]
+    seen = set()
+    for a, b in random.Random(f"{name}:{axiom}").sample(pairs, 3):
+        bad = corrupted(uni, axiom, a, b)
+        got, want = validate_lattice(bad), pairwise_validate_lattice(bad)
+        assert got == want
+        seen |= {x for x, _ in want.failures}
+    # a re-paired involution can be another order-reversing one
+    assert axiom in seen
+
+
+def test_failure_lists_capped_at_twenty():
+    uni = universe("P4")[0]
+    n = uni.n_ground
+    zeros = [[0] * n for _ in range(n)]
+    bad = Universe(uni._inv, uni._up, uni.labels, zeros, zeros)
+    want = pairwise_validate_lattice(bad)
+    assert len(want.failures) == 20
+    assert validate_lattice(bad) == want

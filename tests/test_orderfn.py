@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tanglekit.errors import NonSubmodularOrder
+from tanglekit.errors import NonSubmodularOrder, SystemValidationError
 from tanglekit.fixtures import chain_universe, graph_tangle_stars, random_universes
 from tanglekit.forbidden import ForbiddenFamily, standardize
 from tanglekit.orderfn import (
@@ -202,6 +202,21 @@ def test_refine_deterministic_per_iota(p3):
     other_iota = {h: len(u.elements()) - 1 - i for i, h in enumerate(u.elements())}
     assert refine_injective(u, o, iota=other_iota).to_json() != \
         refine_injective(u, o).to_json()
+
+
+@pytest.mark.parametrize("kind", ["constant", "gapped"])
+def test_refine_rejects_an_iota_that_is_not_a_bijection(p3, kind):
+    # a constant iota used to give a non-injective order, a gapped one
+    # (100 i) an order that does not refine the input
+    u, o = p3
+    els = u.elements()
+    iota = {h: 0 if kind == "constant" else 100 * i for i, h in enumerate(els)}
+    with pytest.raises(SystemValidationError) as exc:
+        refine_injective(u, o, iota=iota)
+    assert exc.value.axiom == "iota-bijective"
+    assert exc.value.witness == ((els[1], 0) if kind == "constant" else (els[1], 100))
+    with pytest.raises(SystemValidationError):
+        gamma(u, 3, iota, els[0])
 
 
 def test_refine_random_universes():
