@@ -115,11 +115,29 @@ def load_inputs(args):
     return uni, order
 
 
+def check_family_document(obj, path, n):
+    """An object whose ``sets`` lists lists of integer handles below ``n``, with
+    ``generate`` a list and ``provenance`` an object where present."""
+    if not isinstance(obj, dict):
+        _fail(1, error="malformed forbidden family", file=path,
+              detail="the document is not an object")
+    for key, kind in (("sets", list), ("generate", list), ("provenance", dict)):
+        if not isinstance(obj.get(key, kind()), kind):
+            _fail(1, error="malformed forbidden family", file=path,
+                  detail=f"{key} is not a JSON {'array' if kind is list else 'object'}")
+    for member in obj.get("sets", []):
+        if not (isinstance(member, list)
+                and all(type(h) is int and 0 <= h < n for h in member)):
+            _fail(1, error="malformed forbidden family", file=path, member=member,
+                  detail=f"a member must be a list of handles 0..{n - 1}")
+
+
 def load_family(args, uni, system, order):
     fam = ForbiddenFamily([])
     generate = []
     if args.forbidden:
         obj = _read_json(args.forbidden)
+        check_family_document(obj, args.forbidden, uni.n_ground)
         try:
             fam = ForbiddenFamily.from_json(obj)
         except (KeyError, TypeError, ValueError) as exc:
@@ -203,6 +221,12 @@ def tangle_list(tangles):
     return [sorted(t) for t in sorted(tangles, key=sorted)]
 
 
+def require_self_check(ok, name, report):
+    """Exit 3 with ``report`` when the artifact just written fails its self-check."""
+    if not ok:
+        raise TheoremViolation(f"{name} artifact fails its self-check: {report}")
+
+
 # -- subcommands ------------------------------------------------------------------
 #
 # Each command imports the tst, dot, duality and tot names it uses in its own
@@ -281,6 +305,7 @@ def emit_tree(args, name, tree, run):
     obj["valid"] = rep.ok
     write_artifact(args, name, obj)
     write_dot(args, name, lambda: tree_dot(tree, rep.leaf_classes))
+    require_self_check(rep.ok, name, rep.failures)
     return obj
 
 
@@ -356,6 +381,7 @@ def cmd_tot(args):
                         highlight_nodes=tangle_nodes(tree, run.family, classes))
 
     write_dot(args, "tot", render)
+    require_self_check(check.ok, "tot", check._asdict())
     return obj
 
 
@@ -374,6 +400,7 @@ def cmd_totins(args):
     write_artifact(args, "totins", obj)
     write_dot(args, "totins", lambda: tree_dot(
         res.tree, res.leaf_classes, highlight_nodes=res.tangle_nodes))
+    require_self_check(check.ok, "totins", check._asdict())
     return obj
 
 
@@ -390,6 +417,7 @@ def cmd_refine_order(args):
         "refines": refines(refined, order, uni)[0],
     }
     write_artifact(args, "refine-order", obj)
+    require_self_check(all(obj["verified"].values()), "refine-order", obj["verified"])
     return obj
 
 

@@ -16,9 +16,9 @@ Conventions used throughout the package:
 
 Degeneracy vocabulary (all definable from <= and the involution alone):
 ``s`` is *small* if ``s <= s*``, *large* if ``s* <= s``, *trivial* if both
-orientations of some other member separation lie strictly below it,
-*co-trivial* if its inverse is trivial.  A system is *regular* if it has no
-small element.
+orientations of some other member separation lie strictly below it (a
+degenerate ``r = r*`` below ``s`` is such a witness), *co-trivial* if its
+inverse is trivial.  A system is *regular* if it has no small element.
 """
 
 from __future__ import annotations
@@ -192,13 +192,13 @@ class SeparationSystem:
         return self.leq(h, self._inv[h])
 
     def is_trivial(self, h: int) -> bool:
-        """True iff both orientations of some other member separation are < h."""
-        below = self._down[h] & self.members & ~(1 << h) & ~(1 << self._inv[h])
-        for r in iter_mask(below):
-            ri = self._inv[r]
-            if r < ri and (below >> ri) & 1:
-                return True
-        return False
+        """True iff both orientations of some other member separation are < h.
+
+        A degenerate r = r* witnesses as well.  Since r* <= h iff h* <= r, the
+        witnesses are the members strictly between h* and h: one mask test.
+        """
+        i = self._inv[h]
+        return bool(self._down[h] & self._up[i] & self.members & ~(1 << h | 1 << i))
 
     def is_cotrivial(self, h: int) -> bool:
         return self.is_trivial(self._inv[h])

@@ -67,7 +67,8 @@ def optimal_distinguishers(system, order, tangles) -> frozenset:
 
 
 def tangle_nodes(tree, family, leaf_classes=None) -> list:
-    """Non-leaves all of whose child subtrees contain a tangle leaf.
+    """Nodes with two children, each of whose subtrees contains a tangle leaf.
+    A degenerate node has one child and distinguishes nothing.
 
     Leaves are read with ``classify_leaf`` unless ``leaf_classes`` is given.
     """
@@ -80,8 +81,7 @@ def tangle_nodes(tree, family, leaf_classes=None) -> list:
             has_tangle_below[v] = leaf_classes[v].kind == LEAF_TANGLE
         else:
             has_tangle_below[v] = any(has_tangle_below[w] for w in tree.children[v])
-    return [v for v in tree.nodes()
-            if not tree.is_leaf(v)
+    return [v for v in tree.nodes() if len(tree.children[v]) == 2
             and all(has_tangle_below[w] for w in tree.children[v])]
 
 
@@ -170,15 +170,12 @@ def tree_of_tangles_in(system, order, family, bound=ENUMERATION_BOUND,
             f"family misses robustness triples, e.g. {sorted(missing[0])}")
     result = build_tst_in_S(system, order, family, bound=bound, trust_rich=trust_rich)
     tree = result.tree
-    # tangle nodes of the pruned tree = non-leaves with no forbidden-leaf child
+    # tangle nodes of the pruned tree = nodes with two children, neither of
+    # them a forbidden leaf
     forbidden_leaves = {l for l, c in result.leaf_classes.items()
                         if c.kind == LEAF_FORBIDDEN}
-    nodes = []
-    for v in tree.nodes():
-        if tree.is_leaf(v):
-            continue
-        if not any(w in forbidden_leaves for w in tree.children[v]):
-            nodes.append(v)
+    nodes = [v for v in tree.nodes() if len(tree.children[v]) == 2
+             and not any(w in forbidden_leaves for w in tree.children[v])]
     # cross-check against the recursive tangle-node reading
     recursive = tangle_nodes(tree, family, result.leaf_classes)
     if nodes != recursive:

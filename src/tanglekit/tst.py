@@ -30,7 +30,7 @@ from .errors import (
     TheoremViolation,
     UnknownHandle,
 )
-from .forbidden import avoids, enumerate_tangles, is_rich, is_standard, order_thresholds
+from .forbidden import avoids, is_rich, is_standard, order_thresholds
 from .universe import restrict_Sk
 
 TREE_SCHEMA = "tanglekit/tree-v1"
@@ -514,13 +514,10 @@ def _leaf_class_in_s(tree, family, order, leaf) -> LeafClass:
 
 def check_rich_per_layer(system, order, family, bound=ENUMERATION_BOUND,
                          trust_rich=False):
-    """F must be rich and standard for every S_k, and must forbid {s} for every
-    s below a degenerate separation d of an S_k that has an F-tangle: a path
-    through s would close up to the inconsistent {s, d}.  Returns the
-    threshold list."""
+    """F must be rich and standard for every S_k.  Returns the threshold list."""
     ks = order_thresholds(system, order)
-    layers = [(k, restrict_Sk(system, order, k)) for k in ks]
-    for k, sub in layers:
+    for k in ks:
+        sub = restrict_Sk(system, order, k)
         ok, missing = is_standard(family, sub)
         if not ok:
             raise NotStandard(f"not standard for S_{k}: {sorted(map(sorted, missing))}")
@@ -529,15 +526,6 @@ def check_rich_per_layer(system, order, family, bound=ENUMERATION_BOUND,
             if not rich:
                 raise HypothesisFailure(
                     f"family not rich for S_{k}; counterexample {sorted(witness)}")
-    for k, sub in layers:
-        degenerate = [d for d in sub.elements() if sub.is_degenerate(d)]
-        below = [(s, d) for s in sub.elements() for d in degenerate
-                 if s != d and sub.leq(s, d) and avoids({s}, family)]
-        if below and enumerate_tangles(sub, family, bound=bound):
-            s, d = below[0]
-            raise HypothesisFailure(
-                f"family does not forbid {{{s}}} in S_{k}, which has a tangle "
-                f"and the degenerate separation {d} above {s}")
     return ks
 
 

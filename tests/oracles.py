@@ -234,3 +234,29 @@ def pairwise_validate_lattice(uni):
             chk(down[m] == down[a] & down[b], "meet-greatest-lower-bound", (a, b))
             chk(inv[j] == meet[inv[a]][inv[b]], "involution-de-morgan", (a, b))
     return LatticeReport(ok=not failures, failures=failures)
+
+
+# -- triviality, by the definition ---------------------------------------------
+
+
+def naive_is_trivial(system, h, members=None):
+    """Both orientations of some member r other than h and h* are < h.
+
+    Read off ``lt`` and the involution alone.  A degenerate r = r* counts: its
+    one orientation is both of them.  ``members`` defaults to the system's own.
+    """
+    members = system.elements() if members is None else members
+    hi = system.inv(h)
+    return any(r not in (h, hi) and system.lt(r, h) and system.lt(system.inv(r), h)
+               for r in members)
+
+
+def naive_without_trivial(system):
+    """The members left once trivial separations (both orientations) are
+    dropped round after round, each round judged among the members left."""
+    keep = set(system.elements())
+    while True:
+        trivial = {h for h in keep if naive_is_trivial(system, h, keep)}
+        if not trivial:
+            return sorted(keep)
+        keep -= trivial | {system.inv(h) for h in trivial}

