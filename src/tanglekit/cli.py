@@ -245,7 +245,8 @@ def cmd_validate(args):
             write_artifact(args, "validate", report)
             _fail(1, error="lattice axioms violated", **report["lattice"]["failures"][0])
     if order is not None:
-        ok, witness = (True, None)
+        # a plain system has no joins or meets to check submodularity on
+        ok, witness = (None, None)
         if isinstance(uni.ground, Universe):
             ok, witness = is_submodular(uni, order)
         report["order"] = {"submodular": ok,
@@ -362,13 +363,15 @@ def cmd_newduality(args):
 
 def cmd_tot(args):
     from .dot import tree_dot
-    from .tot import tangle_nodes, tree_of_tangles, verify_tot
+    from .tot import check_tot_hypotheses, tangle_node_seps, tangle_nodes, verify_tot
     from .tst import build_thorough_tst, validate_tst
 
     run = prepare(args, "injective")
+    # hypotheses first: a non-rich family exits 2, not 3 from the builder
+    check_tot_hypotheses(run.system, run.order, run.family, bound=run.bound,
+                         trust_rich=args.trust_rich)
     tree = build_thorough_tst(run.system, run.order, run.family, bound=run.bound)
-    n = tree_of_tangles(tree, run.system, run.order, run.family, bound=run.bound,
-                        trust_rich=args.trust_rich)
+    n = tangle_node_seps(tree, run.order, run.family)
     tangles = enumerate_tangles(run.system, run.family, bound=run.bound)
     check = verify_tot(run.system, run.order, n, tangles)
     obj = {"schema": "tanglekit/tot-v1", "N": sorted(n),

@@ -286,12 +286,13 @@ class SeparationSystem:
         return not self.crossing_pairs(handles)
 
     def consistency_witness(self, sigma):
-        """A pair (x, y) of distinct separations pointing away from each other."""
-        sigma = sorted(set(sigma))
-        for i, x in enumerate(sigma):
-            for y in sigma[i + 1:]:
-                if self.sep(x) != self.sep(y) and (self._incompat[x] >> y) & 1:
-                    return (x, y)
+        """A pair (x, y) of distinct separations pointing away from each other:
+        the least x, then the least y > x, whose ``incompat`` row holds y."""
+        mask = mask_of(sigma)
+        for x in iter_mask(mask):
+            hit = self._incompat[x] & (mask >> (x + 1) << (x + 1))
+            if hit:
+                return (x, (hit & -hit).bit_length() - 1)
         return None
 
     def is_consistent(self, sigma) -> bool:

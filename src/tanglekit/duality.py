@@ -197,19 +197,18 @@ def _check_star_family(system, family):
             raise NonStarFamily(f"family member {sorted(sigma)} is not a star")
 
 
-def convert_ftree(tree, family, allow_trivial=False):
+def convert_ftree(tree, family):
     """Convert an irreducible all-forbidden-leaf tree into an S-tree over F.
 
     Nodes of the S-tree are the leaves of the input; every non-leaf v with
     children w1, w2 contributes one edge joining leaves for which the edges
     vw_i are necessary (the least such leaf, for determinism).  Returns
-    (stree, conversion_map).  With allow_trivial the trivial-element
-    precondition and the over-F validation are skipped so the output can be
-    patched afterwards.
+    (stree, conversion_map).  The system must be trivial-free, and the
+    output is checked to be over F.
     """
     sys = tree.system
     _check_star_family(sys, family)
-    if not allow_trivial and sys.trivial_elements():
+    if sys.trivial_elements():
         raise TrivialElementsPresent(
             f"trivial elements {sys.trivial_elements()} present")
     rep = validate_tst(tree, family)
@@ -247,7 +246,7 @@ def convert_ftree(tree, family, allow_trivial=False):
                          edge_to_tree_edge=edge_map, v_e=v_e)
     if not stree.is_tree():
         raise TheoremViolation("conversion output is not a tree")
-    if not allow_trivial and not stree.is_over(family):
+    if not stree.is_over(family):
         raise TheoremViolation(
             f"conversion not over the family at node {stree.over_witness(family)}")
     return stree, cmap
@@ -314,48 +313,6 @@ def check_nested_corollary(tree, family) -> bool:
     """Edge labels of an irreducible forbidden-leaf tree with star family nest."""
     labels = {tree.edge_label[v] for v in tree.nodes() if tree.parent[v] >= 0}
     return tree.system.is_nested_set(labels)
-
-
-def trivial_patch(stree, family):
-    """Add leaves carrying trivial separations so the S-tree is over F again.
-
-    At any node whose star contains an orientation of a witnessing
-    separation but misses the trivial r->, a new leaf t is attached with
-    alpha(t,t') = r->; standardness supplies the {r<-} stars at the new
-    leaves.  The result is validated as an S-tree over F only.
-    """
-    sys = stree.system
-    ok, missing = is_standard(family, sys)
-    if not ok:
-        raise NotStandard(f"family not standard: {sorted(map(sorted, missing))}")
-    trivial = [h for h in sys.elements() if sys.is_trivial(h)]
-    alpha = dict(stree.alpha)
-    n = stree.n_nodes
-    added = []
-    for t_prime in stree.nodes():
-        star = stree.star_at(t_prime)
-        for r in trivial:
-            if r in star:
-                continue
-            witnessed = False
-            for s in sys.seps():
-                if s == sys.sep(r):
-                    continue
-                ors = sys.orientations(s)
-                if all(sys.lt(x, r) for x in ors) and any(x in star for x in ors):
-                    witnessed = True
-                    break
-            if witnessed:
-                alpha[(n, t_prime)] = r
-                alpha[(t_prime, n)] = sys.inv(r)
-                added.append((n, t_prime, r))
-                n += 1
-    patched = STree(sys, n, alpha)
-    if not patched.is_over(family):
-        raise TheoremViolation(
-            f"patched S-tree still not over family at node "
-            f"{patched.over_witness(family)}")
-    return patched, added
 
 
 # -- nested systems to S-trees (the tree-set realization) ----------------------------

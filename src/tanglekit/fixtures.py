@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from .core import SeparationSystem
 from .forbidden import ForbiddenFamily, eclipse_flags
@@ -67,7 +68,8 @@ def graph_tangle_stars(uni, order, vertices, edges, k) -> ForbiddenFamily:
     verts = sorted(vertices, key=str)
     vi = {x: i for i, x in enumerate(verts)}
     full_v = (1 << len(verts)) - 1
-    all_e = frozenset(frozenset((vi[a], vi[b])) for a, b in edges)
+    ends = sorted({(1 << vi[a]) | (1 << vi[b]) for a, b in edges})
+    full_e = (1 << len(ends)) - 1
 
     def a_side(h):
         # graph_universe labels are "{a,b}|{b,c}"; recover the A-side mask.
@@ -76,29 +78,20 @@ def graph_tangle_stars(uni, order, vertices, edges, k) -> ForbiddenFamily:
         return sum(1 << vi[x] for x in names)
 
     sk = [h for h in uni.elements() if order.of(h) < k]
-    masks = {h: a_side(h) for h in sk}
+    # per handle: the vertices of its A-side and the edges inside it
+    vmask = {h: a_side(h) for h in sk}
+    emask = {h: sum(1 << i for i, e in enumerate(ends) if e & ~vmask[h] == 0)
+             for h in sk}
 
     def covers(sel):
-        vcov = 0
-        ecov = set()
+        vcov = ecov = 0
         for h in sel:
-            a = masks[h]
-            vcov |= a
-            for e in all_e:
-                u, w = tuple(e)
-                if (a >> u) & 1 and (a >> w) & 1:
-                    ecov.add(e)
-        return vcov == full_v and ecov == all_e
+            vcov |= vmask[h]
+            ecov |= emask[h]
+        return vcov == full_v and ecov == full_e
 
-    out = set()
-    n = len(sk)
-    for i in range(n):
-        for j in range(i, n):
-            for l in range(j, n):
-                sel = frozenset({sk[i], sk[j], sk[l]})
-                if covers(sel) and uni.is_star(sel):
-                    out.add(sel)
-    return ForbiddenFamily(out)
+    sels = (frozenset(t) for t in combinations_with_replacement(sk, 3) if covers(t))
+    return ForbiddenFamily({sel for sel in sels if uni.is_star(sel)})
 
 
 def eclipse_closure(system, family, order) -> ForbiddenFamily:

@@ -119,6 +119,11 @@ def tree_of_tangles(tree, system, order, family, bound=ENUMERATION_BOUND,
     checked hypotheses it equals the brute-force optimal-distinguisher set.
     """
     check_tot_hypotheses(system, order, family, bound=bound, trust_rich=trust_rich)
+    return tangle_node_seps(tree, order, family)
+
+
+def tangle_node_seps(tree, order, family) -> frozenset:
+    """N for a caller that has already run ``check_tot_hypotheses``."""
     if not is_thoroughly_ordered(tree, order):
         raise HypothesisFailure("tree is not thoroughly ordered")
     return frozenset(tree.node_sep(v) for v in tangle_nodes(tree, family))

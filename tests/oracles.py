@@ -21,6 +21,17 @@ def naive_is_consistent(system, sigma):
     return True
 
 
+def pairwise_consistency_witness(system, sigma):
+    """The first pair (x, y), x < y, of sorted sigma pointing away from each
+    other, found by one test per pair."""
+    sigma = sorted(set(sigma))
+    for i, x in enumerate(sigma):
+        for y in sigma[i + 1:]:
+            if points_away(system, x, y):
+                return (x, y)
+    return None
+
+
 def naive_consistent_orientations(system):
     """Filter the full 2^m product of orientations by the definition."""
     seps = system.seps()
@@ -179,6 +190,23 @@ def label_sides(label):
     """The two sides of a generator label ``{a,b}|{c}``, as frozensets of names."""
     return tuple(frozenset(x for x in side.strip("{}").split(",") if x)
                  for side in label.split("|"))
+
+
+def naive_graph_tangle_stars(uni, order, vertices, edges, k):
+    """Stars of at most three separations of order < k whose A-sides hold
+    every vertex and, between them, both ends of every edge; by frozensets."""
+    from itertools import combinations_with_replacement
+
+    sk = [h for h in uni.elements() if order.of(h) < k]
+    sides = {h: label_sides(uni.label(h))[0] for h in sk}
+    out = set()
+    for triple in combinations_with_replacement(sk, 3):
+        a_sides = [sides[h] for h in triple]
+        if (set(vertices) <= set().union(*a_sides)
+                and all(any({a, b} <= s for s in a_sides) for a, b in edges)
+                and uni.is_star(frozenset(triple))):
+            out.add(frozenset(triple))
+    return out
 
 
 def naive_up_sets(uni, graph):

@@ -264,7 +264,7 @@ def test_forbidden_handles_may_lie_outside_Sk(workdir):
 EXIT_TABLE_COMMANDS = ("tst", "reduce", "tot", "totins", "duality", "newduality")
 EXIT_TABLE = {
     "P3": {"full": "000000", "std": "002200", "R": "222222"},
-    "P4": {"full": "333222", "std": "002200", "R": "222222"},
+    "P4": {"full": "332222", "std": "002200", "R": "222222"},
     "C4": {"full": "000020", "std": "002200", "R": "222222"},
     "K4": {"full": "000000", "std": "000000", "R": "222222"},
 }
@@ -303,6 +303,27 @@ def test_exit_code_table_on_the_whole_universe(tmp_path, capsys, graph):
             codes += str(code)
         got[kind] = codes
     assert got == EXIT_TABLE[graph]
+
+
+def test_tot_checks_richness_before_it_builds(tmp_path, capsys):
+    # P4's k=2 stars plus R and the standard singletons are not rich on the
+    # whole universe: tot reports it as totins and duality do, not as the
+    # builder's RichnessViolation
+    from tanglekit.universe import graph_universe
+    edges = [("a", "b"), ("b", "c"), ("c", "d")]
+    (tmp_path / "g.graph").write_text("".join(f"{a} {b}\n" for a, b in edges))
+    u, o = graph_universe("abcd", edges)
+    obj = graph_tangle_stars(u, o, "abcd", edges, 2).to_json()
+    obj["generate"] = ["R", "standardize"]
+    (tmp_path / "full.json").write_text(json.dumps(obj))
+    for command in ("tot", "totins", "duality"):
+        code = main([command, "--input", str(tmp_path / "g.graph"),
+                     "--forbidden", str(tmp_path / "full.json"),
+                     "--unsafe-bounds", "--out", str(tmp_path / "out")])
+        err = json.loads(capsys.readouterr().err)
+        assert (code, err["kind"]) == (2, "HypothesisFailure"), command
+        assert "rich" in err["error"]
+    assert not (tmp_path / "out" / "tot.json").exists()
 
 
 def test_bipartition_source(workdir):
@@ -634,6 +655,18 @@ def test_newduality_on_a_plain_system_exit_2(plain_system, capsys):
     assert run_plain(plain_system, "newduality", "--k", "5") == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "newduality needs a universe (joins and meets)"
+
+
+def test_validate_on_a_plain_system_leaves_submodularity_open(plain_system):
+    # no joins or meets: there is nothing to check submodularity on
+    (plain_system / "order.json").write_text(json.dumps(
+        {"schema": "tanglekit/order-v1", "orders": {"0": 1, "2": 2}}))
+    code = main(["validate", "--input", str(plain_system / "sys.json"),
+                 "--order", str(plain_system / "order.json"),
+                 "--out", str(plain_system / "out")])
+    assert code == 0
+    got = json.loads((plain_system / "out" / "validate.json").read_text())
+    assert got["order"] == {"submodular": None, "witness": None}
 
 
 @pytest.mark.parametrize("command", ["tst", "reduce", "tot", "duality", "totins"])

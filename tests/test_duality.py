@@ -20,7 +20,6 @@ from tanglekit.duality import (
     stree_excludes_tangles,
     stree_from_nested,
     stree_order_preserving,
-    trivial_patch,
     validate_conversion,
 )
 from tanglekit.errors import (
@@ -29,11 +28,12 @@ from tanglekit.errors import (
     NonInjectiveOrder,
     NonStarFamily,
     NotIrreducible,
-    NotStandard,
     PreconditionError,
+    SystemValidationError,
     TrivialElementsPresent,
 )
 from tanglekit.fixtures import (
+    chain2_system,
     graph_tangle_stars,
     p3_universe,
     p4_universe,
@@ -83,6 +83,18 @@ def test_single_node_stree_with_empty_star(p3_set):
     st = STree(s2, 1, {})
     ok, checked = stree_excludes_tangles(st, fam)
     assert ok and checked == 2 ** len(s2.seps())
+
+
+@pytest.mark.parametrize("axiom, alpha", [
+    ("stree-node-range", {(0, 2): 0, (2, 0): 1}),
+    ("stree-missing-reverse", {(0, 1): 0}),
+    ("stree-involution", {(0, 1): 0, (1, 0): 0}),
+])
+def test_stree_rejects_each_planted_defect(axiom, alpha):
+    # handles 0 and 1 orient one regular separation of the chain
+    with pytest.raises(SystemValidationError) as err:
+        STree(chain2_system(), 2, alpha)
+    assert err.value.axiom == axiom
 
 
 def test_converted_fixture_excludes_all_orientations(tangleless):
@@ -440,43 +452,6 @@ def test_shift_closed_families_are_rich(p3_set):
     assert is_rich(s2, fam2, o2)[0]
 
 
-# -- trivial patch -------------------------------------------------------------------
-
-
-@pytest.fixture()
-def ptriv_patch_setting():
-    pt = ptriv_system()
-    o = OrderFunction(pt, {0: 1, 2: 2})
-    fam = ForbiddenFamily([{0}, {1}, {0, 2}, {1, 2}, {3}])
-    tree = build_thorough_tst(pt, o, fam)
-    red = reduce_irreducible(tree, fam, o)
-    stree, _ = convert_ftree(red, fam, allow_trivial=True)
-    return pt, o, fam, stree
-
-
-def test_trivial_patch_adds_leaves(ptriv_patch_setting):
-    pt, o, fam, stree = ptriv_patch_setting
-    patched, added = trivial_patch(stree, fam)
-    # the trivial s-> (handle 2) is witnessed by r at both nodes of the edge
-    assert [(t, tp, r) for t, tp, r in added] == [(2, 0, 2), (3, 1, 2)]
-    assert patched.is_over(fam)
-    assert patched.n_nodes == stree.n_nodes + 2
-
-
-def test_trivial_patch_noop_without_trivials(tangleless):
-    s2t, o2, fam, red = tangleless
-    st, _ = convert_ftree(red, fam)
-    patched, added = trivial_patch(st, fam)
-    assert added == [] and patched.n_nodes == st.n_nodes
-
-
-def test_trivial_patch_requires_standard(ptriv_patch_setting):
-    pt, o, fam, stree = ptriv_patch_setting
-    nonstd = ForbiddenFamily([s for s in fam.sets if s != frozenset({3})])
-    with pytest.raises(NotStandard):
-        trivial_patch(stree, nonstd)
-
-
 # -- dichotomy ----------------------------------------------------------------------
 
 
@@ -652,24 +627,3 @@ def test_order_preserving_alpha_has_nested_image(bip3):
     st = stree_from_nested(sub)
     assert stree_order_preserving(st)
     assert sub.is_nested_set(set(st.alpha.values()))
-
-
-def test_trivial_patch_skips_unwitnessed_nodes():
-    # q below r, s> trivial witnessed only by r; the F-tree splits on q, so
-    # neither conversion star contains an orientation of the witness r and
-    # no leaf is added even though a trivial element exists
-    from tanglekit.core import SeparationSystem
-    sys6 = SeparationSystem.from_relation(
-        [1, 0, 3, 2, 5, 4],
-        [(0, 2), (1, 2), (3, 1), (3, 0), (3, 2), (4, 0), (1, 5), (4, 2), (3, 5)],
-        labels=["r>", "r<", "s>", "s<", "q>", "q<"])
-    assert sys6.is_trivial(2)
-    o = OrderFunction(sys6, {0: 2, 2: 3, 4: 1})
-    fam = ForbiddenFamily([{4}, {5}, {0}, {1}, {3}])
-    tree = build_thorough_tst(sys6, o, fam)
-    red = reduce_irreducible(tree, fam, o)
-    stree, _ = convert_ftree(red, fam, allow_trivial=True)
-    assert sorted(map(sorted, (stree.star_at(t) for t in stree.nodes()))) == [[4], [5]]
-    patched, added = trivial_patch(stree, fam)
-    assert added == []
-    assert patched.is_over(fam)

@@ -13,16 +13,23 @@ import pytest
 from oracles import (
     naive_down_sets,
     naive_gamma,
+    naive_graph_tangle_stars,
     naive_join_table,
     naive_meet_table,
     naive_up_sets,
+    pairwise_consistency_witness,
     pairwise_validate_lattice,
 )
 from test_lattice_rule import LADDER, PLANTED, _cycle, _path, planted
 
 from tanglekit.core import SeparationSystem, transpose
 from tanglekit.errors import SystemValidationError
-from tanglekit.fixtures import random_universes
+from tanglekit.fixtures import (
+    chain2_system,
+    graph_tangle_stars,
+    ptriv_system,
+    random_universes,
+)
 from tanglekit.orderfn import (
     OrderFunction,
     _numeral,
@@ -75,6 +82,62 @@ def test_random_universe_up_and_down_sets_are_pairwise():
     for uni, _ in randoms():
         assert list(uni._up) == naive_up_sets(uni, graph=False)
         assert list(uni._down) == naive_down_sets(uni)
+
+
+# -- the consistency witness ------------------------------------------------------
+
+
+def assert_witnesses_pairwise(system, sets):
+    for sigma in sets:
+        assert (system.consistency_witness(iter(sigma))
+                == pairwise_consistency_witness(system, sigma)), sorted(sigma)
+
+
+def random_subsets(system, rng, count):
+    els = system.elements()
+    return [rng.sample(els, rng.randint(0, min(len(els), 10))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", list(LADDER))
+def test_consistency_witness_is_the_first_pair(name):
+    uni = universe(name)[0]
+    rng = random.Random(name)
+    # and the down-set of every element: large sets with many pairs pointing away
+    downs = [[h for h in uni.elements() if uni.leq(h, top)] for top in uni.elements()]
+    assert_witnesses_pairwise(uni, random_subsets(uni, rng, 300) + downs)
+
+
+def test_consistency_witness_on_small_systems():
+    rng = random.Random(7)
+    for system in (ptriv_system(), chain2_system()):
+        els = system.elements()
+        assert_witnesses_pairwise(system, [
+            [h for i, h in enumerate(els) if m >> i & 1] for m in range(1 << len(els))])
+    for uni, _ in randoms():
+        taus = uni.consistent_orientations()
+        assert taus and all(uni.consistency_witness(t) is None for t in taus)
+        assert_witnesses_pairwise(
+            uni, random_subsets(uni, rng, 30) + [rng.choice(taus) | {h} for h in
+                                                 uni.elements()])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("name", list(LADDER))
+def test_graph_tangle_stars_cover_by_masks(name, k):
+    n, edges = LADDER[name]
+    uni, order = universe(name)
+    # the labels name the vertices by strings
+    vertices, edges = list(map(str, range(n))), [(str(a), str(b)) for a, b in edges]
+    assert (graph_tangle_stars(uni, order, vertices, edges, k).sets
+            == naive_graph_tangle_stars(uni, order, vertices, edges, k))
+
+
+def test_graph_tangle_stars_with_a_self_loop():
+    # the loop at a lies inside every A-side that holds a
+    edges = [("a", "a"), ("a", "b")]
+    uni, order = graph_universe("ab", edges)
+    assert (graph_tangle_stars(uni, order, "ab", edges, 2).sets
+            == naive_graph_tangle_stars(uni, order, "ab", edges, 2))
 
 
 def test_transpose_of_a_rectangular_bit_matrix():

@@ -28,7 +28,12 @@ from tanglekit.tot import (
     tree_of_tangles_in,
     verify_tot,
 )
-from tanglekit.tst import build_thorough_tst, display, reduce_irreducible
+from tanglekit.tst import (
+    SeparationTree,
+    build_thorough_tst,
+    display,
+    reduce_irreducible,
+)
 from tanglekit.universe import bipartition_universe, restrict_Sk
 
 
@@ -127,6 +132,16 @@ def test_extraction_requires_robustness_triples(p3_tot):
     if robust.sets - missing.sets:
         with pytest.raises(HypothesisFailure):
             tree_of_tangles(tree, s2, o2, missing)
+
+
+def test_extraction_requires_a_thoroughly_ordered_tree(p3_tot):
+    # the hypotheses hold; the tree splits first on the separation of top order
+    u, o2, s2, F, tree = p3_tot
+    top = max(s2.seps(), key=o2.of)
+    low, high = s2.orientations(top)
+    planted = SeparationTree(s2, [-1, 0, 0], [[1, 2], [], []], [-1, low, high])
+    with pytest.raises(HypothesisFailure, match="not thoroughly ordered"):
+        tree_of_tangles(planted, s2, o2, F)
 
 
 def test_reduced_tree_same_distinguishers(p3_tot):

@@ -13,6 +13,7 @@ from tanglekit.errors import (
     UnknownHandle,
 )
 from tanglekit.fixtures import (
+    chain2_system,
     graph_tangle_stars,
     p3_universe,
     singleton_family,
@@ -26,6 +27,9 @@ from tanglekit.forbidden import (
 )
 from tanglekit.orderfn import OrderFunction, refine_injective
 from tanglekit.tst import (
+    LEAF_TANGLE,
+    LEAF_UNRESOLVED,
+    LeafClass,
     SeparationTree,
     build_thorough_tst,
     build_tst_in_S,
@@ -39,6 +43,7 @@ from tanglekit.tst import (
     is_thoroughly_ordered,
     necessity,
     reduce_irreducible,
+    validate_separation_tree,
     validate_tst,
     validate_tst_in_s,
 )
@@ -120,6 +125,38 @@ def test_malformed_tree_rejected(p3_setting):
     assert any(r == "edge-labels-not-a-bijection" for _, r in failures)
 
 
+# Hand-broken trees on the chain r-> < s-> (handles 0 = r->, 1 = r<-, 2 = s->,
+# 3 = s<-), one per failure of ``validate_separation_tree``: (parent, children,
+# labels, whether the tree lives on the view of r alone, the failures).
+BROKEN_TREES = {
+    "label-not-a-member": (
+        [-1, 0, 0], [[1, 2], [], []], [-1, 2, 3], True, [(0, "label-not-a-member")]),
+    "children-orient-different-separations": (
+        [-1, 0, 0], [[1, 2], [], []], [-1, 0, 2], False,
+        [(0, "children-orient-different-separations")]),
+    "edge-labels-not-a-bijection": (
+        [-1, 0], [[1], []], [-1, 0], False, [(0, "edge-labels-not-a-bijection")]),
+    # r-> then s<-: r-> <= s-> = (s<-)*, so the two point away from each other
+    "path-labels-inconsistent": (
+        [-1, 0, 0, 1, 1], [[1, 2], [3, 4], [], [], []], [-1, 0, 1, 2, 3], False,
+        [(4, "path-labels-inconsistent")]),
+    "separation-repeats-on-path": (
+        [-1, 0, 0, 1, 1], [[1, 2], [3, 4], [], [], []], [-1, 0, 1, 0, 1], False,
+        [(0, "separation-repeats-on-path")]),
+}
+
+
+@pytest.mark.parametrize("reason", list(BROKEN_TREES))
+def test_validate_separation_tree_names_each_planted_defect(reason):
+    parent, children, labels, r_only, want = BROKEN_TREES[reason]
+    system = chain2_system()
+    if r_only:
+        system = system.restrict([0, 1])
+    tree = SeparationTree(system, parent, children, labels)
+    assert validate_separation_tree(tree) == want
+    assert validate_tst(tree, ForbiddenFamily([])).failures[:len(want)] == want
+
+
 # -- ordering --------------------------------------------------------------------
 
 
@@ -147,6 +184,26 @@ def test_planted_order_inversion(p3_setting):
         [-1, hi_or[0], hi_or[-1], lo_or[0], lo_or[-1]],
     )
     assert not is_ordered(t, o2)
+
+
+def test_thorough_order_fails_on_a_separation_the_closure_orients():
+    # s first (order 1), then r below s<-: s<- <= r<- puts r<- into the closure
+    system = chain2_system()
+    o = OrderFunction(system, {0: 2, 2: 1})
+    t = SeparationTree(system, [-1, 0, 0, 2, 2], [[1, 2], [], [3, 4], [], []],
+                       [-1, 2, 3, 0, 1])
+    assert is_ordered(t, o)
+    assert system.closure({3}) == {1, 3}
+    assert not is_thoroughly_ordered(t, o)
+
+
+def test_thorough_order_fails_on_a_separation_not_of_least_order():
+    # nothing is oriented at the root, and r has the lower order
+    system = chain2_system()
+    o = OrderFunction(system, {0: 1, 2: 2})
+    t = SeparationTree(system, [-1, 0, 0], [[1, 2], [], []], [-1, 2, 3])
+    assert is_ordered(t, o)
+    assert not is_thoroughly_ordered(t, o)
 
 
 # -- builder ----------------------------------------------------------------------
@@ -323,6 +380,26 @@ def test_layered_build_validates(p3_layered):
     res = build_tst_in_S(u, o2, F)
     assert not res.bare_root
     assert validate_tst_in_s(res, F, o2).ok
+
+
+def test_validate_tst_in_s_names_each_planted_defect(p3_layered):
+    u, o2, F = p3_layered
+    res = build_tst_in_S(u, o2, F)
+    tree, classes = res.tree, res.leaf_classes
+    leaf = min(l for l, c in classes.items() if c.kind == LEAF_TANGLE)
+    unresolved = res._replace(leaf_classes={
+        **classes, leaf: LeafClass(LEAF_UNRESOLVED, frozenset())})
+    assert validate_tst_in_s(unresolved, F, o2).failures == [
+        (leaf, "leaf-neither-tangle-nor-forbidden")]
+    shrunk = classes[leaf].witness - {min(classes[leaf].witness)}
+    not_maximal = res._replace(leaf_classes={
+        **classes, leaf: LeafClass(LEAF_TANGLE, shrunk)})
+    assert validate_tst_in_s(not_maximal, F, o2).failures == [
+        (leaf, "tangle-leaf-not-a-maximal-tangle")]
+    inner = tree.parent[leaf]
+    failures = validate_tst_in_s(
+        res, F.extended([tree.beta(inner)], "explicit"), o2).failures
+    assert (inner, "forbidden-subset-at-non-leaf") in failures
 
 
 def test_layered_tangle_leaves_are_maximal_tangles(p3_layered):
