@@ -364,7 +364,7 @@ def cmd_newduality(args):
 def cmd_tot(args):
     from .dot import tree_dot
     from .tot import check_tot_hypotheses, tangle_node_seps, tangle_nodes, verify_tot
-    from .tst import build_thorough_tst, validate_tst
+    from .tst import build_thorough_tst, classify_leaves
 
     run = prepare(args, "injective")
     # hypotheses first: a non-rich family exits 2, not 3 from the builder
@@ -378,12 +378,9 @@ def cmd_tot(args):
            "verified": check.ok, "notes": run.notes}
     write_artifact(args, "tot", obj)
 
-    def render():
-        classes = validate_tst(tree, run.family).leaf_classes
-        return tree_dot(tree, classes,
-                        highlight_nodes=tangle_nodes(tree, run.family, classes))
-
-    write_dot(args, "tot", render)
+    write_dot(args, "tot", lambda: tree_dot(
+        tree, classify_leaves(tree, run.family),
+        highlight_nodes=tangle_nodes(tree, run.family)))
     require_self_check(check.ok, "tot", check._asdict())
     return obj
 

@@ -319,22 +319,17 @@ class SeparationSystem:
 
     # -- orientations --------------------------------------------------------
 
-    def is_orientation(self, tau, seps=None) -> bool:
-        """Exactly one orientation of each separation (default: all members)."""
+    def is_orientation(self, tau) -> bool:
+        """Exactly one orientation of each member separation."""
         tau = set(tau)
         self._check_members(tau)
-        domain = self.seps() if seps is None else sorted(seps)
         seen = set()
         for h in tau:
             s = self.sep(h)
             if s in seen and not self.is_degenerate(h):
                 return False
             seen.add(s)
-        return seen == set(domain) and all(self.sep(h) in set(domain) for h in tau)
-
-    def oriented_seps(self, tau):
-        """Canonical handles of the separations oriented by ``tau``."""
-        return sorted({self.sep(h) for h in tau})
+        return seen == set(self.seps())
 
     def distinguishes(self, s: int, tau1, tau2) -> bool:
         """True iff both partial orientations orient ``s`` and differ on it.

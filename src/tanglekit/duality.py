@@ -256,7 +256,7 @@ def convert_ftree(tree, family):
 ConversionReport = namedtuple("ConversionReport", "ok failures")
 
 
-def validate_conversion(tree, stree, cmap, family) -> ConversionReport:
+def validate_conversion(tree, stree, cmap) -> ConversionReport:
     """The five clauses of the conversion theorem, each its own assertion,
     plus image equality and strict decrease of alpha along oriented paths."""
     failures = []
@@ -309,7 +309,7 @@ def validate_conversion(tree, stree, cmap, family) -> ConversionReport:
     return ConversionReport(ok=not failures, failures=sorted(set(failures)))
 
 
-def check_nested_corollary(tree, family) -> bool:
+def check_nested_corollary(tree) -> bool:
     """Edge labels of an irreducible forbidden-leaf tree with star family nest."""
     labels = {tree.edge_label[v] for v in tree.nodes() if tree.parent[v] >= 0}
     return tree.system.is_nested_set(labels)

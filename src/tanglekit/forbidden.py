@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 
 from .core import ENUMERATION_BOUND, orientations_avoiding
 from .universe import handle_values, restrict_Sk
@@ -35,8 +36,21 @@ class ForbiddenFamily:
                     prov[fs] = tag
         self.provenance = prov
 
+    @cached_property
+    def ordered(self) -> tuple:
+        """The members by size, then by sorted handles: the witness order."""
+        return tuple(sorted(self.sets, key=lambda s: (len(s), sorted(s))))
+
     def __iter__(self):
-        return iter(sorted(self.sets, key=lambda s: (len(s), sorted(s))))
+        return iter(self.ordered)
+
+    def first_inside(self, members):
+        """The first member in witness order that is a subset of ``members``, else None.
+
+        The empty set is a member like any other, so test the result with
+        ``is not None``.
+        """
+        return next((s for s in self.ordered if s <= members), None)
 
     def __len__(self):
         return len(self.sets)

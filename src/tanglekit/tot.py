@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .core import ENUMERATION_BOUND, iter_mask
+from .core import ENUMERATION_BOUND
 from .errors import HypothesisFailure, NonInjectiveOrder, TheoremViolation
 from .forbidden import (
     is_rich,
@@ -21,8 +21,9 @@ from .forbidden import (
 from .tst import (
     LEAF_FORBIDDEN,
     LEAF_TANGLE,
+    _path_closure,
     build_tst_in_S,
-    classify_leaf,
+    classify_leaves,
     is_thoroughly_ordered,
 )
 from .universe import (Universe, is_order_threshold_restriction,
@@ -70,10 +71,10 @@ def tangle_nodes(tree, family, leaf_classes=None) -> list:
     """Nodes with two children, each of whose subtrees contains a tangle leaf.
     A degenerate node has one child and distinguishes nothing.
 
-    Leaves are read with ``classify_leaf`` unless ``leaf_classes`` is given.
+    Leaves are read with ``classify_leaves`` unless ``leaf_classes`` is given.
     """
     if leaf_classes is None:
-        leaf_classes = {l: classify_leaf(tree, family, l) for l in tree.leaves()}
+        leaf_classes = classify_leaves(tree, family)
     has_tangle_below = {}
     order = sorted(tree.nodes(), key=lambda v: -len(tree.beta(v)))
     for v in order:
@@ -129,7 +130,7 @@ def tangle_node_seps(tree, order, family) -> frozenset:
     return frozenset(tree.node_sep(v) for v in tangle_nodes(tree, family))
 
 
-def is_critical(tree, v, order, family, bound=ENUMERATION_BOUND) -> bool:
+def is_critical(tree, v, order) -> bool:
     """A node is critical if an orientation of its separation is co-trivial or
     completes a robustness triple over the path closure."""
     sys = tree.system
@@ -137,7 +138,7 @@ def is_critical(tree, v, order, family, bound=ENUMERATION_BOUND) -> bool:
         return False
     uni = sys.ground
     robust = robustness_family(uni, order, target=sys)
-    cl = frozenset(iter_mask(sys.closure_mask(tree.beta_mask(v))))
+    cl = _path_closure(tree, v)
     for x in sys.orientations(tree.node_sep(v)):
         if sys.is_cotrivial(x):
             return True

@@ -30,7 +30,8 @@ from .errors import (
     TheoremViolation,
     UnknownHandle,
 )
-from .forbidden import avoids, is_rich, is_standard, order_thresholds
+from .forbidden import (avoids, is_efficient, is_rich, is_standard, maximal_tangles_in,
+                        order_thresholds)
 from .universe import restrict_Sk
 
 TREE_SCHEMA = "tanglekit/tree-v1"
@@ -43,6 +44,7 @@ LEAF_UNRESOLVED = "unresolved"
 # kind: LEAF_TANGLE, LEAF_FORBIDDEN or LEAF_UNRESOLVED; witness: the tangle
 # closure, or the forbidden subset (a frozenset).
 LeafClass = namedtuple("LeafClass", "kind witness")
+_UNRESOLVED = LeafClass(LEAF_UNRESOLVED, frozenset())
 
 
 class SeparationTree:
@@ -58,6 +60,7 @@ class SeparationTree:
             raise SystemValidationError("tree-single-root", witness=roots)
         self.root = roots[0]
         self._beta = {}
+        self._classes = {}  # family -> {leaf: LeafClass}, filled by classify_leaf
 
     def __len__(self):
         return len(self.parent)
@@ -151,24 +154,41 @@ class SeparationTree:
 TstReport = namedtuple("TstReport", "ok failures leaf_classes")
 
 
-def _family_subset_of(family, members: frozenset):
-    """Lexicographically first family member inside ``members``, else None."""
-    hits = [s for s in family.sets if s <= members]
-    if not hits:
-        return None
-    return min(hits, key=lambda s: (len(s), sorted(s)))
+def _path_closure(tree, v) -> frozenset:
+    """The closure of the path labels beta_v."""
+    return frozenset(iter_mask(tree.system.closure_mask(tree.beta_mask(v))))
+
+
+def _least_unoriented(system, order, closure):
+    """The separation of least order, then least handle, among those ``closure``
+    leaves unoriented; None when it orients them all."""
+    oriented = {system.sep(h) for h in closure}
+    return min((s for s in system.seps() if s not in oriented),
+               key=lambda t: (order.of(t), t), default=None)
 
 
 def classify_leaf(tree, family, leaf) -> LeafClass:
-    sys = tree.system
-    beta = tree.beta(leaf)
-    hit = _family_subset_of(family, beta)
-    cl = frozenset(iter_mask(sys.closure_mask(mask_of(beta))))
-    if sys.is_consistent(cl) and sys.is_orientation(cl) and avoids(cl, family):
-        return LeafClass(LEAF_TANGLE, cl)
-    if hit is not None:
-        return LeafClass(LEAF_FORBIDDEN, hit)
-    return LeafClass(LEAF_UNRESOLVED, frozenset())
+    """A tangle leaf when the path closure is an F-tangle, else a forbidden leaf
+    witnessed by the first member inside the path, else unresolved.
+
+    Memoized on the tree per family.  Nothing else fills the memo, so a
+    validator that reads it judges a built tree independently of its builder.
+    """
+    memo = tree._classes.setdefault(family, {})
+    if leaf not in memo:
+        sys = tree.system
+        cl = _path_closure(tree, leaf)
+        if sys.is_consistent(cl) and sys.is_orientation(cl) and avoids(cl, family):
+            memo[leaf] = LeafClass(LEAF_TANGLE, cl)
+        else:
+            hit = family.first_inside(tree.beta(leaf))
+            memo[leaf] = _UNRESOLVED if hit is None else LeafClass(LEAF_FORBIDDEN, hit)
+    return memo[leaf]
+
+
+def classify_leaves(tree, family) -> dict:
+    """leaf -> LeafClass for every leaf of the tree, in leaf order."""
+    return {leaf: classify_leaf(tree, family, leaf) for leaf in tree.leaves()}
 
 
 def validate_separation_tree(tree) -> list:
@@ -203,19 +223,23 @@ def validate_separation_tree(tree) -> list:
     return failures
 
 
-def validate_tst(tree, family) -> TstReport:
-    """Full tangle-structure-tree check with per-node witnesses."""
+def _tst_report(tree, family, classes, maximal=None) -> TstReport:
+    """The structure check; per leaf, an unresolved class or, with ``maximal``
+    given, a tangle leaf outside it; then a forbidden subset at a non-leaf."""
     failures = list(validate_separation_tree(tree))
-    classes = {}
-    for leaf in tree.leaves():
-        c = classify_leaf(tree, family, leaf)
-        classes[leaf] = c
+    for leaf, c in classes.items():
         if c.kind == LEAF_UNRESOLVED:
             failures.append((leaf, "leaf-neither-tangle-nor-forbidden"))
-    for v in tree.nodes():
-        if not tree.is_leaf(v) and _family_subset_of(family, tree.beta(v)):
-            failures.append((v, "forbidden-subset-at-non-leaf"))
+        elif c.kind == LEAF_TANGLE and maximal is not None and c.witness not in maximal:
+            failures.append((leaf, "tangle-leaf-not-a-maximal-tangle"))
+    failures += [(v, "forbidden-subset-at-non-leaf") for v in tree.nodes()
+                 if not tree.is_leaf(v) and family.first_inside(tree.beta(v)) is not None]
     return TstReport(ok=not failures, failures=failures, leaf_classes=classes)
+
+
+def validate_tst(tree, family) -> TstReport:
+    """Full tangle-structure-tree check with per-node witnesses."""
+    return _tst_report(tree, family, classify_leaves(tree, family))
 
 
 def beta_path(tree, v) -> frozenset:
@@ -275,25 +299,21 @@ def build_thorough_tst(system, order, family, bound=ENUMERATION_BOUND) -> Separa
         raise NotStandard(f"missing co-trivial singletons {sorted(map(sorted, missing))}")
 
     parent, children, edge_label = [-1], [[]], [-1]
-    seps = system.seps()
     stack = [(0, 0)]  # (node, beta mask)
     while stack:
         v, beta = stack.pop()
-        if _family_subset_of(family, frozenset(iter_mask(beta))) is not None:
+        if family.first_inside(frozenset(iter_mask(beta))) is not None:
             continue  # forbidden leaf
-        cl = system.closure_mask(beta)
-        pair = system.consistency_witness(iter_mask(cl))
+        cl = frozenset(iter_mask(system.closure_mask(beta)))
+        pair = system.consistency_witness(cl)
         if pair is not None:
             raise TheoremViolation(f"closure of the path {sorted(iter_mask(beta))} "
                                    f"is inconsistent: pair {pair}")
-        oriented = {system.sep(h) for h in iter_mask(cl)}
-        unoriented = [s for s in seps if s not in oriented]
-        if not unoriented:
-            if avoids(frozenset(iter_mask(cl)), family):
+        s = _least_unoriented(system, order, cl)
+        if s is None:
+            if avoids(cl, family):
                 continue  # tangle leaf
-            hit = _family_subset_of(family, frozenset(iter_mask(cl)))
-            raise RichnessViolation(frozenset(iter_mask(cl)), hit)
-        s = min(unoriented, key=lambda t: (order.of(t), t))
+            raise RichnessViolation(cl, family.first_inside(cl))
         kids = []
         for h in system.orientations(s):
             w = len(parent)
@@ -328,15 +348,8 @@ def display(tree, tau):
 
 def is_efficient_tree(tree, order) -> bool:
     """Every leaf's path set is efficient in its own closure."""
-    from .forbidden import is_efficient
-
-    sys = tree.system
-    for leaf in tree.leaves():
-        beta = tree.beta(leaf)
-        cl = frozenset(iter_mask(sys.closure_mask(mask_of(beta))))
-        if not is_efficient(sys, order, beta, cl):
-            return False
-    return True
+    return all(is_efficient(tree.system, order, tree.beta(leaf), _path_closure(tree, leaf))
+               for leaf in tree.leaves())
 
 
 # -- necessity and reduction --------------------------------------------------------
@@ -349,10 +362,10 @@ NecessityReport = namedtuple(
     "NecessityReport", "edge_necessary_for node_necessary irreducible leaf_classes")
 
 
-def necessity(tree, family, order=None) -> NecessityReport:
+def necessity(tree, family) -> NecessityReport:
     """Per-edge and per-node necessity flags (edges are keyed by child node)."""
     sys = tree.system
-    classes = {leaf: classify_leaf(tree, family, leaf) for leaf in tree.leaves()}
+    classes = classify_leaves(tree, family)
     leaf_subsets = {}
     for leaf, c in classes.items():
         if c.kind == LEAF_FORBIDDEN:
@@ -392,10 +405,8 @@ def is_irreducible(tree, family) -> bool:
 
 def displayed_tangles(tree, family) -> frozenset:
     """The set of tangles displayed at the tree's tangle leaves."""
-    return frozenset(
-        c.witness for c in (classify_leaf(tree, family, l) for l in tree.leaves())
-        if c.kind == LEAF_TANGLE
-    )
+    return frozenset(c.witness for c in classify_leaves(tree, family).values()
+                     if c.kind == LEAF_TANGLE)
 
 
 def _canonical_tree(system, root, kids_of, label_of) -> SeparationTree:
@@ -443,31 +454,22 @@ def reduce_irreducible(tree, family, order) -> SeparationTree:
     if the tree is still reducible but no move validates.
     """
     target_tangles = displayed_tangles(tree, family)
+
+    def passes(cand):
+        return (validate_tst(cand, family).ok and is_ordered(cand, order)
+                and is_efficient_tree(cand, order)
+                and displayed_tangles(cand, family) == target_tangles)
+
     current = tree
     while True:
         rep = necessity(current, family)
         if rep.irreducible:
             return current
-        moved = False
-        for v in sorted(rep.node_necessary):
-            if rep.node_necessary[v]:
-                continue
-            for w in current.children[v]:
-                if rep.edge_necessary_for[w]:
-                    continue
-                cand = _contract_move(current, v, w)
-                if not validate_tst(cand, family).ok:
-                    continue
-                if not is_ordered(cand, order) or not is_efficient_tree(cand, order):
-                    continue
-                if displayed_tangles(cand, family) != target_tangles:
-                    continue
-                current = cand
-                moved = True
-                break
-            if moved:
-                break
-        if not moved:
+        moves = (_contract_move(current, v, w)
+                 for v in sorted(rep.node_necessary) if not rep.node_necessary[v]
+                 for w in current.children[v] if not rep.edge_necessary_for[w])
+        current = next(filter(passes, moves), None)
+        if current is None:
             raise ReductionStuck("reducible tree admits no validated local move")
 
 
@@ -475,8 +477,8 @@ def reduce_irreducible(tree, family, order) -> SeparationTree:
 
 
 # tree: the pruned SeparationTree; leaf_classes: leaf -> LeafClass;
-# bare_root: bool; thresholds: the order thresholds of the layers.
-TstInS = namedtuple("TstInS", "tree leaf_classes bare_root thresholds")
+# bare_root: bool.
+TstInS = namedtuple("TstInS", "tree leaf_classes bare_root")
 
 
 def _leaf_class_in_s(tree, family, order, leaf) -> LeafClass:
@@ -488,35 +490,29 @@ def _leaf_class_in_s(tree, family, order, leaf) -> LeafClass:
     """
     sys = tree.system
     beta = tree.beta(leaf)
-    hit = _family_subset_of(family, beta)
+    hit = family.first_inside(beta)
     if hit is not None:
         return LeafClass(LEAF_FORBIDDEN, hit)
-    cl = frozenset(iter_mask(sys.closure_mask(mask_of(beta))))
+    cl = _path_closure(tree, leaf)
     if not sys.is_consistent(cl):
-        return LeafClass(LEAF_UNRESOLVED, frozenset())
-    oriented = {sys.sep(h) for h in cl}
-    unoriented = [s for s in sys.seps() if s not in oriented]
-    if not unoriented:
-        if avoids(cl, family):
-            return LeafClass(LEAF_TANGLE, cl)
-        return LeafClass(LEAF_UNRESOLVED, frozenset())
-    k = min(order.of(s) for s in unoriented)
+        return _UNRESOLVED
+    s = _least_unoriented(sys, order, cl)
+    if s is None:
+        return LeafClass(LEAF_TANGLE, cl) if avoids(cl, family) else _UNRESOLVED
+    k = order.of(s)
     tau = frozenset(h for h in cl if order.of(h) < k)
     sub = restrict_Sk(sys, order, k)
     if not sub.is_orientation(tau) or not avoids(tau, family):
-        return LeafClass(LEAF_UNRESOLVED, frozenset())
-    s = min(unoriented, key=lambda t: (order.of(t), t))
-    for h in sys.orientations(s):
-        if _family_subset_of(family, beta | {h}) is None:
-            return LeafClass(LEAF_UNRESOLVED, frozenset())
+        return _UNRESOLVED
+    if any(family.first_inside(beta | {h}) is None for h in sys.orientations(s)):
+        return _UNRESOLVED
     return LeafClass(LEAF_TANGLE, tau)
 
 
 def check_rich_per_layer(system, order, family, bound=ENUMERATION_BOUND,
                          trust_rich=False):
-    """F must be rich and standard for every S_k.  Returns the threshold list."""
-    ks = order_thresholds(system, order)
-    for k in ks:
+    """F must be rich and standard for every S_k."""
+    for k in order_thresholds(system, order):
         sub = restrict_Sk(system, order, k)
         ok, missing = is_standard(family, sub)
         if not ok:
@@ -526,7 +522,6 @@ def check_rich_per_layer(system, order, family, bound=ENUMERATION_BOUND,
             if not rich:
                 raise HypothesisFailure(
                     f"family not rich for S_{k}; counterexample {sorted(witness)}")
-    return ks
 
 
 def build_tst_in_S(system, order, family, bound=ENUMERATION_BOUND,
@@ -537,9 +532,9 @@ def build_tst_in_S(system, order, family, bound=ENUMERATION_BOUND,
     pairs are deleted in a single pass.  The degenerate bare-root outcome
     (no tangles at any level) is flagged explicitly.
     """
-    ks = check_rich_per_layer(system, order, family, bound=bound, trust_rich=trust_rich)
+    check_rich_per_layer(system, order, family, bound=bound, trust_rich=trust_rich)
     full = build_thorough_tst(system, order, family, bound=bound)
-    classes = {l: classify_leaf(full, family, l) for l in full.leaves()}
+    classes = classify_leaves(full, family)
     drop = set()
     for v in full.nodes():
         kids = full.children[v]
@@ -558,28 +553,12 @@ def build_tst_in_S(system, order, family, bound=ENUMERATION_BOUND,
         tree=pruned,
         leaf_classes=leaf_classes,
         bare_root=len(pruned) == 1,
-        thresholds=ks,
     )
 
 
 def validate_tst_in_s(result: TstInS, family, order,
                       bound=ENUMERATION_BOUND) -> TstReport:
     """Oracle-grade validation of a layered tree per the maximal-tangle notion."""
-    from .forbidden import maximal_tangles_in
-
-    tree = result.tree
-    failures = list(validate_separation_tree(tree))
     maximal = {t.elements for t in
-               maximal_tangles_in(tree.system, family, order, bound=bound)}
-    for leaf, c in result.leaf_classes.items():
-        if c.kind == LEAF_FORBIDDEN:
-            continue
-        if c.kind == LEAF_UNRESOLVED:
-            failures.append((leaf, "leaf-neither-tangle-nor-forbidden"))
-        elif c.witness not in maximal:
-            failures.append((leaf, "tangle-leaf-not-a-maximal-tangle"))
-    for v in tree.nodes():
-        if not tree.is_leaf(v) and _family_subset_of(family, tree.beta(v)):
-            failures.append((v, "forbidden-subset-at-non-leaf"))
-    return TstReport(ok=not failures, failures=failures,
-                     leaf_classes=result.leaf_classes)
+               maximal_tangles_in(result.tree.system, family, order, bound=bound)}
+    return _tst_report(result.tree, family, result.leaf_classes, maximal)

@@ -12,7 +12,8 @@ from tanglekit.fixtures import (
     ptriv_system,
     single_sep_system,
 )
-from tanglekit.universe import bipartition_universe
+from tanglekit.orderfn import OrderFunction
+from tanglekit.universe import bipartition_universe, is_structurally_submodular
 
 
 @pytest.fixture(scope="session")
@@ -53,3 +54,13 @@ def chain2():
 @pytest.fixture(scope="session")
 def single():
     return single_sep_system()
+
+
+@pytest.fixture(scope="session")
+def p3_crooked_order(p3):
+    """An order on the P3 universe that is not structurally submodular."""
+    u, _ = p3
+    bumped = ("{c}|{a,b,c}", "{a,b,c}|{a,b,c}")
+    o = OrderFunction(u, {s: int(u.label(s) in bumped) for s in u.seps()})
+    assert not is_structurally_submodular(u, o)[0]
+    return o

@@ -249,7 +249,7 @@ def test_criterion_4_conversion(dichotomy_runs):
                 continue
             converted += 1
             tree, stree, cmap = res.reduced, res.stree, res.conversion
-            rep = validate_conversion(tree, stree, cmap, fam)
+            rep = validate_conversion(tree, stree, cmap)
             assert rep.ok, (name, rep.failures)
             assert stree.n_nodes == len(tree.leaves()), name
             assert len(stree.edges()) == sum(
@@ -271,7 +271,7 @@ def test_criterion_5_nestedness(dichotomy_runs):
         for name, system, order, fam, res in dichotomy_runs:
             if res.kind != "stree":
                 continue
-            assert check_nested_corollary(res.reduced, fam), name
+            assert check_nested_corollary(res.reduced), name
             checked += 1
         assert checked >= 50
 
@@ -467,7 +467,7 @@ def test_criterion_10_negative_controls():
         fam = standardize(
             graph_tangle_stars(p3, o3, "abc", [("a", "b"), ("b", "c")], 2), s2)
         tree = build_thorough_tst(s2, o3i, fam)
-        rep = necessity(tree, fam, o3i)
+        rep = necessity(tree, fam)
         assert not rep.irreducible
         assert any(not ok for ok in rep.node_necessary.values())
 

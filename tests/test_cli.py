@@ -796,3 +796,74 @@ def test_parser_rejects_what_it_rejected(argv, capsys):
         with pytest.raises(SystemExit) as exc:
             parser.parse_args(argv)
         assert exc.value.code == 2
+
+
+# -- ingest branches: family directives, missing inputs, restricted universes ------
+
+
+def test_profiles_directive_on_a_universe(workdir):
+    from tanglekit.forbidden import ForbiddenFamily, profile_family
+    (workdir / "profiles.json").write_text(
+        json.dumps({"sets": [], "generate": ["profiles", "standardize"]}))
+    code, out = run(workdir, "tangles", "--input", str(workdir / "p3.graph"),
+                    "--k", "2", "--forbidden", str(workdir / "profiles.json"))
+    assert code == 0
+    u, o = p3_universe()
+    s2 = restrict_Sk(u, o, 2)
+    fam = standardize(ForbiddenFamily(profile_family(u, target=s2).sets), s2)
+    got = json.loads((out / "tangles.json").read_text())["tangles"]
+    assert got == sorted(sorted(t) for t in enumerate_tangles(s2, fam))
+
+
+@pytest.mark.parametrize("doc,input_name,code,error", [
+    ({"sets": [], "generate": ["everything"]}, "p3.graph", 1,
+     "unknown generator directive"),
+    ({"sets": [], "generate": ["R"]}, "uni.json", 2,
+     "generator R needs an order function"),
+    ({"sets": [[0]], "provenance": {"x": "explicit"}}, "p3.graph", 1,
+     "malformed forbidden family"),
+], ids=["unknown-directive", "R-without-order", "provenance-key-not-integers"])
+def test_family_document_errors(workdir, capsys, doc, input_name, code, error):
+    u, _ = p3_universe()
+    (workdir / "uni.json").write_text(json.dumps(u.to_json()))
+    (workdir / "doc.json").write_text(json.dumps(doc))
+    got, _ = run(workdir, "tangles", "--input", str(workdir / input_name),
+                 "--forbidden", str(workdir / "doc.json"))
+    assert got == code
+    assert json.loads(capsys.readouterr().err)["error"] == error
+
+
+def test_a_command_that_needs_an_order_exit_2(workdir, capsys):
+    u, _ = p3_universe()
+    (workdir / "uni.json").write_text(json.dumps(u.to_json()))
+    code, _ = run(workdir, "tst", "--input", str(workdir / "uni.json"),
+                  "--forbidden", str(workdir / "stars.json"))
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"].startswith(
+        "this command needs an order function")
+
+
+def test_missing_input_file_exit_1(workdir, capsys):
+    code, _ = run(workdir, "tangles", "--input", str(workdir / "absent.graph"))
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "input file not found"
+    assert err["file"].endswith("absent.graph")
+
+
+def test_universe_json_with_members(workdir):
+    # P3's universe restricted to the members of S_2 runs as S_2 does
+    u, o = p3_universe()
+    obj = u.to_json()
+    obj["members"] = restrict_Sk(u, o, 2).to_json()["members"]
+    (workdir / "s2.json").write_text(json.dumps(obj))
+    (workdir / "order.json").write_text(json.dumps(o.to_json()))
+    source = ["--input", str(workdir / "s2.json"), "--order", str(workdir / "order.json")]
+    for command in ("validate", "refine-order"):
+        assert run(workdir, command, *source)[0] == 0
+    code, out = run(workdir, "tst", *source, "--forbidden", str(workdir / "stars.json"))
+    assert code == 0
+    got = json.loads((out / "tst.json").read_text())
+    code, out = run(workdir, "tst", "--input", str(workdir / "p3.graph"), "--k", "2",
+                    "--forbidden", str(workdir / "stars.json"))
+    assert code == 0 and got == json.loads((out / "tst.json").read_text())

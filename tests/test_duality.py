@@ -22,6 +22,7 @@ from tanglekit.duality import (
     stree_order_preserving,
     validate_conversion,
 )
+from tanglekit import duality
 from tanglekit.errors import (
     AmbiguousShiftChoice,
     HypothesisFailure,
@@ -30,6 +31,7 @@ from tanglekit.errors import (
     NotIrreducible,
     PreconditionError,
     SystemValidationError,
+    TheoremViolation,
     TrivialElementsPresent,
 )
 from tanglekit.fixtures import (
@@ -42,6 +44,7 @@ from tanglekit.fixtures import (
 )
 from tanglekit.forbidden import (
     ForbiddenFamily,
+    eclipse_flags,
     enumerate_tangles,
     is_rich,
     standardize,
@@ -131,7 +134,7 @@ def test_conversion_counts_and_clauses(tangleless):
     st, cmap = convert_ftree(red, fam)
     assert st.n_nodes == len(red.leaves())
     assert len(st.edges()) == sum(1 for v in red.nodes() if not red.is_leaf(v))
-    rep = validate_conversion(red, st, cmap, fam)
+    rep = validate_conversion(red, st, cmap)
     assert rep.ok, rep.failures
 
 
@@ -196,12 +199,12 @@ def test_nested_single_edge():
     o = OrderFunction(pt, {0: 1, 2: 2})
     fam = ForbiddenFamily([{0}, {1}])
     tree = build_thorough_tst(pt, o, fam)
-    assert check_nested_corollary(tree, fam)
+    assert check_nested_corollary(tree)
 
 
 def test_nested_on_reduced_tangleless(tangleless):
     s2t, o2, fam, red = tangleless
-    assert check_nested_corollary(red, fam)
+    assert check_nested_corollary(red)
 
 
 def test_reducible_star_ftree_may_cross(bip4):
@@ -215,7 +218,7 @@ def test_reducible_star_ftree_may_cross(bip4):
     from tanglekit.tst import validate_tst, necessity
     assert validate_tst(tree, fam).ok
     assert not necessity(tree, fam).irreducible
-    assert not check_nested_corollary(tree, fam)
+    assert not check_nested_corollary(tree)
 
 
 # -- realization of nested systems -----------------------------------------------------
@@ -407,6 +410,58 @@ def test_lemma_shift_select_ambiguous_tie(bip4):
         lemma_shift_select(bip4, o, tau, frozenset({s}), s)
     assert set(e.value.maxima) == {
         lab["{1,2}|{3,4}"], lab["{1,3}|{2,4}"], lab["{2,3}|{1,4}"]}
+
+
+# Planted defects: one call per precondition of ``shift_map``, each naming it.
+SHIFT_MAP_DEFECTS = {
+    "shift base requires r <= s": ("{a,b}|{b,c}", "{a,b,c}|{c}", "{a,b,c}|{c}"),
+    "non-trivial and non-degenerate": ("{}|{a,b,c}", "{}|{a,b,c}", "{}|{a,b,c}"),
+    # t lies outside S_2, so it does not make s trivial there, yet both
+    # t and t* sit below s
+    "both cases apply": ("{a}|{a,b,c}", "{a}|{a,b,c}", "{a,b}|{a,b,c}"),
+    "has no orientation below": ("{a,b}|{b,c}", "{a,b}|{b,c}", "{a}|{a,b,c}"),
+}
+
+
+@pytest.mark.parametrize("reason", list(SHIFT_MAP_DEFECTS))
+def test_shift_map_names_each_planted_defect(p3_set, reason):
+    u, o, o2, s2 = p3_set
+    lab = by_label(u)
+    r, s, t = (lab[x] for x in SHIFT_MAP_DEFECTS[reason])
+    with pytest.raises(PreconditionError, match=reason):
+        shift_map(s2, r, s, t)
+
+
+def test_lemma_shift_select_names_each_failed_hypothesis(p3_set, p3_crooked_order):
+    u, o, o2, s2 = p3_set
+    lab = by_label(u)
+    tau = next(t for t in s2.consistent_orientations() if lab["{}|{a,b,c}"] in t)
+    trivial = lab["{}|{a,b,c}"]
+    assert s2.is_trivial(trivial)
+    off_threshold = u.restrict(u.orientations(u.sep(lab["{a,b}|{a,b,c}"])))
+    quiet = next(s for s in sorted(tau) if not s2.is_trivial(s)
+                 and not any(eclipse_flags(s2, o2, r, s)[0] for r in tau))
+    cases = [
+        (u, p3_crooked_order, frozenset({trivial}), trivial,
+         "order not structurally submodular"),
+        (off_threshold, o2, frozenset({trivial}), trivial,
+         "not an order-threshold restriction"),
+        (s2, o2, frozenset(), trivial, "sigma must be a star inside tau"),
+        (s2, o2, frozenset({trivial}), trivial, "s must be non-trivial"),
+        (s2, o2, frozenset({quiet}), quiet, "no member of tau eclipses s"),
+    ]
+    for system, order, sigma, s, reason in cases:
+        with pytest.raises(HypothesisFailure, match=reason):
+            lemma_shift_select(system, order, tau, sigma, s)
+
+
+def test_lemma_shift_select_checks_emulation(p3_set, monkeypatch):
+    u, o, o2, s2 = p3_set
+    tau, s, _ = next(eclipse_scenarios(s2, o2))
+    lemma_shift_select(s2, o2, tau, frozenset({s}), s)
+    monkeypatch.setattr(duality, "emulates", lambda system, r, s: False)
+    with pytest.raises(TheoremViolation, match="fails to emulate"):
+        lemma_shift_select(s2, o2, tau, frozenset({s}), s)
 
 
 def all_stars_family(system, max_size=3):

@@ -45,6 +45,23 @@ def p3_family(p3, k=2):
     return standardize(F, restrict_Sk(u, o, k))
 
 
+# -- the witness order ---------------------------------------------------------
+
+
+def test_first_inside_is_the_least_member_by_size_then_handles(p3):
+    u, o = p3
+    F = p3_family(p3).extended([frozenset()], "explicit")
+    assert list(F) == list(F.ordered)
+    for tau in restrict_Sk(u, o, 2).consistent_orientations():
+        for members in (tau, tau - {min(tau)}):
+            hits = [s for s in F.sets if s <= members]
+            least = min(hits, key=lambda s: (len(s), sorted(s)), default=None)
+            assert F.first_inside(members) == least
+    assert F.first_inside(frozenset()) == frozenset()
+    assert ForbiddenFamily([{0, 1}, {2}]).first_inside(frozenset({0, 1, 2})) == {2}
+    assert ForbiddenFamily([]).first_inside(frozenset({0})) is None
+
+
 # -- avoids ------------------------------------------------------------------
 
 
@@ -323,6 +340,17 @@ def test_f_eff_removes_eclipsed_star(p3):
     F = ForbiddenFamily([sigma])
     out, report = f_eff(u, F, o)
     assert (frozenset(sigma) in out.sets) == (not eclipsed)
+
+
+def test_f_eff_reports_each_dropped_member(chain2):
+    # handles 0 = r->, 1 = r<-, 2 = s->, 3 = s<- with r-> < s->: {r->, s<-}
+    # points away from itself, and r-> eclipses s-> once |r| < |s|
+    o = OrderFunction(chain2, {0: 1, 2: 2})
+    F = ForbiddenFamily([{0, 3}, {0, 2}, {0}])
+    out, report = f_eff(chain2, F, o)
+    assert out == ForbiddenFamily([{0}])
+    assert sorted(report, key=lambda r: r[1]) == [
+        (frozenset({0, 2}), "eclipsed-in-closure"), (frozenset({0, 3}), "inconsistent")]
 
 
 def test_f_eff_subset_always(p3):

@@ -68,6 +68,29 @@ def test_one_refinement_path_in_package():
     assert not found, f"second refinement path in src: {found}"
 
 
+# benchmark/workloads.py passes ``nv``, so it stays while that call does.
+UNREAD_PARAMETERS_ALLOWED = {("fixtures.py", "_cut_order", "nv")}
+
+
+def test_every_parameter_is_read():
+    # a parameter no body reads is an option with no effect; lambdas are
+    # exempt, since a callback's signature is fixed by its caller
+    found = []
+    for path, tree in package_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [x.arg for x in (a.vararg, a.kwarg) if x]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found += [f"{path.name}:{node.lineno} {node.name}({name})"
+                      for name in params if name not in read
+                      and (path.name, node.name, name) not in UNREAD_PARAMETERS_ALLOWED]
+    assert not found, f"parameters never read: {found}"
+
+
 def modules_added(code):
     """Names ``code`` adds to sys.modules in a fresh interpreter, sorted."""
     probe = ("import json, sys\n"

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tanglekit.errors import HypothesisFailure
+from tanglekit.errors import HypothesisFailure, NonInjectiveOrder
 from tanglekit.fixtures import (
     _cut_order,
     eclipse_closure,
@@ -159,7 +159,7 @@ def test_reduced_tree_same_distinguishers(p3_tot):
 def test_leaf_never_critical(p3_tot):
     u, o2, s2, F, tree = p3_tot
     for leaf in tree.leaves():
-        assert not is_critical(tree, leaf, o2, F)
+        assert not is_critical(tree, leaf, o2)
 
 
 def test_planted_robustness_triple_makes_node_critical(weighted_bip3):
@@ -169,7 +169,7 @@ def test_planted_robustness_triple_makes_node_critical(weighted_bip3):
     F = eclipse_closure(u, standardize(robust, u), o2)
     assert is_rich(u, F, o2)[0]
     tree = build_thorough_tst(u, o2, F)
-    crit = [v for v in tree.nodes() if is_critical(tree, v, o2, F)]
+    crit = [v for v in tree.nodes() if is_critical(tree, v, o2)]
     assert crit
 
 
@@ -179,10 +179,10 @@ def test_tangle_nodes_never_critical(weighted_bip3, p3_tot):
     F = eclipse_closure(u, standardize(robust, u), o2)
     tree = build_thorough_tst(u, o2, F)
     for v in tangle_nodes(tree, F):
-        assert not is_critical(tree, v, o2, F)
+        assert not is_critical(tree, v, o2)
     u3, o3, s2, F3, tree3 = p3_tot
     for v in tangle_nodes(tree3, F3):
-        assert not is_critical(tree3, v, o3, F3)
+        assert not is_critical(tree3, v, o3)
 
 
 # -- layered -----------------------------------------------------------------------
@@ -226,6 +226,19 @@ def test_layered_requires_robustness(p3_layered_tot):
     if robustness_family(u, o2, target=u).sets - slim.sets:
         with pytest.raises(HypothesisFailure):
             tree_of_tangles_in(u, o2, slim)
+
+
+def test_layered_names_each_failed_hypothesis(p3, p3_layered_tot, p3_crooked_order,
+                                             chain2):
+    u, o = p3
+    _, o2, F = p3_layered_tot
+    with pytest.raises(HypothesisFailure, match="must be a universe"):
+        tree_of_tangles_in(chain2, OrderFunction.constant(chain2, 1), ForbiddenFamily([]))
+    with pytest.raises(HypothesisFailure, match="not structurally submodular"):
+        tree_of_tangles_in(u, p3_crooked_order, F)
+    assert not o.is_injective_on(u)
+    with pytest.raises(NonInjectiveOrder):
+        tree_of_tangles_in(u, o, F)
 
 
 # -- validator ---------------------------------------------------------------------

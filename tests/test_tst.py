@@ -31,6 +31,7 @@ from tanglekit.tst import (
     LEAF_UNRESOLVED,
     LeafClass,
     SeparationTree,
+    TstInS,
     build_thorough_tst,
     build_tst_in_S,
     beta_path,
@@ -155,6 +156,32 @@ def test_validate_separation_tree_names_each_planted_defect(reason):
     tree = SeparationTree(system, parent, children, labels)
     assert validate_separation_tree(tree) == want
     assert validate_tst(tree, ForbiddenFamily([])).failures[:len(want)] == want
+
+
+def test_a_forbidden_empty_set_at_a_non_leaf_is_reported():
+    # the empty set is a witness like any other member, though it is falsy
+    system = chain2_system()
+    tree = SeparationTree(system, [-1, 0, 0], [[1, 2], [], []], [-1, 0, 1])
+    F = ForbiddenFamily([(), (0,), (1,)])
+    rep = validate_tst(tree, F)
+    assert rep.failures == [(0, "forbidden-subset-at-non-leaf")]
+    assert all(c.witness == frozenset() for c in rep.leaf_classes.values())
+    order = OrderFunction(system, {0: 1, 2: 2})
+    layered = TstInS(tree, rep.leaf_classes, False)
+    assert validate_tst_in_s(layered, F, order).failures == rep.failures
+
+
+def test_leaf_classes_are_filled_only_by_classify_leaf(p3_setting):
+    u, o2, s2, F = p3_setting
+    tree = build_thorough_tst(s2, o2, F)
+    assert tree._classes == {}  # the builder leaves the memo to the validators
+    first = validate_tst(tree, F).leaf_classes
+    assert list(tree._classes) == [F]
+    assert necessity(tree, F).leaf_classes == first
+    assert first == {l: classify_leaf(tree, F, l) for l in tree.leaves()}
+    other = F.extended([frozenset({s2.elements()[0]})], "explicit")
+    validate_tst(tree, other)
+    assert set(tree._classes) == {F, other}
 
 
 # -- ordering --------------------------------------------------------------------
@@ -324,21 +351,21 @@ def test_depth_one_root_necessary(p3_setting):
     one = s2.restrict(s2.orientations(sorted(s2.seps(), key=o2.of)[-1]))
     fam = standardize(ForbiddenFamily([]), one)
     t = build_thorough_tst(one, o2, fam)
-    rep = necessity(t, fam, o2)
+    rep = necessity(t, fam)
     assert rep.node_necessary[t.root]
     assert rep.irreducible
 
 
 def test_leaves_vacuously_necessary(p3_tree, p3_setting):
     u, o2, s2, F = p3_setting
-    rep = necessity(p3_tree, F, o2)
+    rep = necessity(p3_tree, F)
     assert set(rep.node_necessary) == {v for v in p3_tree.nodes()
                                        if not p3_tree.is_leaf(v)}
 
 
 def test_p3_tree_has_unnecessary_node_and_reduces(p3_tree, p3_setting):
     u, o2, s2, F = p3_setting
-    rep = necessity(p3_tree, F, o2)
+    rep = necessity(p3_tree, F)
     assert not rep.irreducible  # the redundant branch is caught
     red = reduce_irreducible(p3_tree, F, o2)
     assert validate_tst(red, F).ok
