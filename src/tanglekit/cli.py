@@ -482,8 +482,6 @@ def main(argv=None) -> int:
 
 
 def _summary(result):
-    if not isinstance(result, dict):
-        return str(result)
     keys = ("kind", "tangles", "N", "valid", "verified")
     return {k: (len(result[k]) if isinstance(result[k], list) else result[k])
             for k in keys if k in result}

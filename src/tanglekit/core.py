@@ -180,6 +180,10 @@ class SeparationSystem:
     def contains(self, h: int) -> bool:
         return bool((self.members >> h) & 1)
 
+    def _below(self, mask: int, x: int) -> int:
+        """The handles of ``mask`` strictly below x: one AND on x's down-set row."""
+        return mask & self._down[x] & ~(1 << x)
+
     def __len__(self):
         return len(self.seps())
 
@@ -405,6 +409,15 @@ class SeparationSystem:
         return f"<SeparationSystem {len(self)} seps / {len(self.elements())} oriented>"
 
 
+def _bounded_seps(system, bound: int) -> list:
+    """The member separations, ascending; BoundExceeded when there are more
+    than ``bound`` of them."""
+    seps = system.seps()
+    if len(seps) > bound:
+        raise BoundExceeded(f"{len(seps)} separations exceed bound {bound}")
+    return seps
+
+
 def orientations_avoiding(system, forbidden, bound: int = ENUMERATION_BOUND):
     """The consistent orientations of the member separations containing no set
     of ``forbidden``, in the lexicographic order of oriented handles.
@@ -415,9 +428,7 @@ def orientations_avoiding(system, forbidden, bound: int = ENUMERATION_BOUND):
     set (both are monotone in the partial set), so an empty forbidden set
     admits nothing.
     """
-    seps = system.seps()
-    if len(seps) > bound:
-        raise BoundExceeded(f"{len(seps)} separations exceed bound {bound}")
+    seps = _bounded_seps(system, bound)
     masks = [mask_of(s) for s in forbidden]
     incompat = system._incompat
     out = []

@@ -13,11 +13,10 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import product
 
-from .core import ENUMERATION_BOUND
+from .core import ENUMERATION_BOUND, _bounded_seps, iter_mask, mask_of
 from .errors import (
     AmbiguousShiftChoice,
     BothOrNeither,
-    BoundExceeded,
     HypothesisFailure,
     NonInjectiveOrder,
     NonStarFamily,
@@ -88,21 +87,13 @@ class STree:
         return frozenset(self.alpha[e] for e in self.incoming(t))
 
     def is_tree(self) -> bool:
-        if self.n_nodes == 0:
-            return False
-        if len(self.edges()) != self.n_nodes - 1:
-            return False
-        seen, stack = {0}, [0]
-        while stack:
-            u = stack.pop()
-            for v in self.adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.n_nodes
+        """n - 1 edges, and every node reached from node 0."""
+        return (len(self.edges()) == self.n_nodes - 1
+                and len(self.side_nodes(None, 0)) == self.n_nodes)
 
     def side_nodes(self, a, b):
-        """Nodes of the component of T minus the edge {a,b} that contains b."""
+        """Nodes of the component of T minus the edge {a,b} that contains b;
+        with ``a`` None no edge is cut, so the component of b."""
         seen, stack = {b}, [b]
         while stack:
             u = stack.pop()
@@ -127,13 +118,10 @@ class STree:
         return c in b_side and d in b_side and a in c_side and b in c_side
 
     def is_over(self, family) -> bool:
-        return all(self.star_at(t) in family.sets for t in self.nodes())
+        return self.over_witness(family) is None
 
     def over_witness(self, family):
-        for t in self.nodes():
-            if self.star_at(t) not in family.sets:
-                return t
-        return None
+        return next((t for t in self.nodes() if self.star_at(t) not in family.sets), None)
 
     def to_json(self) -> dict:
         return {
@@ -175,9 +163,7 @@ def stree_excludes_tangles(stree, family, bound=ENUMERATION_BOUND):
     if not stree.is_over(family):
         raise PreconditionError(
             f"S-tree not over the family at node {stree.over_witness(family)}")
-    seps = sys.seps()
-    if len(seps) > bound:
-        raise BoundExceeded(f"{len(seps)} separations exceed bound {bound}")
+    seps = _bounded_seps(sys, bound)
     stars = [stree.star_at(t) for t in stree.nodes()]
     checked = 0
     for pick in product(*[sys.orientations(s) for s in seps]):
@@ -429,7 +415,8 @@ def lemma_shift_select(system, order, tau, sigma, s):
         raise HypothesisFailure("sigma must be a star inside tau containing s")
     if system.is_trivial(s):
         raise HypothesisFailure("s must be non-trivial")
-    cands = [r for r in tau if eclipse_flags(system, order, r, s)[0]]
+    cands = [r for r in iter_mask(system._below(mask_of(tau), s))
+             if eclipse_flags(system, order, r, s)[0]]
     if not cands:
         raise HypothesisFailure("no member of tau eclipses s")
     best = min(order.of(r) for r in cands)
@@ -448,17 +435,16 @@ def closed_under_shifting(system, family, order, bound=ENUMERATION_BOUND):
 
     For every family star inside an orientation and every weakly eclipsing,
     emulating member, the shifted star must lie in the family.  Witness is
-    (tau, sigma, s, r) on failure.
+    (tau, sigma, s, r) on failure, with the least s, then the least r.
     """
     _check_star_family(system, family)
     for tau, inside in orientations_with_members(system, family, bound):
+        tau_mask = mask_of(tau)
         for sigma in inside:
-            for s in sigma:
+            for s in sorted(sigma):
                 if system.is_trivial(s) or system.is_degenerate(s):
                     continue
-                for r in tau:
-                    if r == s:
-                        continue
+                for r in iter_mask(system._below(tau_mask, s)):
                     _, weak = eclipse_flags(system, order, r, s)
                     if not weak or not emulates(system, r, s):
                         continue

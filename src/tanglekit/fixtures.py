@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .core import SeparationSystem
+from .core import SeparationSystem, iter_mask
 from .forbidden import ForbiddenFamily, eclipse_flags
 from .orderfn import OrderFunction
 from .universe import Universe, graph_universe, subset_universe
@@ -107,9 +107,7 @@ def eclipse_closure(system, family, order) -> ForbiddenFamily:
     while frontier:
         sigma = frontier.pop()
         for x in sorted(sigma):
-            for y in system.elements():
-                if y == x:
-                    continue
+            for y in iter_mask(system._below(system.members, x)):
                 _, weak = eclipse_flags(system, order, y, x)
                 if not weak:
                     continue

@@ -12,7 +12,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
-from .core import ENUMERATION_BOUND, orientations_avoiding
+from .core import ENUMERATION_BOUND, iter_mask, mask_of, orientations_avoiding
 from .universe import handle_values, restrict_Sk
 
 FAMILY_SCHEMA = "tanglekit/forbidden-v1"
@@ -122,21 +122,15 @@ def enumerate_tangles_in(system, family, order, bound=ENUMERATION_BOUND):
     """The F-tangles of every S_k, with maximality flags.
 
     A tangle is maximal when no tangle of any other threshold strictly
-    contains it (as a set of oriented separations).
+    contains it (as a set of oriented separations).  No tangle repeats: each
+    S_k holds a separation the S_k before it lacks, and a tangle of S_k
+    orients all of S_k.
     """
-    records = []
-    seen = set()
-    for k in order_thresholds(system, order):
-        sub = restrict_Sk(system, order, k)
-        for tau in enumerate_tangles(sub, family, bound=bound):
-            if tau not in seen:
-                seen.add(tau)
-                records.append(Tangle(elements=tau, k=k))
-    out = []
-    for t in records:
-        maximal = not any(t.elements < u.elements for u in records)
-        out.append(Tangle(elements=t.elements, k=t.k, maximal=maximal))
-    return out
+    records = [Tangle(elements=tau, k=k) for k in order_thresholds(system, order)
+               for tau in enumerate_tangles(restrict_Sk(system, order, k), family,
+                                            bound=bound)]
+    return [t._replace(maximal=not any(t.elements < u.elements for u in records))
+            for t in records]
 
 
 def maximal_tangles_in(system, family, order, bound=ENUMERATION_BOUND):
@@ -173,12 +167,14 @@ def eclipse_flags(system, order, r: int, s: int):
 
 
 def efficiency_witness(system, order, sigma, tau, strong=False):
-    """An (eclipsed, eclipsing) pair violating (strong) efficiency, or None."""
-    sigma, tau = set(sigma), set(tau)
-    for x in sigma:
-        for y in tau:
-            if y == x:
-                continue
+    """An (eclipsed, eclipsing) pair violating (strong) efficiency, or None.
+
+    Only a member of tau below x can eclipse x.  The witness is the least x,
+    then the least y.
+    """
+    tau_mask = mask_of(tau)
+    for x in sorted(sigma):
+        for y in iter_mask(system._below(tau_mask, x)):
             ec, weak = eclipse_flags(system, order, y, x)
             if weak if strong else ec:
                 return (x, y)
@@ -219,14 +215,14 @@ def is_rich(system, family, order, bound=ENUMERATION_BOUND):
 def closed_under_eclipsing(system, family, order, bound=ENUMERATION_BOUND):
     """Replacement closure check, quantified over every consistent orientation.
 
-    Witness is (tau, sigma, replaced, replacement) for the first failure.
+    Witness is (tau, sigma, replaced, replacement) for the first failure,
+    with the least replaced handle, then the least replacement.
     """
     for tau, inside in orientations_with_members(system, family, bound):
+        tau_mask = mask_of(tau)
         for sigma in inside:
-            for x in sigma:
-                for y in tau:
-                    if y == x:
-                        continue
+            for x in sorted(sigma):
+                for y in iter_mask(system._below(tau_mask, x)):
                     _, weak = eclipse_flags(system, order, y, x)
                     if weak and (sigma - {x}) | {y} not in family.sets:
                         return False, (tau, sigma, x, y)

@@ -54,11 +54,6 @@ class OrderFunction:
         vals = list(self.values_on(system).values())
         return len(vals) == len(set(vals))
 
-    def plus(self, other) -> "OrderFunction":
-        val = other.of if hasattr(other, "of") else other
-        return OrderFunction(self.system,
-                             {s: v + Fraction(val(s)) for s, v in self._values.items()})
-
     def scaled(self, c) -> "OrderFunction":
         c = Fraction(c)
         return OrderFunction(self.system, {s: c * v for s, v in self._values.items()})

@@ -72,18 +72,18 @@ def tangle_nodes(tree, family, leaf_classes=None) -> list:
     A degenerate node has one child and distinguishes nothing.
 
     Leaves are read with ``classify_leaves`` unless ``leaf_classes`` is given.
+    The nodes with a tangle leaf below them are marked by walking up from
+    each tangle leaf, stopping at the first node already marked.
     """
     if leaf_classes is None:
         leaf_classes = classify_leaves(tree, family)
-    has_tangle_below = {}
-    order = sorted(tree.nodes(), key=lambda v: -len(tree.beta(v)))
-    for v in order:
-        if tree.is_leaf(v):
-            has_tangle_below[v] = leaf_classes[v].kind == LEAF_TANGLE
-        else:
-            has_tangle_below[v] = any(has_tangle_below[w] for w in tree.children[v])
+    marked = set()
+    for v in (leaf for leaf, c in leaf_classes.items() if c.kind == LEAF_TANGLE):
+        while v >= 0 and v not in marked:
+            marked.add(v)
+            v = tree.parent[v]
     return [v for v in tree.nodes() if len(tree.children[v]) == 2
-            and all(has_tangle_below[w] for w in tree.children[v])]
+            and all(w in marked for w in tree.children[v])]
 
 
 # One bool per hypothesis of the tree-of-tangles theorem.

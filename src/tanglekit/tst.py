@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .core import ENUMERATION_BOUND, iter_mask, mask_of
+from .core import ENUMERATION_BOUND, _bounded_seps, iter_mask, mask_of
 from .errors import (
-    BoundExceeded,
     HypothesisFailure,
     NonInjectiveOrder,
     NotStandard,
@@ -249,17 +248,10 @@ def beta_path(tree, v) -> frozenset:
 
 
 def is_ordered(tree, order) -> bool:
-    for v in tree.nodes():
-        sv = tree.node_sep(v)
-        if sv is None:
-            continue
-        w = tree.parent[v]
-        while w >= 0:
-            su = tree.node_sep(w)
-            if su is not None and not order.of(su) <= order.of(sv):
-                return False
-            w = tree.parent[w]
-    return True
+    """No non-leaf orients a separation of lower order than its parent does;
+    by transitivity, than any ancestor does."""
+    return all(order.of(tree.node_sep(tree.parent[v])) <= order.of(tree.node_sep(v))
+               for v in tree.nodes() if tree.parent[v] >= 0 and not tree.is_leaf(v))
 
 
 def is_thoroughly_ordered(tree, order) -> bool:
@@ -290,8 +282,7 @@ def build_thorough_tst(system, order, family, bound=ENUMERATION_BOUND) -> Separa
     minimum-order unoriented separation is attached as child edges.
     Deterministic: children in oriented-handle order, ids in stack order.
     """
-    if len(system.seps()) > bound:
-        raise BoundExceeded(f"{len(system.seps())} separations exceed bound {bound}")
+    _bounded_seps(system, bound)
     if not order.is_injective_on(system):
         raise NonInjectiveOrder("order function not injective on the system")
     ok, missing = is_standard(family, system)
@@ -373,12 +364,12 @@ def necessity(tree, family) -> NecessityReport:
             leaf_subsets[leaf] = [s for s in family.sets if s <= beta]
     edge_necessary_for = {v: [] for v in tree.nodes() if tree.parent[v] >= 0}
     for leaf, c in classes.items():
-        beta = tree.beta(leaf)
+        beta = tree.beta_mask(leaf)
         w = leaf
         while tree.parent[w] >= 0:
             x = tree.edge_label[w]
             if c.kind == LEAF_TANGLE:
-                needed = not any(sys.lt(y, x) for y in beta)
+                needed = not sys._below(beta, x)
             elif c.kind == LEAF_FORBIDDEN:
                 needed = all(x in s for s in leaf_subsets[leaf])
             else:

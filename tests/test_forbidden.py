@@ -1,16 +1,19 @@
 """Forbidden families: tangle enumeration, richness, generators, eclipsing."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from oracles import naive_avoids, naive_tangles
+from test_lattice_rule import LADDER
 from tanglekit.errors import BoundExceeded
 from tanglekit.fixtures import (
     eclipse_closure,
     graph_tangle_stars,
     ptriv_system,
+    random_universes,
     singleton_family,
 )
 from tanglekit.forbidden import (
@@ -18,6 +21,7 @@ from tanglekit.forbidden import (
     avoids,
     closed_under_eclipsing,
     eclipse_flags,
+    efficiency_witness,
     enumerate_tangles,
     enumerate_tangles_in,
     f_eff,
@@ -32,7 +36,7 @@ from tanglekit.forbidden import (
     standardize,
 )
 from tanglekit.orderfn import OrderFunction, refine_injective
-from tanglekit.universe import bipartition_universe, restrict_Sk
+from tanglekit.universe import bipartition_universe, graph_universe, restrict_Sk
 
 
 def by_label(u):
@@ -384,3 +388,50 @@ def test_family_json_round_trip(p3):
     assert back == F
     assert back.to_json() == blob
     assert back.tag(next(iter(F.sets))) == F.tag(next(iter(F.sets)))
+
+
+# -- no tangle repeats across thresholds ------------------------------------------------
+
+
+def assert_no_tangle_repeats(system, family, order):
+    records = enumerate_tangles_in(system, family, order, bound=40)
+    assert records
+    assert len({t.elements for t in records}) == len(records)
+
+
+@pytest.mark.parametrize("name", list(LADDER))
+def test_no_tangle_repeats_across_thresholds_on_the_ladder(name):
+    n, edges = LADDER[name]
+    vs = "abcdefgh"[:n]
+    edges = [(vs[a], vs[b]) for a, b in edges]
+    u, o = graph_universe(vs, edges)
+    for k in (2, 3):
+        sk = restrict_Sk(u, o, k)
+        if len(sk.seps()) > 40:
+            continue
+        stars = standardize(graph_tangle_stars(u, o, vs, edges, k), sk)
+        assert_no_tangle_repeats(sk, stars, o)
+        if len(sk.seps()) <= 12:
+            assert_no_tangle_repeats(sk, ForbiddenFamily([]), o)
+
+
+def test_no_tangle_repeats_across_thresholds_on_random_universes():
+    for uni, o in random_universes():
+        assert_no_tangle_repeats(uni, ForbiddenFamily([]), o)
+
+
+# -- witnesses name the least handles --------------------------------------------------
+
+
+def test_efficiency_witness_is_the_least_pair(p3):
+    u, o = p3
+    rng = random.Random(7)
+    els = u.elements()
+    for strong in (False, True):
+        for _ in range(300):
+            sigma = rng.sample(els, rng.randint(0, 4))
+            tau = rng.sample(els, rng.randint(0, 10))
+            pairs = [(x, y) for x in sigma for y in tau
+                     if eclipse_flags(u, o, y, x)[strong]]
+            assert (efficiency_witness(u, o, sigma, tau, strong=strong)
+                    == min(pairs, default=None))

@@ -1,0 +1,149 @@
+"""One planted input per input check or count guard that no other test reaches.
+
+Each test names the axiom, handle or message the check must report.
+"""
+
+import pytest
+
+from tanglekit.core import SeparationSystem
+from tanglekit.duality import STree, stree_excludes_tangles
+from tanglekit.errors import (
+    BoundExceeded,
+    HypothesisFailure,
+    SystemValidationError,
+    UnknownHandle,
+)
+from tanglekit.fixtures import chain2_system, p3_universe, singleton_family
+from tanglekit.forbidden import ForbiddenFamily
+from tanglekit.orderfn import OrderFunction, refine_injective
+from tanglekit.tot import check_tot_hypotheses
+from tanglekit.tst import SeparationTree, build_thorough_tst
+from tanglekit.universe import (
+    Universe,
+    _universe_of,
+    bipartition_universe,
+    corners,
+    graph_universe,
+    restrict_Sk,
+)
+
+
+def axiom_and_witness(call):
+    with pytest.raises(SystemValidationError) as exc:
+        call()
+    return exc.value.axiom, exc.value.witness
+
+
+def unknown_handle(call):
+    with pytest.raises(UnknownHandle) as exc:
+        call()
+    return exc.value.handle
+
+
+@pytest.fixture(scope="module")
+def p3_s2():
+    """P3's S_2 (5 separations) with an injective order."""
+    u, o = p3_universe()
+    o2 = refine_injective(u, o)
+    return u, o2, restrict_Sk(u, o2, 2)
+
+
+# -- separation systems -----------------------------------------------------------
+
+
+def test_from_relation_rejects_an_involution_that_is_no_permutation():
+    got = axiom_and_witness(lambda: SeparationSystem.from_relation([1, 1], []))
+    assert got == ("involution-permutation", (1, 1))
+
+
+def test_from_relation_rejects_a_pair_with_an_unknown_handle():
+    got = axiom_and_witness(lambda: SeparationSystem.from_relation([1, 0], [(0, 2)]))
+    assert got == ("unknown-handle", (0, 2))
+
+
+def test_restrict_rejects_a_handle_outside_the_view():
+    view = chain2_system().restrict({0, 1})
+    assert unknown_handle(lambda: view.restrict({0, 1, 2, 3})) == 2
+
+
+def test_restrict_rejects_members_not_closed_under_the_involution():
+    got = axiom_and_witness(lambda: chain2_system().restrict({0}))
+    assert got == ("involution-closed-members", 0)
+
+
+def test_separation_tree_needs_a_single_root():
+    got = axiom_and_witness(
+        lambda: SeparationTree(chain2_system(), [-1, -1], [[], []], [-1, -1]))
+    assert got == ("tree-single-root", [0, 1])
+
+
+# -- universes ----------------------------------------------------------------------
+
+
+def test_universe_json_rejects_a_missing_table_cell():
+    uni, _ = p3_universe()
+    obj = uni.to_json()
+    obj["join"] = obj["join"][1:]
+    got = axiom_and_witness(lambda: Universe.from_json(obj))
+    assert got == ("lattice-tables-total", None)
+
+
+def test_bipartition_universe_refuses_a_ground_set_over_the_bound():
+    with pytest.raises(BoundExceeded, match="ground set of 3 exceeds bound 2"):
+        bipartition_universe("abc", bound=2)
+
+
+def test_graph_universe_refuses_a_graph_over_the_bound():
+    with pytest.raises(BoundExceeded, match="3 vertices exceed bound 2"):
+        graph_universe("abc", [("a", "b")], bound=2)
+
+
+def test_universe_of_rejects_a_plain_system():
+    got = axiom_and_witness(lambda: _universe_of(chain2_system()))
+    assert got == ("not-a-universe", "SeparationSystem")
+
+
+def test_corners_reject_a_handle_outside_the_view(p3_s2):
+    u, _, s2 = p3_s2
+    outside = next(h for h in u.elements() if not s2.contains(h))
+    assert unknown_handle(lambda: corners(s2, s2.elements()[0], outside)) == outside
+
+
+# -- order functions ----------------------------------------------------------------
+
+
+def test_order_function_rejects_an_unknown_handle():
+    values = {0: 1, 2: 1, 4: 1}
+    assert unknown_handle(lambda: OrderFunction(chain2_system(), values)) == 4
+
+
+def test_order_function_must_be_total():
+    got = axiom_and_witness(lambda: OrderFunction(chain2_system(), {0: 1}))
+    assert got == ("order-function-total", 2)
+
+
+def test_order_json_without_orders_is_a_schema_error():
+    axiom, _ = axiom_and_witness(lambda: OrderFunction.from_json(chain2_system(), {}))
+    assert axiom == "schema"
+
+
+# -- hypotheses and count guards ------------------------------------------------------
+
+
+def test_tot_hypotheses_need_a_universe():
+    system = chain2_system()
+    with pytest.raises(HypothesisFailure, match="system must live in a universe"):
+        check_tot_hypotheses(system, OrderFunction(system, {0: 1, 2: 2}),
+                             ForbiddenFamily([]))
+
+
+def test_builder_refuses_more_separations_than_the_bound(p3_s2):
+    _, o2, s2 = p3_s2
+    with pytest.raises(BoundExceeded, match="5 separations exceed bound 1"):
+        build_thorough_tst(s2, o2, singleton_family(s2), bound=1)
+
+
+def test_exclusion_check_refuses_more_separations_than_the_bound(p3_s2):
+    _, _, s2 = p3_s2
+    with pytest.raises(BoundExceeded, match="5 separations exceed bound 1"):
+        stree_excludes_tangles(STree(s2, 1, {}), ForbiddenFamily([set()]), bound=1)

@@ -91,6 +91,44 @@ def test_every_parameter_is_read():
     assert not found, f"parameters never read: {found}"
 
 
+REPO = Path(__file__).resolve().parent.parent
+
+
+def referenced_names():
+    """Every name used in src/, tests/ or benchmark/: names, attributes,
+    imported names, and each part of a string constant that is a dotted name
+    (the tracer names spans "orderfn.Enumeration.rank")."""
+    names = set()
+    for folder in ("src", "tests", "benchmark"):
+        for path in sorted((REPO / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.update(node.name.split("."))
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    parts = node.value.split(".")
+                    if len(parts) > 1 and all(p.isidentifier() for p in parts):
+                        names.update(parts)
+    return names
+
+
+def test_every_definition_is_referenced():
+    # a function, method or class nothing names is dead code; dunder methods
+    # are called by the interpreter
+    used = referenced_names()
+    found = []
+    for path, tree in package_trees():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and node.name not in used):
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not found, f"definitions never referenced: {found}"
+
+
 def modules_added(code):
     """Names ``code`` adds to sys.modules in a fresh interpreter, sorted."""
     probe = ("import json, sys\n"
