@@ -184,12 +184,11 @@ def ensure_injective(uni, order, notes):
 
 
 def check_bound(system, args):
-    bound = args.bounds
-    if len(system.seps()) > bound and not args.unsafe_bounds:
-        _fail(2, error="separation count exceeds bound",
-              seps=len(system.seps()), bound=bound,
+    bound, seps = args.bounds, len(system)
+    if seps > bound and not args.unsafe_bounds:
+        _fail(2, error="separation count exceeds bound", seps=seps, bound=bound,
               hint="pass --unsafe-bounds to acknowledge")
-    return max(bound, len(system.seps()))
+    return max(bound, seps)
 
 
 # -- emission -------------------------------------------------------------------

@@ -24,6 +24,7 @@ inverse is trivial.  A system is *regular* if it has no small element.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 from itertools import chain
 
 from .errors import BoundExceeded, InconsistentSet, SystemValidationError, UnknownHandle
@@ -164,13 +165,23 @@ class SeparationSystem:
     def label(self, h: int) -> str:
         return self.labels[h]
 
+    # The members never change, so each system lists them once.
+    @cached_property
+    def _elements(self):
+        return tuple(iter_mask(self.members))
+
+    @cached_property
+    def _seps(self):
+        return tuple(h for h in self._elements if h <= self._inv[h])
+
     def elements(self):
-        """Member oriented handles, ascending."""
-        return list(iter_mask(self.members))
+        """Member oriented handles, ascending, as a fresh list."""
+        return list(self._elements)
 
     def seps(self):
-        """Member unoriented separations as canonical handles, ascending."""
-        return [h for h in iter_mask(self.members) if h <= self._inv[h]]
+        """Member unoriented separations as canonical handles, ascending, as a
+        fresh list."""
+        return list(self._seps)
 
     def orientations(self, sep: int):
         """The one or two oriented handles of an unoriented separation."""
@@ -185,7 +196,7 @@ class SeparationSystem:
         return mask & self._down[x] & ~(1 << x)
 
     def __len__(self):
-        return len(self.seps())
+        return len(self._seps)
 
     # -- degeneracy hierarchy ----------------------------------------------
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
-from .core import SeparationSystem, iter_mask
+from .core import SeparationSystem, iter_mask, mask_of
+from .errors import SystemValidationError
 from .forbidden import ForbiddenFamily, eclipse_flags
 from .orderfn import OrderFunction
-from .universe import Universe, graph_universe, subset_universe
+from .universe import Universe, _graph_sides, graph_universe, subset_universe
 
 
 def ptriv_system() -> SeparationSystem:
@@ -63,35 +63,47 @@ def graph_tangle_stars(uni, order, vertices, edges, k) -> ForbiddenFamily:
     """Stars of up to three separations of order < k whose A-sides cover the graph.
 
     Forbidding these in orientations of S_k gives the classical graph
-    tangles of order k.
+    tangles of order k.  ``uni`` and ``order`` are ``graph_universe(vertices,
+    edges)``; its handles are read as the sorted sides of the graph.
     """
     verts = sorted(vertices, key=str)
+    sides = _graph_sides(verts, edges)
+    if len(sides) != uni.n_ground:
+        raise SystemValidationError("graph-universe-sides",
+                                    witness=(len(sides), uni.n_ground))
     vi = {x: i for i, x in enumerate(verts)}
     full_v = (1 << len(verts)) - 1
     ends = sorted({(1 << vi[a]) | (1 << vi[b]) for a, b in edges})
     full_e = (1 << len(ends)) - 1
-
-    def a_side(h):
-        # graph_universe labels are "{a,b}|{b,c}"; recover the A-side mask.
-        left = uni.label(h).split("|")[0].strip("{}")
-        names = [x for x in left.split(",") if x]
-        return sum(1 << vi[x] for x in names)
-
-    sk = [h for h in uni.elements() if order.of(h) < k]
+    # a star holds no degenerate separation
+    sk = [h for h in uni.elements() if order.of(h) < k and not uni.is_degenerate(h)]
+    in_sk = mask_of(sk)
     # per handle: the vertices of its A-side and the edges inside it
-    vmask = {h: a_side(h) for h in sk}
+    vmask = [a for a, _ in sides]
     emask = {h: sum(1 << i for i, e in enumerate(ends) if e & ~vmask[h] == 0)
              for h in sk}
-
-    def covers(sel):
-        vcov = ecov = 0
-        for h in sel:
-            vcov |= vmask[h]
-            ecov |= emask[h]
-        return vcov == full_v and ecov == full_e
-
-    sels = (frozenset(t) for t in combinations_with_replacement(sk, 3) if covers(t))
-    return ForbiddenFamily({sel for sel in sels if uni.is_star(sel)})
+    # star[x]: the y of S_k that pass is_star's pair test with x.  For y != x*
+    # that is y* <= x, which is x* <= y as the involution reverses the order;
+    # for y = x* it is x <= x* or x* <= x.
+    up, star = uni._up, {}
+    for x in sk:
+        i = uni.inv(x)
+        comparable = (up[x] >> i | up[i] >> x) & 1
+        star[x] = (up[i] & ~(1 << i) | comparable << i) & in_sk
+    out = set()
+    for x in sk:  # x < y < z, carrying the covers of x and of {x, y}
+        vx, ex = vmask[x], emask[x]
+        if vx == full_v and ex == full_e:
+            out.add(frozenset((x,)))
+        ys = star[x] >> x + 1 << x + 1
+        for y in iter_mask(ys):
+            vy, ey = vx | vmask[y], ex | emask[y]
+            if vy == full_v and ey == full_e:
+                out.add(frozenset((x, y)))
+            for z in iter_mask(ys & star[y] >> y + 1 << y + 1):
+                if vy | vmask[z] == full_v and ey | emask[z] == full_e:
+                    out.add(frozenset((x, y, z)))
+    return ForbiddenFamily(out)
 
 
 def eclipse_closure(system, family, order) -> ForbiddenFamily:

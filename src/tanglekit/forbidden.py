@@ -267,12 +267,13 @@ def robustness_family(uni, order, target=None) -> ForbiddenFamily:
     target = uni if target is None else target
     g = uni.ground
     val = handle_values(g, order)
+    seps = uni.seps()
     out = set()
     for r in uni.elements():
         if not target.contains(r):
             continue
         ri, vr = uni.inv(r), val[r]
-        for s in uni.seps():
+        for s in seps:
             a = g.join(ri, s)
             b = g.join(ri, uni.inv(s))
             if not (val[a] < vr and val[b] < vr):

@@ -18,7 +18,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, islice, product
+from itertools import chain, islice
 from operator import and_, itemgetter
 
 from .core import SeparationSystem, int_cells, iter_mask, transpose
@@ -189,8 +189,12 @@ def validate_lattice(uni: Universe) -> LatticeReport:
 # -- generators --------------------------------------------------------------
 
 
-def _side_name(mask, names):
-    return "{" + ",".join(str(x) for i, x in enumerate(names) if (mask >> i) & 1) + "}"
+def _side_names(names):
+    """The name "{x,y}" of every side, indexed by its bitmask over ``names``."""
+    parts = [[]]
+    for x in map(str, names):
+        parts += [p + [x] for p in parts]
+    return ["{" + ",".join(p) + "}" for p in parts]
 
 
 def _supersets(sides, width):
@@ -211,8 +215,9 @@ def subset_universe(sides, names) -> Universe:
     sides = sorted(sides)
     index = {a: i for i, a in enumerate(sides)}
     up = _supersets(sides, len(names))
+    side_names = _side_names(names)
     return Universe([index[full ^ a] for a in sides], up,
-                    [_side_name(a, names) + "|" + _side_name(full ^ a, names) for a in sides])
+                    [side_names[a] + "|" + side_names[full ^ a] for a in sides])
 
 
 def bipartition_universe(ground_set, bound: int = 6) -> Universe:
@@ -226,40 +231,63 @@ def bipartition_universe(ground_set, bound: int = 6) -> Universe:
     return subset_universe(range(1 << len(v)), v)
 
 
+def _graph_sides(verts, edges):
+    """The sides (A, B) of every separation of a graph, sorted, as bitmasks
+    over the vertex list ``verts``.
+
+    Each vertex set X is A \\ B once.  No edge may join X to B \\ A, so
+    B \\ A ranges over the subsets of the vertices neither in X nor adjacent
+    to it, and A n B is what is left.
+    """
+    bit = {x: 1 << i for i, x in enumerate(verts)}
+    nbr = dict.fromkeys((1 << i for i in range(len(verts))), 0)
+    for a, b in edges:
+        nbr[bit[a]] |= bit[b]
+        nbr[bit[b]] |= bit[a]
+    full = (1 << len(verts)) - 1
+    # shut[x]: x and its neighbours, from shut[x less its lowest bit]
+    shut = [0]
+    sides = []
+    for x in range(full + 1):
+        if x:
+            low = x & -x
+            shut.append(shut[x ^ low] | low | nbr[low])
+        free = full ^ shut[x]
+        b, y = full ^ x, free
+        while True:  # every submask y of free, by the (y - 1) & free walk
+            sides.append((full ^ y, b))
+            if not y:
+                break
+            y = (y - 1) & free
+    sides.sort()
+    return sides
+
+
 def graph_universe(vertices, edges, bound: int = 8):
     """All separations (A,B) of a graph, with the standard order |A n B|.
 
     A separation is a pair with A u B = V and no edge between A \\ B and
     B \\ A.  Returns (universe, order).  Includes the small (V,A) separations
-    and the degenerate (V,V).
+    and the degenerate (V,V).  The vertices are sorted by name, and handle i
+    is the i-th of the sides (A, B) as bitmasks over them, in ascending order.
     """
     from .orderfn import OrderFunction
 
     verts = sorted(vertices, key=str)
     if len(verts) > bound:
         raise BoundExceeded(f"{len(verts)} vertices exceed bound {bound}")
-    vi = {x: i for i, x in enumerate(verts)}
-    emasks = [(1 << vi[a], 1 << vi[b]) for a, b in edges]
-    sides = []
-    for assign in product((0, 1, 2), repeat=len(verts)):
-        a_mask = sum(1 << i for i, t in enumerate(assign) if t != 2)
-        b_mask = sum(1 << i for i, t in enumerate(assign) if t != 0)
-        only_a, only_b = a_mask & ~b_mask, b_mask & ~a_mask
-        if any((ea & only_a and eb & only_b) or (ea & only_b and eb & only_a)
-               for ea, eb in emasks):
-            continue
-        sides.append((a_mask, b_mask))
-    sides.sort()
+    sides = _graph_sides(verts, edges)
     index = {ab: i for i, ab in enumerate(sides)}
     inv = [index[(b, a)] for a, b in sides]
     # (a2, b2) >= (a1, b1) iff b1 is inside b2 and V \ a1 inside V \ a2
     full = (1 << len(verts)) - 1
     up = list(map(int.__and__, _supersets([b for _, b in sides], len(verts)),
                   _supersets([full ^ a for a, _ in sides], len(verts))))
-    uni = Universe(inv, up, [_side_name(a, verts) + "|" + _side_name(b, verts)
-                             for a, b in sides])
+    names = _side_names(verts)
+    uni = Universe(inv, up, [names[a] + "|" + names[b] for a, b in sides])
+    orders = [Fraction(c) for c in range(len(verts) + 1)]
     order = OrderFunction(
-        uni, {uni.sep(i): Fraction(bin(a & b).count("1"))
+        uni, {i: orders[(a & b).bit_count()]
               for i, (a, b) in enumerate(sides) if i <= inv[i]})
     return uni, order
 

@@ -192,20 +192,43 @@ def label_sides(label):
                  for side in label.split("|"))
 
 
+def naive_graph_sides(verts, edges):
+    """The sides (A, B) of every separation of a graph, sorted, as bitmasks
+    over ``verts``: every assignment of each vertex to A only, both sides or
+    B only, kept when no edge joins A \\ B to B \\ A."""
+    bit = {x: 1 << i for i, x in enumerate(verts)}
+    sides = []
+    for assign in product((0, 1, 2), repeat=len(verts)):
+        a = sum(1 << i for i, t in enumerate(assign) if t != 2)
+        b = sum(1 << i for i, t in enumerate(assign) if t != 0)
+        only_a, only_b = a & ~b, b & ~a
+        if not any(bit[x] & only_a and bit[y] & only_b or bit[x] & only_b and bit[y] & only_a
+                   for x, y in edges):
+            sides.append((a, b))
+    return sorted(sides)
+
+
 def naive_graph_tangle_stars(uni, order, vertices, edges, k):
     """Stars of at most three separations of order < k whose A-sides hold
-    every vertex and, between them, both ends of every edge; by frozensets."""
-    from itertools import combinations_with_replacement
+    every vertex and, between them, both ends of every edge; by frozensets.
 
+    A set is a star iff each of its pairs is one (a pair {x, x} is {x}), so
+    ``is_star`` runs once per pair and a triple is tested by its pairs."""
     sk = [h for h in uni.elements() if order.of(h) < k]
     sides = {h: label_sides(uni.label(h))[0] for h in sk}
+    pairs = {(x, y) for i, x in enumerate(sk) for y in sk[i:] if uni.is_star({x, y})}
     out = set()
-    for triple in combinations_with_replacement(sk, 3):
-        a_sides = [sides[h] for h in triple]
-        if (set(vertices) <= set().union(*a_sides)
-                and all(any({a, b} <= s for s in a_sides) for a, b in edges)
-                and uni.is_star(frozenset(triple))):
-            out.add(frozenset(triple))
+    for i, x in enumerate(sk):
+        for j in range(i, len(sk)):
+            y = sk[j]
+            if (x, y) not in pairs:
+                continue
+            for z in sk[j:]:
+                a_sides = [sides[x], sides[y], sides[z]]
+                if ((x, z) in pairs and (y, z) in pairs
+                        and set(vertices) <= set().union(*a_sides)
+                        and all(any({a, b} <= s for s in a_sides) for a, b in edges)):
+                    out.add(frozenset((x, y, z)))
     return out
 
 

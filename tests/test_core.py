@@ -340,6 +340,21 @@ def test_restriction_preserves_structure(subset_mask):
     assert set(view.elements()) == handles
 
 
+def test_member_lists_are_fresh_copies():
+    # each system lists its members once; what a caller does to a list it was
+    # handed reaches neither the system nor the next caller
+    bip = bipartition_universe([1, 2, 3])
+    view = bip.restrict([1, 6])
+    for system in (bip, view):
+        els, seps = system.elements(), system.seps()
+        want = (list(els), list(seps), len(system))
+        els.append(99)
+        seps.clear()
+        assert (system.elements(), system.seps(), len(system)) == want
+        assert system.elements() is not system.elements()
+    assert view.elements() == [1, 6] and view.seps() == [1]
+
+
 # -- serialization -------------------------------------------------------------------
 
 

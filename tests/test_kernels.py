@@ -13,6 +13,7 @@ import pytest
 from oracles import (
     naive_down_sets,
     naive_gamma,
+    naive_graph_sides,
     naive_graph_tangle_stars,
     naive_join_table,
     naive_meet_table,
@@ -39,6 +40,7 @@ from tanglekit.orderfn import (
 )
 from tanglekit.universe import (
     Universe,
+    _graph_sides,
     bipartition_universe,
     graph_universe,
     restrict_Sk,
@@ -121,15 +123,57 @@ def test_consistency_witness_on_small_systems():
                                                  uni.elements()])
 
 
-@pytest.mark.parametrize("k", [2, 3])
+# -- graph separations and tangle stars ---------------------------------------------
+
+
+def random_graphs(count=80, seed=11):
+    """Seeded graphs of at most 7 vertices under shuffled names, with isolated
+    vertices, self-loops and graphs with no edges among them."""
+    rng = random.Random(seed)
+    pool = ["a", "b", "c", "d", "e", "f", "g", "v10", "v9", "x,y"]
+    graphs = [([], []), (["a"], []), (["b", "a"], [("a", "a")])]
+    while len(graphs) < count:
+        names = rng.sample(pool, rng.randint(1, 7))
+        edges = [(rng.choice(names), rng.choice(names))
+                 for _ in range(rng.choice((0, rng.randint(1, 12))))]
+        graphs.append((names, edges))
+    return graphs
+
+
+def named(name):
+    """A GRAPHS entry with its vertices named by strings, as the labels name them."""
+    n, edges = GRAPHS[name]
+    return list(map(str, range(n))), [(str(a), str(b)) for a, b in edges]
+
+
+@pytest.mark.parametrize("name", list(GRAPHS))
+def test_graph_sides_are_the_assignment_scan(name):
+    verts, edges = named(name)
+    verts.sort()
+    assert _graph_sides(verts, edges) == naive_graph_sides(verts, edges)
+
+
+def test_graph_sides_of_random_graphs_are_the_assignment_scan():
+    for names, edges in random_graphs():
+        verts = sorted(names, key=str)
+        assert _graph_sides(verts, edges) == naive_graph_sides(verts, edges), (names, edges)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", list(LADDER))
 def test_graph_tangle_stars_cover_by_masks(name, k):
-    n, edges = LADDER[name]
+    vertices, edges = named(name)
     uni, order = universe(name)
-    # the labels name the vertices by strings
-    vertices, edges = list(map(str, range(n))), [(str(a), str(b)) for a, b in edges]
     assert (graph_tangle_stars(uni, order, vertices, edges, k).sets
             == naive_graph_tangle_stars(uni, order, vertices, edges, k))
+
+
+def test_graph_tangle_stars_of_p7_at_k3():
+    vertices, edges = named("P7")
+    uni, order = universe("P7")
+    stars = graph_tangle_stars(uni, order, vertices, edges, 3).sets
+    assert len(stars) == 852
+    assert stars == naive_graph_tangle_stars(uni, order, vertices, edges, 3)
 
 
 def test_graph_tangle_stars_with_a_self_loop():
@@ -138,6 +182,24 @@ def test_graph_tangle_stars_with_a_self_loop():
     uni, order = graph_universe("ab", edges)
     assert (graph_tangle_stars(uni, order, "ab", edges, 2).sets
             == naive_graph_tangle_stars(uni, order, "ab", edges, 2))
+
+
+def test_graph_tangle_stars_with_a_comma_in_a_vertex_name():
+    # the label "{w,x,y}|..." cannot tell x,y from two vertices; the sides can.
+    # Sorted by name, w < x,y < z as a < b < c, so both graphs share handles.
+    vertices, edges = ["x,y", "z", "w"], [("x,y", "z"), ("z", "w")]
+    plain = [("b", "c"), ("c", "a")]
+    uni, order = graph_universe(vertices, edges)
+    for k in (2, 3):
+        want = naive_graph_tangle_stars(*graph_universe("abc", plain), "abc", plain, k)
+        assert graph_tangle_stars(uni, order, vertices, edges, k).sets == want
+
+
+def test_graph_tangle_stars_of_another_graph_are_refused():
+    uni, order = graph_universe("abc", [("a", "b"), ("b", "c")])
+    with pytest.raises(SystemValidationError) as err:
+        graph_tangle_stars(uni, order, "abcd", [("a", "b"), ("b", "c"), ("c", "d")], 2)
+    assert err.value.axiom == "graph-universe-sides"
 
 
 def test_transpose_of_a_rectangular_bit_matrix():

@@ -68,6 +68,26 @@ def test_one_refinement_path_in_package():
     assert not found, f"second refinement path in src: {found}"
 
 
+def test_every_module_level_import_is_used():
+    # an import that nothing in its module reads is left over from code that
+    # has gone; a package module's __all__ counts as a use
+    found = []
+    for path, tree in package_trees():
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                used.update(ast.literal_eval(node.value))
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                      if (alias.asname or alias.name).split(".")[0] not in used]
+    assert not found, f"imports never used: {found}"
+
+
 # benchmark/workloads.py passes ``nv``, so it stays while that call does.
 UNREAD_PARAMETERS_ALLOWED = {("fixtures.py", "_cut_order", "nv")}
 
