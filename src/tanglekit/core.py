@@ -429,35 +429,38 @@ def _bounded_seps(system, bound: int) -> list:
     return seps
 
 
-def orientations_avoiding(system, forbidden, bound: int = ENUMERATION_BOUND):
+def _orientations(system, forbidden, bound: int):
     """The consistent orientations of the member separations containing no set
-    of ``forbidden``, in the lexicographic order of oriented handles.
+    of ``forbidden``, generated in the lexicographic order of oriented handles.
 
     Backtracking over separations in canonical-handle order, trying the
     smaller oriented handle first.  Exhaustive and duplicate-free; prunes a
     partial orientation as soon as it is inconsistent or contains a forbidden
     set (both are monotone in the partial set), so an empty forbidden set
-    admits nothing.
+    admits nothing.  A caller that stops early never holds the whole list.
     """
     seps = _bounded_seps(system, bound)
     masks = [mask_of(s) for s in forbidden]
     incompat = system._incompat
-    out = []
-
-    def walk(i, cur_mask, cur):
+    pushed = [system.orientations(s)[::-1] for s in seps]  # popped smaller first
+    stack = [(0, 0, ())]
+    while stack:
+        i, cur_mask, cur = stack.pop()
         if any(m & ~cur_mask == 0 for m in masks):
-            return
+            continue
         if i == len(seps):
-            out.append(frozenset(cur))
-            return
-        for h in system.orientations(seps[i]):
+            yield frozenset(cur)
+            continue
+        for h in pushed[i]:
             if not incompat[h] & cur_mask:
-                cur.append(h)
-                walk(i + 1, cur_mask | (1 << h), cur)
-                cur.pop()
+                stack.append((i + 1, cur_mask | 1 << h, cur + (h,)))
 
-    walk(0, 0, [])
-    return out
+
+def orientations_avoiding(system, forbidden, bound: int = ENUMERATION_BOUND):
+    """The consistent orientations of the member separations containing no set
+    of ``forbidden``, as a list in ``_orientations`` order; BoundExceeded is
+    raised at the call."""
+    return list(_orientations(system, forbidden, bound))
 
 
 # The degeneracy flags of one oriented separation (all bools).

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import product
 
-from .core import ENUMERATION_BOUND, _bounded_seps, iter_mask, mask_of
+from .core import ENUMERATION_BOUND, _bounded_seps, _orientations, mask_of
 from .errors import (
     AmbiguousShiftChoice,
     BothOrNeither,
@@ -29,8 +29,7 @@ from .errors import (
     TrivialElementsPresent,
 )
 from .forbidden import (
-    eclipse_flags,
-    enumerate_tangles,
+    _eclipsers,
     f_eff,
     is_rich,
     is_standard,
@@ -415,8 +414,7 @@ def lemma_shift_select(system, order, tau, sigma, s):
         raise HypothesisFailure("sigma must be a star inside tau containing s")
     if system.is_trivial(s):
         raise HypothesisFailure("s must be non-trivial")
-    cands = [r for r in iter_mask(system._below(mask_of(tau), s))
-             if eclipse_flags(system, order, r, s)[0]]
+    cands = list(_eclipsers(system, order, s, mask_of(tau)))
     if not cands:
         raise HypothesisFailure("no member of tau eclipses s")
     best = min(order.of(r) for r in cands)
@@ -444,11 +442,9 @@ def closed_under_shifting(system, family, order, bound=ENUMERATION_BOUND):
             for s in sorted(sigma):
                 if system.is_trivial(s) or system.is_degenerate(s):
                     continue
-                for r in iter_mask(system._below(tau_mask, s)):
-                    _, weak = eclipse_flags(system, order, r, s)
-                    if not weak or not emulates(system, r, s):
-                        continue
-                    if shift_star(system, r, s, sigma) not in family.sets:
+                for r in _eclipsers(system, order, s, tau_mask, weak=True):
+                    if (emulates(system, r, s)
+                            and shift_star(system, r, s, sigma) not in family.sets):
                         return False, (tau, sigma, s, r)
     return True, None
 
@@ -486,15 +482,15 @@ def dichotomy(system, order, family, bound=ENUMERATION_BOUND, check_exclusive=Fa
     else:
         notes["rich"] = "assumed (derived upstream)"
 
-    tangles = enumerate_tangles(system, family, bound=bound)
-    if tangles:
+    tangle = next(_orientations(system, family.sets, bound), None)
+    if tangle is not None:
         if check_exclusive:
             tree = build_thorough_tst(system, order, family, bound=bound)
             rep = validate_tst(tree, family)
             if all(c.kind == LEAF_FORBIDDEN for c in rep.leaf_classes.values()):
                 raise BothOrNeither("tangle exists but the structure tree is an F-tree")
             notes["exclusive"] = "structure tree has tangle leaves; no F-tree arises"
-        return DichotomyResult(kind="tangle", tangle=tangles[0], notes=notes)
+        return DichotomyResult(kind="tangle", tangle=tangle, notes=notes)
 
     if system.trivial_elements():
         raise TrivialElementsPresent(

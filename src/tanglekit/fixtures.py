@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .core import SeparationSystem, iter_mask, mask_of
 from .errors import SystemValidationError
-from .forbidden import ForbiddenFamily, eclipse_flags
+from .forbidden import ForbiddenFamily, _eclipsers
 from .orderfn import OrderFunction
 from .universe import Universe, _graph_sides, graph_universe, subset_universe
 
@@ -119,10 +119,7 @@ def eclipse_closure(system, family, order) -> ForbiddenFamily:
     while frontier:
         sigma = frontier.pop()
         for x in sorted(sigma):
-            for y in iter_mask(system._below(system.members, x)):
-                _, weak = eclipse_flags(system, order, y, x)
-                if not weak:
-                    continue
+            for y in _eclipsers(system, order, x, system.members, weak=True):
                 probe = sigma | {y}
                 if not system.is_consistent(probe):
                     continue

@@ -12,7 +12,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
-from .core import ENUMERATION_BOUND, iter_mask, mask_of, orientations_avoiding
+from .core import ENUMERATION_BOUND, _orientations, iter_mask, mask_of, orientations_avoiding
 from .universe import handle_values, restrict_Sk
 
 FAMILY_SCHEMA = "tanglekit/forbidden-v1"
@@ -160,24 +160,29 @@ def standardize(family, system) -> ForbiddenFamily:
 # -- eclipsing and efficiency --------------------------------------------------
 
 
+def _eclipsers(system, order, x: int, mask: int, weak=False):
+    """The handles y of ``mask`` that eclipse x, ascending: y < x and y has a
+    lower order than x (with ``weak``, no higher).  x's order is read once."""
+    k = order.of(x)
+    for y in iter_mask(system._below(mask, x)):
+        if order.of(y) <= k if weak else order.of(y) < k:
+            yield y
+
+
 def eclipse_flags(system, order, r: int, s: int):
     """(eclipses, weakly_eclipses) for the oriented pair r, s."""
-    lt = system.lt(r, s)
-    return lt and order.of(r) < order.of(s), lt and order.of(r) <= order.of(s)
+    return tuple(r in _eclipsers(system, order, s, 1 << r, weak) for weak in (False, True))
 
 
 def efficiency_witness(system, order, sigma, tau, strong=False):
     """An (eclipsed, eclipsing) pair violating (strong) efficiency, or None.
 
-    Only a member of tau below x can eclipse x.  The witness is the least x,
-    then the least y.
+    The witness is the least x, then the least y.
     """
     tau_mask = mask_of(tau)
     for x in sorted(sigma):
-        for y in iter_mask(system._below(tau_mask, x)):
-            ec, weak = eclipse_flags(system, order, y, x)
-            if weak if strong else ec:
-                return (x, y)
+        for y in _eclipsers(system, order, x, tau_mask, weak=strong):
+            return (x, y)
     return None
 
 
@@ -192,9 +197,11 @@ def is_strongly_efficient(system, order, sigma, tau) -> bool:
 def orientations_with_members(system, family, bound=ENUMERATION_BOUND):
     """(tau, members inside tau) for each consistent orientation tau holding a member.
 
-    Members are listed in ``family.sets`` order, so witnesses are stable.
+    Members are listed in ``family.sets`` order, so witnesses are stable.  The
+    orientations are generated one at a time, so a check that stops at its
+    first counterexample never holds them all.
     """
-    for tau in system.consistent_orientations(bound=bound):
+    for tau in _orientations(system, (), bound):
         inside = [s for s in family.sets if s <= tau]
         if inside:
             yield tau, inside
@@ -222,9 +229,8 @@ def closed_under_eclipsing(system, family, order, bound=ENUMERATION_BOUND):
         tau_mask = mask_of(tau)
         for sigma in inside:
             for x in sorted(sigma):
-                for y in iter_mask(system._below(tau_mask, x)):
-                    _, weak = eclipse_flags(system, order, y, x)
-                    if weak and (sigma - {x}) | {y} not in family.sets:
+                for y in _eclipsers(system, order, x, tau_mask, weak=True):
+                    if (sigma - {x}) | {y} not in family.sets:
                         return False, (tau, sigma, x, y)
     return True, None
 

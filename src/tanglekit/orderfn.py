@@ -11,7 +11,8 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .core import ENUMERATION_BOUND, SeparationSystem
-from .errors import InputError, NonSubmodularOrder, SystemValidationError, UnknownHandle
+from .errors import (InputError, NonSubmodularOrder, PreconditionError, SystemValidationError,
+                     UnknownHandle)
 from .forbidden import enumerate_tangles, order_thresholds
 from .universe import handle_values, is_submodular, restrict_Sk
 
@@ -218,8 +219,13 @@ def refine_injective(uni, o: OrderFunction, iota=None) -> OrderFunction:
     Adds the perturbation delta(s) = (eps/2 / 3^|U->|) * (gamma3(s->) +
     gamma3(s<-)) where eps is the least gap between distinct values of o
     (eps = 1 when o is constant).  Deterministic for a fixed iota; the
-    default iota is the lexicographic handle order.
+    default iota is the lexicographic handle order.  ``uni`` must hold every
+    separation of its ground universe, since the result is an order function
+    on the whole ground.
     """
+    if uni.members != uni.ground.members:
+        raise PreconditionError("the injective refinement needs the whole ground "
+                                "universe, not a restricted view")
     ok, witness = is_submodular(uni, o)
     if not ok:
         raise NonSubmodularOrder(f"witness pair {witness}")

@@ -60,6 +60,7 @@ class SeparationTree:
         self.root = roots[0]
         self._beta = {}
         self._classes = {}  # family -> {leaf: LeafClass}, filled by classify_leaf
+        self._closure = {}  # node -> closure of beta_v, filled by _path_closure
 
     def __len__(self):
         return len(self.parent)
@@ -154,8 +155,10 @@ TstReport = namedtuple("TstReport", "ok failures leaf_classes")
 
 
 def _path_closure(tree, v) -> frozenset:
-    """The closure of the path labels beta_v."""
-    return frozenset(iter_mask(tree.system.closure_mask(tree.beta_mask(v))))
+    """The closure of the path labels beta_v, memoized on the tree."""
+    if v not in tree._closure:
+        tree._closure[v] = frozenset(iter_mask(tree.system.closure_mask(tree.beta_mask(v))))
+    return tree._closure[v]
 
 
 def _least_unoriented(system, order, closure):

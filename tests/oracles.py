@@ -59,6 +59,13 @@ def naive_closure(system, sigma):
     return frozenset(out)
 
 
+def naive_eclipse_flags(system, order, r, s):
+    """(eclipses, weakly_eclipses) for the oriented pair r, s: r < s, and the
+    order of r is lower than that of s (no higher, for the weak flag)."""
+    lt = bool(system.lt(r, s))
+    return lt and order.of(r) < order.of(s), lt and order.of(r) <= order.of(s)
+
+
 def naive_tangles(system, family):
     return [t for t in naive_consistent_orientations(system)
             if naive_avoids(t, family)]

@@ -517,6 +517,23 @@ def test_dichotomy_empty_family_tangle_branch(tangleless):
     assert s2t.is_orientation(res.tangle)
 
 
+def test_dichotomy_stops_at_the_first_tangle(tangleless, monkeypatch):
+    # the tangle branch needs one tangle, so the search stops there
+    s2t, o2, _, _ = tangleless
+    pulled, search = [], duality._orientations
+
+    def counted(*args):
+        for tau in search(*args):
+            pulled.append(tau)
+            yield tau
+
+    monkeypatch.setattr(duality, "_orientations", counted)
+    res = dichotomy(s2t, o2, ForbiddenFamily([]))
+    tangles = s2t.consistent_orientations()
+    assert len(tangles) > 1
+    assert pulled == [res.tangle] == tangles[:1]
+
+
 def test_dichotomy_stree_branch(tangleless):
     s2t, o2, fam, _ = tangleless
     res = dichotomy(s2t, o2, fam, check_exclusive=True)

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import naive_avoids, naive_tangles
 from test_lattice_rule import LADDER
+from tanglekit import forbidden
 from tanglekit.errors import BoundExceeded
 from tanglekit.fixtures import (
     eclipse_closure,
@@ -216,6 +217,23 @@ def test_planted_family_not_rich_with_counterexample(chain2):
     ok, tau = is_rich(chain2, F, o)
     assert not ok
     assert tau == frozenset({0, 2})
+
+
+def test_richness_check_stops_at_its_first_counterexample(chain2, monkeypatch):
+    # the orientations are generated one at a time, so a check that fails on
+    # the first one never holds the rest
+    pulled, search = [], forbidden._orientations
+
+    def counted(*args):
+        for tau in search(*args):
+            pulled.append(tau)
+            yield tau
+
+    monkeypatch.setattr(forbidden, "_orientations", counted)
+    o = OrderFunction(chain2, {0: 1, 2: 2})
+    assert is_rich(chain2, ForbiddenFamily([{2}]), o) == (False, frozenset({0, 2}))
+    assert pulled == [frozenset({0, 2})]
+    assert len(chain2.consistent_orientations()) == 3
 
 
 def test_eclipse_closed_implies_rich(p3):

@@ -12,6 +12,7 @@ from functools import lru_cache
 import pytest
 from oracles import (
     naive_down_sets,
+    naive_eclipse_flags,
     naive_gamma,
     naive_graph_sides,
     naive_graph_tangle_stars,
@@ -31,6 +32,7 @@ from tanglekit.fixtures import (
     ptriv_system,
     random_universes,
 )
+from tanglekit.forbidden import _eclipsers, eclipse_flags
 from tanglekit.orderfn import (
     OrderFunction,
     _numeral,
@@ -68,6 +70,38 @@ def randoms():
 def one_element():
     """The bipartition universe of the empty set: one degenerate separation."""
     return bipartition_universe([])
+
+
+# -- eclipsing -------------------------------------------------------------------
+
+
+def assert_eclipsing_pairwise(uni, order, rng):
+    """eclipse_flags on every oriented pair, and _eclipsers of every x within a
+    random mask and within all members, against the pairwise definition."""
+    els = uni.elements()
+    for x in els:
+        flags = {y: naive_eclipse_flags(uni, order, y, x) for y in els}
+        for y in els:
+            assert eclipse_flags(uni, order, y, x) == flags[y], (y, x)
+        for mask in (rng.getrandbits(uni.n_ground) & uni.members, uni.members):
+            for weak in (False, True):
+                want = [y for y in els if mask >> y & 1 and flags[y][weak]]
+                assert list(_eclipsers(uni, order, x, mask, weak)) == want, (x, mask, weak)
+
+
+@pytest.mark.parametrize("name", list(LADDER))
+def test_eclipsing_is_the_pairwise_definition_on_the_ladder(name):
+    uni, order = universe(name)
+    rng = random.Random(name)
+    for o in (order, refine_injective(uni, order)):
+        assert_eclipsing_pairwise(uni, o, rng)
+
+
+def test_eclipsing_is_the_pairwise_definition_on_random_universes():
+    rng = random.Random(15)
+    for uni, order in randoms():
+        assert_eclipsing_pairwise(uni, order, rng)
+        assert_eclipsing_pairwise(restrict_Sk(uni, order, 2), order, rng)
 
 
 # -- up-sets and down-sets ------------------------------------------------------

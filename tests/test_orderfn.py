@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tanglekit.errors import NonSubmodularOrder, SystemValidationError
+from tanglekit.errors import NonSubmodularOrder, PreconditionError, SystemValidationError
 from tanglekit.fixtures import chain_universe, graph_tangle_stars, random_universes
 from tanglekit.forbidden import ForbiddenFamily, standardize
 from tanglekit.orderfn import (
@@ -217,6 +217,22 @@ def test_refine_rejects_an_iota_that_is_not_a_bijection(p3, kind):
     assert exc.value.witness == ((els[1], 0) if kind == "constant" else (els[1], 100))
     with pytest.raises(SystemValidationError):
         gamma(u, 3, iota, els[0])
+
+
+def test_refine_needs_the_whole_ground_universe(p3):
+    # S_2 of P3 holds 10 of the 17 oriented separations; refining on it used
+    # to fail inside OrderFunction with order-function-total
+    u, o = p3
+    s2 = restrict_Sk(u, o, 2)
+    assert len(s2.elements()) == 10
+    with pytest.raises(PreconditionError, match="whole ground universe"):
+        refine_injective(s2, o)
+
+
+def test_refine_on_a_view_of_every_member(p3):
+    u, o = p3
+    assert refine_injective(restrict_Sk(u, o, None), o).to_json() == \
+        refine_injective(u, o).to_json()
 
 
 def test_refine_random_universes():

@@ -68,6 +68,29 @@ def test_one_refinement_path_in_package():
     assert not found, f"second refinement path in src: {found}"
 
 
+# The down-set searches that may read ``_below`` directly: the eclipse
+# definition, and necessity's test that nothing of a tangle path lies below x.
+BELOW_CALLERS = {("forbidden.py", "_eclipsers"), ("tst.py", "necessity")}
+
+
+def test_one_eclipse_definition_in_package():
+    # _eclipsers is the one definition of eclipsing: no module compares a pair
+    # through eclipse_flags, and no other loop walks a down-set row itself
+    found = []
+    for path, tree in package_trees():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "eclipse_flags" or (
+                        name == "_below" and (path.name, fn.name) not in BELOW_CALLERS):
+                    found.append(f"{path.name}:{node.lineno} {fn.name} calls {name}")
+    assert not found, f"eclipse comparisons outside _eclipsers: {found}"
+
+
 def test_every_module_level_import_is_used():
     # an import that nothing in its module reads is left over from code that
     # has gone; a package module's __all__ counts as a use
