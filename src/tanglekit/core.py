@@ -24,8 +24,9 @@ inverse is trivial.  A system is *regular* if it has no small element.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
+from operator import or_
 
 from .errors import BoundExceeded, InconsistentSet, SystemValidationError, UnknownHandle
 
@@ -111,25 +112,42 @@ class SeparationSystem:
         for i in range(n):
             if inv[inv[i]] != i:
                 raise SystemValidationError("involution-self-inverse", witness=i)
-        up = [1 << i for i in range(n)]
-        for a, b in leq_pairs:
-            if not (0 <= a < n and 0 <= b < n):
-                raise SystemValidationError("unknown-handle", witness=(a, b))
-            up[a] |= 1 << b
-        for a in range(n):
+        pairs = list(leq_pairs)
+        handles = list(chain.from_iterable(pairs))
+        if not (set(map(len, pairs)) <= {2}
+                and 0 <= min(handles, default=0) and max(handles, default=0) < n):
+            for a, b in pairs:  # the first bad pair is the witness
+                if not (0 <= a < n and 0 <= b < n):
+                    raise SystemValidationError("unknown-handle", witness=(a, b))
+        # above[a]: the handles b of the pairs (a, b); each up-set is made once
+        above = [[] for _ in range(n)]
+        for a, b in pairs:
+            above[a].append(b)
+        bit = [1 << i for i in range(n)]
+        up = [reduce(or_, map(bit.__getitem__, row), bit[a]) for a, row in enumerate(above)]
+        if labels is None:
+            labels = [str(i) for i in range(n)]
+        system = cls(inv, up, labels)
+        down = system._down
+        # Whole rows are checked; only the first failing row is walked pair by
+        # pair, so the axiom and witness are those of the first failing pair.
+        for a, row in enumerate(above):
+            if (up[a] & down[a] == bit[a]
+                    and reduce(or_, map(up.__getitem__, row), up[a]) == up[a]):
+                continue
             for b in iter_mask(up[a]):
                 if a != b and (up[b] >> a) & 1:
                     raise SystemValidationError("antisymmetry", witness=(a, b))
                 if up[b] & ~up[a]:
                     c = next(iter_mask(up[b] & ~up[a]))
                     raise SystemValidationError("transitivity", witness=(a, b, c))
-        for a in range(n):
-            for b in iter_mask(up[a]):
-                if not (up[inv[b]] >> inv[a]) & 1:
-                    raise SystemValidationError("involution-order-reversing", witness=(a, b))
-        if labels is None:
-            labels = [str(i) for i in range(n)]
-        return cls(inv, up, labels)
+        # a <= b needs b* <= a*: the inverses of up[a] lie in down[a*]
+        bit_inv = [bit[i] for i in inv]
+        for a, row in enumerate(above):
+            if reduce(or_, map(bit_inv.__getitem__, row), 0) & ~down[inv[a]]:
+                b = next(b for b in iter_mask(up[a]) if not (up[inv[b]] >> inv[a]) & 1)
+                raise SystemValidationError("involution-order-reversing", witness=(a, b))
+        return system
 
     def restrict(self, handles) -> "SeparationSystem":
         """Subsystem view induced on ``handles`` (closed under the involution)."""

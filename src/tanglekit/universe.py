@@ -1,9 +1,10 @@
 """Universes: lattice-equipped separation systems, and concrete generators.
 
 Join and meet are fixed by the poset: r v s is the least upper bound of r
-and s, r ^ s the greatest lower bound.  Generators build only the order and
-derive both tables from it; ``validate_lattice`` checks given tables by the
-same rule.  Two fixture conventions coexist (both are valid separation systems):
+and s, r ^ s the greatest lower bound.  Generators build only the order, and
+a universe derives both tables from it when they are first read;
+``validate_lattice`` checks given tables by the same rule.  Two fixture
+conventions coexist (both are valid separation systems):
 
 * bipartition universes order by first-side inclusion, (A,B) <= (C,D) iff
   A is a subset of C, so join/meet follow as union/intersection of A-sides;
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain, islice
 from operator import and_, itemgetter
 
@@ -28,21 +29,37 @@ UNIVERSE_SCHEMA = "tanglekit/universe-v1"
 
 
 class Universe(SeparationSystem):
-    """A separation system whose poset is a lattice (total join/meet tables).
+    """A ground separation system whose poset is a lattice (total join/meet
+    tables); its views are the ``SeparationSystem``s of :meth:`restrict`.
 
-    Without ``join`` and ``meet`` the tables are derived from the poset, and a
-    pair without a least upper (greatest lower) bound raises
-    SystemValidationError.
+    ``join`` and ``meet``, when given, are stored as they are; ``from_tables``
+    and ``from_json`` validate them.  Otherwise both tables are derived from
+    the poset the first time either is read, and kept.  A pair without a least
+    upper (greatest lower) bound then raises SystemValidationError at that
+    read, so a poset that is no lattice builds, but none of its tables reads.
     """
 
     lattice_report = None  # from_tables keeps its validate_lattice report here
 
-    def __init__(self, inv, up, labels, join=None, meet=None, members=None, ground=None):
-        super().__init__(inv, up, labels, members=members, ground=ground)
-        if join is None:
-            join, meet = _lattice_tables(self._up, self._inv)
-        self._join = tuple(map(tuple, join))
-        self._meet = tuple(map(tuple, meet))
+    def __init__(self, inv, up, labels, join=None, meet=None):
+        super().__init__(inv, up, labels)
+        if join is not None:
+            self._tables = tuple(map(tuple, join)), tuple(map(tuple, meet))
+
+    @cached_property
+    def _tables(self):
+        """(join, meet): a pure function of the poset, so a concurrent first
+        read may derive it twice, with equal results."""
+        join, meet = _lattice_tables(self._up, self._inv)
+        return tuple(join), tuple(meet)
+
+    @property
+    def _join(self):
+        return self._tables[0]
+
+    @property
+    def _meet(self):
+        return self._tables[1]
 
     @classmethod
     def from_tables(cls, inv, leq_pairs, join, meet, labels=None):
@@ -62,17 +79,18 @@ class Universe(SeparationSystem):
         return uni
 
     def join(self, a: int, b: int) -> int:
-        return self._join[a][b]
+        return self._tables[0][a][b]
 
     def meet(self, a: int, b: int) -> int:
-        return self._meet[a][b]
+        return self._tables[1][a][b]
 
     def to_json(self) -> dict:
         obj = super().to_json()
         obj["schema"] = UNIVERSE_SCHEMA
         n = self.n_ground
-        obj["join"] = [[a, b, self._join[a][b]] for a in range(n) for b in range(a, n)]
-        obj["meet"] = [[a, b, self._meet[a][b]] for a in range(n) for b in range(a, n)]
+        join, meet = self._tables
+        obj["join"] = [[a, b, join[a][b]] for a in range(n) for b in range(a, n)]
+        obj["meet"] = [[a, b, meet[a][b]] for a in range(n) for b in range(a, n)]
         return obj
 
     @classmethod
@@ -208,8 +226,10 @@ def _supersets(sides, width):
 def subset_universe(sides, names) -> Universe:
     """The oriented bipartitions (A, V \\ A) whose first sides A are in ``sides``.
 
-    Each side is a bitmask over the ground set ``names``, and ``sides`` is
-    closed under complement.  (A,B) <= (C,D) iff A is a subset of C.
+    Each side is a bitmask over the ground set ``names``.  (A,B) <= (C,D) iff
+    A is a subset of C.  ``sides`` must be closed under complement, union and
+    intersection: otherwise the poset is no lattice, and the first read of a
+    join or meet table raises SystemValidationError.
     """
     full = (1 << len(names)) - 1
     sides = sorted(sides)

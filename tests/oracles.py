@@ -294,6 +294,42 @@ def pairwise_validate_lattice(uni):
     return LatticeReport(ok=not failures, failures=failures)
 
 
+def pairwise_from_relation(inv, leq_pairs, labels=None):
+    """``SeparationSystem.from_relation`` by one test per pair: the up-sets
+    filled pair by pair, then antisymmetry and transitivity, then order
+    reversal, each checked on every pair of every up-set.  Raises the first
+    failure's SystemValidationError."""
+    from tanglekit.core import SeparationSystem, iter_mask
+    from tanglekit.errors import SystemValidationError
+
+    inv = tuple(inv)
+    n = len(inv)
+    if sorted(inv[i] for i in range(n)) != list(range(n)):
+        raise SystemValidationError("involution-permutation", witness=inv)
+    for i in range(n):
+        if inv[inv[i]] != i:
+            raise SystemValidationError("involution-self-inverse", witness=i)
+    up = [1 << i for i in range(n)]
+    for a, b in leq_pairs:
+        if not (0 <= a < n and 0 <= b < n):
+            raise SystemValidationError("unknown-handle", witness=(a, b))
+        up[a] |= 1 << b
+    for a in range(n):
+        for b in iter_mask(up[a]):
+            if a != b and (up[b] >> a) & 1:
+                raise SystemValidationError("antisymmetry", witness=(a, b))
+            if up[b] & ~up[a]:
+                c = next(iter_mask(up[b] & ~up[a]))
+                raise SystemValidationError("transitivity", witness=(a, b, c))
+    for a in range(n):
+        for b in iter_mask(up[a]):
+            if not (up[inv[b]] >> inv[a]) & 1:
+                raise SystemValidationError("involution-order-reversing", witness=(a, b))
+    if labels is None:
+        labels = [str(i) for i in range(n)]
+    return SeparationSystem(inv, up, labels)
+
+
 # -- triviality, by the definition ---------------------------------------------
 
 

@@ -20,11 +20,12 @@ from oracles import (
     naive_meet_table,
     naive_up_sets,
     pairwise_consistency_witness,
+    pairwise_from_relation,
     pairwise_validate_lattice,
 )
 from test_lattice_rule import LADDER, PLANTED, _cycle, _path, planted
 
-from tanglekit.core import SeparationSystem, transpose
+from tanglekit.core import SeparationSystem, iter_mask, transpose
 from tanglekit.errors import SystemValidationError
 from tanglekit.fixtures import (
     chain2_system,
@@ -118,6 +119,89 @@ def test_random_universe_up_and_down_sets_are_pairwise():
     for uni, _ in randoms():
         assert list(uni._up) == naive_up_sets(uni, graph=False)
         assert list(uni._down) == naive_down_sets(uni)
+
+
+# -- a relation read into up-sets ------------------------------------------------
+
+
+def relation_of(uni):
+    """The involution of ``uni`` and its pairs a <= b with a != b, in a list."""
+    return uni._inv, [(a, b) for a in range(uni.n_ground)
+                      for b in iter_mask(uni._up[a]) if a != b]
+
+
+def read_both(inv, leq):
+    """``from_relation`` and the pairwise oracle on one relation: the up-sets
+    each built, or the axiom and witness each raised."""
+    out = []
+    for read in (SeparationSystem.from_relation, pairwise_from_relation):
+        try:
+            out.append(read(inv, leq)._up)
+        except SystemValidationError as exc:
+            out.append((exc.axiom, exc.witness))
+    return out
+
+
+def relation_cases():
+    return ([universe(name)[0] for name in list(LADDER) + BIPARTITIONS]
+            + [uni for uni, _ in randoms()])
+
+
+def test_from_relation_is_the_pairwise_reading():
+    rng = random.Random(16)
+    for uni in relation_cases():
+        inv, leq = relation_of(uni)
+        # in any order, with reflexive and repeated pairs
+        leq += [(a, a) for a in range(0, uni.n_ground, 3)] + leq[::5]
+        rng.shuffle(leq)
+        assert read_both(inv, leq) == [uni._up, uni._up]
+
+
+def strictly_between(uni, a, b):
+    return uni._up[a] & uni._down[b] & ~(1 << a | 1 << b)
+
+
+def planted_relation(uni, axiom, rng):
+    """The shuffled relation of ``uni`` with one defect of ``axiom`` at a
+    seeded random place; None when ``uni`` has no place for it."""
+    inv, leq = relation_of(uni)
+    n = uni.n_ground
+    rng.shuffle(leq)
+    if axiom == "unknown-handle":
+        bad = rng.choice([(rng.randrange(n), n + rng.randrange(3)),
+                          (-1 - rng.randrange(3), rng.randrange(n))])
+        leq.insert(rng.randint(0, len(leq)), bad)
+        return inv, leq
+    if axiom == "antisymmetry":  # a reversed pair b <= a beside a <= b
+        places = leq
+    elif axiom == "transitivity":  # drop a <= c, implied by a <= b <= c
+        places = [(a, c) for a, c in leq if strictly_between(uni, a, c)]
+    else:  # drop a cover a <= b of b* <= a*; its mirror b* <= a* stays
+        places = [(a, b) for a, b in leq if b != inv[a] and not strictly_between(uni, a, b)]
+    if not places:
+        return None
+    a, b = rng.choice(places)
+    if axiom == "antisymmetry":
+        leq.insert(rng.randint(0, len(leq)), (b, a))
+    else:
+        leq.remove((a, b))
+    return inv, leq
+
+
+@pytest.mark.parametrize("axiom", ["unknown-handle", "antisymmetry", "transitivity",
+                                   "involution-order-reversing"])
+def test_from_relation_reports_the_pairwise_first_failure(axiom):
+    rng = random.Random(axiom)
+    seen = set()
+    for uni in relation_cases():
+        planted = planted_relation(uni, axiom, rng)
+        if planted is None:
+            continue
+        got, want = read_both(*planted)
+        assert got == want, uni.labels
+        seen.add(want[0])
+    # an added b <= a may break transitivity in an earlier row first
+    assert axiom in seen
 
 
 # -- the consistency witness ------------------------------------------------------

@@ -7,20 +7,34 @@ validator gives the verdict the library must match.
 """
 
 import json
+import sys
+import threading
 import time
 from functools import lru_cache, partial
 
 import pytest
 from oracles import naive_join_table, naive_meet_table, naive_validate_lattice
 
+import tanglekit.universe
 from tanglekit.cli import main
 from tanglekit.core import SeparationSystem
 from tanglekit.errors import SystemValidationError
-from tanglekit.fixtures import chain_universe, random_universes
+from tanglekit.fixtures import chain_universe, graph_tangle_stars, random_universes
+from tanglekit.forbidden import (
+    enumerate_tangles,
+    profile_family,
+    robustness_family,
+    standardize,
+)
+from tanglekit.orderfn import OrderFunction
 from tanglekit.universe import (
     Universe,
     bipartition_universe,
+    corners,
     graph_universe,
+    is_structurally_submodular,
+    is_submodular,
+    restrict_Sk,
     validate_lattice,
 )
 
@@ -177,10 +191,123 @@ def test_random_universe_tables_are_bounds():
 
 def test_deriving_tables_of_a_non_lattice_raises_with_witness():
     s = _diamond_pair()
+    uni = Universe(s._inv, s._up, s.labels)
     with pytest.raises(SystemValidationError) as exc:
-        Universe(s._inv, s._up, s.labels)
+        uni.join(1, 2)
     assert exc.value.axiom == "join-least-upper-bound"
     assert exc.value.witness == (1, 2)
+
+
+# -- the tables are derived on first read, once per universe ----------------------
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """The sizes of the posets whose tables were derived, one per derivation."""
+    calls = []
+    derive = tanglekit.universe._lattice_tables
+
+    def counted(up, inv):
+        calls.append(len(up))
+        return derive(up, inv)
+
+    monkeypatch.setattr(tanglekit.universe, "_lattice_tables", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(LADDER))
+def test_graph_inputs_derive_no_tables(name, derivations):
+    n, edges = LADDER[name]
+    uni, order = graph_universe(range(n), edges)
+    stars = graph_tangle_stars(uni, order, range(n), edges, 2)
+    s2 = restrict_Sk(uni, order, 2)
+    family = standardize(stars, s2)
+    stars.to_json()
+    family.to_json()
+    enumerate_tangles(s2, family, bound=64)
+    assert derivations == []
+
+
+def all_readers(uni, order, view):
+    """Every reader of the tables, on the universe and, where it takes one, on
+    the view ``view`` of it."""
+    for system in (uni, view):
+        is_submodular(system, order)
+        is_structurally_submodular(system, order)
+        robustness_family(system, order)
+        profile_family(system)
+        els = system.elements() or uni.elements()
+        corners(system, els[0], els[-1])
+    robustness_family(uni, order, target=view)
+    profile_family(uni, target=view)
+    uni.join(0, uni.n_ground - 1)
+    uni.meet(0, uni.n_ground - 1)
+    uni.to_json()
+    validate_lattice(uni)
+
+
+def test_explicit_tables_are_never_derived(derivations):
+    made = bipartition_universe([1, 2, 3])
+    join, meet = naive_join_table(made), naive_meet_table(made)
+    leq = [(a, b) for a in range(made.n_ground) for b in range(made.n_ground)
+           if made.leq(a, b)]
+    given = Universe(made._inv, made._up, made.labels, join, meet)
+    checked = Universe.from_tables(made._inv, leq, join, meet, made.labels)
+    for uni in (given, checked, Universe.from_json(checked.to_json())):
+        order = OrderFunction(uni, {s: s for s in uni.seps()})
+        all_readers(uni, order, restrict_Sk(uni, order, 2))
+    assert derivations == []
+
+
+def test_each_universe_derives_its_tables_once(derivations):
+    cases = [graph_universe(range(n), edges) for n, edges in
+             (LADDER["P4"], LADDER["C5"], LADDER["K1,4"])]
+    cases += random_universes(count=5)
+    for uni, order in cases:
+        values = sorted({order.of(h) for h in uni.elements()})
+        view = restrict_Sk(uni, order, values[len(values) // 2])
+        all_readers(uni, order, view)
+        all_readers(uni, order, view)
+    assert derivations == [uni.n_ground for uni, _ in cases]
+
+
+def test_concurrent_first_reads_give_equal_tables():
+    n, edges = LADDER["P5"]
+    uni = graph_universe(range(n), edges)[0]
+    seen = []
+    threads = [threading.Thread(target=lambda: seen.append((uni._join, uni._meet)))
+               for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    join, meet = tanglekit.universe._lattice_tables(uni._up, uni._inv)
+    assert seen == [(tuple(join), tuple(meet))] * 8
+
+
+NON_LATTICE_READERS = {
+    "join": lambda uni: uni.join(0, 5),
+    "meet": lambda uni: uni.meet(0, 5),
+    "to_json": lambda uni: uni.to_json(),
+    "validate_lattice": validate_lattice,
+    "is_submodular": lambda uni: is_submodular(uni, lambda h: 0),
+}
+
+
+@pytest.mark.parametrize("reader", list(NON_LATTICE_READERS))
+def test_every_reader_of_a_non_lattice_raises_with_witness(reader):
+    s = _diamond_pair()
+    uni = Universe(s._inv, s._up, s.labels)
+    for _ in range(2):  # a failed derivation is not kept
+        with pytest.raises(SystemValidationError) as exc:
+            NON_LATTICE_READERS[reader](uni)
+        assert (exc.value.axiom, exc.value.witness) == ("join-least-upper-bound", (1, 2))
 
 
 def test_from_tables_rejects_a_non_lattice():
