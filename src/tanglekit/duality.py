@@ -417,8 +417,8 @@ def lemma_shift_select(system, order, tau, sigma, s):
     cands = list(_eclipsers(system, order, s, mask_of(tau)))
     if not cands:
         raise HypothesisFailure("no member of tau eclipses s")
-    best = min(order.of(r) for r in cands)
-    tier = [r for r in cands if order.of(r) == best]
+    best = min(order.num[r] for r in cands)
+    tier = [r for r in cands if order.num[r] == best]
     maxima = [r for r in tier if not any(x != r and system.lt(r, x) for x in tier)]
     if len(maxima) > 1:
         raise AmbiguousShiftChoice(maxima)

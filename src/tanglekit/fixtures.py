@@ -16,7 +16,7 @@ from .core import SeparationSystem, iter_mask, mask_of
 from .errors import SystemValidationError
 from .forbidden import ForbiddenFamily, _eclipsers
 from .orderfn import OrderFunction
-from .universe import Universe, _graph_sides, graph_universe, subset_universe
+from .universe import Universe, _graph_sides, graph_universe, restrict_Sk, subset_universe
 
 
 def ptriv_system() -> SeparationSystem:
@@ -76,7 +76,7 @@ def graph_tangle_stars(uni, order, vertices, edges, k) -> ForbiddenFamily:
     ends = sorted({(1 << vi[a]) | (1 << vi[b]) for a, b in edges})
     full_e = (1 << len(ends)) - 1
     # a star holds no degenerate separation
-    sk = [h for h in uni.elements() if order.of(h) < k and not uni.is_degenerate(h)]
+    sk = [h for h in restrict_Sk(uni, order, k).elements() if not uni.is_degenerate(h)]
     in_sk = mask_of(sk)
     # per handle: the vertices of its A-side and the edges inside it
     vmask = [a for a, _ in sides]

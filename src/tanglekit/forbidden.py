@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .core import ENUMERATION_BOUND, _orientations, iter_mask, mask_of, orientations_avoiding
-from .universe import handle_values, restrict_Sk
+from .universe import restrict_Sk
 
 FAMILY_SCHEMA = "tanglekit/forbidden-v1"
 
@@ -112,10 +112,8 @@ def enumerate_tangles(system, family, bound=ENUMERATION_BOUND):
 
 def order_thresholds(system, order):
     """One threshold per distinct order value, plus a sentinel above the max."""
-    vals = sorted({order.of(s) for s in system.seps()})
-    if not vals:
-        return [Fraction(0)]
-    return vals + [vals[-1] + 1]
+    vals = sorted({order.num[s] for s in system.seps()})
+    return [Fraction(v, order.den) for v in vals + [vals[-1] + order.den if vals else 0]]
 
 
 def enumerate_tangles_in(system, family, order, bound=ENUMERATION_BOUND):
@@ -162,10 +160,11 @@ def standardize(family, system) -> ForbiddenFamily:
 
 def _eclipsers(system, order, x: int, mask: int, weak=False):
     """The handles y of ``mask`` that eclipse x, ascending: y < x and y has a
-    lower order than x (with ``weak``, no higher).  x's order is read once."""
-    k = order.of(x)
+    lower order than x (with ``weak``, no higher)."""
+    num = order.num
+    k = num[x]
     for y in iter_mask(system._below(mask, x)):
-        if order.of(y) <= k if weak else order.of(y) < k:
+        if num[y] <= k if weak else num[y] < k:
             yield y
 
 
@@ -272,7 +271,7 @@ def robustness_family(uni, order, target=None) -> ForbiddenFamily:
     """
     target = uni if target is None else target
     g = uni.ground
-    val = handle_values(g, order)
+    val = order.num
     seps = uni.seps()
     out = set()
     for r in uni.elements():

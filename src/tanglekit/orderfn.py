@@ -1,12 +1,13 @@
 """Order functions on separations and the injective submodular refinement.
 
-Orders are exact rationals throughout; the base-3 perturbation values are
-exact big integers, so no threshold comparison anywhere in the package ever
-goes through floating point.
+An order function holds its exact rational values as integers over one
+common denominator, and the base-3 perturbation values are exact big
+integers, so no order comparison in the package goes through floating point.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import itemgetter
 
@@ -14,7 +15,7 @@ from .core import ENUMERATION_BOUND, SeparationSystem
 from .errors import (InputError, NonSubmodularOrder, PreconditionError, SystemValidationError,
                      UnknownHandle)
 from .forbidden import enumerate_tangles, order_thresholds
-from .universe import handle_values, is_submodular, restrict_Sk
+from .universe import is_submodular, restrict_Sk
 
 ORDER_SCHEMA = "tanglekit/order-v1"
 
@@ -22,48 +23,67 @@ ORDER_SCHEMA = "tanglekit/order-v1"
 class OrderFunction:
     """Map from unoriented separations of a ground system to rationals.
 
-    Both orientations of a separation share its value.  Keys are canonical
-    handles of the ground system, so one order function serves every
-    restricted view of that system.
+    Both orientations of a separation share its value, and either may be the
+    key.  The value of handle h is num[h] / den, over one common denominator,
+    so one order function serves every restricted view of its ground.
     """
 
     def __init__(self, system: SeparationSystem, values):
-        self.system = system.ground
-        vals = {}
-        for sep, v in values.items():
-            if not (0 <= sep < self.system.n_ground):
-                raise UnknownHandle(sep)
-            vals[self.system.sep(sep)] = Fraction(v)
-        missing = [s for s in self.system.seps() if s not in vals]
+        g = self.system = system.ground
+        fracs = [None] * g.n_ground
+        for h, v in values.items():
+            if not (0 <= h < g.n_ground):
+                raise UnknownHandle(h)
+            v = Fraction(v)
+            for t in (h, g.inv(h)):
+                if fracs[t] is None:
+                    fracs[t] = v
+                elif fracs[t] != v:
+                    raise SystemValidationError("order-orientations-disagree", witness=h)
+        missing = [s for s in g.seps() if fracs[s] is None]
         if missing:
             raise SystemValidationError("order-function-total", witness=missing[0])
-        self._values = vals
+        self.den = math.lcm(*(f.denominator for f in fracs))
+        self.num = [f.numerator * (self.den // f.denominator) for f in fracs]
+
+    @classmethod
+    def _of_num(cls, system, num, den) -> "OrderFunction":
+        """The order function num[h] / den, for a vector already symmetric."""
+        order = cls.__new__(cls)
+        order.system, order.num, order.den = system.ground, num, den
+        return order
 
     @classmethod
     def constant(cls, system, value=0):
         return cls(system, {s: Fraction(value) for s in system.ground.seps()})
 
     def of(self, h: int) -> Fraction:
-        return self._values[self.system.sep(h)]
+        return Fraction(self.num[h], self.den)
 
     __call__ = of
 
+    def cut(self, k) -> int:
+        """The integer ceil(k * den): num[h] < cut(k) exactly when of(h) < k."""
+        k = Fraction(k)
+        return -(-k.numerator * self.den // k.denominator)
+
     def values_on(self, system) -> dict:
-        return {s: self._values[s] for s in system.seps()}
+        return {s: self.of(s) for s in system.seps()}
 
     def is_injective_on(self, system) -> bool:
-        vals = list(self.values_on(system).values())
+        vals = [self.num[s] for s in system.seps()]
         return len(vals) == len(set(vals))
 
     def scaled(self, c) -> "OrderFunction":
         c = Fraction(c)
-        return OrderFunction(self.system, {s: c * v for s, v in self._values.items()})
+        return OrderFunction._of_num(self.system, [v * c.numerator for v in self.num],
+                                     self.den * c.denominator)
 
     def to_json(self) -> dict:
         return {
             "schema": ORDER_SCHEMA,
             "orders": {str(s): f"{v.numerator}/{v.denominator}"
-                       for s, v in sorted(self._values.items())},
+                       for s, v in self.values_on(self.system).items()},
         }
 
     @classmethod
@@ -86,7 +106,7 @@ class OrderFunction:
         return cls(system, values)
 
     def __repr__(self):
-        return f"<OrderFunction on {len(self._values)} seps>"
+        return f"<OrderFunction on {len(self.system.seps())} seps>"
 
 
 class Enumeration(OrderFunction):
@@ -99,9 +119,6 @@ class Enumeration(OrderFunction):
                                         witness=sorted(ranks.values()))
         super().__init__(system, ranks)
         self.ranks = ranks
-
-    def rank(self, h: int) -> int:
-        return self.ranks[self.system.sep(h)]
 
 
 def parse_threshold(text):
@@ -120,9 +137,8 @@ def parse_threshold(text):
 
 def refines(o2, o1, system=None):
     """o2 refines o1: o1(r) < o1(s) implies o2(r) < o2(s).  Witness pair on failure."""
-    sys = o1.system if system is None else system
-    seps = sys.seps()
-    v1, v2 = handle_values(sys.ground, o1), handle_values(sys.ground, o2)
+    seps = (o1.system if system is None else system).seps()
+    v1, v2 = o1.num, o2.num
     for r in seps:
         r1, r2 = v1[r], v2[r]
         for s in seps:
@@ -205,11 +221,10 @@ def _numeral(digits: str, base: int) -> int:
 
 def symmetrize(uni, fn) -> OrderFunction:
     """The order function s -> u(s->) + u(s<-) induced by a function on U->."""
-    val = fn.of if hasattr(fn, "of") else fn
     out = {}
     for s in uni.seps():
         ors = uni.orientations(s)
-        out[s] = Fraction(val(ors[0])) + Fraction(val(ors[-1]))
+        out[s] = Fraction(fn(ors[0])) + Fraction(fn(ors[-1]))
     return OrderFunction(uni, out)
 
 
@@ -230,17 +245,15 @@ def refine_injective(uni, o: OrderFunction, iota=None) -> OrderFunction:
     if not ok:
         raise NonSubmodularOrder(f"witness pair {witness}")
     gamma3 = _gamma_fn(uni, 3, default_iota(uni) if iota is None else iota)
-    vals = o.values_on(uni)
-    distinct = sorted(set(vals.values()))
+    distinct = sorted(set(o.num))
     gaps = [b - a for a, b in zip(distinct, distinct[1:])]
-    eps = min(gaps) if gaps else Fraction(1)
-    m = len(uni.elements())
-    scale = Fraction(eps, 2 * 3 ** m)
-    out = {}
+    eps = min(gaps) if gaps else o.den  # over o.den, as is every numerator here
+    d = 2 * 3 ** len(uni.elements())  # the result is over o.den * d
+    out = [0] * uni.n_ground
     for s in uni.seps():
         ors = uni.orientations(s)
-        out[s] = vals[s] + scale * (gamma3(ors[0]) + gamma3(ors[-1]))
-    return OrderFunction(uni, out)
+        out[ors[0]] = out[ors[-1]] = o.num[s] * d + eps * (gamma3(ors[0]) + gamma3(ors[-1]))
+    return OrderFunction._of_num(uni, out, o.den * d)
 
 
 def enumeration_refinement(uni, o: OrderFunction, iota=None) -> Enumeration:
@@ -250,7 +263,7 @@ def enumeration_refinement(uni, o: OrderFunction, iota=None) -> Enumeration:
     1..|U|; structural submodularity survives the composition.
     """
     o2 = refine_injective(uni, o, iota=iota)
-    seps = sorted(uni.seps(), key=o2.of)
+    seps = sorted(uni.seps(), key=o2.num.__getitem__)
     return Enumeration(uni, {s: i + 1 for i, s in enumerate(seps)})
 
 
@@ -261,13 +274,11 @@ def tangles_preserved_under_refinement(system, family, o, o2, bound=ENUMERATION_
     the maximum).  Returns (ok, witness); the witness names the threshold and
     tangle that fail.
     """
-    o2_tangles = {}
+    o2_tangles = set()
     for k2 in order_thresholds(system, o2):
-        sub2 = restrict_Sk(system, o2, k2)
-        o2_tangles[k2] = set(enumerate_tangles(sub2, family, bound=bound))
+        o2_tangles.update(enumerate_tangles(restrict_Sk(system, o2, k2), family, bound=bound))
     for k in order_thresholds(system, o):
-        sub = restrict_Sk(system, o, k)
-        for tau in enumerate_tangles(sub, family, bound=bound):
-            if not any(tau in ts for ts in o2_tangles.values()):
+        for tau in enumerate_tangles(restrict_Sk(system, o, k), family, bound=bound):
+            if tau not in o2_tangles:
                 return False, (k, tau)
     return True, None

@@ -9,6 +9,7 @@ tree, and the layered variant off the pruned tree of maximal tangles.
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
 
 from .core import ENUMERATION_BOUND
 from .errors import HypothesisFailure, NonInjectiveOrder, TheoremViolation
@@ -50,13 +51,10 @@ def distinguisher_report(system, order, tangles) -> DistinguisherReport:
             ds = frozenset(
                 s for s in system.seps()
                 if system.distinguishes(s, tangles[i], tangles[j]))
-            if ds:
-                m = min(order.of(s) for s in ds)
-                opt = frozenset(s for s in ds if order.of(s) == m)
-                union |= opt
-            else:
-                m, opt = None, frozenset()
-            pairs[(i, j)] = PairReport(ds, m, opt)
+            m = min((order.num[s] for s in ds), default=None)
+            opt = frozenset(s for s in ds if order.num[s] == m)
+            union |= opt
+            pairs[(i, j)] = PairReport(ds, None if m is None else Fraction(m, order.den), opt)
     return DistinguisherReport(pairs=pairs, optimal_union=frozenset(union))
 
 

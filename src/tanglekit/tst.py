@@ -17,6 +17,7 @@ reduce_irreducible.
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
 
 from .core import ENUMERATION_BOUND, _bounded_seps, iter_mask, mask_of
 from .errors import (
@@ -166,7 +167,7 @@ def _least_unoriented(system, order, closure):
     leaves unoriented; None when it orients them all."""
     oriented = {system.sep(h) for h in closure}
     return min((s for s in system.seps() if s not in oriented),
-               key=lambda t: (order.of(t), t), default=None)
+               key=lambda t: (order.num[t], t), default=None)
 
 
 def classify_leaf(tree, family, leaf) -> LeafClass:
@@ -253,12 +254,13 @@ def beta_path(tree, v) -> frozenset:
 def is_ordered(tree, order) -> bool:
     """No non-leaf orients a separation of lower order than its parent does;
     by transitivity, than any ancestor does."""
-    return all(order.of(tree.node_sep(tree.parent[v])) <= order.of(tree.node_sep(v))
+    num = order.num
+    return all(num[tree.node_sep(tree.parent[v])] <= num[tree.node_sep(v)]
                for v in tree.nodes() if tree.parent[v] >= 0 and not tree.is_leaf(v))
 
 
 def is_thoroughly_ordered(tree, order) -> bool:
-    sys = tree.system
+    sys, num = tree.system, order.num
     for v in tree.nodes():
         sv = tree.node_sep(v)
         if sv is None:
@@ -268,7 +270,7 @@ def is_thoroughly_ordered(tree, order) -> bool:
         if sv in oriented:
             return False
         unoriented = [s for s in sys.seps() if s not in oriented]
-        if order.of(sv) != min(order.of(s) for s in unoriented):
+        if num[sv] != min(num[s] for s in unoriented):
             return False
     return True
 
@@ -493,9 +495,9 @@ def _leaf_class_in_s(tree, family, order, leaf) -> LeafClass:
     s = _least_unoriented(sys, order, cl)
     if s is None:
         return LeafClass(LEAF_TANGLE, cl) if avoids(cl, family) else _UNRESOLVED
-    k = order.of(s)
-    tau = frozenset(h for h in cl if order.of(h) < k)
-    sub = restrict_Sk(sys, order, k)
+    num, k = order.num, order.num[s]
+    tau = frozenset(h for h in cl if num[h] < k)
+    sub = restrict_Sk(sys, order, Fraction(k, order.den))
     if not sub.is_orientation(tau) or not avoids(tau, family):
         return _UNRESOLVED
     if any(family.first_inside(beta | {h}) is None for h in sys.orientations(s)):

@@ -305,32 +305,24 @@ def graph_universe(vertices, edges, bound: int = 8):
                   _supersets([full ^ a for a, _ in sides], len(verts))))
     names = _side_names(verts)
     uni = Universe(inv, up, [names[a] + "|" + names[b] for a, b in sides])
-    orders = [Fraction(c) for c in range(len(verts) + 1)]
-    order = OrderFunction(
-        uni, {i: orders[(a & b).bit_count()]
-              for i, (a, b) in enumerate(sides) if i <= inv[i]})
-    return uni, order
+    # the order |A & B| is the same for (A, B) and (B, A)
+    return uni, OrderFunction._of_num(uni, [(a & b).bit_count() for a, b in sides], 1)
 
 
 def restrict_Sk(system: SeparationSystem, order, k) -> SeparationSystem:
     """The subsystem of separations of order < k (k=None means everything)."""
     if k is None:
         return system.restrict(system.members)
-    m = 0
-    for h in system.elements():
-        if order.of(h) < k:
-            m |= 1 << h
-    return system.restrict(m)
+    num, cut = order.num, order.cut(k)
+    return system.restrict(h for h in system.elements() if num[h] < cut)
 
 
 def is_order_threshold_restriction(system, order) -> bool:
     """True iff every member has a lower order than every non-member of the ground."""
-    inside = [order.of(h) for h in system.elements()]
-    outside = [order.of(h) for h in system.ground.elements()
-               if not system.contains(h)]
-    if not inside or not outside:
-        return True
-    return max(inside) < min(outside)
+    num = order.num
+    inside = [num[h] for h in system.elements()]
+    outside = [num[h] for h in system.ground.elements() if not system.contains(h)]
+    return not inside or not outside or max(inside) < min(outside)
 
 
 # -- submodularity -----------------------------------------------------------
@@ -346,13 +338,13 @@ def _universe_of(system):
 def handle_values(ground, fn):
     """``fn`` on every handle of ``ground``, as integers over one common denominator.
 
-    ``fn`` is an order function or any callable on handles.  Every value is
-    scaled by the same positive integer (the lcm of the Fraction
-    denominators), so ``<``, ``<=`` and sums of values compare exactly as the
-    Fractions do, at integer speed.
+    An order function holds them as ``num``.  Any other callable on handles
+    is read once per handle, and its values scaled by their least common
+    denominator, so ``<``, ``<=`` and sums compare exactly as Fractions do.
     """
-    val = fn.of if hasattr(fn, "of") else fn
-    fracs = [Fraction(val(h)) for h in range(ground.n_ground)]
+    if hasattr(fn, "num"):
+        return fn.num
+    fracs = [Fraction(fn(h)) for h in range(ground.n_ground)]
     den = math.lcm(*(f.denominator for f in fracs))
     return [f.numerator * (den // f.denominator) for f in fracs]
 

@@ -758,6 +758,20 @@ def test_order_json_malformed_exit_1(plain_system, capsys, orders, axiom, witnes
     assert err["witness"] == repr(witness)
 
 
+def test_order_json_orientations_disagree_exit_1(workdir, capsys):
+    # P3: handles 0 and 9 are the two orientations of ({a,b,c}, {})
+    u, o = p3_universe()
+    orders = {**o.to_json()["orders"], "0": "1", "9": "7"}
+    (workdir / "bad.json").write_text(json.dumps(
+        {"schema": "tanglekit/order-v1", "orders": orders}))
+    code, out = run(workdir, "validate", "--input", str(workdir / "p3.graph"),
+                    "--order", str(workdir / "bad.json"))
+    assert code == 1 and not (out / "validate.json").exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["axiom"] == "order-orientations-disagree"
+    assert err["witness"] == repr(9)
+
+
 def old_parser():
     """The CLI parser as it was built with one subparser per command."""
     import argparse

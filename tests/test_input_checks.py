@@ -122,6 +122,24 @@ def test_order_function_must_be_total():
     assert got == ("order-function-total", 2)
 
 
+def test_order_function_orientations_must_agree():
+    # P3: handle 9 is the inverse of handle 0, so the two keys name one separation
+    u, o = p3_universe()
+    values = {s: o.of(s) for s in u.seps()}
+    got = axiom_and_witness(lambda: OrderFunction(u, {**values, 0: 1, 9: 7}))
+    assert got == ("order-orientations-disagree", 9)
+    orders = {**{str(s): str(v) for s, v in values.items()}, "0": "1", "9": "7"}
+    got = axiom_and_witness(lambda: OrderFunction.from_json(u, {"orders": orders}))
+    assert got == ("order-orientations-disagree", 9)
+    # either orientation may be the key, and both may be when they agree
+    del values[0]
+    want = OrderFunction(u, {**values, 0: 5}).to_json()
+    for keyed in ({**values, 9: 5}, {**values, 0: 5, 9: 5}, {**values, 9: 5, 0: 5}):
+        order = OrderFunction(u, keyed)
+        assert order.of(0) == order.of(9) == 5
+        assert order.to_json() == want
+
+
 def test_order_json_without_orders_is_a_schema_error():
     axiom, _ = axiom_and_witness(lambda: OrderFunction.from_json(chain2_system(), {}))
     assert axiom == "schema"

@@ -2,10 +2,12 @@
 
 ``is_submodular``, ``is_structurally_submodular`` and ``refines`` compare
 order values as integers over a common denominator; the oracles in
-``oracles.py`` look every value up as a Fraction, pair by pair.  The guard
-test at the end keeps the library at one lookup per handle.
+``oracles.py`` look every value up as a Fraction, pair by pair.  An order
+function holds those integers, ``num`` over ``den``; the guard test at the
+end keeps the checks from looking any value up as a Fraction.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -19,7 +21,15 @@ from tanglekit.fixtures import (
     random_universes,
 )
 from tanglekit.forbidden import robustness_family
-from tanglekit.orderfn import Enumeration, OrderFunction, indicator, refine_injective, refines
+from tanglekit.orderfn import (
+    Enumeration,
+    OrderFunction,
+    default_iota,
+    gamma,
+    indicator,
+    refine_injective,
+    refines,
+)
 from tanglekit.universe import (
     bipartition_universe,
     graph_universe,
@@ -141,23 +151,83 @@ def test_planted_orders_agree_with_oracle():
     assert all(failures.values()), failures
 
 
-def test_handle_values_keep_comparisons_exact():
-    uni, o = p3_universe()
+def graph_order_values(uni):
+    """|A n B| for every handle of a graph universe, read off its label "{..}|{..}"."""
+    sides = [[set(x.strip("{}").split(",")) - {""} for x in uni.label(h).split("|")]
+             for h in range(uni.n_ground)]
+    return [Fraction(len(a & b)) for a, b in sides]
+
+
+def refined_values(uni, vals):
+    """refine_injective's values by its Fraction definition, from the values ``vals``."""
+    distinct = sorted(set(vals))
+    eps = min((b - a for a, b in zip(distinct, distinct[1:])), default=Fraction(1))
+    scale, iota = eps / (2 * 3 ** len(uni.elements())), default_iota(uni)
+    return [v + scale * (gamma(uni, 3, iota, h) + gamma(uni, 3, iota, uni.inv(h)))
+            for h, v in enumerate(vals)]
+
+
+def exactness_orders():
+    """(universe, order, its value on each handle computed apart from it), for the
+    orders of every kind the package builds, on universes of up to 113 handles."""
     rng = random.Random(4)
-    bad = random_rational_order(uni, rng)
-    ints = handle_values(uni, bad)
-    fracs = [bad.of(h) for h in range(uni.n_ground)]
-    assert all(isinstance(v, int) for v in ints)
-    # one positive scale for every value keeps each <, <= and sum comparison
-    nonzero = next(h for h in range(uni.n_ground) if fracs[h])
-    scale = ints[nonzero] / fracs[nonzero]
-    assert scale > 0 and all(i == scale * f for i, f in zip(ints, fracs))
+    cases = [(u, o, graph_order_values(u))
+             for u, o in (p3_universe(), ladder_graph("C4"), ladder_graph("K1,4"))]
+    cases += [(u, o, [o.of(h) for h in range(u.n_ground)])
+              for u, o in random_universes(count=5, seed=11)]
+    out = []
+    for uni, o, vals in cases:
+        per_sep = {s: Fraction(rng.randint(0, 6), rng.randint(1, 6)) for s in uni.seps()}
+        bad = [per_sep[uni.sep(h)] for h in range(uni.n_ground)]
+        out += [(uni, o, vals), (uni, OrderFunction(uni, per_sep), bad),
+                (uni, OrderFunction(uni, per_sep).scaled(Fraction(3, 7)),
+                 [Fraction(3, 7) * v for v in bad]),
+                (uni, o.scaled(Fraction(5, 2)), [Fraction(5, 2) * v for v in vals]),
+                (uni, refine_injective(uni, o), refined_values(uni, vals))]
+        seps = uni.seps()
+        rng.shuffle(seps)
+        ranks = {s: i + 1 for i, s in enumerate(seps)}
+        out.append((uni, Enumeration(uni, ranks),
+                    [Fraction(ranks[uni.sep(h)]) for h in range(uni.n_ground)]))
+    return out
 
 
-# -- one lookup per handle ---------------------------------------------------------
+def test_handle_values_keep_comparisons_exact():
+    for uni, order, fracs in exactness_orders():
+        assert [order.of(h) for h in range(uni.n_ground)] == fracs
+        num, den = order.num, order.den
+        assert den > 0 and all(isinstance(v, int) for v in num)
+        assert handle_values(uni, order) is num
+        # a plain callable is converted to the same vector up to one positive scale
+        plain = handle_values(uni, lambda h: order.of(h))
+        r = max(range(uni.n_ground), key=lambda h: abs(num[h]))
+        scale = Fraction(plain[r], num[r]) if num[r] else 1
+        assert scale > 0 and plain == [scale * v for v in num]
+        for a in range(uni.n_ground):
+            for b in range(uni.n_ground):
+                assert (num[a] < num[b]) == (fracs[a] < fracs[b]), (a, b)
+                assert (num[a] == num[b]) == (fracs[a] == fracs[b]), (a, b)
+                assert Fraction(num[a] + num[b], den) == fracs[a] + fracs[b], (a, b)
+        # thresholds: every value, between adjacent values, below and above
+        values = sorted(set(fracs))
+        ks = values + [(x + y) / 2 for x, y in zip(values, values[1:])]
+        ks += [values[0] - 1, values[0] - Fraction(1, 3 * den), values[-1] + 1]
+        for k in ks:
+            cut = order.cut(k)
+            assert [n < cut for n in num] == [f < k for f in fracs], k
+        for k in range(int(values[0]) - 1, int(values[-1]) + 2):
+            assert [n < order.cut(k) for n in num] == [f < k for f in fracs], k
+        text = json.dumps(order.to_json())
+        again = OrderFunction.from_json(uni, json.loads(text))
+        assert json.dumps(again.to_json()) == text
+        assert [again.of(h) for h in range(uni.n_ground)] == fracs
+
+
+# -- no value lookups --------------------------------------------------------------
 
 
 def test_order_checks_look_each_handle_up_once(monkeypatch):
+    # the checks compare the integer vector ``num``: none rebuilds a Fraction
     uni, o = ladder_graph("P6")
     o2 = refine_injective(uni, o)
     calls = {}
@@ -178,5 +248,4 @@ def test_order_checks_look_each_handle_up_once(monkeypatch):
     for name, check in checks.items():
         calls.clear()
         check()
-        assert calls, name
-        assert max(calls.values()) <= uni.n_ground, (name, calls)
+        assert sum(calls.values()) == 0, (name, calls)

@@ -91,6 +91,37 @@ def test_one_eclipse_definition_in_package():
     assert not found, f"eclipse comparisons outside _eclipsers: {found}"
 
 
+# The sites outside orderfn that may read order values through ``of`` or
+# ``handle_values``: the two U-wide checks, which also take plain callables.
+ORDER_VALUE_READERS = {("universe.py", "is_submodular"),
+                       ("universe.py", "is_structurally_submodular")}
+
+
+def nodes_in_functions(node, fn=None):
+    """Each node below ``node``, with the name of its innermost enclosing function."""
+    for child in ast.iter_child_nodes(node):
+        yield child, fn
+        inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from nodes_in_functions(child, child.name if inner else fn)
+
+
+def test_order_values_compared_as_integers_outside_orderfn():
+    # an order function holds integers, ``num`` over ``den``; no other module
+    # turns them back into Fractions to compare them
+    found = []
+    for path, tree in package_trees():
+        if path.name == "orderfn.py":
+            continue
+        for node, fn in nodes_in_functions(tree):
+            name = getattr(node, "attr", getattr(node, "id", None))
+            if (isinstance(node, ast.Attribute) and name == "of"
+                    or isinstance(node, (ast.Name, ast.Attribute))
+                    and name == "handle_values") and (
+                        path.name, fn) not in ORDER_VALUE_READERS:
+                found.append(f"{path.name}:{node.lineno} {fn} reads {name}")
+    assert not found, f"order values read outside orderfn: {found}"
+
+
 def test_every_module_level_import_is_used():
     # an import that nothing in its module reads is left over from code that
     # has gone; a package module's __all__ counts as a use
@@ -140,7 +171,7 @@ REPO = Path(__file__).resolve().parent.parent
 def referenced_names():
     """Every name used in src/, tests/ or benchmark/: names, attributes,
     imported names, and each part of a string constant that is a dotted name
-    (the tracer names spans "orderfn.Enumeration.rank")."""
+    (the tracer names spans "orderfn.OrderFunction.of")."""
     names = set()
     for folder in ("src", "tests", "benchmark"):
         for path in sorted((REPO / folder).rglob("*.py")):
