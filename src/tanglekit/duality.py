@@ -28,13 +28,7 @@ from .errors import (
     TheoremViolation,
     TrivialElementsPresent,
 )
-from .forbidden import (
-    _eclipsers,
-    f_eff,
-    is_rich,
-    is_standard,
-    orientations_with_members,
-)
+from .forbidden import _eclipsers, _replacements, f_eff, is_rich, is_standard
 from .orderfn import refine_injective, refines
 from .tst import (
     LEAF_FORBIDDEN,
@@ -428,24 +422,16 @@ def lemma_shift_select(system, order, tau, sigma, s):
     return r, shift_star(system, r, s, sigma)
 
 
-def closed_under_shifting(system, family, order, bound=ENUMERATION_BOUND):
-    """Shift-closure check, quantified over every consistent orientation.
-
-    For every family star inside an orientation and every weakly eclipsing,
-    emulating member, the shifted star must lie in the family.  Witness is
-    (tau, sigma, s, r) on failure, with the least s, then the least r.
-    """
+def closed_under_shifting(system, family, order):
+    """Shift closure: for every (sigma, s, r) of ``forbidden._replacements``
+    with s neither trivial nor degenerate and r emulating s, the shifted star
+    is a member; witness (sigma, s, r) of the first failure."""
     _check_star_family(system, family)
-    for tau, inside in orientations_with_members(system, family, bound):
-        tau_mask = mask_of(tau)
-        for sigma in inside:
-            for s in sorted(sigma):
-                if system.is_trivial(s) or system.is_degenerate(s):
-                    continue
-                for r in _eclipsers(system, order, s, tau_mask, weak=True):
-                    if (emulates(system, r, s)
-                            and shift_star(system, r, s, sigma) not in family.sets):
-                        return False, (tau, sigma, s, r)
+    for sigma, s, r in _replacements(system, family, order):
+        if (not (system.is_trivial(s) or system.is_degenerate(s))
+                and emulates(system, r, s)
+                and shift_star(system, r, s, sigma) not in family.sets):
+            return False, (sigma, s, r)
     return True, None
 
 
@@ -547,7 +533,7 @@ def newduality(uni, order, ell, family, bound=ENUMERATION_BOUND,
     _check_star_family(system, family)
     if not is_order_threshold_restriction(system, o2):
         raise HypothesisFailure("refined order does not keep S of threshold form")
-    ok, witness = closed_under_shifting(system, family, o2, bound=bound)
+    ok, witness = closed_under_shifting(system, family, o2)
     if not ok:
         raise HypothesisFailure(f"family not closed under shifting; witness {witness}")
     result = dichotomy(system, o2, family, bound=bound,

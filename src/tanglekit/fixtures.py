@@ -110,9 +110,10 @@ def eclipse_closure(system, family, order) -> ForbiddenFamily:
     """Close a family under weak-eclipse replacement inside consistent sets.
 
     A replacement sigma - {x} + {y} is added whenever y weakly eclipses x and
-    the enlarged set sigma + {y} is consistent with no co-trivial element
-    (exactly the sets that extend to a consistent orientation).  The result
-    is closed under eclipsing in every consistent orientation, hence rich.
+    the enlarged set sigma + {y} is consistent with no co-trivial element.
+    That admits every set that ``forbidden.extends``, and also sets holding
+    both orientations of a separation, which extend to no orientation.  The
+    result is closed under eclipsing, hence rich.
     """
     sets = set(family.sets)
     frontier = list(sets)

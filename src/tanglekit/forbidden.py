@@ -2,8 +2,9 @@
 
 A family is stored extensionally: a finite set of finite subsets of oriented
 handles, each tagged with its provenance (explicit, or which generator made
-it).  Everything here is written against the brute-force oracles: richness,
-eclipsing-closure and efficiency are all exhaustive checks at desk scale.
+it).  Everything here is written against the brute-force oracles: richness
+and efficiency are exhaustive checks at desk scale, and eclipsing-closure
+loops over the family through the extension test ``extends``.
 """
 
 from __future__ import annotations
@@ -193,44 +194,60 @@ def is_strongly_efficient(system, order, sigma, tau) -> bool:
     return efficiency_witness(system, order, sigma, tau, strong=True) is None
 
 
-def orientations_with_members(system, family, bound=ENUMERATION_BOUND):
-    """(tau, members inside tau) for each consistent orientation tau holding a member.
+def extends(system, sigma) -> bool:
+    """True iff sigma lies in some consistent orientation of the members.
 
-    Members are listed in ``family.sets`` order, so witnesses are stable.  The
-    orientations are generated one at a time, so a check that stops at its
-    first counterexample never holds them all.
+    By the extension lemma (Diestel, *Abstract separation systems*, Order
+    2018), a consistent partial orientation of a finite separation system S
+    extends to a consistent orientation of S exactly when none of its
+    elements is co-trivial in S.  So sigma extends when its handles are
+    members, it holds no separation in both orientations (a degenerate one
+    owns one handle), it is consistent, and no element is co-trivial.
     """
-    for tau in _orientations(system, (), bound):
-        inside = [s for s in family.sets if s <= tau]
-        if inside:
-            yield tau, inside
+    mask = mask_of(sigma)
+    inv = system._inv
+    return (not mask & ~system.members
+            and not any(inv[h] != h and mask >> inv[h] & 1 or system.is_cotrivial(h)
+                        for h in iter_mask(mask))
+            and system.is_consistent(sigma))
 
 
 def is_rich(system, family, order, bound=ENUMERATION_BOUND):
     """Brute force over all consistent orientations; counterexample on failure.
 
     Rich: every consistent orientation with a forbidden subset has a
-    strongly efficient forbidden subset.
+    strongly efficient forbidden subset.  The walk reads only the members
+    that extend, and is not started when none does.
     """
-    for tau, inside in orientations_with_members(system, family, bound):
-        if not any(is_strongly_efficient(system, order, s, tau) for s in inside):
+    live = [s for s in family.sets if extends(system, s)]
+    if not live:
+        return True, None
+    for tau in _orientations(system, (), bound):
+        inside = [s for s in live if s <= tau]
+        if inside and not any(is_strongly_efficient(system, order, s, tau) for s in inside):
             return False, tau
     return True, None
 
 
-def closed_under_eclipsing(system, family, order, bound=ENUMERATION_BOUND):
-    """Replacement closure check, quantified over every consistent orientation.
+def _replacements(system, family, order):
+    """(sigma, x, y) in witness order: each member sigma, x in sigma, and y
+    weakly eclipsing x such that sigma + y extends.  A check over every
+    consistent orientation tau reads tau only through sigma + y <= tau."""
+    for sigma in family:
+        if not extends(system, sigma):
+            continue
+        for x in sorted(sigma):
+            for y in _eclipsers(system, order, x, system.members, weak=True):
+                if extends(system, sigma | {y}):
+                    yield sigma, x, y
 
-    Witness is (tau, sigma, replaced, replacement) for the first failure,
-    with the least replaced handle, then the least replacement.
-    """
-    for tau, inside in orientations_with_members(system, family, bound):
-        tau_mask = mask_of(tau)
-        for sigma in inside:
-            for x in sorted(sigma):
-                for y in _eclipsers(system, order, x, tau_mask, weak=True):
-                    if (sigma - {x}) | {y} not in family.sets:
-                        return False, (tau, sigma, x, y)
+
+def closed_under_eclipsing(system, family, order):
+    """Replacement closure: sigma - x + y is a member for every (sigma, x, y)
+    of ``_replacements``; witness (sigma, x, y) of the first failure."""
+    for sigma, x, y in _replacements(system, family, order):
+        if (sigma - {x}) | {y} not in family.sets:
+            return False, (sigma, x, y)
     return True, None
 
 

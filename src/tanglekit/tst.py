@@ -405,39 +405,27 @@ def displayed_tangles(tree, family) -> frozenset:
                      if c.kind == LEAF_TANGLE)
 
 
-def _canonical_tree(system, root, kids_of, label_of) -> SeparationTree:
-    """Renumber a tree given as dicts into DFS order with label-sorted children."""
+def _contract_move(tree, v, keep_child) -> SeparationTree:
+    """Contract the edge v--keep_child and drop the sibling subtrees of v.
+
+    One walk from the root renumbers the result in DFS order, children in
+    label order: at v it takes keep_child's children, elsewhere the node's own.
+    """
+    label = tree.edge_label
     parent, children, labels = [], [], []
-    stack = [(root, -1, -1)]
+    stack = [(tree.root, -1, -1)]
     while stack:
-        old, par_new, lab = stack.pop()
+        old, par, lab = stack.pop()
         new = len(parent)
-        parent.append(par_new)
+        parent.append(par)
         labels.append(lab)
         children.append([])
-        if par_new >= 0:
-            children[par_new].append(new)
-        for w in sorted(kids_of[old], key=lambda u: label_of[u], reverse=True):
-            stack.append((w, new, label_of[w]))
-    return SeparationTree(system, parent, children, labels)
-
-
-def _contract_move(tree, v, keep_child) -> SeparationTree:
-    """Contract the edge v--keep_child and drop the sibling subtrees of v."""
-    drop = set()
-    for w in tree.children[v]:
-        if w != keep_child:
-            drop.update(tree.descendants(w))
-    kids_of, label_of = {}, {}
-    for u in tree.nodes():
-        if u in drop or u == keep_child:
-            continue
-        label_of[u] = tree.edge_label[u]
-        kids_of[u] = (list(tree.children[keep_child]) if u == v
-                      else list(tree.children[u]))
-    for w in tree.children[keep_child]:
-        label_of[w] = tree.edge_label[w]
-    return _canonical_tree(tree.system, tree.root, kids_of, label_of)
+        if par >= 0:
+            children[par].append(new)
+        kids = tree.children[keep_child if old == v else old]
+        stack.extend((w, new, label[w])
+                     for w in sorted(kids, key=label.__getitem__, reverse=True))
+    return SeparationTree(tree.system, parent, children, labels)
 
 
 def reduce_irreducible(tree, family, order) -> SeparationTree:

@@ -33,14 +33,18 @@ def pairwise_consistency_witness(system, sigma):
 
 
 def naive_consistent_orientations(system):
-    """Filter the full 2^m product of orientations by the definition."""
-    seps = system.seps()
-    choices = [system.orientations(s) for s in seps]
-    out = []
-    for pick in product(*choices):
-        if naive_is_consistent(system, pick):
-            out.append(frozenset(pick))
-    return out
+    """Filter the product of orientations by the definition, in product order.
+
+    The product is built one separation at a time.  Consistency asks that no
+    pair points away, so a pick whose pair fails on the first separations
+    fails whatever follows: dropping it there leaves the same list as
+    filtering the full 2^m product.
+    """
+    picks = [()]
+    for s in system.seps():
+        picks = [pick + (h,) for pick in picks for h in system.orientations(s)
+                 if not any(points_away(system, h, x) for x in pick)]
+    return [frozenset(pick) for pick in picks]
 
 
 def naive_avoids(tau, family):
@@ -69,6 +73,55 @@ def naive_eclipse_flags(system, order, r, s):
 def naive_tangles(system, family):
     return [t for t in naive_consistent_orientations(system)
             if naive_avoids(t, family)]
+
+
+# -- closure checks, over every consistent orientation --------------------------
+
+
+def naive_closed_under_eclipsing(system, family, order):
+    """Replacement closure, quantified over every consistent orientation tau:
+    for each member sigma inside tau, x in sigma and y in tau weakly
+    eclipsing x, sigma - x + y must be a member.  Witness (tau, sigma, x, y)
+    of the first failure, taus in product order and members in witness order.
+    """
+    els = system.elements()
+    eclipsers = {x: {y for y in els if naive_eclipse_flags(system, order, y, x)[1]}
+                 for x in els}
+    for tau in naive_consistent_orientations(system):
+        for sigma in family:
+            if not sigma <= tau:
+                continue
+            for x in sorted(sigma):
+                for y in sorted(tau & eclipsers[x]):
+                    if (sigma - {x}) | {y} not in family.sets:
+                        return False, (tau, sigma, x, y)
+    return True, None
+
+
+def naive_closed_under_shifting(system, family, order):
+    """Shift closure, quantified over every consistent orientation tau: for
+    each member star sigma inside tau, s in sigma neither trivial nor
+    degenerate, and r in tau weakly eclipsing s that emulates s, the shifted
+    star must be a member.  Witness (tau, sigma, s, r) of the first failure.
+    """
+    from tanglekit.duality import emulates, shift_star
+
+    els = system.elements()
+    shifts = {s: {r for r in els if naive_eclipse_flags(system, order, r, s)[1]
+                  and emulates(system, r, s)}
+              for s in els if not (naive_is_trivial(system, s) or system.inv(s) == s)}
+    kept = {}  # (sigma, s, r) -> whether the shifted star is a member
+    for tau in naive_consistent_orientations(system):
+        for sigma in family:
+            if not sigma <= tau:
+                continue
+            for s in sorted(sigma):
+                for r in sorted(tau & shifts.get(s, set())):
+                    if (sigma, s, r) not in kept:
+                        kept[sigma, s, r] = shift_star(system, r, s, sigma) in family.sets
+                    if not kept[sigma, s, r]:
+                        return False, (tau, sigma, s, r)
+    return True, None
 
 
 def beta_by_path_walk(tree, node):

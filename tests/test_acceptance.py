@@ -424,7 +424,7 @@ def test_criterion_9_shifting(suite):
                 [{h} for h in system.elements()
                  if not system.is_degenerate(h) and not system.is_trivial(h)])
             fam = ForbiddenFamily([s for s in fam.sets if system.is_star(s)])
-            ok, _ = closed_under_shifting(system, fam, order, bound=25)
+            ok, _ = closed_under_shifting(system, fam, order)
             if ok:
                 closed_seen += 1
                 assert is_rich(system, fam, order, bound=25)[0] or not any(
@@ -434,7 +434,7 @@ def test_criterion_9_shifting(suite):
         s2 = restrict_Sk(p3, o3i, 2)
         fam = standardize(
             graph_tangle_stars(p3, o3, "abc", [("a", "b"), ("b", "c")], 2), s2)
-        ok, _ = closed_under_shifting(s2, fam, o3i, bound=25)
+        ok, _ = closed_under_shifting(s2, fam, o3i)
         assert ok
         assert is_rich(s2, fam, o3i, bound=25)[0]
         assert closed_seen >= 1

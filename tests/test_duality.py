@@ -488,7 +488,7 @@ def test_closed_under_shifting_planted_violation(p3_set):
     fam = ForbiddenFamily([{s}])
     ok, witness = closed_under_shifting(s2, fam, o2)
     assert not ok
-    _, sigma, s_w, r_w = witness
+    sigma, s_w, r_w = witness
     assert sigma == frozenset({s}) and s_w == s
     assert frozenset({r_w}) not in fam.sets
 

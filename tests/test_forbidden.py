@@ -265,7 +265,7 @@ def test_closed_under_eclipsing_planted_violation(chain2):
     o = OrderFunction(chain2, {0: 1, 2: 2})
     ok, witness = closed_under_eclipsing(chain2, ForbiddenFamily([{2}]), o)
     assert not ok
-    tau, sigma, replaced, replacement = witness
+    sigma, replaced, replacement = witness
     assert sigma == frozenset({2}) and replaced == 2 and replacement == 0
 
 

@@ -122,6 +122,25 @@ def test_order_values_compared_as_integers_outside_orderfn():
     assert not found, f"order values read outside orderfn: {found}"
 
 
+# The readers of the orientation search, each of which needs whole
+# orientations: the list of them, richness, and the dichotomy's tangle.
+ORIENTATION_SEARCHERS = {("core.py", "orientations_avoiding"), ("forbidden.py", "is_rich"),
+                         ("duality.py", "dichotomy")}
+
+
+def test_orientation_search_only_where_whole_orientations_are_needed():
+    # whether a set lies in some consistent orientation is forbidden.extends,
+    # a test on the set alone; nothing else walks the orientations for it
+    found = []
+    for path, tree in package_trees():
+        for node, fn in nodes_in_functions(tree):
+            name = getattr(node, "attr", getattr(node, "id", None))
+            if (isinstance(node, (ast.Name, ast.Attribute)) and name == "_orientations"
+                    and (path.name, fn) not in ORIENTATION_SEARCHERS):
+                found.append(f"{path.name}:{node.lineno} {fn} reads {name}")
+    assert not found, f"orientation searches outside their readers: {found}"
+
+
 def test_every_module_level_import_is_used():
     # an import that nothing in its module reads is left over from code that
     # has gone; a package module's __all__ counts as a use
