@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, reduce
-from itertools import chain
+from itertools import chain, repeat
 from operator import or_
 
 from .errors import BoundExceeded, InconsistentSet, SystemValidationError, UnknownHandle
@@ -70,9 +70,14 @@ class SeparationSystem:
 
     Build ground systems with :meth:`from_relation` (validates the axioms) or
     :meth:`from_json`; derive subsystems with :meth:`restrict`.
+
+    A ground system takes its down-sets as ``down`` when the caller has them:
+    ``down`` must be the transpose of ``up`` (bit b of ``down[a]`` is bit a of
+    ``up[b]``), and is not checked.  Without it, they are transposed from
+    ``up``.  A view (``ground`` given) shares its ground's and takes none.
     """
 
-    def __init__(self, inv, up, labels, members=None, ground=None):
+    def __init__(self, inv, up, labels, members=None, ground=None, down=None):
         self._inv = tuple(inv)
         self._up = tuple(up)
         self.labels = tuple(labels)
@@ -85,7 +90,7 @@ class SeparationSystem:
         # down[a] = mask of b <= a; incompat[x] = handles y of other separations
         # with y <= x* (the "point away from each other" test).
         if ground is None:
-            self._down = tuple(transpose(self._up, self.n_ground))
+            self._down = tuple(transpose(self._up, self.n_ground) if down is None else down)
             pairs = [(1 << x) | (1 << i) for x, i in enumerate(self._inv)]
             self._incompat = tuple(self._down[i] & ~pair for i, pair in zip(self._inv, pairs))
             # req[x] = handles strictly above x with a different underlying
@@ -386,11 +391,9 @@ class SeparationSystem:
                 {"id": i, "inv": self._inv[i], "label": self.labels[i]}
                 for i in range(self.n_ground)
             ],
-            "leq": sorted(
-                (a, b)
-                for a in range(self.n_ground)
-                for b in iter_mask(self._up[a])
-            ),
+            # row by row, each ascending: the pairs in (a, b) order
+            "leq": list(chain.from_iterable(
+                zip(repeat(a), iter_mask(up)) for a, up in enumerate(self._up))),
         }
         if self.members != (1 << self.n_ground) - 1:
             obj["members"] = sorted(iter_mask(self.members))

@@ -11,6 +11,7 @@ the first place.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache, partial
 from itertools import product
 
 from .core import ENUMERATION_BOUND, _bounded_seps, _orientations, mask_of
@@ -427,9 +428,10 @@ def closed_under_shifting(system, family, order):
     with s neither trivial nor degenerate and r emulating s, the shifted star
     is a member; witness (sigma, s, r) of the first failure."""
     _check_star_family(system, family)
+    emulating = cache(partial(emulates, system))  # one test per (r, s)
     for sigma, s, r in _replacements(system, family, order):
         if (not (system.is_trivial(s) or system.is_degenerate(s))
-                and emulates(system, r, s)
+                and emulating(r, s)
                 and shift_star(system, r, s, sigma) not in family.sets):
             return False, (sigma, s, r)
     return True, None

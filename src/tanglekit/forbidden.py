@@ -205,11 +205,18 @@ def extends(system, sigma) -> bool:
     owns one handle), it is consistent, and no element is co-trivial.
     """
     mask = mask_of(sigma)
-    inv = system._inv
-    return (not mask & ~system.members
-            and not any(inv[h] != h and mask >> inv[h] & 1 or system.is_cotrivial(h)
-                        for h in iter_mask(mask))
-            and system.is_consistent(sigma))
+    return not mask & ~system.members and not any(
+        _clashes(system, mask, h) for h in iter_mask(mask))
+
+
+def _clashes(system, mask, h) -> bool:
+    """True iff h and the handles of ``mask`` lie in no consistent orientation
+    for a reason of h's own: h* is in ``mask`` (h not degenerate), some handle
+    of ``mask`` points away from h, or h is co-trivial.  ``incompat`` is
+    symmetric across distinct separations, so the middle test is one row."""
+    i = system._inv[h]
+    return bool(i != h and mask >> i & 1 or system._incompat[h] & mask
+                or system.is_cotrivial(h))
 
 
 def is_rich(system, family, order, bound=ENUMERATION_BOUND):
@@ -232,13 +239,16 @@ def is_rich(system, family, order, bound=ENUMERATION_BOUND):
 def _replacements(system, family, order):
     """(sigma, x, y) in witness order: each member sigma, x in sigma, and y
     weakly eclipsing x such that sigma + y extends.  A check over every
-    consistent orientation tau reads tau only through sigma + y <= tau."""
+    consistent orientation tau reads tau only through sigma + y <= tau.
+    Once sigma extends, sigma + y extends iff the member y does not clash
+    with sigma, so only y is tested."""
     for sigma in family:
         if not extends(system, sigma):
             continue
+        mask = mask_of(sigma)
         for x in sorted(sigma):
             for y in _eclipsers(system, order, x, system.members, weak=True):
-                if extends(system, sigma | {y}):
+                if not _clashes(system, mask, y):
                     yield sigma, x, y
 
 

@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain, islice
-from operator import and_, itemgetter
+from operator import itemgetter
 
-from .core import SeparationSystem, int_cells, iter_mask, transpose
+from .core import SeparationSystem, int_cells, transpose
 from .errors import BoundExceeded, SystemValidationError, UnknownHandle
 
 UNIVERSE_SCHEMA = "tanglekit/universe-v1"
@@ -37,12 +37,16 @@ class Universe(SeparationSystem):
     the poset the first time either is read, and kept.  A pair without a least
     upper (greatest lower) bound then raises SystemValidationError at that
     read, so a poset that is no lattice builds, but none of its tables reads.
+
+    ``down``, when given, must be the transpose of ``up``, and is passed on
+    to ``SeparationSystem``.  Only the generators that know their side masks
+    (``graph_universe``, ``subset_universe``) pass it.
     """
 
     lattice_report = None  # from_tables keeps its validate_lattice report here
 
-    def __init__(self, inv, up, labels, join=None, meet=None):
-        super().__init__(inv, up, labels)
+    def __init__(self, inv, up, labels, join=None, meet=None, down=None):
+        super().__init__(inv, up, labels, down=down)
         if join is not None:
             self._tables = tuple(map(tuple, join)), tuple(map(tuple, meet))
 
@@ -216,11 +220,23 @@ def _side_names(names):
 
 
 def _supersets(sides, width):
-    """For each side (a bitmask below 1 << width), the mask of the handles whose
-    sides contain it: the AND, over its vertices, of the handles holding each."""
-    holders, everything = transpose(sides, width), (1 << len(sides)) - 1
-    return [reduce(and_, map(holders.__getitem__, iter_mask(side)), everything)
-            for side in sides]
+    """(sup, sub): two tables over every vertex mask m below 1 << width.
+
+    Handle i has the side ``sides[i]``.  sup[m] is the mask of the handles
+    whose sides contain m, sub[m] of those whose sides miss m.  Each entry is
+    the entry for m without its highest vertex v, ANDed with the mask of the
+    handles holding v (sup) or with its complement (sub); the holder masks
+    are one n x width transpose of the sides.  A generator that knows its
+    side masks reads every up-set and down-set off these 2^width entries, so
+    its down-sets, the transpose of its up-sets, need no n x n transpose.
+    """
+    everything = (1 << len(sides)) - 1
+    sup, sub = [everything], [everything]
+    for holders in transpose(sides, width):
+        # the masks with v as their highest vertex are those below it plus v
+        sup += [s & holders for s in sup]
+        sub += [s & ~holders for s in sub]
+    return sup, sub
 
 
 def subset_universe(sides, names) -> Universe:
@@ -234,10 +250,12 @@ def subset_universe(sides, names) -> Universe:
     full = (1 << len(names)) - 1
     sides = sorted(sides)
     index = {a: i for i, a in enumerate(sides)}
-    up = _supersets(sides, len(names))
+    sup, sub = _supersets(sides, len(names))
     side_names = _side_names(names)
-    return Universe([index[full ^ a] for a in sides], up,
-                    [side_names[a] + "|" + side_names[full ^ a] for a in sides])
+    # up(A) holds the sides containing A, down(A) those missing V \ A
+    return Universe([index[full ^ a] for a in sides], [sup[a] for a in sides],
+                    [side_names[a] + "|" + side_names[full ^ a] for a in sides],
+                    down=[sub[full ^ a] for a in sides])
 
 
 def bipartition_universe(ground_set, bound: int = 6) -> Universe:
@@ -299,12 +317,15 @@ def graph_universe(vertices, edges, bound: int = 8):
     sides = _graph_sides(verts, edges)
     index = {ab: i for i, ab in enumerate(sides)}
     inv = [index[(b, a)] for a, b in sides]
-    # (a2, b2) >= (a1, b1) iff b1 is inside b2 and V \ a1 inside V \ a2
+    # (c, d) >= (a, b) iff d contains b and c misses V \ a; (c, d) <= (a, b)
+    # iff c contains a and d misses V \ b
     full = (1 << len(verts)) - 1
-    up = list(map(int.__and__, _supersets([b for _, b in sides], len(verts)),
-                  _supersets([full ^ a for a, _ in sides], len(verts))))
+    sup_a, sub_a = _supersets([a for a, _ in sides], len(verts))
+    sup_b, sub_b = _supersets([b for _, b in sides], len(verts))
+    up = [sup_b[b] & sub_a[full ^ a] for a, b in sides]
+    down = [sup_a[a] & sub_b[full ^ b] for a, b in sides]
     names = _side_names(verts)
-    uni = Universe(inv, up, [names[a] + "|" + names[b] for a, b in sides])
+    uni = Universe(inv, up, [names[a] + "|" + names[b] for a, b in sides], down=down)
     # the order |A & B| is the same for (A, B) and (B, A)
     return uni, OrderFunction._of_num(uni, [(a & b).bit_count() for a, b in sides], 1)
 

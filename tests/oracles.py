@@ -292,13 +292,16 @@ def naive_graph_tangle_stars(uni, order, vertices, edges, k):
     return out
 
 
-def naive_up_sets(uni, graph):
-    """up[i] = the mask of handles j >= i, read off the labels pair by pair.
+def naive_up_sets(uni, graph, sides=None):
+    """up[i] = the mask of handles j >= i, read off the sides pair by pair.
 
     Graph universes: (A,B) <= (C,D) iff A contains C and B is inside D.
     Bipartition universes: (A,B) <= (C,D) iff A is inside C.
+    ``sides`` gives each handle's (A, B) as frozensets; by default they are
+    read off the labels, which cannot name a vertex with a comma.
     """
-    sides = [label_sides(label) for label in uni.labels]
+    if sides is None:
+        sides = [label_sides(label) for label in uni.labels]
     if graph:
         def leq(x, y):
             return x[0] >= y[0] and x[1] <= y[1]

@@ -29,6 +29,7 @@ from tanglekit.core import SeparationSystem, iter_mask, transpose
 from tanglekit.errors import SystemValidationError
 from tanglekit.fixtures import (
     chain2_system,
+    chain_universe,
     graph_tangle_stars,
     ptriv_system,
     random_universes,
@@ -121,6 +122,41 @@ def test_random_universe_up_and_down_sets_are_pairwise():
         assert list(uni._down) == naive_down_sets(uni)
 
 
+@pytest.mark.parametrize("seps", [0, 1, 4, 9])
+def test_chain_universe_up_and_down_sets_are_pairwise(seps):
+    # handle h read as the first side {0, ..., h-1}: the chain is inclusion
+    uni = chain_universe(seps)
+    sides = [(frozenset(range(h)), frozenset()) for h in range(uni.n_ground)]
+    assert list(uni._up) == naive_up_sets(uni, graph=False, sides=sides)
+    assert list(uni._down) == naive_down_sets(uni)
+
+
+def test_generators_transpose_only_vertex_wide_matrices(monkeypatch):
+    # the order rows come from tables over the vertex sets: a generator
+    # transposes its n_ground sides over |V| columns, never an n x n matrix
+    shapes = []
+
+    def counted(rows, width):
+        shapes.append((len(rows), width))
+        return transpose(rows, width)
+
+    monkeypatch.setattr("tanglekit.core.transpose", counted)
+    monkeypatch.setattr("tanglekit.universe.transpose", counted)
+    built = [(graph_universe(range(n), edges)[0], n, 2) for n, edges in GRAPHS.values()]
+    built += [(bipartition_universe(range(k)), k, 1) for k in range(7)]
+    built += [(uni, 4, 1) for uni, _ in random_universes()]
+    assert len(shapes) == sum(calls for _, _, calls in built)
+    for uni, width, calls in built:
+        assert width <= 8
+        assert shapes[:calls] == [(uni.n_ground, width)] * calls, uni.labels
+        del shapes[:calls]
+    # a relation has no side masks: its down-sets are the transposed up-sets
+    for uni, _, _ in built[:3]:
+        SeparationSystem.from_relation(*relation_of(uni))
+        assert shapes == [(uni.n_ground, uni.n_ground)]
+        shapes.clear()
+
+
 # -- a relation read into up-sets ------------------------------------------------
 
 
@@ -155,6 +191,15 @@ def test_from_relation_is_the_pairwise_reading():
         leq += [(a, a) for a in range(0, uni.n_ground, 3)] + leq[::5]
         rng.shuffle(leq)
         assert read_both(inv, leq) == [uni._up, uni._up]
+
+
+def test_leq_pairs_are_written_sorted():
+    for uni in relation_cases():
+        els = range(uni.n_ground)
+        want = sorted((a, b) for b in els for a in els if uni.leq(a, b))
+        assert uni.to_json()["leq"] == want
+        view = uni.restrict(uni.elements()[:2] + [uni.inv(h) for h in uni.elements()[:2]])
+        assert view.to_json()["leq"] == want
 
 
 def strictly_between(uni, a, b):
@@ -275,6 +320,17 @@ def test_graph_sides_of_random_graphs_are_the_assignment_scan():
     for names, edges in random_graphs():
         verts = sorted(names, key=str)
         assert _graph_sides(verts, edges) == naive_graph_sides(verts, edges), (names, edges)
+
+
+def test_random_graph_up_and_down_sets_are_pairwise():
+    for names, edges in random_graphs():
+        verts = sorted(names, key=str)
+        uni, _ = graph_universe(names, edges)
+        # the sides as vertex-name sets: the labels cannot name "x,y"
+        sides = [tuple(frozenset(x for i, x in enumerate(verts) if side >> i & 1)
+                       for side in ab) for ab in naive_graph_sides(verts, edges)]
+        assert list(uni._up) == naive_up_sets(uni, graph=True, sides=sides), (names, edges)
+        assert list(uni._down) == naive_down_sets(uni), (names, edges)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
