@@ -281,27 +281,27 @@ class SeparationSystem:
         """True iff x >= some orientation of the separation underlying s."""
         return self.leq(s, x) or self.leq(self._inv[s], x)
 
+    def _star_row(self, x: int) -> int:
+        """The handles y that point towards x, so that {x, y} is a star when
+        neither is degenerate.  For y != x* the test y* <= x is x* <= y, as
+        the involution reverses the order: the up-set of x* without x*.  The
+        pair {x, x*} is a star only if x and x* are comparable (one is small).
+        """
+        i = self._inv[x]
+        comparable = (self._up[x] >> i | self._up[i] >> x) & 1
+        return self._up[i] & ~(1 << i) | comparable << i
+
     def is_star(self, sigma) -> bool:
         """Stars: non-degenerate separations pointing towards each other.
 
-        Pairs of distinct separations use the x >= y* test.  A pair {x, x*}
-        passes only if the two orientations are comparable (one is small);
-        for regular separations such a pair never points towards itself
-        non-trivially.
+        A row test: sigma holds no degenerate separation, and the rest of
+        sigma lies inside ``_star_row(x)`` for every x of sigma.  Raises
+        UnknownHandle for the least handle that is no member.
         """
-        sigma = sorted(set(sigma))
-        self._check_members(sigma)
-        for x in sigma:
-            if self.is_degenerate(x):
-                return False
-        for i, x in enumerate(sigma):
-            for y in sigma[i + 1:]:
-                if y == self._inv[x]:
-                    if not (self.leq(x, y) or self.leq(y, x)):
-                        return False
-                elif not (self.leq(self._inv[y], x) and self.leq(self._inv[x], y)):
-                    return False
-        return True
+        mask = mask_of(sigma)
+        self._check_members(iter_mask(mask))
+        return not any(self.is_degenerate(x) or mask & ~(1 << x) & ~self._star_row(x)
+                       for x in iter_mask(mask))
 
     def is_nested(self, r: int, s: int) -> bool:
         """True iff the separations underlying r and s have comparable orientations."""

@@ -172,8 +172,13 @@ def stree_excludes_tangles(stree, family, bound=ENUMERATION_BOUND):
 
 
 def _check_star_family(system, family):
+    """NonStarFamily for a member of the system's handles that is no star.
+
+    A member with a handle outside the system lies in no orientation of it,
+    as in ``forbidden.extends``, so it is skipped, not checked.
+    """
     for sigma in family.sets:
-        if not system.is_star(sigma):
+        if not mask_of(sigma) & ~system.members and not system.is_star(sigma):
             raise NonStarFamily(f"family member {sorted(sigma)} is not a star")
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .core import SeparationSystem, iter_mask, mask_of
 from .errors import SystemValidationError
-from .forbidden import ForbiddenFamily, _eclipsers
+from .forbidden import ForbiddenFamily, _replacements
 from .orderfn import OrderFunction
 from .universe import Universe, _graph_sides, graph_universe, restrict_Sk, subset_universe
 
@@ -82,14 +82,7 @@ def graph_tangle_stars(uni, order, vertices, edges, k) -> ForbiddenFamily:
     vmask = [a for a, _ in sides]
     emask = {h: sum(1 << i for i, e in enumerate(ends) if e & ~vmask[h] == 0)
              for h in sk}
-    # star[x]: the y of S_k that pass is_star's pair test with x.  For y != x*
-    # that is y* <= x, which is x* <= y as the involution reverses the order;
-    # for y = x* it is x <= x* or x* <= x.
-    up, star = uni._up, {}
-    for x in sk:
-        i = uni.inv(x)
-        comparable = (up[x] >> i | up[i] >> x) & 1
-        star[x] = (up[i] & ~(1 << i) | comparable << i) & in_sk
+    star = {x: uni._star_row(x) & in_sk for x in sk}
     out = set()
     for x in sk:  # x < y < z, carrying the covers of x and of {x, y}
         vx, ex = vmask[x], emask[x]
@@ -107,29 +100,19 @@ def graph_tangle_stars(uni, order, vertices, edges, k) -> ForbiddenFamily:
 
 
 def eclipse_closure(system, family, order) -> ForbiddenFamily:
-    """Close a family under weak-eclipse replacement inside consistent sets.
+    """The least family that holds ``family`` and is closed under eclipsing.
 
-    A replacement sigma - {x} + {y} is added whenever y weakly eclipses x and
-    the enlarged set sigma + {y} is consistent with no co-trivial element.
-    That admits every set that ``forbidden.extends``, and also sets holding
-    both orientations of a separation, which extend to no orientation.  The
-    result is closed under eclipsing, hence rich.
+    Each (sigma, x, y) of ``forbidden._replacements`` adds sigma - {x} + {y},
+    the rule ``closed_under_eclipsing`` checks, until a round adds nothing.
+    Only members that extend to a consistent orientation are replaced, and
+    what they yield extends too.  The result is closed under eclipsing,
+    hence rich.
     """
-    sets = set(family.sets)
-    frontier = list(sets)
+    sets, frontier = set(family.sets), family.sets
     while frontier:
-        sigma = frontier.pop()
-        for x in sorted(sigma):
-            for y in _eclipsers(system, order, x, system.members, weak=True):
-                probe = sigma | {y}
-                if not system.is_consistent(probe):
-                    continue
-                if any(system.is_cotrivial(h) for h in probe):
-                    continue
-                new = (sigma - {x}) | {y}
-                if new not in sets:
-                    sets.add(new)
-                    frontier.append(new)
+        frontier = {(sigma - {x}) | {y}
+                    for sigma, x, y in _replacements(system, frontier, order)} - sets
+        sets |= frontier
     return family.extended(sets, "generated:eclipse-closure")
 
 

@@ -77,7 +77,7 @@ class ForbiddenFamily:
     def to_json(self) -> dict:
         return {
             "schema": FAMILY_SCHEMA,
-            "sets": sorted((sorted(s) for s in self.sets), key=lambda s: (len(s), s)),
+            "sets": [sorted(s) for s in self.ordered],
             "provenance": {",".join(map(str, sorted(s))): t
                            for s, t in sorted(self.provenance.items(),
                                               key=lambda kv: sorted(kv[0]))},
@@ -267,18 +267,20 @@ def set_geq(system, sigma, sigma2) -> bool:
 
 
 def f_eff(system, family, order):
-    """Members efficient in their own closure; inconsistent members reported.
+    """Members efficient in their own closure; the others reported.
 
     Returns (subfamily, report) where report lists (member, reason) pairs for
-    everything dropped.
+    everything dropped: "outside-system" for a member with a handle that is
+    no member of the system (it lies in no orientation of it, as in
+    ``extends``), "inconsistent", and "eclipsed-in-closure".
     """
     keep, report = [], []
     for sigma in family.sets:
-        if not system.is_consistent(sigma):
+        if mask_of(sigma) & ~system.members:
+            report.append((sigma, "outside-system"))
+        elif not system.is_consistent(sigma):
             report.append((sigma, "inconsistent"))
-            continue
-        cl = system.closure(sigma)
-        if is_efficient(system, order, sigma, cl):
+        elif is_efficient(system, order, sigma, system.closure(sigma)):
             keep.append(sigma)
         else:
             report.append((sigma, "eclipsed-in-closure"))

@@ -43,7 +43,7 @@ class Universe(SeparationSystem):
     (``graph_universe``, ``subset_universe``) pass it.
     """
 
-    lattice_report = None  # from_tables keeps its validate_lattice report here
+    lattice_report = None  # _checked keeps its validate_lattice report here
 
     def __init__(self, inv, up, labels, join=None, meet=None, down=None):
         super().__init__(inv, up, labels, down=down)
@@ -68,19 +68,17 @@ class Universe(SeparationSystem):
     @classmethod
     def from_tables(cls, inv, leq_pairs, join, meet, labels=None):
         """A validated universe with the given tables; raises on the first failure."""
-        return cls._checked(SeparationSystem.from_relation(inv, leq_pairs, labels),
-                            join, meet)
+        return cls.from_relation(inv, leq_pairs, labels)._checked(join, meet)
 
-    @classmethod
-    def _checked(cls, base, join, meet):
-        """The universe on ``base``'s validated poset with the given tables,
-        after ``validate_lattice``; raises on the first failure."""
-        uni = cls(base._inv, base._up, base.labels, join, meet)
-        uni.lattice_report = rep = validate_lattice(uni)
+    def _checked(self, join, meet):
+        """This universe, its poset validated, with the given tables after
+        ``validate_lattice``; raises on the first failure."""
+        self._tables = tuple(map(tuple, join)), tuple(map(tuple, meet))
+        self.lattice_report = rep = validate_lattice(self)
         if not rep.ok:
             axiom, witness = rep.failures[0]
             raise SystemValidationError(axiom, witness=witness)
-        return uni
+        return self
 
     def join(self, a: int, b: int) -> int:
         return self._tables[0][a][b]
@@ -99,17 +97,15 @@ class Universe(SeparationSystem):
 
     @classmethod
     def from_json(cls, obj) -> "Universe":
-        # base is the members' view; its arrays are the ground system's
-        base = SeparationSystem.from_json({k: v for k, v in obj.items()
-                                           if k not in ("join", "meet")})
+        # base is the members' view of the one Universe built; its ground takes the tables
+        base = super(Universe, cls).from_json({k: v for k, v in obj.items()
+                                               if k not in ("join", "meet")})
         n = base.n_ground
         join, meet = (_table_of_cells(obj.get(name, []), n) for name in ("join", "meet"))
         if any(-1 in row for row in join) or any(-1 in row for row in meet):
             raise SystemValidationError("lattice-tables-total", witness=None)
-        uni = cls._checked(base.ground, join, meet)
-        if "members" in obj:
-            return uni.restrict(base.members)
-        return uni
+        base.ground._checked(join, meet)
+        return base
 
 
 # failures: (axiom, witness) pairs.

@@ -32,6 +32,23 @@ def pairwise_consistency_witness(system, sigma):
     return None
 
 
+def naive_is_star(system, sigma):
+    """Stars by one test per pair, read off ``leq`` and the involution alone:
+    no degenerate member, a pair {x, x*} only when x and x* are comparable,
+    and y* <= x and x* <= y for every pair of distinct separations."""
+    sigma = sorted(set(sigma))
+    if any(system.inv(x) == x for x in sigma):
+        return False
+    for i, x in enumerate(sigma):
+        for y in sigma[i + 1:]:
+            if y == system.inv(x):
+                if not (system.leq(x, y) or system.leq(y, x)):
+                    return False
+            elif not (system.leq(system.inv(y), x) and system.leq(system.inv(x), y)):
+                return False
+    return True
+
+
 def naive_consistent_orientations(system):
     """Filter the product of orientations by the definition, in product order.
 

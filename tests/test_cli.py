@@ -139,6 +139,23 @@ def test_totins_and_newduality(workdir):
     assert json.loads((out / "newduality.json").read_text())["kind"] == "tangle"
 
 
+def test_newduality_skips_family_members_outside_s_k(tmp_path):
+    # P4's k=3 stars hold separations of order 2, which S_2 lacks; the star
+    # check skips those members, as tst, tot and the tangle branch do
+    from tanglekit.fixtures import p4_universe
+    edges = [("a", "b"), ("b", "c"), ("c", "d")]
+    (tmp_path / "p4.graph").write_text("".join(f"{a} {b}\n" for a, b in edges))
+    u, o = p4_universe()
+    obj = graph_tangle_stars(u, o, "abcd", edges, 3).to_json()
+    obj["generate"] = ["standardize"]
+    (tmp_path / "stars3.json").write_text(json.dumps(obj))
+    code, out = run(tmp_path, "newduality", "--input", str(tmp_path / "p4.graph"),
+                    "--k", "2", "--forbidden", str(tmp_path / "stars3.json"),
+                    "--unsafe-bounds")
+    assert code == 0
+    assert json.loads((out / "newduality.json").read_text())["kind"] == "tangle"
+
+
 def test_hypothesis_failure_exit_2(workdir, capsys):
     # totins without the robustness triples in the family
     code, _ = run(workdir, "totins", "--input", str(workdir / "p3.graph"),

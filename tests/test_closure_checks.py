@@ -194,6 +194,23 @@ def test_closed_under_shifting_is_the_walk_over_every_orientation():
     assert failures >= 200
 
 
+# -- eclipse_closure, the fixture, by the same replacement rule -----------------
+
+
+def test_eclipse_closure_adds_only_extending_members_and_is_closed():
+    # 1,000 families fixed by their seeds: up to three stars drawn by
+    # random_star_family from Random(f"{i}:{j}"), then closed by it
+    grown = 0
+    for i, (u, o) in enumerate(randoms()):
+        for j in range(10):
+            fam = random_star_family(u, o, random.Random(f"{i}:{j}"))
+            added = [s for s in fam if fam.tag(s) == "generated:eclipse-closure"]
+            assert all(extends(u, s) for s in added), (i, j)
+            assert closed_under_eclipsing(u, fam, o) == (True, None), (i, j)
+            grown += bool(added)
+    assert grown >= 500  # 570 seen
+
+
 # -- no orientation search where no member can lie in an orientation ------------
 
 

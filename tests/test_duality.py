@@ -545,6 +545,25 @@ def test_dichotomy_stree_branch(tangleless):
     assert ok
 
 
+def test_dichotomy_skips_a_member_outside_the_system(tangleless):
+    # a member with a handle outside S lies in no orientation of S: the star
+    # check skips it and f_eff drops it, as the tangle branch ignores it
+    s2t, o2, fam, _ = tangleless
+    outside = next(h for h in s2t.ground.elements() if not s2t.contains(h))
+    res = dichotomy(s2t, o2, fam.extended([{outside}], "explicit"), check_exclusive=True)
+    want = dichotomy(s2t, o2, fam, check_exclusive=True)
+    assert res.kind == want.kind == "stree"
+    assert (res.stree.n_nodes, res.stree.alpha) == (want.stree.n_nodes, want.stree.alpha)
+    assert res.feff == want.feff
+
+
+def test_dichotomy_still_refuses_a_nonstar_member_inside_the_system(tangleless):
+    s2t, o2, fam, _ = tangleless
+    r = next(h for h in s2t.elements() if not s2t.is_small(h) and not s2t.is_small(s2t.inv(h)))
+    with pytest.raises(NonStarFamily):
+        dichotomy(s2t, o2, fam.extended([{r, s2t.inv(r)}], "explicit"))
+
+
 def test_dichotomy_exactly_one(p3_set, tangleless):
     u, o, o2, s2 = p3_set
     s2t = s2.without_trivial()

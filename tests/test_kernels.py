@@ -8,6 +8,7 @@ lattice check all compute with whole masks and rows.  The oracles in
 import json
 import random
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from oracles import (
@@ -16,6 +17,7 @@ from oracles import (
     naive_gamma,
     naive_graph_sides,
     naive_graph_tangle_stars,
+    naive_is_star,
     naive_join_table,
     naive_meet_table,
     naive_up_sets,
@@ -383,6 +385,41 @@ def test_transpose_of_a_rectangular_bit_matrix():
         want = [sum(1 << a for a in range(rows) if (matrix[a] >> b) & 1)
                 for b in range(width)]
         assert transpose(matrix, width) == want
+
+
+# -- the star row -----------------------------------------------------------------
+#
+# ``is_star`` tests each handle's ``_star_row``, which ``graph_tangle_stars``
+# also reads; ``naive_is_star`` is the pairwise test on ``leq`` alone.
+
+
+def assert_stars_pairwise(system, size):
+    """is_star against naive_is_star on every set of ``size`` member handles."""
+    for sigma in combinations(system.elements(), size):
+        assert system.is_star(sigma) == naive_is_star(system, sigma), sigma
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", list(LADDER))
+def test_star_rows_are_pairwise_on_the_ladder(name, k):
+    uni, order = universe(name)
+    sk = restrict_Sk(uni, order, k)
+    for size in (1, 2, 3) if k == 2 else (1, 2):
+        assert_stars_pairwise(sk, size)
+
+
+@pytest.mark.parametrize("name", ["P7", *BIPARTITIONS])
+def test_star_rows_are_pairwise_on_p7_and_bipartitions(name):
+    uni, order = universe(name)
+    system = uni if order is None else restrict_Sk(uni, order, 3)
+    for size in (1, 2):
+        assert_stars_pairwise(system, size)
+
+
+def test_star_rows_are_pairwise_on_random_universes():
+    for uni, _ in randoms():
+        for size in (1, 2, 3):
+            assert_stars_pairwise(uni, size)
 
 
 # -- derived tables ---------------------------------------------------------------

@@ -122,6 +122,25 @@ def test_order_values_compared_as_integers_outside_orderfn():
     assert not found, f"order values read outside orderfn: {found}"
 
 
+# What the fixtures leave to the modules that own it: the order rows, which
+# give the star test as SeparationSystem._star_row, and the predicates that
+# give the replacement rule as forbidden._replacements.
+FIXTURE_UNREAD = {"_up", "_down", "_incompat", "_req",
+                  "is_consistent", "consistency_witness", "is_cotrivial", "_eclipsers"}
+
+
+def test_fixtures_reuse_the_star_row_and_the_replacement_rule():
+    # a fixture that re-derives a star or a replacement from these drifts from
+    # the definition the checks use
+    tree = ast.parse((PACKAGE / "fixtures.py").read_text())
+    found = []
+    for node, fn in nodes_in_functions(tree):
+        name = getattr(node, "attr", getattr(node, "id", getattr(node, "name", None)))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name in FIXTURE_UNREAD:
+            found.append(f"fixtures.py:{node.lineno} {fn} reads {name}")
+    assert not found, f"fixtures re-deriving a star or a replacement: {found}"
+
+
 # The readers of the orientation search, each of which needs whole
 # orientations: the list of them, richness, and the dichotomy's tangle.
 ORIENTATION_SEARCHERS = {("core.py", "orientations_avoiding"), ("forbidden.py", "is_rich"),
