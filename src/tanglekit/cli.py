@@ -325,7 +325,7 @@ def cmd_reduce(args):
     return emit_tree(args, "reduce", reduce_irreducible(tree, run.family, run.order), run)
 
 
-def emit_duality(args, name, res, run, exclusive=False):
+def emit_duality(args, name, res, run):
     from .dot import stree_dot
 
     obj = {"schema": "tanglekit/duality-v1", "kind": res.kind,
@@ -335,7 +335,7 @@ def emit_duality(args, name, res, run, exclusive=False):
     else:
         obj["stree"] = res.stree.to_json()
         write_dot(args, f"{name}-stree", lambda: stree_dot(res.stree))
-    if exclusive:
+    if args.check_exclusive:
         obj["exclusive"] = True
     write_artifact(args, name, obj)
     return obj
@@ -347,7 +347,7 @@ def cmd_duality(args):
     run = prepare(args, "injective")
     res = dichotomy(run.system, run.order, run.family, bound=run.bound,
                     check_exclusive=args.check_exclusive)
-    return emit_duality(args, "duality", res, run, exclusive=args.check_exclusive)
+    return emit_duality(args, "duality", res, run)
 
 
 def cmd_newduality(args):

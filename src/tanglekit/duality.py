@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache, partial
-from itertools import product
 
-from .core import ENUMERATION_BOUND, _bounded_seps, _orientations, mask_of
+from .core import ENUMERATION_BOUND, _orientations, mask_of
 from .errors import (
     AmbiguousShiftChoice,
     BothOrNeither,
@@ -146,26 +145,26 @@ ConversionMap = namedtuple("ConversionMap", "node_to_leaf edge_to_tree_edge v_e"
 # -- excludes-tangles verification ------------------------------------------------
 
 
-def stree_excludes_tangles(stree, family, bound=ENUMERATION_BOUND):
-    """Every orientation of the system contains some node's star.
-
-    Exhaustive over all 2^m orientations (not only consistent ones), which is
-    exactly the argument that S-trees over a family preclude its tangles.
-    Refuses S-trees that are not over the family.
+def stree_excludes_tangles(stree, family):
+    """Every orientation O of S contains some node's star, by the sink argument
+    (Robertson and Seymour, *Graph Minors X*; Diestel and Oum, *Tangle-tree
+    duality in abstract separation systems*): with every label in S, O points
+    each edge at the end whose incoming label it holds (alpha(b, a) = alpha(a,
+    b)*), and a sink t of the tree so oriented has star_at(t) inside O.  So
+    only the hypotheses are checked, with no orientation enumerated:
+    (False, ("label-not-a-member", e)) for the least such edge e, (False,
+    ("not-a-tree", n_nodes)), else (True, None).  Refuses an S-tree that is
+    not over the family.
     """
-    sys = stree.system
     if not stree.is_over(family):
         raise PreconditionError(
             f"S-tree not over the family at node {stree.over_witness(family)}")
-    seps = _bounded_seps(sys, bound)
-    stars = [stree.star_at(t) for t in stree.nodes()]
-    checked = 0
-    for pick in product(*[sys.orientations(s) for s in seps]):
-        tau = frozenset(pick)
-        if not any(star <= tau for star in stars):
-            return False, tau
-        checked += 1
-    return True, checked
+    outside = [e for e in stree.oriented_edges() if not stree.system.contains(stree.alpha[e])]
+    if outside:
+        return False, ("label-not-a-member", outside[0])
+    if not stree.is_tree():
+        return False, ("not-a-tree", stree.n_nodes)
+    return True, None
 
 
 # -- the conversion (irreducible forbidden-leaf trees to S-trees) -------------------
@@ -459,7 +458,7 @@ def dichotomy(system, order, family, bound=ENUMERATION_BOUND, check_exclusive=Fa
 
     Preconditions checked eagerly: injective order, family standard and
     rich.  The S-tree branch also needs a trivial-free system and a star
-    family, and its output stars are validated to lie in F_eff.
+    family; its conversion must pass ``validate_conversion``, its stars F_eff.
     """
     notes = {}
     if not order.is_injective_on(system):
@@ -497,15 +496,17 @@ def dichotomy(system, order, family, bound=ENUMERATION_BOUND, check_exclusive=Fa
         raise BothOrNeither("no brute-force tangle, yet the reduced tree has "
                             "a tangle leaf")
     stree, cmap = convert_ftree(reduced, family)
+    rep = validate_conversion(reduced, stree, cmap)
+    if not rep.ok:
+        raise TheoremViolation(f"conversion fails clauses {rep.failures}")
     feff, _ = f_eff(system, family, order)
-    for t in stree.nodes():
-        if stree.star_at(t) not in feff.sets:
-            raise TheoremViolation(
-                f"conversion star at node {t} is not efficient in its closure")
+    if not stree.is_over(feff):
+        raise TheoremViolation(f"conversion star at node {stree.over_witness(feff)} "
+                               "is not efficient in its closure")
     if check_exclusive:
-        ok, _ = stree_excludes_tangles(stree, family, bound=bound)
+        ok, why = stree_excludes_tangles(stree, family)
         if not ok:
-            raise BothOrNeither("S-tree fails to exclude some orientation")
+            raise BothOrNeither(f"S-tree certificate fails the sink argument: {why}")
         notes["exclusive"] = "S-tree excludes every orientation"
     return DichotomyResult(kind="stree", tree=tree, reduced=reduced, stree=stree,
                            conversion=cmap, feff=feff, notes=notes)

@@ -260,17 +260,15 @@ def is_ordered(tree, order) -> bool:
 
 
 def is_thoroughly_ordered(tree, order) -> bool:
+    """Each non-leaf orients a separation its path closure leaves unoriented,
+    of least order among those (on a tie, any of least order qualifies)."""
     sys, num = tree.system, order.num
     for v in tree.nodes():
         sv = tree.node_sep(v)
         if sv is None:
             continue
-        cl = sys.closure_mask(tree.beta_mask(v))
-        oriented = {sys.sep(h) for h in iter_mask(cl)}
-        if sv in oriented:
-            return False
-        unoriented = [s for s in sys.seps() if s not in oriented]
-        if num[sv] != min(num[s] for s in unoriented):
+        cl = _path_closure(tree, v)
+        if sv in {sys.sep(h) for h in cl} or num[sv] != num[_least_unoriented(sys, order, cl)]:
             return False
     return True
 

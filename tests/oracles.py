@@ -6,6 +6,8 @@ naive filters over full product spaces, pairwise loops over definitions.
 
 from itertools import product
 
+from tanglekit.errors import PreconditionError
+
 
 def points_away(system, x, y):
     """Distinct-separation pair pointing away from each other: y <= x*."""
@@ -139,6 +141,26 @@ def naive_closed_under_shifting(system, family, order):
                     if not kept[sigma, s, r]:
                         return False, (tau, sigma, s, r)
     return True, None
+
+
+def naive_stree_excludes_tangles(stree, family):
+    """Every orientation of the system contains some node's star, tried on all
+    2^m orientations (not only consistent ones).  (True, the number checked),
+    or (False, the first orientation that holds no star).  Refuses S-trees
+    that are not over the family."""
+    sys = stree.system
+    if not stree.is_over(family):
+        raise PreconditionError(
+            f"S-tree not over the family at node {stree.over_witness(family)}")
+    seps = sys.seps()
+    stars = [stree.star_at(t) for t in stree.nodes()]
+    checked = 0
+    for pick in product(*[sys.orientations(s) for s in seps]):
+        tau = frozenset(pick)
+        if not any(star <= tau for star in stars):
+            return False, tau
+        checked += 1
+    return True, checked
 
 
 def beta_by_path_walk(tree, node):

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import pytest
 
+from oracles import naive_stree_excludes_tangles
+
 from tanglekit.duality import (
     check_nested_corollary,
     closed_under_shifting,
@@ -233,8 +235,9 @@ def test_criterion_3_dichotomy(suite, dichotomy_runs):
             assert (res.kind == "tangle") == bool(brute), name
             if res.kind == "stree":
                 stree_seen += 1
-                ok, _ = stree_excludes_tangles(res.stree, fam, bound=25)
+                ok, _ = stree_excludes_tangles(res.stree, fam)
                 assert ok, name
+                assert naive_stree_excludes_tangles(res.stree, fam)[0] is ok, name
                 eff, _ = f_eff(system, fam, order)
                 for t in res.stree.nodes():
                     assert res.stree.star_at(t) in eff.sets, name

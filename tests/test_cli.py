@@ -92,6 +92,16 @@ def test_duality_check_exclusive(workdir):
     assert got["kind"] == "tangle" and got["exclusive"] is True
 
 
+def test_newduality_check_exclusive_writes_the_flag(workdir):
+    # both dichotomy commands mark a checked artifact the same way
+    code, out = run(workdir, "newduality", "--input", str(workdir / "p3.graph"),
+                    "--k", "2", "--forbidden", str(workdir / "stars.json"),
+                    "--check-exclusive")
+    assert code == 0
+    got = json.loads((out / "newduality.json").read_text())
+    assert got["notes"]["exclusive"] and got["exclusive"] is True
+
+
 def test_tst_deterministic_and_round_trips(workdir):
     code1, out = run(workdir, "tst", "--input", str(workdir / "p3.graph"),
                      "--k", "2", "--forbidden", str(workdir / "stars.json"),

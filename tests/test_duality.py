@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import naive_stree_excludes_tangles
+
 from tanglekit.duality import (
     STree,
     check_nested_corollary,
@@ -84,8 +86,8 @@ def test_single_node_stree_with_empty_star(p3_set):
     u, o, o2, s2 = p3_set
     fam = ForbiddenFamily([set()])
     st = STree(s2, 1, {})
-    ok, checked = stree_excludes_tangles(st, fam)
-    assert ok and checked == 2 ** len(s2.seps())
+    assert stree_excludes_tangles(st, fam) == (True, None)
+    assert naive_stree_excludes_tangles(st, fam) == (True, 2 ** len(s2.seps()))
 
 
 @pytest.mark.parametrize("axiom, alpha", [
@@ -103,8 +105,8 @@ def test_stree_rejects_each_planted_defect(axiom, alpha):
 def test_converted_fixture_excludes_all_orientations(tangleless):
     s2t, o2, fam, red = tangleless
     st, _ = convert_ftree(red, fam)
-    ok, checked = stree_excludes_tangles(st, fam)
-    assert ok and checked == 2 ** len(s2t.seps())
+    assert stree_excludes_tangles(st, fam) == (True, None)
+    assert naive_stree_excludes_tangles(st, fam) == (True, 2 ** len(s2t.seps()))
 
 
 def test_excludes_refuses_non_over_family(tangleless):
@@ -112,6 +114,54 @@ def test_excludes_refuses_non_over_family(tangleless):
     st, _ = convert_ftree(red, fam)
     with pytest.raises(PreconditionError):
         stree_excludes_tangles(st, ForbiddenFamily([]))
+
+
+def pair_labels(system, *edges):
+    """alpha for oriented edges (a, b, h): h on (a, b), h* on (b, a)."""
+    alpha = {}
+    for a, b, h in edges:
+        alpha[(a, b)], alpha[(b, a)] = h, system.inv(h)
+    return alpha
+
+
+def stars_of(stree):
+    return ForbiddenFamily([stree.star_at(t) for t in stree.nodes()])
+
+
+def test_excludes_refuses_a_cycle(tangleless):
+    # a triangle is over the family of its own stars but is no tree, so the
+    # sink argument does not apply
+    s2t = tangleless[0]
+    h1, h2, h3 = (s2t.orientations(s)[0] for s in s2t.seps()[:3])
+    st = STree(s2t, 3, pair_labels(s2t, (0, 1, h1), (1, 2, h2), (2, 0, h3)))
+    assert stree_excludes_tangles(st, stars_of(st)) == (False, ("not-a-tree", 3))
+
+
+def test_excludes_refuses_a_label_outside_the_system(tangleless):
+    # a ground handle outside the view lies in no orientation of it
+    s2t = tangleless[0]
+    outside = next(h for h in s2t.ground.elements() if not s2t.contains(h))
+    inside = s2t.elements()[0]
+    st = STree(s2t, 3, pair_labels(s2t, (0, 1, inside), (2, 1, outside)))
+    assert st.is_tree()
+    assert stree_excludes_tangles(st, stars_of(st)) == (
+        False, ("label-not-a-member", (1, 2)))
+
+
+def test_excludes_refuses_a_tree_with_no_node(tangleless):
+    # with no node there is no sink, and no star to hold
+    st = STree(tangleless[0], 0, {})
+    assert stree_excludes_tangles(st, ForbiddenFamily([set()])) == (
+        False, ("not-a-tree", 0))
+    assert not naive_stree_excludes_tangles(st, ForbiddenFamily([set()]))[0]
+
+
+def test_excludes_refuses_a_star_outside_the_family(tangleless):
+    s2t, o2, fam, red = tangleless
+    st, _ = convert_ftree(red, fam)
+    missing = st.star_at(0)
+    with pytest.raises(PreconditionError, match="at node 0"):
+        stree_excludes_tangles(st, ForbiddenFamily(s for s in fam.sets if s != missing))
 
 
 # -- conversion ---------------------------------------------------------------------
@@ -543,6 +593,28 @@ def test_dichotomy_stree_branch(tangleless):
         assert res.stree.star_at(t) in res.feff.sets
     ok, _ = stree_excludes_tangles(res.stree, fam)
     assert ok
+
+
+def test_dichotomy_validates_the_conversion(tangleless, monkeypatch):
+    # a map with the two orientations of one edge swapped fails clauses of
+    # the conversion theorem, and the S-tree branch reports them
+    s2t, o2, fam, _ = tangleless
+    convert, seen = duality.convert_ftree, []
+
+    def swapped(tree, family):
+        stree, cmap = convert(tree, family)
+        a, b = min(cmap.edge_to_tree_edge)
+        edges = {**cmap.edge_to_tree_edge, (a, b): cmap.edge_to_tree_edge[(b, a)],
+                 (b, a): cmap.edge_to_tree_edge[(a, b)]}
+        cmap = cmap._replace(edge_to_tree_edge=edges)
+        seen.append(validate_conversion(tree, stree, cmap).failures)
+        return stree, cmap
+
+    monkeypatch.setattr(duality, "convert_ftree", swapped)
+    with pytest.raises(TheoremViolation) as err:
+        dichotomy(s2t, o2, fam)
+    assert "clause5-alpha-beta-gamma" in seen[0]
+    assert str(err.value) == f"conversion fails clauses {seen[0]}"
 
 
 def test_dichotomy_skips_a_member_outside_the_system(tangleless):

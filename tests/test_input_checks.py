@@ -1,20 +1,29 @@
-"""One planted input per input check or count guard that no other test reaches.
+"""One planted input per input check or count guard that no other test reaches,
+and the P6 input past the exclusion check's count guard, which is gone.
 
 Each test names the axiom, handle or message the check must report.
 """
 
+import json
+
 import pytest
 
+from tanglekit.cli import main
 from tanglekit.core import SeparationSystem
-from tanglekit.duality import STree, stree_excludes_tangles
+from tanglekit.duality import dichotomy, stree_excludes_tangles
 from tanglekit.errors import (
     BoundExceeded,
     HypothesisFailure,
     SystemValidationError,
     UnknownHandle,
 )
-from tanglekit.fixtures import chain2_system, p3_universe, singleton_family
-from tanglekit.forbidden import ForbiddenFamily
+from tanglekit.fixtures import (
+    chain2_system,
+    graph_tangle_stars,
+    p3_universe,
+    singleton_family,
+)
+from tanglekit.forbidden import ForbiddenFamily, standardize
 from tanglekit.orderfn import OrderFunction, refine_injective
 from tanglekit.tot import check_tot_hypotheses
 from tanglekit.tst import SeparationTree, build_thorough_tst
@@ -161,7 +170,38 @@ def test_builder_refuses_more_separations_than_the_bound(p3_s2):
         build_thorough_tst(s2, o2, singleton_family(s2), bound=1)
 
 
-def test_exclusion_check_refuses_more_separations_than_the_bound(p3_s2):
-    _, _, s2 = p3_s2
-    with pytest.raises(BoundExceeded, match="5 separations exceed bound 1"):
-        stree_excludes_tangles(STree(s2, 1, {}), ForbiddenFamily([set()]), bound=1)
+@pytest.fixture(scope="module")
+def p6_s3():
+    """The trivial-free S_3 of P6 (25 separations, more than any default
+    bound), its standardized graph-tangle stars and the refined order."""
+    verts = "abcdef"
+    edges = list(zip(verts, verts[1:]))
+    u, o = graph_universe(verts, edges)
+    s = restrict_Sk(u, o, 3).without_trivial()
+    fam = standardize(graph_tangle_stars(u, o, verts, edges, 3), s)
+    return s, refine_injective(u, o), fam
+
+
+def test_exclusion_check_has_no_bound_on_the_p6_s3(p6_s3):
+    # the S-tree is checked by the sink argument, not over its 2^25 orientations
+    s, order, fam = p6_s3
+    assert len(s) == 25
+    res = dichotomy(s, order, fam, bound=len(s), check_exclusive=True)
+    assert res.kind == "stree"
+    assert res.notes["exclusive"] == "S-tree excludes every orientation"
+    assert stree_excludes_tangles(res.stree, fam) == (True, None)
+
+
+def test_cli_exclusion_check_has_no_bound_on_the_p6_s3(p6_s3, tmp_path):
+    s, order, fam = p6_s3
+    for name, obj in (("sys", s), ("order", order), ("fam", fam)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj.to_json()))
+    code = main(["duality", "--input", str(tmp_path / "sys.json"),
+                 "--order", str(tmp_path / "order.json"),
+                 "--forbidden", str(tmp_path / "fam.json"),
+                 "--check-exclusive", "--unsafe-bounds", "--out", str(tmp_path / "out")])
+    assert code == 0
+    got = json.loads((tmp_path / "out" / "duality.json").read_text())
+    assert got["kind"] == "stree" and got["exclusive"] is True
+    want = dichotomy(s, order, fam, bound=len(s))
+    assert got["stree"] == want.stree.to_json()

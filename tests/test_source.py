@@ -160,6 +160,29 @@ def test_orientation_search_only_where_whole_orientations_are_needed():
     assert not found, f"orientation searches outside their readers: {found}"
 
 
+# The readers of the separation count guard: the two searches whose work
+# grows with the orientations of S.
+BOUNDED_SEPS_READERS = {("core.py", "_orientations"), ("tst.py", "build_thorough_tst")}
+
+
+def test_no_product_of_orientations_and_the_count_guard_only_on_searches():
+    # an S-tree excludes tangles by its sink argument, a check on the tree;
+    # nothing walks the full product of orientations, or guards its size
+    found = []
+    for path, tree in package_trees():
+        for node, fn in nodes_in_functions(tree):
+            name = getattr(node, "attr", getattr(node, "id", None))
+            if (isinstance(node, ast.ImportFrom) and node.module == "itertools"
+                    and any(alias.name == "product" for alias in node.names)
+                    or isinstance(node, ast.Attribute) and name == "product"
+                    and getattr(node.value, "id", None) == "itertools"):
+                found.append(f"{path.name}:{node.lineno} {fn} uses itertools.product")
+            elif (isinstance(node, (ast.Name, ast.Attribute)) and name == "_bounded_seps"
+                    and (path.name, fn) not in BOUNDED_SEPS_READERS):
+                found.append(f"{path.name}:{node.lineno} {fn} reads _bounded_seps")
+    assert not found, f"orientation products or count guards outside searches: {found}"
+
+
 def test_every_module_level_import_is_used():
     # an import that nothing in its module reads is left over from code that
     # has gone; a package module's __all__ counts as a use
