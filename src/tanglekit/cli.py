@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from collections import namedtuple
 from pathlib import Path
@@ -59,29 +60,38 @@ def _fail(code, **report):
 # -- ingestion -----------------------------------------------------------------
 
 
+def read_input(path) -> str:
+    """The UTF-8 text of an input file: the one place input files are read."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        _fail(1, error="input file not found", file=str(path))
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, not UTF-8, ...
+        _fail(1, error="unreadable input file", file=str(path), detail=str(exc))
+
+
 def load_graph_text(path):
     vertices, edges = set(), []
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#")[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) == 1:
-                vertices.add(parts[0])
-                continue
-            if len(parts) != 2:
-                _fail(1, error="malformed edge list", file=str(path),
-                      line=lineno, text=raw.rstrip())
-            a, b = parts
-            vertices.update((a, b))
-            edges.append((a, b))
+    for lineno, raw in enumerate(read_input(path).split("\n"), start=1):
+        line = raw.split("#")[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) == 1:
+            vertices.add(parts[0])
+            continue
+        if len(parts) != 2:
+            _fail(1, error="malformed edge list", file=str(path),
+                  line=lineno, text=raw.rstrip())
+        a, b = parts
+        vertices.update((a, b))
+        edges.append((a, b))
     return sorted(vertices), edges
 
 
 def _read_json(path):
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(read_input(path))
     except json.JSONDecodeError as exc:
         _fail(1, error="invalid JSON", file=str(path), line=exc.lineno, column=exc.colno)
 
@@ -99,8 +109,6 @@ def load_inputs(args):
         uni = bipartition_universe(ground)
     else:
         path = Path(args.input)
-        if not path.exists():
-            _fail(1, error="input file not found", file=str(path))
         if path.suffix == ".json":
             obj = _read_json(path)
             if isinstance(obj, dict) and "join" in obj:
@@ -117,7 +125,8 @@ def load_inputs(args):
 
 def check_family_document(obj, path, n):
     """An object whose ``sets`` lists lists of integer handles below ``n``, with
-    ``generate`` a list and ``provenance`` an object where present."""
+    ``generate`` a list where present.  An optional ``provenance`` object is
+    not read, but its keys must be comma-separated integers."""
     if not isinstance(obj, dict):
         _fail(1, error="malformed forbidden family", file=path,
               detail="the document is not an object")
@@ -130,6 +139,10 @@ def check_family_document(obj, path, n):
                 and all(type(h) is int and 0 <= h < n for h in member)):
             _fail(1, error="malformed forbidden family", file=path, member=member,
                   detail=f"a member must be a list of handles 0..{n - 1}")
+    for key in obj.get("provenance", {}):
+        if not re.fullmatch(r"(-?\d+(,-?\d+)*)?", key):
+            _fail(1, error="malformed forbidden family", file=path,
+                  detail=f"provenance key {key!r} is not comma-separated integers")
 
 
 def load_family(args, uni, system, order):
@@ -138,23 +151,17 @@ def load_family(args, uni, system, order):
     if args.forbidden:
         obj = _read_json(args.forbidden)
         check_family_document(obj, args.forbidden, uni.n_ground)
-        try:
-            fam = ForbiddenFamily.from_json(obj)
-        except (KeyError, TypeError, ValueError) as exc:
-            _fail(1, error="malformed forbidden family", file=args.forbidden,
-                  detail=str(exc))
+        fam = ForbiddenFamily.from_json(obj)
         generate = obj.get("generate", [])
     for directive in generate:
         if directive == "R":
             if order is None:
                 _fail(2, error="generator R needs an order function")
             require_universe(uni, "generator R")
-            fam = fam.extended(
-                robustness_family(uni, order, target=system).sets, "generated:R")
+            fam = fam.extended(robustness_family(uni, order, target=system).sets)
         elif directive == "profiles":
             require_universe(uni, "generator profiles")
-            fam = fam.extended(
-                profile_family(uni, target=system).sets, "generated:profile")
+            fam = fam.extended(profile_family(uni, target=system).sets)
         elif directive == "standardize":
             fam = standardize(fam, system)
         else:
@@ -218,6 +225,13 @@ def write_dot(args, name, render):
 
 def tangle_list(tangles):
     return [sorted(t) for t in sorted(tangles, key=sorted)]
+
+
+def trusted_rich(args, run):
+    """``run`` with a note that richness was taken on trust, under --trust-rich."""
+    if args.trust_rich:
+        run.notes["rich"] = "trusted (--trust-rich), not checked"
+    return run
 
 
 def require_self_check(ok, name, report):
@@ -365,7 +379,7 @@ def cmd_tot(args):
     from .tot import check_tot_hypotheses, tangle_node_seps, tangle_nodes, verify_tot
     from .tst import build_thorough_tst, classify_leaves
 
-    run = prepare(args, "injective")
+    run = trusted_rich(args, prepare(args, "injective"))
     # hypotheses first: a non-rich family exits 2, not 3 from the builder
     check_tot_hypotheses(run.system, run.order, run.family, bound=run.bound,
                          trust_rich=args.trust_rich)
@@ -388,7 +402,7 @@ def cmd_totins(args):
     from .dot import tree_dot
     from .tot import tree_of_tangles_in, verify_tot
 
-    run = prepare(args, "injective", use_k=False)
+    run = trusted_rich(args, prepare(args, "injective", use_k=False))
     res = tree_of_tangles_in(run.system, run.order, run.family, bound=run.bound,
                              trust_rich=args.trust_rich)
     check = verify_tot(run.system, run.order, res.distinguishers,

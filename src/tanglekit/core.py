@@ -416,8 +416,10 @@ class SeparationSystem:
         inv = [0] * n
         labels = [""] * n
         for e in oriented:
-            inv[e["id"]] = e["inv"]
-            labels[e["id"]] = e.get("label", str(e["id"]))
+            label = e.get("label", str(e["id"]))
+            if not isinstance(label, str):
+                raise SystemValidationError("malformed-label", witness=e)
+            inv[e["id"]], labels[e["id"]] = e["inv"], label
         leq = obj.get("leq", [])
         if not isinstance(leq, list):
             raise SystemValidationError("malformed-leq", witness=leq)

@@ -113,7 +113,7 @@ def eclipse_closure(system, family, order) -> ForbiddenFamily:
         frontier = {(sigma - {x}) | {y}
                     for sigma, x, y in _replacements(system, frontier, order)} - sets
         sets |= frontier
-    return family.extended(sets, "generated:eclipse-closure")
+    return ForbiddenFamily(sets)
 
 
 def singleton_family(system) -> ForbiddenFamily:
@@ -170,8 +170,8 @@ def random_universes(count=100, seed=2024, ground_size=4):
     return out
 
 
-def random_star_family(system, order, rng, tries=30) -> ForbiddenFamily:
-    """A few random stars, eclipse-closed so the family is rich."""
+def random_stars(system, rng, tries=30) -> ForbiddenFamily:
+    """Up to three random nonempty stars, drawn in at most ``tries`` tries."""
     els = system.elements()
     stars = set()
     for _ in range(tries):
@@ -181,5 +181,9 @@ def random_star_family(system, order, rng, tries=30) -> ForbiddenFamily:
             stars.add(cand)
         if len(stars) >= 3:
             break
-    fam = ForbiddenFamily(stars)
-    return eclipse_closure(system, fam, order)
+    return ForbiddenFamily(stars)
+
+
+def random_star_family(system, order, rng, tries=30) -> ForbiddenFamily:
+    """A few random stars, eclipse-closed so the family is rich."""
+    return eclipse_closure(system, random_stars(system, rng, tries), order)

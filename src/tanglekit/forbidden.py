@@ -1,10 +1,10 @@
 """Forbidden families, their structural predicates, and tangle enumeration.
 
 A family is stored extensionally: a finite set of finite subsets of oriented
-handles, each tagged with its provenance (explicit, or which generator made
-it).  Everything here is written against the brute-force oracles: richness
-and efficiency are exhaustive checks at desk scale, and eclipsing-closure
-loops over the family through the extension test ``extends``.
+handles, and nothing else.  Everything here is written against the
+brute-force oracles: richness and efficiency are exhaustive checks at desk
+scale, and eclipsing-closure loops over the family through the extension
+test ``extends``.
 """
 
 from __future__ import annotations
@@ -18,24 +18,12 @@ from .universe import restrict_Sk
 
 FAMILY_SCHEMA = "tanglekit/forbidden-v1"
 
-PROVENANCE_EXPLICIT = "explicit"
-PROVENANCE_R = "generated:R"
-PROVENANCE_PROFILE = "generated:profile"
-PROVENANCE_STANDARDIZE = "generated:standardize"
-
 
 class ForbiddenFamily:
-    """An immutable collection of forbidden subsets with provenance tags."""
+    """An immutable collection of forbidden subsets of oriented handles."""
 
-    def __init__(self, sets=(), provenance=None):
+    def __init__(self, sets=()):
         self.sets = frozenset(frozenset(s) for s in sets)
-        prov = {s: PROVENANCE_EXPLICIT for s in self.sets}
-        if provenance:
-            for s, tag in provenance.items():
-                fs = frozenset(s)
-                if fs in prov:
-                    prov[fs] = tag
-        self.provenance = prov
 
     @cached_property
     def ordered(self) -> tuple:
@@ -65,30 +53,17 @@ class ForbiddenFamily:
     def __hash__(self):
         return hash(self.sets)
 
-    def tag(self, s) -> str:
-        return self.provenance[frozenset(s)]
-
-    def extended(self, new_sets, tag) -> "ForbiddenFamily":
-        prov = dict(self.provenance)
-        for s in new_sets:
-            prov.setdefault(frozenset(s), tag)
-        return ForbiddenFamily(prov.keys(), prov)
+    def extended(self, new_sets) -> "ForbiddenFamily":
+        """The union of this family and ``new_sets``."""
+        return ForbiddenFamily([*self.sets, *new_sets])
 
     def to_json(self) -> dict:
-        return {
-            "schema": FAMILY_SCHEMA,
-            "sets": [sorted(s) for s in self.ordered],
-            "provenance": {",".join(map(str, sorted(s))): t
-                           for s, t in sorted(self.provenance.items(),
-                                              key=lambda kv: sorted(kv[0]))},
-        }
+        return {"schema": FAMILY_SCHEMA, "sets": [sorted(s) for s in self.ordered]}
 
     @classmethod
     def from_json(cls, obj) -> "ForbiddenFamily":
-        sets = [frozenset(s) for s in obj.get("sets", [])]
-        prov = {frozenset(int(x) for x in k.split(",") if k): t
-                for k, t in obj.get("provenance", {}).items()}
-        return cls(sets, prov)
+        """The family of ``obj["sets"]``; any other key is ignored."""
+        return cls(obj.get("sets", []))
 
     def __repr__(self):
         return f"<ForbiddenFamily of {len(self.sets)} sets>"
@@ -96,8 +71,7 @@ class ForbiddenFamily:
 
 def avoids(tau, family: ForbiddenFamily) -> bool:
     """True iff no member of the family is a subset of tau."""
-    t = frozenset(tau)
-    return not any(s <= t for s in family.sets)
+    return family.first_inside(frozenset(tau)) is None
 
 
 # A consistent avoiding orientation of some S_k, with its threshold.
@@ -153,7 +127,7 @@ def standardize(family, system) -> ForbiddenFamily:
     ok, missing = is_standard(family, system)
     if ok:
         return family
-    return family.extended(missing, PROVENANCE_STANDARDIZE)
+    return family.extended(missing)
 
 
 # -- eclipsing and efficiency --------------------------------------------------
@@ -284,8 +258,7 @@ def f_eff(system, family, order):
             keep.append(sigma)
         else:
             report.append((sigma, "eclipsed-in-closure"))
-    prov = {s: family.provenance[s] for s in keep}
-    return ForbiddenFamily(keep, prov), report
+    return ForbiddenFamily(keep), report
 
 
 # -- generators ---------------------------------------------------------------
@@ -317,7 +290,7 @@ def robustness_family(uni, order, target=None) -> ForbiddenFamily:
                 continue
             if all(target.contains(x) for x in triple):
                 out.add(triple)
-    return ForbiddenFamily(out, {s: PROVENANCE_R for s in out})
+    return ForbiddenFamily(out)
 
 
 def profile_family(uni, target=None) -> ForbiddenFamily:
@@ -338,4 +311,4 @@ def profile_family(uni, target=None) -> ForbiddenFamily:
                 continue
             if target.contains(third):
                 out.add(triple)
-    return ForbiddenFamily(out, {s: PROVENANCE_PROFILE for s in out})
+    return ForbiddenFamily(out)

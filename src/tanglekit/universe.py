@@ -54,8 +54,7 @@ class Universe(SeparationSystem):
     def _tables(self):
         """(join, meet): a pure function of the poset, so a concurrent first
         read may derive it twice, with equal results."""
-        join, meet = _lattice_tables(self._up, self._inv)
-        return tuple(join), tuple(meet)
+        return _lattice_tables(self._up, self._inv)
 
     @property
     def _join(self):
@@ -71,10 +70,17 @@ class Universe(SeparationSystem):
         return cls.from_relation(inv, leq_pairs, labels)._checked(join, meet)
 
     def _checked(self, join, meet):
-        """This universe, its poset validated, with the given tables after
-        ``validate_lattice``; raises on the first failure."""
-        self._tables = tuple(map(tuple, join)), tuple(map(tuple, meet))
-        self.lattice_report = rep = validate_lattice(self)
+        """This universe, its poset validated, with the given tables checked;
+        raises on the first failure.  Its poset is from ``from_relation``, so
+        tables equal to the derived ones pass ``validate_lattice`` by
+        construction, and only other tables are walked by it."""
+        self._tables = given = tuple(map(tuple, join)), tuple(map(tuple, meet))
+        try:
+            derived = _lattice_tables(self._up, self._inv)
+        except SystemValidationError:
+            derived = None
+        self.lattice_report = rep = (LatticeReport(ok=True, failures=[])
+                                     if given == derived else validate_lattice(self))
         if not rep.ok:
             axiom, witness = rep.failures[0]
             raise SystemValidationError(axiom, witness=witness)
@@ -120,8 +126,8 @@ def _table_of_cells(cells, n):
     """
     if not isinstance(cells, list):
         raise SystemValidationError("malformed-table", witness=cells)
-    if not (int_cells(cells, 3) and 0 <= min(chain.from_iterable(cells), default=0)
-            and max(chain.from_iterable(cells), default=0) < n):
+    values = int_cells(cells, 3) and set(chain.from_iterable(cells))
+    if values is False or not 0 <= min(values, default=0) <= max(values, default=0) < n:
         for cell in cells:
             if not (isinstance(cell, list) and len(cell) == 3
                     and all(type(h) is int for h in cell)):
@@ -152,8 +158,8 @@ def _lattice_tables(up, inv):
             raise SystemValidationError("join-least-upper-bound",
                                         witness=(a, row.index(None)))
         join.append(row)
-    meet = [_pick(inv, _pick(join[r], inv)) for r in inv]
-    return join, meet
+    meet = [_pick(inv, _pick(join[r], inv)) for r in inv]  # sized once, like join
+    return tuple(join), tuple(meet)
 
 
 def _pick(seq, indices):

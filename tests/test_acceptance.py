@@ -127,8 +127,7 @@ def suite():
         for k in ks:
             sk = restrict_Sk(uni, inj, k)
             fam = standardize(graph_tangle_stars(uni, base, verts, edges, k), sk)
-            fam = fam.extended(robustness_family(uni, inj, target=sk).sets,
-                               "generated:R")
+            fam = fam.extended(robustness_family(uni, inj, target=sk).sets)
             cases.append(_case(f"{tag}-k{k}", sk, inj, fam))
 
     heavy = bipartition_universe([1, 2, 3])
@@ -144,7 +143,7 @@ def suite():
         oi = refine_injective(uni.ground, o)
         fam = standardize(robustness_family(uni.ground, oi, target=uni), uni)
         fam = eclipse_closure(uni, fam.extended(
-            random_star_family(uni, oi, rng).sets, "explicit"), oi)
+            random_star_family(uni, oi, rng).sets), oi)
         c = _case(f"rand-{i}", uni, oi, fam)
         randoms.append(c)
         cases.append(c)
@@ -351,12 +350,12 @@ def test_criterion_8_layered_tree_of_tangles(suite):
         o3i = refine_injective(p3, o3)
         fam3 = standardize(
             graph_tangle_stars(p3, o3, "abc", [("a", "b"), ("b", "c")], 4), p3)
-        fam3 = fam3.extended(robustness_family(p3, o3i).sets, "generated:R")
+        fam3 = fam3.extended(robustness_family(p3, o3i).sets)
         p4, o4 = p4_universe()
         o4i = refine_injective(p4, o4)
         fam4 = standardize(graph_tangle_stars(
             p4, o4, "abcd", [("a", "b"), ("b", "c"), ("c", "d")], 5), p4)
-        fam4 = fam4.extended(robustness_family(p4, o4i).sets, "generated:R")
+        fam4 = fam4.extended(robustness_family(p4, o4i).sets)
         layered = [("p3-full", p3, o3i, fam3), ("p4-full", p4, o4i, fam4)]
         for c in randoms[:40]:
             layered.append((c.name, c.system, c.order, c.family))

@@ -184,7 +184,7 @@ def test_richness_violation_exit_3(workdir, capsys):
     s2 = restrict_Sk(u, o, 2)
     top = max(s2.seps(), key=o2.of)
     fam = standardize(ForbiddenFamily([]), s2)
-    obj = fam.extended([{s2.orientations(top)[0]}], "explicit").to_json()
+    obj = fam.extended([{s2.orientations(top)[0]}]).to_json()
     obj["generate"] = ["standardize"]
     (workdir / "poor.json").write_text(json.dumps(obj))
     code, _ = run(workdir, "tst", "--input", str(workdir / "p3.graph"),
@@ -579,7 +579,7 @@ def stars2_r_family():
     u, o = p3_universe()
     fam = graph_tangle_stars(u, o, "abc", [("a", "b"), ("b", "c")], 2)
     r = robustness_family(u, refine_injective(u, o), target=u)
-    return u, o, standardize(fam.extended(r.sets, "generated:R"), u)
+    return u, o, standardize(fam.extended(r.sets), u)
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
@@ -908,3 +908,48 @@ def test_universe_json_with_members(workdir):
     code, out = run(workdir, "tst", "--input", str(workdir / "p3.graph"), "--k", "2",
                     "--forbidden", str(workdir / "stars.json"))
     assert code == 0 and got == json.loads((out / "tst.json").read_text())
+
+
+# Each input file in turn is missing, a directory, or bytes that are not
+# UTF-8; the other files stay readable.  A graph edge list and a JSON input
+# are read by different loaders, so --input is tried with both.
+@pytest.mark.parametrize("flag,name", [("--input", "bad.graph"), ("--input", "bad.json"),
+                                       ("--order", "bad.json"), ("--forbidden", "bad.json")])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_input_file_exit_1(plain_system, capsys, flag, name, kind):
+    bad = plain_system / name
+    if kind == "directory":
+        bad.mkdir()
+    elif kind == "not-utf8":
+        bad.write_bytes(b'{"sets": [[0]]}\n# \xff\xfe\n')
+    files = {"--input": "sys.json", "--order": "const.json", "--forbidden": "singles.json"}
+    files[flag] = name
+    argv = [a for f, n in files.items() for a in (f, str(plain_system / n))]
+    assert main(["tangles", *argv, "--out", str(plain_system / "out")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    error = "input file not found" if kind == "missing" else "unreadable input file"
+    assert (err["error"], err["file"]) == (error, str(bad))
+
+
+def test_a_label_that_is_not_a_string_exit_1(plain_system, capsys):
+    obj = json.loads((plain_system / "sys.json").read_text())
+    obj["oriented"][1]["label"] = 5
+    (plain_system / "sys.json").write_text(json.dumps(obj))
+    for command in ("validate", "tst"):
+        assert run_plain(plain_system, command, "--k", "2", "--emit", "dot") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["axiom"] == "malformed-label"
+        assert err["witness"] == repr(obj["oriented"][1])
+
+
+@pytest.mark.parametrize("command,extra", [("tot", ["--k", "2"]), ("totins", [])])
+def test_trust_rich_is_noted_in_the_artifact(workdir, command, extra):
+    argv = ["--input", str(workdir / "p3.graph"),
+            "--forbidden", str(workdir / "stars-full.json"), *extra]
+    notes = {}
+    for flags in ([], ["--trust-rich"]):
+        code, out = run(workdir, command, *argv, *flags)
+        assert code == 0
+        notes[bool(flags)] = json.loads((out / f"{command}.json").read_text())["notes"]
+    assert notes[True] == {**notes[False], "rich": "trusted (--trust-rich), not checked"}
+    assert "rich" not in notes[False]

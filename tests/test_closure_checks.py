@@ -21,10 +21,12 @@ from tanglekit import core, duality, forbidden
 from tanglekit.duality import closed_under_shifting, emulates, shift_star
 from tanglekit.fixtures import (
     chain2_system,
+    eclipse_closure,
     graph_tangle_stars,
     p3_universe,
     ptriv_system,
     random_star_family,
+    random_stars,
     random_universes,
     single_sep_system,
     singleton_family,
@@ -117,7 +119,7 @@ def ladder_cases():
         for k in (1, 2, 3):
             system = restrict_Sk(u, o, k)
             stars = graph_tangle_stars(u, o, range(n), edges, k)
-            with_r = stars.extended(robustness_family(u, o2, target=system).sets, "R")
+            with_r = stars.extended(robustness_family(u, o2, target=system).sets)
             for fam in (stars, standardize(stars, system), standardize(with_r, system),
                         planted_singleton(system, 0)):
                 yield f"{name}-k{k}", system, fam, o2
@@ -199,12 +201,13 @@ def test_closed_under_shifting_is_the_walk_over_every_orientation():
 
 def test_eclipse_closure_adds_only_extending_members_and_is_closed():
     # 1,000 families fixed by their seeds: up to three stars drawn by
-    # random_star_family from Random(f"{i}:{j}"), then closed by it
+    # random_stars from Random(f"{i}:{j}"), then closed as random_star_family does
     grown = 0
     for i, (u, o) in enumerate(randoms()):
         for j in range(10):
-            fam = random_star_family(u, o, random.Random(f"{i}:{j}"))
-            added = [s for s in fam if fam.tag(s) == "generated:eclipse-closure"]
+            stars = random_stars(u, random.Random(f"{i}:{j}"))
+            fam = eclipse_closure(u, stars, o)
+            added = fam.sets - stars.sets
             assert all(extends(u, s) for s in added), (i, j)
             assert closed_under_eclipsing(u, fam, o) == (True, None), (i, j)
             grown += bool(added)

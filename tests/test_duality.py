@@ -622,7 +622,7 @@ def test_dichotomy_skips_a_member_outside_the_system(tangleless):
     # check skips it and f_eff drops it, as the tangle branch ignores it
     s2t, o2, fam, _ = tangleless
     outside = next(h for h in s2t.ground.elements() if not s2t.contains(h))
-    res = dichotomy(s2t, o2, fam.extended([{outside}], "explicit"), check_exclusive=True)
+    res = dichotomy(s2t, o2, fam.extended([{outside}]), check_exclusive=True)
     want = dichotomy(s2t, o2, fam, check_exclusive=True)
     assert res.kind == want.kind == "stree"
     assert (res.stree.n_nodes, res.stree.alpha) == (want.stree.n_nodes, want.stree.alpha)
@@ -633,7 +633,7 @@ def test_dichotomy_still_refuses_a_nonstar_member_inside_the_system(tangleless):
     s2t, o2, fam, _ = tangleless
     r = next(h for h in s2t.elements() if not s2t.is_small(h) and not s2t.is_small(s2t.inv(h)))
     with pytest.raises(NonStarFamily):
-        dichotomy(s2t, o2, fam.extended([{r, s2t.inv(r)}], "explicit"))
+        dichotomy(s2t, o2, fam.extended([{r, s2t.inv(r)}]))
 
 
 def test_dichotomy_exactly_one(p3_set, tangleless):

@@ -55,7 +55,7 @@ def p3_family(p3, k=2):
 
 def test_first_inside_is_the_least_member_by_size_then_handles(p3):
     u, o = p3
-    F = p3_family(p3).extended([frozenset()], "explicit")
+    F = p3_family(p3).extended([frozenset()])
     assert list(F) == list(F.ordered)
     for tau in restrict_Sk(u, o, 2).consistent_orientations():
         for members in (tau, tau - {min(tau)}):
@@ -149,7 +149,6 @@ def test_standardize_ptriv():
     assert not ok and missing == [frozenset({3})]  # {s<} for trivial s>
     F2 = standardize(F, pt)
     assert is_standard(F2, pt)[0]
-    assert F2.tag({3}) == "generated:standardize"
     assert standardize(F2, pt) == F2
 
 
@@ -304,7 +303,6 @@ def test_robustness_family_crossing_bipartitions(bip4):
     a = bip4.join(bip4.inv(r), lab["{1,3}|{2,4}"])
     b = bip4.join(bip4.inv(r), lab["{2,4}|{1,3}"])
     assert frozenset({r, a, b}) in R.sets
-    assert R.tag({r, a, b}) == "generated:R"
 
 
 def test_robustness_triples_consistent(bip4):
@@ -394,7 +392,7 @@ def test_rich_monotone_under_strongly_efficient_additions(p3):
         if any(sigma <= t and not is_strongly_efficient(s2, o, sigma, t)
                for t in taus):
             continue
-        extended = F.extended([sigma], "explicit")
+        extended = F.extended([sigma])
         assert is_rich(s2, extended, o)[0], s2.label(h)
 
 
@@ -405,7 +403,6 @@ def test_family_json_round_trip(p3):
     back = ForbiddenFamily.from_json(blob)
     assert back == F
     assert back.to_json() == blob
-    assert back.tag(next(iter(F.sets))) == F.tag(next(iter(F.sets)))
 
 
 # -- no tangle repeats across thresholds ------------------------------------------------

@@ -183,6 +183,23 @@ def test_no_product_of_orientations_and_the_count_guard_only_on_searches():
     assert not found, f"orientation products or count guards outside searches: {found}"
 
 
+FILE_READS = {"open", "read_text", "read_bytes"}
+
+
+def test_the_cli_reads_input_files_in_one_place():
+    # cli.read_input turns every unreadable file into an exit-1 report; a
+    # read anywhere else would end in a traceback
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    found = []
+    for node, fn in nodes_in_functions(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name in FILE_READS and fn != "read_input":
+            found.append(f"cli.py:{node.lineno} {fn} calls {name}")
+    assert not found, f"input files read outside cli.read_input: {found}"
+
+
 def test_every_module_level_import_is_used():
     # an import that nothing in its module reads is left over from code that
     # has gone; a package module's __all__ counts as a use

@@ -1,10 +1,12 @@
 """Trees of tangles: oracle distinguishers, extraction, criticality, layering."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from tanglekit.errors import HypothesisFailure, NonInjectiveOrder
+from tanglekit.errors import HypothesisFailure, NonInjectiveOrder, PreconditionError
 from tanglekit.fixtures import (
     _cut_order,
     eclipse_closure,
@@ -15,14 +17,17 @@ from tanglekit.forbidden import (
     ForbiddenFamily,
     enumerate_tangles,
     is_rich,
+    profile_family,
     robustness_family,
     standardize,
 )
 from tanglekit.orderfn import OrderFunction, refine_injective
 from tanglekit.tot import (
+    check_tot_hypotheses,
     distinguisher_report,
     is_critical,
     optimal_distinguishers,
+    tangle_node_seps,
     tangle_nodes,
     tree_of_tangles,
     tree_of_tangles_in,
@@ -34,7 +39,7 @@ from tanglekit.tst import (
     display,
     reduce_irreducible,
 )
-from tanglekit.universe import bipartition_universe, restrict_Sk
+from tanglekit.universe import bipartition_universe, graph_universe, restrict_Sk
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +48,7 @@ def p3_tot():
     o2 = refine_injective(u, o)
     s2 = restrict_Sk(u, o2, 2)
     F = standardize(graph_tangle_stars(u, o, "abc", [("a", "b"), ("b", "c")], 2), s2)
-    F = F.extended(robustness_family(u, o2, target=s2).sets, "generated:R")
+    F = F.extended(robustness_family(u, o2, target=s2).sets)
     tree = build_thorough_tst(s2, o2, F)
     return u, o2, s2, F, tree
 
@@ -126,9 +131,8 @@ def test_infimum_node_is_the_optimal_distinguisher(p3_tot):
 
 def test_extraction_requires_robustness_triples(p3_tot):
     u, o2, s2, F, tree = p3_tot
-    missing = ForbiddenFamily(
-        [s for s in F.sets if F.tag(s) != "generated:R"])
     robust = robustness_family(u, o2, target=s2)
+    missing = ForbiddenFamily(F.sets - robust.sets)
     if robust.sets - missing.sets:
         with pytest.raises(HypothesisFailure):
             tree_of_tangles(tree, s2, o2, missing)
@@ -193,7 +197,7 @@ def p3_layered_tot():
     u, o = p3_universe()
     o2 = refine_injective(u, o)
     F = standardize(graph_tangle_stars(u, o, "abc", [("a", "b"), ("b", "c")], 4), u)
-    F = F.extended(robustness_family(u, o2, target=u).sets, "generated:R")
+    F = F.extended(robustness_family(u, o2, target=u).sets)
     return u, o2, F
 
 
@@ -222,8 +226,9 @@ def test_p3_layered_matches_oracle(p3_layered_tot):
 
 def test_layered_requires_robustness(p3_layered_tot):
     u, o2, F = p3_layered_tot
-    slim = ForbiddenFamily([s for s in F.sets if F.tag(s) != "generated:R"])
-    if robustness_family(u, o2, target=u).sets - slim.sets:
+    robust = robustness_family(u, o2, target=u)
+    slim = ForbiddenFamily(F.sets - robust.sets)
+    if robust.sets - slim.sets:
         with pytest.raises(HypothesisFailure):
             tree_of_tangles_in(u, o2, slim)
 
@@ -268,3 +273,42 @@ def test_verify_tot_crossing_witness():
     rep = verify_tot(bip4, o, crossing, [])
     assert not rep.ok and not rep.nested
     assert rep.crossing_pairs
+
+
+# -- F-tangles that are not profiles ------------------------------------------------
+
+
+def test_tot_on_random_graphs_with_non_profile_tangles():
+    # 60 graphs fixed by the seed: 4-6 vertices, each pair joined with
+    # probability 0.45, edgeless ones skipped; F = standardize(R) on S_k for
+    # k = 2, 3, with S_k of at most 60 oriented separations.  A tangle that
+    # holds a profile triple is no profile, a case the theorem covers beyond
+    # profiles.  Each case fails a hypothesis or satisfies the theorem.
+    rng = random.Random(5)
+    verified = non_profile = 0
+    for _ in range(60):
+        n = rng.randint(4, 6)
+        edges = [(a, b) for a, b in combinations(range(n), 2) if rng.random() < 0.45]
+        if not edges:
+            continue
+        uni, order = graph_universe(range(n), edges)
+        inj = refine_injective(uni, order)
+        for k in (2, 3):
+            sk = restrict_Sk(uni, inj, k)
+            if len(sk.elements()) > 60:
+                continue
+            fam = standardize(robustness_family(uni, inj, target=sk), sk)
+            try:
+                check_tot_hypotheses(sk, inj, fam, bound=60)
+            except PreconditionError:
+                continue
+            tree = build_thorough_tst(sk, inj, fam, bound=60)
+            tangles = enumerate_tangles(sk, fam, bound=60)
+            rep = verify_tot(sk, inj, tangle_node_seps(tree, inj, fam), tangles)
+            assert rep.ok, (n, edges, k, rep)
+            verified += 1
+            profiles = profile_family(uni, target=sk)
+            non_profile += len(tangles) >= 2 and any(
+                profiles.first_inside(t) is not None for t in tangles)
+    assert verified >= 60  # 71 seen, of 101 cases
+    assert non_profile >= 30  # 35 seen

@@ -103,7 +103,7 @@ def test_single_node_tree_empty_tangle(p3_setting):
 def test_planted_forbidden_nonleaf_fails(p3_tree, p3_setting):
     u, o2, s2, F = p3_setting
     inner = [v for v in p3_tree.nodes() if not p3_tree.is_leaf(v)][1]
-    bad = F.extended([p3_tree.beta(inner)], "explicit")
+    bad = F.extended([p3_tree.beta(inner)])
     rep = validate_tst(p3_tree, bad)
     assert not rep.ok
     assert any(reason == "forbidden-subset-at-non-leaf" for _, reason in rep.failures)
@@ -179,7 +179,7 @@ def test_leaf_classes_are_filled_only_by_classify_leaf(p3_setting):
     assert list(tree._classes) == [F]
     assert necessity(tree, F).leaf_classes == first
     assert first == {l: classify_leaf(tree, F, l) for l in tree.leaves()}
-    other = F.extended([frozenset({s2.elements()[0]})], "explicit")
+    other = F.extended([frozenset({s2.elements()[0]})])
     validate_tst(tree, other)
     assert set(tree._classes) == {F, other}
 
@@ -282,7 +282,7 @@ def test_richness_violation_diagnostic(p3_setting):
     top = seps[-1]
     x = s2.orientations(top)[0]
     base = standardize(ForbiddenFamily([]), s2)
-    fam = base.extended([{x}], "explicit")
+    fam = base.extended([{x}])
     assert not is_rich(s2, fam, o2)[0]
     with pytest.raises(RichnessViolation) as e:
         build_thorough_tst(s2, o2, fam)
@@ -425,7 +425,7 @@ def test_validate_tst_in_s_names_each_planted_defect(p3_layered):
         (leaf, "tangle-leaf-not-a-maximal-tangle")]
     inner = tree.parent[leaf]
     failures = validate_tst_in_s(
-        res, F.extended([tree.beta(inner)], "explicit"), o2).failures
+        res, F.extended([tree.beta(inner)]), o2).failures
     assert (inner, "forbidden-subset-at-non-leaf") in failures
 
 
@@ -511,7 +511,7 @@ def test_reduction_sweep_over_random_fixtures():
         oi = refine_injective(uni.ground, o)
         fam = standardize(robustness_family(uni.ground, oi, target=uni), uni)
         fam = eclipse_closure(uni, fam.extended(
-            random_star_family(uni, oi, rng).sets, "explicit"), oi)
+            random_star_family(uni, oi, rng).sets), oi)
         if not is_rich(uni, fam, oi, bound=25)[0]:
             continue
         tree = build_thorough_tst(uni, oi, fam, bound=25)
@@ -591,7 +591,7 @@ def test_degenerate_layer_check_fires_exactly_when_a_closure_is_inconsistent(gra
     u, o = graph_universe(vertices, edges)
     o2 = refine_injective(u, o)
     fam = graph_tangle_stars(u, o, vertices, edges, k)
-    fam = standardize(fam.extended(robustness_family(u, o2, target=u).sets, "R"), u)
+    fam = standardize(fam.extended(robustness_family(u, o2, target=u).sets), u)
     try:
         check_rich_per_layer(u, o2, fam, bound=64)
     except HypothesisFailure:
