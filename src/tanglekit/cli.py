@@ -201,26 +201,27 @@ def check_bound(system, args):
 # -- emission -------------------------------------------------------------------
 
 
-def _out_dir(args):
-    """The output directory (--out, else $TANGLEKIT_OUT, else .), created if missing."""
-    outdir = Path(args.out or os.environ.get(OUT_ENV, "."))
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
+def _write_output(args, filename, text):
+    """Write ``text`` as ``filename`` in the output directory (--out, else
+    $TANGLEKIT_OUT, else .), created if missing: the one place output is written."""
+    path = Path(args.out or os.environ.get(OUT_ENV, ".")) / filename
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:  # the directory is a file, or lies under one, ...
+        _fail(1, error="unwritable output", file=str(path), detail=str(exc))
+    return path
 
 
 def write_artifact(args, name, obj):
-    path = _out_dir(args) / f"{name}.json"
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-    return path
+    return _write_output(args, f"{name}.json", json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def write_dot(args, name, render):
     """With --emit dot, write ``render()`` as <name>.dot; otherwise render nothing."""
     if args.emit != "dot":
         return None
-    path = _out_dir(args) / f"{name}.dot"
-    path.write_text(render())
-    return path
+    return _write_output(args, f"{name}.dot", render())
 
 
 def tangle_list(tangles):

@@ -18,21 +18,20 @@ from .errors import (
     AmbiguousShiftChoice,
     BothOrNeither,
     HypothesisFailure,
-    NonInjectiveOrder,
     NonStarFamily,
     NonSubmodularOrder,
     NotIrreducible,
-    NotStandard,
     PreconditionError,
     SystemValidationError,
     TheoremViolation,
     TrivialElementsPresent,
 )
-from .forbidden import _eclipsers, _replacements, f_eff, is_rich, is_standard
+from .forbidden import _eclipsers, _replacements, f_eff, is_rich
 from .orderfn import refine_injective, refines
 from .tst import (
     LEAF_FORBIDDEN,
     LEAF_TANGLE,
+    _check_thorough_preconditions,
     build_thorough_tst,
     necessity,
     reduce_irreducible,
@@ -312,7 +311,7 @@ def stree_order_preserving(stree) -> bool:
     return True
 
 
-def stree_from_nested(system, bound=ENUMERATION_BOUND) -> STree:
+def stree_from_nested(system) -> STree:
     """An S-tree over stars realizing a nested regular finite system.
 
     Nodes are the consistent orientations; two nodes are adjacent when they
@@ -325,7 +324,7 @@ def stree_from_nested(system, bound=ENUMERATION_BOUND) -> STree:
         raise PreconditionError(f"system not nested: crossing pairs {crossing}")
     if any(system.is_small(h) for h in system.elements()):
         raise PreconditionError("system not regular: small elements present")
-    taus = system.consistent_orientations(bound=bound)
+    taus = system.consistent_orientations()
     index = {t: i for i, t in enumerate(taus)}
     alpha = {}
     for i, t1 in enumerate(taus):
@@ -461,11 +460,7 @@ def dichotomy(system, order, family, bound=ENUMERATION_BOUND, check_exclusive=Fa
     family; its conversion must pass ``validate_conversion``, its stars F_eff.
     """
     notes = {}
-    if not order.is_injective_on(system):
-        raise NonInjectiveOrder("order function not injective on the system")
-    ok, missing = is_standard(family, system)
-    if not ok:
-        raise NotStandard(f"missing singletons {sorted(map(sorted, missing))}")
+    _check_thorough_preconditions(system, order, family)
     if not assume_rich:
         rich, witness = is_rich(system, family, order, bound=bound)
         if not rich:

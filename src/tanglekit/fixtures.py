@@ -132,15 +132,15 @@ def _cut_order(uni, weights, nv) -> OrderFunction:
     return OrderFunction(uni, {s: _cut_value(s, weights) for s in uni.seps()})
 
 
-def random_universes(count=100, seed=2024, ground_size=4):
+def random_universes(count=100, seed=2024):
     """Seeded random sub-universes of the bipartition lattice with cut orders.
 
-    Each is a standalone universe (at most 2^(ground_size-1) separations)
-    whose sides form a complement/union/intersection-closed family, with a
-    random non-negative rational edge-cut order, which keeps it submodular.
+    Each is a standalone universe on 4 points (at most 8 separations) whose
+    sides form a complement/union/intersection-closed family, with a random
+    non-negative rational edge-cut order, which keeps it submodular.
     """
     rng = random.Random(seed)
-    nv = ground_size
+    nv = 4
     full = (1 << nv) - 1
     out = []
     while len(out) < count:
@@ -170,11 +170,11 @@ def random_universes(count=100, seed=2024, ground_size=4):
     return out
 
 
-def random_stars(system, rng, tries=30) -> ForbiddenFamily:
-    """Up to three random nonempty stars, drawn in at most ``tries`` tries."""
+def random_stars(system, rng) -> ForbiddenFamily:
+    """Up to three random nonempty stars, drawn in at most 30 tries."""
     els = system.elements()
     stars = set()
-    for _ in range(tries):
+    for _ in range(30):
         size = rng.choice((1, 1, 2, 3))
         cand = frozenset(rng.sample(els, min(size, len(els))))
         if system.is_star(cand) and cand:
@@ -184,6 +184,6 @@ def random_stars(system, rng, tries=30) -> ForbiddenFamily:
     return ForbiddenFamily(stars)
 
 
-def random_star_family(system, order, rng, tries=30) -> ForbiddenFamily:
+def random_star_family(system, order, rng) -> ForbiddenFamily:
     """A few random stars, eclipse-closed so the family is rich."""
-    return eclipse_closure(system, random_stars(system, rng, tries), order)
+    return eclipse_closure(system, random_stars(system, rng), order)

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from operator import itemgetter
 
-from .core import ENUMERATION_BOUND, SeparationSystem
+from .core import SeparationSystem
 from .errors import (InputError, NonSubmodularOrder, PreconditionError, SystemValidationError,
                      UnknownHandle)
 from .forbidden import enumerate_tangles, order_thresholds
@@ -256,18 +256,18 @@ def refine_injective(uni, o: OrderFunction, iota=None) -> OrderFunction:
     return OrderFunction._of_num(uni, out, o.den * d)
 
 
-def enumeration_refinement(uni, o: OrderFunction, iota=None) -> Enumeration:
+def enumeration_refinement(uni, o: OrderFunction) -> Enumeration:
     """A structurally submodular enumeration of U refining o.
 
     Composes the injective refinement with the order isomorphism onto
     1..|U|; structural submodularity survives the composition.
     """
-    o2 = refine_injective(uni, o, iota=iota)
+    o2 = refine_injective(uni, o)
     seps = sorted(uni.seps(), key=o2.num.__getitem__)
     return Enumeration(uni, {s: i + 1 for i, s in enumerate(seps)})
 
 
-def tangles_preserved_under_refinement(system, family, o, o2, bound=ENUMERATION_BOUND):
+def tangles_preserved_under_refinement(system, family, o, o2):
     """Check that every tangle at any o-threshold is a tangle at some o2-threshold.
 
     Exhausts thresholds at the distinct order values (plus a sentinel above
@@ -276,9 +276,9 @@ def tangles_preserved_under_refinement(system, family, o, o2, bound=ENUMERATION_
     """
     o2_tangles = set()
     for k2 in order_thresholds(system, o2):
-        o2_tangles.update(enumerate_tangles(restrict_Sk(system, o2, k2), family, bound=bound))
+        o2_tangles.update(enumerate_tangles(restrict_Sk(system, o2, k2), family))
     for k in order_thresholds(system, o):
-        for tau in enumerate_tangles(restrict_Sk(system, o, k), family, bound=bound):
+        for tau in enumerate_tangles(restrict_Sk(system, o, k), family):
             if tau not in o2_tangles:
                 return False, (k, tau)
     return True, None

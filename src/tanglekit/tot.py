@@ -110,14 +110,13 @@ def check_tot_hypotheses(system, order, family, bound=ENUMERATION_BOUND,
     return hyp
 
 
-def tree_of_tangles(tree, system, order, family, bound=ENUMERATION_BOUND,
-                    trust_rich=False):
+def tree_of_tangles(tree, system, order, family, bound=ENUMERATION_BOUND):
     """The nested distinguisher set N read off a thoroughly ordered tree.
 
     N is the set of separations oriented at the tangle nodes; under the
     checked hypotheses it equals the brute-force optimal-distinguisher set.
     """
-    check_tot_hypotheses(system, order, family, bound=bound, trust_rich=trust_rich)
+    check_tot_hypotheses(system, order, family, bound=bound)
     return tangle_node_seps(tree, order, family)
 
 

@@ -276,6 +276,15 @@ def is_thoroughly_ordered(tree, order) -> bool:
 # -- the thorough builder ---------------------------------------------------------
 
 
+def _check_thorough_preconditions(system, order, family):
+    """The thorough tree's preconditions: an injective order and a standard family."""
+    if not order.is_injective_on(system):
+        raise NonInjectiveOrder("order function not injective on the system")
+    ok, missing = is_standard(family, system)
+    if not ok:
+        raise NotStandard(f"missing co-trivial singletons {sorted(map(sorted, missing))}")
+
+
 def build_thorough_tst(system, order, family, bound=ENUMERATION_BOUND) -> SeparationTree:
     """The thoroughly ordered tangle structure tree of the member separations.
 
@@ -286,11 +295,7 @@ def build_thorough_tst(system, order, family, bound=ENUMERATION_BOUND) -> Separa
     Deterministic: children in oriented-handle order, ids in stack order.
     """
     _bounded_seps(system, bound)
-    if not order.is_injective_on(system):
-        raise NonInjectiveOrder("order function not injective on the system")
-    ok, missing = is_standard(family, system)
-    if not ok:
-        raise NotStandard(f"missing co-trivial singletons {sorted(map(sorted, missing))}")
+    _check_thorough_preconditions(system, order, family)
 
     parent, children, edge_label = [-1], [[]], [-1]
     stack = [(0, 0)]  # (node, beta mask)
@@ -538,9 +543,7 @@ def build_tst_in_S(system, order, family, bound=ENUMERATION_BOUND,
     )
 
 
-def validate_tst_in_s(result: TstInS, family, order,
-                      bound=ENUMERATION_BOUND) -> TstReport:
+def validate_tst_in_s(result: TstInS, family, order) -> TstReport:
     """Oracle-grade validation of a layered tree per the maximal-tangle notion."""
-    maximal = {t.elements for t in
-               maximal_tangles_in(result.tree.system, family, order, bound=bound)}
+    maximal = {t.elements for t in maximal_tangles_in(result.tree.system, family, order)}
     return _tst_report(result.tree, family, result.leaf_classes, maximal)

@@ -931,6 +931,19 @@ def test_unreadable_input_file_exit_1(plain_system, capsys, flag, name, kind):
     assert (err["error"], err["file"]) == (error, str(bad))
 
 
+# The output directory is a file, or lies under one.
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_unwritable_output_exit_1(workdir, capsys, out):
+    (workdir / "afile").write_text("not a directory\n")
+    code = main(["refine-order", "--input", str(workdir / "p3.graph"),
+                 "--out", str(workdir / out)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "unwritable output"
+    assert err["file"] == str(workdir / out / "refine-order.json")
+    assert err["detail"]
+
+
 def test_a_label_that_is_not_a_string_exit_1(plain_system, capsys):
     obj = json.loads((plain_system / "sys.json").read_text())
     obj["oriented"][1]["label"] = 5

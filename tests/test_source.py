@@ -200,6 +200,23 @@ def test_the_cli_reads_input_files_in_one_place():
     assert not found, f"input files read outside cli.read_input: {found}"
 
 
+FILE_WRITES = {"mkdir", "write_text", "write_bytes"}
+
+
+def test_the_cli_writes_output_files_in_one_place():
+    # cli._write_output turns every unwritable output into an exit-1 report; a
+    # write anywhere else would end in a traceback
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    found = []
+    for node, fn in nodes_in_functions(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name in FILE_WRITES and fn != "_write_output":
+            found.append(f"cli.py:{node.lineno} {fn} calls {name}")
+    assert not found, f"output files written outside cli._write_output: {found}"
+
+
 def test_every_module_level_import_is_used():
     # an import that nothing in its module reads is left over from code that
     # has gone; a package module's __all__ counts as a use
@@ -317,3 +334,68 @@ def test_a_command_loads_only_the_layers_it_runs(tmp_path, command, argv, unused
                           f"assert main({args!r}) == 0")
     assert (tmp_path / "out" / f"{command}.json").exists()
     assert not set(added) & set(unused)
+
+
+def defaulted_parameters(tree):
+    """(class name or None, function node, parameter name, position or None)
+    for each parameter with a default; the position counts the arguments a
+    call passes, so a method's ``self`` or ``cls`` is not counted."""
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                positional = [x.arg for x in a.posonlyargs + a.args]
+                skip = cls is not None and not any(
+                    getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+                for i, name in enumerate(positional):
+                    if i >= len(positional) - len(a.defaults):
+                        yield cls, child, name, i - skip
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        yield cls, child, arg.arg, None
+                yield from visit(child, None)
+            else:
+                yield from visit(child, child.name if isinstance(child, ast.ClassDef) else cls)
+    yield from visit(tree, None)
+
+
+def calls_by_name():
+    """Each call in src/, tests/ or benchmark/, under the name it calls:
+    ``super().__init__`` is filed under "super"."""
+    calls = {}
+    for folder in ("src", "tests", "benchmark"):
+        for path in sorted((REPO / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if (name == "__init__" and isinstance(node.func.value, ast.Call)
+                        and getattr(node.func.value.func, "id", None) == "super"):
+                    name = "super"
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def passes(call, name, position):
+    """Whether ``call`` may set parameter ``name``; a starred argument may set any."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    # a default that no call overrides is a setting nobody runs: it is a
+    # constant, and belongs in the body
+    calls = calls_by_name()
+    found = []
+    for path, tree in package_trees():
+        for cls, fn, name, position in defaulted_parameters(tree):
+            names = [fn.name]
+            if fn.name == "__init__" and cls is not None:
+                names += [cls, "super"]
+            if not any(passes(call, name, position)
+                       for n in names for call in calls.get(n, ())):
+                found.append(f"{path.name}:{fn.lineno} {fn.name}({name})")
+    assert not found, f"defaulted parameters no caller sets: {found}"

@@ -129,13 +129,21 @@ def test_infimum_node_is_the_optimal_distinguisher(p3_tot):
             for (i, j) in rep.pairs)
 
 
-def test_extraction_requires_robustness_triples(p3_tot):
-    u, o2, s2, F, tree = p3_tot
+def test_extraction_requires_robustness_triples():
+    # K1,4 at k = 2: S_2 has 13 separations and 6 robustness triples.  With
+    # F = standardize(R) every hypothesis holds; without R only the
+    # robustness hypothesis fails.
+    u, o = graph_universe("abcde", [("a", x) for x in "bcde"])
+    o2 = refine_injective(u, o)
+    s2 = restrict_Sk(u, o2, 2)
     robust = robustness_family(u, o2, target=s2)
-    missing = ForbiddenFamily(F.sets - robust.sets)
-    if robust.sets - missing.sets:
-        with pytest.raises(HypothesisFailure):
-            tree_of_tangles(tree, s2, o2, missing)
+    assert robust.sets
+    F = standardize(robust, s2)
+    tree = build_thorough_tst(s2, o2, F)
+    tangles = enumerate_tangles(s2, F)
+    assert verify_tot(s2, o2, tree_of_tangles(tree, s2, o2, F), tangles).ok
+    with pytest.raises(HypothesisFailure, match=r"\['robustness_included'\]"):
+        tree_of_tangles(tree, s2, o2, ForbiddenFamily(F.sets - robust.sets))
 
 
 def test_extraction_requires_a_thoroughly_ordered_tree(p3_tot):
