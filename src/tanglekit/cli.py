@@ -195,7 +195,6 @@ def check_bound(system, args):
     if seps > bound and not args.unsafe_bounds:
         _fail(2, error="separation count exceeds bound", seps=seps, bound=bound,
               hint="pass --unsafe-bounds to acknowledge")
-    return max(bound, seps)
 
 
 # -- emission -------------------------------------------------------------------
@@ -270,7 +269,7 @@ def cmd_validate(args):
 
 
 # One command's inputs after the shared set-up steps of ``prepare``.
-Run = namedtuple("Run", "uni system order k bound family notes")
+Run = namedtuple("Run", "uni system order k family notes")
 
 
 def prepare(args, order_use="optional", use_k=True) -> Run:
@@ -287,22 +286,23 @@ def prepare(args, order_use="optional", use_k=True) -> Run:
     if order_use != "optional" or k is not None:
         require_order(order)
     system = uni if k is None else restrict_Sk(uni, order, k)
-    bound = check_bound(system, args)
+    check_bound(system, args)
     notes = {}
     if order_use == "injective":
         order = ensure_injective(uni, order, notes)
     family = load_family(args, uni, system, order)
-    return Run(uni, system, order, k, bound, family, notes)
+    return Run(uni, system, order, k, family, notes)
 
 
 def cmd_tangles(args):
     run = prepare(args)
     out = {"schema": "tanglekit/tangles-v1",
            "k": str(run.k) if run.k is not None else "inf",
-           "tangles": tangle_list(enumerate_tangles(run.system, run.family,
-                                                    bound=run.bound))}
+           "tangles": tangle_list(enumerate_tangles(run.system, run.family))}
     if run.order is not None:
-        records = enumerate_tangles_in(run.uni, run.family, run.order, bound=run.bound)
+        # tangles_in covers every threshold, so it walks the whole input
+        check_bound(run.uni, args)
+        records = enumerate_tangles_in(run.uni, run.family, run.order)
         out["tangles_in"] = [
             {"k": str(t.k), "elements": sorted(t.elements), "maximal": t.maximal}
             for t in records]
@@ -328,7 +328,7 @@ def cmd_tst(args):
     from .tst import build_thorough_tst
 
     run = prepare(args, "injective")
-    tree = build_thorough_tst(run.system, run.order, run.family, bound=run.bound)
+    tree = build_thorough_tst(run.system, run.order, run.family)
     return emit_tree(args, "tst", tree, run)
 
 
@@ -336,7 +336,7 @@ def cmd_reduce(args):
     from .tst import build_thorough_tst, reduce_irreducible
 
     run = prepare(args, "injective")
-    tree = build_thorough_tst(run.system, run.order, run.family, bound=run.bound)
+    tree = build_thorough_tst(run.system, run.order, run.family)
     return emit_tree(args, "reduce", reduce_irreducible(tree, run.family, run.order), run)
 
 
@@ -360,7 +360,7 @@ def cmd_duality(args):
     from .duality import dichotomy
 
     run = prepare(args, "injective")
-    res = dichotomy(run.system, run.order, run.family, bound=run.bound,
+    res = dichotomy(run.system, run.order, run.family,
                     check_exclusive=args.check_exclusive)
     return emit_duality(args, "duality", res, run)
 
@@ -370,7 +370,7 @@ def cmd_newduality(args):
 
     run = prepare(args, "required")
     require_universe(run.uni, "newduality")
-    res = newduality(run.uni, run.order, run.k, run.family, bound=run.bound,
+    res = newduality(run.uni, run.order, run.k, run.family,
                      check_exclusive=args.check_exclusive)
     return emit_duality(args, "newduality", res, run)
 
@@ -382,11 +382,10 @@ def cmd_tot(args):
 
     run = trusted_rich(args, prepare(args, "injective"))
     # hypotheses first: a non-rich family exits 2, not 3 from the builder
-    check_tot_hypotheses(run.system, run.order, run.family, bound=run.bound,
-                         trust_rich=args.trust_rich)
-    tree = build_thorough_tst(run.system, run.order, run.family, bound=run.bound)
+    check_tot_hypotheses(run.system, run.order, run.family, trust_rich=args.trust_rich)
+    tree = build_thorough_tst(run.system, run.order, run.family)
     n = tangle_node_seps(tree, run.order, run.family)
-    tangles = enumerate_tangles(run.system, run.family, bound=run.bound)
+    tangles = enumerate_tangles(run.system, run.family)
     check = verify_tot(run.system, run.order, n, tangles)
     obj = {"schema": "tanglekit/tot-v1", "N": sorted(n),
            "verified": check.ok, "notes": run.notes}
@@ -404,7 +403,7 @@ def cmd_totins(args):
     from .tot import tree_of_tangles_in, verify_tot
 
     run = trusted_rich(args, prepare(args, "injective", use_k=False))
-    res = tree_of_tangles_in(run.system, run.order, run.family, bound=run.bound,
+    res = tree_of_tangles_in(run.system, run.order, run.family,
                              trust_rich=args.trust_rich)
     check = verify_tot(run.system, run.order, res.distinguishers,
                        [t.elements for t in res.maximal_tangles])

@@ -28,12 +28,9 @@ from functools import cached_property, reduce
 from itertools import chain, repeat
 from operator import or_
 
-from .errors import BoundExceeded, InconsistentSet, SystemValidationError, UnknownHandle
+from .errors import InconsistentSet, SystemValidationError, UnknownHandle
 
 SYSTEM_SCHEMA = "tanglekit/system-v1"
-
-#: Default cap on unoriented separations for exhaustive orientation search.
-ENUMERATION_BOUND = 20
 
 
 def mask_of(handles: Iterable[int]) -> int:
@@ -378,9 +375,9 @@ class SeparationSystem:
         o2 = [h for h in self.orientations(self.sep(s)) if h in tau2]
         return bool(o1) and bool(o2) and o1 != o2
 
-    def consistent_orientations(self, bound: int = ENUMERATION_BOUND):
+    def consistent_orientations(self):
         """All consistent orientations of the members, as ``orientations_avoiding``."""
-        return orientations_avoiding(self, (), bound)
+        return orientations_avoiding(self, ())
 
     # -- serialization -------------------------------------------------------
 
@@ -443,16 +440,7 @@ class SeparationSystem:
         return f"<SeparationSystem {len(self)} seps / {len(self.elements())} oriented>"
 
 
-def _bounded_seps(system, bound: int) -> list:
-    """The member separations, ascending; BoundExceeded when there are more
-    than ``bound`` of them."""
-    seps = system.seps()
-    if len(seps) > bound:
-        raise BoundExceeded(f"{len(seps)} separations exceed bound {bound}")
-    return seps
-
-
-def _orientations(system, forbidden, bound: int):
+def _orientations(system, forbidden):
     """The consistent orientations of the member separations containing no set
     of ``forbidden``, generated in the lexicographic order of oriented handles.
 
@@ -462,7 +450,7 @@ def _orientations(system, forbidden, bound: int):
     set (both are monotone in the partial set), so an empty forbidden set
     admits nothing.  A caller that stops early never holds the whole list.
     """
-    seps = _bounded_seps(system, bound)
+    seps = system.seps()
     masks = [mask_of(s) for s in forbidden]
     incompat = system._incompat
     pushed = [system.orientations(s)[::-1] for s in seps]  # popped smaller first
@@ -479,11 +467,10 @@ def _orientations(system, forbidden, bound: int):
                 stack.append((i + 1, cur_mask | 1 << h, cur + (h,)))
 
 
-def orientations_avoiding(system, forbidden, bound: int = ENUMERATION_BOUND):
+def orientations_avoiding(system, forbidden):
     """The consistent orientations of the member separations containing no set
-    of ``forbidden``, as a list in ``_orientations`` order; BoundExceeded is
-    raised at the call."""
-    return list(_orientations(system, forbidden, bound))
+    of ``forbidden``, as a list in ``_orientations`` order."""
+    return list(_orientations(system, forbidden))
 
 
 # The degeneracy flags of one oriented separation (all bools).

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache, partial
 
-from .core import ENUMERATION_BOUND, _orientations, mask_of
+from .core import _orientations, mask_of
 from .errors import (
     AmbiguousShiftChoice,
     BothOrNeither,
@@ -451,7 +451,7 @@ DichotomyResult = namedtuple(
     defaults=(None,) * 6)
 
 
-def dichotomy(system, order, family, bound=ENUMERATION_BOUND, check_exclusive=False,
+def dichotomy(system, order, family, check_exclusive=False,
               assume_rich=False) -> DichotomyResult:
     """Exactly one of: a tangle of the system, or an S-tree over the family.
 
@@ -462,17 +462,17 @@ def dichotomy(system, order, family, bound=ENUMERATION_BOUND, check_exclusive=Fa
     notes = {}
     _check_thorough_preconditions(system, order, family)
     if not assume_rich:
-        rich, witness = is_rich(system, family, order, bound=bound)
+        rich, witness = is_rich(system, family, order)
         if not rich:
             raise HypothesisFailure(
                 f"family not rich; counterexample orientation {sorted(witness)}")
     else:
         notes["rich"] = "assumed (derived upstream)"
 
-    tangle = next(_orientations(system, family.sets, bound), None)
+    tangle = next(_orientations(system, family.sets), None)
     if tangle is not None:
         if check_exclusive:
-            tree = build_thorough_tst(system, order, family, bound=bound)
+            tree = build_thorough_tst(system, order, family)
             rep = validate_tst(tree, family)
             if all(c.kind == LEAF_FORBIDDEN for c in rep.leaf_classes.values()):
                 raise BothOrNeither("tangle exists but the structure tree is an F-tree")
@@ -484,7 +484,7 @@ def dichotomy(system, order, family, bound=ENUMERATION_BOUND, check_exclusive=Fa
             f"S-tree branch needs a trivial-free system; "
             f"trivial {system.trivial_elements()}")
     _check_star_family(system, family)
-    tree = build_thorough_tst(system, order, family, bound=bound)
+    tree = build_thorough_tst(system, order, family)
     reduced = reduce_irreducible(tree, family, order)
     rep = validate_tst(reduced, family)
     if any(c.kind == LEAF_TANGLE for c in rep.leaf_classes.values()):
@@ -507,8 +507,7 @@ def dichotomy(system, order, family, bound=ENUMERATION_BOUND, check_exclusive=Fa
                            conversion=cmap, feff=feff, notes=notes)
 
 
-def newduality(uni, order, ell, family, bound=ENUMERATION_BOUND,
-               check_exclusive=False):
+def newduality(uni, order, ell, family, check_exclusive=False):
     """The shifting-based dichotomy for S = U_ell.
 
     Keeps an injective structurally submodular order as given and refines a
@@ -539,7 +538,7 @@ def newduality(uni, order, ell, family, bound=ENUMERATION_BOUND,
     ok, witness = closed_under_shifting(system, family, o2)
     if not ok:
         raise HypothesisFailure(f"family not closed under shifting; witness {witness}")
-    result = dichotomy(system, o2, family, bound=bound,
-                       check_exclusive=check_exclusive, assume_rich=True)
+    result = dichotomy(system, o2, family, check_exclusive=check_exclusive,
+                       assume_rich=True)
     result.notes["rich"] = "derived from closure under shifting"
     return result

@@ -13,7 +13,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
-from .core import ENUMERATION_BOUND, _orientations, iter_mask, mask_of, orientations_avoiding
+from .core import _orientations, iter_mask, mask_of, orientations_avoiding
 from .universe import restrict_Sk
 
 FAMILY_SCHEMA = "tanglekit/forbidden-v1"
@@ -80,9 +80,9 @@ def avoids(tau, family: ForbiddenFamily) -> bool:
 Tangle = namedtuple("Tangle", "elements k maximal", defaults=(None, False))
 
 
-def enumerate_tangles(system, family, bound=ENUMERATION_BOUND):
+def enumerate_tangles(system, family):
     """All F-tangles of the member separations, in lexicographic handle order."""
-    return orientations_avoiding(system, family.sets, bound)
+    return orientations_avoiding(system, family.sets)
 
 
 def order_thresholds(system, order):
@@ -91,7 +91,7 @@ def order_thresholds(system, order):
     return [Fraction(v, order.den) for v in vals + [vals[-1] + order.den if vals else 0]]
 
 
-def enumerate_tangles_in(system, family, order, bound=ENUMERATION_BOUND):
+def enumerate_tangles_in(system, family, order):
     """The F-tangles of every S_k, with maximality flags.
 
     A tangle is maximal when no tangle of any other threshold strictly
@@ -100,15 +100,13 @@ def enumerate_tangles_in(system, family, order, bound=ENUMERATION_BOUND):
     orients all of S_k.
     """
     records = [Tangle(elements=tau, k=k) for k in order_thresholds(system, order)
-               for tau in enumerate_tangles(restrict_Sk(system, order, k), family,
-                                            bound=bound)]
+               for tau in enumerate_tangles(restrict_Sk(system, order, k), family)]
     return [t._replace(maximal=not any(t.elements < u.elements for u in records))
             for t in records]
 
 
-def maximal_tangles_in(system, family, order, bound=ENUMERATION_BOUND):
-    return [t for t in enumerate_tangles_in(system, family, order, bound=bound)
-            if t.maximal]
+def maximal_tangles_in(system, family, order):
+    return [t for t in enumerate_tangles_in(system, family, order) if t.maximal]
 
 
 # -- standardness -------------------------------------------------------------
@@ -193,7 +191,7 @@ def _clashes(system, mask, h) -> bool:
                 or system.is_cotrivial(h))
 
 
-def is_rich(system, family, order, bound=ENUMERATION_BOUND):
+def is_rich(system, family, order):
     """Brute force over all consistent orientations; counterexample on failure.
 
     Rich: every consistent orientation with a forbidden subset has a
@@ -203,7 +201,7 @@ def is_rich(system, family, order, bound=ENUMERATION_BOUND):
     live = [s for s in family.sets if extends(system, s)]
     if not live:
         return True, None
-    for tau in _orientations(system, (), bound):
+    for tau in _orientations(system, ()):
         inside = [s for s in live if s <= tau]
         if inside and not any(is_strongly_efficient(system, order, s, tau) for s in inside):
             return False, tau

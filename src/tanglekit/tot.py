@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .core import ENUMERATION_BOUND
 from .errors import HypothesisFailure, NonInjectiveOrder, TheoremViolation
 from .forbidden import (
     is_rich,
@@ -58,10 +57,6 @@ def distinguisher_report(system, order, tangles) -> DistinguisherReport:
     return DistinguisherReport(pairs=pairs, optimal_union=frozenset(union))
 
 
-def optimal_distinguishers(system, order, tangles) -> frozenset:
-    return distinguisher_report(system, order, tangles).optimal_union
-
-
 # -- extraction from a thoroughly ordered structure tree -----------------------------
 
 
@@ -90,8 +85,7 @@ ToTHypotheses = namedtuple(
                      "robustness_included standard rich")
 
 
-def check_tot_hypotheses(system, order, family, bound=ENUMERATION_BOUND,
-                         trust_rich=False):
+def check_tot_hypotheses(system, order, family, trust_rich=False):
     """Eager checks for the tree-of-tangles theorem on S = U_k."""
     if not isinstance(system.ground, Universe):
         raise HypothesisFailure("system must live in a universe")
@@ -102,7 +96,7 @@ def check_tot_hypotheses(system, order, family, bound=ENUMERATION_BOUND,
     robust = robustness_family(uni, order, target=system)
     included = all(t in family.sets for t in robust.sets)
     standard, _ = is_standard(family, system)
-    rich = True if trust_rich else is_rich(system, family, order, bound=bound)[0]
+    rich = True if trust_rich else is_rich(system, family, order)[0]
     hyp = ToTHypotheses(struct, injective, threshold, included, standard, rich)
     bad = [name for name, ok in hyp._asdict().items() if not ok]
     if bad:
@@ -110,13 +104,13 @@ def check_tot_hypotheses(system, order, family, bound=ENUMERATION_BOUND,
     return hyp
 
 
-def tree_of_tangles(tree, system, order, family, bound=ENUMERATION_BOUND):
+def tree_of_tangles(tree, system, order, family):
     """The nested distinguisher set N read off a thoroughly ordered tree.
 
     N is the set of separations oriented at the tangle nodes; under the
     checked hypotheses it equals the brute-force optimal-distinguisher set.
     """
-    check_tot_hypotheses(system, order, family, bound=bound)
+    check_tot_hypotheses(system, order, family)
     return tangle_node_seps(tree, order, family)
 
 
@@ -154,8 +148,7 @@ ToTInSResult = namedtuple(
     "ToTInSResult", "distinguishers tree tangle_nodes leaf_classes maximal_tangles")
 
 
-def tree_of_tangles_in(system, order, family, bound=ENUMERATION_BOUND,
-                       trust_rich=False):
+def tree_of_tangles_in(system, order, family, trust_rich=False):
     """The layered tree of tangles: separations at tangle nodes of the pruned
     full-system tree, distinguishing every pair of maximal tangles optimally."""
     if not isinstance(system.ground, Universe):
@@ -171,7 +164,7 @@ def tree_of_tangles_in(system, order, family, bound=ENUMERATION_BOUND,
     if missing:
         raise HypothesisFailure(
             f"family misses robustness triples, e.g. {sorted(missing[0])}")
-    result = build_tst_in_S(system, order, family, bound=bound, trust_rich=trust_rich)
+    result = build_tst_in_S(system, order, family, trust_rich=trust_rich)
     tree = result.tree
     # tangle nodes of the pruned tree = nodes with two children, neither of
     # them a forbidden leaf
@@ -184,7 +177,7 @@ def tree_of_tangles_in(system, order, family, bound=ENUMERATION_BOUND,
     if nodes != recursive:
         raise TheoremViolation(
             f"two readings of tangle nodes disagree: {nodes} and {recursive}")
-    maximal = maximal_tangles_in(system, family, order, bound=bound)
+    maximal = maximal_tangles_in(system, family, order)
     return ToTInSResult(
         distinguishers=frozenset(tree.node_sep(v) for v in nodes),
         tree=tree,

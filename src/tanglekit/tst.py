@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .core import ENUMERATION_BOUND, _bounded_seps, iter_mask, mask_of
+from .core import iter_mask, mask_of
 from .errors import (
     HypothesisFailure,
     NonInjectiveOrder,
@@ -285,7 +285,7 @@ def _check_thorough_preconditions(system, order, family):
         raise NotStandard(f"missing co-trivial singletons {sorted(map(sorted, missing))}")
 
 
-def build_thorough_tst(system, order, family, bound=ENUMERATION_BOUND) -> SeparationTree:
+def build_thorough_tst(system, order, family) -> SeparationTree:
     """The thoroughly ordered tangle structure tree of the member separations.
 
     Node rule: a forbidden subset inside the path closes a forbidden leaf;
@@ -294,7 +294,6 @@ def build_thorough_tst(system, order, family, bound=ENUMERATION_BOUND) -> Separa
     minimum-order unoriented separation is attached as child edges.
     Deterministic: children in oriented-handle order, ids in stack order.
     """
-    _bounded_seps(system, bound)
     _check_thorough_preconditions(system, order, family)
 
     parent, children, edge_label = [-1], [[]], [-1]
@@ -398,10 +397,6 @@ def necessity(tree, family) -> NecessityReport:
     )
 
 
-def is_irreducible(tree, family) -> bool:
-    return necessity(tree, family).irreducible
-
-
 def displayed_tangles(tree, family) -> frozenset:
     """The set of tangles displayed at the tree's tangle leaves."""
     return frozenset(c.witness for c in classify_leaves(tree, family).values()
@@ -496,8 +491,7 @@ def _leaf_class_in_s(tree, family, order, leaf) -> LeafClass:
     return LeafClass(LEAF_TANGLE, tau)
 
 
-def check_rich_per_layer(system, order, family, bound=ENUMERATION_BOUND,
-                         trust_rich=False):
+def check_rich_per_layer(system, order, family, trust_rich=False):
     """F must be rich and standard for every S_k."""
     for k in order_thresholds(system, order):
         sub = restrict_Sk(system, order, k)
@@ -505,22 +499,21 @@ def check_rich_per_layer(system, order, family, bound=ENUMERATION_BOUND,
         if not ok:
             raise NotStandard(f"not standard for S_{k}: {sorted(map(sorted, missing))}")
         if not trust_rich:
-            rich, witness = is_rich(sub, family, order, bound=bound)
+            rich, witness = is_rich(sub, family, order)
             if not rich:
                 raise HypothesisFailure(
                     f"family not rich for S_{k}; counterexample {sorted(witness)}")
 
 
-def build_tst_in_S(system, order, family, bound=ENUMERATION_BOUND,
-                   trust_rich=False) -> TstInS:
+def build_tst_in_S(system, order, family, trust_rich=False) -> TstInS:
     """Layered structure tree: the full thorough tree minus forbidden leaf pairs.
 
     Leaves classify per the maximal-tangle notion; sibling forbidden-leaf
     pairs are deleted in a single pass.  The degenerate bare-root outcome
     (no tangles at any level) is flagged explicitly.
     """
-    check_rich_per_layer(system, order, family, bound=bound, trust_rich=trust_rich)
-    full = build_thorough_tst(system, order, family, bound=bound)
+    check_rich_per_layer(system, order, family, trust_rich=trust_rich)
+    full = build_thorough_tst(system, order, family)
     classes = classify_leaves(full, family)
     drop = set()
     for v in full.nodes():

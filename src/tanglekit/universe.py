@@ -263,9 +263,13 @@ def subset_universe(sides, names) -> Universe:
 def bipartition_universe(ground_set, bound: int = 6) -> Universe:
     """All oriented bipartitions (A, V \\ A) of a finite set.
 
-    Handle i encodes A as the subset with membership bits i.
+    Handle i encodes A as the subset with membership bits i.  Labels name the
+    points by ``str``, so two points with one name raise SystemValidationError.
     """
     v = sorted(ground_set, key=str)
+    for a, b in zip(v, v[1:]):
+        if str(a) == str(b):
+            raise SystemValidationError("ground-set-distinct", witness=a)
     if len(v) > bound:
         raise BoundExceeded(f"ground set of {len(v)} exceeds bound {bound}")
     return subset_universe(range(1 << len(v)), v)

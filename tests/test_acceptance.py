@@ -105,8 +105,8 @@ class Case:
         return self.rich and self.standard
 
 
-def _case(name, system, order, family, bound=25):
-    rich, _ = is_rich(system, family, order, bound=bound)
+def _case(name, system, order, family):
+    rich, _ = is_rich(system, family, order)
     standard, _ = is_standard(family, system)
     return Case(name, system, order, family, rich, standard)
 
@@ -156,7 +156,7 @@ def trees(suite):
     out = {}
     for c in cases:
         if c.qualifies():
-            out[c.name] = build_thorough_tst(c.system, c.order, c.family, bound=25)
+            out[c.name] = build_thorough_tst(c.system, c.order, c.family)
     return out
 
 
@@ -169,7 +169,7 @@ def test_criterion_1_display(suite, trees):
         displayed_any = 0
         for c in qualifying:
             tree = trees[c.name]
-            brute = set(enumerate_tangles(c.system, c.family, bound=25))
+            brute = set(enumerate_tangles(c.system, c.family))
             rep = validate_tst(tree, c.family)
             assert rep.ok, (c.name, rep.failures)
             shown = displayed_tangles(tree, c.family)
@@ -191,7 +191,7 @@ def test_criterion_2_uniqueness(suite, trees):
         for c in cases:
             if not c.qualifies():
                 continue
-            a = build_thorough_tst(c.system, c.order, c.family, bound=25)
+            a = build_thorough_tst(c.system, c.order, c.family)
             blob_a = json.dumps(a.to_json(), sort_keys=True).encode()
             blob_b = json.dumps(trees[c.name].to_json(), sort_keys=True).encode()
             assert blob_a == blob_b, c.name
@@ -217,10 +217,10 @@ def dichotomy_runs(suite):
         runs.append((c.name + "-singletons", sub, c.order, fam))
     out = []
     for name, system, order, fam in runs:
-        ok, _ = is_rich(system, fam, order, bound=25)
+        ok, _ = is_rich(system, fam, order)
         if not ok or not is_standard(fam, system)[0]:
             continue
-        res = dichotomy(system, order, fam, bound=25, check_exclusive=True)
+        res = dichotomy(system, order, fam, check_exclusive=True)
         out.append((name, system, order, fam, res))
     return out
 
@@ -230,7 +230,7 @@ def test_criterion_3_dichotomy(suite, dichotomy_runs):
         assert len(dichotomy_runs) >= 100
         stree_seen = 0
         for name, system, order, fam, res in dichotomy_runs:
-            brute = enumerate_tangles(system, fam, bound=25)
+            brute = enumerate_tangles(system, fam)
             assert (res.kind == "tangle") == bool(brute), name
             if res.kind == "stree":
                 stree_seen += 1
@@ -325,8 +325,8 @@ def test_criterion_7_tree_of_tangles(suite, trees):
             if robust.sets - c.family.sets:
                 continue
             tree = trees[c.name]
-            n = tree_of_tangles(tree, c.system, c.order, c.family, bound=25)
-            tangles = enumerate_tangles(c.system, c.family, bound=25)
+            n = tree_of_tangles(tree, c.system, c.order, c.family)
+            tangles = enumerate_tangles(c.system, c.family)
             rep = verify_tot(c.system, c.order, n, tangles)
             assert rep.ok, (c.name, rep.missing, rep.extra, rep.undistinguished)
             assert c.system.is_nested_set(
@@ -365,7 +365,7 @@ def test_criterion_8_layered_tree_of_tangles(suite):
             if robust.sets - fam.sets:
                 continue
             try:
-                res = tree_of_tangles_in(system, order, fam, bound=25)
+                res = tree_of_tangles_in(system, order, fam)
             except TanglekitError:
                 continue
             maximal = [t.elements for t in res.maximal_tangles]
@@ -375,7 +375,7 @@ def test_criterion_8_layered_tree_of_tangles(suite):
             sigs = []
             for k in order_thresholds(system, order):
                 sub = restrict_Sk(system, order, k)
-                t = build_thorough_tst(sub, order, fam, bound=25)
+                t = build_thorough_tst(sub, order, fam)
                 paths = set()
                 for v in t.nodes():
                     out, w = [], v
@@ -403,7 +403,7 @@ def test_criterion_9_shifting(suite):
         ] + [(c.name, c.system, c.order) for c in randoms[:30]]
         scenarios = 0
         for name, system, order, in threshold_fixtures:
-            for tau in system.consistent_orientations(bound=25):
+            for tau in system.consistent_orientations():
                 for s in sorted(tau):
                     if system.is_trivial(s) or system.is_degenerate(s):
                         continue
@@ -429,16 +429,16 @@ def test_criterion_9_shifting(suite):
             ok, _ = closed_under_shifting(system, fam, order)
             if ok:
                 closed_seen += 1
-                assert is_rich(system, fam, order, bound=25)[0] or not any(
+                assert is_rich(system, fam, order)[0] or not any(
                     s <= t for s in fam.sets
-                    for t in system.consistent_orientations(bound=25)), name
+                    for t in system.consistent_orientations()), name
         # the graph star families are closed under shifting and rich
         s2 = restrict_Sk(p3, o3i, 2)
         fam = standardize(
             graph_tangle_stars(p3, o3, "abc", [("a", "b"), ("b", "c")], 2), s2)
         ok, _ = closed_under_shifting(s2, fam, o3i)
         assert ok
-        assert is_rich(s2, fam, o3i, bound=25)[0]
+        assert is_rich(s2, fam, o3i)[0]
         assert closed_seen >= 1
 
 

@@ -360,6 +360,40 @@ def test_bipartition_source(workdir):
     assert got["k"] == "inf" and got["tangles"]
 
 
+def test_bipartition_with_a_repeated_name_exit_1(workdir, capsys):
+    code, out = run(workdir, "tangles", "--bipartition", "a,a")
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert (err["axiom"], err["witness"]) == ("ground-set-distinct", "'a'")
+    assert not (out / "tangles.json").exists()
+
+
+def test_tangles_in_counts_the_whole_input(tmp_path, capsys):
+    # tangles_in walks every S_j, up to all 21 separations of P4, not just
+    # the 7 of S_2; --unsafe-bounds acknowledges that count
+    from tanglekit.forbidden import enumerate_tangles_in
+    from tanglekit.universe import graph_universe
+    edges = [("a", "b"), ("b", "c"), ("c", "d")]
+    (tmp_path / "p4.graph").write_text("".join(f"{a} {b}\n" for a, b in edges))
+    u, o = graph_universe("abcd", edges)
+    fam = graph_tangle_stars(u, o, "abcd", edges, 2)
+    obj = fam.to_json()
+    obj["generate"] = ["standardize"]
+    (tmp_path / "stars.json").write_text(json.dumps(obj))
+    argv = ["tangles", "--input", str(tmp_path / "p4.graph"), "--k", "2",
+            "--forbidden", str(tmp_path / "stars.json"), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["seps"], err["bound"]) == (
+        "separation count exceeds bound", 21, 16)
+    assert main([*argv, "--unsafe-bounds"]) == 0
+    got = json.loads((tmp_path / "out" / "tangles.json").read_text())
+    want = enumerate_tangles_in(u, standardize(fam, restrict_Sk(u, o, 2)), o)
+    assert want and got["tangles_in"] == [
+        {"k": str(t.k), "elements": sorted(t.elements), "maximal": t.maximal}
+        for t in want]
+
+
 def test_bound_guard(workdir, capsys):
     code, _ = run(workdir, "tangles", "--input", str(workdir / "p3.graph"),
                   "--bounds", "2")

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from oracles import naive_closure, naive_consistent_orientations, naive_is_consistent
 from tanglekit.core import SeparationSystem
 from tanglekit.errors import (
-    BoundExceeded,
     InconsistentSet,
     SystemValidationError,
     UnknownHandle,
@@ -285,11 +284,6 @@ def test_enumeration_matches_naive_filter(request, name):
 def test_enumeration_order_deterministic_lexicographic(chain2):
     got = [tuple(sorted(t)) for t in chain2.consistent_orientations()]
     assert got == sorted(got)
-
-
-def test_enumeration_bound(bip3):
-    with pytest.raises(BoundExceeded):
-        bip3.consistent_orientations(bound=2)
 
 
 def test_consistent_partial_orientations_extend(p3):

@@ -9,7 +9,6 @@ import pytest
 from oracles import naive_avoids, naive_tangles
 from test_lattice_rule import LADDER
 from tanglekit import forbidden
-from tanglekit.errors import BoundExceeded
 from tanglekit.fixtures import (
     eclipse_closure,
     graph_tangle_stars,
@@ -110,11 +109,6 @@ def test_p3_tangles_match_naive_filter(p3):
     assert len(got) == 2  # the two order-2 tangles of the path
     want = naive_tangles(s2, F.sets)
     assert sorted(map(sorted, got)) == sorted(map(sorted, want))
-
-
-def test_enumerate_bound(bip4):
-    with pytest.raises(BoundExceeded):
-        enumerate_tangles(bip4, ForbiddenFamily([]), bound=3)
 
 
 def test_tangles_in_thresholds_and_maximality(p3):
@@ -409,7 +403,7 @@ def test_family_json_round_trip(p3):
 
 
 def assert_no_tangle_repeats(system, family, order):
-    records = enumerate_tangles_in(system, family, order, bound=40)
+    records = enumerate_tangles_in(system, family, order)
     assert records
     assert len({t.elements for t in records}) == len(records)
 

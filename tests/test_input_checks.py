@@ -21,12 +21,11 @@ from tanglekit.fixtures import (
     chain2_system,
     graph_tangle_stars,
     p3_universe,
-    singleton_family,
 )
 from tanglekit.forbidden import ForbiddenFamily, standardize
 from tanglekit.orderfn import OrderFunction, refine_injective
 from tanglekit.tot import check_tot_hypotheses
-from tanglekit.tst import SeparationTree, build_thorough_tst
+from tanglekit.tst import SeparationTree
 from tanglekit.universe import (
     Universe,
     _universe_of,
@@ -102,6 +101,14 @@ def test_bipartition_universe_refuses_a_ground_set_over_the_bound():
         bipartition_universe("abc", bound=2)
 
 
+def test_bipartition_universe_refuses_a_repeated_name():
+    # labels name the points by str, so 1 and "1" are one name too
+    assert axiom_and_witness(lambda: bipartition_universe("aba")) == (
+        "ground-set-distinct", "a")
+    assert axiom_and_witness(lambda: bipartition_universe([1, "1"]))[0] == (
+        "ground-set-distinct")
+
+
 def test_graph_universe_refuses_a_graph_over_the_bound():
     with pytest.raises(BoundExceeded, match="3 vertices exceed bound 2"):
         graph_universe("abc", [("a", "b")], bound=2)
@@ -164,16 +171,10 @@ def test_tot_hypotheses_need_a_universe():
                              ForbiddenFamily([]))
 
 
-def test_builder_refuses_more_separations_than_the_bound(p3_s2):
-    _, o2, s2 = p3_s2
-    with pytest.raises(BoundExceeded, match="5 separations exceed bound 1"):
-        build_thorough_tst(s2, o2, singleton_family(s2), bound=1)
-
-
 @pytest.fixture(scope="module")
 def p6_s3():
-    """The trivial-free S_3 of P6 (25 separations, more than any default
-    bound), its standardized graph-tangle stars and the refined order."""
+    """The trivial-free S_3 of P6 (25 separations, more than the CLI's
+    default bound), its standardized graph-tangle stars and the refined order."""
     verts = "abcdef"
     edges = list(zip(verts, verts[1:]))
     u, o = graph_universe(verts, edges)
@@ -186,7 +187,7 @@ def test_exclusion_check_has_no_bound_on_the_p6_s3(p6_s3):
     # the S-tree is checked by the sink argument, not over its 2^25 orientations
     s, order, fam = p6_s3
     assert len(s) == 25
-    res = dichotomy(s, order, fam, bound=len(s), check_exclusive=True)
+    res = dichotomy(s, order, fam, check_exclusive=True)
     assert res.kind == "stree"
     assert res.notes["exclusive"] == "S-tree excludes every orientation"
     assert stree_excludes_tangles(res.stree, fam) == (True, None)
@@ -203,5 +204,5 @@ def test_cli_exclusion_check_has_no_bound_on_the_p6_s3(p6_s3, tmp_path):
     assert code == 0
     got = json.loads((tmp_path / "out" / "duality.json").read_text())
     assert got["kind"] == "stree" and got["exclusive"] is True
-    want = dichotomy(s, order, fam, bound=len(s))
+    want = dichotomy(s, order, fam)
     assert got["stree"] == want.stree.to_json()

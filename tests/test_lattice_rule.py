@@ -224,7 +224,7 @@ def test_graph_inputs_derive_no_tables(name, derivations):
     family = standardize(stars, s2)
     stars.to_json()
     family.to_json()
-    enumerate_tangles(s2, family, bound=64)
+    enumerate_tangles(s2, family)
     assert derivations == []
 
 

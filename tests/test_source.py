@@ -160,27 +160,34 @@ def test_orientation_search_only_where_whole_orientations_are_needed():
     assert not found, f"orientation searches outside their readers: {found}"
 
 
-# The readers of the separation count guard: the two searches whose work
-# grows with the orientations of S.
-BOUNDED_SEPS_READERS = {("core.py", "_orientations"), ("tst.py", "build_thorough_tst")}
+# The functions that take a ``bound``: the input-size guards, which cap what
+# comes from outside the program.  The separation count is guarded once, by
+# the CLI's ``check_bound``.
+BOUND_TAKERS = {("universe.py", "graph_universe"), ("universe.py", "bipartition_universe")}
+LIBRARY_COUNT_GUARD = {"_bounded_seps", "ENUMERATION_BOUND"}
 
 
 def test_no_product_of_orientations_and_the_count_guard_only_on_searches():
     # an S-tree excludes tangles by its sink argument, a check on the tree;
-    # nothing walks the full product of orientations, or guards its size
+    # nothing walks the full product of orientations, and no library search
+    # guards its own size: the CLI counts what a command walks
     found = []
     for path, tree in package_trees():
         for node, fn in nodes_in_functions(tree):
-            name = getattr(node, "attr", getattr(node, "id", None))
+            name = getattr(node, "attr", getattr(node, "id", getattr(node, "name", None)))
             if (isinstance(node, ast.ImportFrom) and node.module == "itertools"
                     and any(alias.name == "product" for alias in node.names)
                     or isinstance(node, ast.Attribute) and name == "product"
                     and getattr(node.value, "id", None) == "itertools"):
                 found.append(f"{path.name}:{node.lineno} {fn} uses itertools.product")
-            elif (isinstance(node, (ast.Name, ast.Attribute)) and name == "_bounded_seps"
-                    and (path.name, fn) not in BOUNDED_SEPS_READERS):
-                found.append(f"{path.name}:{node.lineno} {fn} reads _bounded_seps")
-    assert not found, f"orientation products or count guards outside searches: {found}"
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and (path.name, name) not in BOUND_TAKERS
+                    and any(a.arg == "bound" for a in ast.walk(node.args)
+                            if isinstance(a, ast.arg))):
+                found.append(f"{path.name}:{node.lineno} {name} takes bound")
+            elif name in LIBRARY_COUNT_GUARD:
+                found.append(f"{path.name}:{node.lineno} {fn} names {name}")
+    assert not found, f"orientation products or library count guards: {found}"
 
 
 FILE_READS = {"open", "read_text", "read_bytes"}

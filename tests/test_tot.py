@@ -26,7 +26,6 @@ from tanglekit.tot import (
     check_tot_hypotheses,
     distinguisher_report,
     is_critical,
-    optimal_distinguishers,
     tangle_node_seps,
     tangle_nodes,
     tree_of_tangles,
@@ -68,8 +67,8 @@ def weighted_bip3():
 
 def test_distinguishers_trivial_counts(chain2):
     o = OrderFunction(chain2, {0: 1, 2: 2})
-    assert optimal_distinguishers(chain2, o, []) == frozenset()
-    assert optimal_distinguishers(chain2, o, [frozenset({0, 2})]) == frozenset()
+    assert distinguisher_report(chain2, o, []).optimal_union == frozenset()
+    assert distinguisher_report(chain2, o, [frozenset({0, 2})]).optimal_union == frozenset()
 
 
 def test_distinguishers_unique_min_order(chain2):
@@ -106,7 +105,7 @@ def test_p3_extraction_matches_oracle(p3_tot):
     n = tree_of_tangles(tree, s2, o2, F)
     tangles = enumerate_tangles(s2, F)
     assert len(tangles) == 2
-    oracle = optimal_distinguishers(s2, o2, tangles)
+    oracle = distinguisher_report(s2, o2, tangles).optimal_union
     assert n == oracle
     assert s2.is_nested_set([h for s in n for h in s2.orientations(s)])
     rep = verify_tot(s2, o2, n, tangles)
@@ -260,7 +259,7 @@ def test_layered_names_each_failed_hypothesis(p3, p3_layered_tot, p3_crooked_ord
 def test_verify_tot_passes_on_oracle(p3_tot):
     u, o2, s2, F, tree = p3_tot
     tangles = enumerate_tangles(s2, F)
-    oracle = optimal_distinguishers(s2, o2, tangles)
+    oracle = distinguisher_report(s2, o2, tangles).optimal_union
     assert verify_tot(s2, o2, oracle, tangles).ok
 
 
@@ -307,11 +306,11 @@ def test_tot_on_random_graphs_with_non_profile_tangles():
                 continue
             fam = standardize(robustness_family(uni, inj, target=sk), sk)
             try:
-                check_tot_hypotheses(sk, inj, fam, bound=60)
+                check_tot_hypotheses(sk, inj, fam)
             except PreconditionError:
                 continue
-            tree = build_thorough_tst(sk, inj, fam, bound=60)
-            tangles = enumerate_tangles(sk, fam, bound=60)
+            tree = build_thorough_tst(sk, inj, fam)
+            tangles = enumerate_tangles(sk, fam)
             rep = verify_tot(sk, inj, tangle_node_seps(tree, inj, fam), tangles)
             assert rep.ok, (n, edges, k, rep)
             verified += 1

@@ -39,7 +39,6 @@ from tanglekit.tst import (
     display,
     displayed_tangles,
     is_efficient_tree,
-    is_irreducible,
     is_ordered,
     is_thoroughly_ordered,
     necessity,
@@ -369,7 +368,7 @@ def test_p3_tree_has_unnecessary_node_and_reduces(p3_tree, p3_setting):
     assert not rep.irreducible  # the redundant branch is caught
     red = reduce_irreducible(p3_tree, F, o2)
     assert validate_tst(red, F).ok
-    assert is_irreducible(red, F)
+    assert necessity(red, F).irreducible
     assert is_ordered(red, o2) and is_efficient_tree(red, o2)
     assert displayed_tangles(red, F) == displayed_tangles(p3_tree, F)
 
@@ -512,9 +511,9 @@ def test_reduction_sweep_over_random_fixtures():
         fam = standardize(robustness_family(uni.ground, oi, target=uni), uni)
         fam = eclipse_closure(uni, fam.extended(
             random_star_family(uni, oi, rng).sets), oi)
-        if not is_rich(uni, fam, oi, bound=25)[0]:
+        if not is_rich(uni, fam, oi)[0]:
             continue
-        tree = build_thorough_tst(uni, oi, fam, bound=25)
+        tree = build_thorough_tst(uni, oi, fam)
         tangles = displayed_tangles(tree, fam)
         if tangles and len(tree.leaves()) > len(tangles):
             mixed += 1
@@ -593,11 +592,11 @@ def test_degenerate_layer_check_fires_exactly_when_a_closure_is_inconsistent(gra
     fam = graph_tangle_stars(u, o, vertices, edges, k)
     fam = standardize(fam.extended(robustness_family(u, o2, target=u).sets), u)
     try:
-        check_rich_per_layer(u, o2, fam, bound=64)
+        check_rich_per_layer(u, o2, fam)
     except HypothesisFailure:
         return
     try:
-        build_thorough_tst(u, o2, fam, bound=64)
+        build_thorough_tst(u, o2, fam)
     except TheoremViolation as exc:
         assert not str(exc).startswith("closure of the path"), str(exc)
     except TanglekitError:
