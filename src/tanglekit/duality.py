@@ -530,11 +530,10 @@ def newduality(uni, order, ell, family, check_exclusive=False):
             raise TheoremViolation(
                 f"injective refinement does not refine the order; pair {witness}")
     system = restrict_Sk(uni, order, ell)
-    # trivial elements only obstruct the S-tree branch; ``dichotomy`` raises
-    # when that branch is actually reached
-    _check_star_family(system, family)
     if not is_order_threshold_restriction(system, o2):
         raise HypothesisFailure("refined order does not keep S of threshold form")
+    # checks the star family first; trivial elements only obstruct the S-tree
+    # branch, and ``dichotomy`` raises when that branch is actually reached
     ok, witness = closed_under_shifting(system, family, o2)
     if not ok:
         raise HypothesisFailure(f"family not closed under shifting; witness {witness}")

@@ -195,15 +195,21 @@ def is_rich(system, family, order):
     """Brute force over all consistent orientations; counterexample on failure.
 
     Rich: every consistent orientation with a forbidden subset has a
-    strongly efficient forbidden subset.  The walk reads only the members
-    that extend, and is not started when none does.
+    strongly efficient forbidden subset, one none of whose elements is weakly
+    eclipsed in the orientation.  The walk reads only the members that
+    extend, and is not started when none does; an orientation with a member
+    inside is masked once, for all of them.
     """
     live = [s for s in family.sets if extends(system, s)]
     if not live:
         return True, None
     for tau in _orientations(system, ()):
         inside = [s for s in live if s <= tau]
-        if inside and not any(is_strongly_efficient(system, order, s, tau) for s in inside):
+        if not inside:
+            continue
+        mask = mask_of(tau)
+        if all(any(next(_eclipsers(system, order, x, mask, weak=True), None) is not None
+                   for x in s) for s in inside):
             return False, tau
     return True, None
 

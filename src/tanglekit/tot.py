@@ -11,11 +11,12 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import HypothesisFailure, NonInjectiveOrder, TheoremViolation
+from .errors import HypothesisFailure, TheoremViolation
 from .forbidden import (
     is_rich,
     is_standard,
     maximal_tangles_in,
+    order_thresholds,
     robustness_family,
 )
 from .tst import (
@@ -27,7 +28,7 @@ from .tst import (
     is_thoroughly_ordered,
 )
 from .universe import (Universe, is_order_threshold_restriction,
-                       is_structurally_submodular)
+                       is_structurally_submodular, restrict_Sk)
 
 
 # distinguishers: separations oriented differently by the pair; minimum_order:
@@ -79,29 +80,43 @@ def tangle_nodes(tree, family, leaf_classes=None) -> list:
             and all(w in marked for w in tree.children[v])]
 
 
-# One bool per hypothesis of the tree-of-tangles theorem.
-ToTHypotheses = namedtuple(
-    "ToTHypotheses", "structurally_submodular injective threshold_form "
-                     "robustness_included standard rich")
+def check_tot_hypotheses(system, order, family, trust_rich=False, layered=False):
+    """Eager checks for the tree-of-tangles theorem on S = U_k; a
+    HypothesisFailure names every hypothesis that fails, with its witness.
 
-
-def check_tot_hypotheses(system, order, family, trust_rich=False):
-    """Eager checks for the tree-of-tangles theorem on S = U_k."""
+    The per-S_k theorem asks standardness and richness of S, the layered one
+    (``layered``) of every layer S_j.  Richness, the one check that walks
+    orientations, runs last, and only once every other hypothesis holds.
+    """
     if not isinstance(system.ground, Universe):
         raise HypothesisFailure("system must live in a universe")
     uni = system.ground
-    struct, _ = is_structurally_submodular(uni, order)
-    injective = order.is_injective_on(uni)
-    threshold = is_order_threshold_restriction(system, order)
-    robust = robustness_family(uni, order, target=system)
-    included = all(t in family.sets for t in robust.sets)
-    standard, _ = is_standard(family, system)
-    rich = True if trust_rich else is_rich(system, family, order)[0]
-    hyp = ToTHypotheses(struct, injective, threshold, included, standard, rich)
-    bad = [name for name, ok in hyp._asdict().items() if not ok]
-    if bad:
-        raise HypothesisFailure(f"tree-of-tangles hypotheses failed: {bad}")
-    return hyp
+    layers = ([(f"S_{k}", restrict_Sk(system, order, k))
+               for k in order_thresholds(system, order)] if layered else [("S", system)])
+    failed = {}  # name -> witness, "" when there is none to report
+    if not is_structurally_submodular(uni, order)[0]:
+        failed["structurally_submodular"] = ""
+    if not order.is_injective_on(uni):
+        failed["injective"] = ""
+    if not is_order_threshold_restriction(system, order):
+        failed["threshold_form"] = ""
+    missing = [t for t in robustness_family(uni, order, target=system) if t not in family.sets]
+    if missing:
+        failed["robustness_included"] = f"missing triple {sorted(missing[0])}"
+    for name, sub in layers:
+        ok, singletons = is_standard(family, sub)
+        if not ok:
+            failed["standard"] = f"{name} misses {sorted(map(sorted, singletons))}"
+            break
+    if not failed and not trust_rich:
+        for name, sub in layers:
+            rich, tau = is_rich(sub, family, order)
+            if not rich:
+                failed["rich"] = f"{name}, counterexample {sorted(tau)}"
+                break
+    if failed:
+        raise HypothesisFailure(f"tree-of-tangles hypotheses failed: {list(failed)}"
+                                + "".join(f"; {name}: {w}" for name, w in failed.items() if w))
 
 
 def tree_of_tangles(tree, system, order, family):
@@ -151,20 +166,8 @@ ToTInSResult = namedtuple(
 def tree_of_tangles_in(system, order, family, trust_rich=False):
     """The layered tree of tangles: separations at tangle nodes of the pruned
     full-system tree, distinguishing every pair of maximal tangles optimally."""
-    if not isinstance(system.ground, Universe):
-        raise HypothesisFailure("system must be a universe")
-    uni = system.ground
-    struct, _ = is_structurally_submodular(uni, order)
-    if not struct:
-        raise HypothesisFailure("order not structurally submodular")
-    if not order.is_injective_on(system):
-        raise NonInjectiveOrder("layered extraction needs an injective order")
-    robust = robustness_family(uni, order, target=system)
-    missing = [t for t in robust.sets if t not in family.sets]
-    if missing:
-        raise HypothesisFailure(
-            f"family misses robustness triples, e.g. {sorted(missing[0])}")
-    result = build_tst_in_S(system, order, family, trust_rich=trust_rich)
+    check_tot_hypotheses(system, order, family, trust_rich=trust_rich, layered=True)
+    result = build_tst_in_S(system, order, family)
     tree = result.tree
     # tangle nodes of the pruned tree = nodes with two children, neither of
     # them a forbidden leaf

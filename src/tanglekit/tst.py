@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from .core import iter_mask, mask_of
 from .errors import (
-    HypothesisFailure,
     NonInjectiveOrder,
     NotStandard,
     ReductionStuck,
@@ -30,8 +29,7 @@ from .errors import (
     TheoremViolation,
     UnknownHandle,
 )
-from .forbidden import (avoids, is_efficient, is_rich, is_standard, maximal_tangles_in,
-                        order_thresholds)
+from .forbidden import avoids, is_efficient, is_standard, maximal_tangles_in
 from .universe import restrict_Sk
 
 TREE_SCHEMA = "tanglekit/tree-v1"
@@ -491,28 +489,15 @@ def _leaf_class_in_s(tree, family, order, leaf) -> LeafClass:
     return LeafClass(LEAF_TANGLE, tau)
 
 
-def check_rich_per_layer(system, order, family, trust_rich=False):
-    """F must be rich and standard for every S_k."""
-    for k in order_thresholds(system, order):
-        sub = restrict_Sk(system, order, k)
-        ok, missing = is_standard(family, sub)
-        if not ok:
-            raise NotStandard(f"not standard for S_{k}: {sorted(map(sorted, missing))}")
-        if not trust_rich:
-            rich, witness = is_rich(sub, family, order)
-            if not rich:
-                raise HypothesisFailure(
-                    f"family not rich for S_{k}; counterexample {sorted(witness)}")
-
-
-def build_tst_in_S(system, order, family, trust_rich=False) -> TstInS:
+def build_tst_in_S(system, order, family) -> TstInS:
     """Layered structure tree: the full thorough tree minus forbidden leaf pairs.
 
     Leaves classify per the maximal-tangle notion; sibling forbidden-leaf
     pairs are deleted in a single pass.  The degenerate bare-root outcome
-    (no tangles at any level) is flagged explicitly.
+    (no tangles at any level) is flagged explicitly.  Standardness and
+    richness on every layer are the caller's to check
+    (``tot.check_tot_hypotheses`` with ``layered``).
     """
-    check_rich_per_layer(system, order, family, trust_rich=trust_rich)
     full = build_thorough_tst(system, order, family)
     classes = classify_leaves(full, family)
     drop = set()

@@ -160,6 +160,26 @@ def test_orientation_search_only_where_whole_orientations_are_needed():
     assert not found, f"orientation searches outside their readers: {found}"
 
 
+# The predicates of the tree-of-tangles hypotheses that read the whole
+# universe or walk orientations.
+TOT_HYPOTHESIS_PREDICATES = {"is_rich", "is_structurally_submodular"}
+
+
+def test_the_tree_layers_state_the_tot_hypotheses_once():
+    # tot and totins share check_tot_hypotheses, so they cannot drift apart
+    # on what the theorem asks
+    found = []
+    for path, tree in package_trees():
+        if path.name not in ("tot.py", "tst.py"):
+            continue
+        for node, fn in nodes_in_functions(tree):
+            name = isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None))
+            if name in TOT_HYPOTHESIS_PREDICATES and fn != "check_tot_hypotheses":
+                found.append(f"{path.name}:{node.lineno} {fn} calls {name}")
+    assert not found, f"hypothesis predicates outside check_tot_hypotheses: {found}"
+
+
 # The functions that take a ``bound``: the input-size guards, which cap what
 # comes from outside the program.  The separation count is guarded once, by
 # the CLI's ``check_bound``.

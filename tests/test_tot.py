@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from tanglekit.errors import HypothesisFailure, NonInjectiveOrder, PreconditionError
+from tanglekit.errors import HypothesisFailure, PreconditionError
 from tanglekit.fixtures import (
     _cut_order,
     eclipse_closure,
@@ -244,13 +244,39 @@ def test_layered_names_each_failed_hypothesis(p3, p3_layered_tot, p3_crooked_ord
                                              chain2):
     u, o = p3
     _, o2, F = p3_layered_tot
-    with pytest.raises(HypothesisFailure, match="must be a universe"):
+    with pytest.raises(HypothesisFailure, match="system must live in a universe"):
         tree_of_tangles_in(chain2, OrderFunction.constant(chain2, 1), ForbiddenFamily([]))
-    with pytest.raises(HypothesisFailure, match="not structurally submodular"):
+    # the crooked order ties every separation but two at 0
+    with pytest.raises(HypothesisFailure,
+                       match=r"failed: \['structurally_submodular', 'injective'\]$"):
         tree_of_tangles_in(u, p3_crooked_order, F)
     assert not o.is_injective_on(u)
-    with pytest.raises(NonInjectiveOrder):
+    with pytest.raises(HypothesisFailure, match=r"failed: \['injective'\]$"):
         tree_of_tangles_in(u, o, F)
+
+
+def test_only_richness_walks_orientations(monkeypatch, p3, p3_layered_tot):
+    # richness, the one hypothesis that walks orientations, runs last: a case
+    # that fails another hypothesis is refused without walking one
+    from tanglekit import forbidden
+    u, o = p3
+    _, o2, F = p3_layered_tot
+    slim = ForbiddenFamily(F.sets - robustness_family(u, o2, target=u).sets)
+    searches, search = [], forbidden._orientations
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(forbidden, "_orientations", counted)
+    for layered in (False, True):
+        with pytest.raises(HypothesisFailure, match=r"failed: \['robustness_included'\]; "):
+            check_tot_hypotheses(u, o2, slim, layered=layered)
+        with pytest.raises(HypothesisFailure, match=r"failed: \['injective'\]$"):
+            check_tot_hypotheses(u, o, F, layered=layered)
+    assert searches == []
+    check_tot_hypotheses(u, o2, F, layered=True)
+    assert searches  # the counter is live
 
 
 # -- validator ---------------------------------------------------------------------
@@ -285,14 +311,12 @@ def test_verify_tot_crossing_witness():
 # -- F-tangles that are not profiles ------------------------------------------------
 
 
-def test_tot_on_random_graphs_with_non_profile_tangles():
-    # 60 graphs fixed by the seed: 4-6 vertices, each pair joined with
-    # probability 0.45, edgeless ones skipped; F = standardize(R) on S_k for
-    # k = 2, 3, with S_k of at most 60 oriented separations.  A tangle that
-    # holds a profile triple is no profile, a case the theorem covers beyond
-    # profiles.  Each case fails a hypothesis or satisfies the theorem.
+def random_graph_cases():
+    """((n, edges, k), uni, inj, sk, fam) for 60 graphs fixed by the seed: 4-6 vertices,
+    each pair joined with probability 0.45, edgeless ones skipped; F =
+    standardize(R) on S_k for k = 2, 3, with S_k of at most 60 oriented
+    separations (101 cases)."""
     rng = random.Random(5)
-    verified = non_profile = 0
     for _ in range(60):
         n = rng.randint(4, 6)
         edges = [(a, b) for a, b in combinations(range(n), 2) if rng.random() < 0.45]
@@ -305,17 +329,54 @@ def test_tot_on_random_graphs_with_non_profile_tangles():
             if len(sk.elements()) > 60:
                 continue
             fam = standardize(robustness_family(uni, inj, target=sk), sk)
-            try:
-                check_tot_hypotheses(sk, inj, fam)
-            except PreconditionError:
-                continue
-            tree = build_thorough_tst(sk, inj, fam)
-            tangles = enumerate_tangles(sk, fam)
-            rep = verify_tot(sk, inj, tangle_node_seps(tree, inj, fam), tangles)
-            assert rep.ok, (n, edges, k, rep)
-            verified += 1
-            profiles = profile_family(uni, target=sk)
-            non_profile += len(tangles) >= 2 and any(
-                profiles.first_inside(t) is not None for t in tangles)
+            yield (n, edges, k), uni, inj, sk, fam
+
+
+def is_non_profile_case(uni, sk, tangles):
+    """Two or more tangles, one of which holds a profile triple and so is no
+    profile: a case the theorem covers beyond profiles."""
+    profiles = profile_family(uni, target=sk)
+    return len(tangles) >= 2 and any(profiles.first_inside(t) is not None for t in tangles)
+
+
+def test_tot_on_random_graphs_with_non_profile_tangles():
+    # each case fails a hypothesis or satisfies the theorem
+    verified = non_profile = 0
+    for case, uni, inj, sk, fam in random_graph_cases():
+        try:
+            check_tot_hypotheses(sk, inj, fam)
+        except PreconditionError:
+            continue
+        tree = build_thorough_tst(sk, inj, fam)
+        tangles = enumerate_tangles(sk, fam)
+        rep = verify_tot(sk, inj, tangle_node_seps(tree, inj, fam), tangles)
+        assert rep.ok, (case, rep)
+        verified += 1
+        non_profile += is_non_profile_case(uni, sk, tangles)
+    assert verified >= 60  # 71 seen, of 101 cases
+    assert non_profile >= 30  # 35 seen
+
+
+def test_totins_on_random_graphs_with_non_profile_tangles():
+    # the same cases through the layered theorem: tot and totins accept the
+    # same ones, and each accepted case satisfies the theorem
+    verified = non_profile = 0
+    for case, uni, inj, sk, fam in random_graph_cases():
+        try:
+            check_tot_hypotheses(sk, inj, fam)
+            tot_accepts = True
+        except PreconditionError:
+            tot_accepts = False
+        try:
+            res = tree_of_tangles_in(sk, inj, fam)
+        except PreconditionError:
+            assert not tot_accepts, case
+            continue
+        assert tot_accepts, case
+        maximal = [t.elements for t in res.maximal_tangles]
+        rep = verify_tot(sk, inj, res.distinguishers, maximal)
+        assert rep.ok, (case, rep)
+        verified += 1
+        non_profile += is_non_profile_case(uni, sk, maximal)
     assert verified >= 60  # 71 seen, of 101 cases
     assert non_profile >= 30  # 35 seen

@@ -580,11 +580,12 @@ LAYER_GRAPHS = {
 def test_degenerate_layer_check_fires_exactly_when_a_closure_is_inconsistent(graph, k):
     # the layered stars plus R and the standard singletons, as totins loads them.
     # Standardness covers every s below a degenerate separation (its inverse is
-    # trivial), so once the per-layer standard and rich checks pass,
-    # build_thorough_tst never finds an inconsistent path closure.
+    # trivial), so once the layered hypotheses pass, standardness and richness
+    # on every layer among them, build_thorough_tst never finds an
+    # inconsistent path closure.
     from tanglekit.errors import HypothesisFailure, TanglekitError, TheoremViolation
     from tanglekit.forbidden import robustness_family
-    from tanglekit.tst import check_rich_per_layer
+    from tanglekit.tot import check_tot_hypotheses
     from tanglekit.universe import graph_universe
     vertices, edges = LAYER_GRAPHS[graph]
     u, o = graph_universe(vertices, edges)
@@ -592,7 +593,7 @@ def test_degenerate_layer_check_fires_exactly_when_a_closure_is_inconsistent(gra
     fam = graph_tangle_stars(u, o, vertices, edges, k)
     fam = standardize(fam.extended(robustness_family(u, o2, target=u).sets), u)
     try:
-        check_rich_per_layer(u, o2, fam)
+        check_tot_hypotheses(u, o2, fam, layered=True)
     except HypothesisFailure:
         return
     try:
