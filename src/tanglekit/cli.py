@@ -375,33 +375,28 @@ def cmd_newduality(args):
     return emit_duality(args, "newduality", res, run)
 
 
-def emit_tot(args, name, run, tree, leaf_classes, nodes, tangles, **extra):
-    """Write N, the separations at the tangle ``nodes`` of ``tree``, checked
-    against the brute-force optimal distinguishers of ``tangles``."""
+def emit_tot(args, name, run, res, **extra):
+    """Write N of the tree-of-tangles record ``res``, checked against the
+    brute-force optimal distinguishers of its tangles, and its tree as DOT."""
     from .dot import tree_dot
     from .tot import verify_tot
 
-    n = frozenset(tree.node_sep(v) for v in nodes)
-    check = verify_tot(run.system, run.order, n, tangles)
-    obj = {"schema": "tanglekit/tot-v1", "N": sorted(n),
+    check = verify_tot(run.system, run.order, res.distinguishers, res.tangles)
+    obj = {"schema": "tanglekit/tot-v1", "N": sorted(res.distinguishers),
            "verified": check.ok, "notes": run.notes, **extra}
     write_artifact(args, name, obj)
-    write_dot(args, name, lambda: tree_dot(tree, leaf_classes, highlight_nodes=nodes))
+    write_dot(args, name, lambda: tree_dot(res.tree, res.leaf_classes,
+                                           highlight_nodes=res.tangle_nodes))
     require_self_check(check.ok, name, check._asdict())
     return obj
 
 
 def cmd_tot(args):
-    from .tot import check_tot_hypotheses, tangle_nodes
-    from .tst import build_thorough_tst, classify_leaves
+    from .tot import tree_of_tangles
 
     run = trusted_rich(args, prepare(args, "injective"))
-    # hypotheses first: a non-rich family exits 2, not 3 from the builder
-    check_tot_hypotheses(run.system, run.order, run.family, trust_rich=args.trust_rich)
-    tree = build_thorough_tst(run.system, run.order, run.family)
-    classes = classify_leaves(tree, run.family)
-    return emit_tot(args, "tot", run, tree, classes, tangle_nodes(tree, run.family, classes),
-                    enumerate_tangles(run.system, run.family))
+    res = tree_of_tangles(run.system, run.order, run.family, trust_rich=args.trust_rich)
+    return emit_tot(args, "tot", run, res)
 
 
 def cmd_totins(args):
@@ -410,9 +405,7 @@ def cmd_totins(args):
     run = trusted_rich(args, prepare(args, "injective", use_k=False))
     res = tree_of_tangles_in(run.system, run.order, run.family,
                              trust_rich=args.trust_rich)
-    maximal = [t.elements for t in res.maximal_tangles]
-    return emit_tot(args, "totins", run, res.tree, res.leaf_classes, res.tangle_nodes,
-                    maximal, maximal_tangles=tangle_list(maximal))
+    return emit_tot(args, "totins", run, res, maximal_tangles=tangle_list(res.tangles))
 
 
 def cmd_refine_order(args):

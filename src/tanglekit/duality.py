@@ -97,18 +97,6 @@ class STree:
                     stack.append(v)
         return seen
 
-    def edge_geq(self, e, f) -> bool:
-        """Natural partial order on oriented edges: e >= f iff the path from
-        e to f starts at the head of e and ends at the tail of f."""
-        if e == f:
-            return True
-        (a, b), (c, d) = e, f
-        if frozenset(e) == frozenset(f):
-            return False
-        b_side = self.side_nodes(a, b)
-        c_side = self.side_nodes(d, c)
-        return c in b_side and d in b_side and a in c_side and b in c_side
-
     def is_over(self, family) -> bool:
         return self.over_witness(family) is None
 
@@ -302,13 +290,12 @@ def check_nested_corollary(tree) -> bool:
 
 
 def stree_order_preserving(stree) -> bool:
-    """Forward validator: alpha preserves the natural edge order."""
-    sys = stree.system
-    for e in stree.oriented_edges():
-        for f in stree.oriented_edges():
-            if stree.edge_geq(f, e) and not sys.leq(stree.alpha[e], stree.alpha[f]):
-                return False
-    return True
+    """Forward validator: alpha preserves the natural order on the oriented
+    edges of a tree.  That order is generated by (a, b) > (b, c) for c != a,
+    so by transitivity one pass over these consecutive pairs decides it."""
+    leq, alpha = stree.system.leq, stree.alpha
+    return all(leq(alpha[(b, c)], alpha[(a, b)])
+               for a, b in stree.oriented_edges() for c in stree.adj[b] if c != a)
 
 
 def stree_from_nested(system) -> STree:

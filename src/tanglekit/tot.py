@@ -11,8 +11,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import HypothesisFailure, TheoremViolation
+from .errors import HypothesisFailure
 from .forbidden import (
+    enumerate_tangles,
     is_rich,
     is_standard,
     maximal_tangles_in,
@@ -23,9 +24,9 @@ from .tst import (
     LEAF_FORBIDDEN,
     LEAF_TANGLE,
     _path_closure,
+    build_thorough_tst,
     build_tst_in_S,
     classify_leaves,
-    is_thoroughly_ordered,
 )
 from .universe import (Universe, is_order_threshold_restriction,
                        is_structurally_submodular, restrict_Sk)
@@ -39,6 +40,11 @@ PairReport = namedtuple("PairReport", "distinguishers minimum_order optimal")
 # pairs: (i, j) index pair -> PairReport; optimal_union: union of all optimal
 # distinguishers.
 DistinguisherReport = namedtuple("DistinguisherReport", "pairs optimal_union")
+
+# distinguishers: N, a frozenset of separations; tree: the SeparationTree read;
+# tangle_nodes: list; leaf_classes: leaf -> LeafClass; tangles: frozensets, the
+# F-tangles of S or the elements of the maximal tangles of the layers.
+ToTResult = namedtuple("ToTResult", "distinguishers tree tangle_nodes leaf_classes tangles")
 
 
 def distinguisher_report(system, order, tangles) -> DistinguisherReport:
@@ -91,8 +97,12 @@ def check_tot_hypotheses(system, order, family, trust_rich=False, layered=False)
     if not isinstance(system.ground, Universe):
         raise HypothesisFailure("system must live in a universe")
     uni = system.ground
-    layers = ([(f"S_{k}", restrict_Sk(system, order, k))
-               for k in order_thresholds(system, order)] if layered else [("S", system)])
+    # a layer is named by its separation count, which no other layer shares:
+    # the thresholds of a refined order are fractions too long to read
+    layers = ([(f"the layer of {len(sub.seps())} separations", sub)
+               for sub in (restrict_Sk(system, order, k)
+                           for k in order_thresholds(system, order))]
+              if layered else [("S", system)])
     failed = {}  # name -> witness, "" when there is none to report
     if not is_structurally_submodular(uni, order)[0]:
         failed["structurally_submodular"] = ""
@@ -119,21 +129,19 @@ def check_tot_hypotheses(system, order, family, trust_rich=False, layered=False)
                                 + "".join(f"; {name}: {w}" for name, w in failed.items() if w))
 
 
-def tree_of_tangles(tree, system, order, family):
-    """The nested distinguisher set N read off a thoroughly ordered tree.
+def tree_of_tangles(system, order, family, trust_rich=False) -> ToTResult:
+    """The tree of tangles of S: separations at the tangle nodes of the
+    thoroughly ordered tree, distinguishing every pair of F-tangles optimally.
 
-    N is the set of separations oriented at the tangle nodes; under the
-    checked hypotheses it equals the brute-force optimal-distinguisher set.
+    The hypotheses are checked first, so a family that is not rich fails as
+    a HypothesisFailure, not in the builder.
     """
-    check_tot_hypotheses(system, order, family)
-    return tangle_node_seps(tree, order, family)
-
-
-def tangle_node_seps(tree, order, family) -> frozenset:
-    """N for a caller that has already run ``check_tot_hypotheses``."""
-    if not is_thoroughly_ordered(tree, order):
-        raise HypothesisFailure("tree is not thoroughly ordered")
-    return frozenset(tree.node_sep(v) for v in tangle_nodes(tree, family))
+    check_tot_hypotheses(system, order, family, trust_rich=trust_rich)
+    tree = build_thorough_tst(system, order, family)
+    classes = classify_leaves(tree, family)
+    nodes = tangle_nodes(tree, family, classes)
+    return ToTResult(frozenset(tree.node_sep(v) for v in nodes), tree, nodes, classes,
+                     enumerate_tangles(system, family))
 
 
 def is_critical(tree, v, order) -> bool:
@@ -157,13 +165,7 @@ def is_critical(tree, v, order) -> bool:
 # -- the layered tree of tangles -------------------------------------------------------
 
 
-# distinguishers: frozenset; tree: the layered SeparationTree; tangle_nodes:
-# list; leaf_classes: leaf -> LeafClass; maximal_tangles: list of Tangle.
-ToTInSResult = namedtuple(
-    "ToTInSResult", "distinguishers tree tangle_nodes leaf_classes maximal_tangles")
-
-
-def tree_of_tangles_in(system, order, family, trust_rich=False):
+def tree_of_tangles_in(system, order, family, trust_rich=False) -> ToTResult:
     """The layered tree of tangles: separations at tangle nodes of the pruned
     full-system tree, distinguishing every pair of maximal tangles optimally."""
     check_tot_hypotheses(system, order, family, trust_rich=trust_rich, layered=True)
@@ -175,19 +177,9 @@ def tree_of_tangles_in(system, order, family, trust_rich=False):
                         if c.kind == LEAF_FORBIDDEN}
     nodes = [v for v in tree.nodes() if len(tree.children[v]) == 2
              and not any(w in forbidden_leaves for w in tree.children[v])]
-    # cross-check against the recursive tangle-node reading
-    recursive = tangle_nodes(tree, family, result.leaf_classes)
-    if nodes != recursive:
-        raise TheoremViolation(
-            f"two readings of tangle nodes disagree: {nodes} and {recursive}")
-    maximal = maximal_tangles_in(system, family, order)
-    return ToTInSResult(
-        distinguishers=frozenset(tree.node_sep(v) for v in nodes),
-        tree=tree,
-        tangle_nodes=nodes,
-        leaf_classes=result.leaf_classes,
-        maximal_tangles=maximal,
-    )
+    return ToTResult(frozenset(tree.node_sep(v) for v in nodes), tree, nodes,
+                     result.leaf_classes,
+                     [t.elements for t in maximal_tangles_in(system, family, order)])
 
 
 # -- validation ---------------------------------------------------------------------

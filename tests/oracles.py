@@ -163,6 +163,28 @@ def naive_stree_excludes_tangles(stree, family):
     return True, checked
 
 
+def naive_stree_edge_geq(stree, e, f):
+    """The natural order on oriented edges: e >= f iff e = f, or e and f lie on
+    different edges and the path from e to f starts at the head of e and ends
+    at the tail of f."""
+    if e == f:
+        return True
+    (a, b), (c, d) = e, f
+    if {a, b} == {c, d}:
+        return False
+    b_side = stree.side_nodes(a, b)
+    c_side = stree.side_nodes(d, c)
+    return c in b_side and d in b_side and a in c_side and b in c_side
+
+
+def naive_stree_order_preserving(stree):
+    """alpha preserves the natural edge order, tried on every pair of oriented edges."""
+    sys = stree.system
+    return all(sys.leq(stree.alpha[e], stree.alpha[f])
+               for e in stree.oriented_edges() for f in stree.oriented_edges()
+               if naive_stree_edge_geq(stree, f, e))
+
+
 def beta_by_path_walk(tree, node):
     """Edge labels from the root to a node, collected by explicit parent hops."""
     out = set()

@@ -325,7 +325,7 @@ def test_criterion_7_tree_of_tangles(suite, trees):
             if robust.sets - c.family.sets:
                 continue
             tree = trees[c.name]
-            n = tree_of_tangles(tree, c.system, c.order, c.family)
+            n = tree_of_tangles(c.system, c.order, c.family).distinguishers
             tangles = enumerate_tangles(c.system, c.family)
             rep = verify_tot(c.system, c.order, n, tangles)
             assert rep.ok, (c.name, rep.missing, rep.extra, rep.undistinguished)
@@ -368,7 +368,7 @@ def test_criterion_8_layered_tree_of_tangles(suite):
                 res = tree_of_tangles_in(system, order, fam)
             except TanglekitError:
                 continue
-            maximal = [t.elements for t in res.maximal_tangles]
+            maximal = res.tangles
             rep = verify_tot(system, order, res.distinguishers, maximal)
             assert rep.ok, (name, rep.missing, rep.extra, rep.undistinguished)
             from tanglekit.forbidden import order_thresholds

@@ -1,12 +1,13 @@
 """Conversion theorem, shifting machinery, and the dichotomy drivers."""
 
 import itertools
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 
-from oracles import naive_stree_excludes_tangles
+from oracles import naive_stree_excludes_tangles, naive_stree_order_preserving
 
 from tanglekit.duality import (
     STree,
@@ -42,6 +43,7 @@ from tanglekit.fixtures import (
     p3_universe,
     p4_universe,
     ptriv_system,
+    random_universes,
     singleton_family,
 )
 from tanglekit.forbidden import (
@@ -301,6 +303,24 @@ def test_stree_from_nested_validates_forward_direction(bip3):
     assert set(st.alpha.values()) == set(sub.elements())
     for t in st.nodes():
         assert sub.is_star(st.star_at(t))
+
+
+def test_order_preservation_on_consecutive_edges_matches_all_pairs():
+    # random labelled trees on 2-6 nodes: the one pass over consecutive edges
+    # agrees with the test on every pair of oriented edges
+    rng = random.Random(26)
+    preserving = 0
+    for uni, _ in random_universes(count=40):
+        for _ in range(30):
+            n = rng.randint(2, 6)
+            alpha = {}
+            for b in range(1, n):
+                a, h = rng.randrange(b), rng.choice(uni.elements())
+                alpha[(a, b)], alpha[(b, a)] = h, uni.inv(h)
+            st = STree(uni, n, alpha)
+            assert stree_order_preserving(st) == naive_stree_order_preserving(st), alpha
+            preserving += stree_order_preserving(st)
+    assert 300 <= preserving <= 900  # 415 of 1,200 seen
 
 
 def test_stree_from_crossing_rejected(bip4):

@@ -180,6 +180,24 @@ def test_the_tree_layers_state_the_tot_hypotheses_once():
     assert not found, f"hypothesis predicates outside check_tot_hypotheses: {found}"
 
 
+# The steps of the two tree-of-tangles theorems, which the CLI reaches only
+# through tot.tree_of_tangles and tot.tree_of_tangles_in.
+TOT_STEPS = {"check_tot_hypotheses", "tangle_nodes", "classify_leaves", "build_tst_in_S"}
+
+
+def test_the_cli_runs_each_tot_theorem_through_its_library_call():
+    # a command that strings the steps together itself can drift from the
+    # library's extraction, which the tests check against the oracle
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    found = []
+    for node, fn in nodes_in_functions(tree):
+        name = isinstance(node, ast.Call) and getattr(
+            node.func, "id", getattr(node.func, "attr", None))
+        if name in TOT_STEPS:
+            found.append(f"cli.py:{node.lineno} {fn} calls {name}")
+    assert not found, f"tree-of-tangles steps called from the CLI: {found}"
+
+
 # The functions that take a ``bound``: the input-size guards, which cap what
 # comes from outside the program.  The separation count is guarded once, by
 # the CLI's ``check_bound``.

@@ -26,14 +26,13 @@ from tanglekit.tot import (
     check_tot_hypotheses,
     distinguisher_report,
     is_critical,
-    tangle_node_seps,
     tangle_nodes,
     tree_of_tangles,
     tree_of_tangles_in,
     verify_tot,
 )
 from tanglekit.tst import (
-    SeparationTree,
+    LEAF_FORBIDDEN,
     build_thorough_tst,
     display,
     reduce_irreducible,
@@ -102,7 +101,7 @@ def test_single_tangle_empty_n(p3_tot):
 
 def test_p3_extraction_matches_oracle(p3_tot):
     u, o2, s2, F, tree = p3_tot
-    n = tree_of_tangles(tree, s2, o2, F)
+    n = tree_of_tangles(s2, o2, F).distinguishers
     tangles = enumerate_tangles(s2, F)
     assert len(tangles) == 2
     oracle = distinguisher_report(s2, o2, tangles).optimal_union
@@ -138,27 +137,16 @@ def test_extraction_requires_robustness_triples():
     robust = robustness_family(u, o2, target=s2)
     assert robust.sets
     F = standardize(robust, s2)
-    tree = build_thorough_tst(s2, o2, F)
-    tangles = enumerate_tangles(s2, F)
-    assert verify_tot(s2, o2, tree_of_tangles(tree, s2, o2, F), tangles).ok
+    res = tree_of_tangles(s2, o2, F)
+    assert verify_tot(s2, o2, res.distinguishers, res.tangles).ok
     with pytest.raises(HypothesisFailure, match=r"\['robustness_included'\]"):
-        tree_of_tangles(tree, s2, o2, ForbiddenFamily(F.sets - robust.sets))
-
-
-def test_extraction_requires_a_thoroughly_ordered_tree(p3_tot):
-    # the hypotheses hold; the tree splits first on the separation of top order
-    u, o2, s2, F, tree = p3_tot
-    top = max(s2.seps(), key=o2.of)
-    low, high = s2.orientations(top)
-    planted = SeparationTree(s2, [-1, 0, 0], [[1, 2], [], []], [-1, low, high])
-    with pytest.raises(HypothesisFailure, match="not thoroughly ordered"):
-        tree_of_tangles(planted, s2, o2, F)
+        tree_of_tangles(s2, o2, ForbiddenFamily(F.sets - robust.sets))
 
 
 def test_reduced_tree_same_distinguishers(p3_tot):
     # tangle nodes survive reduction and keep their separations
     u, o2, s2, F, tree = p3_tot
-    n = tree_of_tangles(tree, s2, o2, F)
+    n = tree_of_tangles(s2, o2, F).distinguishers
     red = reduce_irreducible(tree, F, o2)
     n_red = frozenset(red.node_sep(v) for v in tangle_nodes(red, F))
     assert n_red == n
@@ -213,7 +201,7 @@ def test_layered_single_tangle_empty_n(weighted_bip3):
     robust = robustness_family(u, o2)
     F = eclipse_closure(u, standardize(robust, u), o2)
     res = tree_of_tangles_in(u, o2, F)
-    maximal = [t.elements for t in res.maximal_tangles]
+    maximal = res.tangles
     if len(maximal) <= 1:
         assert res.distinguishers == frozenset()
     else:
@@ -223,7 +211,7 @@ def test_layered_single_tangle_empty_n(weighted_bip3):
 def test_p3_layered_matches_oracle(p3_layered_tot):
     u, o2, F = p3_layered_tot
     res = tree_of_tangles_in(u, o2, F)
-    maximal = [t.elements for t in res.maximal_tangles]
+    maximal = res.tangles
     assert len(maximal) == 2
     rep = verify_tot(u, o2, res.distinguishers, maximal)
     assert rep.ok, (rep.missing, rep.extra, rep.undistinguished)
@@ -253,6 +241,20 @@ def test_layered_names_each_failed_hypothesis(p3, p3_layered_tot, p3_crooked_ord
     assert not o.is_injective_on(u)
     with pytest.raises(HypothesisFailure, match=r"failed: \['injective'\]$"):
         tree_of_tangles_in(u, o, F)
+
+
+def test_a_failed_layer_is_named_by_its_separation_count(p4):
+    # a refined order's thresholds are fractions of twenty digits and more,
+    # so the witness names the layer by its size instead
+    u, o = p4
+    inj = refine_injective(u, o)
+    stars = graph_tangle_stars(u, o, "abcd", [("a", "b"), ("b", "c"), ("c", "d")], 2)
+    F = standardize(stars.extended(robustness_family(u, inj).sets), u)
+    with pytest.raises(HypothesisFailure) as failure:
+        tree_of_tangles_in(u, inj, F)
+    assert str(failure.value) == (
+        "tree-of-tangles hypotheses failed: ['rich']; rich: the layer of 14 separations, "
+        "counterexample [0, 1, 2, 3, 4, 5, 6, 7, 8, 12, 13, 14, 15, 18]")
 
 
 def test_only_richness_walks_orientations(monkeypatch, p3, p3_layered_tot):
@@ -311,11 +313,11 @@ def test_verify_tot_crossing_witness():
 # -- F-tangles that are not profiles ------------------------------------------------
 
 
-def random_graph_cases():
+def random_graph_cases(stars=False):
     """((n, edges, k), uni, inj, sk, fam) for 60 graphs fixed by the seed: 4-6 vertices,
     each pair joined with probability 0.45, edgeless ones skipped; F =
     standardize(R) on S_k for k = 2, 3, with S_k of at most 60 oriented
-    separations (101 cases)."""
+    separations (101 cases).  With ``stars``, F = standardize(stars + R)."""
     rng = random.Random(5)
     for _ in range(60):
         n = rng.randint(4, 6)
@@ -328,8 +330,10 @@ def random_graph_cases():
             sk = restrict_Sk(uni, inj, k)
             if len(sk.elements()) > 60:
                 continue
-            fam = standardize(robustness_family(uni, inj, target=sk), sk)
-            yield (n, edges, k), uni, inj, sk, fam
+            fam = robustness_family(uni, inj, target=sk)
+            if stars:
+                fam = fam.extended(graph_tangle_stars(uni, order, range(n), edges, k).sets)
+            yield (n, edges, k), uni, inj, sk, standardize(fam, sk)
 
 
 def is_non_profile_case(uni, sk, tangles):
@@ -339,20 +343,28 @@ def is_non_profile_case(uni, sk, tangles):
     return len(tangles) >= 2 and any(profiles.first_inside(t) is not None for t in tangles)
 
 
+def assert_layered_tangle_nodes(res, fam):
+    """The layered tangle nodes, those with two children neither of which is a
+    forbidden leaf, are the nodes the marking of ``tangle_nodes`` finds."""
+    tree = res.tree
+    forbidden = {l for l, c in res.leaf_classes.items() if c.kind == LEAF_FORBIDDEN}
+    pruned = [v for v in tree.nodes() if len(tree.children[v]) == 2
+              and not forbidden & set(tree.children[v])]
+    assert res.tangle_nodes == pruned == tangle_nodes(tree, fam, res.leaf_classes)
+
+
 def test_tot_on_random_graphs_with_non_profile_tangles():
     # each case fails a hypothesis or satisfies the theorem
     verified = non_profile = 0
     for case, uni, inj, sk, fam in random_graph_cases():
         try:
-            check_tot_hypotheses(sk, inj, fam)
+            res = tree_of_tangles(sk, inj, fam)
         except PreconditionError:
             continue
-        tree = build_thorough_tst(sk, inj, fam)
-        tangles = enumerate_tangles(sk, fam)
-        rep = verify_tot(sk, inj, tangle_node_seps(tree, inj, fam), tangles)
+        rep = verify_tot(sk, inj, res.distinguishers, res.tangles)
         assert rep.ok, (case, rep)
         verified += 1
-        non_profile += is_non_profile_case(uni, sk, tangles)
+        non_profile += is_non_profile_case(uni, sk, res.tangles)
     assert verified >= 60  # 71 seen, of 101 cases
     assert non_profile >= 30  # 35 seen
 
@@ -373,10 +385,34 @@ def test_totins_on_random_graphs_with_non_profile_tangles():
             assert not tot_accepts, case
             continue
         assert tot_accepts, case
-        maximal = [t.elements for t in res.maximal_tangles]
-        rep = verify_tot(sk, inj, res.distinguishers, maximal)
+        rep = verify_tot(sk, inj, res.distinguishers, res.tangles)
         assert rep.ok, (case, rep)
+        assert_layered_tangle_nodes(res, fam)
         verified += 1
-        non_profile += is_non_profile_case(uni, sk, maximal)
+        non_profile += is_non_profile_case(uni, sk, res.tangles)
     assert verified >= 60  # 71 seen, of 101 cases
     assert non_profile >= 30  # 35 seen
+
+
+def test_both_theorems_on_random_graphs_with_stars():
+    # the same graphs with the stars in F: both theorems accept the same
+    # cases, and each accepted case satisfies both
+    verified = several = 0
+    for case, uni, inj, sk, fam in random_graph_cases(stars=True):
+        results = []
+        for theorem in (tree_of_tangles, tree_of_tangles_in):
+            try:
+                results.append(theorem(sk, inj, fam))
+            except PreconditionError:
+                pass
+        assert len(results) in (0, 2), case
+        if not results:
+            continue
+        for res in results:
+            rep = verify_tot(sk, inj, res.distinguishers, res.tangles)
+            assert rep.ok, (case, rep)
+        assert_layered_tangle_nodes(results[1], fam)
+        verified += 1
+        several += len(results[0].tangles) >= 2
+    assert verified >= 90  # 101 seen, of 101 cases
+    assert several >= 40  # 47 seen
