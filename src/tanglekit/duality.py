@@ -29,10 +29,9 @@ from .errors import (
 from .forbidden import _eclipsers, _replacements, f_eff, is_rich
 from .orderfn import refine_injective, refines
 from .tst import (
-    LEAF_FORBIDDEN,
-    LEAF_TANGLE,
     _check_thorough_preconditions,
     build_thorough_tst,
+    displayed_tangles,
     necessity,
     reduce_irreducible,
     validate_tst,
@@ -185,8 +184,8 @@ def convert_ftree(tree, family):
     rep = validate_tst(tree, family)
     if not rep.ok:
         raise SystemValidationError("not-a-tst", witness=rep.failures[0])
-    if any(c.kind != LEAF_FORBIDDEN for c in rep.leaf_classes.values()):
-        raise PreconditionError("tree has non-forbidden leaves; not an F-tree")
+    if displayed_tangles(tree, family):
+        raise PreconditionError("tree has tangle leaves; not an F-tree")
     nec = necessity(tree, family)
     if not nec.irreducible:
         bad = sorted(v for v, ok in nec.node_necessary.items() if not ok)
@@ -431,11 +430,11 @@ def closed_under_shifting(system, family, order):
 
 
 # kind: "tangle" | "stree"; notes: dict.  The tangle branch sets tangle (a
-# frozenset); the stree branch sets tree (the thorough structure tree),
-# reduced, stree, conversion (a ConversionMap) and feff (a ForbiddenFamily).
+# frozenset); the stree branch sets reduced (the irreducible structure tree),
+# stree, conversion (a ConversionMap) and feff (a ForbiddenFamily).
 DichotomyResult = namedtuple(
-    "DichotomyResult", "kind notes tangle tree reduced stree conversion feff",
-    defaults=(None,) * 6)
+    "DichotomyResult", "kind notes tangle reduced stree conversion feff",
+    defaults=(None,) * 5)
 
 
 def dichotomy(system, order, family, check_exclusive=False,
@@ -453,16 +452,13 @@ def dichotomy(system, order, family, check_exclusive=False,
         if not rich:
             raise HypothesisFailure(
                 f"family not rich; counterexample orientation {sorted(witness)}")
-    else:
-        notes["rich"] = "assumed (derived upstream)"
 
     tangle = next(_orientations(system, family.sets), None)
     if tangle is not None:
         if check_exclusive:
-            tree = build_thorough_tst(system, order, family)
-            rep = validate_tst(tree, family)
-            if all(c.kind == LEAF_FORBIDDEN for c in rep.leaf_classes.values()):
-                raise BothOrNeither("tangle exists but the structure tree is an F-tree")
+            if not displayed_tangles(build_thorough_tst(system, order, family), family):
+                raise BothOrNeither("tangle exists but the structure tree has no "
+                                    "tangle leaf")
             notes["exclusive"] = "structure tree has tangle leaves; no F-tree arises"
         return DichotomyResult(kind="tangle", tangle=tangle, notes=notes)
 
@@ -471,10 +467,8 @@ def dichotomy(system, order, family, check_exclusive=False,
             f"S-tree branch needs a trivial-free system; "
             f"trivial {system.trivial_elements()}")
     _check_star_family(system, family)
-    tree = build_thorough_tst(system, order, family)
-    reduced = reduce_irreducible(tree, family, order)
-    rep = validate_tst(reduced, family)
-    if any(c.kind == LEAF_TANGLE for c in rep.leaf_classes.values()):
+    reduced = reduce_irreducible(build_thorough_tst(system, order, family), family, order)
+    if displayed_tangles(reduced, family):
         raise BothOrNeither("no brute-force tangle, yet the reduced tree has "
                             "a tangle leaf")
     stree, cmap = convert_ftree(reduced, family)
@@ -490,7 +484,7 @@ def dichotomy(system, order, family, check_exclusive=False,
         if not ok:
             raise BothOrNeither(f"S-tree certificate fails the sink argument: {why}")
         notes["exclusive"] = "S-tree excludes every orientation"
-    return DichotomyResult(kind="stree", tree=tree, reduced=reduced, stree=stree,
+    return DichotomyResult(kind="stree", reduced=reduced, stree=stree,
                            conversion=cmap, feff=feff, notes=notes)
 
 

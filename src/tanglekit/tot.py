@@ -21,12 +21,11 @@ from .forbidden import (
     robustness_family,
 )
 from .tst import (
-    LEAF_FORBIDDEN,
-    LEAF_TANGLE,
     _path_closure,
     build_thorough_tst,
     build_tst_in_S,
     classify_leaves,
+    tangle_nodes,
 )
 from .universe import (Universe, is_order_threshold_restriction,
                        is_structurally_submodular, restrict_Sk)
@@ -65,25 +64,6 @@ def distinguisher_report(system, order, tangles) -> DistinguisherReport:
 
 
 # -- extraction from a thoroughly ordered structure tree -----------------------------
-
-
-def tangle_nodes(tree, family, leaf_classes=None) -> list:
-    """Nodes with two children, each of whose subtrees contains a tangle leaf.
-    A degenerate node has one child and distinguishes nothing.
-
-    Leaves are read with ``classify_leaves`` unless ``leaf_classes`` is given.
-    The nodes with a tangle leaf below them are marked by walking up from
-    each tangle leaf, stopping at the first node already marked.
-    """
-    if leaf_classes is None:
-        leaf_classes = classify_leaves(tree, family)
-    marked = set()
-    for v in (leaf for leaf, c in leaf_classes.items() if c.kind == LEAF_TANGLE):
-        while v >= 0 and v not in marked:
-            marked.add(v)
-            v = tree.parent[v]
-    return [v for v in tree.nodes() if len(tree.children[v]) == 2
-            and all(w in marked for w in tree.children[v])]
 
 
 def check_tot_hypotheses(system, order, family, trust_rich=False, layered=False):
@@ -171,12 +151,7 @@ def tree_of_tangles_in(system, order, family, trust_rich=False) -> ToTResult:
     check_tot_hypotheses(system, order, family, trust_rich=trust_rich, layered=True)
     result = build_tst_in_S(system, order, family)
     tree = result.tree
-    # tangle nodes of the pruned tree = nodes with two children, neither of
-    # them a forbidden leaf
-    forbidden_leaves = {l for l, c in result.leaf_classes.items()
-                        if c.kind == LEAF_FORBIDDEN}
-    nodes = [v for v in tree.nodes() if len(tree.children[v]) == 2
-             and not any(w in forbidden_leaves for w in tree.children[v])]
+    nodes = tangle_nodes(tree, family, result.leaf_classes)
     return ToTResult(frozenset(tree.node_sep(v) for v in nodes), tree, nodes,
                      result.leaf_classes,
                      [t.elements for t in maximal_tangles_in(system, family, order)])

@@ -401,6 +401,25 @@ def displayed_tangles(tree, family) -> frozenset:
                      if c.kind == LEAF_TANGLE)
 
 
+def tangle_nodes(tree, family, leaf_classes=None) -> list:
+    """Nodes with two children, each of whose subtrees contains a tangle leaf.
+    A degenerate node has one child and distinguishes nothing.
+
+    Leaves are read with ``classify_leaves`` unless ``leaf_classes`` is given.
+    The nodes with a tangle leaf below them are marked by walking up from
+    each tangle leaf, stopping at the first node already marked.
+    """
+    if leaf_classes is None:
+        leaf_classes = classify_leaves(tree, family)
+    marked = set()
+    for v in (leaf for leaf, c in leaf_classes.items() if c.kind == LEAF_TANGLE):
+        while v >= 0 and v not in marked:
+            marked.add(v)
+            v = tree.parent[v]
+    return [v for v in tree.nodes() if len(tree.children[v]) == 2
+            and all(w in marked for w in tree.children[v])]
+
+
 def _contract_move(tree, v, keep_child) -> SeparationTree:
     """Contract the edge v--keep_child and drop the sibling subtrees of v.
 

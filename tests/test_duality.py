@@ -28,6 +28,7 @@ from tanglekit.duality import (
 from tanglekit import duality
 from tanglekit.errors import (
     AmbiguousShiftChoice,
+    BothOrNeither,
     HypothesisFailure,
     NonInjectiveOrder,
     NonStarFamily,
@@ -43,6 +44,7 @@ from tanglekit.fixtures import (
     p3_universe,
     p4_universe,
     ptriv_system,
+    random_star_family,
     random_universes,
     singleton_family,
 )
@@ -223,12 +225,22 @@ def test_conversion_rejects_nonstar_family():
         convert_ftree(tree, fam)
 
 
-def test_conversion_rejects_reducible(tangleless):
-    s2t, o2, fam, _ = tangleless
-    tree = build_thorough_tst(s2t, o2, fam)
-    if not reduce_irreducible(tree, fam, o2).to_json() == tree.to_json():
-        with pytest.raises(NotIrreducible):
-            convert_ftree(tree, fam)
+def test_conversion_rejects_reducible():
+    # the thorough tree of a seeded tangle-free star family keeps three
+    # unnecessary nodes: the conversion refuses it and takes its reduction
+    u, o = random_universes()[0]
+    o2 = refine_injective(u.ground, o)
+    s = u.without_trivial()
+    fam = random_star_family(s, o2, random.Random("0:2"))
+    assert (len(s.seps()), len(fam.sets)) == (7, 6)
+    assert not enumerate_tangles(s, fam)
+    tree = build_thorough_tst(s, o2, fam)
+    assert len(tree) == 9
+    with pytest.raises(NotIrreducible) as err:
+        convert_ftree(tree, fam)
+    assert str(err.value) == "unnecessary nodes [0, 1, 4]"
+    stree, _ = convert_ftree(reduce_irreducible(tree, fam, o2), fam)
+    assert stree.is_over(fam)
 
 
 def test_conversion_rejects_tangle_leaves(p3_set):
@@ -654,6 +666,31 @@ def test_dichotomy_still_refuses_a_nonstar_member_inside_the_system(tangleless):
     r = next(h for h in s2t.elements() if not s2t.is_small(h) and not s2t.is_small(s2t.inv(h)))
     with pytest.raises(NonStarFamily):
         dichotomy(s2t, o2, fam.extended([{r, s2t.inv(r)}]))
+
+
+def test_dichotomy_refuses_a_structure_tree_with_no_tangle_leaf(p3_set, monkeypatch):
+    # a tangle exists, so its structure tree must display one; the lone root
+    # leaf of an empty path is unresolved, not a tangle leaf
+    u, o, o2, s2 = p3_set
+    fam = standardize(ForbiddenFamily([]), s2)
+    bare = lambda system, order, family: SeparationTree(system, [-1], [[]], [-1])
+    monkeypatch.setattr(duality, "build_thorough_tst", bare)
+    with pytest.raises(BothOrNeither) as err:
+        dichotomy(s2, o2, fam, check_exclusive=True)
+    assert str(err.value) == "tangle exists but the structure tree has no tangle leaf"
+
+
+def test_dichotomy_refuses_a_reduced_tree_with_a_tangle_leaf(p3_set, monkeypatch):
+    # a search that misses every tangle sends dichotomy down the S-tree
+    # branch, where the reduced tree still displays the tangles
+    u, o, o2, s2 = p3_set
+    s2t = s2.without_trivial()
+    fam = standardize(ForbiddenFamily([]), s2t)
+    assert len(enumerate_tangles(s2t, fam)) == 4
+    monkeypatch.setattr(duality, "_orientations", lambda *args: iter(()))
+    with pytest.raises(BothOrNeither) as err:
+        dichotomy(s2t, o2, fam)
+    assert str(err.value) == "no brute-force tangle, yet the reduced tree has a tangle leaf"
 
 
 def test_dichotomy_exactly_one(p3_set, tangleless):

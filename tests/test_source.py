@@ -180,6 +180,28 @@ def test_the_tree_layers_state_the_tot_hypotheses_once():
     assert not found, f"hypothesis predicates outside check_tot_hypotheses: {found}"
 
 
+# The leaf kinds of a structure tree, and the modules that read them: the tree
+# layer, and the DOT writer, which colours leaves by kind.
+LEAF_KINDS = {"LEAF_TANGLE", "LEAF_FORBIDDEN", "LEAF_UNRESOLVED"}
+LEAF_KIND_READERS = {"tst.py", "dot.py"}
+
+
+def test_leaf_kinds_are_read_in_the_tree_layer():
+    # the theorems read a tree's tangles through displayed_tangles and
+    # tangle_nodes, so no second reading of the leaf kinds can drift
+    found = []
+    for path, tree in package_trees():
+        if path.name in LEAF_KIND_READERS:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [getattr(node, "id", getattr(node, "attr", None))]
+            found += [f"{path.name}:{node.lineno} names {n}" for n in names if n in LEAF_KINDS]
+    assert not found, f"leaf kinds read outside the tree layer: {found}"
+
+
 # The steps of the two tree-of-tangles theorems, which the CLI reaches only
 # through tot.tree_of_tangles and tot.tree_of_tangles_in.
 TOT_STEPS = {"check_tot_hypotheses", "tangle_nodes", "classify_leaves", "build_tst_in_S"}

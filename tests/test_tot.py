@@ -257,6 +257,21 @@ def test_a_failed_layer_is_named_by_its_separation_count(p4):
         "counterexample [0, 1, 2, 3, 4, 5, 6, 7, 8, 12, 13, 14, 15, 18]")
 
 
+def test_a_view_off_threshold_form_fails_only_that_hypothesis(p3):
+    # restricting by an order and refining it keeps S_k of threshold form, so
+    # no command reaches this hypothesis; a view on one separation that is
+    # not of least order does
+    u, o = p3
+    o2 = refine_injective(u, o)
+    s = sorted(u.seps(), key=lambda t: o2.num[t])[-2]
+    view = u.restrict(u.orientations(s))
+    F = standardize(robustness_family(u, o2, target=view), view)
+    for theorem in (tree_of_tangles, tree_of_tangles_in):
+        with pytest.raises(HypothesisFailure) as failure:
+            theorem(view, o2, F)
+        assert str(failure.value) == "tree-of-tangles hypotheses failed: ['threshold_form']"
+
+
 def test_only_richness_walks_orientations(monkeypatch, p3, p3_layered_tot):
     # richness, the one hypothesis that walks orientations, runs last: a case
     # that fails another hypothesis is refused without walking one
