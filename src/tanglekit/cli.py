@@ -23,7 +23,7 @@ from collections import namedtuple
 from pathlib import Path
 
 from .core import SeparationSystem
-from .errors import InputError, PreconditionError, TheoremViolation
+from .errors import BoundExceeded, InputError, PreconditionError, TanglekitError, TheoremViolation
 from .forbidden import (
     ForbiddenFamily,
     enumerate_tangles,
@@ -46,17 +46,6 @@ DEFAULT_BOUND = 16
 OUT_ENV = "TANGLEKIT_OUT"
 
 
-class RunError(Exception):
-    def __init__(self, code, report):
-        self.code = code
-        self.report = report
-        super().__init__(report.get("error", "run failed"))
-
-
-def _fail(code, **report):
-    raise RunError(code, report)
-
-
 # -- ingestion -----------------------------------------------------------------
 
 
@@ -65,9 +54,9 @@ def read_input(path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
-        _fail(1, error="input file not found", file=str(path))
+        raise InputError("input file not found", file=str(path))
     except (OSError, UnicodeDecodeError) as exc:  # a directory, not UTF-8, ...
-        _fail(1, error="unreadable input file", file=str(path), detail=str(exc))
+        raise InputError("unreadable input file", file=str(path), detail=str(exc))
 
 
 def load_graph_text(path):
@@ -81,8 +70,8 @@ def load_graph_text(path):
             vertices.add(parts[0])
             continue
         if len(parts) != 2:
-            _fail(1, error="malformed edge list", file=str(path),
-                  line=lineno, text=raw.rstrip())
+            raise InputError("malformed edge list", file=str(path),
+                             line=lineno, text=raw.rstrip())
         a, b = parts
         vertices.update((a, b))
         edges.append((a, b))
@@ -93,16 +82,16 @@ def _read_json(path):
     try:
         return json.loads(read_input(path))
     except json.JSONDecodeError as exc:
-        _fail(1, error="invalid JSON", file=str(path), line=exc.lineno, column=exc.colno)
+        raise InputError("invalid JSON", file=str(path), line=exc.lineno, column=exc.colno)
 
 
 def load_inputs(args):
     """Resolve (system_or_universe, order) from the run spec."""
     sources = [s for s in (args.input, args.bipartition) if s]
     if len(sources) != 1:
-        _fail(1, error="exactly one input source required",
-              given=[s for s in ("--input" if args.input else None,
-                                 "--bipartition" if args.bipartition else None) if s])
+        raise InputError("exactly one input source required",
+                         given=[s for s in ("--input" if args.input else None,
+                                            "--bipartition" if args.bipartition else None) if s])
     order = None
     if args.bipartition:
         ground = [tok for tok in args.bipartition.split(",") if tok]
@@ -128,21 +117,21 @@ def check_family_document(obj, path, n):
     ``generate`` a list where present.  An optional ``provenance`` object is
     not read, but its keys must be comma-separated integers."""
     if not isinstance(obj, dict):
-        _fail(1, error="malformed forbidden family", file=path,
-              detail="the document is not an object")
+        raise InputError("malformed forbidden family", file=path,
+                         detail="the document is not an object")
     for key, kind in (("sets", list), ("generate", list), ("provenance", dict)):
         if not isinstance(obj.get(key, kind()), kind):
-            _fail(1, error="malformed forbidden family", file=path,
-                  detail=f"{key} is not a JSON {'array' if kind is list else 'object'}")
+            raise InputError("malformed forbidden family", file=path,
+                             detail=f"{key} is not a JSON {'array' if kind is list else 'object'}")
     for member in obj.get("sets", []):
         if not (isinstance(member, list)
                 and all(type(h) is int and 0 <= h < n for h in member)):
-            _fail(1, error="malformed forbidden family", file=path, member=member,
-                  detail=f"a member must be a list of handles 0..{n - 1}")
+            raise InputError("malformed forbidden family", file=path, member=member,
+                             detail=f"a member must be a list of handles 0..{n - 1}")
     for key in obj.get("provenance", {}):
         if not re.fullmatch(r"(-?\d+(,-?\d+)*)?", key):
-            _fail(1, error="malformed forbidden family", file=path,
-                  detail=f"provenance key {key!r} is not comma-separated integers")
+            raise InputError("malformed forbidden family", file=path,
+                             detail=f"provenance key {key!r} is not comma-separated integers")
 
 
 def load_family(args, uni, system, order):
@@ -156,7 +145,7 @@ def load_family(args, uni, system, order):
     for directive in generate:
         if directive == "R":
             if order is None:
-                _fail(2, error="generator R needs an order function")
+                raise PreconditionError("generator R needs an order function")
             require_universe(uni, "generator R")
             fam = fam.extended(robustness_family(uni, order, target=system).sets)
         elif directive == "profiles":
@@ -165,20 +154,20 @@ def load_family(args, uni, system, order):
         elif directive == "standardize":
             fam = standardize(fam, system)
         else:
-            _fail(1, error="unknown generator directive", directive=directive)
+            raise InputError("unknown generator directive", directive=directive)
     return fam
 
 
 def require_order(order):
     if order is None:
-        _fail(2, error="this command needs an order function "
-                       "(--order, or a graph input)")
+        raise PreconditionError("this command needs an order function "
+                                "(--order, or a graph input)")
     return order
 
 
 def require_universe(uni, what):
     if not isinstance(uni.ground, Universe):
-        _fail(2, error=f"{what} needs a universe (joins and meets)")
+        raise PreconditionError(f"{what} needs a universe (joins and meets)")
 
 
 def ensure_injective(uni, order, notes):
@@ -193,8 +182,8 @@ def ensure_injective(uni, order, notes):
 def check_bound(system, args):
     bound, seps = args.bounds, len(system)
     if seps > bound and not args.unsafe_bounds:
-        _fail(2, error="separation count exceeds bound", seps=seps, bound=bound,
-              hint="pass --unsafe-bounds to acknowledge")
+        raise BoundExceeded("separation count exceeds bound", seps=seps, bound=bound,
+                            hint="pass --unsafe-bounds to acknowledge")
 
 
 # -- emission -------------------------------------------------------------------
@@ -208,7 +197,7 @@ def _write_output(args, filename, text):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
     except OSError as exc:  # the directory is a file, or lies under one, ...
-        _fail(1, error="unwritable output", file=str(path), detail=str(exc))
+        raise InputError("unwritable output", file=str(path), detail=str(exc))
     return path
 
 
@@ -256,7 +245,8 @@ def cmd_validate(args):
             {"axiom": a, "witness": list(w) if w else None} for a, w in lat.failures]}
         if not lat.ok:
             write_artifact(args, "validate", report)
-            _fail(1, error="lattice axioms violated", **report["lattice"]["failures"][0])
+            raise TheoremViolation("lattice axioms violated",
+                                   **report["lattice"]["failures"][0])
     if order is not None:
         # a plain system has no joins or meets to check submodularity on
         ok, witness = (None, None)
@@ -462,24 +452,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.bounds < 1:
-            _fail(1, error="bounds must be positive", bounds=args.bounds)
+            raise InputError("bounds must be positive", bounds=args.bounds)
         result = COMMANDS[args.command](args)
-    except RunError as exc:
-        print(json.dumps({"ok": False, "code": exc.code, **exc.report},
-                         sort_keys=True), file=sys.stderr)
-        return exc.code
-    except InputError as exc:
-        report = {"ok": False, "error": str(exc)}
-        if hasattr(exc, "axiom"):
-            report["axiom"] = exc.axiom
-            report["witness"] = repr(exc.witness)
-        print(json.dumps(report, sort_keys=True), file=sys.stderr)
-        return 1
-    except (TheoremViolation, PreconditionError) as exc:
-        print(json.dumps({"ok": False, "error": str(exc),
-                          "kind": type(exc).__name__}, sort_keys=True),
+    except TanglekitError as exc:
+        print(json.dumps({**exc.report, "ok": False, "code": exc.code,
+                          "kind": type(exc).__name__, "error": str(exc)}, sort_keys=True),
               file=sys.stderr)
-        return 3 if isinstance(exc, TheoremViolation) else 2
+        return exc.code
     print(json.dumps({"ok": True, "command": args.command,
                       "summary": _summary(result)}, sort_keys=True))
     return 0

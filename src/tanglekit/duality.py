@@ -438,16 +438,17 @@ DichotomyResult = namedtuple(
 
 
 def dichotomy(system, order, family, check_exclusive=False,
-              assume_rich=False) -> DichotomyResult:
+              trust_rich=False) -> DichotomyResult:
     """Exactly one of: a tangle of the system, or an S-tree over the family.
 
     Preconditions checked eagerly: injective order, family standard and
-    rich.  The S-tree branch also needs a trivial-free system and a star
-    family; its conversion must pass ``validate_conversion``, its stars F_eff.
+    rich (unless ``trust_rich``).  The S-tree branch also needs a trivial-free
+    system and a star family; its conversion must pass ``validate_conversion``,
+    its stars F_eff.
     """
     notes = {}
     _check_thorough_preconditions(system, order, family)
-    if not assume_rich:
+    if not trust_rich:
         rich, witness = is_rich(system, family, order)
         if not rich:
             raise HypothesisFailure(
@@ -519,6 +520,6 @@ def newduality(uni, order, ell, family, check_exclusive=False):
     if not ok:
         raise HypothesisFailure(f"family not closed under shifting; witness {witness}")
     result = dichotomy(system, o2, family, check_exclusive=check_exclusive,
-                       assume_rich=True)
+                       trust_rich=True)
     result.notes["rich"] = "derived from closure under shifting"
     return result

@@ -1,6 +1,6 @@
 """Exception hierarchy.
 
-Three tiers, mirrored by the CLI exit codes:
+Three tiers, each carrying the CLI exit code as ``code``:
 
 * malformed input / broken axioms        -> InputError      (exit 1)
 * unmet preconditions or hypotheses      -> PreconditionError (exit 2)
@@ -9,11 +9,16 @@ Three tiers, mirrored by the CLI exit codes:
 
 
 class TanglekitError(Exception):
-    pass
+    """Raised through one of the three tiers below.  Keyword arguments are
+    the structured fields of the failure report, kept in ``report``."""
+
+    def __init__(self, *args, **report):
+        super().__init__(*args)
+        self.report = report
 
 
 class InputError(TanglekitError):
-    pass
+    code = 1
 
 
 class SystemValidationError(InputError):
@@ -22,7 +27,8 @@ class SystemValidationError(InputError):
     def __init__(self, axiom, witness=None):
         self.axiom = axiom
         self.witness = witness
-        super().__init__(f"axiom {axiom} violated, witness {witness!r}")
+        super().__init__(f"axiom {axiom} violated, witness {witness!r}",
+                         axiom=axiom, witness=repr(witness))
 
 
 class UnknownHandle(InputError):
@@ -32,7 +38,7 @@ class UnknownHandle(InputError):
 
 
 class PreconditionError(TanglekitError):
-    pass
+    code = 2
 
 
 class BoundExceeded(PreconditionError):
@@ -82,7 +88,7 @@ class AmbiguousShiftChoice(PreconditionError):
 
 
 class TheoremViolation(TanglekitError):
-    pass
+    code = 3
 
 
 class RichnessViolation(TheoremViolation):

@@ -99,10 +99,26 @@ def enumerate_tangles_in(system, family, order):
     S_k holds a separation the S_k before it lacks, and a tangle of S_k
     orients all of S_k.
     """
-    records = [Tangle(elements=tau, k=k) for k in order_thresholds(system, order)
-               for tau in enumerate_tangles(restrict_Sk(system, order, k), family)]
+    records = _tangle_records(system, family, order)
     return [t._replace(maximal=not any(t.elements < u.elements for u in records))
             for t in records]
+
+
+def _tangle_records(system, family, order):
+    return [Tangle(elements=tau, k=k) for k in order_thresholds(system, order)
+            for tau in enumerate_tangles(restrict_Sk(system, order, k), family)]
+
+
+def tangles_preserved_under_refinement(system, family, o, o2):
+    """Check that every tangle at any o-threshold is a tangle at some o2-threshold.
+
+    Returns (ok, witness); the witness is (k, tangle) for the first o-tangle,
+    in ``enumerate_tangles_in`` order, that no o2-threshold keeps.
+    """
+    kept = {t.elements for t in _tangle_records(system, family, o2)}
+    lost = next(((t.k, t.elements) for t in _tangle_records(system, family, o)
+                 if t.elements not in kept), None)
+    return lost is None, lost
 
 
 def maximal_tangles_in(system, family, order):

@@ -14,8 +14,7 @@ from operator import itemgetter
 from .core import SeparationSystem
 from .errors import (InputError, NonSubmodularOrder, PreconditionError, SystemValidationError,
                      UnknownHandle)
-from .forbidden import enumerate_tangles, order_thresholds
-from .universe import is_submodular, restrict_Sk
+from .universe import is_submodular
 
 ORDER_SCHEMA = "tanglekit/order-v1"
 
@@ -265,20 +264,3 @@ def enumeration_refinement(uni, o: OrderFunction) -> Enumeration:
     o2 = refine_injective(uni, o)
     seps = sorted(uni.seps(), key=o2.num.__getitem__)
     return Enumeration(uni, {s: i + 1 for i, s in enumerate(seps)})
-
-
-def tangles_preserved_under_refinement(system, family, o, o2):
-    """Check that every tangle at any o-threshold is a tangle at some o2-threshold.
-
-    Exhausts thresholds at the distinct order values (plus a sentinel above
-    the maximum).  Returns (ok, witness); the witness names the threshold and
-    tangle that fail.
-    """
-    o2_tangles = set()
-    for k2 in order_thresholds(system, o2):
-        o2_tangles.update(enumerate_tangles(restrict_Sk(system, o2, k2), family))
-    for k in order_thresholds(system, o):
-        for tau in enumerate_tangles(restrict_Sk(system, o, k), family):
-            if tau not in o2_tangles:
-                return False, (k, tau)
-    return True, None

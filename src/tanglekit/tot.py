@@ -106,7 +106,8 @@ def check_tot_hypotheses(system, order, family, trust_rich=False, layered=False)
                 break
     if failed:
         raise HypothesisFailure(f"tree-of-tangles hypotheses failed: {list(failed)}"
-                                + "".join(f"; {name}: {w}" for name, w in failed.items() if w))
+                                + "".join(f"; {name}: {w}" for name, w in failed.items() if w),
+                                failed=list(failed))
 
 
 def tree_of_tangles(system, order, family, trust_rich=False) -> ToTResult:

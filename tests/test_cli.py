@@ -175,6 +175,22 @@ def test_hypothesis_failure_exit_2(workdir, capsys):
     assert err["kind"] == "HypothesisFailure"
 
 
+def test_hypothesis_failure_lists_the_failed_hypotheses(tmp_path, capsys):
+    # the profile family of C4 lacks the robustness triples; the failed names
+    # come as JSON beside the message
+    edges = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
+    (tmp_path / "c4.graph").write_text("".join(f"{a} {b}\n" for a, b in edges))
+    (tmp_path / "profiles.json").write_text(
+        json.dumps({"sets": [], "generate": ["profiles", "standardize"]}))
+    code = main(["tot", "--input", str(tmp_path / "c4.graph"), "--k", "3",
+                 "--forbidden", str(tmp_path / "profiles.json"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["kind"], err["failed"]) == ("HypothesisFailure", ["robustness_included"])
+    assert "robustness_included" in err["error"]
+
+
 def test_richness_violation_exit_3(workdir, capsys):
     # a single high-order member with no low-order shadow: standard, not rich
     from tanglekit.forbidden import ForbiddenFamily
@@ -1000,3 +1016,106 @@ def test_trust_rich_is_noted_in_the_artifact(workdir, command, extra):
         notes[bool(flags)] = json.loads((out / f"{command}.json").read_text())["notes"]
     assert notes[True] == {**notes[False], "rich": "trusted (--trust-rich), not checked"}
     assert "rich" not in notes[False]
+
+
+def poor_family_text():
+    """The standard singletons of P3's S_2 plus one high-order member with no
+    low-order shadow: standard, not rich."""
+    from tanglekit.forbidden import ForbiddenFamily
+    from tanglekit.orderfn import refine_injective
+    u, o = p3_universe()
+    s2 = restrict_Sk(u, o, 2)
+    top = max(s2.seps(), key=refine_injective(u, o).of)
+    obj = standardize(ForbiddenFamily([]), s2).extended([{s2.orientations(top)[0]}]).to_json()
+    obj["generate"] = ["standardize"]
+    return json.dumps(obj)
+
+
+# One failing run for each way the CLI itself rejects a run, then one library
+# raise per tier.  Each row: the files to write into the work directory (text,
+# or a function returning it), the argv with {d} for that directory (an --out
+# there overrides the default one), and the exit code, kind and start of the
+# error the run must report.
+P3_GRAPH = ["--input", "{d}/p3.graph"]
+FAMILY = [*P3_GRAPH, "--forbidden", "{d}/f.json"]
+MALFORMED = (1, "InputError", "malformed forbidden family")
+CLI_FAILURES = {
+    "input-file-not-found": (
+        {}, ["tangles", "--input", "{d}/absent.graph"], 1, "InputError", "input file not found"),
+    "unreadable-input-file": (
+        {"not-utf8.graph": "a b\n\udcff\n"}, ["tangles", "--input", "{d}/not-utf8.graph"],
+        1, "InputError", "unreadable input file"),
+    "malformed-edge-list": (
+        {"bad.graph": "a b c\n"}, ["tangles", "--input", "{d}/bad.graph"],
+        1, "InputError", "malformed edge list"),
+    "invalid-json": (
+        {"bad.json": "{"}, ["validate", "--input", "{d}/bad.json"],
+        1, "InputError", "invalid JSON"),
+    "two-input-sources": (
+        {}, ["tangles", *P3_GRAPH, "--bipartition", "1,2"],
+        1, "InputError", "exactly one input source required"),
+    "family-not-an-object": ({"f.json": "[1]"}, ["tangles", *FAMILY], *MALFORMED),
+    "family-field-type": ({"f.json": '{"sets": 5}'}, ["tangles", *FAMILY], *MALFORMED),
+    "family-member": ({"f.json": '{"sets": [["x"]]}'}, ["tangles", *FAMILY], *MALFORMED),
+    "family-provenance-key": (
+        {"f.json": '{"sets": [], "provenance": {"x": 1}}'}, ["tangles", *FAMILY], *MALFORMED),
+    "R-without-order": (
+        {"f.json": '{"generate": ["R"]}'},
+        ["tangles", "--bipartition", "1,2", "--forbidden", "{d}/f.json"],
+        2, "PreconditionError", "generator R needs an order function"),
+    "unknown-directive": (
+        {"f.json": '{"generate": ["everything"]}'}, ["tangles", *FAMILY],
+        1, "InputError", "unknown generator directive"),
+    "no-order": (
+        {}, ["tst", "--bipartition", "1,2"],
+        2, "PreconditionError", "this command needs an order function"),
+    "no-universe": (
+        {}, ["refine-order", "--input", "{d}/sys.json", "--order", "{d}/const.json"],
+        2, "PreconditionError", "refine-order needs a universe"),
+    "count-guard": (
+        {}, ["tangles", *P3_GRAPH, "--bounds", "2"],
+        2, "BoundExceeded", "separation count exceeds bound"),
+    "unwritable-output": (
+        {"afile": "not a directory\n"}, ["refine-order", *P3_GRAPH, "--out", "{d}/afile"],
+        1, "InputError", "unwritable output"),
+    "lattice-axioms-violated": (
+        {}, ["validate", *P3_GRAPH], 3, "TheoremViolation", "lattice axioms violated"),
+    "bounds-not-positive": (
+        {}, ["tangles", *P3_GRAPH, "--bounds", "0"], 1, "InputError", "bounds must be positive"),
+    "library-input-tier": (
+        {"label.json": '{"oriented": [{"id": 0, "inv": 1, "label": 5}, '
+                       '{"id": 1, "inv": 0, "label": "b"}]}'},
+        ["validate", "--input", "{d}/label.json"],
+        1, "SystemValidationError", "axiom malformed-label violated"),
+    "library-precondition-tier": (
+        {}, ["totins", *P3_GRAPH, "--forbidden", "{d}/stars.json"],
+        2, "HypothesisFailure", "tree-of-tangles hypotheses failed"),
+    "library-theorem-tier": (
+        {"poor.json": poor_family_text},
+        ["tst", *P3_GRAPH, "--k", "2", "--forbidden", "{d}/poor.json"],
+        3, "RichnessViolation", "closure orients all of S"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_FAILURES))
+def test_every_failure_reports_its_tier(workdir, plain_system, capsys, monkeypatch, case):
+    # one report shape: the exit status is the code of the raised class's tier
+    import tanglekit.cli
+    import tanglekit.errors
+    from tanglekit.universe import LatticeReport
+    files, argv, want_code, want_kind, want_error = CLI_FAILURES[case]
+    for name, text in files.items():
+        (workdir / name).write_bytes((text() if callable(text) else text).encode(
+            "utf-8", "surrogateescape"))
+    if case == "lattice-axioms-violated":
+        monkeypatch.setattr(tanglekit.cli, "validate_lattice", lambda uni: LatticeReport(
+            ok=False, failures=[("join-commutative", (1, 2))]))
+    code = main(["--out", str(workdir / "out"), *(a.format(d=workdir) for a in argv)])
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    err = json.loads(lines[0])
+    assert (code, err["kind"]) == (want_code, want_kind)
+    assert err["ok"] is False and err["code"] == code
+    assert err["error"].startswith(want_error)
+    raised = getattr(tanglekit.errors, err["kind"])
+    assert issubclass(raised, tanglekit.errors.TanglekitError) and raised.code == code

@@ -760,7 +760,7 @@ def enumeration_oracle(u, o, k, fam):
     e = enumeration_refinement(u, o)
     system = restrict_Sk(u, o, k)
     assert closed_under_shifting(system, fam, e)[0]
-    return outcome(lambda: dichotomy(system, e, fam, assume_rich=True))
+    return outcome(lambda: dichotomy(system, e, fam, trust_rich=True))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -6,7 +6,11 @@ import pytest
 
 from tanglekit.errors import NonSubmodularOrder, PreconditionError, SystemValidationError
 from tanglekit.fixtures import chain_universe, graph_tangle_stars, random_universes
-from tanglekit.forbidden import ForbiddenFamily, standardize
+from tanglekit.forbidden import (
+    ForbiddenFamily,
+    standardize,
+    tangles_preserved_under_refinement,
+)
 from tanglekit.orderfn import (
     Enumeration,
     OrderFunction,
@@ -17,7 +21,6 @@ from tanglekit.orderfn import (
     refine_injective,
     refines,
     symmetrize,
-    tangles_preserved_under_refinement,
 )
 from tanglekit.universe import (
     is_structurally_submodular,

@@ -466,3 +466,17 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
                        for n in names for call in calls.get(n, ())):
                 found.append(f"{path.name}:{fn.lineno} {fn.name}({name})")
     assert not found, f"defaulted parameters no caller sets: {found}"
+
+
+def test_the_cli_has_one_failure_channel():
+    # every failure is a tanglekit exception whose tier sets the exit code,
+    # so main reports them all one way and no private channel can drift
+    import tanglekit.cli
+    own = [name for name, obj in vars(tanglekit.cli).items()
+           if isinstance(obj, type) and issubclass(obj, BaseException)
+           and obj.__module__ == "tanglekit.cli"]
+    assert not own, f"exception classes defined in cli.py: {own}"
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    handlers = [n for n in ast.walk(main) if isinstance(n, ast.ExceptHandler)]
+    assert [getattr(h.type, "id", None) for h in handlers] == ["TanglekitError"]
