@@ -146,10 +146,8 @@ def load_family(args, uni, system, order):
         if directive == "R":
             if order is None:
                 raise PreconditionError("generator R needs an order function")
-            require_universe(uni, "generator R")
             fam = fam.extended(robustness_family(uni, order, target=system).sets)
         elif directive == "profiles":
-            require_universe(uni, "generator profiles")
             fam = fam.extended(profile_family(uni, target=system).sets)
         elif directive == "standardize":
             fam = standardize(fam, system)
@@ -165,15 +163,9 @@ def require_order(order):
     return order
 
 
-def require_universe(uni, what):
-    if not isinstance(uni.ground, Universe):
-        raise PreconditionError(f"{what} needs a universe (joins and meets)")
-
-
 def ensure_injective(uni, order, notes):
     if order.is_injective_on(uni):
         return order
-    require_universe(uni, "refining a non-injective order")
     refined = refine_injective(uni.ground, order)
     notes["order"] = "refined to an injective order (deterministic, default iota)"
     return refined
@@ -359,7 +351,6 @@ def cmd_newduality(args):
     from .duality import newduality
 
     run = prepare(args, "required")
-    require_universe(run.uni, "newduality")
     res = newduality(run.uni, run.order, run.k, run.family,
                      check_exclusive=args.check_exclusive)
     return emit_duality(args, "newduality", res, run)
@@ -401,7 +392,6 @@ def cmd_totins(args):
 def cmd_refine_order(args):
     uni, order = load_inputs(args)
     require_order(order)
-    require_universe(uni, "refine-order")
     refined = refine_injective(uni.ground, order)
     ok_sub, _ = is_submodular(uni, refined)
     obj = refined.to_json()

@@ -346,7 +346,7 @@ def shift_map(system, r, s, t):
     inverse is on the down side map to (t* ^ r)*.  The s itself maps to r
     and s* to r*, per the tie rule.
     """
-    g = _universe_of(system)
+    g = _universe_of(system, "shifting")
     if not system.leq(r, s):
         raise PreconditionError("shift base requires r <= s")
     if system.is_degenerate(s) or system.is_trivial(s):
@@ -369,7 +369,7 @@ def shift_star(system, r, s, sigma) -> frozenset:
 
 def emulates(system, r, s) -> bool:
     """r <= s emulates s: every down-side member shifts back into the system."""
-    g = _universe_of(system)
+    g = _universe_of(system, "shifting")
     si = system.inv(s)
     for t in system.elements():
         if t != si and system.leq(t, s):
@@ -386,7 +386,7 @@ def lemma_shift_select(system, order, tau, sigma, s):
     a star inside tau, s in sigma is non-trivial and eclipsed by some member
     of tau.  Incomparable maxima raise AmbiguousShiftChoice.
     """
-    g = _universe_of(system)
+    g = _universe_of(system, "shifting")
     ok, _ = is_structurally_submodular(g, order)
     if not ok:
         raise HypothesisFailure("order not structurally submodular on the universe")
@@ -498,7 +498,7 @@ def newduality(uni, order, ell, family, check_exclusive=False):
     result.  Then checks closure under shifting, derives richness from it,
     and delegates to ``dichotomy``.
     """
-    _universe_of(uni)
+    _universe_of(uni, "newduality")
     if order.is_injective_on(uni) and is_structurally_submodular(uni, order)[0]:
         o2 = order
     else:

@@ -5,6 +5,10 @@ Three tiers, each carrying the CLI exit code as ``code``:
 * malformed input / broken axioms        -> InputError      (exit 1)
 * unmet preconditions or hypotheses      -> PreconditionError (exit 2)
 * a theorem failed on validated inputs   -> TheoremViolation (exit 3)
+
+Valid input that lacks a structure a call needs, such as a plain separation
+system where joins and meets are read, is an unmet precondition, not
+malformed input.
 """
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .core import _orientations, iter_mask, mask_of, orientations_avoiding
-from .universe import restrict_Sk
+from .universe import _universe_of, restrict_Sk
 
 FAMILY_SCHEMA = "tanglekit/forbidden-v1"
 
@@ -292,7 +292,7 @@ def robustness_family(uni, order, target=None) -> ForbiddenFamily:
     are kept, and triples touching a degenerate separation are dropped.
     """
     target = uni if target is None else target
-    g = uni.ground
+    g = _universe_of(uni, "generator R")
     val = order.num
     seps = uni.seps()
     out = set()
@@ -316,7 +316,7 @@ def robustness_family(uni, order, target=None) -> ForbiddenFamily:
 def profile_family(uni, target=None) -> ForbiddenFamily:
     """The profile triples {r->, s->, r<- v s<-} over all oriented pairs."""
     target = uni if target is None else target
-    g = uni.ground
+    g = _universe_of(uni, "generator profiles")
     out = set()
     els = uni.elements()
     for i, r in enumerate(els):

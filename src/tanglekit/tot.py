@@ -27,7 +27,7 @@ from .tst import (
     classify_leaves,
     tangle_nodes,
 )
-from .universe import (Universe, is_order_threshold_restriction,
+from .universe import (_universe_of, is_order_threshold_restriction,
                        is_structurally_submodular, restrict_Sk)
 
 
@@ -74,9 +74,7 @@ def check_tot_hypotheses(system, order, family, trust_rich=False, layered=False)
     (``layered``) of every layer S_j.  Richness, the one check that walks
     orientations, runs last, and only once every other hypothesis holds.
     """
-    if not isinstance(system.ground, Universe):
-        raise HypothesisFailure("system must live in a universe")
-    uni = system.ground
+    uni = _universe_of(system, "the tree-of-tangles theorem")
     # a layer is named by its separation count, which no other layer shares:
     # the thresholds of a refined order are fractions too long to read
     layers = ([(f"the layer of {len(sub.seps())} separations", sub)

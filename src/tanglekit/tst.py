@@ -17,7 +17,6 @@ reduce_irreducible.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .core import iter_mask, mask_of
 from .errors import (
@@ -30,7 +29,6 @@ from .errors import (
     UnknownHandle,
 )
 from .forbidden import avoids, is_efficient, is_standard, maximal_tangles_in
-from .universe import restrict_Sk
 
 TREE_SCHEMA = "tanglekit/tree-v1"
 
@@ -483,27 +481,25 @@ TstInS = namedtuple("TstInS", "tree leaf_classes bare_root")
 def _leaf_class_in_s(tree, family, order, leaf) -> LeafClass:
     """Def-6.9 leaf classification: maximal tangles in the whole system.
 
-    The tangle at an ex-non-leaf lives in S_k for k the least order not
-    oriented by the path closure; maximality is certified intrinsically by
-    both one-step extensions being forbidden.
+    A leaf keeps the class ``classify_leaf`` resolves.  Otherwise the tangle
+    at an ex-non-leaf lives in S_k for k the least order not oriented by the
+    path closure; maximality is certified intrinsically by both one-step
+    extensions being forbidden.
     """
+    known = classify_leaf(tree, family, leaf)
+    if known.kind != LEAF_UNRESOLVED:
+        return known
     sys = tree.system
-    beta = tree.beta(leaf)
-    hit = family.first_inside(beta)
-    if hit is not None:
-        return LeafClass(LEAF_FORBIDDEN, hit)
     cl = _path_closure(tree, leaf)
-    if not sys.is_consistent(cl):
-        return _UNRESOLVED
-    s = _least_unoriented(sys, order, cl)
+    s = _least_unoriented(sys, order, cl) if sys.is_consistent(cl) else None
     if s is None:
-        return LeafClass(LEAF_TANGLE, cl) if avoids(cl, family) else _UNRESOLVED
+        return _UNRESOLVED
     num, k = order.num, order.num[s]
     tau = frozenset(h for h in cl if num[h] < k)
-    sub = restrict_Sk(sys, order, Fraction(k, order.den))
+    sub = sys.restrict(h for h in sys.elements() if num[h] < k)
     if not sub.is_orientation(tau) or not avoids(tau, family):
         return _UNRESOLVED
-    if any(family.first_inside(beta | {h}) is None for h in sys.orientations(s)):
+    if any(family.first_inside(tree.beta(leaf) | {h}) is None for h in sys.orientations(s)):
         return _UNRESOLVED
     return LeafClass(LEAF_TANGLE, tau)
 

@@ -23,7 +23,7 @@ from itertools import chain, islice
 from operator import itemgetter
 
 from .core import SeparationSystem, int_cells, transpose
-from .errors import BoundExceeded, SystemValidationError, UnknownHandle
+from .errors import BoundExceeded, PreconditionError, SystemValidationError, UnknownHandle
 
 UNIVERSE_SCHEMA = "tanglekit/universe-v1"
 
@@ -355,10 +355,12 @@ def is_order_threshold_restriction(system, order) -> bool:
 # -- submodularity -----------------------------------------------------------
 
 
-def _universe_of(system):
+def _universe_of(system, what):
+    """The universe ``system`` lives in.  A plain separation system has no joins
+    or meets: ``what``, the caller that reads them, stops with PreconditionError."""
     g = system.ground
     if not isinstance(g, Universe):
-        raise SystemValidationError("not-a-universe", witness=type(g).__name__)
+        raise PreconditionError(f"{what} needs a universe (joins and meets)")
     return g
 
 
@@ -378,7 +380,7 @@ def handle_values(ground, fn):
 
 def is_submodular(uni, fn):
     """u(r v s) + u(r ^ s) <= u(r) + u(s) over all oriented pairs; witness on failure."""
-    g = _universe_of(uni)
+    g = _universe_of(uni, "submodularity")
     els = uni.elements()
     val = handle_values(g, fn)
     for i, a in enumerate(els):
@@ -391,7 +393,7 @@ def is_submodular(uni, fn):
 
 def is_structurally_submodular(uni, fn):
     """u(r v s) <= u(r) or u(r ^ s) <= u(s), over all ordered oriented pairs."""
-    g = _universe_of(uni)
+    g = _universe_of(uni, "structural submodularity")
     els = uni.elements()
     val = handle_values(g, fn)
     for a in els:
@@ -404,7 +406,7 @@ def is_structurally_submodular(uni, fn):
 
 def is_submodular_subsystem(system) -> bool:
     """Subsystem submodularity: every member pair keeps its join or meet a member."""
-    g = _universe_of(system)
+    g = _universe_of(system, "subsystem submodularity")
     els = system.elements()
     for a in els:
         for b in els:
@@ -432,7 +434,7 @@ def corners(uni, r: int, s: int) -> CornerReport:
     Identical underlying separations collapse: every slot is then the
     matching orientation of r itself.
     """
-    g = _universe_of(uni)
+    g = _universe_of(uni, "corners")
     if not (uni.contains(r) and uni.contains(s)):
         raise UnknownHandle(r if not uni.contains(r) else s)
     ri, si = uni.inv(r), uni.inv(s)

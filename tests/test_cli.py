@@ -751,7 +751,7 @@ def test_non_injective_order_on_a_plain_system_exit_2(plain_system, capsys, comm
     # totins ignores --k and refines over the whole system
     assert run_plain(plain_system, command, "--k", "5") == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "refining a non-injective order needs a universe (joins and meets)"
+    assert err["error"] == "submodularity needs a universe (joins and meets)"
 
 
 @pytest.mark.parametrize("cell", [(1, 2, 99), (0, 2, -2), (0, 7, 0)])
@@ -1071,7 +1071,7 @@ CLI_FAILURES = {
         2, "PreconditionError", "this command needs an order function"),
     "no-universe": (
         {}, ["refine-order", "--input", "{d}/sys.json", "--order", "{d}/const.json"],
-        2, "PreconditionError", "refine-order needs a universe"),
+        2, "PreconditionError", "submodularity needs a universe"),
     "count-guard": (
         {}, ["tangles", *P3_GRAPH, "--bounds", "2"],
         2, "BoundExceeded", "separation count exceeds bound"),

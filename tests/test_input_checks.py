@@ -10,10 +10,17 @@ import pytest
 
 from tanglekit.cli import main
 from tanglekit.core import SeparationSystem
-from tanglekit.duality import dichotomy, stree_excludes_tangles
+from tanglekit.duality import (
+    dichotomy,
+    emulates,
+    lemma_shift_select,
+    newduality,
+    shift_map,
+    stree_excludes_tangles,
+)
 from tanglekit.errors import (
     BoundExceeded,
-    HypothesisFailure,
+    PreconditionError,
     SystemValidationError,
     UnknownHandle,
 )
@@ -22,9 +29,9 @@ from tanglekit.fixtures import (
     graph_tangle_stars,
     p3_universe,
 )
-from tanglekit.forbidden import ForbiddenFamily, standardize
+from tanglekit.forbidden import ForbiddenFamily, profile_family, robustness_family, standardize
 from tanglekit.orderfn import OrderFunction, refine_injective
-from tanglekit.tot import check_tot_hypotheses
+from tanglekit.tot import check_tot_hypotheses, tree_of_tangles, tree_of_tangles_in
 from tanglekit.tst import SeparationTree
 from tanglekit.universe import (
     Universe,
@@ -32,6 +39,9 @@ from tanglekit.universe import (
     bipartition_universe,
     corners,
     graph_universe,
+    is_structurally_submodular,
+    is_submodular,
+    is_submodular_subsystem,
     restrict_Sk,
 )
 
@@ -115,8 +125,9 @@ def test_graph_universe_refuses_a_graph_over_the_bound():
 
 
 def test_universe_of_rejects_a_plain_system():
-    got = axiom_and_witness(lambda: _universe_of(chain2_system()))
-    assert got == ("not-a-universe", "SeparationSystem")
+    with pytest.raises(PreconditionError,
+                       match=r"^the caller needs a universe \(joins and meets\)$"):
+        _universe_of(chain2_system(), "the caller")
 
 
 def test_corners_reject_a_handle_outside_the_view(p3_s2):
@@ -166,9 +177,59 @@ def test_order_json_without_orders_is_a_schema_error():
 
 def test_tot_hypotheses_need_a_universe():
     system = chain2_system()
-    with pytest.raises(HypothesisFailure, match="system must live in a universe"):
+    with pytest.raises(PreconditionError,
+                       match="the tree-of-tangles theorem needs a universe"):
         check_tot_hypotheses(system, OrderFunction(system, {0: 1, 2: 2}),
                              ForbiddenFamily([]))
+
+
+# Each library call that reads joins or meets, with the name it stops under.
+# Arguments: the plain chain system, its injective order and the empty family.
+NEEDS_A_UNIVERSE = {
+    "robustness_family": ("generator R", lambda s, o, f: robustness_family(s, o)),
+    "profile_family": ("generator profiles", lambda s, o, f: profile_family(s)),
+    "refine_injective": ("submodularity", lambda s, o, f: refine_injective(s, o)),
+    "is_submodular": ("submodularity", lambda s, o, f: is_submodular(s, o)),
+    "is_structurally_submodular": (
+        "structural submodularity", lambda s, o, f: is_structurally_submodular(s, o)),
+    "is_submodular_subsystem": (
+        "subsystem submodularity", lambda s, o, f: is_submodular_subsystem(s)),
+    "corners": ("corners", lambda s, o, f: corners(s, 0, 2)),
+    "shift_map": ("shifting", lambda s, o, f: shift_map(s, 0, 2, 0)),
+    "emulates": ("shifting", lambda s, o, f: emulates(s, 0, 2)),
+    "lemma_shift_select": (
+        "shifting", lambda s, o, f: lemma_shift_select(s, o, {0, 2}, {2}, 2)),
+    "newduality": ("newduality", lambda s, o, f: newduality(s, o, 3, f)),
+    "check_tot_hypotheses": (
+        "the tree-of-tangles theorem", lambda s, o, f: check_tot_hypotheses(s, o, f)),
+    "tree_of_tangles": (
+        "the tree-of-tangles theorem", lambda s, o, f: tree_of_tangles(s, o, f)),
+    "tree_of_tangles_in": (
+        "the tree-of-tangles theorem", lambda s, o, f: tree_of_tangles_in(s, o, f)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NEEDS_A_UNIVERSE))
+def test_joins_and_meets_need_a_universe(call):
+    # a plain system is valid input, so a call that reads joins or meets
+    # stops at the precondition tier and names itself
+    what, run = NEEDS_A_UNIVERSE[call]
+    system = chain2_system()
+    with pytest.raises(PreconditionError) as exc:
+        run(system, OrderFunction(system, {0: 1, 2: 2}), ForbiddenFamily([]))
+    assert str(exc.value) == f"{what} needs a universe (joins and meets)"
+
+
+def test_tot_on_a_plain_system_exit_2(tmp_path, capsys):
+    system = chain2_system()
+    (tmp_path / "sys.json").write_text(json.dumps(system.to_json()))
+    (tmp_path / "inj.json").write_text(json.dumps(
+        OrderFunction(system, {0: 1, 2: 2}).to_json()))
+    code = main(["tot", "--input", str(tmp_path / "sys.json"),
+                 "--order", str(tmp_path / "inj.json"), "--out", str(tmp_path / "out")])
+    err = json.loads(capsys.readouterr().err)
+    assert (code, err["kind"]) == (2, "PreconditionError")
+    assert err["error"] == "the tree-of-tangles theorem needs a universe (joins and meets)"
 
 
 @pytest.fixture(scope="module")

@@ -202,6 +202,26 @@ def test_leaf_kinds_are_read_in_the_tree_layer():
     assert not found, f"leaf kinds read outside the tree layer: {found}"
 
 
+# The places that may ask whether a system lives in a universe: the one
+# requirement, and validate, which also reports on plain systems.
+UNIVERSE_TESTERS = {("universe.py", "_universe_of"), ("cli.py", "cmd_validate")}
+
+
+def test_one_universe_requirement():
+    # a call that reads joins or meets states its need through _universe_of,
+    # so every such call stops with the same exit-2 report
+    found = []
+    for path, tree in package_trees():
+        for node, fn in nodes_in_functions(tree):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                    and any(getattr(a, "id", None) == "Universe" for a in ast.walk(node.args[1]))
+                    and (path.name, fn) not in UNIVERSE_TESTERS):
+                found.append(f"{path.name}:{node.lineno} {fn} tests for a universe")
+            if getattr(node, "name", None) == "require_universe":
+                found.append(f"{path.name}:{node.lineno} defines require_universe")
+    assert not found, f"universe checks outside _universe_of: {found}"
+
+
 # The steps of the two tree-of-tangles theorems, which the CLI reaches only
 # through tot.tree_of_tangles and tot.tree_of_tangles_in.
 TOT_STEPS = {"check_tot_hypotheses", "tangle_nodes", "classify_leaves", "build_tst_in_S"}

@@ -232,7 +232,8 @@ def test_layered_names_each_failed_hypothesis(p3, p3_layered_tot, p3_crooked_ord
                                              chain2):
     u, o = p3
     _, o2, F = p3_layered_tot
-    with pytest.raises(HypothesisFailure, match="system must live in a universe"):
+    with pytest.raises(PreconditionError,
+                       match="the tree-of-tangles theorem needs a universe"):
         tree_of_tangles_in(chain2, OrderFunction.constant(chain2, 1), ForbiddenFamily([]))
     # the crooked order ties every separation but two at 0
     with pytest.raises(HypothesisFailure,
