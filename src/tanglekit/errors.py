@@ -111,9 +111,5 @@ class RichnessViolation(TheoremViolation):
         )
 
 
-class ReductionStuck(TheoremViolation):
-    pass
-
-
 class BothOrNeither(TheoremViolation):
     """Dichotomy failure: both or neither branch validated."""

@@ -10,8 +10,8 @@ paths.
 The thorough builder expands nodes with the minimum-order separation not yet
 oriented by the path closure, which makes the tree the unique thoroughly
 ordered structure tree when the order function is injective.  Reduction to
-an irreducible tree is done by validator-gated local moves; see
-reduce_irreducible.
+an irreducible tree contracts one unnecessary edge per round and checks the
+result once against four gates; see reduce_irreducible.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .core import iter_mask, mask_of
 from .errors import (
     NonInjectiveOrder,
     NotStandard,
-    ReductionStuck,
     RichnessViolation,
     SystemValidationError,
     TheoremViolation,
@@ -442,32 +441,33 @@ def _contract_move(tree, v, keep_child) -> SeparationTree:
 
 
 def reduce_irreducible(tree, family, order) -> SeparationTree:
-    """Irreducible reduction by validator-gated edge contractions.
+    """Irreducible reduction by edge contractions, one per round.
 
-    Candidate move: an unnecessary node v with a child w none of whose leaves
-    need the edge vw; contract vw and delete the sibling subtree.  A move is
-    kept only if the result is still a TST, ordered, efficient, and displays
-    exactly the same tangles.  Repeats to a fixpoint; raises ReductionStuck
-    if the tree is still reducible but no move validates.
+    A round contracts the edge vw from the least unnecessary node v to its
+    first child w that no leaf needs (one exists, as v is unnecessary) and
+    drops the siblings of w.  An irreducible input is returned as it is.  The
+    gates ``validate_tst``, ``is_ordered``, ``is_efficient_tree`` and "displays
+    the input's tangles" are the checked postcondition, not a cited theorem:
+    they run once on the result, in that order, and the first that fails
+    raises TheoremViolation naming it.
     """
-    target_tangles = displayed_tangles(tree, family)
-
-    def passes(cand):
-        return (validate_tst(cand, family).ok and is_ordered(cand, order)
-                and is_efficient_tree(cand, order)
-                and displayed_tangles(cand, family) == target_tangles)
-
-    current = tree
-    while True:
+    current, rep = tree, necessity(tree, family)
+    while not rep.irreducible:
+        v = min(v for v, needed in rep.node_necessary.items() if not needed)
+        w = next(w for w in current.children[v] if not rep.edge_necessary_for[w])
+        current = _contract_move(current, v, w)
         rep = necessity(current, family)
-        if rep.irreducible:
-            return current
-        moves = (_contract_move(current, v, w)
-                 for v in sorted(rep.node_necessary) if not rep.node_necessary[v]
-                 for w in current.children[v] if not rep.edge_necessary_for[w])
-        current = next(filter(passes, moves), None)
-        if current is None:
-            raise ReductionStuck("reducible tree admits no validated local move")
+    if current is tree:
+        return tree
+    gates = (("validate_tst", lambda: validate_tst(current, family).ok),
+             ("is_ordered", lambda: is_ordered(current, order)),
+             ("is_efficient_tree", lambda: is_efficient_tree(current, order)),
+             ("displayed_tangles", lambda: displayed_tangles(current, family)
+              == displayed_tangles(tree, family)))
+    for name, passes in gates:
+        if not passes():
+            raise TheoremViolation(f"reduced tree fails its {name} gate", gate=name)
+    return current
 
 
 # -- layered trees (structure trees in S->) --------------------------------------

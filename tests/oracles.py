@@ -194,6 +194,34 @@ def beta_by_path_walk(tree, node):
     return frozenset(out)
 
 
+def naive_gated_reduce(tree, family, order):
+    """Irreducible reduction by a gated search: each round generates every
+    contraction of an unnecessary node v (ascending) into a child w of v
+    (in order) whose edge no leaf needs, and keeps the first result that is
+    still a TST, ordered, efficient, and displays the input's tangles.
+    Raises AssertionError when a reducible tree has no such move."""
+    from tanglekit.tst import (
+        _contract_move, displayed_tangles, is_efficient_tree, is_ordered,
+        necessity, validate_tst)
+
+    target = displayed_tangles(tree, family)
+
+    def passes(cand):
+        return (validate_tst(cand, family).ok and is_ordered(cand, order)
+                and is_efficient_tree(cand, order)
+                and displayed_tangles(cand, family) == target)
+
+    current = tree
+    while not (rep := necessity(current, family)).irreducible:
+        moves = (_contract_move(current, v, w)
+                 for v in sorted(rep.node_necessary) if not rep.node_necessary[v]
+                 for w in current.children[v] if not rep.edge_necessary_for[w])
+        current = next(filter(passes, moves), None)
+        if current is None:
+            raise AssertionError("reducible tree admits no gated move")
+    return current
+
+
 # -- order hypotheses, by one Fraction lookup per use --------------------------
 
 

@@ -230,7 +230,7 @@ def test_failed_self_check_exit_3_after_the_artifact(workdir, capsys, monkeypatc
         real_reduce = tanglekit.tst.reduce_irreducible
 
         def reduce_then_fail(*args):
-            # the reduction's own move gate keeps the real validator
+            # the reduction's gate on its result keeps the real validator
             tree = real_reduce(*args)
             monkeypatch.setattr(tanglekit.tst, "validate_tst", failing)
             return tree
@@ -1032,10 +1032,10 @@ def poor_family_text():
 
 
 # One failing run for each way the CLI itself rejects a run, then one library
-# raise per tier.  Each row: the files to write into the work directory (text,
-# or a function returning it), the argv with {d} for that directory (an --out
-# there overrides the default one), and the exit code, kind and start of the
-# error the run must report.
+# raise per tier, then a failed gate on the reduced tree.  Each row: the files
+# to write into the work directory (text, or a function returning it), the
+# argv with {d} for that directory (an --out there overrides the default one),
+# and the exit code, kind and start of the error the run must report.
 P3_GRAPH = ["--input", "{d}/p3.graph"]
 FAMILY = [*P3_GRAPH, "--forbidden", "{d}/f.json"]
 MALFORMED = (1, "InputError", "malformed forbidden family")
@@ -1094,6 +1094,9 @@ CLI_FAILURES = {
         {"poor.json": poor_family_text},
         ["tst", *P3_GRAPH, "--k", "2", "--forbidden", "{d}/poor.json"],
         3, "RichnessViolation", "closure orients all of S"),
+    "reduction-gate": (
+        {}, ["reduce", *P3_GRAPH, "--k", "2", "--forbidden", "{d}/stars.json"],
+        3, "TheoremViolation", "reduced tree fails its is_ordered gate"),
 }
 
 
@@ -1102,6 +1105,7 @@ def test_every_failure_reports_its_tier(workdir, plain_system, capsys, monkeypat
     # one report shape: the exit status is the code of the raised class's tier
     import tanglekit.cli
     import tanglekit.errors
+    import tanglekit.tst
     from tanglekit.universe import LatticeReport
     files, argv, want_code, want_kind, want_error = CLI_FAILURES[case]
     for name, text in files.items():
@@ -1110,6 +1114,8 @@ def test_every_failure_reports_its_tier(workdir, plain_system, capsys, monkeypat
     if case == "lattice-axioms-violated":
         monkeypatch.setattr(tanglekit.cli, "validate_lattice", lambda uni: LatticeReport(
             ok=False, failures=[("join-commutative", (1, 2))]))
+    if case == "reduction-gate":
+        monkeypatch.setattr(tanglekit.tst, "is_ordered", lambda tree, order: False)
     code = main(["--out", str(workdir / "out"), *(a.format(d=workdir) for a in argv)])
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1, lines

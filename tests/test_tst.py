@@ -4,12 +4,13 @@ import json
 
 import pytest
 
-from oracles import beta_by_path_walk
+from oracles import beta_by_path_walk, naive_gated_reduce
 from tanglekit.errors import (
     NonInjectiveOrder,
     NotStandard,
     RichnessViolation,
     SystemValidationError,
+    TheoremViolation,
     UnknownHandle,
 )
 from tanglekit.fixtures import (
@@ -390,6 +391,65 @@ def test_tangleless_reduction_yields_ftree(p3_setting):
     assert all(c.kind == "forbidden" for c in rep.leaf_classes.values())
 
 
+def ladder_reduction_cases():
+    """The ladder's S_2 and S_3 with the standardized stars, and with stars + R
+    + standardize, as the CLI's ``reduce --k`` builds them: (name, k, S_k,
+    family, refined order)."""
+    from test_lattice_rule import LADDER
+    from tanglekit.forbidden import robustness_family
+    from tanglekit.universe import graph_universe
+
+    for name in ("P4", "P5", "C4", "C5", "K4", "K2,3", "K1,4"):
+        n, edges = LADDER[name]
+        u, o = graph_universe(range(n), edges)
+        oi = refine_injective(u.ground, o)
+        for k in (2, 3):
+            system = restrict_Sk(u, o, k)
+            stars = graph_tangle_stars(u, o, range(n), edges, k)
+            with_r = stars.extended(robustness_family(u, oi, target=system).sets)
+            for fam in (standardize(stars, system), standardize(with_r, system)):
+                yield name, k, system, fam, oi
+
+
+@pytest.mark.parametrize("gate", ["validate_tst", "is_ordered", "is_efficient_tree",
+                                  "displayed_tangles"])
+def test_a_failed_gate_raises_theorem_violation_naming_it(p3_tree, p3_setting,
+                                                          monkeypatch, gate):
+    import tanglekit.tst
+    u, o2, s2, F = p3_setting
+    real = getattr(tanglekit.tst, gate)
+    spoil = {"validate_tst": lambda rep: rep._replace(ok=False),
+             "displayed_tangles": lambda tangles: tangles | {frozenset()}}.get(
+                 gate, lambda verdict: False)
+
+    def failing(tree, *args):
+        # the input's own tangles are read through the same function
+        out = real(tree, *args)
+        return out if tree is p3_tree else spoil(out)
+    monkeypatch.setattr(tanglekit.tst, gate, failing)
+    with pytest.raises(TheoremViolation, match=f"fails its {gate} gate") as exc:
+        reduce_irreducible(p3_tree, F, o2)
+    assert exc.value.report == {"gate": gate}
+
+
+def test_reduction_runs_its_gates_once(monkeypatch):
+    # K1,4's S_3 with the standardized stars takes 21 contractions
+    import tanglekit.tst
+    _, _, system, fam, oi = next(case for case in ladder_reduction_cases()
+                                 if case[:2] == ("K1,4", 3))
+    tree = build_thorough_tst(system, oi, fam)
+    calls = {"_contract_move": 0, "validate_tst": 0}
+    for name in calls:
+        real = getattr(tanglekit.tst, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(tanglekit.tst, name, counted)
+    reduce_irreducible(tree, fam, oi)
+    assert calls == {"_contract_move": 21, "validate_tst": 1}
+
+
 # -- layered trees ------------------------------------------------------------------
 
 
@@ -496,34 +556,39 @@ def test_full_tree_nonleaves_are_layer_tangle_leaves(p3_layered):
 
 
 def test_reduction_sweep_over_random_fixtures():
-    # validator-gated moves must reach an irreducible tree on every fixture,
-    # mixed tangle/forbidden trees included, without changing the tangle set
+    # one contraction per round must reach an irreducible tree on every
+    # fixture, mixed tangle/forbidden trees included, without changing the
+    # tangle set, and keep the tree the gated search keeps
     import random
     from tanglekit.fixtures import (
         eclipse_closure, random_star_family, random_universes)
     from tanglekit.forbidden import is_rich, robustness_family
-    from tanglekit.orderfn import refine_injective
 
     rng = random.Random(99)
-    reduced, mixed = 0, 0
+    cases = []
     for uni, o in random_universes(count=40, seed=2024):
         oi = refine_injective(uni.ground, o)
         fam = standardize(robustness_family(uni.ground, oi, target=uni), uni)
         fam = eclipse_closure(uni, fam.extended(
             random_star_family(uni, oi, rng).sets), oi)
-        if not is_rich(uni, fam, oi)[0]:
-            continue
-        tree = build_thorough_tst(uni, oi, fam)
+        if is_rich(uni, fam, oi)[0]:
+            cases.append((uni, fam, oi))
+    rich = len(cases)
+    cases += [case[2:] for case in ladder_reduction_cases()]
+    reduced, mixed = 0, 0
+    for i, (system, fam, oi) in enumerate(cases):
+        tree = build_thorough_tst(system, oi, fam)
         tangles = displayed_tangles(tree, fam)
-        if tangles and len(tree.leaves()) > len(tangles):
+        if i < rich and tangles and len(tree.leaves()) > len(tangles):
             mixed += 1
         red = reduce_irreducible(tree, fam, oi)
         assert validate_tst(red, fam).ok
         assert necessity(red, fam).irreducible
         assert is_ordered(red, oi) and is_efficient_tree(red, oi)
         assert displayed_tangles(red, fam) == tangles
+        assert red.to_json() == naive_gated_reduce(tree, fam, oi).to_json()
         reduced += 1
-    assert reduced >= 30 and mixed >= 5
+    assert rich >= 30 and mixed >= 5 and reduced == rich + 28
 
 
 def test_tangle_leaves_never_forbidden(p3_tree, p3_setting):
