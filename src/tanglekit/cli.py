@@ -208,13 +208,6 @@ def tangle_list(tangles):
     return [sorted(t) for t in sorted(tangles, key=sorted)]
 
 
-def trusted_rich(args, run):
-    """``run`` with a note that richness was taken on trust, under --trust-rich."""
-    if args.trust_rich:
-        run.notes["rich"] = "trusted (--trust-rich), not checked"
-    return run
-
-
 def require_self_check(ok, name, report):
     """Exit 3 with ``report`` when the artifact just written fails its self-check."""
     if not ok:
@@ -375,17 +368,16 @@ def emit_tot(args, name, run, res, **extra):
 def cmd_tot(args):
     from .tot import tree_of_tangles
 
-    run = trusted_rich(args, prepare(args, "injective"))
-    res = tree_of_tangles(run.system, run.order, run.family, trust_rich=args.trust_rich)
+    run = prepare(args, "injective")
+    res = tree_of_tangles(run.system, run.order, run.family)
     return emit_tot(args, "tot", run, res)
 
 
 def cmd_totins(args):
     from .tot import tree_of_tangles_in
 
-    run = trusted_rich(args, prepare(args, "injective", use_k=False))
-    res = tree_of_tangles_in(run.system, run.order, run.family,
-                             trust_rich=args.trust_rich)
+    run = prepare(args, "injective", use_k=False)
+    res = tree_of_tangles_in(run.system, run.order, run.family)
     return emit_tot(args, "totins", run, res, maximal_tangles=tangle_list(res.tangles))
 
 
@@ -434,7 +426,6 @@ def build_parser():
     p.add_argument("--bounds", type=int, default=DEFAULT_BOUND)
     p.add_argument("--unsafe-bounds", action="store_true")
     p.add_argument("--check-exclusive", action="store_true")
-    p.add_argument("--trust-rich", action="store_true")
     return p
 
 

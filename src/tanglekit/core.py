@@ -23,9 +23,10 @@ inverse is trivial.  A system is *regular* if it has no small element.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from functools import cached_property, reduce
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import or_
 
 from .errors import InconsistentSet, SystemValidationError, UnknownHandle
@@ -440,27 +441,38 @@ class SeparationSystem:
         return f"<SeparationSystem {len(self)} seps / {len(self.elements())} oriented>"
 
 
-def _orientations(system, forbidden):
-    """The consistent orientations of the member separations containing no set
-    of ``forbidden``, generated in the lexicographic order of oriented handles.
+def _orientations(system, forbidden, seps=None, depths=None):
+    """The consistent orientations of the member separations containing no
+    mask of ``forbidden``, generated in the lexicographic order of oriented
+    handles.
 
-    Backtracking over separations in canonical-handle order, trying the
-    smaller oriented handle first.  Exhaustive and duplicate-free; prunes a
-    partial orientation as soon as it is inconsistent or contains a forbidden
-    set (both are monotone in the partial set), so an empty forbidden set
-    admits nothing.  A caller that stops early never holds the whole list.
+    Backtracking over separations in canonical-handle order (or ``seps``),
+    trying the smaller oriented handle first.  Exhaustive and duplicate-free;
+    prunes a partial orientation as soon as it is inconsistent or contains a
+    forbidden mask (tested where its last separation is placed; both are
+    monotone in the partial set), so an empty mask admits nothing.  With
+    ``depths``, it yields the partial orientations of the first d separations
+    for each d in it instead, none extended past the largest.  A caller that
+    stops early never holds the whole list.
     """
-    seps = system.seps()
-    masks = [mask_of(s) for s in forbidden]
+    seps = system.seps() if seps is None else seps
+    depths = set(depths or [len(seps)])
+    last = max(depths)
+    reach = list(accumulate((mask_of(system.orientations(s)) for s in seps), or_, initial=0))
+    due = [[] for _ in reach]  # depth -> the forbidden masks it completes
+    for m in forbidden:
+        if (i := bisect_left(reach, True, key=lambda r: not m & ~r)) < len(reach):
+            due[i].append(m)
     incompat = system._incompat
     pushed = [system.orientations(s)[::-1] for s in seps]  # popped smaller first
     stack = [(0, 0, ())]
     while stack:
         i, cur_mask, cur = stack.pop()
-        if any(m & ~cur_mask == 0 for m in masks):
+        if any(m & ~cur_mask == 0 for m in due[i]):
             continue
-        if i == len(seps):
+        if i in depths:
             yield frozenset(cur)
+        if i == last:
             continue
         for h in pushed[i]:
             if not incompat[h] & cur_mask:
@@ -470,7 +482,7 @@ def _orientations(system, forbidden):
 def orientations_avoiding(system, forbidden):
     """The consistent orientations of the member separations containing no set
     of ``forbidden``, as a list in ``_orientations`` order."""
-    return list(_orientations(system, forbidden))
+    return list(_orientations(system, map(mask_of, forbidden)))
 
 
 # The degeneracy flags of one oriented separation (all bools).

@@ -454,7 +454,7 @@ def dichotomy(system, order, family, check_exclusive=False,
             raise HypothesisFailure(
                 f"family not rich; counterexample orientation {sorted(witness)}")
 
-    tangle = next(_orientations(system, family.sets), None)
+    tangle = next(_orientations(system, map(mask_of, family.sets)), None)
     if tangle is not None:
         if check_exclusive:
             if not displayed_tangles(build_thorough_tst(system, order, family), family):

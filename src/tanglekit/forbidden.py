@@ -9,7 +9,7 @@ test ``extends``.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -207,27 +207,56 @@ def _clashes(system, mask, h) -> bool:
                 or system.is_cotrivial(h))
 
 
-def is_rich(system, family, order):
-    """Brute force over all consistent orientations; counterexample on failure.
+def is_rich(system, family, order, layered=False):
+    """(True, None), or (False, tau) for the first counterexample tau in
+    ``_orientations`` order: tau holds a member, and every member inside has
+    an element weakly eclipsed in tau.  With ``layered``, tau is that of the
+    smallest failing layer S_j (one per ``order_thresholds`` value); it
+    orients the layer's len(tau) separations.
 
-    Rich: every consistent orientation with a forbidden subset has a
-    strongly efficient forbidden subset, one none of whose elements is weakly
-    eclipsed in the orientation.  The walk reads only the members that
-    extend, and is not started when none does; an orientation with a member
-    inside is masked once, for all of them.
+    One pruned walk: forbidding P_s = s + {y* : y weakly eclipses some x of
+    s} prunes exactly the orientations with a strongly efficient member s,
+    in every layer that holds s (README, "Richness in one pruned walk").
     """
-    live = [s for s in family.sets if extends(system, s)]
+    num, inv = order.num, system._inv
+    placed = sorted(system.seps(), key=lambda s: (num[s], s))
+    block, reach = {}, 0  # order value -> (its layer's end, the members placed by then)
+    for end, s in enumerate(placed, 1):
+        block[num[s]] = end, (reach := reach | 1 << s | 1 << inv[s])
+    # layered, a member co-trivial in S may extend in a lower layer
+    live = [mask_of(s) for s in family.sets
+            if (not mask_of(s) & ~system.members if layered else extends(system, s))]
     if not live:
         return True, None
-    for tau in _orientations(system, ()):
-        inside = [s for s in live if s <= tau]
-        if not inside:
-            continue
-        mask = mask_of(tau)
-        if all(any(next(_eclipsers(system, order, x, mask, weak=True), None) is not None
-                   for x in s) for s in inside):
-            return False, tau
-    return True, None
+    prune, top = [], defaultdict(list)  # top: layer end -> the members settled there
+    for m in live:
+        p, end, both = m, 0, 0
+        for x in iter_mask(m):  # a weak eclipser of x has order at most x's
+            x_end, lower = block[num[x]]
+            inverses = system._up[inv[x]] & lower & ~(1 << inv[x])
+            # a degenerate weak eclipser, or one whose inverse weakly eclipses
+            # x too, leaves a weak eclipser in every orientation: no P_s
+            both |= system._down[x] & lower & ~(1 << x) & inverses
+            p, end = p | inverses, max(end, x_end)
+        if not both:
+            prune.append(p)
+        top[end if layered else len(placed)].append(m)
+
+    def first_holding(walk, members):
+        return next((tau for tau in walk if any(
+            not m & ~t for t in (mask_of(tau),) for m in members(tau))), None)
+
+    # the walk yields prefixes at the layer ends, of every order value or of S
+    # alone; a member settled lower lay in the prefix read at its own end
+    ends = sorted(end for end, _ in block.values()) if layered else [len(placed)]
+    layer = None
+    while ends and (tau := first_holding(_orientations(system, prune, placed, ends),
+                                         lambda tau: top[len(tau)])):
+        ends = [d for d in ends if d < len(tau)]
+        layer = system.restrict(block[num[placed[len(tau) - 1]]][1])
+    if layer is None:
+        return True, None
+    return False, first_holding(_orientations(layer, prune), lambda tau: live)
 
 
 def _replacements(system, family, order):

@@ -66,13 +66,13 @@ def distinguisher_report(system, order, tangles) -> DistinguisherReport:
 # -- extraction from a thoroughly ordered structure tree -----------------------------
 
 
-def check_tot_hypotheses(system, order, family, trust_rich=False, layered=False):
+def check_tot_hypotheses(system, order, family, layered=False):
     """Eager checks for the tree-of-tangles theorem on S = U_k; a
     HypothesisFailure names every hypothesis that fails, with its witness.
 
     The per-S_k theorem asks standardness and richness of S, the layered one
     (``layered``) of every layer S_j.  Richness, the one check that walks
-    orientations, runs last, and only once every other hypothesis holds.
+    orientations, runs last, in one walk, and only once every other holds.
     """
     uni = _universe_of(system, "the tree-of-tangles theorem")
     # a layer is named by its separation count, which no other layer shares:
@@ -96,26 +96,25 @@ def check_tot_hypotheses(system, order, family, trust_rich=False, layered=False)
         if not ok:
             failed["standard"] = f"{name} misses {sorted(map(sorted, singletons))}"
             break
-    if not failed and not trust_rich:
-        for name, sub in layers:
-            rich, tau = is_rich(sub, family, order)
-            if not rich:
-                failed["rich"] = f"{name}, counterexample {sorted(tau)}"
-                break
+    if not failed:
+        rich, tau = is_rich(system, family, order, layered)
+        if not rich:  # tau orients the one layer of len(tau) separations
+            name = next(name for name, sub in layers if len(sub) == len(tau))
+            failed["rich"] = f"{name}, counterexample {sorted(tau)}"
     if failed:
         raise HypothesisFailure(f"tree-of-tangles hypotheses failed: {list(failed)}"
                                 + "".join(f"; {name}: {w}" for name, w in failed.items() if w),
                                 failed=list(failed))
 
 
-def tree_of_tangles(system, order, family, trust_rich=False) -> ToTResult:
+def tree_of_tangles(system, order, family) -> ToTResult:
     """The tree of tangles of S: separations at the tangle nodes of the
     thoroughly ordered tree, distinguishing every pair of F-tangles optimally.
 
     The hypotheses are checked first, so a family that is not rich fails as
     a HypothesisFailure, not in the builder.
     """
-    check_tot_hypotheses(system, order, family, trust_rich=trust_rich)
+    check_tot_hypotheses(system, order, family)
     tree = build_thorough_tst(system, order, family)
     classes = classify_leaves(tree, family)
     nodes = tangle_nodes(tree, family, classes)
@@ -144,10 +143,10 @@ def is_critical(tree, v, order) -> bool:
 # -- the layered tree of tangles -------------------------------------------------------
 
 
-def tree_of_tangles_in(system, order, family, trust_rich=False) -> ToTResult:
+def tree_of_tangles_in(system, order, family) -> ToTResult:
     """The layered tree of tangles: separations at tangle nodes of the pruned
     full-system tree, distinguishing every pair of maximal tangles optimally."""
-    check_tot_hypotheses(system, order, family, trust_rich=trust_rich, layered=True)
+    check_tot_hypotheses(system, order, family, layered=True)
     result = build_tst_in_S(system, order, family)
     tree = result.tree
     nodes = tangle_nodes(tree, family, result.leaf_classes)

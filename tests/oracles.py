@@ -117,6 +117,30 @@ def naive_closed_under_eclipsing(system, family, order):
     return True, None
 
 
+def naive_is_rich(system, family, order, layered=False):
+    """Richness one layer at a time, each over every consistent orientation:
+    tau fails when it holds a member and each member inside has an element
+    weakly eclipsed by an element of tau.  The layers are S alone, or with
+    ``layered`` the S_k of every order threshold, smallest first.  Witness
+    (False, tau) of the first failing tau of the first failing layer, taus in
+    product order; else (True, None).
+    """
+    from tanglekit.forbidden import order_thresholds
+    from tanglekit.universe import restrict_Sk
+
+    layers = ([restrict_Sk(system, order, k) for k in order_thresholds(system, order)]
+              if layered else [system])
+    els = system.elements()
+    eclipsers = {x: {y for y in els if naive_eclipse_flags(system, order, y, x)[1]}
+                 for x in els}
+    for layer in layers:
+        for tau in naive_consistent_orientations(layer):
+            inside = [sigma for sigma in family.sets if sigma <= tau]
+            if inside and all(any(tau & eclipsers[x] for x in sigma) for sigma in inside):
+                return False, tau
+    return True, None
+
+
 def naive_closed_under_shifting(system, family, order):
     """Shift closure, quantified over every consistent orientation tau: for
     each member star sigma inside tau, s in sigma neither trivial nor

@@ -1,14 +1,16 @@
 """End-to-end CLI runs: artifacts, determinism, exit codes, round trips."""
 
 import json
+import random
 
 import pytest
 
+from test_lattice_rule import LADDER
 from tanglekit.cli import main
 from tanglekit.fixtures import graph_tangle_stars, p3_universe
 from tanglekit.forbidden import enumerate_tangles, standardize
 from tanglekit.tst import SeparationTree
-from tanglekit.universe import restrict_Sk
+from tanglekit.universe import graph_universe, restrict_Sk
 
 P3_EDGES = "a b\nb c\n"
 
@@ -861,7 +863,7 @@ def old_parser():
             sp.add_argument(flag)
         sp.add_argument("--emit", choices=["json", "dot"], default="json")
         sp.add_argument("--bounds", type=int, default=DEFAULT_BOUND)
-        for flag in ("--unsafe-bounds", "--check-exclusive", "--trust-rich"):
+        for flag in ("--unsafe-bounds", "--check-exclusive"):
             sp.add_argument(flag, action="store_true")
     return p
 
@@ -870,7 +872,7 @@ def old_parser():
     [],
     ["--input", "g.graph", "--k", "2", "--forbidden", "f.json", "--unsafe-bounds"],
     ["--bipartition", "1,2", "--order", "o.json", "--emit", "dot", "--out", "o",
-     "--bounds", "7", "--check-exclusive", "--trust-rich", "--k", "inf"],
+     "--bounds", "7", "--check-exclusive", "--k", "inf"],
 ])
 def test_one_parser_parses_every_command_as_the_subparsers_did(extra):
     from tanglekit.cli import COMMANDS, build_parser
@@ -1005,17 +1007,46 @@ def test_a_label_that_is_not_a_string_exit_1(plain_system, capsys):
         assert err["witness"] == repr(obj["oriented"][1])
 
 
-@pytest.mark.parametrize("command,extra", [("tot", ["--k", "2"]), ("totins", [])])
-def test_trust_rich_is_noted_in_the_artifact(workdir, command, extra):
-    argv = ["--input", str(workdir / "p3.graph"),
-            "--forbidden", str(workdir / "stars-full.json"), *extra]
-    notes = {}
-    for flags in ([], ["--trust-rich"]):
-        code, out = run(workdir, command, *argv, *flags)
-        assert code == 0
-        notes[bool(flags)] = json.loads((out / f"{command}.json").read_text())["notes"]
-    assert notes[True] == {**notes[False], "rich": "trusted (--trust-rich), not checked"}
-    assert "rich" not in notes[False]
+def test_trust_rich_is_an_unknown_option():
+    # richness is checked in one walk on every run; there is no flag to skip it
+    from tanglekit.cli import build_parser
+    for command in ("tot", "totins"):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--input", "g.graph", "--trust-rich"])
+        assert exc.value.code == 2
+
+
+def write_full_family(workdir, graph, k):
+    """A ladder graph and its full k family as the benchmark writes them (seed
+    0, variant 0): seeded vertex names, and the k-stars with ``"generate":
+    ["R", "standardize"]``; returns the totins argv that reads them."""
+    n, edges = LADDER[graph]
+    names = list("abcdefgh"[:n])
+    random.Random(f"0:0:{graph}").shuffle(names)
+    edges = [(names[a], names[b]) for a, b in edges]
+    (workdir / "g.graph").write_text("".join(f"{a} {b}\n" for a, b in edges))
+    uni, order = graph_universe(names, edges)
+    obj = graph_tangle_stars(uni, order, names, edges, k).to_json()
+    obj["generate"] = ["R", "standardize"]
+    (workdir / "full.json").write_text(json.dumps(obj, sort_keys=True) + "\n")
+    return ["totins", "--input", str(workdir / "g.graph"),
+            "--forbidden", str(workdir / "full.json"), "--unsafe-bounds"]
+
+
+@pytest.mark.parametrize("graph,k", [("C6", 2), ("K1,4", 3)])
+def test_totins_checks_every_layer_of_a_full_family(workdir, capsys, graph, k):
+    # every layer is rich: 101 layers on C6, 58 on K1,4
+    code, out = run(workdir, *write_full_family(workdir, graph, k))
+    assert code == 0
+    assert json.loads((out / "totins.json").read_text())["verified"] is True
+
+
+def test_totins_names_the_first_layer_that_is_not_rich(workdir, capsys):
+    code, _ = run(workdir, *write_full_family(workdir, "K1,4", 2))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["kind"], err["failed"]) == ("HypothesisFailure", ["rich"])
+    assert "; rich: the layer of 25 separations, counterexample [" in err["error"]
 
 
 def poor_family_text():

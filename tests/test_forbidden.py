@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import naive_avoids, naive_tangles
+from oracles import naive_avoids, naive_is_rich, naive_tangles
 from test_lattice_rule import LADDER
 from tanglekit import forbidden
+from tanglekit.core import SeparationSystem
 from tanglekit.fixtures import (
     eclipse_closure,
     graph_tangle_stars,
     ptriv_system,
+    random_stars,
     random_universes,
     singleton_family,
 )
@@ -24,12 +26,14 @@ from tanglekit.forbidden import (
     efficiency_witness,
     enumerate_tangles,
     enumerate_tangles_in,
+    extends,
     f_eff,
     is_efficient,
     is_rich,
     is_standard,
     is_strongly_efficient,
     maximal_tangles_in,
+    order_thresholds,
     profile_family,
     robustness_family,
     set_geq,
@@ -214,7 +218,8 @@ def test_planted_family_not_rich_with_counterexample(chain2):
 
 def test_richness_check_stops_at_its_first_counterexample(chain2, monkeypatch):
     # the orientations are generated one at a time, so a check that fails on
-    # the first one never holds the rest
+    # the first one never holds the rest: the walk that finds S failing and
+    # the canonical walk that names the witness each stop at it
     pulled, search = [], forbidden._orientations
 
     def counted(*args):
@@ -225,7 +230,7 @@ def test_richness_check_stops_at_its_first_counterexample(chain2, monkeypatch):
     monkeypatch.setattr(forbidden, "_orientations", counted)
     o = OrderFunction(chain2, {0: 1, 2: 2})
     assert is_rich(chain2, ForbiddenFamily([{2}]), o) == (False, frozenset({0, 2}))
-    assert pulled == [frozenset({0, 2})]
+    assert pulled == [frozenset({0, 2})] * 2
     assert len(chain2.consistent_orientations()) == 3
 
 
@@ -244,6 +249,116 @@ def test_singleton_family_closed_and_rich(p3):
     assert closed_under_eclipsing(s2, F, o)[0]
     assert is_rich(s2, F, o)[0]
     assert enumerate_tangles(s2, F) == []
+
+
+# -- richness in one walk, against the per-layer oracle ----------------------------
+
+
+def full_family(name, k):
+    """A ladder graph's universe, its refined order, and the family the CLI
+    makes of its k-stars with ``"generate": ["R", "standardize"]``."""
+    n, edges = LADDER[name]
+    u, o = graph_universe(range(n), edges)
+    inj = refine_injective(u, o)
+    stars = graph_tangle_stars(u, o, range(n), edges, k)
+    return u, inj, standardize(stars.extended(robustness_family(u, inj).sets), u)
+
+
+# The oracle walks every consistent orientation of every layer: on C5 it takes
+# about 1 s, and on C6 (k = 2, 3), P6 (k = 3), P5 and K1,4 (k = 3) from 5 s to
+# minutes.  These are compared with the one-layer walk on each layer below.
+LAYER_WALK_LADDER = [("C5", 2), ("C6", 2), ("C5", 3), ("C6", 3), ("P5", 3), ("P6", 3),
+                     ("K1,4", 3)]
+ORACLE_LADDER = [(name, k) for k in (2, 3) for name in LADDER
+                 if (name, k) not in LAYER_WALK_LADDER]
+
+
+@pytest.mark.parametrize("name,k", ORACLE_LADDER)
+def test_layered_richness_matches_the_per_layer_oracle_on_the_ladder(name, k):
+    u, inj, fam = full_family(name, k)
+    assert is_rich(u, fam, inj, layered=True) == naive_is_rich(u, fam, inj, layered=True)
+
+
+@pytest.mark.parametrize("name,k,fails", [*((name, k, None) for name, k in LAYER_WALK_LADDER),
+                                          ("P6", 2, 27), ("K1,4", 2, 25)])
+def test_layered_richness_is_the_one_layer_check_on_each_layer(name, k, fails):
+    # the first layer whose own walk fails, with its witness, which orients
+    # that layer's ``fails`` separations
+    u, inj, fam = full_family(name, k)
+    per_layer = (is_rich(restrict_Sk(u, inj, t), fam, inj) for t in order_thresholds(u, inj))
+    first = next((r for r in per_layer if not r[0]), (True, None))
+    assert is_rich(u, fam, inj, layered=True) == first
+    assert (None if first[0] else len(first[1])) == fails
+
+
+def test_richness_matches_the_oracle_on_random_universes():
+    # refined orders, and the cut orders themselves, whose ties make layers
+    # of several separations and leave the one-layer check non-injective
+    rng = random.Random(31)
+    fails = 0
+    for uni, o in random_universes():
+        inj = refine_injective(uni.ground, o)
+        for fam in (random_stars(uni, rng),
+                    standardize(robustness_family(uni, inj).extended(
+                        random_stars(uni, rng).sets), uni)):
+            for order in (inj, o):
+                for layered in (False, True):
+                    got = is_rich(uni, fam, order, layered)
+                    assert got == naive_is_rich(uni, fam, order, layered)
+                    fails += not got[0]
+    assert fails >= 200  # 324 seen, of 800 checks
+
+
+def test_richness_matches_the_oracle_under_a_constant_order(chain2, ptriv):
+    # one layer, every separation tied: each element weakly eclipses every
+    # element above it
+    for system in (chain2, ptriv):
+        o = OrderFunction.constant(system)
+        subsets = [frozenset(c) for r in range(3)
+                   for c in itertools.combinations(system.elements(), r)]
+        for fam in itertools.combinations(subsets, 2):
+            fam = ForbiddenFamily(fam)
+            assert is_rich(system, fam, o) == naive_is_rich(system, fam, o), fam.sets
+
+
+def test_a_member_extending_only_below_s_is_read_in_its_layer():
+    # on C4 with the full k = 2 family, members that are co-trivial in S but
+    # not in a lower layer lie in orientations of that layer; were they left
+    # out, their strongly efficient orientations would not be pruned
+    u, inj, fam = full_family("C4", 2)
+    layers = [restrict_Sk(u, inj, t) for t in order_thresholds(u, inj)]
+    below = [s for s in fam.sets if not extends(u, s)
+             and any(s <= tau for layer in layers for tau in layer.consistent_orientations())]
+    assert below
+    assert is_rich(u, fam, inj, layered=True) == (True, None) == naive_is_rich(
+        u, fam, inj, layered=True)
+
+
+def test_a_degenerate_weak_eclipser_keeps_its_member_from_pruning():
+    # d = d* < s->: every orientation holds d, so {s->} is never strongly
+    # efficient; forbidding {s->, d} as its P_s would prune the counterexample
+    # handles: 0 = d, 1 = s->, 2 = s<-
+    system = SeparationSystem.from_relation([0, 2, 1], [(0, 1), (2, 0), (2, 1)])
+    o = OrderFunction.constant(system)
+    assert system.consistent_orientations() == [frozenset({0, 1})]
+    for layered in (False, True):
+        assert is_rich(system, ForbiddenFamily([{1}]), o, layered) == (
+            False, frozenset({0, 1}))
+
+
+def test_settling_a_member_reads_rows_not_eclipsers(monkeypatch):
+    # P_s is two row ANDs per handle of s: the set-up reads no eclipser list,
+    # so it costs no more than the walk on families that fail low (P6 at
+    # k = 2 fails at 27 of 120 separations)
+    u, inj, fam = full_family("P6", 2)
+    want = is_rich(u, fam, inj, layered=True)  # the oracle's, as tested above
+
+    def eclipsers(*args, **kwargs):
+        raise AssertionError("eclipsers walked")
+
+    monkeypatch.setattr(forbidden, "_eclipsers", eclipsers)
+    assert is_rich(u, fam, inj, layered=True) == want
+    assert not want[0] and len(want[1]) == 27
 
 
 def test_closed_under_eclipsing_all_subsets(chain2):

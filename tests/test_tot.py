@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from oracles import naive_is_rich
 from tanglekit.errors import HypothesisFailure, PreconditionError
 from tanglekit.fixtures import (
     _cut_order,
@@ -408,6 +409,16 @@ def test_totins_on_random_graphs_with_non_profile_tangles():
         non_profile += is_non_profile_case(uni, sk, res.tangles)
     assert verified >= 60  # 71 seen, of 101 cases
     assert non_profile >= 30  # 35 seen
+
+
+def test_layered_richness_matches_the_oracle_on_random_graphs():
+    # the same cases, every layer walked by the oracle
+    fails = 0
+    for case, uni, inj, sk, fam in random_graph_cases():
+        rich = is_rich(sk, fam, inj, layered=True)
+        assert rich == naive_is_rich(sk, fam, inj, layered=True), case
+        fails += not rich[0]
+    assert fails >= 20  # 30 seen, of 101 cases
 
 
 def test_both_theorems_on_random_graphs_with_stars():
