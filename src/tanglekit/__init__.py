@@ -5,20 +5,4 @@ tangle structure trees, tangle-tree duality and trees of tangles, all at desk
 scale with exact rational arithmetic.
 """
 
-from .core import SeparationSystem
-from .errors import TanglekitError
-from .forbidden import ForbiddenFamily, Tangle
-from .orderfn import Enumeration, OrderFunction
-from .universe import Universe
-
-__all__ = [
-    "SeparationSystem",
-    "Universe",
-    "OrderFunction",
-    "Enumeration",
-    "ForbiddenFamily",
-    "Tangle",
-    "TanglekitError",
-]
-
 __version__ = "0.1.0"

@@ -24,14 +24,6 @@ from pathlib import Path
 
 from .core import SeparationSystem
 from .errors import BoundExceeded, InputError, PreconditionError, TanglekitError, TheoremViolation
-from .forbidden import (
-    ForbiddenFamily,
-    enumerate_tangles,
-    enumerate_tangles_in,
-    profile_family,
-    robustness_family,
-    standardize,
-)
 from .orderfn import OrderFunction, parse_threshold, refine_injective, refines
 from .universe import (
     Universe,
@@ -135,6 +127,8 @@ def check_family_document(obj, path, n):
 
 
 def load_family(args, uni, system, order):
+    from .forbidden import ForbiddenFamily, profile_family, robustness_family, standardize
+
     fam = ForbiddenFamily([])
     generate = []
     if args.forbidden:
@@ -198,10 +192,13 @@ def write_artifact(args, name, obj):
 
 
 def write_dot(args, name, render):
-    """With --emit dot, write ``render()`` as <name>.dot; otherwise render nothing."""
+    """With --emit dot, write ``render(dot)`` as <name>.dot, passing the ``dot``
+    module; otherwise render nothing and leave ``dot`` unloaded."""
     if args.emit != "dot":
         return None
-    return _write_output(args, f"{name}.dot", render())
+    from . import dot
+
+    return _write_output(args, f"{name}.dot", render(dot))
 
 
 def tangle_list(tangles):
@@ -216,8 +213,9 @@ def require_self_check(ok, name, report):
 
 # -- subcommands ------------------------------------------------------------------
 #
-# Each command imports the tst, dot, duality and tot names it uses in its own
-# body, so a command loads only the layers it runs.
+# Each command imports the forbidden, tst, duality and tot names it uses in its
+# own body, and ``write_dot`` imports dot only when it renders, so a command
+# loads only the layers it runs.
 
 
 def cmd_validate(args):
@@ -270,6 +268,8 @@ def prepare(args, order_use="optional", use_k=True) -> Run:
 
 
 def cmd_tangles(args):
+    from .forbidden import enumerate_tangles, enumerate_tangles_in
+
     run = prepare(args)
     out = {"schema": "tanglekit/tangles-v1",
            "k": str(run.k) if run.k is not None else "inf",
@@ -286,7 +286,6 @@ def cmd_tangles(args):
 
 
 def emit_tree(args, name, tree, run):
-    from .dot import tree_dot
     from .tst import validate_tst
 
     rep = validate_tst(tree, run.family)
@@ -294,7 +293,7 @@ def emit_tree(args, name, tree, run):
     obj["notes"] = run.notes
     obj["valid"] = rep.ok
     write_artifact(args, name, obj)
-    write_dot(args, name, lambda: tree_dot(tree, rep.leaf_classes))
+    write_dot(args, name, lambda dot: dot.tree_dot(tree, rep.leaf_classes))
     require_self_check(rep.ok, name, rep.failures)
     return obj
 
@@ -316,15 +315,13 @@ def cmd_reduce(args):
 
 
 def emit_duality(args, name, res, run):
-    from .dot import stree_dot
-
     obj = {"schema": "tanglekit/duality-v1", "kind": res.kind,
            "notes": {**run.notes, **res.notes}}
     if res.kind == "tangle":
         obj["tangle"] = sorted(res.tangle)
     else:
         obj["stree"] = res.stree.to_json()
-        write_dot(args, f"{name}-stree", lambda: stree_dot(res.stree))
+        write_dot(args, f"{name}-stree", lambda dot: dot.stree_dot(res.stree))
     if args.check_exclusive:
         obj["exclusive"] = True
     write_artifact(args, name, obj)
@@ -352,15 +349,14 @@ def cmd_newduality(args):
 def emit_tot(args, name, run, res, **extra):
     """Write N of the tree-of-tangles record ``res``, checked against the
     brute-force optimal distinguishers of its tangles, and its tree as DOT."""
-    from .dot import tree_dot
     from .tot import verify_tot
 
     check = verify_tot(run.system, run.order, res.distinguishers, res.tangles)
     obj = {"schema": "tanglekit/tot-v1", "N": sorted(res.distinguishers),
            "verified": check.ok, "notes": run.notes, **extra}
     write_artifact(args, name, obj)
-    write_dot(args, name, lambda: tree_dot(res.tree, res.leaf_classes,
-                                           highlight_nodes=res.tangle_nodes))
+    write_dot(args, name, lambda dot: dot.tree_dot(res.tree, res.leaf_classes,
+                                                   highlight_nodes=res.tangle_nodes))
     require_self_check(check.ok, name, check._asdict())
     return obj
 
@@ -451,5 +447,21 @@ def _summary(result):
             for k in keys if k in result}
 
 
+def run():
+    """The process entry point: ``main()``, then exit with its code.
+
+    The heap is frozen first: the interpreter's final collections then skip
+    it, and the cycles in it are left for the operating system to reclaim
+    with the process.  atexit handlers and the flushing of stdout and stderr
+    still run.  ``main`` itself leaves the collector alone, for callers that
+    run it in-process.
+    """
+    import gc
+
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -121,6 +121,9 @@ LatticeReport = namedtuple("LatticeReport", "ok failures")
 def _table_of_cells(cells, n):
     """The symmetric n x n table of ``[a, b, c]`` cells; -1 where no cell is given.
 
+    A pair may be given more than once, but only with one value; a pair given
+    two values raises SystemValidationError("table-cell-repeated").
+
     The cells are checked in bulk; only a list with a bad cell is walked cell
     by cell, so the first bad cell is the witness.
     """
@@ -137,6 +140,12 @@ def _table_of_cells(cells, n):
     tab = [[-1] * n for _ in range(n)]
     for a, b, c in cells:
         tab[a][b] = tab[b][a] = c
+    if len(cells) > n * (n + 1) // 2:
+        # more cells than pairs, so some pair is given twice; with fewer, a
+        # repeated pair leaves another out and the totality check fails
+        for a, b, c in cells:
+            if tab[a][b] != c:
+                raise SystemValidationError("table-cell-repeated", witness=(a, b))
     return tab
 
 

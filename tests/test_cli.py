@@ -622,6 +622,38 @@ def test_artifacts_pinned_under_every_other_python(workdir):
             assert got == PINNED_ARTIFACTS[key][1], (python, key)
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["refine-order", "--input", "p3.graph"], 0),
+    (["refine-order", "--bipartition", "a,b"], 2),
+], ids=["success", "precondition-failure"])
+def test_run_freezes_the_heap_and_exits_with_the_code_of_main(workdir, capsys, monkeypatch,
+                                                               argv, code):
+    # the process entry point: the same exit code, stdout and stderr as main,
+    # with atexit handlers run and the heap frozen before they run
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import tanglekit
+    src = str(Path(tanglekit.__file__).resolve().parents[1])
+    probe = ("import atexit, gc, sys\n"
+             f"sys.argv = ['tanglekit', *{argv!r}, '--out', 'spawned']\n"
+             "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+             "from tanglekit.cli import run\n"
+             "run()\n")
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=workdir, capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == code
+    *printed, frozen = proc.stdout.splitlines()
+    assert frozen == "frozen True"
+    monkeypatch.chdir(workdir)
+    assert main([*argv, "--out", "in-process"]) == code
+    out, err = capsys.readouterr()
+    assert printed == out.splitlines() and proc.stderr == err
+    assert json.loads((out or err).splitlines()[-1])["ok"] is (code == 0)
+
+
 def stars2_r_family():
     """The k=2 stars of P3 plus R over the whole universe and the standard
     singletons, as the CLI generates them from ``stars2-R.json``.  (V, V) is
@@ -768,6 +800,26 @@ def test_universe_json_table_handles_out_of_range_exit_1(tmp_path, capsys, cell)
     err = json.loads(capsys.readouterr().err)
     assert err["axiom"] == "unknown-handle"
     assert err["witness"] == repr(cell)
+
+
+@pytest.mark.parametrize("cells,code", [
+    ([[0, 1, 2], [0, 1, 1]], 1),
+    ([[0, 1, 1], [0, 1, 2]], 1),
+    ([[0, 1, 1], [1, 0, 1]], 0),
+], ids=["wrong-first", "wrong-last", "agreeing"])
+def test_universe_json_pair_given_twice(tmp_path, capsys, cells, code):
+    # join(0, 1) is 1; a pair given twice must be given one value, whichever
+    # of the two cells comes last
+    from tanglekit.universe import bipartition_universe
+    obj = bipartition_universe([1, 2]).to_json()
+    i = obj["join"].index([0, 1, 1])
+    obj["join"][i:i + 1] = cells
+    (tmp_path / "uni.json").write_text(json.dumps(obj))
+    assert main(["validate", "--input", str(tmp_path / "uni.json"),
+                 "--out", str(tmp_path / "out")]) == code
+    if code:
+        err = json.loads(capsys.readouterr().err)
+        assert (err["axiom"], err["witness"]) == ("table-cell-repeated", "(0, 1)")
 
 
 @pytest.mark.parametrize("cell", [[0, 1], [0, 1, "x"], [0, 1, 1.0]])

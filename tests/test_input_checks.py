@@ -106,6 +106,17 @@ def test_universe_json_rejects_a_missing_table_cell():
     assert got == ("lattice-tables-total", None)
 
 
+def test_universe_json_rejects_a_pair_given_two_values():
+    uni, _ = p3_universe()
+    obj = uni.to_json()
+    a, b, c = obj["meet"][3]
+    obj["meet"].append([b, a, c])  # the same pair and value, mirrored
+    assert Universe.from_json(obj).ground.meet(a, b) == c
+    obj["meet"].append([b, a, (c + 1) % uni.n_ground])
+    got = axiom_and_witness(lambda: Universe.from_json(obj))
+    assert got == ("table-cell-repeated", (a, b))
+
+
 def test_bipartition_universe_refuses_a_ground_set_over_the_bound():
     with pytest.raises(BoundExceeded, match="ground set of 3 exceeds bound 2"):
         bipartition_universe("abc", bound=2)

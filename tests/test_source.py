@@ -14,7 +14,8 @@ from tanglekit.fixtures import graph_tangle_stars, p3_universe
 
 PACKAGE = Path(tanglekit.__file__).parent
 # The layers only some commands run; importing the CLI loads none of them.
-COMMAND_LAYERS = ["tanglekit.dot", "tanglekit.duality", "tanglekit.tot", "tanglekit.tst"]
+COMMAND_LAYERS = ["tanglekit.dot", "tanglekit.duality", "tanglekit.forbidden",
+                  "tanglekit.tot", "tanglekit.tst"]
 
 
 def package_trees():
@@ -49,10 +50,10 @@ def test_no_dataclasses_in_package():
 
 def test_one_refinement_path_in_package():
     # refine_injective is the one refinement the package runs; the ranked
-    # enumeration is library API only, defined in orderfn and re-exported
+    # enumeration is library API only, defined in orderfn
     found = []
     for path, tree in package_trees():
-        if path.name in ("orderfn.py", "__init__.py"):
+        if path.name == "orderfn.py":
             continue
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -306,14 +307,10 @@ def test_the_cli_writes_output_files_in_one_place():
 
 def test_every_module_level_import_is_used():
     # an import that nothing in its module reads is left over from code that
-    # has gone; a package module's __all__ counts as a use
+    # has gone
     found = []
     for path, tree in package_trees():
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        for node in tree.body:
-            if (isinstance(node, ast.Assign)
-                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
-                used.update(ast.literal_eval(node.value))
         for node in tree.body:
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
@@ -399,28 +396,52 @@ def modules_added(code):
 
 
 def test_importing_the_cli_loads_no_command_layer():
+    # ``python -m tanglekit.cli`` imports the package first
+    assert modules_added("import tanglekit") == ["tanglekit"]
     added = modules_added("import tanglekit.cli")
     assert "tanglekit.cli" in added
     assert not set(added) & {"dataclasses", *COMMAND_LAYERS}
 
 
 @pytest.mark.parametrize("command,argv,unused", [
-    ("refine-order", [], COMMAND_LAYERS),
-    ("tst", ["--k", "2", "--forbidden", "stars.json"],
-     ["tanglekit.duality", "tanglekit.tot"]),
-], ids=["refine-order", "tst"])
+    ("refine-order", ["--input", "p3.graph"], COMMAND_LAYERS),
+    ("validate", ["--input", "p3.json", "--order", "order.json"], COMMAND_LAYERS),
+    ("tst", ["--input", "p3.graph", "--k", "2", "--forbidden", "stars.json"],
+     ["tanglekit.dot", "tanglekit.duality", "tanglekit.tot"]),
+    ("reduce", ["--input", "p3.graph", "--k", "2", "--forbidden", "stars.json"],
+     ["tanglekit.dot"]),
+    ("duality", ["--input", "p3.graph", "--k", "2", "--forbidden", "stars.json"],
+     ["tanglekit.dot"]),
+], ids=["refine-order", "validate", "tst", "reduce", "duality"])
 def test_a_command_loads_only_the_layers_it_runs(tmp_path, command, argv, unused):
+    # dot is loaded only with --emit dot, which no row passes
     (tmp_path / "p3.graph").write_text("a b\nb c\n")
     u, o = p3_universe()
+    (tmp_path / "p3.json").write_text(json.dumps(u.to_json()))
+    (tmp_path / "order.json").write_text(json.dumps(o.to_json()))
     stars = graph_tangle_stars(u, o, "abc", [("a", "b"), ("b", "c")], 2).to_json()
     stars["generate"] = ["standardize"]
     (tmp_path / "stars.json").write_text(json.dumps(stars))
-    args = [command, "--input", "p3.graph", *argv, "--out", "out"]
+    args = [command, *argv, "--out", "out"]
     added = modules_added(f"import os; os.chdir({str(tmp_path)!r})\n"
                           "from tanglekit.cli import main\n"
                           f"assert main({args!r}) == 0")
     assert (tmp_path / "out" / f"{command}.json").exists()
     assert not set(added) & set(unused)
+
+
+def test_only_the_process_entry_point_touches_the_collector():
+    # cli.run freezes the heap before the process exits; main and the library
+    # are called in-process and must leave the collector as they found it
+    found = []
+    for path, tree in package_trees():
+        for node, fn in nodes_in_functions(tree):
+            name = getattr(node, "id", getattr(node, "name", None))
+            if name == "gc" and (path.name, fn) != ("cli.py", "run"):
+                found.append(f"{path.name}:{node.lineno} {fn}")
+    assert not found, f"gc referenced outside cli.run: {found}"
+    script = 'tanglekit = "tanglekit.cli:run"'
+    assert script in (REPO / "pyproject.toml").read_text().splitlines()
 
 
 def defaulted_parameters(tree):
