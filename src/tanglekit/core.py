@@ -24,7 +24,6 @@ inverse is trivial.  A system is *regular* if it has no small element.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import namedtuple
 from functools import cached_property, reduce
 from itertools import accumulate, chain, repeat
 from operator import or_
@@ -239,19 +238,6 @@ class SeparationSystem:
     def is_cotrivial(self, h: int) -> bool:
         return self.is_trivial(self._inv[h])
 
-    def classify(self) -> "ClassifyReport":
-        flags = {}
-        for h in self.elements():
-            flags[h] = ElementFlags(
-                small=self.is_small(h),
-                large=self.is_small(self._inv[h]),
-                trivial=self.is_trivial(h),
-                cotrivial=self.is_cotrivial(h),
-                degenerate=self.is_degenerate(h),
-            )
-        regular = not any(f.small for f in flags.values())
-        return ClassifyReport(flags=flags, regular=regular)
-
     def trivial_elements(self):
         return [h for h in self.elements() if self.is_trivial(h)]
 
@@ -274,10 +260,6 @@ class SeparationSystem:
         for h in sigma:
             if not self.contains(h):
                 raise UnknownHandle(h)
-
-    def points_towards(self, x: int, s: int) -> bool:
-        """True iff x >= some orientation of the separation underlying s."""
-        return self.leq(s, x) or self.leq(self._inv[s], x)
 
     def _star_row(self, x: int) -> int:
         """The handles y that point towards x, so that {x, y} is a star when
@@ -484,9 +466,3 @@ def orientations_avoiding(system, forbidden):
     of ``forbidden``, as a list in ``_orientations`` order."""
     return list(_orientations(system, map(mask_of, forbidden)))
 
-
-# The degeneracy flags of one oriented separation (all bools).
-ElementFlags = namedtuple("ElementFlags", "small large trivial cotrivial degenerate")
-
-# flags: handle -> ElementFlags; regular: no member is small.
-ClassifyReport = namedtuple("ClassifyReport", "flags regular")

@@ -437,22 +437,19 @@ DichotomyResult = namedtuple(
     defaults=(None,) * 5)
 
 
-def dichotomy(system, order, family, check_exclusive=False,
-              trust_rich=False) -> DichotomyResult:
+def dichotomy(system, order, family, check_exclusive=False) -> DichotomyResult:
     """Exactly one of: a tangle of the system, or an S-tree over the family.
 
     Preconditions checked eagerly: injective order, family standard and
-    rich (unless ``trust_rich``).  The S-tree branch also needs a trivial-free
-    system and a star family; its conversion must pass ``validate_conversion``,
-    its stars F_eff.
+    rich.  The S-tree branch also needs a trivial-free system and a star
+    family; its conversion must pass ``validate_conversion``, its stars F_eff.
     """
     notes = {}
     _check_thorough_preconditions(system, order, family)
-    if not trust_rich:
-        rich, witness = is_rich(system, family, order)
-        if not rich:
-            raise HypothesisFailure(
-                f"family not rich; counterexample orientation {sorted(witness)}")
+    rich, witness = is_rich(system, family, order)
+    if not rich:
+        raise HypothesisFailure(
+            f"family not rich; counterexample orientation {sorted(witness)}")
 
     tangle = next(_orientations(system, map(mask_of, family.sets)), None)
     if tangle is not None:
@@ -495,8 +492,9 @@ def newduality(uni, order, ell, family, check_exclusive=False):
     Keeps an injective structurally submodular order as given and refines a
     submodular one with ``refine_injective``; the shifting machinery only
     compares order values, so any injective refinement gives the same
-    result.  Then checks closure under shifting, derives richness from it,
-    and delegates to ``dichotomy``.
+    result.  Then checks closure under shifting, which implies richness, and
+    delegates to ``dichotomy``; a family that ``dichotomy`` still finds not
+    rich refutes that implication.
     """
     _universe_of(uni, "newduality")
     if order.is_injective_on(uni) and is_structurally_submodular(uni, order)[0]:
@@ -519,7 +517,9 @@ def newduality(uni, order, ell, family, check_exclusive=False):
     ok, witness = closed_under_shifting(system, family, o2)
     if not ok:
         raise HypothesisFailure(f"family not closed under shifting; witness {witness}")
-    result = dichotomy(system, o2, family, check_exclusive=check_exclusive,
-                       trust_rich=True)
+    try:
+        result = dichotomy(system, o2, family, check_exclusive=check_exclusive)
+    except HypothesisFailure as exc:  # raised by dichotomy only for richness
+        raise TheoremViolation(f"family closed under shifting, yet {exc}") from exc
     result.notes["rich"] = "derived from closure under shifting"
     return result

@@ -157,11 +157,6 @@ def _eclipsers(system, order, x: int, mask: int, weak=False):
             yield y
 
 
-def eclipse_flags(system, order, r: int, s: int):
-    """(eclipses, weakly_eclipses) for the oriented pair r, s."""
-    return tuple(r in _eclipsers(system, order, s, 1 << r, weak) for weak in (False, True))
-
-
 def efficiency_witness(system, order, sigma, tau, strong=False):
     """An (eclipsed, eclipsing) pair violating (strong) efficiency, or None.
 

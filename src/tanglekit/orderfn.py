@@ -73,11 +73,6 @@ class OrderFunction:
         vals = [self.num[s] for s in system.seps()]
         return len(vals) == len(set(vals))
 
-    def scaled(self, c) -> "OrderFunction":
-        c = Fraction(c)
-        return OrderFunction._of_num(self.system, [v * c.numerator for v in self.num],
-                                     self.den * c.denominator)
-
     def to_json(self) -> dict:
         return {
             "schema": ORDER_SCHEMA,

@@ -9,7 +9,6 @@ tree, and the layered variant off the pruned tree of maximal tangles.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import HypothesisFailure
 from .forbidden import (
@@ -31,10 +30,9 @@ from .universe import (_universe_of, is_order_threshold_restriction,
                        is_structurally_submodular, restrict_Sk)
 
 
-# distinguishers: separations oriented differently by the pair; minimum_order:
-# a Fraction, None when the pair is indistinct; optimal: the minimum-order
-# distinguishers.
-PairReport = namedtuple("PairReport", "distinguishers minimum_order optimal")
+# distinguishers: separations oriented differently by the pair; optimal: the
+# minimum-order distinguishers.
+PairReport = namedtuple("PairReport", "distinguishers optimal")
 
 # pairs: (i, j) index pair -> PairReport; optimal_union: union of all optimal
 # distinguishers.
@@ -59,7 +57,7 @@ def distinguisher_report(system, order, tangles) -> DistinguisherReport:
             m = min((order.num[s] for s in ds), default=None)
             opt = frozenset(s for s in ds if order.num[s] == m)
             union |= opt
-            pairs[(i, j)] = PairReport(ds, None if m is None else Fraction(m, order.den), opt)
+            pairs[(i, j)] = PairReport(ds, opt)
     return DistinguisherReport(pairs=pairs, optimal_union=frozenset(union))
 
 

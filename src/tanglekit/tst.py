@@ -17,6 +17,8 @@ result once against four gates; see reduce_irreducible.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import reduce
+from operator import and_
 
 from .core import iter_mask, mask_of
 from .errors import (
@@ -25,7 +27,6 @@ from .errors import (
     RichnessViolation,
     SystemValidationError,
     TheoremViolation,
-    UnknownHandle,
 )
 from .forbidden import avoids, is_efficient, is_standard, maximal_tangles_in
 
@@ -240,12 +241,6 @@ def validate_tst(tree, family) -> TstReport:
     return _tst_report(tree, family, classify_leaves(tree, family))
 
 
-def beta_path(tree, v) -> frozenset:
-    if v not in range(len(tree)):
-        raise UnknownHandle(v)
-    return tree.beta(v)
-
-
 def is_ordered(tree, order) -> bool:
     """No non-leaf orients a separation of lower order than its parent does;
     by transitivity, than any ancestor does."""
@@ -359,24 +354,21 @@ def necessity(tree, family) -> NecessityReport:
     """Per-edge and per-node necessity flags (edges are keyed by child node)."""
     sys = tree.system
     classes = classify_leaves(tree, family)
-    leaf_subsets = {}
-    for leaf, c in classes.items():
-        if c.kind == LEAF_FORBIDDEN:
-            beta = tree.beta(leaf)
-            leaf_subsets[leaf] = [s for s in family.sets if s <= beta]
+    masks = [mask_of(s) for s in family.sets]
     edge_necessary_for = {v: [] for v in tree.nodes() if tree.parent[v] >= 0}
     for leaf, c in classes.items():
         beta = tree.beta_mask(leaf)
+        if c.kind == LEAF_FORBIDDEN:
+            # the labels that every member inside beta holds
+            needs = reduce(and_, (m for m in masks if not m & ~beta), -1)
+        elif c.kind == LEAF_TANGLE:
+            # the labels that no label of beta lies below
+            needs = mask_of(x for x in iter_mask(beta) if not sys._below(beta, x))
+        else:
+            continue  # an unresolved leaf needs no edge
         w = leaf
         while tree.parent[w] >= 0:
-            x = tree.edge_label[w]
-            if c.kind == LEAF_TANGLE:
-                needed = not sys._below(beta, x)
-            elif c.kind == LEAF_FORBIDDEN:
-                needed = all(x in s for s in leaf_subsets[leaf])
-            else:
-                needed = False
-            if needed:
+            if needs >> tree.edge_label[w] & 1:
                 edge_necessary_for[w].append(leaf)
             w = tree.parent[w]
     node_necessary = {}
@@ -473,9 +465,8 @@ def reduce_irreducible(tree, family, order) -> SeparationTree:
 # -- layered trees (structure trees in S->) --------------------------------------
 
 
-# tree: the pruned SeparationTree; leaf_classes: leaf -> LeafClass;
-# bare_root: bool.
-TstInS = namedtuple("TstInS", "tree leaf_classes bare_root")
+# tree: the pruned SeparationTree; leaf_classes: leaf -> LeafClass.
+TstInS = namedtuple("TstInS", "tree leaf_classes")
 
 
 def _leaf_class_in_s(tree, family, order, leaf) -> LeafClass:
@@ -508,10 +499,9 @@ def build_tst_in_S(system, order, family) -> TstInS:
     """Layered structure tree: the full thorough tree minus forbidden leaf pairs.
 
     Leaves classify per the maximal-tangle notion; sibling forbidden-leaf
-    pairs are deleted in a single pass.  The degenerate bare-root outcome
-    (no tangles at any level) is flagged explicitly.  Standardness and
-    richness on every layer are the caller's to check
-    (``tot.check_tot_hypotheses`` with ``layered``).
+    pairs are deleted in a single pass, so the tree may be the root alone,
+    which displays no tangle.  Standardness and richness on every layer are
+    the caller's to check (``tot.check_tot_hypotheses`` with ``layered``).
     """
     full = build_thorough_tst(system, order, family)
     classes = classify_leaves(full, family)
@@ -529,11 +519,7 @@ def build_tst_in_S(system, order, family) -> TstInS:
     pruned = SeparationTree(system, parent, children, labels)
     leaf_classes = {l: _leaf_class_in_s(pruned, family, order, l)
                     for l in pruned.leaves()}
-    return TstInS(
-        tree=pruned,
-        leaf_classes=leaf_classes,
-        bare_root=len(pruned) == 1,
-    )
+    return TstInS(tree=pruned, leaf_classes=leaf_classes)
 
 
 def validate_tst_in_s(result: TstInS, family, order) -> TstReport:

@@ -431,10 +431,8 @@ def is_submodular_subsystem(system) -> bool:
 #
 # slots maps (rk, sk) in {+,-}^2 to the oriented corner handle
 # r_orientation ^ s_orientation; corners is the set of underlying
-# separations; same_side_r / same_side_s group slot keys by side;
-# opposite_pairs are the two non-adjacent slot pairs.
-CornerReport = namedtuple(
-    "CornerReport", "slots corners same_side_r same_side_s opposite_pairs")
+# separations.
+CornerReport = namedtuple("CornerReport", "slots corners")
 
 
 def corners(uni, r: int, s: int) -> CornerReport:
@@ -456,10 +454,4 @@ def corners(uni, r: int, s: int) -> CornerReport:
             ("-", "+"): g.meet(ri, s),
             ("-", "-"): g.meet(ri, si),
         }
-    return CornerReport(
-        slots=slots,
-        corners=frozenset(uni.sep(h) for h in slots.values()),
-        same_side_r=((("+", "+"), ("+", "-")), (("-", "+"), ("-", "-"))),
-        same_side_s=((("+", "+"), ("-", "+")), (("+", "-"), ("-", "-"))),
-        opposite_pairs=((("+", "+"), ("-", "-")), (("+", "-"), ("-", "+"))),
-    )
+    return CornerReport(slots, frozenset(uni.sep(h) for h in slots.values()))

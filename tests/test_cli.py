@@ -1068,6 +1068,36 @@ def test_trust_rich_is_an_unknown_option():
         assert exc.value.code == 2
 
 
+def run_newduality(workdir):
+    return run(workdir, "newduality", "--input", str(workdir / "p3.graph"),
+               "--k", "2", "--forbidden", str(workdir / "stars.json"))
+
+
+def test_newduality_walks_richness_once(workdir, monkeypatch):
+    # newduality derives richness from closure under shifting, and dichotomy
+    # still checks it, in one walk
+    from tanglekit import duality
+    calls = []
+    real = duality.is_rich
+    monkeypatch.setattr(duality, "is_rich", lambda *args: calls.append(args) or real(*args))
+    code, out = run_newduality(workdir)
+    assert code == 0 and len(calls) == 1
+    assert json.loads((out / "newduality.json").read_text())["notes"]["rich"] == (
+        "derived from closure under shifting")
+
+
+def test_newduality_exits_3_when_the_richness_walk_fails(workdir, monkeypatch, capsys):
+    # closure under shifting held, so a refuted richness refutes the implication
+    from tanglekit import duality
+    monkeypatch.setattr(duality, "is_rich",
+                        lambda system, *args: (False, frozenset(system.elements()[:1])))
+    code, out = run_newduality(workdir)
+    assert code == 3 and not (out / "newduality.json").exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "TheoremViolation"
+    assert err["error"].startswith("family closed under shifting, yet family not rich")
+
+
 def write_full_family(workdir, graph, k):
     """A ladder graph and its full k family as the benchmark writes them (seed
     0, variant 0): seeded vertex names, and the k-stars with ``"generate":

@@ -66,30 +66,28 @@ def test_order_reversal_exhaustive(request, name):
                 assert s.leq(s.inv(b), s.inv(a))
 
 
-# -- classify -------------------------------------------------------------------
+# -- degeneracy hierarchy -------------------------------------------------------
 
 
 def test_classify_graph_degenerate_and_small(p3):
     u, _ = p3
-    rep = u.classify()
-    degen = [h for h, f in rep.flags.items() if f.degenerate]
+    degen = [h for h in u.elements() if u.is_degenerate(h)]
     assert [u.label(h) for h in degen] == ["{a,b,c}|{a,b,c}"]
     # the small separations of a graph are exactly the (V,A) ones
-    for h, f in rep.flags.items():
-        assert f.small == u.label(h).startswith("{a,b,c}|")
-    assert not rep.regular
+    for h in u.elements():
+        assert u.is_small(h) == u.label(h).startswith("{a,b,c}|")
 
 
 def test_classify_ptriv(ptriv):
-    rep = ptriv.classify()
-    by_label = {ptriv.label(h): f for h, f in rep.flags.items()}
-    assert by_label["s>"].trivial and not by_label["s>"].small
-    assert by_label["s<"].cotrivial and by_label["s<"].small
-    assert not by_label["r>"].trivial and not by_label["r<"].trivial
+    h = {ptriv.label(h): h for h in ptriv.elements()}
+    assert ptriv.is_trivial(h["s>"]) and not ptriv.is_small(h["s>"])
+    assert ptriv.is_cotrivial(h["s<"]) and ptriv.is_small(h["s<"])
+    assert not ptriv.is_trivial(h["r>"]) and not ptriv.is_trivial(h["r<"])
 
 
 def test_regular_flag(chain2):
-    assert chain2.classify().regular
+    # regular: no element is small
+    assert not any(chain2.is_small(h) for h in chain2.elements())
 
 
 # -- stars ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from tanglekit.duality import (
     validate_conversion,
 )
 from tanglekit import duality
+from tanglekit.core import mask_of
 from tanglekit.errors import (
     AmbiguousShiftChoice,
     BothOrNeither,
@@ -50,7 +51,7 @@ from tanglekit.fixtures import (
 )
 from tanglekit.forbidden import (
     ForbiddenFamily,
-    eclipse_flags,
+    _eclipsers,
     enumerate_tangles,
     is_rich,
     standardize,
@@ -522,7 +523,7 @@ def test_lemma_shift_select_names_each_failed_hypothesis(p3_set, p3_crooked_orde
     assert s2.is_trivial(trivial)
     off_threshold = u.restrict(u.orientations(u.sep(lab["{a,b}|{a,b,c}"])))
     quiet = next(s for s in sorted(tau) if not s2.is_trivial(s)
-                 and not any(eclipse_flags(s2, o2, r, s)[0] for r in tau))
+                 and not any(_eclipsers(s2, o2, s, mask_of(tau))))
     cases = [
         (u, p3_crooked_order, frozenset({trivial}), trivial,
          "order not structurally submodular"),
@@ -760,7 +761,7 @@ def enumeration_oracle(u, o, k, fam):
     e = enumeration_refinement(u, o)
     system = restrict_Sk(u, o, k)
     assert closed_under_shifting(system, fam, e)[0]
-    return outcome(lambda: dichotomy(system, e, fam, trust_rich=True))
+    return outcome(lambda: dichotomy(system, e, fam))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

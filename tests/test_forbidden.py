@@ -9,7 +9,7 @@ import pytest
 from oracles import naive_avoids, naive_is_rich, naive_tangles
 from test_lattice_rule import LADDER
 from tanglekit import forbidden
-from tanglekit.core import SeparationSystem
+from tanglekit.core import SeparationSystem, mask_of
 from tanglekit.fixtures import (
     eclipse_closure,
     graph_tangle_stars,
@@ -20,9 +20,9 @@ from tanglekit.fixtures import (
 )
 from tanglekit.forbidden import (
     ForbiddenFamily,
+    _eclipsers,
     avoids,
     closed_under_eclipsing,
-    eclipse_flags,
     efficiency_witness,
     enumerate_tangles,
     enumerate_tangles_in,
@@ -155,24 +155,24 @@ def test_standardize_ptriv():
 
 def test_eclipse_flags_same_separation(chain2):
     o = OrderFunction(chain2, {0: 1, 2: 2})
-    assert eclipse_flags(chain2, o, 0, 0) == (False, False)
+    for weak in (False, True):
+        assert list(_eclipsers(chain2, o, 0, 1 << 0, weak)) == []
 
 
 def test_eclipse_weak_only_on_tie(chain2):
     o = OrderFunction.constant(chain2, 1)
-    assert eclipse_flags(chain2, o, 0, 2) == (False, True)
+    assert list(_eclipsers(chain2, o, 2, 1 << 0)) == []
+    assert list(_eclipsers(chain2, o, 2, 1 << 0, weak=True)) == [0]
 
 
 def test_injective_order_weak_implies_strict(p3):
     # distinct separations only: a small r> < r< always ties with itself
     u, o = p3
     o2 = refine_injective(u, o)
-    for r in u.elements():
-        for s in u.elements():
-            if u.sep(r) == u.sep(s):
-                continue
-            ec, weak = eclipse_flags(u, o2, r, s)
-            assert ec == weak
+    for s in u.elements():
+        others = u.members & ~(1 << s | 1 << u.inv(s))
+        assert list(_eclipsers(u, o2, s, others)) == list(
+            _eclipsers(u, o2, s, others, weak=True))
 
 
 # -- efficiency ---------------------------------------------------------------------
@@ -555,7 +555,7 @@ def test_efficiency_witness_is_the_least_pair(p3):
         for _ in range(300):
             sigma = rng.sample(els, rng.randint(0, 4))
             tau = rng.sample(els, rng.randint(0, 10))
-            pairs = [(x, y) for x in sigma for y in tau
-                     if eclipse_flags(u, o, y, x)[strong]]
+            pairs = [(x, y) for x in sigma
+                     for y in _eclipsers(u, o, x, mask_of(tau), weak=strong)]
             assert (efficiency_witness(u, o, sigma, tau, strong=strong)
                     == min(pairs, default=None))

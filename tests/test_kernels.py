@@ -36,7 +36,7 @@ from tanglekit.fixtures import (
     ptriv_system,
     random_universes,
 )
-from tanglekit.forbidden import _eclipsers, eclipse_flags
+from tanglekit.forbidden import _eclipsers
 from tanglekit.orderfn import (
     OrderFunction,
     _numeral,
@@ -80,13 +80,11 @@ def one_element():
 
 
 def assert_eclipsing_pairwise(uni, order, rng):
-    """eclipse_flags on every oriented pair, and _eclipsers of every x within a
-    random mask and within all members, against the pairwise definition."""
+    """_eclipsers of every x within a random mask and within all members, so
+    on every oriented pair, against the pairwise definition."""
     els = uni.elements()
     for x in els:
         flags = {y: naive_eclipse_flags(uni, order, y, x) for y in els}
-        for y in els:
-            assert eclipse_flags(uni, order, y, x) == flags[y], (y, x)
         for mask in (rng.getrandbits(uni.n_ground) & uni.members, uni.members):
             for weak in (False, True):
                 want = [y for y in els if mask >> y & 1 and flags[y][weak]]

@@ -180,9 +180,10 @@ def exactness_orders():
         per_sep = {s: Fraction(rng.randint(0, 6), rng.randint(1, 6)) for s in uni.seps()}
         bad = [per_sep[uni.sep(h)] for h in range(uni.n_ground)]
         out += [(uni, o, vals), (uni, OrderFunction(uni, per_sep), bad),
-                (uni, OrderFunction(uni, per_sep).scaled(Fraction(3, 7)),
+                (uni, OrderFunction(uni, {s: Fraction(3, 7) * v for s, v in per_sep.items()}),
                  [Fraction(3, 7) * v for v in bad]),
-                (uni, o.scaled(Fraction(5, 2)), [Fraction(5, 2) * v for v in vals]),
+                (uni, OrderFunction(uni, {s: Fraction(5, 2) * vals[s] for s in uni.seps()}),
+                 [Fraction(5, 2) * v for v in vals]),
                 (uni, refine_injective(uni, o), refined_values(uni, vals))]
         seps = uni.seps()
         rng.shuffle(seps)

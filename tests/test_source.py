@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -75,8 +76,8 @@ BELOW_CALLERS = {("forbidden.py", "_eclipsers"), ("tst.py", "necessity")}
 
 
 def test_one_eclipse_definition_in_package():
-    # _eclipsers is the one definition of eclipsing: no module compares a pair
-    # through eclipse_flags, and no other loop walks a down-set row itself
+    # _eclipsers is the one definition of eclipsing: no other loop walks a
+    # down-set row itself
     found = []
     for path, tree in package_trees():
         for fn in ast.walk(tree):
@@ -86,8 +87,7 @@ def test_one_eclipse_definition_in_package():
                 if not isinstance(node, ast.Call):
                     continue
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                if name == "eclipse_flags" or (
-                        name == "_below" and (path.name, fn.name) not in BELOW_CALLERS):
+                if name == "_below" and (path.name, fn.name) not in BELOW_CALLERS:
                     found.append(f"{path.name}:{node.lineno} {fn.name} calls {name}")
     assert not found, f"eclipse comparisons outside _eclipsers: {found}"
 
@@ -347,39 +347,50 @@ def test_every_parameter_is_read():
 REPO = Path(__file__).resolve().parent.parent
 
 
-def referenced_names():
-    """Every name used in src/, tests/ or benchmark/: names, attributes,
-    imported names, and each part of a string constant that is a dotted name
-    (the tracer names spans "orderfn.OrderFunction.of")."""
-    names = set()
-    for folder in ("src", "tests", "benchmark"):
-        for path in sorted((REPO / folder).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    names.update(node.name.split("."))
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    parts = node.value.split(".")
-                    if len(parts) > 1 and all(p.isidentifier() for p in parts):
-                        names.update(parts)
-    return names
+# The definitions that no line of src/ reads and that stay public: each is a
+# claim the tests check, or waits for the ROADMAP item that gives it a caller.
+# README names each, with its role, under "Library API that no command runs".
+LIBRARY_API = {
+    "without_trivial", "from_tables", "is_submodular_subsystem", "corners",
+    "constant", "indicator", "gamma", "symmetrize", "enumeration_refinement",
+    "tangles_preserved_under_refinement", "is_strongly_efficient",
+    "closed_under_eclipsing", "set_geq", "tree_infimum", "display",
+    "is_thoroughly_ordered", "validate_tst_in_s", "check_nested_corollary",
+    "stree_from_nested", "lemma_shift_select", "is_critical",
+}
 
 
 def test_every_definition_is_referenced():
-    # a function, method or class nothing names is dead code; dunder methods
-    # are called by the interpreter
-    used = referenced_names()
-    found = []
+    # a function, method or class that no line of src/ names is dead code
+    # unless it is library API; a test is not a caller.  fixtures.py is exempt:
+    # it holds the builders that the tests and the benchmark read.  Dunder
+    # methods are called by the interpreter.
+    used = set()
+    for _, tree in package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.update(node.name.split("."))
+    unread = {}
     for path, tree in package_trees():
+        if path.name == "fixtures.py":
+            continue
         for node in ast.walk(tree):
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     and not (node.name.startswith("__") and node.name.endswith("__"))
                     and node.name not in used):
-                found.append(f"{path.name}:{node.lineno} {node.name}")
-    assert not found, f"definitions never referenced: {found}"
+                unread[node.name] = f"{path.name}:{node.lineno}"
+    found = sorted(f"{where} {name}" for name, where in unread.items()
+                   if name not in LIBRARY_API)
+    assert not found, f"definitions src/ never reads: {found}"
+    assert set(unread) == LIBRARY_API, f"read in src/ or gone: {LIBRARY_API - set(unread)}"
+    readme = (REPO / "README.md").read_text()
+    section = readme.split("\n## Library API that no command runs\n")[1].split("\n## ")[0]
+    named = {part for span in re.findall(r"`([\w.]+)`", section) for part in span.split(".")}
+    assert LIBRARY_API <= named, f"no README role for {LIBRARY_API - named}"
 
 
 def modules_added(code):

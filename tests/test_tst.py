@@ -11,7 +11,6 @@ from tanglekit.errors import (
     RichnessViolation,
     SystemValidationError,
     TheoremViolation,
-    UnknownHandle,
 )
 from tanglekit.fixtures import (
     chain2_system,
@@ -35,7 +34,6 @@ from tanglekit.tst import (
     TstInS,
     build_thorough_tst,
     build_tst_in_S,
-    beta_path,
     classify_leaf,
     display,
     displayed_tangles,
@@ -70,22 +68,17 @@ def p3_tree(p3_setting):
 
 
 def test_beta_root_empty(p3_tree):
-    assert beta_path(p3_tree, p3_tree.root) == frozenset()
+    assert p3_tree.beta(p3_tree.root) == frozenset()
 
 
 def test_beta_depth_one(p3_tree):
     child = p3_tree.children[p3_tree.root][0]
-    assert beta_path(p3_tree, child) == {p3_tree.edge_label[child]}
+    assert p3_tree.beta(child) == {p3_tree.edge_label[child]}
 
 
 def test_beta_matches_manual_walk(p3_tree):
     for v in p3_tree.nodes():
-        assert beta_path(p3_tree, v) == beta_by_path_walk(p3_tree, v)
-
-
-def test_beta_unknown_node(p3_tree):
-    with pytest.raises(UnknownHandle):
-        beta_path(p3_tree, 999)
+        assert p3_tree.beta(v) == beta_by_path_walk(p3_tree, v)
 
 
 # -- validation -------------------------------------------------------------------
@@ -167,7 +160,7 @@ def test_a_forbidden_empty_set_at_a_non_leaf_is_reported():
     assert rep.failures == [(0, "forbidden-subset-at-non-leaf")]
     assert all(c.witness == frozenset() for c in rep.leaf_classes.values())
     order = OrderFunction(system, {0: 1, 2: 2})
-    layered = TstInS(tree, rep.leaf_classes, False)
+    layered = TstInS(tree, rep.leaf_classes)
     assert validate_tst_in_s(layered, F, order).failures == rep.failures
 
 
@@ -464,7 +457,7 @@ def p3_layered():
 def test_layered_build_validates(p3_layered):
     u, o2, F = p3_layered
     res = build_tst_in_S(u, o2, F)
-    assert not res.bare_root
+    assert len(res.tree) > 1
     assert validate_tst_in_s(res, F, o2).ok
 
 
@@ -515,13 +508,6 @@ def test_layer_trees_nest(p3_layered):
         paths.append(sigs)
     for small, big in zip(paths, paths[1:]):
         assert small <= big
-
-
-def test_bare_root_reported(p3_setting):
-    u, o2, s2, F = p3_setting
-    fam = singleton_family(s2)
-    res = build_tst_in_S(s2, o2, fam)
-    assert res.bare_root == (len(res.tree) == 1)
 
 
 def test_tree_json_round_trip(p3_tree, p3_setting):

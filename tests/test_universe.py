@@ -193,9 +193,9 @@ def test_corners_crossing_bipartitions_distinct(bip4):
 def cross_lemma_holds(u, o, r, s):
     """Two adjacent corners on the same side of r with order < |r|, or of s."""
     rep = corners(u, r, s)
-    for ref, groups in ((r, rep.same_side_r), (s, rep.same_side_s)):
-        for group in groups:
-            t1, t2 = (rep.slots[k] for k in group)
+    for i, ref in enumerate((r, s)):
+        for side in "+-":  # the two slots that take ref's orientation ``side``
+            t1, t2 = (rep.slots[k] for k in rep.slots if k[i] == side)
             if o.of(t1) < o.of(ref) and o.of(t2) < o.of(ref):
                 return True
     return False
