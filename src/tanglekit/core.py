@@ -338,16 +338,11 @@ class SeparationSystem:
     # -- orientations --------------------------------------------------------
 
     def is_orientation(self, tau) -> bool:
-        """Exactly one orientation of each member separation."""
+        """Exactly one orientation of each member separation: as many
+        separations as handles, and as many as the system has."""
         tau = set(tau)
         self._check_members(tau)
-        seen = set()
-        for h in tau:
-            s = self.sep(h)
-            if s in seen and not self.is_degenerate(h):
-                return False
-            seen.add(s)
-        return seen == set(self.seps())
+        return len({self.sep(h) for h in tau}) == len(tau) == len(self)
 
     def distinguishes(self, s: int, tau1, tau2) -> bool:
         """True iff both partial orientations orient ``s`` and differ on it.

@@ -44,20 +44,40 @@ _UNRESOLVED = LeafClass(LEAF_UNRESOLVED, frozenset())
 
 
 class SeparationTree:
-    """Rooted tree with oriented-separation edge labels; immutable after build."""
+    """Rooted tree with oriented-separation edge labels; immutable after build.
 
-    def __init__(self, system, parent, children, edge_label):
+    Its shape is ``parent`` (-1 at the root) and ``edge_label`` (the label of
+    the edge into a node).  One walk from the root derives ``children``, in
+    ascending id, and ``paths[v]``, the mask of the labels on v's root path.
+    The least node the root does not reach, or whose label is no handle of
+    the ground system, stops it: ``tree-connected`` or ``tree-edge-label``.
+    """
+
+    def __init__(self, system, parent, edge_label):
         self.system = system
         self.parent = tuple(parent)
-        self.children = tuple(tuple(c) for c in children)
         self.edge_label = tuple(edge_label)
         roots = [v for v, p in enumerate(self.parent) if p < 0]
         if len(roots) != 1:
             raise SystemValidationError("tree-single-root", witness=roots)
         self.root = roots[0]
-        self._beta = {}
+        children = [[] for _ in self.parent]
+        for v, p in enumerate(self.parent):
+            if 0 <= p < len(children):
+                children[p].append(v)
+        self.children = tuple(map(tuple, children))
+        walk = self.descendants(self.root)  # each parent before its children
+        stray = set(self.nodes()).difference(walk)
+        if stray:
+            raise SystemValidationError("tree-connected", witness=min(stray))
+        bad = [v for v in walk[1:] if self.edge_label[v] not in range(system.n_ground)]
+        if bad:
+            raise SystemValidationError("tree-edge-label", witness=min(bad))
+        paths = [0] * len(walk)
+        for w in walk[1:]:
+            paths[w] = paths[self.parent[w]] | 1 << self.edge_label[w]
+        self.paths = tuple(paths)
         self._classes = {}  # family -> {leaf: LeafClass}, filled by classify_leaf
-        self._closure = {}  # node -> closure of beta_v, filled by _path_closure
 
     def __len__(self):
         return len(self.parent)
@@ -79,16 +99,7 @@ class SeparationTree:
 
     def beta(self, v) -> frozenset:
         """Edge labels on the root path to v (the set beta_v)."""
-        if v not in self._beta:
-            out, w = [], v
-            while self.parent[w] >= 0:
-                out.append(self.edge_label[w])
-                w = self.parent[w]
-            self._beta[v] = frozenset(out)
-        return self._beta[v]
-
-    def beta_mask(self, v) -> int:
-        return mask_of(self.beta(v))
+        return frozenset(iter_mask(self.paths[v]))
 
     def descendants(self, v):
         out, stack = [], [v]
@@ -129,16 +140,13 @@ class SeparationTree:
     @classmethod
     def from_json(cls, system, obj) -> "SeparationTree":
         n = len(obj["nodes"])
-        parent = [-1] * n
-        children = [[] for _ in range(n)]
+        parent, labels = [-1] * n, [-1] * n
         for entry in obj["nodes"]:
-            children[entry["id"]] = list(entry["children"])
             for c in entry["children"]:
                 parent[c] = entry["id"]
-        labels = [-1] * n
         for v, h in obj.get("beta", {}).items():
             labels[int(v)] = h
-        return cls(system, parent, children, labels)
+        return cls(system, parent, labels)
 
     def __repr__(self):
         return f"<SeparationTree {len(self)} nodes, {len(self.leaves())} leaves>"
@@ -152,10 +160,8 @@ TstReport = namedtuple("TstReport", "ok failures leaf_classes")
 
 
 def _path_closure(tree, v) -> frozenset:
-    """The closure of the path labels beta_v, memoized on the tree."""
-    if v not in tree._closure:
-        tree._closure[v] = frozenset(iter_mask(tree.system.closure_mask(tree.beta_mask(v))))
-    return tree._closure[v]
+    """The closure of the path labels beta_v."""
+    return frozenset(iter_mask(tree.system.closure_mask(tree.paths[v])))
 
 
 def _least_unoriented(system, order, closure):
@@ -286,7 +292,7 @@ def build_thorough_tst(system, order, family) -> SeparationTree:
     """
     _check_thorough_preconditions(system, order, family)
 
-    parent, children, edge_label = [-1], [[]], [-1]
+    parent, edge_label = [-1], [-1]
     stack = [(0, 0)]  # (node, beta mask)
     while stack:
         v, beta = stack.pop()
@@ -302,20 +308,16 @@ def build_thorough_tst(system, order, family) -> SeparationTree:
             if avoids(cl, family):
                 continue  # tangle leaf
             raise RichnessViolation(cl, family.first_inside(cl))
-        kids = []
+        first = len(parent)
         for h in system.orientations(s):
-            w = len(parent)
             parent.append(v)
-            children.append([])
             edge_label.append(h)
-            kids.append(w)
             if not system.is_consistent(iter_mask(beta | (1 << h))):
                 raise TheoremViolation(f"path {sorted(iter_mask(beta))} plus {h} "
                                        "is inconsistent")
-        children[v] = kids
-        for w in reversed(kids):
-            stack.append((w, beta | (1 << edge_label[w])))
-    return SeparationTree(system, parent, children, edge_label)
+        stack.extend((w, beta | (1 << edge_label[w]))
+                     for w in reversed(range(first, len(parent))))
+    return SeparationTree(system, parent, edge_label)
 
 
 def display(tree, tau):
@@ -357,7 +359,7 @@ def necessity(tree, family) -> NecessityReport:
     masks = [mask_of(s) for s in family.sets]
     edge_necessary_for = {v: [] for v in tree.nodes() if tree.parent[v] >= 0}
     for leaf, c in classes.items():
-        beta = tree.beta_mask(leaf)
+        beta = tree.paths[leaf]
         if c.kind == LEAF_FORBIDDEN:
             # the labels that every member inside beta holds
             needs = reduce(and_, (m for m in masks if not m & ~beta), -1)
@@ -416,20 +418,16 @@ def _contract_move(tree, v, keep_child) -> SeparationTree:
     label order: at v it takes keep_child's children, elsewhere the node's own.
     """
     label = tree.edge_label
-    parent, children, labels = [], [], []
-    stack = [(tree.root, -1, -1)]
+    parent, labels = [], []
+    stack = [(tree.root, -1)]
     while stack:
-        old, par, lab = stack.pop()
+        old, par = stack.pop()
         new = len(parent)
         parent.append(par)
-        labels.append(lab)
-        children.append([])
-        if par >= 0:
-            children[par].append(new)
+        labels.append(label[old])
         kids = tree.children[keep_child if old == v else old]
-        stack.extend((w, new, label[w])
-                     for w in sorted(kids, key=label.__getitem__, reverse=True))
-    return SeparationTree(tree.system, parent, children, labels)
+        stack.extend((w, new) for w in sorted(kids, key=label.__getitem__, reverse=True))
+    return SeparationTree(tree.system, parent, labels)
 
 
 def reduce_irreducible(tree, family, order) -> SeparationTree:
@@ -513,10 +511,8 @@ def build_tst_in_S(system, order, family) -> TstInS:
             drop.update(kids)
     keep = [u for u in full.nodes() if u not in drop]
     remap = {u: i for i, u in enumerate(keep)}
-    parent = [remap.get(full.parent[u], -1) if full.parent[u] >= 0 else -1 for u in keep]
-    children = [[remap[w] for w in full.children[u] if w not in drop] for u in keep]
-    labels = [full.edge_label[u] for u in keep]
-    pruned = SeparationTree(system, parent, children, labels)
+    pruned = SeparationTree(system, [remap.get(full.parent[u], -1) for u in keep],
+                            [full.edge_label[u] for u in keep])
     leaf_classes = {l: _leaf_class_in_s(pruned, family, order, l)
                     for l in pruned.leaves()}
     return TstInS(tree=pruned, leaf_classes=leaf_classes)

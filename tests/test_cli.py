@@ -542,6 +542,62 @@ def test_artifacts_pinned(workdir, command):
     assert got == want
 
 
+# Ladder graphs with the vertex names the benchmark's seed 0 gives them (first
+# relabelling): names by vertex position, then the edges between them.
+LADDER_INPUTS = {
+    "K1,4": ("bacde", [("b", "a"), ("b", "c"), ("b", "d"), ("b", "e")]),
+    "C5": ("caedb", [("c", "a"), ("a", "e"), ("e", "d"), ("d", "b"), ("b", "c")]),
+    "P4": ("cbad", [("c", "b"), ("b", "a"), ("a", "d")]),
+}
+
+# sha256 of the artifacts of trees larger than P3's, keyed by "command:graph";
+# each entry is (graph, k of the star family, family file suffix, extra args).
+# The reductions make 18 (K1,4) and 11 (C5) contraction rounds; the layered
+# tree on P4 is pruned from 33 nodes to 27 and has an N of 2.  Every run
+# passes --unsafe-bounds, as the benchmark does: S_3 exceeds the default bound.
+PINNED_LADDER_ARTIFACTS = {
+    "reduce:K1,4": (("K1,4", 3, "stars", ["--k", "3"]), {
+        "reduce.json": "d8bd1eb7f78175702275675e6dd82b5fc3ffc68b557d988d8a6c6eaab011a7af"}),
+    "reduce:C5": (("C5", 3, "stars", ["--k", "3"]), {
+        "reduce.json": "577d7efbb1c614a7f4fb320e4a5bb39512f8577e179d7ec7f0c71cfb1ae0b855"}),
+    "tst:K1,4": (("K1,4", 3, "stars", ["--k", "3", "--emit", "dot"]), {
+        "tst.dot": "0286915c513280172e15c648f0800374fdcddca3e52ecf820c42cacd550ab4f9",
+        "tst.json": "8762c00a44db7885ada480207e4678a01ed9d5dd394986c0e124b2c917e21c60"}),
+    "totins:P4": (("P4", 3, "full", []), {
+        "totins.json": "6efe2670cc96c63f33052b96874bc8ee7623e7b874f65d39551d3c5c70ca5e0f"}),
+}
+
+
+def write_ladder_inputs(dest, graph, k):
+    """The graph file and both star families of ``graph``, written as the
+    benchmark writes them: ``<graph>.stars<k>.json`` standardized on S_k,
+    ``<graph>.full<k>.json`` generating R and standardizing."""
+    names, edges = LADDER_INPUTS[graph]
+    (dest / f"{graph}.graph").write_text("".join(f"{a} {b}\n" for a, b in edges))
+    uni, order = graph_universe(names, edges)
+    stars = graph_tangle_stars(uni, order, names, edges, k)
+    obj = standardize(stars, restrict_Sk(uni, order, k)).to_json()
+    obj["generate"] = ["standardize"]
+    (dest / f"{graph}.stars{k}.json").write_text(json.dumps(obj))
+    obj = stars.to_json()
+    obj["generate"] = ["R", "standardize"]
+    (dest / f"{graph}.full{k}.json").write_text(json.dumps(obj))
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_LADDER_ARTIFACTS))
+def test_ladder_artifacts_pinned(tmp_path, key):
+    import hashlib
+    (graph, k, family, extra), want = PINNED_LADDER_ARTIFACTS[key]
+    write_ladder_inputs(tmp_path, graph, k)
+    code, out = run(tmp_path, key.split(":")[0], "--input", str(tmp_path / f"{graph}.graph"),
+                    "--forbidden", str(tmp_path / f"{graph}.{family}{k}.json"),
+                    *extra, "--unsafe-bounds")
+    assert code == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(out.iterdir())}
+    assert got == want
+
+
 def other_interpreters():
     """Every other CPython >= 3.10 on PATH, one per resolved executable.
 

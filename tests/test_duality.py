@@ -221,7 +221,7 @@ def test_conversion_rejects_trivials(p3_set):
 def test_conversion_rejects_nonstar_family():
     pt = ptriv_system().restrict([0, 1])
     fam = ForbiddenFamily([{0, 1}])  # inverse pair of a regular sep: not a star
-    tree = SeparationTree(pt, [-1, 0, 0], [[1, 2], [], []], [-1, 0, 1])
+    tree = SeparationTree(pt, [-1, 0, 0], [-1, 0, 1])
     with pytest.raises(NonStarFamily):
         convert_ftree(tree, fam)
 
@@ -278,8 +278,7 @@ def test_reducible_star_ftree_may_cross(bip4):
     ri, si = bip4.inv(r), bip4.inv(s)
     sub = bip4.restrict([r, ri, s, si])
     fam = ForbiddenFamily([{s}, {si}, {ri}])
-    tree = SeparationTree(sub, [-1, 0, 0, 1, 1], [[1, 2], [3, 4], [], [], []],
-                          [-1, r, ri, s, si])
+    tree = SeparationTree(sub, [-1, 0, 0, 1, 1], [-1, r, ri, s, si])
     from tanglekit.tst import validate_tst, necessity
     assert validate_tst(tree, fam).ok
     assert not necessity(tree, fam).irreducible
@@ -674,7 +673,7 @@ def test_dichotomy_refuses_a_structure_tree_with_no_tangle_leaf(p3_set, monkeypa
     # leaf of an empty path is unresolved, not a tangle leaf
     u, o, o2, s2 = p3_set
     fam = standardize(ForbiddenFamily([]), s2)
-    bare = lambda system, order, family: SeparationTree(system, [-1], [[]], [-1])
+    bare = lambda system, order, family: SeparationTree(system, [-1], [-1])
     monkeypatch.setattr(duality, "build_thorough_tst", bare)
     with pytest.raises(BothOrNeither) as err:
         dichotomy(s2, o2, fam, check_exclusive=True)

@@ -91,8 +91,29 @@ def test_restrict_rejects_members_not_closed_under_the_involution():
 
 def test_separation_tree_needs_a_single_root():
     got = axiom_and_witness(
-        lambda: SeparationTree(chain2_system(), [-1, -1], [[], []], [-1, -1]))
+        lambda: SeparationTree(chain2_system(), [-1, -1], [-1, -1]))
     assert got == ("tree-single-root", [0, 1])
+
+
+@pytest.mark.parametrize("parent,want", [
+    ([-1, 2, 1], 1),  # 1 and 2 are each other's parent
+    ([-1, 0, 3], 2),  # 2's parent is no node
+], ids=["cycle", "parent-outside"])
+def test_separation_tree_needs_every_node_below_the_root(parent, want):
+    got = axiom_and_witness(lambda: SeparationTree(chain2_system(), parent, [-1, 0, 1]))
+    assert got == ("tree-connected", want)
+
+
+@pytest.mark.parametrize("beta,want", [
+    ({"1": 0}, 2),  # 2 has no label
+    ({"1": 0, "2": 4}, 2),  # 4 is no handle of the chain's four
+], ids=["missing", "outside"])
+def test_separation_tree_read_back_needs_a_handle_on_every_edge(beta, want):
+    obj = {"schema": "tanglekit/tree-v1", "root": 0, "beta": beta,
+           "nodes": [{"id": 0, "children": [1, 2]}, {"id": 1, "children": []},
+                     {"id": 2, "children": []}]}
+    got = axiom_and_witness(lambda: SeparationTree.from_json(chain2_system(), obj))
+    assert got == ("tree-edge-label", want)
 
 
 # -- universes ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from oracles import beta_by_path_walk, naive_gated_reduce
+from tanglekit.core import SeparationSystem
 from tanglekit.errors import (
     NonInjectiveOrder,
     NotStandard,
@@ -32,6 +33,7 @@ from tanglekit.tst import (
     LeafClass,
     SeparationTree,
     TstInS,
+    _leaf_class_in_s,
     build_thorough_tst,
     build_tst_in_S,
     classify_leaf,
@@ -87,7 +89,7 @@ def test_beta_matches_manual_walk(p3_tree):
 def test_single_node_tree_empty_tangle(p3_setting):
     u, o2, s2, F = p3_setting
     empty = restrict_Sk(u, OrderFunction.constant(u, 5), 0)
-    t = SeparationTree(empty, [-1], [[]], [-1])
+    t = SeparationTree(empty, [-1], [-1])
     rep = validate_tst(t, ForbiddenFamily([]))
     assert rep.ok and rep.leaf_classes[0].kind == "tangle"
     assert rep.leaf_classes[0].witness == frozenset()
@@ -114,7 +116,7 @@ def test_malformed_tree_rejected(p3_setting):
     u, o2, s2, F = p3_setting
     h = s2.elements()[0]
     # both child edges carry the same orientation
-    t = SeparationTree(s2, [-1, 0, 0], [[1, 2], [], []], [-1, h, h])
+    t = SeparationTree(s2, [-1, 0, 0], [-1, h, h])
     failures = validate_tst(t, F).failures
     assert any(r == "edge-labels-not-a-bijection" for _, r in failures)
 
@@ -146,7 +148,8 @@ def test_validate_separation_tree_names_each_planted_defect(reason):
     system = chain2_system()
     if r_only:
         system = system.restrict([0, 1])
-    tree = SeparationTree(system, parent, children, labels)
+    tree = SeparationTree(system, parent, labels)
+    assert tree.children == tuple(map(tuple, children))
     assert validate_separation_tree(tree) == want
     assert validate_tst(tree, ForbiddenFamily([])).failures[:len(want)] == want
 
@@ -154,7 +157,7 @@ def test_validate_separation_tree_names_each_planted_defect(reason):
 def test_a_forbidden_empty_set_at_a_non_leaf_is_reported():
     # the empty set is a witness like any other member, though it is falsy
     system = chain2_system()
-    tree = SeparationTree(system, [-1, 0, 0], [[1, 2], [], []], [-1, 0, 1])
+    tree = SeparationTree(system, [-1, 0, 0], [-1, 0, 1])
     F = ForbiddenFamily([(), (0,), (1,)])
     rep = validate_tst(tree, F)
     assert rep.failures == [(0, "forbidden-subset-at-non-leaf")]
@@ -182,7 +185,7 @@ def test_leaf_classes_are_filled_only_by_classify_leaf(p3_setting):
 
 def test_single_node_ordered(p3_setting):
     u, o2, s2, F = p3_setting
-    t = SeparationTree(s2, [-1], [[]], [-1])
+    t = SeparationTree(s2, [-1], [-1])
     assert is_ordered(t, o2) and is_thoroughly_ordered(t, o2)
 
 
@@ -200,7 +203,6 @@ def test_planted_order_inversion(p3_setting):
     t = SeparationTree(
         s2,
         [-1, 0, 0, 1, 1],
-        [[1, 2], [3, 4], [], [], []],
         [-1, hi_or[0], hi_or[-1], lo_or[0], lo_or[-1]],
     )
     assert not is_ordered(t, o2)
@@ -210,8 +212,7 @@ def test_thorough_order_fails_on_a_separation_the_closure_orients():
     # s first (order 1), then r below s<-: s<- <= r<- puts r<- into the closure
     system = chain2_system()
     o = OrderFunction(system, {0: 2, 2: 1})
-    t = SeparationTree(system, [-1, 0, 0, 2, 2], [[1, 2], [], [3, 4], [], []],
-                       [-1, 2, 3, 0, 1])
+    t = SeparationTree(system, [-1, 0, 0, 2, 2], [-1, 2, 3, 0, 1])
     assert is_ordered(t, o)
     assert system.closure({3}) == {1, 3}
     assert not is_thoroughly_ordered(t, o)
@@ -221,7 +222,7 @@ def test_thorough_order_fails_on_a_separation_not_of_least_order():
     # nothing is oriented at the root, and r has the lower order
     system = chain2_system()
     o = OrderFunction(system, {0: 1, 2: 2})
-    t = SeparationTree(system, [-1, 0, 0], [[1, 2], [], []], [-1, 2, 3])
+    t = SeparationTree(system, [-1, 0, 0], [-1, 2, 3])
     assert is_ordered(t, o)
     assert not is_thoroughly_ordered(t, o)
 
@@ -333,9 +334,7 @@ def test_efficiency_violated_by_planted_tree(p3_setting):
     lab = {u.label(h): h for h in u.elements()}
     lo, hi = lab["{a,b,c}|{b}"], lab["{a,b,c}|{a,b,c}"]
     assert u.lt(lo, hi) and o2.of(lo) < o2.of(hi)  # hi is eclipsed by lo
-    t = SeparationTree(
-        u, [-1, 0, 0, 1], [[1, 2], [3], [], []],
-        [-1, lo, u.inv(lo), hi])
+    t = SeparationTree(u, [-1, 0, 0, 1], [-1, lo, u.inv(lo), hi])
     assert not is_efficient_tree(t, o2)
 
 
@@ -479,6 +478,42 @@ def test_validate_tst_in_s_names_each_planted_defect(p3_layered):
     failures = validate_tst_in_s(
         res, F.extended([tree.beta(inner)]), o2).failures
     assert (inner, "forbidden-subset-at-non-leaf") in failures
+
+
+# Hand trees with a leaf that the maximal-tangle notion leaves unresolved, one
+# per way: (system, parent, labels, order values, family, the leaf).  The
+# separation t (handles 4 and 5) is nested with neither r nor s of the chain.
+# In the middle two, the family forbids both one-step extensions of the path,
+# so that tau alone leaves the leaf unresolved.
+UNRESOLVED_LEAVES = {
+    # the BROKEN_TREES shape: r-> then s<- point away from each other
+    "path-closure-inconsistent": (
+        chain2_system, [-1, 0, 0, 1, 1], [-1, 0, 1, 2, 3], {0: 1, 2: 2}, [], 4),
+    # r oriented twice: tau holds both orientations of r, of order below s
+    "tau-no-orientation-of-its-layer": (
+        lambda: SeparationSystem.from_relation([1, 0, 3, 2], []),
+        [-1, 0, 0, 1, 1], [-1, 0, 1, 0, 1], {0: 1, 2: 2}, [(2,), (3,)], 4),
+    # the path {r->} avoids {s->}, its closure {r->, s->} does not
+    "tau-holds-a-member-the-path-does-not": (
+        lambda: SeparationSystem.from_relation([1, 0, 3, 2, 5, 4], [(0, 2), (3, 1)]),
+        [-1, 0, 0], [-1, 0, 1], {2: 1, 0: 2, 4: 3}, [(2,), (4,), (5,)], 1),
+    # the empty family forbids neither orientation of r
+    "extension-not-forbidden": (chain2_system, [-1], [-1], {0: 1, 2: 2}, [], 0),
+}
+
+
+@pytest.mark.parametrize("case", list(UNRESOLVED_LEAVES))
+def test_a_leaf_the_maximal_tangle_notion_cannot_resolve(case):
+    make, parent, labels, values, members, leaf = UNRESOLVED_LEAVES[case]
+    system = make()
+    tree = SeparationTree(system, parent, labels)
+    order, family = OrderFunction(system, values), ForbiddenFamily(members)
+    classes = {l: _leaf_class_in_s(tree, family, order, l) for l in tree.leaves()}
+    assert classes[leaf] == LeafClass(LEAF_UNRESOLVED, frozenset())
+    failures = validate_tst_in_s(TstInS(tree, classes), family, order).failures
+    assert (leaf, "leaf-neither-tangle-nor-forbidden") in failures
+    assert not any(leaf in leaves for leaves in necessity(tree, family)
+                   .edge_necessary_for.values())
 
 
 def test_layered_tangle_leaves_are_maximal_tangles(p3_layered):
