@@ -11,8 +11,9 @@ Conventions used throughout the package:
   ground arrays, so a handle means the same separation in every view.  All
   predicates quantify over the view's members only (triviality witnesses,
   closure, orientation domains).
-* Public APIs take and return sets/frozensets of handles; bitmasks are used
-  internally for the exhaustive kernels.
+* Inside the library a set of handles is an int mask (bit h for handle h).
+  Frozensets are made only where a set is reported (witnesses, tangles,
+  artifacts), and a set form of a predicate masks its input once.
 
 Degeneracy vocabulary (all definable from <= and the involution alone):
 ``s`` is *small* if ``s <= s*``, *large* if ``s* <= s``, *trivial* if both
@@ -26,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cached_property, reduce
 from itertools import accumulate, chain, repeat
-from operator import or_
+from operator import itemgetter, or_
 
 from .errors import InconsistentSet, SystemValidationError, UnknownHandle
 
@@ -248,9 +249,7 @@ class SeparationSystem:
             triv = sys.trivial_elements()
             if not triv:
                 return sys
-            drop = 0
-            for h in triv:
-                drop |= (1 << h) | (1 << self._inv[h])
+            drop = mask_of(h for t in triv for h in (t, self._inv[t]))
             sys = SeparationSystem(self._inv, self._up, self.labels,
                                    members=sys.members & ~drop, ground=self.ground)
 
@@ -313,8 +312,10 @@ class SeparationSystem:
                 return (x, (hit & -hit).bit_length() - 1)
         return None
 
-    def is_consistent(self, sigma) -> bool:
-        return self.consistency_witness(sigma) is None
+    def is_consistent_mask(self, mask: int) -> bool:
+        """No two distinct separations of ``mask`` point away from each other:
+        no ``incompat`` row of its handles meets it (the rows are symmetric)."""
+        return not any(self._incompat[x] & mask for x in iter_mask(mask))
 
     def closure(self, sigma) -> frozenset:
         """The set of member separations required by sigma, plus sigma.
@@ -337,12 +338,22 @@ class SeparationSystem:
 
     # -- orientations --------------------------------------------------------
 
-    def is_orientation(self, tau) -> bool:
-        """Exactly one orientation of each member separation: as many
-        separations as handles, and as many as the system has."""
-        tau = set(tau)
-        self._check_members(tau)
-        return len({self.sep(h) for h in tau}) == len(tau) == len(self)
+    def is_orientation_mask(self, mask: int) -> bool:
+        """Exactly one orientation of each member separation: only members, as
+        many handles as separations, and with their inverses they cover the members."""
+        return (not mask & ~self.members and mask.bit_count() == len(self)
+                and mask | self._inverses(mask) == self.members)
+
+    @cached_property
+    def _flip(self):
+        return itemgetter(*self._inv, self.n_ground)
+
+    def _inverses(self, mask: int) -> int:
+        """The mask of the inverses of ``mask``'s handles.  ``_flip`` moves index
+        inv(h) of its bit string, read low bit first with a sentinel 1 at index
+        n, to index h: one C call, as ``transpose`` reads its columns."""
+        bits = format(mask | 1 << self.n_ground, "b")[::-1]
+        return int("".join(self._flip(bits))[::-1], 2) ^ 1 << self.n_ground
 
     def distinguishes(self, s: int, tau1, tau2) -> bool:
         """True iff both partial orientations orient ``s`` and differ on it.
@@ -420,8 +431,8 @@ class SeparationSystem:
 
 def _orientations(system, forbidden, seps=None, depths=None):
     """The consistent orientations of the member separations containing no
-    mask of ``forbidden``, generated in the lexicographic order of oriented
-    handles.
+    mask of ``forbidden``, as masks, generated in the lexicographic order of
+    oriented handles.
 
     Backtracking over separations in canonical-handle order (or ``seps``),
     trying the smaller oriented handle first.  Exhaustive and duplicate-free;
@@ -442,22 +453,22 @@ def _orientations(system, forbidden, seps=None, depths=None):
             due[i].append(m)
     incompat = system._incompat
     pushed = [system.orientations(s)[::-1] for s in seps]  # popped smaller first
-    stack = [(0, 0, ())]
+    stack = [(0, 0)]
     while stack:
-        i, cur_mask, cur = stack.pop()
-        if any(m & ~cur_mask == 0 for m in due[i]):
+        i, cur = stack.pop()
+        if any(m & ~cur == 0 for m in due[i]):
             continue
         if i in depths:
-            yield frozenset(cur)
+            yield cur
         if i == last:
             continue
         for h in pushed[i]:
-            if not incompat[h] & cur_mask:
-                stack.append((i + 1, cur_mask | 1 << h, cur + (h,)))
+            if not incompat[h] & cur:
+                stack.append((i + 1, cur | 1 << h))
 
 
 def orientations_avoiding(system, forbidden):
-    """The consistent orientations of the member separations containing no set
-    of ``forbidden``, as a list in ``_orientations`` order."""
-    return list(_orientations(system, map(mask_of, forbidden)))
+    """The consistent orientations of the member separations containing no
+    mask of ``forbidden``, as frozensets in ``_orientations`` order."""
+    return [frozenset(iter_mask(m)) for m in _orientations(system, forbidden)]
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache, partial
 
-from .core import _orientations, mask_of
+from .core import _orientations, iter_mask, mask_of
 from .errors import (
     AmbiguousShiftChoice,
     BothOrNeither,
@@ -100,7 +100,7 @@ class STree:
         return self.over_witness(family) is None
 
     def over_witness(self, family):
-        return next((t for t in self.nodes() if self.star_at(t) not in family.sets), None)
+        return next((t for t in self.nodes() if self.star_at(t) not in family), None)
 
     def to_json(self) -> dict:
         return {
@@ -162,9 +162,9 @@ def _check_star_family(system, family):
     A member with a handle outside the system lies in no orientation of it,
     as in ``forbidden.extends``, so it is skipped, not checked.
     """
-    for sigma in family.sets:
-        if not mask_of(sigma) & ~system.members and not system.is_star(sigma):
-            raise NonStarFamily(f"family member {sorted(sigma)} is not a star")
+    for m in family.masks:
+        if not m & ~system.members and not system.is_star(iter_mask(m)):
+            raise NonStarFamily(f"family member {sorted(iter_mask(m))} is not a star")
 
 
 def convert_ftree(tree, family):
@@ -421,7 +421,7 @@ def closed_under_shifting(system, family, order):
     for sigma, s, r in _replacements(system, family, order):
         if (not (system.is_trivial(s) or system.is_degenerate(s))
                 and emulating(r, s)
-                and shift_star(system, r, s, sigma) not in family.sets):
+                and shift_star(system, r, s, sigma) not in family):
             return False, (sigma, s, r)
     return True, None
 
@@ -451,14 +451,14 @@ def dichotomy(system, order, family, check_exclusive=False) -> DichotomyResult:
         raise HypothesisFailure(
             f"family not rich; counterexample orientation {sorted(witness)}")
 
-    tangle = next(_orientations(system, map(mask_of, family.sets)), None)
+    tangle = next(_orientations(system, family.masks), None)
     if tangle is not None:
         if check_exclusive:
             if not displayed_tangles(build_thorough_tst(system, order, family), family):
                 raise BothOrNeither("tangle exists but the structure tree has no "
                                     "tangle leaf")
             notes["exclusive"] = "structure tree has tangle leaves; no F-tree arises"
-        return DichotomyResult(kind="tangle", tangle=tangle, notes=notes)
+        return DichotomyResult(kind="tangle", tangle=frozenset(iter_mask(tangle)), notes=notes)
 
     if system.trivial_elements():
         raise TrivialElementsPresent(

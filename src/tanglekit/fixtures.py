@@ -108,11 +108,11 @@ def eclipse_closure(system, family, order) -> ForbiddenFamily:
     what they yield extends too.  The result is closed under eclipsing,
     hence rich.
     """
-    sets, frontier = set(family.sets), family.sets
+    sets, frontier = set(family.sets), family
     while frontier:
-        frontier = {(sigma - {x}) | {y}
-                    for sigma, x, y in _replacements(system, frontier, order)} - sets
-        sets |= frontier
+        frontier = ForbiddenFamily({(sigma - {x}) | {y} for sigma, x, y
+                                    in _replacements(system, frontier, order)} - sets)
+        sets |= frontier.sets
     return ForbiddenFamily(sets)
 
 

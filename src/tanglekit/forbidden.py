@@ -1,6 +1,6 @@
 """Forbidden families, their structural predicates, and tangle enumeration.
 
-A family is stored extensionally: a finite set of finite subsets of oriented
+A family is stored extensionally: the masks of finite sets of oriented
 handles, and nothing else.  Everything here is written against the
 brute-force oracles: richness and efficiency are exhaustive checks at desk
 scale, and eclipsing-closure loops over the family through the extension
@@ -20,45 +20,54 @@ FAMILY_SCHEMA = "tanglekit/forbidden-v1"
 
 
 class ForbiddenFamily:
-    """An immutable collection of forbidden subsets of oriented handles."""
+    """An immutable collection of forbidden subsets of oriented handles, held
+    as masks; ``ordered``, ``sets`` and iteration report them as frozensets."""
 
     def __init__(self, sets=()):
-        self.sets = frozenset(frozenset(s) for s in sets)
+        self._masks = frozenset(map(mask_of, sets))
+
+    @cached_property
+    def masks(self) -> tuple:
+        """The member masks by size, then by sorted handles: the witness order."""
+        return tuple(sorted(self._masks, key=lambda m: (m.bit_count(), [*iter_mask(m)])))
 
     @cached_property
     def ordered(self) -> tuple:
-        """The members by size, then by sorted handles: the witness order."""
-        return tuple(sorted(self.sets, key=lambda s: (len(s), sorted(s))))
+        """The members as frozensets, in witness order."""
+        return tuple(frozenset(iter_mask(m)) for m in self.masks)
+
+    @cached_property
+    def sets(self) -> frozenset:
+        return frozenset(self.ordered)
 
     def __iter__(self):
         return iter(self.ordered)
 
-    def first_inside(self, members):
-        """The first member in witness order that is a subset of ``members``, else None.
-
-        The empty set is a member like any other, so test the result with
-        ``is not None``.
-        """
-        return next((s for s in self.ordered if s <= members), None)
+    def first_inside(self, mask):
+        """The first member mask in witness order inside ``mask``, else None.
+        The empty set may be a member, with mask 0: test with ``is not None``."""
+        return next((m for m in self.masks if not m & ~mask), None)
 
     def __len__(self):
-        return len(self.sets)
+        return len(self._masks)
 
     def __contains__(self, s):
-        return frozenset(s) in self.sets
+        return mask_of(s) in self._masks
 
     def __eq__(self, other):
-        return isinstance(other, ForbiddenFamily) and self.sets == other.sets
+        return isinstance(other, ForbiddenFamily) and self._masks == other._masks
 
     def __hash__(self):
-        return hash(self.sets)
+        return hash(self._masks)
 
     def extended(self, new_sets) -> "ForbiddenFamily":
         """The union of this family and ``new_sets``."""
-        return ForbiddenFamily([*self.sets, *new_sets])
+        out = ForbiddenFamily(new_sets)
+        out._masks |= self._masks
+        return out
 
     def to_json(self) -> dict:
-        return {"schema": FAMILY_SCHEMA, "sets": [sorted(s) for s in self.ordered]}
+        return {"schema": FAMILY_SCHEMA, "sets": [[*iter_mask(m)] for m in self.masks]}
 
     @classmethod
     def from_json(cls, obj) -> "ForbiddenFamily":
@@ -66,12 +75,12 @@ class ForbiddenFamily:
         return cls(obj.get("sets", []))
 
     def __repr__(self):
-        return f"<ForbiddenFamily of {len(self.sets)} sets>"
+        return f"<ForbiddenFamily of {len(self)} sets>"
 
 
-def avoids(tau, family: ForbiddenFamily) -> bool:
-    """True iff no member of the family is a subset of tau."""
-    return family.first_inside(frozenset(tau)) is None
+def avoids(tau: int, family: ForbiddenFamily) -> bool:
+    """True iff no member of the family lies inside the mask tau."""
+    return family.first_inside(tau) is None
 
 
 # A consistent avoiding orientation of some S_k, with its threshold.
@@ -82,7 +91,7 @@ Tangle = namedtuple("Tangle", "elements k maximal", defaults=(None, False))
 
 def enumerate_tangles(system, family):
     """All F-tangles of the member separations, in lexicographic handle order."""
-    return orientations_avoiding(system, family.sets)
+    return orientations_avoiding(system, family.masks)
 
 
 def order_thresholds(system, order):
@@ -130,18 +139,14 @@ def maximal_tangles_in(system, family, order):
 
 def is_standard(family, system):
     """{s<-} must be forbidden for every trivial s->; returns (ok, missing)."""
-    missing = []
-    for h in system.elements():
-        if system.is_trivial(h) and frozenset({system.inv(h)}) not in family.sets:
-            missing.append(frozenset({system.inv(h)}))
+    missing = [frozenset({system.inv(h)}) for h in system.elements()
+               if system.is_trivial(h) and {system.inv(h)} not in family]
     return not missing, missing
 
 
 def standardize(family, system) -> ForbiddenFamily:
-    ok, missing = is_standard(family, system)
-    if ok:
-        return family
-    return family.extended(missing)
+    _, missing = is_standard(family, system)
+    return family.extended(missing) if missing else family
 
 
 # -- eclipsing and efficiency --------------------------------------------------
@@ -177,8 +182,8 @@ def is_strongly_efficient(system, order, sigma, tau) -> bool:
     return efficiency_witness(system, order, sigma, tau, strong=True) is None
 
 
-def extends(system, sigma) -> bool:
-    """True iff sigma lies in some consistent orientation of the members.
+def extends(system, mask: int) -> bool:
+    """True iff the set ``mask`` lies in some consistent orientation of the members.
 
     By the extension lemma (Diestel, *Abstract separation systems*, Order
     2018), a consistent partial orientation of a finite separation system S
@@ -187,7 +192,6 @@ def extends(system, sigma) -> bool:
     members, it holds no separation in both orientations (a degenerate one
     owns one handle), it is consistent, and no element is co-trivial.
     """
-    mask = mask_of(sigma)
     return not mask & ~system.members and not any(
         _clashes(system, mask, h) for h in iter_mask(mask))
 
@@ -219,8 +223,8 @@ def is_rich(system, family, order, layered=False):
     for end, s in enumerate(placed, 1):
         block[num[s]] = end, (reach := reach | 1 << s | 1 << inv[s])
     # layered, a member co-trivial in S may extend in a lower layer
-    live = [mask_of(s) for s in family.sets
-            if (not mask_of(s) & ~system.members if layered else extends(system, s))]
+    live = [m for m in family.masks
+            if (not m & ~system.members if layered else extends(system, m))]
     if not live:
         return True, None
     prune, top = [], defaultdict(list)  # top: layer end -> the members settled there
@@ -238,20 +242,21 @@ def is_rich(system, family, order, layered=False):
         top[end if layered else len(placed)].append(m)
 
     def first_holding(walk, members):
-        return next((tau for tau in walk if any(
-            not m & ~t for t in (mask_of(tau),) for m in members(tau))), None)
+        return next((tau for tau in walk if any(not m & ~tau for m in members(tau))), None)
 
     # the walk yields prefixes at the layer ends, of every order value or of S
     # alone; a member settled lower lay in the prefix read at its own end
     ends = sorted(end for end, _ in block.values()) if layered else [len(placed)]
     layer = None
     while ends and (tau := first_holding(_orientations(system, prune, placed, ends),
-                                         lambda tau: top[len(tau)])):
-        ends = [d for d in ends if d < len(tau)]
-        layer = system.restrict(block[num[placed[len(tau) - 1]]][1])
+                                         lambda tau: top[tau.bit_count()])):
+        depth = tau.bit_count()  # one handle per separation placed
+        ends = [d for d in ends if d < depth]
+        layer = system.restrict(block[num[placed[depth - 1]]][1])
     if layer is None:
         return True, None
-    return False, first_holding(_orientations(layer, prune), lambda tau: live)
+    return False, frozenset(iter_mask(first_holding(_orientations(layer, prune),
+                                                    lambda tau: live)))
 
 
 def _replacements(system, family, order):
@@ -260,11 +265,10 @@ def _replacements(system, family, order):
     consistent orientation tau reads tau only through sigma + y <= tau.
     Once sigma extends, sigma + y extends iff the member y does not clash
     with sigma, so only y is tested."""
-    for sigma in family:
-        if not extends(system, sigma):
+    for sigma, mask in zip(family, family.masks):
+        if not extends(system, mask):
             continue
-        mask = mask_of(sigma)
-        for x in sorted(sigma):
+        for x in iter_mask(mask):
             for y in _eclipsers(system, order, x, system.members, weak=True):
                 if not _clashes(system, mask, y):
                     yield sigma, x, y
@@ -274,7 +278,7 @@ def closed_under_eclipsing(system, family, order):
     """Replacement closure: sigma - x + y is a member for every (sigma, x, y)
     of ``_replacements``; witness (sigma, x, y) of the first failure."""
     for sigma, x, y in _replacements(system, family, order):
-        if (sigma - {x}) | {y} not in family.sets:
+        if (sigma - {x}) | {y} not in family:
             return False, (sigma, x, y)
     return True, None
 
@@ -293,10 +297,10 @@ def f_eff(system, family, order):
     ``extends``), "inconsistent", and "eclipsed-in-closure".
     """
     keep, report = [], []
-    for sigma in family.sets:
-        if mask_of(sigma) & ~system.members:
+    for sigma, mask in zip(family, family.masks):
+        if mask & ~system.members:
             report.append((sigma, "outside-system"))
-        elif not system.is_consistent(sigma):
+        elif not system.is_consistent_mask(mask):
             report.append((sigma, "inconsistent"))
         elif is_efficient(system, order, sigma, system.closure(sigma)):
             keep.append(sigma)
@@ -318,22 +322,14 @@ def robustness_family(uni, order, target=None) -> ForbiddenFamily:
     target = uni if target is None else target
     g = _universe_of(uni, "generator R")
     val = order.num
-    seps = uni.seps()
-    out = set()
-    for r in uni.elements():
-        if not target.contains(r):
-            continue
+    out = []
+    for r in filter(target.contains, uni.elements()):
         ri, vr = uni.inv(r), val[r]
-        for s in seps:
-            a = g.join(ri, s)
-            b = g.join(ri, uni.inv(s))
-            if not (val[a] < vr and val[b] < vr):
-                continue
-            triple = frozenset({r, a, b})
-            if any(uni.is_degenerate(x) for x in triple):
-                continue
-            if all(target.contains(x) for x in triple):
-                out.add(triple)
+        for s in uni.seps():
+            a, b = g.join(ri, s), g.join(ri, uni.inv(s))
+            if (val[a] < vr and val[b] < vr and target.contains(a) and target.contains(b)
+                    and not any(map(uni.is_degenerate, (r, a, b)))):
+                out.append((r, a, b))
     return ForbiddenFamily(out)
 
 
@@ -341,18 +337,11 @@ def profile_family(uni, target=None) -> ForbiddenFamily:
     """The profile triples {r->, s->, r<- v s<-} over all oriented pairs."""
     target = uni if target is None else target
     g = _universe_of(uni, "generator profiles")
-    out = set()
-    els = uni.elements()
+    els = list(filter(target.contains, uni.elements()))
+    out = []
     for i, r in enumerate(els):
-        if not target.contains(r):
-            continue
         for s in els[i:]:
-            if not target.contains(s):
-                continue
             third = g.join(uni.inv(r), uni.inv(s))
-            triple = frozenset({r, s, third})
-            if any(uni.is_degenerate(x) for x in triple):
-                continue
-            if target.contains(third):
-                out.add(triple)
+            if target.contains(third) and not any(map(uni.is_degenerate, (r, s, third))):
+                out.append((r, s, third))
     return ForbiddenFamily(out)

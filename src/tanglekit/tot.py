@@ -20,7 +20,6 @@ from .forbidden import (
     robustness_family,
 )
 from .tst import (
-    _path_closure,
     build_thorough_tst,
     build_tst_in_S,
     classify_leaves,
@@ -86,7 +85,7 @@ def check_tot_hypotheses(system, order, family, layered=False):
         failed["injective"] = ""
     if not is_order_threshold_restriction(system, order):
         failed["threshold_form"] = ""
-    missing = [t for t in robustness_family(uni, order, target=system) if t not in family.sets]
+    missing = [t for t in robustness_family(uni, order, target=system) if t not in family]
     if missing:
         failed["robustness_included"] = f"missing triple {sorted(missing[0])}"
     for name, sub in layers:
@@ -128,14 +127,9 @@ def is_critical(tree, v, order) -> bool:
         return False
     uni = sys.ground
     robust = robustness_family(uni, order, target=sys)
-    cl = _path_closure(tree, v)
-    for x in sys.orientations(tree.node_sep(v)):
-        if sys.is_cotrivial(x):
-            return True
-        probe = cl | {x}
-        if any(t <= probe for t in robust.sets):
-            return True
-    return False
+    cl = sys.closure_mask(tree.paths[v])
+    return any(sys.is_cotrivial(x) or robust.first_inside(cl | 1 << x) is not None
+               for x in sys.orientations(tree.node_sep(v)))
 
 
 # -- the layered tree of tangles -------------------------------------------------------

@@ -139,11 +139,18 @@ class SeparationTree:
 
     @classmethod
     def from_json(cls, system, obj) -> "SeparationTree":
+        """The tree of a ``to_json`` document.  An entry whose ``id`` is not its
+        index (``tree-node-id``), or a child that is no node or is listed twice
+        (``tree-child``), stops it; the witness is that id."""
         n = len(obj["nodes"])
         parent, labels = [-1] * n, [-1] * n
-        for entry in obj["nodes"]:
+        for v, entry in enumerate(obj["nodes"]):
+            if entry["id"] != v:
+                raise SystemValidationError("tree-node-id", witness=entry["id"])
             for c in entry["children"]:
-                parent[c] = entry["id"]
+                if c not in range(n) or parent[c] >= 0:
+                    raise SystemValidationError("tree-child", witness=c)
+                parent[c] = v
         for v, h in obj.get("beta", {}).items():
             labels[int(v)] = h
         return cls(system, parent, labels)
@@ -159,15 +166,10 @@ class SeparationTree:
 TstReport = namedtuple("TstReport", "ok failures leaf_classes")
 
 
-def _path_closure(tree, v) -> frozenset:
-    """The closure of the path labels beta_v."""
-    return frozenset(iter_mask(tree.system.closure_mask(tree.paths[v])))
-
-
 def _least_unoriented(system, order, closure):
-    """The separation of least order, then least handle, among those ``closure``
-    leaves unoriented; None when it orients them all."""
-    oriented = {system.sep(h) for h in closure}
+    """The separation of least order, then least handle, among those the mask
+    ``closure`` leaves unoriented; None when it orients them all."""
+    oriented = {system.sep(h) for h in iter_mask(closure)}
     return min((s for s in system.seps() if s not in oriented),
                key=lambda t: (order.num[t], t), default=None)
 
@@ -182,12 +184,13 @@ def classify_leaf(tree, family, leaf) -> LeafClass:
     memo = tree._classes.setdefault(family, {})
     if leaf not in memo:
         sys = tree.system
-        cl = _path_closure(tree, leaf)
-        if sys.is_consistent(cl) and sys.is_orientation(cl) and avoids(cl, family):
-            memo[leaf] = LeafClass(LEAF_TANGLE, cl)
+        cl = sys.closure_mask(tree.paths[leaf])
+        if avoids(cl, family) and sys.is_orientation_mask(cl) and sys.is_consistent_mask(cl):
+            memo[leaf] = LeafClass(LEAF_TANGLE, frozenset(iter_mask(cl)))
         else:
-            hit = family.first_inside(tree.beta(leaf))
-            memo[leaf] = _UNRESOLVED if hit is None else LeafClass(LEAF_FORBIDDEN, hit)
+            hit = family.first_inside(tree.paths[leaf])
+            memo[leaf] = (_UNRESOLVED if hit is None
+                          else LeafClass(LEAF_FORBIDDEN, frozenset(iter_mask(hit))))
     return memo[leaf]
 
 
@@ -210,10 +213,9 @@ def validate_separation_tree(tree) -> list:
             if len(seps) != 1:
                 failures.append((v, "children-orient-different-separations"))
                 continue
-            want = set(sys.orientations(next(iter(seps))))
-            if sorted(labels) != sorted(want) or len(labels) != len(want):
+            if sorted(labels) != list(sys.orientations(seps.pop())):
                 failures.append((v, "edge-labels-not-a-bijection"))
-        if not sys.is_consistent(tree.beta(v)):
+        if not sys.is_consistent_mask(tree.paths[v]):
             failures.append((v, "path-labels-inconsistent"))
     for leaf in tree.leaves():
         seen = set()
@@ -238,7 +240,7 @@ def _tst_report(tree, family, classes, maximal=None) -> TstReport:
         elif c.kind == LEAF_TANGLE and maximal is not None and c.witness not in maximal:
             failures.append((leaf, "tangle-leaf-not-a-maximal-tangle"))
     failures += [(v, "forbidden-subset-at-non-leaf") for v in tree.nodes()
-                 if not tree.is_leaf(v) and family.first_inside(tree.beta(v)) is not None]
+                 if not tree.is_leaf(v) and not avoids(tree.paths[v], family)]
     return TstReport(ok=not failures, failures=failures, leaf_classes=classes)
 
 
@@ -263,8 +265,8 @@ def is_thoroughly_ordered(tree, order) -> bool:
         sv = tree.node_sep(v)
         if sv is None:
             continue
-        cl = _path_closure(tree, v)
-        if sv in {sys.sep(h) for h in cl} or num[sv] != num[_least_unoriented(sys, order, cl)]:
+        cl = sys.closure_mask(tree.paths[v])
+        if mask_of(sys.orientations(sv)) & cl or num[sv] != num[_least_unoriented(sys, order, cl)]:
             return False
     return True
 
@@ -296,23 +298,24 @@ def build_thorough_tst(system, order, family) -> SeparationTree:
     stack = [(0, 0)]  # (node, beta mask)
     while stack:
         v, beta = stack.pop()
-        if family.first_inside(frozenset(iter_mask(beta))) is not None:
+        if not avoids(beta, family):
             continue  # forbidden leaf
-        cl = frozenset(iter_mask(system.closure_mask(beta)))
-        pair = system.consistency_witness(cl)
-        if pair is not None:
+        cl = system.closure_mask(beta)
+        if not system.is_consistent_mask(cl):
+            pair = system.consistency_witness(iter_mask(cl))
             raise TheoremViolation(f"closure of the path {sorted(iter_mask(beta))} "
                                    f"is inconsistent: pair {pair}")
         s = _least_unoriented(system, order, cl)
         if s is None:
             if avoids(cl, family):
                 continue  # tangle leaf
-            raise RichnessViolation(cl, family.first_inside(cl))
+            raise RichnessViolation(frozenset(iter_mask(cl)),
+                                    frozenset(iter_mask(family.first_inside(cl))))
         first = len(parent)
         for h in system.orientations(s):
             parent.append(v)
             edge_label.append(h)
-            if not system.is_consistent(iter_mask(beta | (1 << h))):
+            if not system.is_consistent_mask(beta | (1 << h)):
                 raise TheoremViolation(f"path {sorted(iter_mask(beta))} plus {h} "
                                        "is inconsistent")
         stack.extend((w, beta | (1 << edge_label[w]))
@@ -324,7 +327,7 @@ def display(tree, tau):
     """The unique leaf whose path labels sit inside the orientation ``tau``."""
     sys = tree.system
     tau = frozenset(tau)
-    if not sys.is_orientation(tau):
+    if not sys.is_orientation_mask(mask_of(tau)):
         raise SystemValidationError("not-an-orientation", witness=sorted(tau))
     v = tree.root
     while not tree.is_leaf(v):
@@ -338,7 +341,9 @@ def display(tree, tau):
 
 def is_efficient_tree(tree, order) -> bool:
     """Every leaf's path set is efficient in its own closure."""
-    return all(is_efficient(tree.system, order, tree.beta(leaf), _path_closure(tree, leaf))
+    sys = tree.system
+    return all(is_efficient(sys, order, tree.beta(leaf),
+                            iter_mask(sys.closure_mask(tree.paths[leaf])))
                for leaf in tree.leaves())
 
 
@@ -356,13 +361,12 @@ def necessity(tree, family) -> NecessityReport:
     """Per-edge and per-node necessity flags (edges are keyed by child node)."""
     sys = tree.system
     classes = classify_leaves(tree, family)
-    masks = [mask_of(s) for s in family.sets]
     edge_necessary_for = {v: [] for v in tree.nodes() if tree.parent[v] >= 0}
     for leaf, c in classes.items():
         beta = tree.paths[leaf]
         if c.kind == LEAF_FORBIDDEN:
             # the labels that every member inside beta holds
-            needs = reduce(and_, (m for m in masks if not m & ~beta), -1)
+            needs = reduce(and_, (m for m in family.masks if not m & ~beta), -1)
         elif c.kind == LEAF_TANGLE:
             # the labels that no label of beta lies below
             needs = mask_of(x for x in iter_mask(beta) if not sys._below(beta, x))
@@ -479,18 +483,18 @@ def _leaf_class_in_s(tree, family, order, leaf) -> LeafClass:
     if known.kind != LEAF_UNRESOLVED:
         return known
     sys = tree.system
-    cl = _path_closure(tree, leaf)
-    s = _least_unoriented(sys, order, cl) if sys.is_consistent(cl) else None
+    cl = sys.closure_mask(tree.paths[leaf])
+    s = _least_unoriented(sys, order, cl) if sys.is_consistent_mask(cl) else None
     if s is None:
         return _UNRESOLVED
     num, k = order.num, order.num[s]
-    tau = frozenset(h for h in cl if num[h] < k)
-    sub = sys.restrict(h for h in sys.elements() if num[h] < k)
-    if not sub.is_orientation(tau) or not avoids(tau, family):
+    below = mask_of(h for h in sys.elements() if num[h] < k)
+    tau = cl & below
+    if not sys.restrict(below).is_orientation_mask(tau) or not avoids(tau, family):
         return _UNRESOLVED
-    if any(family.first_inside(tree.beta(leaf) | {h}) is None for h in sys.orientations(s)):
+    if any(avoids(tree.paths[leaf] | 1 << h, family) for h in sys.orientations(s)):
         return _UNRESOLVED
-    return LeafClass(LEAF_TANGLE, tau)
+    return LeafClass(LEAF_TANGLE, frozenset(iter_mask(tau)))
 
 
 def build_tst_in_S(system, order, family) -> TstInS:

@@ -66,6 +66,19 @@ def naive_consistent_orientations(system):
     return [frozenset(pick) for pick in picks]
 
 
+def naive_first_inside(family, members):
+    """The first member inside ``members`` in witness order (by size, then by
+    sorted handles), found by a frozenset scan; None when there is none."""
+    hits = [s for s in family.sets if s <= members]
+    return min(hits, key=lambda s: (len(s), sorted(s)), default=None)
+
+
+def naive_is_orientation(system, tau):
+    """Only members, and exactly one orientation of each member separation:
+    the separations of tau's handles, sorted, are the system's, once each."""
+    return set(tau) <= set(system.elements()) and sorted(map(system.sep, tau)) == system.seps()
+
+
 def naive_avoids(tau, family):
     tau = frozenset(tau)
     return all(not set(s) <= tau for s in family)

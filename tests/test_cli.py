@@ -550,12 +550,18 @@ LADDER_INPUTS = {
     "P4": ("cbad", [("c", "b"), ("b", "a"), ("a", "d")]),
 }
 
-# sha256 of the artifacts of trees larger than P3's, keyed by "command:graph";
-# each entry is (graph, k of the star family, family file suffix, extra args).
-# The reductions make 18 (K1,4) and 11 (C5) contraction rounds; the layered
-# tree on P4 is pruned from 33 nodes to 27 and has an N of 2.  Every run
-# passes --unsafe-bounds, as the benchmark does: S_3 exceeds the default bound.
+# sha256 of the artifacts of trees larger than P3's, keyed by "command:graph",
+# plus ":no-k" for a run over the whole universe; each entry is (graph, k of
+# the star family, family file suffix, extra args).  The reductions at k=3
+# make 18 (K1,4) and 11 (C5) contraction rounds; the layered tree on P4 is
+# pruned from 33 nodes to 27 and has an N of 2.  The no-k reductions, of the
+# whole universe under the k=2 stars, make 176 rounds each.  Every run passes
+# --unsafe-bounds, as the benchmark does: S_3 exceeds the default bound.
 PINNED_LADDER_ARTIFACTS = {
+    "reduce:K1,4:no-k": (("K1,4", 2, "stars", []), {
+        "reduce.json": "6cb19266d2bc2c92fa06dba77d30162b2f4b1111e7a4c711d8f2215560cdf6a5"}),
+    "reduce:C5:no-k": (("C5", 2, "stars", []), {
+        "reduce.json": "4f130fdff381a023bb4c0e83afd8bd8d51f2f5e32563a2c27473bf561bb87141"}),
     "reduce:K1,4": (("K1,4", 3, "stars", ["--k", "3"]), {
         "reduce.json": "d8bd1eb7f78175702275675e6dd82b5fc3ffc68b557d988d8a6c6eaab011a7af"}),
     "reduce:C5": (("C5", 3, "stars", ["--k", "3"]), {

@@ -18,6 +18,7 @@ from oracles import (
 from test_lattice_rule import LADDER
 
 from tanglekit import core, duality, forbidden
+from tanglekit.core import mask_of
 from tanglekit.duality import closed_under_shifting, emulates, shift_star
 from tanglekit.fixtures import (
     chain2_system,
@@ -67,10 +68,10 @@ def assert_extends_by_brute_force(system, size):
     sets = [frozenset(c) for r in range(size + 1)
             for c in combinations(system.elements(), r)]
     for sigma in sets:
-        assert extends(system, sigma) == (sigma in want), sorted(sigma)
+        assert extends(system, mask_of(sigma)) == (sigma in want), sorted(sigma)
     outside = [h for h in range(system.n_ground) if not system.contains(h)]
     for h in outside:
-        assert not extends(system, {h}), h
+        assert not extends(system, mask_of({h})), h
     return len(sets) + len(outside)
 
 
@@ -96,9 +97,9 @@ def test_extends_rejects_both_orientations_and_cotrivial_elements():
     p3, _ = p3_universe()
     for h in p3.elements():
         i = p3.inv(h)
-        assert extends(p3, {h, i}) == (h == i and extends(p3, {h}))
+        assert extends(p3, mask_of({h, i})) == (h == i and extends(p3, mask_of({h})))
         if p3.is_cotrivial(h):
-            assert not extends(p3, {h})
+            assert not extends(p3, mask_of({h}))
     assert any(p3.is_cotrivial(h) for h in p3.elements())
 
 
@@ -208,7 +209,7 @@ def test_eclipse_closure_adds_only_extending_members_and_is_closed():
             stars = random_stars(u, random.Random(f"{i}:{j}"))
             fam = eclipse_closure(u, stars, o)
             added = fam.sets - stars.sets
-            assert all(extends(u, s) for s in added), (i, j)
+            assert all(extends(u, mask_of(s)) for s in added), (i, j)
             assert closed_under_eclipsing(u, fam, o) == (True, None), (i, j)
             grown += bool(added)
     assert grown >= 500  # 570 seen
@@ -224,7 +225,7 @@ def test_no_orientation_search_when_no_member_extends(monkeypatch):
     u, o = ladder("P6")
     fam = standardize(graph_tangle_stars(u, o, range(n), edges, 2), u)
     assert len(fam) == 82
-    assert not any(extends(u, s) for s in fam)
+    assert not any(extends(u, mask_of(s)) for s in fam)
     searches = []
 
     def counted(*args):
@@ -246,7 +247,7 @@ def test_richness_walk_starts_when_a_member_extends(monkeypatch):
     u, o = ladder("P4")
     system = restrict_Sk(u, o, 2)
     fam = standardize(graph_tangle_stars(u, o, range(n), edges, 2), system)
-    assert any(extends(system, s) for s in fam)
+    assert any(extends(system, mask_of(s)) for s in fam)
     searches, search = [], forbidden._orientations
 
     def counted(*args):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_closure, naive_consistent_orientations, naive_is_consistent
-from tanglekit.core import SeparationSystem
+from tanglekit.core import SeparationSystem, mask_of
 from tanglekit.errors import (
     InconsistentSet,
     SystemValidationError,
@@ -166,15 +166,16 @@ def test_stars_are_consistent(request, name):
     for size in (1, 2, 3):
         for sigma in itertools.combinations(els, size):
             if s.is_star(sigma):
-                assert s.is_consistent(sigma)
+                assert s.is_consistent_mask(mask_of(sigma))
 
 
 def test_inverse_pair_consistency_matches_definition(p3):
     u, _ = p3
     r = label_set(u, ["{a,b}|{b,c}"]).pop()
     # r != s clause: a pair of inverse orientations is never a witness
-    assert u.is_consistent({r, u.inv(r)}) == naive_is_consistent(u, {r, u.inv(r)})
-    assert u.is_consistent(set())
+    assert (u.is_consistent_mask(mask_of({r, u.inv(r)}))
+            == naive_is_consistent(u, {r, u.inv(r)}))
+    assert u.is_consistent_mask(mask_of(set()))
 
 
 @pytest.mark.parametrize("name", ALL_SYSTEMS)
@@ -183,7 +184,7 @@ def test_consistency_matches_naive(request, name):
     els = s.elements()
     import itertools
     for sigma in itertools.combinations(els, 2):
-        assert s.is_consistent(sigma) == naive_is_consistent(s, sigma)
+        assert s.is_consistent_mask(mask_of(sigma)) == naive_is_consistent(s, sigma)
 
 
 # -- closure ---------------------------------------------------------------------
@@ -218,11 +219,11 @@ def test_closure_matches_naive_and_idempotent(request, name):
     import itertools
     for size in (0, 1, 2):
         for sigma in itertools.combinations(els, size):
-            if not s.is_consistent(sigma):
+            if not s.is_consistent_mask(mask_of(sigma)):
                 continue
             cl = s.closure(sigma)
             assert cl == naive_closure(s, sigma)
-            if s.is_consistent(cl):
+            if s.is_consistent_mask(mask_of(cl)):
                 assert s.closure(cl) == cl
 
 
@@ -231,10 +232,10 @@ def test_closure_monotone(bip3):
     import itertools
     els = bip3.elements()
     for tau in itertools.combinations(els, 3):
-        if not bip3.is_consistent(tau):
+        if not bip3.is_consistent_mask(mask_of(tau)):
             continue
         for sigma in itertools.combinations(tau, 2):
-            if bip3.is_consistent(sigma):
+            if bip3.is_consistent_mask(mask_of(sigma)):
                 assert bip3.closure(sigma) <= bip3.closure(tau)
 
 
@@ -244,12 +245,12 @@ def test_closure_consistent_without_cotrivials(p3):
     s2 = restrict_Sk(u, o, 2)
     import itertools
     for sigma in itertools.combinations(s2.elements(), 2):
-        if not s2.is_consistent(sigma):
+        if not s2.is_consistent_mask(mask_of(sigma)):
             continue
         if any(s2.is_cotrivial(h) for h in sigma):
             continue
         cl = s2.closure(sigma)
-        assert s2.is_consistent(cl)
+        assert s2.is_consistent_mask(mask_of(cl))
         added = cl - set(sigma)
         for s in {s2.sep(h) for h in added}:
             assert len([h for h in added if s2.sep(h) == s]) <= 1
@@ -291,7 +292,7 @@ def test_consistent_partial_orientations_extend(p3):
     full = s2.consistent_orientations()
     import itertools
     for sigma in itertools.combinations(s2.elements(), 2):
-        if not s2.is_consistent(sigma):
+        if not s2.is_consistent_mask(mask_of(sigma)):
             continue
         if len({s2.sep(h) for h in sigma}) < 2:
             continue
@@ -369,7 +370,7 @@ def test_json_rejects_bad_ids():
 def test_closure_monotone_property(handles):
     bip = bipartition_universe([1, 2, 3])
     sigma = frozenset(handles)
-    if not bip.is_consistent(sigma):
+    if not bip.is_consistent_mask(mask_of(sigma)):
         return
     for h in sorted(sigma):
         smaller = sigma - {h}

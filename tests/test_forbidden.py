@@ -9,7 +9,7 @@ import pytest
 from oracles import naive_avoids, naive_is_rich, naive_tangles
 from test_lattice_rule import LADDER
 from tanglekit import forbidden
-from tanglekit.core import SeparationSystem, mask_of
+from tanglekit.core import SeparationSystem, iter_mask, mask_of
 from tanglekit.fixtures import (
     eclipse_closure,
     graph_tangle_stars,
@@ -56,6 +56,12 @@ def p3_family(p3, k=2):
 # -- the witness order ---------------------------------------------------------
 
 
+def first_member_inside(F, members):
+    """``F.first_inside`` on the mask of ``members``, read back as a set."""
+    hit = F.first_inside(mask_of(members))
+    return None if hit is None else frozenset(iter_mask(hit))
+
+
 def test_first_inside_is_the_least_member_by_size_then_handles(p3):
     u, o = p3
     F = p3_family(p3).extended([frozenset()])
@@ -64,10 +70,10 @@ def test_first_inside_is_the_least_member_by_size_then_handles(p3):
         for members in (tau, tau - {min(tau)}):
             hits = [s for s in F.sets if s <= members]
             least = min(hits, key=lambda s: (len(s), sorted(s)), default=None)
-            assert F.first_inside(members) == least
-    assert F.first_inside(frozenset()) == frozenset()
-    assert ForbiddenFamily([{0, 1}, {2}]).first_inside(frozenset({0, 1, 2})) == {2}
-    assert ForbiddenFamily([]).first_inside(frozenset({0})) is None
+            assert first_member_inside(F, members) == least
+    assert first_member_inside(F, frozenset()) == frozenset()
+    assert first_member_inside(ForbiddenFamily([{0, 1}, {2}]), frozenset({0, 1, 2})) == {2}
+    assert first_member_inside(ForbiddenFamily([]), frozenset({0})) is None
 
 
 # -- avoids ------------------------------------------------------------------
@@ -75,13 +81,13 @@ def test_first_inside_is_the_least_member_by_size_then_handles(p3):
 
 def test_avoids_empty_family(p3):
     u, _ = p3
-    assert avoids(set(u.elements()[:3]), ForbiddenFamily([]))
+    assert avoids(mask_of(u.elements()[:3]), ForbiddenFamily([]))
 
 
 def test_avoids_subset_member(chain2):
     F = ForbiddenFamily([{0, 2}])
-    assert not avoids({0, 2, 1}, F)
-    assert avoids({0, 1}, F)
+    assert not avoids(mask_of({0, 2, 1}), F)
+    assert avoids(mask_of({0, 1}), F)
 
 
 def test_avoids_matches_naive(p3):
@@ -89,7 +95,7 @@ def test_avoids_matches_naive(p3):
     F = p3_family(p3)
     s2 = restrict_Sk(u, o, 2)
     for tau in s2.consistent_orientations():
-        assert avoids(tau, F) == naive_avoids(tau, F)
+        assert avoids(mask_of(tau), F) == naive_avoids(tau, F)
 
 
 # -- tangle enumeration -----------------------------------------------------------
@@ -122,8 +128,8 @@ def test_tangles_in_thresholds_and_maximality(p3):
     # every record is a tangle of its own threshold's subsystem
     for t in records:
         sub = restrict_Sk(u, o, t.k)
-        assert sub.is_orientation(t.elements)
-        assert avoids(t.elements, F)
+        assert sub.is_orientation_mask(mask_of(t.elements))
+        assert avoids(mask_of(t.elements), F)
     maxima = maximal_tangles_in(u, F, o)
     for t in maxima:
         assert not any(t.elements < r.elements for r in records)
@@ -224,7 +230,7 @@ def test_richness_check_stops_at_its_first_counterexample(chain2, monkeypatch):
 
     def counted(*args):
         for tau in search(*args):
-            pulled.append(tau)
+            pulled.append(frozenset(iter_mask(tau)))
             yield tau
 
     monkeypatch.setattr(forbidden, "_orientations", counted)
@@ -327,7 +333,7 @@ def test_a_member_extending_only_below_s_is_read_in_its_layer():
     # out, their strongly efficient orientations would not be pruned
     u, inj, fam = full_family("C4", 2)
     layers = [restrict_Sk(u, inj, t) for t in order_thresholds(u, inj)]
-    below = [s for s in fam.sets if not extends(u, s)
+    below = [s for s in fam.sets if not extends(u, mask_of(s))
              and any(s <= tau for layer in layers for tau in layer.consistent_orientations())]
     assert below
     assert is_rich(u, fam, inj, layered=True) == (True, None) == naive_is_rich(
@@ -419,7 +425,7 @@ def test_robustness_triples_consistent(bip4):
             for h in bip4.elements()}
     o = OrderFunction(bip4, vals)
     for triple in robustness_family(bip4, o):
-        assert bip4.is_consistent(triple)
+        assert bip4.is_consistent_mask(mask_of(triple))
 
 
 def test_profile_family_matches_naive_double_loop(bip2):
@@ -438,7 +444,7 @@ def test_p3_tangles_avoid_profile_triples(p3):
     s2 = restrict_Sk(u, o, 2)
     P = profile_family(u, target=s2)
     for tau in enumerate_tangles(s2, p3_family(p3)):
-        assert avoids(tau, P)
+        assert avoids(mask_of(tau), P)
 
 
 def test_profile_excludes_degenerates(p3):

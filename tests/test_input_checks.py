@@ -116,6 +116,23 @@ def test_separation_tree_read_back_needs_a_handle_on_every_edge(beta, want):
     assert got == ("tree-edge-label", want)
 
 
+@pytest.mark.parametrize("nodes,axiom,want", [
+    ([{"id": 0, "children": [-1]}, {"id": 1, "children": []}], "tree-child", -1),
+    ([{"id": 0, "children": [2]}, {"id": 1, "children": []}], "tree-child", 2),
+    ([{"id": 0, "children": [1, 2]}, {"id": 1, "children": [2]}, {"id": 2, "children": []}],
+     "tree-child", 2),
+    ([{"id": 0, "children": [1]}, {"id": 5, "children": []}], "tree-node-id", 5),
+], ids=["child-minus-one", "child-outside", "two-parents", "id-not-index"])
+def test_separation_tree_read_back_needs_each_node_once_by_its_index(nodes, axiom, want):
+    # each was read back as a tree or failed with IndexError: -1 indexes the
+    # last node, 2 is past the end, the second parent overwrites the first,
+    # and a stray id is never read
+    beta = {str(v): 0 for v in range(1, len(nodes))}
+    obj = {"schema": "tanglekit/tree-v1", "root": 0, "nodes": nodes, "beta": beta}
+    got = axiom_and_witness(lambda: SeparationTree.from_json(chain2_system(), obj))
+    assert got == (axiom, want)
+
+
 # -- universes ----------------------------------------------------------------------
 
 

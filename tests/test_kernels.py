@@ -14,9 +14,12 @@ import pytest
 from oracles import (
     naive_down_sets,
     naive_eclipse_flags,
+    naive_first_inside,
     naive_gamma,
     naive_graph_sides,
     naive_graph_tangle_stars,
+    naive_is_consistent,
+    naive_is_orientation,
     naive_is_star,
     naive_join_table,
     naive_meet_table,
@@ -34,9 +37,10 @@ from tanglekit.fixtures import (
     chain_universe,
     graph_tangle_stars,
     ptriv_system,
+    random_star_family,
     random_universes,
 )
-from tanglekit.forbidden import _eclipsers
+from tanglekit.forbidden import _eclipsers, standardize
 from tanglekit.orderfn import (
     OrderFunction,
     _numeral,
@@ -284,6 +288,48 @@ def test_consistency_witness_on_small_systems():
         assert_witnesses_pairwise(
             uni, random_subsets(uni, rng, 30) + [rng.choice(taus) | {h} for h in
                                                  uni.elements()])
+
+
+# -- the mask forms of the set predicates -----------------------------------------
+
+
+DESK_GRAPHS = {"P3": _path(3), "C4": _cycle(4), "K4": (4, list(combinations(range(4), 2)))}
+
+
+def desk_cases():
+    """(system, family): S_k of P3, C4 and K4 for every k <= 2 with the
+    standardized k=2 stars, then three seeded random universes with random
+    eclipse-closed stars."""
+    for n, edges in DESK_GRAPHS.values():
+        u, o = graph_universe(range(n), edges)
+        stars = graph_tangle_stars(u, o, range(n), edges, 2)
+        for k in (0, 1, 2):
+            sk = restrict_Sk(u, o, k)
+            yield sk, standardize(stars, sk)
+    rng = random.Random(13)
+    for u, o in randoms()[:3]:
+        yield u, random_star_family(u, o, rng)
+
+
+def test_mask_forms_agree_with_the_set_definitions():
+    # every subset of the members: first_inside names the member a frozenset
+    # scan in witness order finds, and the mask predicates agree with the set
+    # definitions (consistency_witness and the oracles)
+    for system, family in desk_cases():
+        masks = [0]
+        for h in system.elements():
+            masks += [m | 1 << h for m in masks]
+        small = len(masks) <= 1 << 10  # the pair-by-pair oracles, on 10 handles at most
+        for mask in masks:
+            sigma = frozenset(iter_mask(mask))
+            hit = family.first_inside(mask)
+            assert (hit if hit is None else frozenset(iter_mask(hit))) == naive_first_inside(
+                family, sigma), sorted(sigma)
+            consistent = system.is_consistent_mask(mask)
+            assert consistent == (system.consistency_witness(sigma) is None), sorted(sigma)
+            orientation = naive_is_orientation(system, sigma)
+            assert system.is_orientation_mask(mask) == orientation, sorted(sigma)
+            assert not small or consistent == naive_is_consistent(system, sigma), sorted(sigma)
 
 
 # -- graph separations and tangle stars ---------------------------------------------

@@ -127,7 +127,7 @@ def test_order_values_compared_as_integers_outside_orderfn():
 # give the star test as SeparationSystem._star_row, and the predicates that
 # give the replacement rule as forbidden._replacements.
 FIXTURE_UNREAD = {"_up", "_down", "_incompat", "_req",
-                  "is_consistent", "consistency_witness", "is_cotrivial", "_eclipsers"}
+                  "is_consistent_mask", "consistency_witness", "is_cotrivial", "_eclipsers"}
 
 
 def test_fixtures_reuse_the_star_row_and_the_replacement_rule():
@@ -159,6 +159,36 @@ def test_orientation_search_only_where_whole_orientations_are_needed():
                     and (path.name, fn) not in ORIENTATION_SEARCHERS):
                 found.append(f"{path.name}:{node.lineno} {fn} reads {name}")
     assert not found, f"orientation searches outside their readers: {found}"
+
+
+# The readers of a family that report its members as sets, and the functions
+# of tst.py that make a set of handles from a mask: the path labels, a leaf's
+# witness, the builder's richness refutation and the layered tangle witness.
+FAMILY_SET_READERS = {"sets", "ordered"}
+TST_SET_MAKERS = {"beta", "classify_leaf", "build_thorough_tst", "_leaf_class_in_s"}
+
+
+def test_family_masks_are_read_and_sets_made_only_where_reported():
+    # a family holds its members as masks; a function outside forbidden.py
+    # that reads them as sets and masks them again pays a round trip, and so
+    # does tst.py turning a mask into a set it does not report
+    reads = {}
+    found = []
+    for path, tree in package_trees():
+        for node, fn in nodes_in_functions(tree):
+            name = getattr(node, "attr", getattr(node, "id", None))
+            if isinstance(node, ast.Attribute) and name in FAMILY_SET_READERS or name == "mask_of":
+                reads.setdefault((path.name, fn), set()).add(name)
+            if (path.name == "tst.py" and isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "frozenset" and node.args
+                    and isinstance(node.args[0], ast.Call)
+                    and getattr(node.args[0].func, "id", None) == "iter_mask"
+                    and fn not in TST_SET_MAKERS):
+                found.append(f"tst.py:{node.lineno} {fn} makes a set from a mask")
+    found += [f"{file} {fn} masks a family's {sorted(names & FAMILY_SET_READERS)}"
+              for (file, fn), names in reads.items()
+              if file != "forbidden.py" and "mask_of" in names and names & FAMILY_SET_READERS]
+    assert not found, f"family sets masked again, or sets made from masks: {found}"
 
 
 # The predicates of the tree-of-tangles hypotheses that read the whole

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from oracles import naive_is_rich
+from tanglekit.core import mask_of
 from tanglekit.errors import HypothesisFailure, PreconditionError
 from tanglekit.fixtures import (
     _cut_order,
@@ -357,7 +358,7 @@ def is_non_profile_case(uni, sk, tangles):
     """Two or more tangles, one of which holds a profile triple and so is no
     profile: a case the theorem covers beyond profiles."""
     profiles = profile_family(uni, target=sk)
-    return len(tangles) >= 2 and any(profiles.first_inside(t) is not None for t in tangles)
+    return len(tangles) >= 2 and any(profiles.first_inside(mask_of(t)) is not None for t in tangles)
 
 
 def assert_layered_tangle_nodes(res, fam):

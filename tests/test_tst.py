@@ -5,7 +5,7 @@ import json
 import pytest
 
 from oracles import beta_by_path_walk, naive_gated_reduce
-from tanglekit.core import SeparationSystem
+from tanglekit.core import SeparationSystem, mask_of
 from tanglekit.errors import (
     NonInjectiveOrder,
     NotStandard,
@@ -281,7 +281,7 @@ def test_richness_violation_diagnostic(p3_setting):
     with pytest.raises(RichnessViolation) as e:
         build_thorough_tst(s2, o2, fam)
     assert e.value.forbidden_subset in fam.sets
-    assert s2.is_orientation(e.value.closure)
+    assert s2.is_orientation_mask(mask_of(e.value.closure))
 
 
 # -- display ---------------------------------------------------------------------
@@ -568,8 +568,8 @@ def test_full_tree_nonleaves_are_layer_tangle_leaves(p3_layered):
         k = min(o2.of(s) for s in unoriented)
         sub = restrict_Sk(u, o2, k)
         tau = frozenset(h for h in cl if o2.of(h) < k)
-        assert sub.is_orientation(tau)
-        assert avoids(tau, F)
+        assert sub.is_orientation_mask(mask_of(tau))
+        assert avoids(mask_of(tau), F)
         layer_tree = build_thorough_tst(sub, o2, F)
         leaf = display(layer_tree, tau)
         from tanglekit.tst import classify_leaf
