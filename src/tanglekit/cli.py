@@ -140,9 +140,9 @@ def load_family(args, uni, system, order):
         if directive == "R":
             if order is None:
                 raise PreconditionError("generator R needs an order function")
-            fam = fam.extended(robustness_family(uni, order, target=system).sets)
+            fam = fam.extended(robustness_family(uni, order, target=system))
         elif directive == "profiles":
-            fam = fam.extended(profile_family(uni, target=system).sets)
+            fam = fam.extended(profile_family(uni, target=system))
         elif directive == "standardize":
             fam = standardize(fam, system)
         else:

@@ -32,6 +32,7 @@ from .tst import (
     _check_thorough_preconditions,
     build_thorough_tst,
     displayed_tangles,
+    leaf_needs,
     necessity,
     reduce_irreducible,
     validate_tst,
@@ -186,7 +187,7 @@ def convert_ftree(tree, family):
         raise SystemValidationError("not-a-tst", witness=rep.failures[0])
     if displayed_tangles(tree, family):
         raise PreconditionError("tree has tangle leaves; not an F-tree")
-    nec = necessity(tree, family)
+    nec = necessity(tree, leaf_needs(sys, family))
     if not nec.irreducible:
         bad = sorted(v for v, ok in nec.node_necessary.items() if not ok)
         raise NotIrreducible(f"unnecessary nodes {bad}")

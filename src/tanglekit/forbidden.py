@@ -60,10 +60,10 @@ class ForbiddenFamily:
     def __hash__(self):
         return hash(self._masks)
 
-    def extended(self, new_sets) -> "ForbiddenFamily":
-        """The union of this family and ``new_sets``."""
-        out = ForbiddenFamily(new_sets)
-        out._masks |= self._masks
+    def extended(self, other) -> "ForbiddenFamily":
+        """The union of this family and the family ``other``."""
+        out = ForbiddenFamily()
+        out._masks = self._masks | other._masks
         return out
 
     def to_json(self) -> dict:
@@ -146,7 +146,7 @@ def is_standard(family, system):
 
 def standardize(family, system) -> ForbiddenFamily:
     _, missing = is_standard(family, system)
-    return family.extended(missing) if missing else family
+    return family.extended(ForbiddenFamily(missing)) if missing else family
 
 
 # -- eclipsing and efficiency --------------------------------------------------

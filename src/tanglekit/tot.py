@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from .core import iter_mask
 from .errors import HypothesisFailure
 from .forbidden import (
     enumerate_tangles,
@@ -85,9 +86,10 @@ def check_tot_hypotheses(system, order, family, layered=False):
         failed["injective"] = ""
     if not is_order_threshold_restriction(system, order):
         failed["threshold_form"] = ""
-    missing = [t for t in robustness_family(uni, order, target=system) if t not in family]
+    members = set(family.masks)
+    missing = [m for m in robustness_family(uni, order, target=system).masks if m not in members]
     if missing:
-        failed["robustness_included"] = f"missing triple {sorted(missing[0])}"
+        failed["robustness_included"] = f"missing triple {sorted(iter_mask(missing[0]))}"
     for name, sub in layers:
         ok, singletons = is_standard(family, sub)
         if not ok:

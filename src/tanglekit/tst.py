@@ -17,7 +17,7 @@ result once against four gates; see reduce_irreducible.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import reduce
+from functools import cache, reduce
 from operator import and_
 
 from .core import iter_mask, mask_of
@@ -77,7 +77,6 @@ class SeparationTree:
         for w in walk[1:]:
             paths[w] = paths[self.parent[w]] | 1 << self.edge_label[w]
         self.paths = tuple(paths)
-        self._classes = {}  # family -> {leaf: LeafClass}, filled by classify_leaf
 
     def __len__(self):
         return len(self.parent)
@@ -140,8 +139,9 @@ class SeparationTree:
     @classmethod
     def from_json(cls, system, obj) -> "SeparationTree":
         """The tree of a ``to_json`` document.  An entry whose ``id`` is not its
-        index (``tree-node-id``), or a child that is no node or is listed twice
-        (``tree-child``), stops it; the witness is that id."""
+        index (``tree-node-id``), a child that is no node or is listed twice
+        (``tree-child``), or a ``beta`` key that is not the decimal id of a
+        non-root node (``tree-beta-key``) stops it; the witness is that id or key."""
         n = len(obj["nodes"])
         parent, labels = [-1] * n, [-1] * n
         for v, entry in enumerate(obj["nodes"]):
@@ -151,8 +151,11 @@ class SeparationTree:
                 if c not in range(n) or parent[c] >= 0:
                     raise SystemValidationError("tree-child", witness=c)
                 parent[c] = v
-        for v, h in obj.get("beta", {}).items():
-            labels[int(v)] = h
+        slots = {str(v): v for v in range(n) if parent[v] >= 0}
+        for key, h in obj.get("beta", {}).items():
+            if key not in slots:
+                raise SystemValidationError("tree-beta-key", witness=key)
+            labels[slots[key]] = h
         return cls(system, parent, labels)
 
     def __repr__(self):
@@ -174,29 +177,21 @@ def _least_unoriented(system, order, closure):
                key=lambda t: (order.num[t], t), default=None)
 
 
-def classify_leaf(tree, family, leaf) -> LeafClass:
-    """A tangle leaf when the path closure is an F-tangle, else a forbidden leaf
-    witnessed by the first member inside the path, else unresolved.
-
-    Memoized on the tree per family.  Nothing else fills the memo, so a
-    validator that reads it judges a built tree independently of its builder.
-    """
-    memo = tree._classes.setdefault(family, {})
-    if leaf not in memo:
-        sys = tree.system
-        cl = sys.closure_mask(tree.paths[leaf])
-        if avoids(cl, family) and sys.is_orientation_mask(cl) and sys.is_consistent_mask(cl):
-            memo[leaf] = LeafClass(LEAF_TANGLE, frozenset(iter_mask(cl)))
-        else:
-            hit = family.first_inside(tree.paths[leaf])
-            memo[leaf] = (_UNRESOLVED if hit is None
-                          else LeafClass(LEAF_FORBIDDEN, frozenset(iter_mask(hit))))
-    return memo[leaf]
+def classify_leaf(system, family, beta) -> LeafClass:
+    """The class of a leaf whose root path has the label mask ``beta``: a
+    tangle leaf when the path closure is an F-tangle, else a forbidden leaf
+    witnessed by the first member inside the path, else unresolved."""
+    cl = system.closure_mask(beta)
+    if avoids(cl, family) and system.is_orientation_mask(cl) and system.is_consistent_mask(cl):
+        return LeafClass(LEAF_TANGLE, frozenset(iter_mask(cl)))
+    hit = family.first_inside(beta)
+    return _UNRESOLVED if hit is None else LeafClass(LEAF_FORBIDDEN, frozenset(iter_mask(hit)))
 
 
 def classify_leaves(tree, family) -> dict:
     """leaf -> LeafClass for every leaf of the tree, in leaf order."""
-    return {leaf: classify_leaf(tree, family, leaf) for leaf in tree.leaves()}
+    return {leaf: classify_leaf(tree.system, family, tree.paths[leaf])
+            for leaf in tree.leaves()}
 
 
 def validate_separation_tree(tree) -> list:
@@ -350,44 +345,41 @@ def is_efficient_tree(tree, order) -> bool:
 # -- necessity and reduction --------------------------------------------------------
 
 
+def leaf_needs(system, family):
+    """A cached function from a leaf's root-path mask beta to the labels the
+    leaf needs: for a forbidden leaf, those every member inside beta holds;
+    for a tangle leaf, those of beta that no label of beta lies below; else none."""
+
+    @cache
+    def needs(beta):
+        kind = classify_leaf(system, family, beta).kind
+        if kind == LEAF_FORBIDDEN:
+            return reduce(and_, (m for m in family.masks if not m & ~beta))
+        if kind == LEAF_TANGLE:
+            return mask_of(x for x in iter_mask(beta) if not system._below(beta, x))
+        return 0
+
+    return needs
+
+
 # edge_necessary_for: child node -> list of leaves the edge is necessary for;
-# node_necessary: non-leaf node -> bool; irreducible: bool; leaf_classes:
-# leaf -> LeafClass.
-NecessityReport = namedtuple(
-    "NecessityReport", "edge_necessary_for node_necessary irreducible leaf_classes")
+# node_necessary: non-leaf node -> bool; irreducible: bool.
+NecessityReport = namedtuple("NecessityReport", "edge_necessary_for node_necessary irreducible")
 
 
-def necessity(tree, family) -> NecessityReport:
-    """Per-edge and per-node necessity flags (edges are keyed by child node)."""
-    sys = tree.system
-    classes = classify_leaves(tree, family)
+def necessity(tree, needs) -> NecessityReport:
+    """Per-edge and per-node necessity flags (edges are keyed by child node);
+    ``needs`` gives a leaf's needed labels from its path mask (``leaf_needs``)."""
     edge_necessary_for = {v: [] for v in tree.nodes() if tree.parent[v] >= 0}
-    for leaf, c in classes.items():
-        beta = tree.paths[leaf]
-        if c.kind == LEAF_FORBIDDEN:
-            # the labels that every member inside beta holds
-            needs = reduce(and_, (m for m in family.masks if not m & ~beta), -1)
-        elif c.kind == LEAF_TANGLE:
-            # the labels that no label of beta lies below
-            needs = mask_of(x for x in iter_mask(beta) if not sys._below(beta, x))
-        else:
-            continue  # an unresolved leaf needs no edge
-        w = leaf
+    for leaf in tree.leaves():
+        need, w = needs(tree.paths[leaf]), leaf
         while tree.parent[w] >= 0:
-            if needs >> tree.edge_label[w] & 1:
+            if need >> tree.edge_label[w] & 1:
                 edge_necessary_for[w].append(leaf)
             w = tree.parent[w]
-    node_necessary = {}
-    for v in tree.nodes():
-        if tree.is_leaf(v):
-            continue
-        node_necessary[v] = all(edge_necessary_for[w] for w in tree.children[v])
-    return NecessityReport(
-        edge_necessary_for=edge_necessary_for,
-        node_necessary=node_necessary,
-        irreducible=all(node_necessary.values()),
-        leaf_classes=classes,
-    )
+    node_necessary = {v: all(edge_necessary_for[w] for w in tree.children[v])
+                      for v in tree.nodes() if not tree.is_leaf(v)}
+    return NecessityReport(edge_necessary_for, node_necessary, all(node_necessary.values()))
 
 
 def displayed_tangles(tree, family) -> frozenset:
@@ -443,14 +435,16 @@ def reduce_irreducible(tree, family, order) -> SeparationTree:
     gates ``validate_tst``, ``is_ordered``, ``is_efficient_tree`` and "displays
     the input's tangles" are the checked postcondition, not a cited theorem:
     they run once on the result, in that order, and the first that fails
-    raises TheoremViolation naming it.
+    raises TheoremViolation naming it.  The rounds share one ``leaf_needs``
+    table; the gates classify the result afresh and read none of it.
     """
-    current, rep = tree, necessity(tree, family)
+    needs = leaf_needs(tree.system, family)
+    current, rep = tree, necessity(tree, needs)
     while not rep.irreducible:
         v = min(v for v, needed in rep.node_necessary.items() if not needed)
         w = next(w for w in current.children[v] if not rep.edge_necessary_for[w])
         current = _contract_move(current, v, w)
-        rep = necessity(current, family)
+        rep = necessity(current, needs)
     if current is tree:
         return tree
     gates = (("validate_tst", lambda: validate_tst(current, family).ok),
@@ -479,10 +473,10 @@ def _leaf_class_in_s(tree, family, order, leaf) -> LeafClass:
     path closure; maximality is certified intrinsically by both one-step
     extensions being forbidden.
     """
-    known = classify_leaf(tree, family, leaf)
+    sys = tree.system
+    known = classify_leaf(sys, family, tree.paths[leaf])
     if known.kind != LEAF_UNRESOLVED:
         return known
-    sys = tree.system
     cl = sys.closure_mask(tree.paths[leaf])
     s = _least_unoriented(sys, order, cl) if sys.is_consistent_mask(cl) else None
     if s is None:

@@ -236,10 +236,12 @@ def naive_gated_reduce(tree, family, order):
     contraction of an unnecessary node v (ascending) into a child w of v
     (in order) whose edge no leaf needs, and keeps the first result that is
     still a TST, ordered, efficient, and displays the input's tangles.
-    Raises AssertionError when a reducible tree has no such move."""
+    Each round classifies its leaves with a fresh ``leaf_needs`` table, so
+    nothing is shared across rounds.  Raises AssertionError when a
+    reducible tree has no such move."""
     from tanglekit.tst import (
         _contract_move, displayed_tangles, is_efficient_tree, is_ordered,
-        necessity, validate_tst)
+        leaf_needs, necessity, validate_tst)
 
     target = displayed_tangles(tree, family)
 
@@ -249,7 +251,7 @@ def naive_gated_reduce(tree, family, order):
                 and displayed_tangles(cand, family) == target)
 
     current = tree
-    while not (rep := necessity(current, family)).irreducible:
+    while not (rep := necessity(current, leaf_needs(current.system, family))).irreducible:
         moves = (_contract_move(current, v, w)
                  for v in sorted(rep.node_necessary) if not rep.node_necessary[v]
                  for w in current.children[v] if not rep.edge_necessary_for[w])

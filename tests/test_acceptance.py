@@ -66,6 +66,7 @@ from tanglekit.tst import (
     classify_leaf,
     display,
     displayed_tangles,
+    leaf_needs,
     necessity,
     validate_tst,
 )
@@ -127,7 +128,7 @@ def suite():
         for k in ks:
             sk = restrict_Sk(uni, inj, k)
             fam = standardize(graph_tangle_stars(uni, base, verts, edges, k), sk)
-            fam = fam.extended(robustness_family(uni, inj, target=sk).sets)
+            fam = fam.extended(robustness_family(uni, inj, target=sk))
             cases.append(_case(f"{tag}-k{k}", sk, inj, fam))
 
     heavy = bipartition_universe([1, 2, 3])
@@ -142,8 +143,7 @@ def suite():
     for i, (uni, o) in enumerate(random_universes(count=100, seed=2024)):
         oi = refine_injective(uni.ground, o)
         fam = standardize(robustness_family(uni.ground, oi, target=uni), uni)
-        fam = eclipse_closure(uni, fam.extended(
-            random_star_family(uni, oi, rng).sets), oi)
+        fam = eclipse_closure(uni, fam.extended(random_star_family(uni, oi, rng)), oi)
         c = _case(f"rand-{i}", uni, oi, fam)
         randoms.append(c)
         cases.append(c)
@@ -178,7 +178,7 @@ def test_criterion_1_display(suite, trees):
             assert len(set(leaves)) == len(brute), c.name
             for t in brute:
                 leaf = display(tree, t)
-                assert classify_leaf(tree, c.family, leaf).witness == t
+                assert classify_leaf(c.system, c.family, tree.paths[leaf]).witness == t
             displayed_any += len(brute)
         elapsed = time.perf_counter() - started
         assert displayed_any > 0
@@ -350,12 +350,12 @@ def test_criterion_8_layered_tree_of_tangles(suite):
         o3i = refine_injective(p3, o3)
         fam3 = standardize(
             graph_tangle_stars(p3, o3, "abc", [("a", "b"), ("b", "c")], 4), p3)
-        fam3 = fam3.extended(robustness_family(p3, o3i).sets)
+        fam3 = fam3.extended(robustness_family(p3, o3i))
         p4, o4 = p4_universe()
         o4i = refine_injective(p4, o4)
         fam4 = standardize(graph_tangle_stars(
             p4, o4, "abcd", [("a", "b"), ("b", "c"), ("c", "d")], 5), p4)
-        fam4 = fam4.extended(robustness_family(p4, o4i).sets)
+        fam4 = fam4.extended(robustness_family(p4, o4i))
         layered = [("p3-full", p3, o3i, fam3), ("p4-full", p4, o4i, fam4)]
         for c in randoms[:40]:
             layered.append((c.name, c.system, c.order, c.family))
@@ -469,7 +469,7 @@ def test_criterion_10_negative_controls():
         fam = standardize(
             graph_tangle_stars(p3, o3, "abc", [("a", "b"), ("b", "c")], 2), s2)
         tree = build_thorough_tst(s2, o3i, fam)
-        rep = necessity(tree, fam)
+        rep = necessity(tree, leaf_needs(s2, fam))
         assert not rep.irreducible
         assert any(not ok for ok in rep.node_necessary.values())
 

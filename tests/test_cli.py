@@ -202,7 +202,7 @@ def test_richness_violation_exit_3(workdir, capsys):
     s2 = restrict_Sk(u, o, 2)
     top = max(s2.seps(), key=o2.of)
     fam = standardize(ForbiddenFamily([]), s2)
-    obj = fam.extended([{s2.orientations(top)[0]}]).to_json()
+    obj = fam.extended(ForbiddenFamily([{s2.orientations(top)[0]}])).to_json()
     obj["generate"] = ["standardize"]
     (workdir / "poor.json").write_text(json.dumps(obj))
     code, _ = run(workdir, "tst", "--input", str(workdir / "p3.graph"),
@@ -725,7 +725,7 @@ def stars2_r_family():
     u, o = p3_universe()
     fam = graph_tangle_stars(u, o, "abc", [("a", "b"), ("b", "c")], 2)
     r = robustness_family(u, refine_injective(u, o), target=u)
-    return u, o, standardize(fam.extended(r.sets), u)
+    return u, o, standardize(fam.extended(r), u)
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
@@ -1201,7 +1201,8 @@ def poor_family_text():
     u, o = p3_universe()
     s2 = restrict_Sk(u, o, 2)
     top = max(s2.seps(), key=refine_injective(u, o).of)
-    obj = standardize(ForbiddenFamily([]), s2).extended([{s2.orientations(top)[0]}]).to_json()
+    obj = standardize(ForbiddenFamily([]), s2).extended(
+        ForbiddenFamily([{s2.orientations(top)[0]}])).to_json()
     obj["generate"] = ["standardize"]
     return json.dumps(obj)
 

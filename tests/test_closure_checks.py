@@ -120,7 +120,7 @@ def ladder_cases():
         for k in (1, 2, 3):
             system = restrict_Sk(u, o, k)
             stars = graph_tangle_stars(u, o, range(n), edges, k)
-            with_r = stars.extended(robustness_family(u, o2, target=system).sets)
+            with_r = stars.extended(robustness_family(u, o2, target=system))
             for fam in (stars, standardize(stars, system), standardize(with_r, system),
                         planted_singleton(system, 0)):
                 yield f"{name}-k{k}", system, fam, o2

@@ -279,9 +279,9 @@ def test_reducible_star_ftree_may_cross(bip4):
     sub = bip4.restrict([r, ri, s, si])
     fam = ForbiddenFamily([{s}, {si}, {ri}])
     tree = SeparationTree(sub, [-1, 0, 0, 1, 1], [-1, r, ri, s, si])
-    from tanglekit.tst import validate_tst, necessity
+    from tanglekit.tst import leaf_needs, necessity, validate_tst
     assert validate_tst(tree, fam).ok
-    assert not necessity(tree, fam).irreducible
+    assert not necessity(tree, leaf_needs(sub, fam)).irreducible
     assert not check_nested_corollary(tree)
 
 
@@ -654,7 +654,7 @@ def test_dichotomy_skips_a_member_outside_the_system(tangleless):
     # check skips it and f_eff drops it, as the tangle branch ignores it
     s2t, o2, fam, _ = tangleless
     outside = next(h for h in s2t.ground.elements() if not s2t.contains(h))
-    res = dichotomy(s2t, o2, fam.extended([{outside}]), check_exclusive=True)
+    res = dichotomy(s2t, o2, fam.extended(ForbiddenFamily([{outside}])), check_exclusive=True)
     want = dichotomy(s2t, o2, fam, check_exclusive=True)
     assert res.kind == want.kind == "stree"
     assert (res.stree.n_nodes, res.stree.alpha) == (want.stree.n_nodes, want.stree.alpha)
@@ -665,7 +665,7 @@ def test_dichotomy_still_refuses_a_nonstar_member_inside_the_system(tangleless):
     s2t, o2, fam, _ = tangleless
     r = next(h for h in s2t.elements() if not s2t.is_small(h) and not s2t.is_small(s2t.inv(h)))
     with pytest.raises(NonStarFamily):
-        dichotomy(s2t, o2, fam.extended([{r, s2t.inv(r)}]))
+        dichotomy(s2t, o2, fam.extended(ForbiddenFamily([{r, s2t.inv(r)}])))
 
 
 def test_dichotomy_refuses_a_structure_tree_with_no_tangle_leaf(p3_set, monkeypatch):

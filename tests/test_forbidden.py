@@ -64,7 +64,7 @@ def first_member_inside(F, members):
 
 def test_first_inside_is_the_least_member_by_size_then_handles(p3):
     u, o = p3
-    F = p3_family(p3).extended([frozenset()])
+    F = p3_family(p3).extended(ForbiddenFamily([frozenset()]))
     assert list(F) == list(F.ordered)
     for tau in restrict_Sk(u, o, 2).consistent_orientations():
         for members in (tau, tau - {min(tau)}):
@@ -267,7 +267,7 @@ def full_family(name, k):
     u, o = graph_universe(range(n), edges)
     inj = refine_injective(u, o)
     stars = graph_tangle_stars(u, o, range(n), edges, k)
-    return u, inj, standardize(stars.extended(robustness_family(u, inj).sets), u)
+    return u, inj, standardize(stars.extended(robustness_family(u, inj)), u)
 
 
 # The oracle walks every consistent orientation of every layer: on C5 it takes
@@ -306,7 +306,7 @@ def test_richness_matches_the_oracle_on_random_universes():
         inj = refine_injective(uni.ground, o)
         for fam in (random_stars(uni, rng),
                     standardize(robustness_family(uni, inj).extended(
-                        random_stars(uni, rng).sets), uni)):
+                        random_stars(uni, rng)), uni)):
             for order in (inj, o):
                 for layered in (False, True):
                     got = is_rich(uni, fam, order, layered)
@@ -507,7 +507,7 @@ def test_rich_monotone_under_strongly_efficient_additions(p3):
         if any(sigma <= t and not is_strongly_efficient(s2, o, sigma, t)
                for t in taus):
             continue
-        extended = F.extended([sigma])
+        extended = F.extended(ForbiddenFamily([sigma]))
         assert is_rich(s2, extended, o)[0], s2.label(h)
 
 

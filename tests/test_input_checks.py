@@ -133,6 +133,18 @@ def test_separation_tree_read_back_needs_each_node_once_by_its_index(nodes, axio
     assert got == (axiom, want)
 
 
+@pytest.mark.parametrize("key", ["5", "x", "-1", "0"],
+                         ids=["outside", "not-a-number", "minus-one", "root"])
+def test_separation_tree_read_back_needs_each_label_on_a_non_root_node(key):
+    # each failed with IndexError or ValueError, or was read back as a tree
+    # whose to_json() is not the document: -1 relabels the last node, and a
+    # label on the root is kept but never written
+    obj = {"schema": "tanglekit/tree-v1", "root": 0, "beta": {"1": 0, key: 1},
+           "nodes": [{"id": 0, "children": [1]}, {"id": 1, "children": []}]}
+    got = axiom_and_witness(lambda: SeparationTree.from_json(chain2_system(), obj))
+    assert got == ("tree-beta-key", key)
+
+
 # -- universes ----------------------------------------------------------------------
 
 

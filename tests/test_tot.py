@@ -48,7 +48,7 @@ def p3_tot():
     o2 = refine_injective(u, o)
     s2 = restrict_Sk(u, o2, 2)
     F = standardize(graph_tangle_stars(u, o, "abc", [("a", "b"), ("b", "c")], 2), s2)
-    F = F.extended(robustness_family(u, o2, target=s2).sets)
+    F = F.extended(robustness_family(u, o2, target=s2))
     tree = build_thorough_tst(s2, o2, F)
     return u, o2, s2, F, tree
 
@@ -194,7 +194,7 @@ def p3_layered_tot():
     u, o = p3_universe()
     o2 = refine_injective(u, o)
     F = standardize(graph_tangle_stars(u, o, "abc", [("a", "b"), ("b", "c")], 4), u)
-    F = F.extended(robustness_family(u, o2, target=u).sets)
+    F = F.extended(robustness_family(u, o2, target=u))
     return u, o2, F
 
 
@@ -252,7 +252,7 @@ def test_a_failed_layer_is_named_by_its_separation_count(p4):
     u, o = p4
     inj = refine_injective(u, o)
     stars = graph_tangle_stars(u, o, "abcd", [("a", "b"), ("b", "c"), ("c", "d")], 2)
-    F = standardize(stars.extended(robustness_family(u, inj).sets), u)
+    F = standardize(stars.extended(robustness_family(u, inj)), u)
     with pytest.raises(HypothesisFailure) as failure:
         tree_of_tangles_in(u, inj, F)
     assert str(failure.value) == (
@@ -350,7 +350,7 @@ def random_graph_cases(stars=False):
                 continue
             fam = robustness_family(uni, inj, target=sk)
             if stars:
-                fam = fam.extended(graph_tangle_stars(uni, order, range(n), edges, k).sets)
+                fam = fam.extended(graph_tangle_stars(uni, order, range(n), edges, k))
             yield (n, edges, k), uni, inj, sk, standardize(fam, sk)
 
 

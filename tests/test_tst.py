@@ -1,5 +1,6 @@
 """Tangle structure trees: builder, display, necessity, reduction, layering."""
 
+import copy
 import json
 
 import pytest
@@ -42,6 +43,7 @@ from tanglekit.tst import (
     is_efficient_tree,
     is_ordered,
     is_thoroughly_ordered,
+    leaf_needs,
     necessity,
     reduce_irreducible,
     validate_separation_tree,
@@ -98,7 +100,7 @@ def test_single_node_tree_empty_tangle(p3_setting):
 def test_planted_forbidden_nonleaf_fails(p3_tree, p3_setting):
     u, o2, s2, F = p3_setting
     inner = [v for v in p3_tree.nodes() if not p3_tree.is_leaf(v)][1]
-    bad = F.extended([p3_tree.beta(inner)])
+    bad = F.extended(ForbiddenFamily([p3_tree.beta(inner)]))
     rep = validate_tst(p3_tree, bad)
     assert not rep.ok
     assert any(reason == "forbidden-subset-at-non-leaf" for _, reason in rep.failures)
@@ -167,17 +169,19 @@ def test_a_forbidden_empty_set_at_a_non_leaf_is_reported():
     assert validate_tst_in_s(layered, F, order).failures == rep.failures
 
 
-def test_leaf_classes_are_filled_only_by_classify_leaf(p3_setting):
+def test_a_tree_holds_its_shape_and_reading_it_changes_nothing(p3_setting):
+    # a leaf's class is a function of its path mask, so no reader of a tree
+    # leaves state on it: the validator judges a tree apart from its builder
     u, o2, s2, F = p3_setting
     tree = build_thorough_tst(s2, o2, F)
-    assert tree._classes == {}  # the builder leaves the memo to the validators
-    first = validate_tst(tree, F).leaf_classes
-    assert list(tree._classes) == [F]
-    assert necessity(tree, F).leaf_classes == first
-    assert first == {l: classify_leaf(tree, F, l) for l in tree.leaves()}
-    other = F.extended([frozenset({s2.elements()[0]})])
-    validate_tst(tree, other)
-    assert set(tree._classes) == {F, other}
+    assert set(vars(tree)) == {"system", "parent", "edge_label", "root", "children", "paths"}
+    before = {name: copy.deepcopy(value) for name, value in vars(tree).items()
+              if name != "system"}
+    classes = validate_tst(tree, F).leaf_classes
+    assert classes == {l: classify_leaf(s2, F, tree.paths[l]) for l in tree.leaves()}
+    assert not necessity(tree, leaf_needs(s2, F)).irreducible
+    reduce_irreducible(tree, F, o2)
+    assert vars(tree) == {**before, "system": s2}
 
 
 # -- ordering --------------------------------------------------------------------
@@ -246,7 +250,7 @@ def test_p3_tangles_displayed_bijectively(p3_tree, p3_setting):
     leaves = {display(p3_tree, t) for t in brute}
     assert len(leaves) == len(brute)
     for t in brute:
-        assert classify_leaf(p3_tree, F, display(p3_tree, t)).witness == t
+        assert classify_leaf(s2, F, p3_tree.paths[display(p3_tree, t)]).witness == t
 
 
 def test_builder_deterministic(p3_setting):
@@ -276,7 +280,7 @@ def test_richness_violation_diagnostic(p3_setting):
     top = seps[-1]
     x = s2.orientations(top)[0]
     base = standardize(ForbiddenFamily([]), s2)
-    fam = base.extended([{x}])
+    fam = base.extended(ForbiddenFamily([{x}]))
     assert not is_rich(s2, fam, o2)[0]
     with pytest.raises(RichnessViolation) as e:
         build_thorough_tst(s2, o2, fam)
@@ -343,25 +347,25 @@ def test_depth_one_root_necessary(p3_setting):
     one = s2.restrict(s2.orientations(sorted(s2.seps(), key=o2.of)[-1]))
     fam = standardize(ForbiddenFamily([]), one)
     t = build_thorough_tst(one, o2, fam)
-    rep = necessity(t, fam)
+    rep = necessity(t, leaf_needs(one, fam))
     assert rep.node_necessary[t.root]
     assert rep.irreducible
 
 
 def test_leaves_vacuously_necessary(p3_tree, p3_setting):
     u, o2, s2, F = p3_setting
-    rep = necessity(p3_tree, F)
+    rep = necessity(p3_tree, leaf_needs(s2, F))
     assert set(rep.node_necessary) == {v for v in p3_tree.nodes()
                                        if not p3_tree.is_leaf(v)}
 
 
 def test_p3_tree_has_unnecessary_node_and_reduces(p3_tree, p3_setting):
     u, o2, s2, F = p3_setting
-    rep = necessity(p3_tree, F)
+    rep = necessity(p3_tree, leaf_needs(s2, F))
     assert not rep.irreducible  # the redundant branch is caught
     red = reduce_irreducible(p3_tree, F, o2)
     assert validate_tst(red, F).ok
-    assert necessity(red, F).irreducible
+    assert necessity(red, leaf_needs(s2, F)).irreducible
     assert is_ordered(red, o2) and is_efficient_tree(red, o2)
     assert displayed_tangles(red, F) == displayed_tangles(p3_tree, F)
 
@@ -398,7 +402,7 @@ def ladder_reduction_cases():
         for k in (2, 3):
             system = restrict_Sk(u, o, k)
             stars = graph_tangle_stars(u, o, range(n), edges, k)
-            with_r = stars.extended(robustness_family(u, oi, target=system).sets)
+            with_r = stars.extended(robustness_family(u, oi, target=system))
             for fam in (standardize(stars, system), standardize(with_r, system)):
                 yield name, k, system, fam, oi
 
@@ -425,12 +429,13 @@ def test_a_failed_gate_raises_theorem_violation_naming_it(p3_tree, p3_setting,
 
 
 def test_reduction_runs_its_gates_once(monkeypatch):
-    # K1,4's S_3 with the standardized stars takes 21 contractions
+    # K1,4's S_3 with the standardized stars takes 21 contractions; the rounds
+    # classify each root path once, and the gates classify the result afresh
     import tanglekit.tst
     _, _, system, fam, oi = next(case for case in ladder_reduction_cases()
                                  if case[:2] == ("K1,4", 3))
     tree = build_thorough_tst(system, oi, fam)
-    calls = {"_contract_move": 0, "validate_tst": 0}
+    calls = {"_contract_move": 0, "validate_tst": 0, "classify_leaf": 0}
     for name in calls:
         real = getattr(tanglekit.tst, name)
 
@@ -439,7 +444,7 @@ def test_reduction_runs_its_gates_once(monkeypatch):
             return real(*args)
         monkeypatch.setattr(tanglekit.tst, name, counted)
     reduce_irreducible(tree, fam, oi)
-    assert calls == {"_contract_move": 21, "validate_tst": 1}
+    assert calls == {"_contract_move": 21, "validate_tst": 1, "classify_leaf": 298}
 
 
 # -- layered trees ------------------------------------------------------------------
@@ -476,7 +481,7 @@ def test_validate_tst_in_s_names_each_planted_defect(p3_layered):
         (leaf, "tangle-leaf-not-a-maximal-tangle")]
     inner = tree.parent[leaf]
     failures = validate_tst_in_s(
-        res, F.extended([tree.beta(inner)]), o2).failures
+        res, F.extended(ForbiddenFamily([tree.beta(inner)])), o2).failures
     assert (inner, "forbidden-subset-at-non-leaf") in failures
 
 
@@ -512,8 +517,8 @@ def test_a_leaf_the_maximal_tangle_notion_cannot_resolve(case):
     assert classes[leaf] == LeafClass(LEAF_UNRESOLVED, frozenset())
     failures = validate_tst_in_s(TstInS(tree, classes), family, order).failures
     assert (leaf, "leaf-neither-tangle-nor-forbidden") in failures
-    assert not any(leaf in leaves for leaves in necessity(tree, family)
-                   .edge_necessary_for.values())
+    needed = necessity(tree, leaf_needs(system, family)).edge_necessary_for
+    assert not any(leaf in leaves for leaves in needed.values())
 
 
 def test_layered_tangle_leaves_are_maximal_tangles(p3_layered):
@@ -573,7 +578,7 @@ def test_full_tree_nonleaves_are_layer_tangle_leaves(p3_layered):
         layer_tree = build_thorough_tst(sub, o2, F)
         leaf = display(layer_tree, tau)
         from tanglekit.tst import classify_leaf
-        assert classify_leaf(layer_tree, F, leaf).kind == "tangle"
+        assert classify_leaf(sub, F, layer_tree.paths[leaf]).kind == "tangle"
 
 
 def test_reduction_sweep_over_random_fixtures():
@@ -590,8 +595,7 @@ def test_reduction_sweep_over_random_fixtures():
     for uni, o in random_universes(count=40, seed=2024):
         oi = refine_injective(uni.ground, o)
         fam = standardize(robustness_family(uni.ground, oi, target=uni), uni)
-        fam = eclipse_closure(uni, fam.extended(
-            random_star_family(uni, oi, rng).sets), oi)
+        fam = eclipse_closure(uni, fam.extended(random_star_family(uni, oi, rng)), oi)
         if is_rich(uni, fam, oi)[0]:
             cases.append((uni, fam, oi))
     rich = len(cases)
@@ -604,7 +608,7 @@ def test_reduction_sweep_over_random_fixtures():
             mixed += 1
         red = reduce_irreducible(tree, fam, oi)
         assert validate_tst(red, fam).ok
-        assert necessity(red, fam).irreducible
+        assert necessity(red, leaf_needs(system, fam)).irreducible
         assert is_ordered(red, oi) and is_efficient_tree(red, oi)
         assert displayed_tangles(red, fam) == tangles
         assert red.to_json() == naive_gated_reduce(tree, fam, oi).to_json()
@@ -625,7 +629,7 @@ def test_minimality_in_beta_equals_minimality_in_closure(p3_tree, p3_setting):
     u, o2, s2, F = p3_setting
     from tanglekit.tst import classify_leaf
     for leaf in p3_tree.leaves():
-        c = classify_leaf(p3_tree, F, leaf)
+        c = classify_leaf(s2, F, p3_tree.paths[leaf])
         if c.kind != "tangle":
             continue
         beta = p3_tree.beta(leaf)
@@ -677,7 +681,7 @@ def test_degenerate_layer_check_fires_exactly_when_a_closure_is_inconsistent(gra
     u, o = graph_universe(vertices, edges)
     o2 = refine_injective(u, o)
     fam = graph_tangle_stars(u, o, vertices, edges, k)
-    fam = standardize(fam.extended(robustness_family(u, o2, target=u).sets), u)
+    fam = standardize(fam.extended(robustness_family(u, o2, target=u)), u)
     try:
         check_tot_hypotheses(u, o2, fam, layered=True)
     except HypothesisFailure:
