@@ -242,17 +242,6 @@ class SeparationSystem:
     def trivial_elements(self):
         return [h for h in self.elements() if self.is_trivial(h)]
 
-    def without_trivial(self) -> "SeparationSystem":
-        """Largest subsystem view with no trivial elements (iterated removal)."""
-        sys = self
-        while True:
-            triv = sys.trivial_elements()
-            if not triv:
-                return sys
-            drop = mask_of(h for t in triv for h in (t, self._inv[t]))
-            sys = SeparationSystem(self._inv, self._up, self.labels,
-                                   members=sys.members & ~drop, ground=self.ground)
-
     # -- predicates on sets of oriented separations -------------------------
 
     def _check_members(self, sigma):
@@ -270,15 +259,15 @@ class SeparationSystem:
         comparable = (self._up[x] >> i | self._up[i] >> x) & 1
         return self._up[i] & ~(1 << i) | comparable << i
 
-    def is_star(self, sigma) -> bool:
+    def is_star_mask(self, mask: int) -> bool:
         """Stars: non-degenerate separations pointing towards each other.
 
-        A row test: sigma holds no degenerate separation, and the rest of
-        sigma lies inside ``_star_row(x)`` for every x of sigma.  Raises
+        A row test: ``mask`` holds no degenerate separation, and the rest of
+        it lies inside ``_star_row(x)`` for every x of it.  Raises
         UnknownHandle for the least handle that is no member.
         """
-        mask = mask_of(sigma)
-        self._check_members(iter_mask(mask))
+        if mask & ~self.members:
+            raise UnknownHandle(next(iter_mask(mask & ~self.members)))
         return not any(self.is_degenerate(x) or mask & ~(1 << x) & ~self._star_row(x)
                        for x in iter_mask(mask))
 
@@ -298,9 +287,6 @@ class SeparationSystem:
                 if not self.is_nested(r, s):
                     out.append((r, s))
         return out
-
-    def is_nested_set(self, handles) -> bool:
-        return not self.crossing_pairs(handles)
 
     def consistency_witness(self, sigma):
         """A pair (x, y) of distinct separations pointing away from each other:

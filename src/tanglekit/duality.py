@@ -10,12 +10,12 @@ the first place.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from functools import cache, partial
 
 from .core import _orientations, iter_mask, mask_of
 from .errors import (
-    AmbiguousShiftChoice,
     BothOrNeither,
     HypothesisFailure,
     NonStarFamily,
@@ -26,7 +26,7 @@ from .errors import (
     TheoremViolation,
     TrivialElementsPresent,
 )
-from .forbidden import _eclipsers, _replacements, f_eff, is_rich
+from .forbidden import _replacements, f_eff, is_rich
 from .orderfn import refine_injective, refines
 from .tst import (
     _check_thorough_preconditions,
@@ -37,8 +37,7 @@ from .tst import (
     reduce_irreducible,
     validate_tst,
 )
-from .universe import (_universe_of, is_order_threshold_restriction,
-                       is_structurally_submodular, restrict_Sk)
+from .universe import _universe_of, is_structurally_submodular, restrict_Sk
 
 STREE_SCHEMA = "tanglekit/stree-v1"
 
@@ -55,6 +54,10 @@ class STree:
             if not (0 <= a < n_nodes and 0 <= b < n_nodes):
                 raise SystemValidationError("stree-node-range", witness=(a, b))
             adj[a].append(b)
+        bad = [e for e, h in self.alpha.items()
+               if type(h) is not int or h not in range(system.n_ground)]
+        if bad:
+            raise SystemValidationError("stree-edge-label", witness=min(bad))
         self.adj = {t: sorted(set(ns)) for t, ns in adj.items()}
         for (a, b), h in self.alpha.items():
             if (b, a) not in self.alpha:
@@ -112,11 +115,24 @@ class STree:
 
     @classmethod
     def from_json(cls, system, obj) -> "STree":
+        """The S-tree of a ``to_json`` document.  A ``schema`` other than
+        STREE_SCHEMA (``stree-schema``), a ``nodes`` count that is no
+        integer of at least 0 (``stree-nodes``), or an ``alpha`` key that is
+        not "a>b" with a and b decimal ids (``stree-alpha-key``) stops it,
+        with that value as the witness; the constructor checks the rest.  An
+        absent ``schema`` is not checked."""
+        if obj.get("schema", STREE_SCHEMA) != STREE_SCHEMA:
+            raise SystemValidationError("stree-schema", witness=obj["schema"])
+        n = obj["nodes"]
+        if type(n) is not int or n < 0:
+            raise SystemValidationError("stree-nodes", witness=n)
         alpha = {}
         for key, h in obj["alpha"].items():
-            a, b = key.split(">")
-            alpha[(int(a), int(b))] = h
-        return cls(system, obj["nodes"], alpha)
+            ids = isinstance(key, str) and re.fullmatch(r"(0|[1-9][0-9]*)>(0|[1-9][0-9]*)", key)
+            if not ids:
+                raise SystemValidationError("stree-alpha-key", witness=key)
+            alpha[(int(ids[1]), int(ids[2]))] = h
+        return cls(system, n, alpha)
 
     def __repr__(self):
         return f"<STree {self.n_nodes} nodes>"
@@ -164,7 +180,7 @@ def _check_star_family(system, family):
     as in ``forbidden.extends``, so it is skipped, not checked.
     """
     for m in family.masks:
-        if not m & ~system.members and not system.is_star(iter_mask(m)):
+        if not m & ~system.members and not system.is_star_mask(m):
             raise NonStarFamily(f"family member {sorted(iter_mask(m))} is not a star")
 
 
@@ -280,12 +296,6 @@ def validate_conversion(tree, stree, cmap) -> ConversionReport:
     return ConversionReport(ok=not failures, failures=sorted(set(failures)))
 
 
-def check_nested_corollary(tree) -> bool:
-    """Edge labels of an irreducible forbidden-leaf tree with star family nest."""
-    labels = {tree.edge_label[v] for v in tree.nodes() if tree.parent[v] >= 0}
-    return tree.system.is_nested_set(labels)
-
-
 # -- nested systems to S-trees (the tree-set realization) ----------------------------
 
 
@@ -330,7 +340,7 @@ def stree_from_nested(system) -> STree:
         star = stree.incoming(t)
         if len({stree.alpha[e] for e in star}) != len(star):
             raise TheoremViolation(f"alpha not injective on the star at {t}")
-        if not system.is_star(stree.star_at(t)):
+        if not system.is_star_mask(mask_of(stree.star_at(t))):
             raise TheoremViolation(f"incoming labels at {t} are not a star")
     if not stree_order_preserving(stree):
         raise TheoremViolation("alpha does not preserve the edge order")
@@ -377,40 +387,6 @@ def emulates(system, r, s) -> bool:
             if not system.contains(g.meet(t, r)):
                 return False
     return True
-
-
-def lemma_shift_select(system, order, tau, sigma, s):
-    """The shift-lemma selection: minimum order, then maximal; checked output.
-
-    Returns (r, shifted_star).  Hypotheses: the system is an order-threshold
-    restriction of a universe with a structurally submodular order, sigma is
-    a star inside tau, s in sigma is non-trivial and eclipsed by some member
-    of tau.  Incomparable maxima raise AmbiguousShiftChoice.
-    """
-    g = _universe_of(system, "shifting")
-    ok, _ = is_structurally_submodular(g, order)
-    if not ok:
-        raise HypothesisFailure("order not structurally submodular on the universe")
-    if not is_order_threshold_restriction(system, order):
-        raise HypothesisFailure("system is not an order-threshold restriction")
-    tau = frozenset(tau)
-    sigma = frozenset(sigma)
-    if not system.is_star(sigma) or not sigma <= tau or s not in sigma:
-        raise HypothesisFailure("sigma must be a star inside tau containing s")
-    if system.is_trivial(s):
-        raise HypothesisFailure("s must be non-trivial")
-    cands = list(_eclipsers(system, order, s, mask_of(tau)))
-    if not cands:
-        raise HypothesisFailure("no member of tau eclipses s")
-    best = min(order.num[r] for r in cands)
-    tier = [r for r in cands if order.num[r] == best]
-    maxima = [r for r in tier if not any(x != r and system.lt(r, x) for x in tier)]
-    if len(maxima) > 1:
-        raise AmbiguousShiftChoice(maxima)
-    r = maxima[0]
-    if not emulates(system, r, s):
-        raise TheoremViolation(f"selected {r} fails to emulate {s}")
-    return r, shift_star(system, r, s, sigma)
 
 
 def closed_under_shifting(system, family, order):

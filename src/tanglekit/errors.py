@@ -83,14 +83,6 @@ class HypothesisFailure(PreconditionError):
     """A stated theorem hypothesis failed its eager check."""
 
 
-class AmbiguousShiftChoice(PreconditionError):
-    """Incomparable maxima in the shift-selection rule; carries all maxima."""
-
-    def __init__(self, maxima):
-        self.maxima = sorted(maxima)
-        super().__init__(f"incomparable shift candidates {self.maxima}")
-
-
 class TheoremViolation(TanglekitError):
     code = 3
 

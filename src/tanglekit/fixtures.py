@@ -102,8 +102,9 @@ def graph_tangle_stars(uni, order, vertices, edges, k) -> ForbiddenFamily:
 def eclipse_closure(system, family, order) -> ForbiddenFamily:
     """The least family that holds ``family`` and is closed under eclipsing.
 
-    Each (sigma, x, y) of ``forbidden._replacements`` adds sigma - {x} + {y},
-    the rule ``closed_under_eclipsing`` checks, until a round adds nothing.
+    Each (sigma, x, y) of ``forbidden._replacements`` adds sigma - {x} + {y}:
+    an element x of a family member sigma is replaced by each y that weakly
+    eclipses it and for which sigma + y extends, until a round adds nothing.
     Only members that extend to a consistent orientation are replaced, and
     what they yield extends too.  The result is closed under eclipsing,
     hence rich.
@@ -177,7 +178,7 @@ def random_stars(system, rng) -> ForbiddenFamily:
     for _ in range(30):
         size = rng.choice((1, 1, 2, 3))
         cand = frozenset(rng.sample(els, min(size, len(els))))
-        if system.is_star(cand) and cand:
+        if system.is_star_mask(mask_of(cand)) and cand:
             stars.add(cand)
         if len(stars) >= 3:
             break

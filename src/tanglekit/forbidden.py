@@ -3,8 +3,8 @@
 A family is stored extensionally: the masks of finite sets of oriented
 handles, and nothing else.  Everything here is written against the
 brute-force oracles: richness and efficiency are exhaustive checks at desk
-scale, and eclipsing-closure loops over the family through the extension
-test ``extends``.
+scale, and the replacements of ``_replacements`` loop over the family
+through the extension test ``extends``.
 """
 
 from __future__ import annotations
@@ -108,26 +108,10 @@ def enumerate_tangles_in(system, family, order):
     S_k holds a separation the S_k before it lacks, and a tangle of S_k
     orients all of S_k.
     """
-    records = _tangle_records(system, family, order)
+    records = [Tangle(elements=tau, k=k) for k in order_thresholds(system, order)
+               for tau in enumerate_tangles(restrict_Sk(system, order, k), family)]
     return [t._replace(maximal=not any(t.elements < u.elements for u in records))
             for t in records]
-
-
-def _tangle_records(system, family, order):
-    return [Tangle(elements=tau, k=k) for k in order_thresholds(system, order)
-            for tau in enumerate_tangles(restrict_Sk(system, order, k), family)]
-
-
-def tangles_preserved_under_refinement(system, family, o, o2):
-    """Check that every tangle at any o-threshold is a tangle at some o2-threshold.
-
-    Returns (ok, witness); the witness is (k, tangle) for the first o-tangle,
-    in ``enumerate_tangles_in`` order, that no o2-threshold keeps.
-    """
-    kept = {t.elements for t in _tangle_records(system, family, o2)}
-    lost = next(((t.k, t.elements) for t in _tangle_records(system, family, o)
-                 if t.elements not in kept), None)
-    return lost is None, lost
 
 
 def maximal_tangles_in(system, family, order):
@@ -162,24 +146,20 @@ def _eclipsers(system, order, x: int, mask: int, weak=False):
             yield y
 
 
-def efficiency_witness(system, order, sigma, tau, strong=False):
-    """An (eclipsed, eclipsing) pair violating (strong) efficiency, or None.
+def efficiency_witness(system, order, sigma, tau):
+    """An (eclipsed, eclipsing) pair violating efficiency, or None.
 
     The witness is the least x, then the least y.
     """
     tau_mask = mask_of(tau)
     for x in sorted(sigma):
-        for y in _eclipsers(system, order, x, tau_mask, weak=strong):
+        for y in _eclipsers(system, order, x, tau_mask):
             return (x, y)
     return None
 
 
 def is_efficient(system, order, sigma, tau) -> bool:
-    return efficiency_witness(system, order, sigma, tau, strong=False) is None
-
-
-def is_strongly_efficient(system, order, sigma, tau) -> bool:
-    return efficiency_witness(system, order, sigma, tau, strong=True) is None
+    return efficiency_witness(system, order, sigma, tau) is None
 
 
 def extends(system, mask: int) -> bool:
@@ -272,20 +252,6 @@ def _replacements(system, family, order):
             for y in _eclipsers(system, order, x, system.members, weak=True):
                 if not _clashes(system, mask, y):
                     yield sigma, x, y
-
-
-def closed_under_eclipsing(system, family, order):
-    """Replacement closure: sigma - x + y is a member for every (sigma, x, y)
-    of ``_replacements``; witness (sigma, x, y) of the first failure."""
-    for sigma, x, y in _replacements(system, family, order):
-        if (sigma - {x}) | {y} not in family:
-            return False, (sigma, x, y)
-    return True, None
-
-
-def set_geq(system, sigma, sigma2) -> bool:
-    """Lifted ordering on sets: every element of sigma has an image below it."""
-    return all(any(system.leq(y, x) for y in sigma2) for x in sigma)
 
 
 def f_eff(system, family, order):

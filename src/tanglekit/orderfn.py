@@ -52,14 +52,8 @@ class OrderFunction:
         order.system, order.num, order.den = system.ground, num, den
         return order
 
-    @classmethod
-    def constant(cls, system, value=0):
-        return cls(system, {s: Fraction(value) for s in system.ground.seps()})
-
     def of(self, h: int) -> Fraction:
         return Fraction(self.num[h], self.den)
-
-    __call__ = of
 
     def cut(self, k) -> int:
         """The integer ceil(k * den): num[h] < cut(k) exactly when of(h) < k."""
@@ -103,18 +97,6 @@ class OrderFunction:
         return f"<OrderFunction on {len(self.system.seps())} seps>"
 
 
-class Enumeration(OrderFunction):
-    """A bijection between the unoriented separations and 1..|S|."""
-
-    def __init__(self, system, ranks):
-        ranks = {system.ground.sep(s): int(r) for s, r in ranks.items()}
-        if sorted(ranks.values()) != list(range(1, len(ranks) + 1)):
-            raise SystemValidationError("enumeration-bijective",
-                                        witness=sorted(ranks.values()))
-        super().__init__(system, ranks)
-        self.ranks = ranks
-
-
 def parse_threshold(text):
     """CLI threshold: an integer, a 'p/q' rational, or 'inf' for everything."""
     if text is None or text in ("inf", "Inf", "INF"):
@@ -141,94 +123,47 @@ def refines(o2, o1, system=None):
     return True, None
 
 
-def indicator(uni, t: int):
-    """The 0/1 function on oriented separations: 0 iff the argument is <= t."""
-
-    def fn(h):
-        return 0 if uni.leq(h, t) else 1
-
-    return fn
-
-
-def default_iota(uni) -> dict:
-    """Lexicographic-handle bijection from oriented members to 0..|U->|-1."""
-    return {h: i for i, h in enumerate(uni.elements())}
-
-
-def gamma(uni, n: int, iota: dict, s: int) -> int:
-    """Sum of n^iota(t) over oriented members t that are not >= s.
-
-    Equivalently the indicator-weighted sum, so the base-n digits of the
-    symmetrized value encode which separations point towards s.  ``iota``
-    must map the members bijectively onto 0..m-1 (other keys are ignored);
-    otherwise SystemValidationError("iota-bijective") names a member.
-    """
-    return _gamma_fn(uni, n, iota)(s)
-
-
-def _iota_order(uni, iota) -> list:
-    """The members listed by their iota value; raises unless that is a bijection."""
-    els = uni.elements()
-    order = [None] * len(els)
-    for t in els:
-        i = iota.get(t)
-        if type(i) is not int or not 0 <= i < len(els) or order[i] is not None:
-            raise SystemValidationError("iota-bijective", witness=(t, i))
-        order[i] = t
-    return order
-
-
-def _gamma_fn(uni, n: int, iota: dict):
-    """s -> gamma(uni, n, iota, s), without one ``leq`` call per member.
+def _gamma_fn(uni):
+    """s -> the sum of 3^i over the i-th members t, in handle order, that are
+    not >= s, without one ``leq`` call per member.
 
     The members not >= s are those outside s's up-set.  Written as 0/1
-    digits in iota order, highest iota first, that set is the sum as a
-    base-n numeral.
+    digits, the highest member first, that set is the sum as a base-3
+    numeral.
     """
-    order = _iota_order(uni, iota)
-    if not order:
+    els = uni.elements()
+    if not els:
         return lambda s: 0
-    digits = itemgetter(*reversed(order))
+    digits = itemgetter(*reversed(els))
     members, up, width = uni.members, uni.ground._up, uni.n_ground
 
     def fn(s):
         bits = format(members & ~up[s] | 1 << width, "b")[:0:-1]  # bits[t]: t not >= s
-        return _numeral("".join(digits(bits)), n)
+        return _numeral("".join(digits(bits)))
 
     return fn
 
 
-def _numeral(digits: str, base: int) -> int:
-    """The value of a string of 0/1 digits in ``base``, read exactly.
+def _numeral(digits: str) -> int:
+    """The value of a string of 0/1 digits in base 3, read exactly.
 
     int() refuses more than 4300 digits in a base that is not a power of two
     (sys.get_int_max_str_digits, never below 640), so chunks of 640 are read.
     """
-    if not 2 <= base <= 36:
-        return sum(base ** i for i, d in enumerate(reversed(digits)) if d == "1")
     value = 0
     for i in range(0, len(digits), 640):
         chunk = digits[i:i + 640]
-        value = value * base ** len(chunk) + int(chunk, base)
+        value = value * 3 ** len(chunk) + int(chunk, 3)
     return value
 
 
-def symmetrize(uni, fn) -> OrderFunction:
-    """The order function s -> u(s->) + u(s<-) induced by a function on U->."""
-    out = {}
-    for s in uni.seps():
-        ors = uni.orientations(s)
-        out[s] = Fraction(fn(ors[0])) + Fraction(fn(ors[-1]))
-    return OrderFunction(uni, out)
-
-
-def refine_injective(uni, o: OrderFunction, iota=None) -> OrderFunction:
+def refine_injective(uni, o: OrderFunction) -> OrderFunction:
     """An injective submodular order function refining a submodular one.
 
     Adds the perturbation delta(s) = (eps/2 / 3^|U->|) * (gamma3(s->) +
     gamma3(s<-)) where eps is the least gap between distinct values of o
-    (eps = 1 when o is constant).  Deterministic for a fixed iota; the
-    default iota is the lexicographic handle order.  ``uni`` must hold every
+    (eps = 1 when o is constant), and gamma3(s) sums 3^i over the i-th
+    members, in handle order, that are not >= s.  ``uni`` must hold every
     separation of its ground universe, since the result is an order function
     on the whole ground.
     """
@@ -238,7 +173,7 @@ def refine_injective(uni, o: OrderFunction, iota=None) -> OrderFunction:
     ok, witness = is_submodular(uni, o)
     if not ok:
         raise NonSubmodularOrder(f"witness pair {witness}")
-    gamma3 = _gamma_fn(uni, 3, default_iota(uni) if iota is None else iota)
+    gamma3 = _gamma_fn(uni)
     distinct = sorted(set(o.num))
     gaps = [b - a for a, b in zip(distinct, distinct[1:])]
     eps = min(gaps) if gaps else o.den  # over o.den, as is every numerator here
@@ -248,14 +183,3 @@ def refine_injective(uni, o: OrderFunction, iota=None) -> OrderFunction:
         ors = uni.orientations(s)
         out[ors[0]] = out[ors[-1]] = o.num[s] * d + eps * (gamma3(ors[0]) + gamma3(ors[-1]))
     return OrderFunction._of_num(uni, out, o.den * d)
-
-
-def enumeration_refinement(uni, o: OrderFunction) -> Enumeration:
-    """A structurally submodular enumeration of U refining o.
-
-    Composes the injective refinement with the order isomorphism onto
-    1..|U|; structural submodularity survives the composition.
-    """
-    o2 = refine_injective(uni, o)
-    seps = sorted(uni.seps(), key=o2.num.__getitem__)
-    return Enumeration(uni, {s: i + 1 for i, s in enumerate(seps)})

@@ -121,19 +121,6 @@ def tree_of_tangles(system, order, family) -> ToTResult:
                      enumerate_tangles(system, family))
 
 
-def is_critical(tree, v, order) -> bool:
-    """A node is critical if an orientation of its separation is co-trivial or
-    completes a robustness triple over the path closure."""
-    sys = tree.system
-    if tree.is_leaf(v):
-        return False
-    uni = sys.ground
-    robust = robustness_family(uni, order, target=sys)
-    cl = sys.closure_mask(tree.paths[v])
-    return any(sys.is_cotrivial(x) or robust.first_inside(cl | 1 << x) is not None
-               for x in sys.orientations(tree.node_sep(v)))
-
-
 # -- the layered tree of tangles -------------------------------------------------------
 
 

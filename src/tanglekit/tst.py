@@ -108,18 +108,6 @@ class SeparationTree:
             stack.extend(self.children[w])
         return out
 
-    def tree_infimum(self, a, b):
-        """The deepest common ancestor of two nodes."""
-        anc = set()
-        w = a
-        while w >= 0:
-            anc.add(w)
-            w = self.parent[w]
-        w = b
-        while w not in anc:
-            w = self.parent[w]
-        return w
-
     def to_json(self, leaf_classes=None) -> dict:
         obj = {
             "schema": TREE_SCHEMA,
@@ -138,10 +126,15 @@ class SeparationTree:
 
     @classmethod
     def from_json(cls, system, obj) -> "SeparationTree":
-        """The tree of a ``to_json`` document.  An entry whose ``id`` is not its
-        index (``tree-node-id``), a child that is no node or is listed twice
-        (``tree-child``), or a ``beta`` key that is not the decimal id of a
-        non-root node (``tree-beta-key``) stops it; the witness is that id or key."""
+        """The tree of a ``to_json`` document.  A ``schema`` other than
+        TREE_SCHEMA (``tree-schema``), an entry whose ``id`` is not its index
+        (``tree-node-id``), a child that is no node or is listed twice
+        (``tree-child``), a ``beta`` key that is not the decimal id of a
+        non-root node (``tree-beta-key``), or a ``root`` that is not the node
+        without a parent (``tree-root``) stops it; the witness is that schema,
+        id, key or root.  An absent ``schema`` or ``root`` is not checked."""
+        if obj.get("schema", TREE_SCHEMA) != TREE_SCHEMA:
+            raise SystemValidationError("tree-schema", witness=obj["schema"])
         n = len(obj["nodes"])
         parent, labels = [-1] * n, [-1] * n
         for v, entry in enumerate(obj["nodes"]):
@@ -156,7 +149,11 @@ class SeparationTree:
             if key not in slots:
                 raise SystemValidationError("tree-beta-key", witness=key)
             labels[slots[key]] = h
-        return cls(system, parent, labels)
+        tree = cls(system, parent, labels)
+        root = obj.get("root", tree.root)
+        if type(root) is not int or root != tree.root:
+            raise SystemValidationError("tree-root", witness=root)
+        return tree
 
     def __repr__(self):
         return f"<SeparationTree {len(self)} nodes, {len(self.leaves())} leaves>"

@@ -15,15 +15,13 @@ conventions coexist (both are valid separation systems):
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
 from operator import itemgetter
 
 from .core import SeparationSystem, int_cells, transpose
-from .errors import BoundExceeded, PreconditionError, SystemValidationError, UnknownHandle
+from .errors import BoundExceeded, PreconditionError, SystemValidationError
 
 UNIVERSE_SCHEMA = "tanglekit/universe-v1"
 
@@ -32,11 +30,11 @@ class Universe(SeparationSystem):
     """A ground separation system whose poset is a lattice (total join/meet
     tables); its views are the ``SeparationSystem``s of :meth:`restrict`.
 
-    ``join`` and ``meet``, when given, are stored as they are; ``from_tables``
-    and ``from_json`` validate them.  Otherwise both tables are derived from
-    the poset the first time either is read, and kept.  A pair without a least
-    upper (greatest lower) bound then raises SystemValidationError at that
-    read, so a poset that is no lattice builds, but none of its tables reads.
+    ``join`` and ``meet``, when given, are stored as they are; ``from_json``
+    validates them.  Otherwise both tables are derived from the poset the
+    first time either is read, and kept.  A pair without a least upper
+    (greatest lower) bound then raises SystemValidationError at that read, so
+    a poset that is no lattice builds, but none of its tables reads.
 
     ``down``, when given, must be the transpose of ``up``, and is passed on
     to ``SeparationSystem``.  Only the generators that know their side masks
@@ -63,11 +61,6 @@ class Universe(SeparationSystem):
     @property
     def _meet(self):
         return self._tables[1]
-
-    @classmethod
-    def from_tables(cls, inv, leq_pairs, join, meet, labels=None):
-        """A validated universe with the given tables; raises on the first failure."""
-        return cls.from_relation(inv, leq_pairs, labels)._checked(join, meet)
 
     def _checked(self, join, meet):
         """This universe, its poset validated, with the given tables checked;
@@ -373,25 +366,11 @@ def _universe_of(system, what):
     return g
 
 
-def handle_values(ground, fn):
-    """``fn`` on every handle of ``ground``, as integers over one common denominator.
-
-    An order function holds them as ``num``.  Any other callable on handles
-    is read once per handle, and its values scaled by their least common
-    denominator, so ``<``, ``<=`` and sums compare exactly as Fractions do.
-    """
-    if hasattr(fn, "num"):
-        return fn.num
-    fracs = [Fraction(fn(h)) for h in range(ground.n_ground)]
-    den = math.lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (den // f.denominator) for f in fracs]
-
-
-def is_submodular(uni, fn):
+def is_submodular(uni, order):
     """u(r v s) + u(r ^ s) <= u(r) + u(s) over all oriented pairs; witness on failure."""
     g = _universe_of(uni, "submodularity")
     els = uni.elements()
-    val = handle_values(g, fn)
+    val = order.num
     for i, a in enumerate(els):
         join, meet, va = g._join[a], g._meet[a], val[a]
         for b in els[i:]:
@@ -400,58 +379,14 @@ def is_submodular(uni, fn):
     return True, None
 
 
-def is_structurally_submodular(uni, fn):
+def is_structurally_submodular(uni, order):
     """u(r v s) <= u(r) or u(r ^ s) <= u(s), over all ordered oriented pairs."""
     g = _universe_of(uni, "structural submodularity")
     els = uni.elements()
-    val = handle_values(g, fn)
+    val = order.num
     for a in els:
         join, meet, va = g._join[a], g._meet[a], val[a]
         for b in els:
             if not (val[join[b]] <= va or val[meet[b]] <= val[b]):
                 return False, (a, b)
     return True, None
-
-
-def is_submodular_subsystem(system) -> bool:
-    """Subsystem submodularity: every member pair keeps its join or meet a member."""
-    g = _universe_of(system, "subsystem submodularity")
-    els = system.elements()
-    for a in els:
-        for b in els:
-            if not (system.contains(g.join(a, b)) or system.contains(g.meet(a, b))):
-                return False
-    return True
-
-
-# -- corners -----------------------------------------------------------------
-
-
-# The four corners of two separations, keyed by the orientation pair used.
-#
-# slots maps (rk, sk) in {+,-}^2 to the oriented corner handle
-# r_orientation ^ s_orientation; corners is the set of underlying
-# separations.
-CornerReport = namedtuple("CornerReport", "slots corners")
-
-
-def corners(uni, r: int, s: int) -> CornerReport:
-    """Corners of two separations, given by reference orientations r, s.
-
-    Identical underlying separations collapse: every slot is then the
-    matching orientation of r itself.
-    """
-    g = _universe_of(uni, "corners")
-    if not (uni.contains(r) and uni.contains(s)):
-        raise UnknownHandle(r if not uni.contains(r) else s)
-    ri, si = uni.inv(r), uni.inv(s)
-    if uni.sep(r) == uni.sep(s):
-        slots = {("+", "+"): r, ("+", "-"): r, ("-", "+"): ri, ("-", "-"): ri}
-    else:
-        slots = {
-            ("+", "+"): g.meet(r, s),
-            ("+", "-"): g.meet(r, si),
-            ("-", "+"): g.meet(ri, s),
-            ("-", "-"): g.meet(ri, si),
-        }
-    return CornerReport(slots, frozenset(uni.sep(h) for h in slots.values()))

@@ -2,11 +2,24 @@
 
 These deliberately avoid the library's precomputed masks and pruned searches:
 naive filters over full product spaces, pairwise loops over definitions.
+
+The last section holds the helpers that more than one test module reads and
+no command runs: constructions, lemmas and checks stated by the paper, built
+on the library's own predicates.
 """
 
+from collections import namedtuple
+from fractions import Fraction
 from itertools import product
 
-from tanglekit.errors import PreconditionError
+from tanglekit import duality
+from tanglekit.core import mask_of
+from tanglekit.errors import (HypothesisFailure, PreconditionError, SystemValidationError,
+                              TheoremViolation, UnknownHandle)
+from tanglekit.forbidden import _eclipsers, _replacements
+from tanglekit.orderfn import OrderFunction, refine_injective
+from tanglekit.universe import (Universe, _universe_of, is_order_threshold_restriction,
+                                is_structurally_submodular)
 
 
 def points_away(system, x, y):
@@ -401,10 +414,11 @@ def naive_graph_tangle_stars(uni, order, vertices, edges, k):
     every vertex and, between them, both ends of every edge; by frozensets.
 
     A set is a star iff each of its pairs is one (a pair {x, x} is {x}), so
-    ``is_star`` runs once per pair and a triple is tested by its pairs."""
+    ``is_star_mask`` runs once per pair and a triple is tested by its pairs."""
     sk = [h for h in uni.elements() if order.of(h) < k]
     sides = {h: label_sides(uni.label(h))[0] for h in sk}
-    pairs = {(x, y) for i, x in enumerate(sk) for y in sk[i:] if uni.is_star({x, y})}
+    pairs = {(x, y) for i, x in enumerate(sk) for y in sk[i:]
+             if uni.is_star_mask(mask_of({x, y}))}
     out = set()
     for i, x in enumerate(sk):
         for j in range(i, len(sk)):
@@ -538,3 +552,169 @@ def naive_without_trivial(system):
         if not trivial:
             return sorted(keep)
         keep -= trivial | {system.inv(h) for h in trivial}
+
+
+# -- helpers that only the tests read ------------------------------------------
+
+
+def from_tables(inv, leq_pairs, join, meet, labels=None):
+    """A validated universe with the given tables; raises on the first failure."""
+    return Universe.from_relation(inv, leq_pairs, labels)._checked(join, meet)
+
+
+def is_submodular_subsystem(system) -> bool:
+    """Subsystem submodularity: every member pair keeps its join or meet a member."""
+    g = _universe_of(system, "subsystem submodularity")
+    els = system.elements()
+    for a in els:
+        for b in els:
+            if not (system.contains(g.join(a, b)) or system.contains(g.meet(a, b))):
+                return False
+    return True
+
+
+# The four corners of two separations, keyed by the orientation pair used.
+#
+# slots maps (rk, sk) in {+,-}^2 to the oriented corner handle
+# r_orientation ^ s_orientation; corners is the set of underlying
+# separations.
+CornerReport = namedtuple("CornerReport", "slots corners")
+
+
+def corners(uni, r: int, s: int) -> CornerReport:
+    """Corners of two separations, given by reference orientations r, s.
+
+    Identical underlying separations collapse: every slot is then the
+    matching orientation of r itself.
+    """
+    g = _universe_of(uni, "corners")
+    if not (uni.contains(r) and uni.contains(s)):
+        raise UnknownHandle(r if not uni.contains(r) else s)
+    ri, si = uni.inv(r), uni.inv(s)
+    if uni.sep(r) == uni.sep(s):
+        slots = {("+", "+"): r, ("+", "-"): r, ("-", "+"): ri, ("-", "-"): ri}
+    else:
+        slots = {
+            ("+", "+"): g.meet(r, s),
+            ("+", "-"): g.meet(r, si),
+            ("-", "+"): g.meet(ri, s),
+            ("-", "-"): g.meet(ri, si),
+        }
+    return CornerReport(slots, frozenset(uni.sep(h) for h in slots.values()))
+
+
+def constant_order(system, value=0):
+    """The order function with one value on every separation."""
+    return OrderFunction(system, {s: Fraction(value) for s in system.ground.seps()})
+
+
+def indicator(uni, t: int):
+    """The 0/1 function on oriented separations: 0 iff the argument is <= t."""
+
+    def fn(h):
+        return 0 if uni.leq(h, t) else 1
+
+    return fn
+
+
+def default_iota(uni) -> dict:
+    """Lexicographic-handle bijection from oriented members to 0..|U->|-1: the
+    iota whose base-3 gamma ``refine_injective`` sums."""
+    return {h: i for i, h in enumerate(uni.elements())}
+
+
+class Enumeration(OrderFunction):
+    """A bijection between the unoriented separations and 1..|S|."""
+
+    def __init__(self, system, ranks):
+        ranks = {system.ground.sep(s): int(r) for s, r in ranks.items()}
+        if sorted(ranks.values()) != list(range(1, len(ranks) + 1)):
+            raise SystemValidationError("enumeration-bijective",
+                                        witness=sorted(ranks.values()))
+        super().__init__(system, ranks)
+        self.ranks = ranks
+
+
+def enumeration_refinement(uni, o: OrderFunction) -> Enumeration:
+    """A structurally submodular enumeration of U refining o.
+
+    Composes the injective refinement with the order isomorphism onto
+    1..|U|; structural submodularity survives the composition.
+    """
+    o2 = refine_injective(uni, o)
+    seps = sorted(uni.seps(), key=o2.num.__getitem__)
+    return Enumeration(uni, {s: i + 1 for i, s in enumerate(seps)})
+
+
+def closed_under_eclipsing(system, family, order):
+    """Replacement closure: sigma - x + y is a member for every (sigma, x, y)
+    of ``_replacements``; witness (sigma, x, y) of the first failure."""
+    for sigma, x, y in _replacements(system, family, order):
+        if (sigma - {x}) | {y} not in family:
+            return False, (sigma, x, y)
+    return True, None
+
+
+def tree_infimum(tree, a, b):
+    """The deepest common ancestor of two nodes."""
+    anc = set()
+    w = a
+    while w >= 0:
+        anc.add(w)
+        w = tree.parent[w]
+    w = b
+    while w not in anc:
+        w = tree.parent[w]
+    return w
+
+
+def is_nested_set(system, handles) -> bool:
+    return not system.crossing_pairs(handles)
+
+
+def check_nested_corollary(tree) -> bool:
+    """Edge labels of an irreducible forbidden-leaf tree with star family nest."""
+    labels = {tree.edge_label[v] for v in tree.nodes() if tree.parent[v] >= 0}
+    return is_nested_set(tree.system, labels)
+
+
+class AmbiguousShiftChoice(PreconditionError):
+    """Incomparable maxima in the shift-selection rule; carries all maxima."""
+
+    def __init__(self, maxima):
+        self.maxima = sorted(maxima)
+        super().__init__(f"incomparable shift candidates {self.maxima}")
+
+
+def lemma_shift_select(system, order, tau, sigma, s):
+    """The shift-lemma selection: minimum order, then maximal; checked output.
+
+    Returns (r, shifted_star).  Hypotheses: the system is an order-threshold
+    restriction of a universe with a structurally submodular order, sigma is
+    a star inside tau, s in sigma is non-trivial and eclipsed by some member
+    of tau.  Incomparable maxima raise AmbiguousShiftChoice.
+    """
+    g = _universe_of(system, "shifting")
+    ok, _ = is_structurally_submodular(g, order)
+    if not ok:
+        raise HypothesisFailure("order not structurally submodular on the universe")
+    if not is_order_threshold_restriction(system, order):
+        raise HypothesisFailure("system is not an order-threshold restriction")
+    tau = frozenset(tau)
+    sigma = frozenset(sigma)
+    if not system.is_star_mask(mask_of(sigma)) or not sigma <= tau or s not in sigma:
+        raise HypothesisFailure("sigma must be a star inside tau containing s")
+    if system.is_trivial(s):
+        raise HypothesisFailure("s must be non-trivial")
+    cands = list(_eclipsers(system, order, s, mask_of(tau)))
+    if not cands:
+        raise HypothesisFailure("no member of tau eclipses s")
+    best = min(order.num[r] for r in cands)
+    tier = [r for r in cands if order.num[r] == best]
+    maxima = [r for r in tier if not any(x != r and system.lt(r, x) for x in tier)]
+    if len(maxima) > 1:
+        raise AmbiguousShiftChoice(maxima)
+    r = maxima[0]
+    if not duality.emulates(system, r, s):
+        raise TheoremViolation(f"selected {r} fails to emulate {s}")
+    return r, duality.shift_star(system, r, s, sigma)

@@ -14,14 +14,24 @@ from dataclasses import dataclass
 
 import pytest
 
-from oracles import naive_stree_excludes_tangles
-
-from tanglekit.duality import (
+from oracles import (
     check_nested_corollary,
+    constant_order,
+    default_iota,
+    enumeration_refinement,
+    is_nested_set,
+    lemma_shift_select,
+    naive_gamma,
+    naive_stree_excludes_tangles,
+    naive_without_trivial,
+    tree_infimum,
+)
+
+from tanglekit.core import mask_of
+from tanglekit.duality import (
     closed_under_shifting,
     dichotomy,
     emulates,
-    lemma_shift_select,
     stree_excludes_tangles,
     validate_conversion,
 )
@@ -46,14 +56,7 @@ from tanglekit.forbidden import (
     robustness_family,
     standardize,
 )
-from tanglekit.orderfn import (
-    OrderFunction,
-    default_iota,
-    enumeration_refinement,
-    gamma,
-    refine_injective,
-    refines,
-)
+from tanglekit.orderfn import OrderFunction, refine_injective, refines
 from tanglekit.tot import (
     distinguisher_report,
     tangle_nodes,
@@ -203,14 +206,16 @@ def dichotomy_runs(suite):
     runs = []
     p3, o3 = p3_universe()
     o3i = refine_injective(p3, o3)
-    s2t = restrict_Sk(p3, o3i, 2).without_trivial()
+    s2 = restrict_Sk(p3, o3i, 2)
+    s2t = s2.restrict(naive_without_trivial(s2))
     runs.append(("p3-singletons", s2t, o3i, singleton_family(s2t)))
     p4, o4 = p4_universe()
     o4i = refine_injective(p4, o4)
-    s3t = restrict_Sk(p4, o4i, 3).without_trivial()
+    s3 = restrict_Sk(p4, o4i, 3)
+    s3t = s3.restrict(naive_without_trivial(s3))
     runs.append(("p4-singletons", s3t, o4i, singleton_family(s3t)))
     for c in randoms:
-        sub = c.system.without_trivial()
+        sub = c.system.restrict(naive_without_trivial(c.system))
         if not len(sub):
             continue
         fam = singleton_family(sub)
@@ -283,7 +288,7 @@ def test_criterion_6_refinement(suite):
         universes = [bipartition_universe([1]), bipartition_universe([1, 2]),
                      bipartition_universe([1, 2, 3]),
                      bipartition_universe([1, 2, 3, 4])]
-        orders = [OrderFunction.constant(u, 1) for u in universes]
+        orders = [constant_order(u, 1) for u in universes]
         p3, o3 = p3_universe()
         universes.append(p3)
         orders.append(o3)
@@ -303,8 +308,8 @@ def test_criterion_6_refinement(suite):
             sym = []
             for s in u.ground.seps():
                 ors = u.ground.orientations(s)
-                sym.append(gamma(u.ground, 3, iota, ors[0])
-                           + gamma(u.ground, 3, iota, ors[-1]))
+                sym.append(naive_gamma(u.ground, 3, iota, ors[0])
+                           + naive_gamma(u.ground, 3, iota, ors[-1]))
             assert len(set(sym)) == len(sym)
             e = enumeration_refinement(u.ground, o)
             assert is_structurally_submodular(u.ground, e)[0]
@@ -329,13 +334,13 @@ def test_criterion_7_tree_of_tangles(suite, trees):
             tangles = enumerate_tangles(c.system, c.family)
             rep = verify_tot(c.system, c.order, n, tangles)
             assert rep.ok, (c.name, rep.missing, rep.extra, rep.undistinguished)
-            assert c.system.is_nested_set(
-                [h for s in n for h in c.system.orientations(s)]), c.name
+            assert is_nested_set(
+                c.system, [h for s in n for h in c.system.orientations(s)]), c.name
             pairs = distinguisher_report(c.system, c.order, tangles).pairs
             nodes = tangle_nodes(tree, c.family)
             for (i, j), pr in pairs.items():
-                v = tree.tree_infimum(display(tree, tangles[i]),
-                                      display(tree, tangles[j]))
+                v = tree_infimum(tree, display(tree, tangles[i]),
+                                 display(tree, tangles[j]))
                 assert v in nodes, c.name
                 assert pr.optimal == {tree.node_sep(v)}, c.name
                 with_pairs += 1
@@ -414,7 +419,7 @@ def test_criterion_9_shifting(suite):
                     sigma = frozenset({s})
                     r, shifted = lemma_shift_select(system, order, tau, sigma, s)
                     assert emulates(system, r, s), name
-                    assert system.is_star(shifted), name
+                    assert system.is_star_mask(mask_of(shifted)), name
                     assert shifted <= tau, name
                     assert (sum(order.of(x) for x in shifted)
                             < sum(order.of(x) for x in sigma)), name
@@ -425,7 +430,8 @@ def test_criterion_9_shifting(suite):
             fam = ForbiddenFamily(
                 [{h} for h in system.elements()
                  if not system.is_degenerate(h) and not system.is_trivial(h)])
-            fam = ForbiddenFamily([s for s in fam.sets if system.is_star(s)])
+            fam = ForbiddenFamily([s for s in fam.sets
+                                   if system.is_star_mask(mask_of(s))])
             ok, _ = closed_under_shifting(system, fam, order)
             if ok:
                 closed_seen += 1

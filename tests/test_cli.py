@@ -444,12 +444,12 @@ def test_refine_order_flags(workdir):
 
 def test_dot_single_node_tree():
     from tanglekit.dot import tree_dot
-    from tanglekit.orderfn import OrderFunction
+    from oracles import constant_order
     from tanglekit.tst import build_thorough_tst
     from tanglekit.forbidden import ForbiddenFamily
     u, o = p3_universe()
     empty = restrict_Sk(u, o, 0)
-    t = build_thorough_tst(empty, OrderFunction.constant(u), ForbiddenFamily([]))
+    t = build_thorough_tst(empty, constant_order(u), ForbiddenFamily([]))
     text = tree_dot(t)
     assert text.count("->") == 0 and "n0" in text
 
@@ -792,10 +792,10 @@ def test_malformed_threshold_exit_1(workdir, capsys, k):
 @pytest.mark.parametrize("generator", ["R", "profiles"])
 def test_generators_need_a_universe_exit_2(tmp_path, capsys, generator):
     from tanglekit.fixtures import chain2_system
-    from tanglekit.orderfn import OrderFunction
+    from oracles import constant_order
     s = chain2_system()
     (tmp_path / "sys.json").write_text(json.dumps(s.to_json()))
-    (tmp_path / "order.json").write_text(json.dumps(OrderFunction.constant(s, 1).to_json()))
+    (tmp_path / "order.json").write_text(json.dumps(constant_order(s, 1).to_json()))
     (tmp_path / "gen.json").write_text(json.dumps({"sets": [], "generate": [generator]}))
     code = main(["tangles", "--input", str(tmp_path / "sys.json"),
                  "--order", str(tmp_path / "order.json"),
@@ -809,10 +809,10 @@ def test_generators_need_a_universe_exit_2(tmp_path, capsys, generator):
 def plain_system(tmp_path):
     """The two-separation chain (no joins or meets), a constant order, all singletons."""
     from tanglekit.fixtures import chain2_system, singleton_family
-    from tanglekit.orderfn import OrderFunction
+    from oracles import constant_order
     s = chain2_system()
     (tmp_path / "sys.json").write_text(json.dumps(s.to_json()))
-    (tmp_path / "const.json").write_text(json.dumps(OrderFunction.constant(s, 1).to_json()))
+    (tmp_path / "const.json").write_text(json.dumps(constant_order(s, 1).to_json()))
     (tmp_path / "singles.json").write_text(json.dumps(singleton_family(s).to_json()))
     return tmp_path
 

@@ -11,6 +11,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from oracles import (
+    closed_under_eclipsing,
     naive_closed_under_eclipsing,
     naive_closed_under_shifting,
     naive_consistent_orientations,
@@ -34,7 +35,6 @@ from tanglekit.fixtures import (
 )
 from tanglekit.forbidden import (
     ForbiddenFamily,
-    closed_under_eclipsing,
     extends,
     is_rich,
     robustness_family,
@@ -143,7 +143,7 @@ def verdicts():
     """Each case's name, system, family, order and the four verdicts."""
     out = []
     for name, system, fam, order in list(ladder_cases()) + list(random_cases()):
-        star = all(system.is_star(s) for s in fam)
+        star = all(system.is_star_mask(mask_of(s)) for s in fam)
         ecl = (closed_under_eclipsing(system, fam, order),
                naive_closed_under_eclipsing(system, fam, order))
         shift = ((closed_under_shifting(system, fam, order),

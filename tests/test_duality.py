@@ -7,16 +7,23 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import naive_stree_excludes_tangles, naive_stree_order_preserving
+from oracles import (
+    AmbiguousShiftChoice,
+    check_nested_corollary,
+    enumeration_refinement,
+    is_nested_set,
+    lemma_shift_select,
+    naive_stree_excludes_tangles,
+    naive_stree_order_preserving,
+    naive_without_trivial,
+)
 
 from tanglekit.duality import (
     STree,
-    check_nested_corollary,
     closed_under_shifting,
     convert_ftree,
     dichotomy,
     emulates,
-    lemma_shift_select,
     newduality,
     shift_map,
     shift_star,
@@ -28,7 +35,6 @@ from tanglekit.duality import (
 from tanglekit import duality
 from tanglekit.core import iter_mask, mask_of
 from tanglekit.errors import (
-    AmbiguousShiftChoice,
     BothOrNeither,
     HypothesisFailure,
     NonInjectiveOrder,
@@ -56,7 +62,7 @@ from tanglekit.forbidden import (
     is_rich,
     standardize,
 )
-from tanglekit.orderfn import OrderFunction, enumeration_refinement, refine_injective
+from tanglekit.orderfn import OrderFunction, refine_injective
 from tanglekit.tst import SeparationTree, build_thorough_tst, reduce_irreducible
 from tanglekit.universe import restrict_Sk
 
@@ -73,7 +79,7 @@ def p3_set():
 def tangleless(p3_set):
     """Trivial-free restriction of P3's S_2 with the all-singletons family."""
     u, o, o2, s2 = p3_set
-    s2t = s2.without_trivial()
+    s2t = s2.restrict(naive_without_trivial(s2))
     fam = singleton_family(s2t)
     tree = build_thorough_tst(s2t, o2, fam)
     red = reduce_irreducible(tree, fam, o2)
@@ -231,7 +237,7 @@ def test_conversion_rejects_reducible():
     # unnecessary nodes: the conversion refuses it and takes its reduction
     u, o = random_universes()[0]
     o2 = refine_injective(u.ground, o)
-    s = u.without_trivial()
+    s = u.restrict(naive_without_trivial(u))
     fam = random_star_family(s, o2, random.Random("0:2"))
     assert (len(s.seps()), len(fam.sets)) == (7, 6)
     assert not enumerate_tangles(s, fam)
@@ -246,7 +252,7 @@ def test_conversion_rejects_reducible():
 
 def test_conversion_rejects_tangle_leaves(p3_set):
     u, o, o2, s2 = p3_set
-    s2t = s2.without_trivial()
+    s2t = s2.restrict(naive_without_trivial(s2))
     fam = standardize(
         graph_tangle_stars(u, o, "abc", [("a", "b"), ("b", "c")], 2), s2t)
     fam = ForbiddenFamily([s for s in fam.sets if s <= frozenset(s2t.elements())])
@@ -314,7 +320,7 @@ def test_stree_from_nested_validates_forward_direction(bip3):
     assert stree_order_preserving(st)
     assert set(st.alpha.values()) == set(sub.elements())
     for t in st.nodes():
-        assert sub.is_star(st.star_at(t))
+        assert sub.is_star_mask(mask_of(st.star_at(t)))
 
 
 def test_order_preservation_on_consecutive_edges_matches_all_pairs():
@@ -378,11 +384,11 @@ def test_shift_maps_stars_to_stars(bip3):
                       if (t != si and bip3.leq(t, s))
                       or (bip3.inv(t) != si and bip3.leq(bip3.inv(t), s))]
             for sigma in itertools.combinations(domain, 2):
-                if s in sigma and bip3.is_star(sigma):
+                if s in sigma and bip3.is_star_mask(mask_of(sigma)):
                     shifted = shift_star(bip3, r, s, sigma)
                     if any(bip3.inv(x) in shifted for x in shifted):
                         continue  # collapse onto an inverse pair; see ledger
-                    assert bip3.is_star(shifted)
+                    assert bip3.is_star_mask(mask_of(shifted))
                     cases += 1
     assert cases
 
@@ -444,7 +450,7 @@ def test_lemma_shift_select_unique_candidate(p3_set):
             continue
         got_r, shifted = lemma_shift_select(s2, o2, tau, frozenset({s}), s)
         assert got_r == cands[0]
-        assert s2.is_star(shifted) and shifted <= tau
+        assert s2.is_star_mask(mask_of(shifted)) and shifted <= tau
         seen += 1
     assert seen >= 3
 
@@ -456,7 +462,7 @@ def test_lemma_shift_select_postconditions(p3_set):
         for size in (1, 2):
             for sigma in itertools.combinations(sorted(tau), size):
                 sigma = frozenset(sigma)
-                if not s2.is_star(sigma):
+                if not s2.is_star_mask(mask_of(sigma)):
                     continue
                 for s in sigma:
                     if s2.is_trivial(s) or s2.is_degenerate(s):
@@ -464,7 +470,7 @@ def test_lemma_shift_select_postconditions(p3_set):
                     if not any(s2.lt(r, s) and o2.of(r) < o2.of(s) for r in tau):
                         continue
                     r, shifted = lemma_shift_select(s2, o2, tau, sigma, s)
-                    assert s2.is_star(shifted)
+                    assert s2.is_star_mask(mask_of(shifted))
                     assert shifted <= tau
                     assert (sum(o2.of(x) for x in shifted)
                             < sum(o2.of(x) for x in sigma))
@@ -551,7 +557,7 @@ def all_stars_family(system, max_size=3):
     out = []
     for size in range(1, max_size + 1):
         for sigma in itertools.combinations(els, size):
-            if system.is_star(sigma):
+            if system.is_star_mask(mask_of(sigma)):
                 out.append(frozenset(sigma))
     return ForbiddenFamily(out)
 
@@ -684,7 +690,7 @@ def test_dichotomy_refuses_a_reduced_tree_with_a_tangle_leaf(p3_set, monkeypatch
     # a search that misses every tangle sends dichotomy down the S-tree
     # branch, where the reduced tree still displays the tangles
     u, o, o2, s2 = p3_set
-    s2t = s2.without_trivial()
+    s2t = s2.restrict(naive_without_trivial(s2))
     fam = standardize(ForbiddenFamily([]), s2t)
     assert len(enumerate_tangles(s2t, fam)) == 4
     monkeypatch.setattr(duality, "_orientations", lambda *args: iter(()))
@@ -695,7 +701,7 @@ def test_dichotomy_refuses_a_reduced_tree_with_a_tangle_leaf(p3_set, monkeypatch
 
 def test_dichotomy_exactly_one(p3_set, tangleless):
     u, o, o2, s2 = p3_set
-    s2t = s2.without_trivial()
+    s2t = s2.restrict(naive_without_trivial(s2))
     for fam in (singleton_family(s2t), all_stars_family(s2t),
                 ForbiddenFamily([])):
         if not is_rich(s2t, fam, o2)[0]:
@@ -846,4 +852,4 @@ def test_order_preserving_alpha_has_nested_image(bip3):
     sub = bip3.restrict([1, 2, 3, bip3.inv(1), bip3.inv(2), bip3.inv(3)])
     st = stree_from_nested(sub)
     assert stree_order_preserving(st)
-    assert sub.is_nested_set(set(st.alpha.values()))
+    assert is_nested_set(sub, set(st.alpha.values()))

@@ -7,13 +7,14 @@ Each test names the axiom, handle or message the check must report.
 import json
 
 import pytest
+from oracles import corners, is_submodular_subsystem, lemma_shift_select, naive_without_trivial
 
 from tanglekit.cli import main
 from tanglekit.core import SeparationSystem
 from tanglekit.duality import (
+    STree,
     dichotomy,
     emulates,
-    lemma_shift_select,
     newduality,
     shift_map,
     stree_excludes_tangles,
@@ -37,11 +38,9 @@ from tanglekit.universe import (
     Universe,
     _universe_of,
     bipartition_universe,
-    corners,
     graph_universe,
     is_structurally_submodular,
     is_submodular,
-    is_submodular_subsystem,
     restrict_Sk,
 )
 
@@ -143,6 +142,62 @@ def test_separation_tree_read_back_needs_each_label_on_a_non_root_node(key):
            "nodes": [{"id": 0, "children": [1]}, {"id": 1, "children": []}]}
     got = axiom_and_witness(lambda: SeparationTree.from_json(chain2_system(), obj))
     assert got == ("tree-beta-key", key)
+
+
+@pytest.mark.parametrize("key,value,axiom", [
+    ("schema", "nope", "tree-schema"),
+    ("root", 1, "tree-root"),
+    ("root", True, "tree-root"),
+], ids=["schema", "root-not-the-root", "root-not-an-id"])
+def test_separation_tree_read_back_needs_its_own_schema_and_root(key, value, axiom):
+    # each was read back as a tree rooted at 0, whose to_json() is not the
+    # document: from_json read neither key
+    obj = {"schema": "tanglekit/tree-v1", "root": 0, "beta": {"1": 0},
+           "nodes": [{"id": 0, "children": [1]}, {"id": 1, "children": []}], key: value}
+    got = axiom_and_witness(lambda: SeparationTree.from_json(chain2_system(), obj))
+    assert got == (axiom, value)
+
+
+def p3_stree_document(p3_s2, **changes):
+    """A two-node S-tree over P3 in JSON, with ``changes`` to its keys."""
+    u, _, _ = p3_s2
+    h = u.elements()[3]
+    obj = {"schema": "tanglekit/stree-v1", "nodes": 2, "alpha": {"0>1": h, "1>0": u.inv(h)}}
+    assert STree.from_json(u, obj).to_json() == obj
+    return u, {**obj, **changes}
+
+
+@pytest.mark.parametrize("key", ["0-1", "x>1", "0>1>0", "01>1"],
+                         ids=["no-arrow", "not-a-number", "two-arrows", "leading-zero"])
+def test_stree_read_back_needs_each_key_an_edge_of_decimal_ids(p3_s2, key):
+    # "0-1" and "x>1" raised ValueError, "0>1>0" too, and "01>1" was read
+    # as "1>1"
+    u, obj = p3_stree_document(p3_s2)
+    obj["alpha"] = {key: obj["alpha"]["0>1"], "1>0": obj["alpha"]["1>0"]}
+    assert axiom_and_witness(lambda: STree.from_json(u, obj)) == ("stree-alpha-key", key)
+
+
+@pytest.mark.parametrize("nodes", ["2", -1, True], ids=["string", "negative", "bool"])
+def test_stree_read_back_needs_a_node_count(p3_s2, nodes):
+    # "2" raised TypeError; -1 and True were taken as counts, so the two
+    # nodes of the edges were reported out of range
+    u, obj = p3_stree_document(p3_s2, nodes=nodes)
+    assert axiom_and_witness(lambda: STree.from_json(u, obj)) == ("stree-nodes", nodes)
+
+
+@pytest.mark.parametrize("label", [999, -1, "3"], ids=["past-the-end", "minus-one", "string"])
+def test_stree_read_back_needs_a_ground_handle_on_every_edge(p3_s2, label):
+    # 999 raised IndexError, -1 indexed from the end, "3" raised TypeError
+    u, obj = p3_stree_document(p3_s2)
+    obj["alpha"] = {**obj["alpha"], "0>1": label}
+    assert axiom_and_witness(lambda: STree.from_json(u, obj)) == ("stree-edge-label", (0, 1))
+
+
+def test_stree_read_back_needs_its_own_schema(p3_s2):
+    u, obj = p3_stree_document(p3_s2, schema="nope")
+    assert axiom_and_witness(lambda: STree.from_json(u, obj)) == ("stree-schema", "nope")
+    del obj["schema"]
+    assert STree.from_json(u, obj).n_nodes == 2
 
 
 # -- universes ----------------------------------------------------------------------
@@ -300,7 +355,8 @@ def p6_s3():
     verts = "abcdef"
     edges = list(zip(verts, verts[1:]))
     u, o = graph_universe(verts, edges)
-    s = restrict_Sk(u, o, 3).without_trivial()
+    s3 = restrict_Sk(u, o, 3)
+    s = s3.restrict(naive_without_trivial(s3))
     fam = standardize(graph_tangle_stars(u, o, verts, edges, 3), s)
     return s, refine_injective(u, o), fam
 

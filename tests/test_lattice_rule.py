@@ -13,7 +13,8 @@ import time
 from functools import lru_cache, partial
 
 import pytest
-from oracles import naive_join_table, naive_meet_table, naive_validate_lattice
+from oracles import (constant_order, corners, from_tables, naive_join_table, naive_meet_table,
+                     naive_validate_lattice)
 
 import tanglekit.universe
 from tanglekit.cli import main
@@ -30,7 +31,6 @@ from tanglekit.orderfn import OrderFunction
 from tanglekit.universe import (
     Universe,
     bipartition_universe,
-    corners,
     graph_universe,
     is_structurally_submodular,
     is_submodular,
@@ -252,7 +252,7 @@ def test_explicit_tables_are_never_derived(derivations):
     leq = [(a, b) for a in range(made.n_ground) for b in range(made.n_ground)
            if made.leq(a, b)]
     given = Universe(made._inv, made._up, made.labels, join, meet)
-    checked = Universe.from_tables(made._inv, leq, join, meet, made.labels)
+    checked = from_tables(made._inv, leq, join, meet, made.labels)
     loaded = Universe.from_json(checked.to_json())
     # each checked universe derives its tables once, to compare the given ones
     assert derivations == [made.n_ground] * 2
@@ -299,7 +299,7 @@ NON_LATTICE_READERS = {
     "meet": lambda uni: uni.meet(0, 5),
     "to_json": lambda uni: uni.to_json(),
     "validate_lattice": validate_lattice,
-    "is_submodular": lambda uni: is_submodular(uni, lambda h: 0),
+    "is_submodular": lambda uni: is_submodular(uni, constant_order(uni)),
 }
 
 
@@ -317,7 +317,7 @@ def test_from_tables_rejects_a_non_lattice():
     s, join, meet = _diamond_tables()
     leq = [(a, b) for a in range(s.n_ground) for b in range(s.n_ground) if s.leq(a, b)]
     with pytest.raises(SystemValidationError) as exc:
-        Universe.from_tables(s._inv, leq, join, meet)
+        from_tables(s._inv, leq, join, meet)
     assert (exc.value.axiom, exc.value.witness) == ("join-least-upper-bound", (1, 2))
 
 

@@ -51,11 +51,9 @@ def test_no_dataclasses_in_package():
 
 def test_one_refinement_path_in_package():
     # refine_injective is the one refinement the package runs; the ranked
-    # enumeration is library API only, defined in orderfn
+    # enumeration lives in the tests' oracles
     found = []
     for path, tree in package_trees():
-        if path.name == "orderfn.py":
-            continue
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 name = node.id
@@ -93,12 +91,6 @@ def test_one_eclipse_definition_in_package():
     assert not found, f"eclipse comparisons outside _eclipsers: {found}"
 
 
-# The sites outside orderfn that may read order values through ``of`` or
-# ``handle_values``: the two U-wide checks, which also take plain callables.
-ORDER_VALUE_READERS = {("universe.py", "is_submodular"),
-                       ("universe.py", "is_structurally_submodular")}
-
-
 def nodes_in_functions(node, fn=None):
     """Each node below ``node``, with the name of its innermost enclosing function."""
     for child in ast.iter_child_nodes(node):
@@ -115,12 +107,8 @@ def test_order_values_compared_as_integers_outside_orderfn():
         if path.name == "orderfn.py":
             continue
         for node, fn in nodes_in_functions(tree):
-            name = getattr(node, "attr", getattr(node, "id", None))
-            if (isinstance(node, ast.Attribute) and name == "of"
-                    or isinstance(node, (ast.Name, ast.Attribute))
-                    and name == "handle_values") and (
-                        path.name, fn) not in ORDER_VALUE_READERS:
-                found.append(f"{path.name}:{node.lineno} {fn} reads {name}")
+            if isinstance(node, ast.Attribute) and node.attr == "of":
+                found.append(f"{path.name}:{node.lineno} {fn} reads of")
     assert not found, f"order values read outside orderfn: {found}"
 
 
@@ -378,17 +366,11 @@ def test_every_parameter_is_read():
 REPO = Path(__file__).resolve().parent.parent
 
 
-# The definitions that no line of src/ reads and that stay public: each is a
-# claim the tests check, or waits for the ROADMAP item that gives it a caller.
-# README names each, with its role, under "Library API that no command runs".
-LIBRARY_API = {
-    "without_trivial", "from_tables", "is_submodular_subsystem", "corners",
-    "constant", "indicator", "gamma", "symmetrize", "enumeration_refinement",
-    "tangles_preserved_under_refinement", "is_strongly_efficient",
-    "closed_under_eclipsing", "set_geq", "tree_infimum", "display",
-    "is_thoroughly_ordered", "validate_tst_in_s", "check_nested_corollary",
-    "stree_from_nested", "lemma_shift_select", "is_critical",
-}
+# The definitions that no line of src/ reads and that stay public: each waits
+# for the ROADMAP item that gives it a caller, item 11's ``check`` or item 3's
+# tree-decomposition.  README names each, with that item, under "Library API
+# that no command runs".
+LIBRARY_API = {"display", "is_thoroughly_ordered", "validate_tst_in_s", "stree_from_nested"}
 
 
 def test_every_definition_is_referenced():
@@ -420,8 +402,12 @@ def test_every_definition_is_referenced():
     assert set(unread) == LIBRARY_API, f"read in src/ or gone: {LIBRARY_API - set(unread)}"
     readme = (REPO / "README.md").read_text()
     section = readme.split("\n## Library API that no command runs\n")[1].split("\n## ")[0]
-    named = {part for span in re.findall(r"`([\w.]+)`", section) for part in span.split(".")}
-    assert LIBRARY_API <= named, f"no README role for {LIBRARY_API - named}"
+    entries = {part: entry for entry in section.split("\n* ")[1:]
+               for span in re.findall(r"^`([\w.]+)`", entry) for part in span.split(".")}
+    assert LIBRARY_API <= set(entries), f"no README entry for {LIBRARY_API - set(entries)}"
+    uncited = sorted(name for name in LIBRARY_API
+                     if not re.search(r"(?i)item (11|3)\b", " ".join(entries[name].split())))
+    assert not uncited, f"README entries that cite no coming caller: {uncited}"
 
 
 def modules_added(code):
@@ -510,10 +496,10 @@ def defaulted_parameters(tree):
 
 
 def calls_by_name():
-    """Each call in src/, tests/ or benchmark/, under the name it calls:
+    """Each call in src/ or benchmark/, under the name it calls:
     ``super().__init__`` is filed under "super"."""
     calls = {}
-    for folder in ("src", "tests", "benchmark"):
+    for folder in ("src", "benchmark"):
         for path in sorted((REPO / folder).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
                 if not isinstance(node, ast.Call):
@@ -536,12 +522,19 @@ def passes(call, name, position):
 
 
 def test_every_defaulted_parameter_is_set_by_a_caller():
-    # a default that no call overrides is a setting nobody runs: it is a
-    # constant, and belongs in the body
+    # a default that no call in src/ or benchmark/ overrides is a setting no
+    # command runs: it is a constant, and belongs in the body.  A test is not
+    # a caller.  fixtures.py is exempt, as in the definition guard, and so is
+    # the ``bound`` of the two input-size guards (BOUND_TAKERS), which the
+    # tests lower to reach the guard
     calls = calls_by_name()
     found = []
     for path, tree in package_trees():
+        if path.name == "fixtures.py":
+            continue
         for cls, fn, name, position in defaulted_parameters(tree):
+            if name == "bound" and (path.name, fn.name) in BOUND_TAKERS:
+                continue
             names = [fn.name]
             if fn.name == "__init__" and cls is not None:
                 names += [cls, "super"]

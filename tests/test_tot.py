@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import naive_is_rich
+from oracles import constant_order, is_nested_set, naive_is_rich, tree_infimum
 from tanglekit.core import mask_of
 from tanglekit.errors import HypothesisFailure, PreconditionError
 from tanglekit.fixtures import (
@@ -27,7 +27,6 @@ from tanglekit.orderfn import OrderFunction, refine_injective
 from tanglekit.tot import (
     check_tot_hypotheses,
     distinguisher_report,
-    is_critical,
     tangle_nodes,
     tree_of_tangles,
     tree_of_tangles_in,
@@ -108,7 +107,7 @@ def test_p3_extraction_matches_oracle(p3_tot):
     assert len(tangles) == 2
     oracle = distinguisher_report(s2, o2, tangles).optimal_union
     assert n == oracle
-    assert s2.is_nested_set([h for s in n for h in s2.orientations(s)])
+    assert is_nested_set(s2, [h for s in n for h in s2.orientations(s)])
     rep = verify_tot(s2, o2, n, tangles)
     assert rep.ok
 
@@ -120,12 +119,12 @@ def test_infimum_node_is_the_optimal_distinguisher(p3_tot):
     rep = distinguisher_report(s2, o2, tangles)
     nodes = tangle_nodes(tree, F)
     for (i, j), pair in rep.pairs.items():
-        v = tree.tree_infimum(display(tree, tangles[i]), display(tree, tangles[j]))
+        v = tree_infimum(tree, display(tree, tangles[i]), display(tree, tangles[j]))
         assert v in nodes
         assert pair.optimal == {tree.node_sep(v)}
     for v in nodes:
         assert any(
-            tree.tree_infimum(display(tree, tangles[i]), display(tree, tangles[j])) == v
+            tree_infimum(tree, display(tree, tangles[i]), display(tree, tangles[j])) == v
             for (i, j) in rep.pairs)
 
 
@@ -155,6 +154,19 @@ def test_reduced_tree_same_distinguishers(p3_tot):
 
 
 # -- criticality -------------------------------------------------------------------
+
+
+def is_critical(tree, v, order) -> bool:
+    """A node is critical if an orientation of its separation is co-trivial or
+    completes a robustness triple over the path closure."""
+    sys = tree.system
+    if tree.is_leaf(v):
+        return False
+    uni = sys.ground
+    robust = robustness_family(uni, order, target=sys)
+    cl = sys.closure_mask(tree.paths[v])
+    return any(sys.is_cotrivial(x) or robust.first_inside(cl | 1 << x) is not None
+               for x in sys.orientations(tree.node_sep(v)))
 
 
 def test_leaf_never_critical(p3_tot):
@@ -217,8 +229,8 @@ def test_p3_layered_matches_oracle(p3_layered_tot):
     assert len(maximal) == 2
     rep = verify_tot(u, o2, res.distinguishers, maximal)
     assert rep.ok, (rep.missing, rep.extra, rep.undistinguished)
-    assert u.is_nested_set(
-        [h for s in res.distinguishers for h in u.orientations(s)])
+    assert is_nested_set(
+        u, [h for s in res.distinguishers for h in u.orientations(s)])
 
 
 def test_layered_requires_robustness(p3_layered_tot):
@@ -236,7 +248,7 @@ def test_layered_names_each_failed_hypothesis(p3, p3_layered_tot, p3_crooked_ord
     _, o2, F = p3_layered_tot
     with pytest.raises(PreconditionError,
                        match="the tree-of-tangles theorem needs a universe"):
-        tree_of_tangles_in(chain2, OrderFunction.constant(chain2, 1), ForbiddenFamily([]))
+        tree_of_tangles_in(chain2, constant_order(chain2, 1), ForbiddenFamily([]))
     # the crooked order ties every separation but two at 0
     with pytest.raises(HypothesisFailure,
                        match=r"failed: \['structurally_submodular', 'injective'\]$"):
@@ -321,7 +333,7 @@ def test_verify_tot_missing_distinguisher(p3_tot):
 def test_verify_tot_crossing_witness():
     bip4 = bipartition_universe([1, 2, 3, 4])
     lab = {bip4.label(h): h for h in bip4.elements()}
-    o = OrderFunction.constant(bip4, 1)
+    o = constant_order(bip4, 1)
     crossing = frozenset({bip4.sep(lab["{1,2}|{3,4}"]), bip4.sep(lab["{1,3}|{2,4}"])})
     rep = verify_tot(bip4, o, crossing, [])
     assert not rep.ok and not rep.nested

@@ -9,7 +9,7 @@ degenerate witness matters.
 from functools import lru_cache
 
 import pytest
-from oracles import naive_is_trivial, naive_without_trivial
+from oracles import naive_is_trivial
 from test_lattice_rule import CHAINS, LADDER, _path
 
 from tanglekit.fixtures import chain2_system, ptriv_system, random_universes
@@ -41,7 +41,6 @@ def assert_triviality_by_definition(system):
     assert [h for h in els if system.is_cotrivial(h)] == sorted(
         system.inv(h) for h in want)
     assert system.trivial_elements() == want
-    assert system.without_trivial().elements() == naive_without_trivial(system)
 
 
 @pytest.mark.parametrize("name", list(SYSTEMS))

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from oracles import beta_by_path_walk, naive_gated_reduce
+from oracles import beta_by_path_walk, constant_order, naive_gated_reduce
 from tanglekit.core import SeparationSystem, mask_of
 from tanglekit.errors import (
     NonInjectiveOrder,
@@ -90,7 +90,7 @@ def test_beta_matches_manual_walk(p3_tree):
 
 def test_single_node_tree_empty_tangle(p3_setting):
     u, o2, s2, F = p3_setting
-    empty = restrict_Sk(u, OrderFunction.constant(u, 5), 0)
+    empty = restrict_Sk(u, constant_order(u, 5), 0)
     t = SeparationTree(empty, [-1], [-1])
     rep = validate_tst(t, ForbiddenFamily([]))
     assert rep.ok and rep.leaf_classes[0].kind == "tangle"
