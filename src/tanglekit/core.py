@@ -11,9 +11,11 @@ Conventions used throughout the package:
   ground arrays, so a handle means the same separation in every view.  All
   predicates quantify over the view's members only (triviality witnesses,
   closure, orientation domains).
-* Inside the library a set of handles is an int mask (bit h for handle h).
-  Frozensets are made only where a set is reported (witnesses, tangles,
-  artifacts), and a set form of a predicate masks its input once.
+* Inside the library a set of handles is an int mask (bit h for handle h),
+  and the predicates take masks.  Frozensets are made only where a set is
+  reported (witnesses, tangles, artifacts).  A set enters as a mask at four
+  boundaries only: ``restrict``, ``tst.display``, ``ForbiddenFamily``
+  membership and ``tot.distinguisher_report``.
 
 Degeneracy vocabulary (all definable from <= and the involution alone):
 ``s`` is *small* if ``s <= s*``, *large* if ``s* <= s``, *trivial* if both
@@ -29,7 +31,7 @@ from functools import cached_property, reduce
 from itertools import accumulate, chain, repeat
 from operator import itemgetter, or_
 
-from .errors import InconsistentSet, SystemValidationError, UnknownHandle
+from .errors import SystemValidationError, UnknownHandle
 
 SYSTEM_SCHEMA = "tanglekit/system-v1"
 
@@ -63,6 +65,14 @@ def int_cells(cells, width: int) -> bool:
             and set(map(type, chain.from_iterable(cells))) <= {int})
 
 
+def typed(value, kind, axiom):
+    """``value`` when it is a ``kind``; else SystemValidationError(axiom), with
+    ``value`` as the witness.  The JSON readers check their containers so."""
+    if not isinstance(value, kind):
+        raise SystemValidationError(axiom, witness=value)
+    return value
+
+
 class SeparationSystem:
     """A finite poset of oriented separations with order-reversing involution.
 
@@ -75,7 +85,7 @@ class SeparationSystem:
     ``up``.  A view (``ground`` given) shares its ground's and takes none.
     """
 
-    def __init__(self, inv, up, labels, members=None, ground=None, down=None):
+    def __init__(self, inv, up, labels, *, members=None, ground=None, down=None):
         self._inv = tuple(inv)
         self._up = tuple(up)
         self.labels = tuple(labels)
@@ -244,11 +254,6 @@ class SeparationSystem:
 
     # -- predicates on sets of oriented separations -------------------------
 
-    def _check_members(self, sigma):
-        for h in sigma:
-            if not self.contains(h):
-                raise UnknownHandle(h)
-
     def _star_row(self, x: int) -> int:
         """The handles y that point towards x, so that {x, y} is a star when
         neither is degenerate.  For y != x* the test y* <= x is x* <= y, as
@@ -288,10 +293,10 @@ class SeparationSystem:
                     out.append((r, s))
         return out
 
-    def consistency_witness(self, sigma):
-        """A pair (x, y) of distinct separations pointing away from each other:
-        the least x, then the least y > x, whose ``incompat`` row holds y."""
-        mask = mask_of(sigma)
+    def consistency_witness(self, mask: int):
+        """A pair (x, y) of distinct separations of ``mask`` pointing away from
+        each other: the least x, then the least y > x, whose ``incompat`` row
+        holds y."""
         for x in iter_mask(mask):
             hit = self._incompat[x] & (mask >> (x + 1) << (x + 1))
             if hit:
@@ -303,20 +308,9 @@ class SeparationSystem:
         no ``incompat`` row of its handles meets it (the rows are symmetric)."""
         return not any(self._incompat[x] & mask for x in iter_mask(mask))
 
-    def closure(self, sigma) -> frozenset:
-        """The set of member separations required by sigma, plus sigma.
-
-        Input must be consistent; the result equals
-        sigma + {s-> : exists r-> in sigma with r != s and r-> < s->}.
-        """
-        sigma = set(sigma)
-        self._check_members(sigma)
-        w = self.consistency_witness(sigma)
-        if w is not None:
-            raise InconsistentSet(w)
-        return frozenset(iter_mask(self.closure_mask(mask_of(sigma))))
-
     def closure_mask(self, mask: int) -> int:
+        """The member separations ``mask`` requires, plus ``mask``: the
+        members s-> with r-> < s-> for some r-> of ``mask``, r != s."""
         out = mask
         for x in iter_mask(mask):
             out |= self._req[x]
@@ -340,15 +334,6 @@ class SeparationSystem:
         n, to index h: one C call, as ``transpose`` reads its columns."""
         bits = format(mask | 1 << self.n_ground, "b")[::-1]
         return int("".join(self._flip(bits))[::-1], 2) ^ 1 << self.n_ground
-
-    def distinguishes(self, s: int, tau1, tau2) -> bool:
-        """True iff both partial orientations orient ``s`` and differ on it.
-
-        A degenerate separation has one orientation and never distinguishes.
-        """
-        o1 = [h for h in self.orientations(self.sep(s)) if h in tau1]
-        o2 = [h for h in self.orientations(self.sep(s)) if h in tau2]
-        return bool(o1) and bool(o2) and o1 != o2
 
     def consistent_orientations(self):
         """All consistent orientations of the members, as ``orientations_avoiding``."""
@@ -392,9 +377,7 @@ class SeparationSystem:
             if not isinstance(label, str):
                 raise SystemValidationError("malformed-label", witness=e)
             inv[e["id"]], labels[e["id"]] = e["inv"], label
-        leq = obj.get("leq", [])
-        if not isinstance(leq, list):
-            raise SystemValidationError("malformed-leq", witness=leq)
+        leq = typed(obj.get("leq", []), list, "malformed-leq")
         if not int_cells(leq, 2):  # find the first bad pair
             for pair in leq:
                 if not (isinstance(pair, (list, tuple)) and len(pair) == 2
@@ -403,9 +386,7 @@ class SeparationSystem:
         sys = cls.from_relation(inv, leq, labels)
         if "members" not in obj:
             return sys
-        members = obj["members"]
-        if not isinstance(members, list):
-            raise SystemValidationError("malformed-members", witness=members)
+        members = typed(obj["members"], list, "malformed-members")
         for h in members:
             if not (type(h) is int and 0 <= h < n):
                 raise SystemValidationError("malformed-members", witness=h)

@@ -15,14 +15,14 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def tree_dot(tree, leaf_classes=None, highlight_nodes=()) -> str:
+def tree_dot(tree, leaf_classes, highlight_nodes=()) -> str:
     """A rooted separation tree; leaves colored by class, extras highlighted."""
     sys = tree.system
     lines = ["digraph tst {", "  rankdir=TB;", "  node [shape=circle];"]
     highlight = set(highlight_nodes)
     for v in tree.nodes():
         attrs = [f"label={_quote(str(v))}"]
-        if leaf_classes is not None and v in leaf_classes:
+        if v in leaf_classes:
             color = _LEAF_COLOR.get(leaf_classes[v].kind)
             if color:
                 attrs.append(f"style=filled fillcolor={color}")

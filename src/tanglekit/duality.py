@@ -14,7 +14,7 @@ import re
 from collections import namedtuple
 from functools import cache, partial
 
-from .core import _orientations, iter_mask, mask_of
+from .core import _orientations, iter_mask, mask_of, typed
 from .errors import (
     BothOrNeither,
     HypothesisFailure,
@@ -83,22 +83,14 @@ class STree:
 
     def is_tree(self) -> bool:
         """n - 1 edges, and every node reached from node 0."""
-        return (len(self.edges()) == self.n_nodes - 1
-                and len(self.side_nodes(None, 0)) == self.n_nodes)
-
-    def side_nodes(self, a, b):
-        """Nodes of the component of T minus the edge {a,b} that contains b;
-        with ``a`` None no edge is cut, so the component of b."""
-        seen, stack = {b}, [b]
+        if len(self.edges()) != self.n_nodes - 1:
+            return False
+        seen, stack = {0}, [0]
         while stack:
-            u = stack.pop()
-            for v in self.adj[u]:
-                if {u, v} == {a, b}:
-                    continue
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
+            new = set(self.adj[stack.pop()]) - seen
+            seen |= new
+            stack.extend(new)
+        return len(seen) == self.n_nodes
 
     def is_over(self, family) -> bool:
         return self.over_witness(family) is None
@@ -115,19 +107,20 @@ class STree:
 
     @classmethod
     def from_json(cls, system, obj) -> "STree":
-        """The S-tree of a ``to_json`` document.  A ``schema`` other than
-        STREE_SCHEMA (``stree-schema``), a ``nodes`` count that is no
+        """The S-tree of a ``to_json`` document.  A document or ``alpha`` that
+        is no object (``stree-document``, ``stree-alpha``), a ``schema`` other
+        than STREE_SCHEMA (``stree-schema``), a ``nodes`` count that is no
         integer of at least 0 (``stree-nodes``), or an ``alpha`` key that is
         not "a>b" with a and b decimal ids (``stree-alpha-key``) stops it,
-        with that value as the witness; the constructor checks the rest.  An
-        absent ``schema`` is not checked."""
-        if obj.get("schema", STREE_SCHEMA) != STREE_SCHEMA:
+        with that value, None when absent, as the witness; the constructor
+        checks the rest.  An absent ``schema`` is not checked."""
+        if typed(obj, dict, "stree-document").get("schema", STREE_SCHEMA) != STREE_SCHEMA:
             raise SystemValidationError("stree-schema", witness=obj["schema"])
-        n = obj["nodes"]
+        n = obj.get("nodes")
         if type(n) is not int or n < 0:
             raise SystemValidationError("stree-nodes", witness=n)
         alpha = {}
-        for key, h in obj["alpha"].items():
+        for key, h in typed(obj.get("alpha"), dict, "stree-alpha").items():
             ids = isinstance(key, str) and re.fullmatch(r"(0|[1-9][0-9]*)>(0|[1-9][0-9]*)", key)
             if not ids:
                 raise SystemValidationError("stree-alpha-key", witness=key)

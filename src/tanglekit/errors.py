@@ -49,12 +49,6 @@ class BoundExceeded(PreconditionError):
     pass
 
 
-class InconsistentSet(PreconditionError):
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"inconsistent pair {witness!r}")
-
-
 class NonInjectiveOrder(PreconditionError):
     pass
 

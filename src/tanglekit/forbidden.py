@@ -146,20 +146,10 @@ def _eclipsers(system, order, x: int, mask: int, weak=False):
             yield y
 
 
-def efficiency_witness(system, order, sigma, tau):
-    """An (eclipsed, eclipsing) pair violating efficiency, or None.
-
-    The witness is the least x, then the least y.
-    """
-    tau_mask = mask_of(tau)
-    for x in sorted(sigma):
-        for y in _eclipsers(system, order, x, tau_mask):
-            return (x, y)
-    return None
-
-
-def is_efficient(system, order, sigma, tau) -> bool:
-    return efficiency_witness(system, order, sigma, tau) is None
+def is_efficient(system, order, sigma: int, tau: int) -> bool:
+    """No handle of the mask ``tau`` eclipses one of the mask ``sigma``."""
+    return all(next(_eclipsers(system, order, x, tau), None) is None
+               for x in iter_mask(sigma))
 
 
 def extends(system, mask: int) -> bool:
@@ -268,7 +258,7 @@ def f_eff(system, family, order):
             report.append((sigma, "outside-system"))
         elif not system.is_consistent_mask(mask):
             report.append((sigma, "inconsistent"))
-        elif is_efficient(system, order, sigma, system.closure(sigma)):
+        elif is_efficient(system, order, mask, system.closure_mask(mask)):
             keep.append(sigma)
         else:
             report.append((sigma, "eclipsed-in-closure"))
@@ -278,14 +268,13 @@ def f_eff(system, family, order):
 # -- generators ---------------------------------------------------------------
 
 
-def robustness_family(uni, order, target=None) -> ForbiddenFamily:
+def robustness_family(uni, order, target) -> ForbiddenFamily:
     """The triples {r->, r<- v s->, r<- v s<-} with both joins below |r|.
 
     r-> ranges over oriented members, s over all unoriented separations of
     the universe; only triples all of whose members lie in the target system
     are kept, and triples touching a degenerate separation are dropped.
     """
-    target = uni if target is None else target
     g = _universe_of(uni, "generator R")
     val = order.num
     out = []
@@ -299,9 +288,8 @@ def robustness_family(uni, order, target=None) -> ForbiddenFamily:
     return ForbiddenFamily(out)
 
 
-def profile_family(uni, target=None) -> ForbiddenFamily:
-    """The profile triples {r->, s->, r<- v s<-} over all oriented pairs."""
-    target = uni if target is None else target
+def profile_family(uni, target) -> ForbiddenFamily:
+    """The profile triples {r->, s->, r<- v s<-} inside ``target``."""
     g = _universe_of(uni, "generator profiles")
     els = list(filter(target.contains, uni.elements()))
     out = []

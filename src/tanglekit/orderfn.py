@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from operator import itemgetter
 
-from .core import SeparationSystem
+from .core import SeparationSystem, typed
 from .errors import (InputError, NonSubmodularOrder, PreconditionError, SystemValidationError,
                      UnknownHandle)
 from .universe import is_submodular
@@ -80,10 +80,8 @@ class OrderFunction:
             orders = obj["orders"]
         except (KeyError, TypeError) as exc:
             raise SystemValidationError("schema", witness=str(exc)) from exc
-        if not isinstance(orders, dict):
-            raise SystemValidationError("malformed-orders", witness=orders)
         values = {}
-        for s, v in orders.items():
+        for s, v in typed(orders, dict, "malformed-orders").items():
             try:
                 if type(v) not in (int, str):  # a JSON float is binary, a bool no order
                     raise TypeError(f"order value {v!r}: write an integer or a p/q string")
@@ -111,9 +109,10 @@ def parse_threshold(text):
 # -- refinement --------------------------------------------------------------
 
 
-def refines(o2, o1, system=None):
-    """o2 refines o1: o1(r) < o1(s) implies o2(r) < o2(s).  Witness pair on failure."""
-    seps = (o1.system if system is None else system).seps()
+def refines(o2, o1, system):
+    """o2 refines o1 on ``system``: o1(r) < o1(s) implies o2(r) < o2(s).
+    Witness pair on failure."""
+    seps = system.seps()
     v1, v2 = o1.num, o2.num
     for r in seps:
         r1, r2 = v1[r], v2[r]

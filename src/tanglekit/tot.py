@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .core import iter_mask
+from .core import iter_mask, mask_of
 from .errors import HypothesisFailure
 from .forbidden import (
     enumerate_tangles,
@@ -45,17 +45,17 @@ ToTResult = namedtuple("ToTResult", "distinguishers tree tangle_nodes leaf_class
 
 
 def distinguisher_report(system, order, tangles) -> DistinguisherReport:
-    """Brute-force optimal distinguishers over all pairs of (partial) orientations."""
-    tangles = [frozenset(t) for t in tangles]
+    """Brute-force optimal distinguishers over all pairs of (partial) orientations:
+    s distinguishes a pair whose masks both meet s's orientations and differ there."""
+    masks = list(map(mask_of, tangles))
+    sides = [(s, mask_of(system.orientations(s))) for s in system.seps()]
     pairs = {}
     union = set()
-    for i in range(len(tangles)):
-        for j in range(i + 1, len(tangles)):
-            ds = frozenset(
-                s for s in system.seps()
-                if system.distinguishes(s, tangles[i], tangles[j]))
-            m = min((order.num[s] for s in ds), default=None)
-            opt = frozenset(s for s in ds if order.num[s] == m)
+    for i, a in enumerate(masks):
+        for j, b in enumerate(masks[i + 1:], i + 1):
+            ds = frozenset(s for s, m in sides if a & m and b & m and (a ^ b) & m)
+            least = min((order.num[s] for s in ds), default=None)
+            opt = frozenset(s for s in ds if order.num[s] == least)
             union |= opt
             pairs[(i, j)] = PairReport(ds, opt)
     return DistinguisherReport(pairs=pairs, optimal_union=frozenset(union))
@@ -116,7 +116,7 @@ def tree_of_tangles(system, order, family) -> ToTResult:
     check_tot_hypotheses(system, order, family)
     tree = build_thorough_tst(system, order, family)
     classes = classify_leaves(tree, family)
-    nodes = tangle_nodes(tree, family, classes)
+    nodes = tangle_nodes(tree, classes)
     return ToTResult(frozenset(tree.node_sep(v) for v in nodes), tree, nodes, classes,
                      enumerate_tangles(system, family))
 
@@ -130,7 +130,7 @@ def tree_of_tangles_in(system, order, family) -> ToTResult:
     check_tot_hypotheses(system, order, family, layered=True)
     result = build_tst_in_S(system, order, family)
     tree = result.tree
-    nodes = tangle_nodes(tree, family, result.leaf_classes)
+    nodes = tangle_nodes(tree, result.leaf_classes)
     return ToTResult(frozenset(tree.node_sep(v) for v in nodes), tree, nodes,
                      result.leaf_classes,
                      [t.elements for t in maximal_tangles_in(system, family, order)])

@@ -20,7 +20,7 @@ from collections import namedtuple
 from functools import cache, reduce
 from operator import and_
 
-from .core import iter_mask, mask_of
+from .core import iter_mask, mask_of, typed
 from .errors import (
     NonInjectiveOrder,
     NotStandard,
@@ -96,10 +96,6 @@ class SeparationTree:
             return None
         return self.system.sep(self.edge_label[self.children[v][0]])
 
-    def beta(self, v) -> frozenset:
-        """Edge labels on the root path to v (the set beta_v)."""
-        return frozenset(iter_mask(self.paths[v]))
-
     def descendants(self, v):
         out, stack = [], [v]
         while stack:
@@ -126,26 +122,30 @@ class SeparationTree:
 
     @classmethod
     def from_json(cls, system, obj) -> "SeparationTree":
-        """The tree of a ``to_json`` document.  A ``schema`` other than
-        TREE_SCHEMA (``tree-schema``), an entry whose ``id`` is not its index
-        (``tree-node-id``), a child that is no node or is listed twice
-        (``tree-child``), a ``beta`` key that is not the decimal id of a
-        non-root node (``tree-beta-key``), or a ``root`` that is not the node
-        without a parent (``tree-root``) stops it; the witness is that schema,
-        id, key or root.  An absent ``schema`` or ``root`` is not checked."""
-        if obj.get("schema", TREE_SCHEMA) != TREE_SCHEMA:
+        """The tree of a ``to_json`` document.  A document, ``nodes``, node
+        entry, ``children`` or ``beta`` of another JSON type than written
+        (``tree-document``, ``tree-nodes``, ``tree-node``, ``tree-children``,
+        ``tree-beta``), a ``schema`` other than TREE_SCHEMA (``tree-schema``),
+        an entry whose ``id`` is not its index (``tree-node-id``), a child that
+        is no node or is listed twice (``tree-child``), a ``beta`` key that is
+        not the decimal id of a non-root node (``tree-beta-key``), or a
+        ``root`` that is not the node without a parent (``tree-root``) stops
+        it; the witness is that value, None when absent.  An absent
+        ``schema``, ``beta`` or ``root`` is not checked."""
+        if typed(obj, dict, "tree-document").get("schema", TREE_SCHEMA) != TREE_SCHEMA:
             raise SystemValidationError("tree-schema", witness=obj["schema"])
-        n = len(obj["nodes"])
+        nodes = typed(obj.get("nodes"), list, "tree-nodes")
+        n = len(nodes)
         parent, labels = [-1] * n, [-1] * n
-        for v, entry in enumerate(obj["nodes"]):
-            if entry["id"] != v:
-                raise SystemValidationError("tree-node-id", witness=entry["id"])
-            for c in entry["children"]:
+        for v, entry in enumerate(nodes):
+            if typed(entry, dict, "tree-node").get("id") != v:
+                raise SystemValidationError("tree-node-id", witness=entry.get("id"))
+            for c in typed(entry.get("children"), list, "tree-children"):
                 if c not in range(n) or parent[c] >= 0:
                     raise SystemValidationError("tree-child", witness=c)
                 parent[c] = v
         slots = {str(v): v for v in range(n) if parent[v] >= 0}
-        for key, h in obj.get("beta", {}).items():
+        for key, h in typed(obj.get("beta", {}), dict, "tree-beta").items():
             if key not in slots:
                 raise SystemValidationError("tree-beta-key", witness=key)
             labels[slots[key]] = h
@@ -294,7 +294,7 @@ def build_thorough_tst(system, order, family) -> SeparationTree:
             continue  # forbidden leaf
         cl = system.closure_mask(beta)
         if not system.is_consistent_mask(cl):
-            pair = system.consistency_witness(iter_mask(cl))
+            pair = system.consistency_witness(cl)
             raise TheoremViolation(f"closure of the path {sorted(iter_mask(beta))} "
                                    f"is inconsistent: pair {pair}")
         s = _least_unoriented(system, order, cl)
@@ -333,9 +333,8 @@ def display(tree, tau):
 
 def is_efficient_tree(tree, order) -> bool:
     """Every leaf's path set is efficient in its own closure."""
-    sys = tree.system
-    return all(is_efficient(sys, order, tree.beta(leaf),
-                            iter_mask(sys.closure_mask(tree.paths[leaf])))
+    sys, paths = tree.system, tree.paths
+    return all(is_efficient(sys, order, paths[leaf], sys.closure_mask(paths[leaf]))
                for leaf in tree.leaves())
 
 
@@ -385,16 +384,12 @@ def displayed_tangles(tree, family) -> frozenset:
                      if c.kind == LEAF_TANGLE)
 
 
-def tangle_nodes(tree, family, leaf_classes=None) -> list:
-    """Nodes with two children, each of whose subtrees contains a tangle leaf.
-    A degenerate node has one child and distinguishes nothing.
-
-    Leaves are read with ``classify_leaves`` unless ``leaf_classes`` is given.
-    The nodes with a tangle leaf below them are marked by walking up from
-    each tangle leaf, stopping at the first node already marked.
+def tangle_nodes(tree, leaf_classes) -> list:
+    """Nodes with two children, each of whose subtrees contains a tangle leaf
+    of ``leaf_classes``.  A degenerate node has one child and distinguishes
+    nothing.  The nodes with a tangle leaf below them are marked by walking
+    up from each tangle leaf, stopping at the first node already marked.
     """
-    if leaf_classes is None:
-        leaf_classes = classify_leaves(tree, family)
     marked = set()
     for v in (leaf for leaf, c in leaf_classes.items() if c.kind == LEAF_TANGLE):
         while v >= 0 and v not in marked:

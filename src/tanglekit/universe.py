@@ -20,7 +20,7 @@ from functools import cached_property
 from itertools import chain, islice
 from operator import itemgetter
 
-from .core import SeparationSystem, int_cells, transpose
+from .core import SeparationSystem, int_cells, transpose, typed
 from .errors import BoundExceeded, PreconditionError, SystemValidationError
 
 UNIVERSE_SCHEMA = "tanglekit/universe-v1"
@@ -30,23 +30,17 @@ class Universe(SeparationSystem):
     """A ground separation system whose poset is a lattice (total join/meet
     tables); its views are the ``SeparationSystem``s of :meth:`restrict`.
 
-    ``join`` and ``meet``, when given, are stored as they are; ``from_json``
-    validates them.  Otherwise both tables are derived from the poset the
-    first time either is read, and kept.  A pair without a least upper
-    (greatest lower) bound then raises SystemValidationError at that read, so
-    a poset that is no lattice builds, but none of its tables reads.
+    Both tables are derived from the poset the first time either is read,
+    and kept; ``from_json`` stores the given tables and validates them.  A
+    pair without a least upper (greatest lower) bound raises
+    SystemValidationError at the first read, so a poset that is no lattice
+    builds, but none of its tables reads.
 
-    ``down``, when given, must be the transpose of ``up``, and is passed on
-    to ``SeparationSystem``.  Only the generators that know their side masks
-    (``graph_universe``, ``subset_universe``) pass it.
+    Only the generators that know their side masks (``graph_universe``,
+    ``subset_universe``) pass ``SeparationSystem``'s ``down``.
     """
 
     lattice_report = None  # _checked keeps its validate_lattice report here
-
-    def __init__(self, inv, up, labels, join=None, meet=None, down=None):
-        super().__init__(inv, up, labels, down=down)
-        if join is not None:
-            self._tables = tuple(map(tuple, join)), tuple(map(tuple, meet))
 
     @cached_property
     def _tables(self):
@@ -120,8 +114,7 @@ def _table_of_cells(cells, n):
     The cells are checked in bulk; only a list with a bad cell is walked cell
     by cell, so the first bad cell is the witness.
     """
-    if not isinstance(cells, list):
-        raise SystemValidationError("malformed-table", witness=cells)
+    typed(cells, list, "malformed-table")
     values = int_cells(cells, 3) and set(chain.from_iterable(cells))
     if values is False or not 0 <= min(values, default=0) <= max(values, default=0) < n:
         for cell in cells:

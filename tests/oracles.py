@@ -222,9 +222,23 @@ def naive_stree_edge_geq(stree, e, f):
     (a, b), (c, d) = e, f
     if {a, b} == {c, d}:
         return False
-    b_side = stree.side_nodes(a, b)
-    c_side = stree.side_nodes(d, c)
+    b_side = side_nodes(stree, a, b)
+    c_side = side_nodes(stree, d, c)
     return c in b_side and d in b_side and a in c_side and b in c_side
+
+
+def side_nodes(stree, a, b):
+    """Nodes of the component of the S-tree minus the edge {a,b} that contains b."""
+    seen, stack = {b}, [b]
+    while stack:
+        u = stack.pop()
+        for v in stree.adj[u]:
+            if {u, v} == {a, b}:
+                continue
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
 
 
 def naive_stree_order_preserving(stree):
@@ -560,6 +574,14 @@ def naive_without_trivial(system):
 def from_tables(inv, leq_pairs, join, meet, labels=None):
     """A validated universe with the given tables; raises on the first failure."""
     return Universe.from_relation(inv, leq_pairs, labels)._checked(join, meet)
+
+
+def with_tables(inv, up, labels, join, meet):
+    """A universe on the up-sets ``up`` that keeps the given tables unchecked,
+    as they are; ``from_json`` and ``from_tables`` check theirs."""
+    uni = Universe(inv, up, labels)
+    uni._tables = tuple(map(tuple, join)), tuple(map(tuple, meet))
+    return uni
 
 
 def is_submodular_subsystem(system) -> bool:

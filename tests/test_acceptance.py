@@ -67,6 +67,7 @@ from tanglekit.tot import (
 from tanglekit.tst import (
     build_thorough_tst,
     classify_leaf,
+    classify_leaves,
     display,
     displayed_tangles,
     leaf_needs,
@@ -137,7 +138,8 @@ def suite():
     heavy = bipartition_universe([1, 2, 3])
     oh = refine_injective(
         heavy, _cut_order(heavy, {(0, 1): 4, (0, 2): 1, (1, 2): 1}, 3))
-    fam = eclipse_closure(heavy, standardize(robustness_family(heavy, oh), heavy), oh)
+    robust = robustness_family(heavy, oh, target=heavy)
+    fam = eclipse_closure(heavy, standardize(robust, heavy), oh)
     cases.append(_case("bip3-heavy", heavy, oh, fam))
 
     import random
@@ -337,7 +339,7 @@ def test_criterion_7_tree_of_tangles(suite, trees):
             assert is_nested_set(
                 c.system, [h for s in n for h in c.system.orientations(s)]), c.name
             pairs = distinguisher_report(c.system, c.order, tangles).pairs
-            nodes = tangle_nodes(tree, c.family)
+            nodes = tangle_nodes(tree, classify_leaves(tree, c.family))
             for (i, j), pr in pairs.items():
                 v = tree_infimum(tree, display(tree, tangles[i]),
                                  display(tree, tangles[j]))
@@ -355,12 +357,12 @@ def test_criterion_8_layered_tree_of_tangles(suite):
         o3i = refine_injective(p3, o3)
         fam3 = standardize(
             graph_tangle_stars(p3, o3, "abc", [("a", "b"), ("b", "c")], 4), p3)
-        fam3 = fam3.extended(robustness_family(p3, o3i))
+        fam3 = fam3.extended(robustness_family(p3, o3i, target=p3))
         p4, o4 = p4_universe()
         o4i = refine_injective(p4, o4)
         fam4 = standardize(graph_tangle_stars(
             p4, o4, "abcd", [("a", "b"), ("b", "c"), ("c", "d")], 5), p4)
-        fam4 = fam4.extended(robustness_family(p4, o4i))
+        fam4 = fam4.extended(robustness_family(p4, o4i, target=p4))
         layered = [("p3-full", p3, o3i, fam3), ("p4-full", p4, o4i, fam4)]
         for c in randoms[:40]:
             layered.append((c.name, c.system, c.order, c.family))

@@ -450,7 +450,7 @@ def test_dot_single_node_tree():
     u, o = p3_universe()
     empty = restrict_Sk(u, o, 0)
     t = build_thorough_tst(empty, constant_order(u), ForbiddenFamily([]))
-    text = tree_dot(t)
+    text = tree_dot(t, {})
     assert text.count("->") == 0 and "n0" in text
 
 

@@ -131,7 +131,7 @@ def random_cases():
     for i, (u, o) in enumerate(randoms()):
         o2 = refine_injective(u, o)
         families = [random_star_family(u, o, rng), singleton_family(u),
-                    standardize(robustness_family(u, o2), u),
+                    standardize(robustness_family(u, o2, target=u), u),
                     planted_singleton(u, 0), planted_singleton(u, 1)]
         for order in (o, o2):
             for fam in families:

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (is_nested_set, naive_closure, naive_consistent_orientations,
-                     naive_is_consistent)
-from tanglekit.core import SeparationSystem, mask_of
+from oracles import (constant_order, is_nested_set, naive_closure,
+                     naive_consistent_orientations, naive_is_consistent)
+from tanglekit.core import SeparationSystem, iter_mask, mask_of
 from tanglekit.errors import (
-    InconsistentSet,
     SystemValidationError,
     UnknownHandle,
 )
+from tanglekit.tot import distinguisher_report
 from tanglekit.universe import bipartition_universe, restrict_Sk
 
 ALL_SYSTEMS = "p3 bip2 bip3 ptriv chain2 single".split()
@@ -192,25 +192,19 @@ def test_consistency_matches_naive(request, name):
 
 
 def test_closure_empty(chain2):
-    assert chain2.closure(set()) == frozenset()
+    assert chain2.closure_mask(0) == 0
 
 
 def test_closure_chain(chain2):
     by = {chain2.label(h): h for h in chain2.elements()}
-    assert chain2.closure({by["r>"]}) == {by["r>"], by["s>"]}
+    assert chain2.closure_mask(mask_of({by["r>"]})) == mask_of({by["r>"], by["s>"]})
 
 
 def test_closure_of_full_orientation_is_itself(p3):
     u, o = p3
     s2 = restrict_Sk(u, o, 2)
     for tau in s2.consistent_orientations():
-        assert s2.closure(tau) == tau
-
-
-def test_closure_rejects_inconsistent(chain2):
-    by = {chain2.label(h): h for h in chain2.elements()}
-    with pytest.raises(InconsistentSet):
-        chain2.closure({by["r>"], by["s<"]})
+        assert s2.closure_mask(mask_of(tau)) == mask_of(tau)
 
 
 @pytest.mark.parametrize("name", ALL_SYSTEMS)
@@ -222,10 +216,10 @@ def test_closure_matches_naive_and_idempotent(request, name):
         for sigma in itertools.combinations(els, size):
             if not s.is_consistent_mask(mask_of(sigma)):
                 continue
-            cl = s.closure(sigma)
-            assert cl == naive_closure(s, sigma)
-            if s.is_consistent_mask(mask_of(cl)):
-                assert s.closure(cl) == cl
+            cl = s.closure_mask(mask_of(sigma))
+            assert cl == mask_of(naive_closure(s, sigma))
+            if s.is_consistent_mask(cl):
+                assert s.closure_mask(cl) == cl
 
 
 def test_closure_monotone(bip3):
@@ -237,7 +231,7 @@ def test_closure_monotone(bip3):
             continue
         for sigma in itertools.combinations(tau, 2):
             if bip3.is_consistent_mask(mask_of(sigma)):
-                assert bip3.closure(sigma) <= bip3.closure(tau)
+                assert not bip3.closure_mask(mask_of(sigma)) & ~bip3.closure_mask(mask_of(tau))
 
 
 def test_closure_consistent_without_cotrivials(p3):
@@ -250,9 +244,9 @@ def test_closure_consistent_without_cotrivials(p3):
             continue
         if any(s2.is_cotrivial(h) for h in sigma):
             continue
-        cl = s2.closure(sigma)
-        assert s2.is_consistent_mask(mask_of(cl))
-        added = cl - set(sigma)
+        cl = s2.closure_mask(mask_of(sigma))
+        assert s2.is_consistent_mask(cl)
+        added = set(iter_mask(cl)) - set(sigma)
         for s in {s2.sep(h) for h in added}:
             assert len([h for h in added if s2.sep(h) == s]) <= 1
 
@@ -309,9 +303,10 @@ def test_distinguishes_requires_both_defined(chain2):
     by = {chain2.label(h): h for h in chain2.elements()}
     t1 = {by["r>"], by["s>"]}
     t2 = {by["r<"], by["s>"]}
-    assert chain2.distinguishes(by["r>"], t1, t2)
-    assert not chain2.distinguishes(by["s>"], t1, t2)
-    assert not chain2.distinguishes(by["r>"], {by["s>"]}, t2)
+    pairs = distinguisher_report(chain2, constant_order(chain2), [t1, t2, {by["s>"]}]).pairs
+    # s, oriented alike, does not distinguish t1 from t2, and {s>} orients no r
+    assert pairs[(0, 1)].distinguishers == {chain2.sep(by["r>"])}
+    assert pairs[(1, 2)].distinguishers == frozenset()
 
 
 # -- hypothesis property: restriction keeps axioms ----------------------------------
@@ -375,7 +370,7 @@ def test_closure_monotone_property(handles):
         return
     for h in sorted(sigma):
         smaller = sigma - {h}
-        assert bip.closure(smaller) <= bip.closure(sigma)
+        assert not bip.closure_mask(mask_of(smaller)) & ~bip.closure_mask(mask_of(sigma))
 
 
 @given(st.integers(min_value=0, max_value=2 ** 9 - 1))
@@ -397,7 +392,7 @@ def test_display_uniqueness_property(pick_bits):
         ors = s2.orientations(s)
         tau.append(ors[(pick_bits >> i) & 1] if len(ors) == 2 else ors[0])
     tau = frozenset(tau)
-    hits = [l for l in tree.leaves() if tree.beta(l) <= tau]
+    hits = [l for l in tree.leaves() if not tree.paths[l] & ~mask_of(tau)]
     assert len(hits) == 1
 
 

@@ -158,6 +158,35 @@ def test_separation_tree_read_back_needs_its_own_schema_and_root(key, value, axi
     assert got == (axiom, value)
 
 
+TREE_DOCUMENT = {"schema": "tanglekit/tree-v1", "root": 0, "beta": {"1": 0},
+                 "nodes": [{"id": 0, "children": [1]}, {"id": 1, "children": []}]}
+STREE_DOCUMENT = {"schema": "tanglekit/stree-v1", "nodes": 2, "alpha": {"0>1": 0, "1>0": 1}}
+
+
+@pytest.mark.parametrize("reader,obj,axiom,witness", [
+    (SeparationTree, [TREE_DOCUMENT], "tree-document", [TREE_DOCUMENT]),
+    (SeparationTree, {k: v for k, v in TREE_DOCUMENT.items() if k != "nodes"},
+     "tree-nodes", None),
+    (SeparationTree, {**TREE_DOCUMENT, "beta": [0]}, "tree-beta", [0]),
+    (SeparationTree, {**TREE_DOCUMENT, "nodes": [[0, [1]], {"id": 1, "children": []}]},
+     "tree-node", [0, [1]]),
+    (SeparationTree, {**TREE_DOCUMENT, "nodes": [{"id": 0, "children": 1},
+                                                 {"id": 1, "children": []}]},
+     "tree-children", 1),
+    (STree, [STREE_DOCUMENT], "stree-document", [STREE_DOCUMENT]),
+    (STree, {k: v for k, v in STREE_DOCUMENT.items() if k != "nodes"}, "stree-nodes", None),
+    (STree, {**STREE_DOCUMENT, "alpha": [0, 1]}, "stree-alpha", [0, 1]),
+], ids=["tree-not-an-object", "tree-nodes-missing", "tree-beta-a-list", "tree-node-a-list",
+        "tree-children-not-a-list", "stree-not-an-object", "stree-nodes-missing",
+        "stree-alpha-a-list"])
+def test_tree_read_back_needs_containers_of_the_written_types(reader, obj, axiom, witness):
+    # each raised AttributeError, KeyError or TypeError, not an exit-1 report;
+    # the document each one changes reads back as it is
+    base = TREE_DOCUMENT if reader is SeparationTree else STREE_DOCUMENT
+    assert reader.from_json(chain2_system(), base).to_json() == base
+    assert axiom_and_witness(lambda: reader.from_json(chain2_system(), obj)) == (axiom, witness)
+
+
 def p3_stree_document(p3_s2, **changes):
     """A two-node S-tree over P3 in JSON, with ``changes`` to its keys."""
     u, _, _ = p3_s2
@@ -302,8 +331,8 @@ def test_tot_hypotheses_need_a_universe():
 # Each library call that reads joins or meets, with the name it stops under.
 # Arguments: the plain chain system, its injective order and the empty family.
 NEEDS_A_UNIVERSE = {
-    "robustness_family": ("generator R", lambda s, o, f: robustness_family(s, o)),
-    "profile_family": ("generator profiles", lambda s, o, f: profile_family(s)),
+    "robustness_family": ("generator R", lambda s, o, f: robustness_family(s, o, target=s)),
+    "profile_family": ("generator profiles", lambda s, o, f: profile_family(s, target=s)),
     "refine_injective": ("submodularity", lambda s, o, f: refine_injective(s, o)),
     "is_submodular": ("submodularity", lambda s, o, f: is_submodular(s, o)),
     "is_structurally_submodular": (

@@ -29,6 +29,7 @@ from oracles import (
     pairwise_consistency_witness,
     pairwise_from_relation,
     pairwise_validate_lattice,
+    with_tables,
 )
 from test_lattice_rule import LADDER, PLANTED, _cycle, _path, planted
 
@@ -254,7 +255,7 @@ def test_from_relation_reports_the_pairwise_first_failure(axiom):
 
 def assert_witnesses_pairwise(system, sets):
     for sigma in sets:
-        assert (system.consistency_witness(iter(sigma))
+        assert (system.consistency_witness(mask_of(sigma))
                 == pairwise_consistency_witness(system, sigma)), sorted(sigma)
 
 
@@ -280,7 +281,7 @@ def test_consistency_witness_on_small_systems():
             [h for i, h in enumerate(els) if m >> i & 1] for m in range(1 << len(els))])
     for uni, _ in randoms():
         taus = uni.consistent_orientations()
-        assert taus and all(uni.consistency_witness(t) is None for t in taus)
+        assert taus and all(uni.consistency_witness(mask_of(t)) is None for t in taus)
         assert_witnesses_pairwise(
             uni, random_subsets(uni, rng, 30) + [rng.choice(taus) | {h} for h in
                                                  uni.elements()])
@@ -322,7 +323,7 @@ def test_mask_forms_agree_with_the_set_definitions():
             assert (hit if hit is None else frozenset(iter_mask(hit))) == naive_first_inside(
                 family, sigma), sorted(sigma)
             consistent = system.is_consistent_mask(mask)
-            assert consistent == (system.consistency_witness(sigma) is None), sorted(sigma)
+            assert consistent == (system.consistency_witness(mask) is None), sorted(sigma)
             orientation = naive_is_orientation(system, sigma)
             assert system.is_orientation_mask(mask) == orientation, sorted(sigma)
             assert not small or consistent == naive_is_consistent(system, sigma), sorted(sigma)
@@ -570,17 +571,17 @@ def corrupted(uni, axiom, a, b):
     n = uni.n_ground
     join, meet, inv = uni._join, uni._meet, uni._inv
     if axiom == "join-commutative":
-        return Universe(inv, uni._up, uni.labels,
-                        _one_sided(join, a, b, (join[a][b] + 1) % n), meet)
+        return with_tables(inv, uni._up, uni.labels,
+                           _one_sided(join, a, b, (join[a][b] + 1) % n), meet)
     if axiom == "meet-commutative":
-        return Universe(inv, uni._up, uni.labels,
-                        join, _one_sided(meet, a, b, (meet[a][b] + 1) % n))
+        return with_tables(inv, uni._up, uni.labels,
+                           join, _one_sided(meet, a, b, (meet[a][b] + 1) % n))
     if axiom == "involution-de-morgan":
         # a relabelled involution: tables and order stay, the pairing moves
         perm = list(inv)
         perm[a], perm[b] = perm[b], perm[a]
         perm[inv[a]], perm[inv[b]] = b, a
-        return Universe(perm, uni._up, uni.labels, join, meet)
+        return with_tables(perm, uni._up, uni.labels, join, meet)
     name = "join" if axiom == "join-least-upper-bound" else "meet"
     obj = json.loads(json.dumps(uni.to_json()))
     cell = next(c for c in obj[name] if c[:2] == [min(a, b), max(a, b)])
@@ -591,7 +592,7 @@ def corrupted(uni, axiom, a, b):
             tab[x][y] = tab[y][x] = z
     with pytest.raises(SystemValidationError) as exc:
         Universe.from_json(obj)
-    bad = Universe(inv, uni._up, uni.labels, tables["join"], tables["meet"])
+    bad = with_tables(inv, uni._up, uni.labels, tables["join"], tables["meet"])
     first = pairwise_validate_lattice(bad).failures[0]
     assert (exc.value.axiom, exc.value.witness) == first
     return bad
@@ -622,7 +623,7 @@ def test_failure_lists_capped_at_twenty():
     uni = universe("P4")[0]
     n = uni.n_ground
     zeros = [[0] * n for _ in range(n)]
-    bad = Universe(uni._inv, uni._up, uni.labels, zeros, zeros)
+    bad = with_tables(uni._inv, uni._up, uni.labels, zeros, zeros)
     want = pairwise_validate_lattice(bad)
     assert len(want.failures) == 20
     assert validate_lattice(bad) == want

@@ -14,7 +14,7 @@ from functools import lru_cache, partial
 
 import pytest
 from oracles import (constant_order, corners, from_tables, naive_join_table, naive_meet_table,
-                     naive_validate_lattice)
+                     naive_validate_lattice, with_tables)
 
 import tanglekit.universe
 from tanglekit.cli import main
@@ -115,7 +115,7 @@ def planted(name):
     elif name == "two-minimal-upper-bounds":
         s, join, meet = _diamond_tables()
         inv, up, labels = s._inv, s._up, s.labels
-    return Universe(inv, up, labels, join, meet)
+    return with_tables(inv, up, labels, join, meet)
 
 
 PLANTED = ["noncommutative-join", "nonassociative-join", "wrong-meet", "de-morgan",
@@ -234,8 +234,8 @@ def all_readers(uni, order, view):
     for system in (uni, view):
         is_submodular(system, order)
         is_structurally_submodular(system, order)
-        robustness_family(system, order)
-        profile_family(system)
+        robustness_family(system, order, target=system)
+        profile_family(system, target=system)
         els = system.elements() or uni.elements()
         corners(system, els[0], els[-1])
     robustness_family(uni, order, target=view)
@@ -251,7 +251,7 @@ def test_explicit_tables_are_never_derived(derivations):
     join, meet = naive_join_table(made), naive_meet_table(made)
     leq = [(a, b) for a in range(made.n_ground) for b in range(made.n_ground)
            if made.leq(a, b)]
-    given = Universe(made._inv, made._up, made.labels, join, meet)
+    given = with_tables(made._inv, made._up, made.labels, join, meet)
     checked = from_tables(made._inv, leq, join, meet, made.labels)
     loaded = Universe.from_json(checked.to_json())
     # each checked universe derives its tables once, to compare the given ones

@@ -234,7 +234,7 @@ def test_order_checks_look_each_handle_up_once(monkeypatch):
         "is_submodular": lambda: is_submodular(uni, o2),
         "is_structurally_submodular": lambda: is_structurally_submodular(uni, o2),
         "refines": lambda: refines(o2, o, uni),
-        "robustness_family": lambda: robustness_family(uni, o2),
+        "robustness_family": lambda: robustness_family(uni, o2, target=uni),
     }
     for name, check in checks.items():
         calls.clear()

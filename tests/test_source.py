@@ -151,10 +151,10 @@ def test_orientation_search_only_where_whole_orientations_are_needed():
 
 
 # The readers of a family that report its members as sets, and the functions
-# of tst.py that make a set of handles from a mask: the path labels, a leaf's
-# witness, the builder's richness refutation and the layered tangle witness.
+# of tst.py that make a set of handles from a mask: a leaf's witness, the
+# builder's richness refutation and the layered tangle witness.
 FAMILY_SET_READERS = {"sets", "ordered"}
-TST_SET_MAKERS = {"beta", "classify_leaf", "build_thorough_tst", "_leaf_class_in_s"}
+TST_SET_MAKERS = {"classify_leaf", "build_thorough_tst", "_leaf_class_in_s"}
 
 
 def test_family_masks_are_read_and_sets_made_only_where_reported():
@@ -178,6 +178,51 @@ def test_family_masks_are_read_and_sets_made_only_where_reported():
               for (file, fn), names in reads.items()
               if file != "forbidden.py" and "mask_of" in names and names & FAMILY_SET_READERS]
     assert not found, f"family sets masked again, or sets made from masks: {found}"
+
+
+def functions(tree):
+    """(name, node) for each module-level function and method, a method named
+    ``Class.method``; a nested function is walked with the one around it."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{fn.name}", fn) for fn in node.body
+                        if isinstance(fn, ast.FunctionDef))
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name, node
+
+
+# The boundaries where a set of handles enters the library as a mask: the
+# handles of a subsystem, the orientation a tree displays, the members of a
+# family and a test for one, and the tangles whose distinguishers are reported.
+MASK_BOUNDARIES = {("core.py", "SeparationSystem.restrict"), ("tst.py", "display"),
+                   ("forbidden.py", "ForbiddenFamily.__init__"),
+                   ("forbidden.py", "ForbiddenFamily.__contains__"),
+                   ("tot.py", "distinguisher_report")}
+
+
+def test_sets_enter_as_masks_only_at_the_boundaries():
+    # inside the library a set of handles is a mask, and the predicates take
+    # masks: a function that masks a parameter, with ``mask_of`` or by
+    # mapping it, is a set form whose callers hold the mask already
+    found, boundaries = [], set()
+    for path, tree in package_trees():
+        for name, fn in functions(tree):
+            a = fn.args
+            params = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                called = getattr(node.func, "id", None)
+                args = (node.args if called == "mask_of" else node.args[1:]
+                        if called == "map" and getattr(node.args[0], "id", None) == "mask_of"
+                        else [])
+                masked = [x.id for x in args if getattr(x, "id", None) in params]
+                if masked and (path.name, name) in MASK_BOUNDARIES:
+                    boundaries.add((path.name, name))
+                elif masked:
+                    found.append(f"{path.name}:{node.lineno} {name} masks {masked[0]}")
+    assert not found, f"set forms of mask predicates: {found}"
+    assert boundaries == MASK_BOUNDARIES, f"no longer masking: {MASK_BOUNDARIES - boundaries}"
 
 
 # The predicates of the tree-of-tangles hypotheses that read the whole
@@ -495,21 +540,55 @@ def defaulted_parameters(tree):
     yield from visit(tree, None)
 
 
+def base_names(cls):
+    return [getattr(b, "id", getattr(b, "attr", None)) for b in cls.bases]
+
+
+def calls_in(node, bases=()):
+    """(call, the bases of the innermost class around it) for each call below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield child, bases
+        yield from calls_in(child, base_names(child) if isinstance(child, ast.ClassDef)
+                            else bases)
+
+
 def calls_by_name():
-    """Each call in src/ or benchmark/, under the name it calls:
-    ``super().__init__`` is filed under "super"."""
+    """Each call in src/ or benchmark/, under the name it calls.  A
+    ``super().__init__`` call runs a base class's constructor, so it is filed
+    under the bases of its class."""
     calls = {}
     for folder in ("src", "benchmark"):
         for path in sorted((REPO / folder).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-                if not isinstance(node, ast.Call):
-                    continue
+            for node, bases in calls_in(ast.parse(path.read_text(), filename=str(path))):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 if (name == "__init__" and isinstance(node.func.value, ast.Call)
                         and getattr(node.func.value.func, "id", None) == "super"):
-                    name = "super"
-                calls.setdefault(name, []).append(node)
+                    for base in bases:
+                        calls.setdefault(base, []).append(node)
+                else:
+                    calls.setdefault(name, []).append(node)
     return calls
+
+
+def constructor_callers():
+    """Class name -> the names whose call runs that class's own ``__init__``:
+    its own, and those of the classes of src/ that inherit it."""
+    bases, own = {}, set()
+    for _, tree in package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = base_names(node)
+                if any(isinstance(f, ast.FunctionDef) and f.name == "__init__"
+                       for f in node.body):
+                    own.add(node.name)
+    callers = {}
+    for name in bases:
+        owner = name
+        while owner in bases and owner not in own and bases[owner]:
+            owner = bases[owner][0]
+        callers.setdefault(owner, []).append(name)
+    return callers
 
 
 def passes(call, name, position):
@@ -527,7 +606,7 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
     # a caller.  fixtures.py is exempt, as in the definition guard, and so is
     # the ``bound`` of the two input-size guards (BOUND_TAKERS), which the
     # tests lower to reach the guard
-    calls = calls_by_name()
+    calls, constructors = calls_by_name(), constructor_callers()
     found = []
     for path, tree in package_trees():
         if path.name == "fixtures.py":
@@ -537,10 +616,11 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
                 continue
             names = [fn.name]
             if fn.name == "__init__" and cls is not None:
-                names += [cls, "super"]
+                names += constructors[cls]
             if not any(passes(call, name, position)
                        for n in names for call in calls.get(n, ())):
-                found.append(f"{path.name}:{fn.lineno} {fn.name}({name})")
+                qualified = fn.name if cls is None else f"{cls}.{fn.name}"
+                found.append(f"{path.name}:{fn.lineno} {qualified}({name})")
     assert not found, f"defaulted parameters no caller sets: {found}"
 
 

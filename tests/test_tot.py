@@ -35,6 +35,7 @@ from tanglekit.tot import (
 from tanglekit.tst import (
     LEAF_FORBIDDEN,
     build_thorough_tst,
+    classify_leaves,
     display,
     reduce_irreducible,
 )
@@ -97,7 +98,7 @@ def test_single_tangle_empty_n(p3_tot):
     lonely = ForbiddenFamily([])
     empty = restrict_Sk(u, o2, 0)
     t = build_thorough_tst(empty, o2, lonely)
-    assert tangle_nodes(t, lonely) == []
+    assert tangle_nodes(t, classify_leaves(t, lonely)) == []
 
 
 def test_p3_extraction_matches_oracle(p3_tot):
@@ -117,7 +118,7 @@ def test_infimum_node_is_the_optimal_distinguisher(p3_tot):
     u, o2, s2, F, tree = p3_tot
     tangles = enumerate_tangles(s2, F)
     rep = distinguisher_report(s2, o2, tangles)
-    nodes = tangle_nodes(tree, F)
+    nodes = tangle_nodes(tree, classify_leaves(tree, F))
     for (i, j), pair in rep.pairs.items():
         v = tree_infimum(tree, display(tree, tangles[i]), display(tree, tangles[j]))
         assert v in nodes
@@ -149,7 +150,7 @@ def test_reduced_tree_same_distinguishers(p3_tot):
     u, o2, s2, F, tree = p3_tot
     n = tree_of_tangles(s2, o2, F).distinguishers
     red = reduce_irreducible(tree, F, o2)
-    n_red = frozenset(red.node_sep(v) for v in tangle_nodes(red, F))
+    n_red = frozenset(red.node_sep(v) for v in tangle_nodes(red, classify_leaves(red, F)))
     assert n_red == n
 
 
@@ -177,7 +178,7 @@ def test_leaf_never_critical(p3_tot):
 
 def test_planted_robustness_triple_makes_node_critical(weighted_bip3):
     u, o2 = weighted_bip3
-    robust = robustness_family(u, o2)
+    robust = robustness_family(u, o2, target=u)
     assert robust.sets  # the heavy edge creates triples
     F = eclipse_closure(u, standardize(robust, u), o2)
     assert is_rich(u, F, o2)[0]
@@ -188,13 +189,13 @@ def test_planted_robustness_triple_makes_node_critical(weighted_bip3):
 
 def test_tangle_nodes_never_critical(weighted_bip3, p3_tot):
     u, o2 = weighted_bip3
-    robust = robustness_family(u, o2)
+    robust = robustness_family(u, o2, target=u)
     F = eclipse_closure(u, standardize(robust, u), o2)
     tree = build_thorough_tst(u, o2, F)
-    for v in tangle_nodes(tree, F):
+    for v in tangle_nodes(tree, classify_leaves(tree, F)):
         assert not is_critical(tree, v, o2)
     u3, o3, s2, F3, tree3 = p3_tot
-    for v in tangle_nodes(tree3, F3):
+    for v in tangle_nodes(tree3, classify_leaves(tree3, F3)):
         assert not is_critical(tree3, v, o3)
 
 
@@ -212,7 +213,7 @@ def p3_layered_tot():
 
 def test_layered_single_tangle_empty_n(weighted_bip3):
     u, o2 = weighted_bip3
-    robust = robustness_family(u, o2)
+    robust = robustness_family(u, o2, target=u)
     F = eclipse_closure(u, standardize(robust, u), o2)
     res = tree_of_tangles_in(u, o2, F)
     maximal = res.tangles
@@ -264,7 +265,7 @@ def test_a_failed_layer_is_named_by_its_separation_count(p4):
     u, o = p4
     inj = refine_injective(u, o)
     stars = graph_tangle_stars(u, o, "abcd", [("a", "b"), ("b", "c"), ("c", "d")], 2)
-    F = standardize(stars.extended(robustness_family(u, inj)), u)
+    F = standardize(stars.extended(robustness_family(u, inj, target=u)), u)
     with pytest.raises(HypothesisFailure) as failure:
         tree_of_tangles_in(u, inj, F)
     assert str(failure.value) == (
@@ -373,14 +374,14 @@ def is_non_profile_case(uni, sk, tangles):
     return len(tangles) >= 2 and any(profiles.first_inside(mask_of(t)) is not None for t in tangles)
 
 
-def assert_layered_tangle_nodes(res, fam):
+def assert_layered_tangle_nodes(res):
     """The layered tangle nodes, those with two children neither of which is a
     forbidden leaf, are the nodes the marking of ``tangle_nodes`` finds."""
     tree = res.tree
     forbidden = {l for l, c in res.leaf_classes.items() if c.kind == LEAF_FORBIDDEN}
     pruned = [v for v in tree.nodes() if len(tree.children[v]) == 2
               and not forbidden & set(tree.children[v])]
-    assert res.tangle_nodes == pruned == tangle_nodes(tree, fam, res.leaf_classes)
+    assert res.tangle_nodes == pruned == tangle_nodes(tree, res.leaf_classes)
 
 
 def test_tot_on_random_graphs_with_non_profile_tangles():
@@ -417,7 +418,7 @@ def test_totins_on_random_graphs_with_non_profile_tangles():
         assert tot_accepts, case
         rep = verify_tot(sk, inj, res.distinguishers, res.tangles)
         assert rep.ok, (case, rep)
-        assert_layered_tangle_nodes(res, fam)
+        assert_layered_tangle_nodes(res)
         verified += 1
         non_profile += is_non_profile_case(uni, sk, res.tangles)
     assert verified >= 60  # 71 seen, of 101 cases
@@ -451,7 +452,7 @@ def test_both_theorems_on_random_graphs_with_stars():
         for res in results:
             rep = verify_tot(sk, inj, res.distinguishers, res.tangles)
             assert rep.ok, (case, rep)
-        assert_layered_tangle_nodes(results[1], fam)
+        assert_layered_tangle_nodes(results[1])
         verified += 1
         several += len(results[0].tangles) >= 2
     assert verified >= 90  # 101 seen, of 101 cases

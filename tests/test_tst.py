@@ -72,17 +72,17 @@ def p3_tree(p3_setting):
 
 
 def test_beta_root_empty(p3_tree):
-    assert p3_tree.beta(p3_tree.root) == frozenset()
+    assert p3_tree.paths[p3_tree.root] == 0
 
 
 def test_beta_depth_one(p3_tree):
     child = p3_tree.children[p3_tree.root][0]
-    assert p3_tree.beta(child) == {p3_tree.edge_label[child]}
+    assert p3_tree.paths[child] == 1 << p3_tree.edge_label[child]
 
 
 def test_beta_matches_manual_walk(p3_tree):
     for v in p3_tree.nodes():
-        assert p3_tree.beta(v) == beta_by_path_walk(p3_tree, v)
+        assert p3_tree.paths[v] == mask_of(beta_by_path_walk(p3_tree, v))
 
 
 # -- validation -------------------------------------------------------------------
@@ -100,7 +100,7 @@ def test_single_node_tree_empty_tangle(p3_setting):
 def test_planted_forbidden_nonleaf_fails(p3_tree, p3_setting):
     u, o2, s2, F = p3_setting
     inner = [v for v in p3_tree.nodes() if not p3_tree.is_leaf(v)][1]
-    bad = F.extended(ForbiddenFamily([p3_tree.beta(inner)]))
+    bad = F.extended(ForbiddenFamily([beta_by_path_walk(p3_tree, inner)]))
     rep = validate_tst(p3_tree, bad)
     assert not rep.ok
     assert any(reason == "forbidden-subset-at-non-leaf" for _, reason in rep.failures)
@@ -218,7 +218,7 @@ def test_thorough_order_fails_on_a_separation_the_closure_orients():
     o = OrderFunction(system, {0: 2, 2: 1})
     t = SeparationTree(system, [-1, 0, 0, 2, 2], [-1, 2, 3, 0, 1])
     assert is_ordered(t, o)
-    assert system.closure({3}) == {1, 3}
+    assert system.closure_mask(1 << 3) == mask_of({1, 3})
     assert not is_thoroughly_ordered(t, o)
 
 
@@ -307,7 +307,7 @@ def test_display_arbitrary_orientation_unique_leaf(p3_tree, p3_setting):
     # every orientation contains beta_l for exactly one leaf
     u, o2, s2, F = p3_setting
     for tau in s2.consistent_orientations():
-        hits = [l for l in p3_tree.leaves() if p3_tree.beta(l) <= tau]
+        hits = [l for l in p3_tree.leaves() if not p3_tree.paths[l] & ~mask_of(tau)]
         assert len(hits) == 1
         assert display(p3_tree, tau) == hits[0]
         if not enumerate_tangles(s2, F) or tau not in set(enumerate_tangles(s2, F)):
@@ -322,7 +322,7 @@ def test_display_non_tangle_lands_forbidden(p3_tree, p3_setting):
         leaf = display(p3_tree, tau)
         if tau not in tangles:
             assert rep.leaf_classes[leaf].kind == "forbidden"
-            assert p3_tree.beta(leaf) <= tau
+            assert not p3_tree.paths[leaf] & ~mask_of(tau)
 
 
 # -- efficiency / necessity / reduction -----------------------------------------------
@@ -481,7 +481,7 @@ def test_validate_tst_in_s_names_each_planted_defect(p3_layered):
         (leaf, "tangle-leaf-not-a-maximal-tangle")]
     inner = tree.parent[leaf]
     failures = validate_tst_in_s(
-        res, F.extended(ForbiddenFamily([tree.beta(inner)])), o2).failures
+        res, F.extended(ForbiddenFamily([beta_by_path_walk(tree, inner)])), o2).failures
     assert (inner, "forbidden-subset-at-non-leaf") in failures
 
 
@@ -567,7 +567,7 @@ def test_full_tree_nonleaves_are_layer_tangle_leaves(p3_layered):
     for v in tree.nodes():
         if tree.is_leaf(v):
             continue
-        cl = frozenset(iter_mask(u.closure_mask(mask_of(tree.beta(v)))))
+        cl = frozenset(iter_mask(u.closure_mask(tree.paths[v])))
         oriented = {u.sep(h) for h in cl}
         unoriented = [s for s in u.seps() if s not in oriented]
         k = min(o2.of(s) for s in unoriented)
@@ -621,7 +621,7 @@ def test_tangle_leaves_never_forbidden(p3_tree, p3_setting):
     rep = validate_tst(p3_tree, F)
     for leaf, c in rep.leaf_classes.items():
         if c.kind == "tangle":
-            assert not any(s <= p3_tree.beta(leaf) for s in F.sets)
+            assert not any(s <= beta_by_path_walk(p3_tree, leaf) for s in F.sets)
 
 
 def test_minimality_in_beta_equals_minimality_in_closure(p3_tree, p3_setting):
@@ -632,7 +632,7 @@ def test_minimality_in_beta_equals_minimality_in_closure(p3_tree, p3_setting):
         c = classify_leaf(s2, F, p3_tree.paths[leaf])
         if c.kind != "tangle":
             continue
-        beta = p3_tree.beta(leaf)
+        beta = beta_by_path_walk(p3_tree, leaf)
         closure = c.witness
         for x in beta:
             min_in_beta = not any(s2.lt(y, x) for y in beta)

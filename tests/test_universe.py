@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from oracles import corners, from_tables, is_submodular_subsystem
+from oracles import corners, from_tables, is_submodular_subsystem, with_tables
 
 from tanglekit.errors import SystemValidationError
 from tanglekit.fixtures import random_universes
@@ -35,8 +35,8 @@ def test_lattice_axioms_pass(request, name):
 def test_planted_noncommutative_join_fails(bip2):
     join = [list(row) for row in bip2._join]
     join[0][1] = 2
-    broken = Universe(bip2._inv, bip2._up, bip2.labels,
-                      tuple(map(tuple, join)), bip2._meet)
+    broken = with_tables(bip2._inv, bip2._up, bip2.labels,
+                         tuple(map(tuple, join)), bip2._meet)
     rep = validate_lattice(broken)
     assert not rep.ok
     axioms = {a for a, _ in rep.failures}
