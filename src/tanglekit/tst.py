@@ -49,8 +49,8 @@ class SeparationTree:
     Its shape is ``parent`` (-1 at the root) and ``edge_label`` (the label of
     the edge into a node).  One walk from the root derives ``children``, in
     ascending id, and ``paths[v]``, the mask of the labels on v's root path.
-    The least node the root does not reach, or whose label is no handle of
-    the ground system, stops it: ``tree-connected`` or ``tree-edge-label``.
+    The least node the root does not reach, or whose label is no int handle
+    of the ground system, stops it: ``tree-connected`` or ``tree-edge-label``.
     """
 
     def __init__(self, system, parent, edge_label):
@@ -70,7 +70,8 @@ class SeparationTree:
         stray = set(self.nodes()).difference(walk)
         if stray:
             raise SystemValidationError("tree-connected", witness=min(stray))
-        bad = [v for v in walk[1:] if self.edge_label[v] not in range(system.n_ground)]
+        bad = [v for v in walk[1:] if type(h := self.edge_label[v]) is not int
+               or h not in range(system.n_ground)]
         if bad:
             raise SystemValidationError("tree-edge-label", witness=min(bad))
         paths = [0] * len(walk)
@@ -126,9 +127,9 @@ class SeparationTree:
         entry, ``children`` or ``beta`` of another JSON type than written
         (``tree-document``, ``tree-nodes``, ``tree-node``, ``tree-children``,
         ``tree-beta``), a ``schema`` other than TREE_SCHEMA (``tree-schema``),
-        an entry whose ``id`` is not its index (``tree-node-id``), a child that
-        is no node or is listed twice (``tree-child``), a ``beta`` key that is
-        not the decimal id of a non-root node (``tree-beta-key``), or a
+        an entry whose ``id`` is not its int index (``tree-node-id``), a child
+        that is no int node or is listed twice (``tree-child``), a ``beta`` key
+        that is not the decimal id of a non-root node (``tree-beta-key``), or a
         ``root`` that is not the node without a parent (``tree-root``) stops
         it; the witness is that value, None when absent.  An absent
         ``schema``, ``beta`` or ``root`` is not checked."""
@@ -138,10 +139,11 @@ class SeparationTree:
         n = len(nodes)
         parent, labels = [-1] * n, [-1] * n
         for v, entry in enumerate(nodes):
-            if typed(entry, dict, "tree-node").get("id") != v:
-                raise SystemValidationError("tree-node-id", witness=entry.get("id"))
+            i = typed(entry, dict, "tree-node").get("id")
+            if type(i) is not int or i != v:  # JSON true is 1 to Python
+                raise SystemValidationError("tree-node-id", witness=i)
             for c in typed(entry.get("children"), list, "tree-children"):
-                if c not in range(n) or parent[c] >= 0:
+                if type(c) is not int or c not in range(n) or parent[c] >= 0:
                     raise SystemValidationError("tree-child", witness=c)
                 parent[c] = v
         slots = {str(v): v for v in range(n) if parent[v] >= 0}

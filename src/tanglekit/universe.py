@@ -2,8 +2,8 @@
 
 Join and meet are fixed by the poset: r v s is the least upper bound of r
 and s, r ^ s the greatest lower bound.  Generators build only the order, and
-a universe derives both tables from it when they are first read;
-``validate_lattice`` checks given tables by the same rule.  Two fixture
+a universe derives both tables from it when they are first read, and
+given tables pass only if they equal the derived ones.  Two fixture
 conventions coexist (both are valid separation systems):
 
 * bipartition universes order by first-side inclusion, (A,B) <= (C,D) iff
@@ -15,7 +15,6 @@ conventions coexist (both are valid separation systems):
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import cached_property
 from itertools import chain, islice
 from operator import itemgetter
@@ -31,8 +30,8 @@ class Universe(SeparationSystem):
     tables); its views are the ``SeparationSystem``s of :meth:`restrict`.
 
     Both tables are derived from the poset the first time either is read,
-    and kept; ``from_json`` stores the given tables and validates them.  A
-    pair without a least upper (greatest lower) bound raises
+    and kept; ``from_json`` accepts given tables only if they are the derived
+    ones.  A pair without a least upper (greatest lower) bound raises
     SystemValidationError at the first read, so a poset that is no lattice
     builds, but none of its tables reads.
 
@@ -40,38 +39,36 @@ class Universe(SeparationSystem):
     ``subset_universe``) pass ``SeparationSystem``'s ``down``.
     """
 
-    lattice_report = None  # _checked keeps its validate_lattice report here
-
     @cached_property
     def _tables(self):
         """(join, meet): a pure function of the poset, so a concurrent first
         read may derive it twice, with equal results."""
         return _lattice_tables(self._up, self._inv)
 
-    @property
-    def _join(self):
-        return self._tables[0]
-
-    @property
-    def _meet(self):
-        return self._tables[1]
-
     def _checked(self, join, meet):
-        """This universe, its poset validated, with the given tables checked;
-        raises on the first failure.  Its poset is from ``from_relation``, so
-        tables equal to the derived ones pass ``validate_lattice`` by
-        construction, and only other tables are walked by it."""
-        self._tables = given = tuple(map(tuple, join)), tuple(map(tuple, meet))
-        try:
-            derived = _lattice_tables(self._up, self._inv)
-        except SystemValidationError:
-            derived = None
-        self.lattice_report = rep = (LatticeReport(ok=True, failures=[])
-                                     if given == derived else validate_lattice(self))
-        if not rep.ok:
-            axiom, witness = rep.failures[0]
-            raise SystemValidationError(axiom, witness=witness)
-        return self
+        """This universe, if the given tables are its derived ones.
+
+        Otherwise raises SystemValidationError at the first pair (a, b), row
+        by row, whose join is not the least upper bound
+        (``join-least-upper-bound``), whose meet is not the greatest lower
+        bound (``meet-greatest-lower-bound``), or with (a v b)* != a* ^ b*
+        (``involution-de-morgan``).  A poset that is no lattice raises at the
+        derivation, with its witness.
+        """
+        gj, gm = given = tuple(map(tuple, join)), tuple(map(tuple, meet))
+        dj, dm = derived = self._tables
+        if given == derived:
+            return self
+        inv = self._inv
+        for a, ia in enumerate(inv):  # some row differs, so this loop raises
+            if gj[a] == dj[a] and gm[a] == dm[a] and gm[ia] == dm[ia]:
+                continue  # (a v b)* is dm[a*][b*], so no check fails in row a
+            for b, ib in enumerate(inv):
+                for axiom, ok in (("join-least-upper-bound", gj[a][b] == dj[a][b]),
+                                  ("meet-greatest-lower-bound", gm[a][b] == dm[a][b]),
+                                  ("involution-de-morgan", inv[gj[a][b]] == gm[ia][ib])):
+                    if not ok:
+                        raise SystemValidationError(axiom, witness=(a, b))
 
     def join(self, a: int, b: int) -> int:
         return self._tables[0][a][b]
@@ -99,10 +96,6 @@ class Universe(SeparationSystem):
             raise SystemValidationError("lattice-tables-total", witness=None)
         base.ground._checked(join, meet)
         return base
-
-
-# failures: (axiom, witness) pairs.
-LatticeReport = namedtuple("LatticeReport", "ok failures")
 
 
 def _table_of_cells(cells, n):
@@ -162,47 +155,6 @@ def _pick(seq, indices):
     if len(indices) < 2:  # itemgetter of one index returns the item itself
         return tuple(seq[i] for i in indices)
     return itemgetter(*indices)(seq)
-
-
-def validate_lattice(uni: Universe) -> LatticeReport:
-    """Every table entry against the rule the tables are derived by.
-
-    up[a v b] == up[a] & up[b] (least upper bound), down[a ^ b] == down[a] &
-    down[b] (greatest lower bound), and (r v s)* = r* ^ s*.  Commutativity,
-    associativity, absorption and r <= s iff r v s = s all follow; the two
-    commutativity checks stay to name a lopsided table.
-
-    Each row of the tables is compared whole; a row that fails is walked
-    pair by pair, so the failures (at most 20) are listed in row-major order
-    with the checks in the order above.
-    """
-    failures = []
-    up, down, inv = uni._up, uni._down, uni._inv
-    join, meet = uni._join, uni._meet
-    els = range(uni.n_ground)
-    join_cols, meet_cols = list(zip(*join)), list(zip(*meet))
-
-    def chk(cond, axiom, witness):
-        if not cond and len(failures) < 20:
-            failures.append((axiom, witness))
-
-    for a in els:
-        ja, ma = join[a], meet[a]
-        if (ja == join_cols[a] and ma == meet_cols[a]
-                and _pick(up, ja) == tuple(map(up[a].__and__, up))
-                and _pick(down, ma) == tuple(map(down[a].__and__, down))
-                and _pick(inv, ja) == _pick(meet[inv[a]], inv)):
-            continue
-        for b in els:
-            j, m = ja[b], ma[b]
-            chk(j == join[b][a], "join-commutative", (a, b))
-            chk(m == meet[b][a], "meet-commutative", (a, b))
-            chk(up[j] == up[a] & up[b], "join-least-upper-bound", (a, b))
-            chk(down[m] == down[a] & down[b], "meet-greatest-lower-bound", (a, b))
-            chk(inv[j] == meet[inv[a]][inv[b]], "involution-de-morgan", (a, b))
-        if len(failures) == 20:
-            break
-    return LatticeReport(ok=not failures, failures=failures)
 
 
 # -- generators --------------------------------------------------------------
@@ -365,7 +317,7 @@ def is_submodular(uni, order):
     els = uni.elements()
     val = order.num
     for i, a in enumerate(els):
-        join, meet, va = g._join[a], g._meet[a], val[a]
+        join, meet, va = g._tables[0][a], g._tables[1][a], val[a]
         for b in els[i:]:
             if val[join[b]] + val[meet[b]] > va + val[b]:
                 return False, (a, b)
@@ -378,7 +330,7 @@ def is_structurally_submodular(uni, order):
     els = uni.elements()
     val = order.num
     for a in els:
-        join, meet, va = g._join[a], g._meet[a], val[a]
+        join, meet, va = g._tables[0][a], g._tables[1][a], val[a]
         for b in els:
             if not (val[join[b]] <= va or val[meet[b]] <= val[b]):
                 return False, (a, b)

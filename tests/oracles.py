@@ -330,14 +330,16 @@ def naive_refines(o2, o1, system):
 # -- lattice tables, by the axioms and by leq alone ------------------------------
 
 
+# failures: (axiom, witness) pairs, at most 20.
+LatticeReport = namedtuple("LatticeReport", "ok failures")
+
+
 def naive_validate_lattice(uni):
     """Exhaustive lattice axioms plus the two couplings everything downstream uses:
 
     r <= s iff r v s = s iff r ^ s = r, and (r v s)* = r* ^ s*.  The cubic
     associativity loop makes this the slow, axiom-by-axiom reading.
     """
-    from tanglekit.universe import LatticeReport
-
     failures = []
     els = list(range(uni.n_ground))
 
@@ -481,14 +483,13 @@ def naive_gamma(uni, n, iota, s):
 def pairwise_validate_lattice(uni):
     """The lattice rule checked pair by pair, every check on every pair.
 
-    The failure list (at most 20, row-major, in the order of the checks) is
-    the one ``validate_lattice`` must report entry for entry.
+    The failure list is at most 20 long, row-major, in the order of the
+    checks.  Its first entry other than a commutativity one is the failure
+    that ``Universe.from_json`` (and ``from_tables``) raises.
     """
-    from tanglekit.universe import LatticeReport
-
     failures = []
     up, down, inv = uni._up, uni._down, uni._inv
-    join, meet = uni._join, uni._meet
+    join, meet = uni._tables
     els = range(uni.n_ground)
 
     def chk(cond, axiom, witness):
@@ -576,9 +577,22 @@ def from_tables(inv, leq_pairs, join, meet, labels=None):
     return Universe.from_relation(inv, leq_pairs, labels)._checked(join, meet)
 
 
+def table_failure(uni):
+    """The (axiom, witness) that ``from_tables`` raises on the involution,
+    order, tables and labels of ``uni``; None when it accepts them."""
+    n = uni.n_ground
+    leq = [(a, b) for a in range(n) for b in range(n) if uni.leq(a, b)]
+    try:
+        from_tables(uni._inv, leq, *uni._tables, uni.labels)
+    except SystemValidationError as exc:
+        return exc.axiom, exc.witness
+    return None
+
+
 def with_tables(inv, up, labels, join, meet):
     """A universe on the up-sets ``up`` that keeps the given tables unchecked,
-    as they are; ``from_json`` and ``from_tables`` check theirs."""
+    as they are, in place of the derived ones; ``from_json`` and
+    ``from_tables`` accept only the derived tables."""
     uni = Universe(inv, up, labels)
     uni._tables = tuple(map(tuple, join)), tuple(map(tuple, meet))
     return uni

@@ -106,7 +106,8 @@ def test_separation_tree_needs_every_node_below_the_root(parent, want):
 @pytest.mark.parametrize("beta,want", [
     ({"1": 0}, 2),  # 2 has no label
     ({"1": 0, "2": 4}, 2),  # 4 is no handle of the chain's four
-], ids=["missing", "outside"])
+    ({"1": 0, "2": True}, 2),  # JSON true is no handle, though Python reads it as 1
+], ids=["missing", "outside", "true"])
 def test_separation_tree_read_back_needs_a_handle_on_every_edge(beta, want):
     obj = {"schema": "tanglekit/tree-v1", "root": 0, "beta": beta,
            "nodes": [{"id": 0, "children": [1, 2]}, {"id": 1, "children": []},
@@ -121,11 +122,14 @@ def test_separation_tree_read_back_needs_a_handle_on_every_edge(beta, want):
     ([{"id": 0, "children": [1, 2]}, {"id": 1, "children": [2]}, {"id": 2, "children": []}],
      "tree-child", 2),
     ([{"id": 0, "children": [1]}, {"id": 5, "children": []}], "tree-node-id", 5),
-], ids=["child-minus-one", "child-outside", "two-parents", "id-not-index"])
+    ([{"id": 0, "children": [1]}, {"id": True, "children": []}], "tree-node-id", True),
+    ([{"id": 0, "children": [True]}, {"id": 1, "children": []}], "tree-child", True),
+], ids=["child-minus-one", "child-outside", "two-parents", "id-not-index", "id-true",
+        "child-true"])
 def test_separation_tree_read_back_needs_each_node_once_by_its_index(nodes, axiom, want):
     # each was read back as a tree or failed with IndexError: -1 indexes the
     # last node, 2 is past the end, the second parent overwrites the first,
-    # and a stray id is never read
+    # a stray id is never read, and JSON true passed as node 1
     beta = {str(v): 0 for v in range(1, len(nodes))}
     obj = {"schema": "tanglekit/tree-v1", "root": 0, "nodes": nodes, "beta": beta}
     got = axiom_and_witness(lambda: SeparationTree.from_json(chain2_system(), obj))

@@ -1,12 +1,13 @@
 """Join and meet as least upper and greatest lower bounds, against the oracles.
 
-Every generator derives its tables from the poset, and ``validate_lattice``
-checks each entry against the same rule.  The brute-force oracles in
+Every generator derives its tables from the poset, and given tables pass
+only if they equal the derived ones.  The brute-force oracles in
 ``oracles.py`` read the rule off ``leq`` alone, and the old axiom-by-axiom
 validator gives the verdict the library must match.
 """
 
 import json
+import random
 import sys
 import threading
 import time
@@ -14,7 +15,8 @@ from functools import lru_cache, partial
 
 import pytest
 from oracles import (constant_order, corners, from_tables, naive_join_table, naive_meet_table,
-                     naive_validate_lattice, with_tables)
+                     naive_validate_lattice, pairwise_validate_lattice, table_failure,
+                     with_tables)
 
 import tanglekit.universe
 from tanglekit.cli import main
@@ -35,7 +37,6 @@ from tanglekit.universe import (
     is_structurally_submodular,
     is_submodular,
     restrict_Sk,
-    validate_lattice,
 )
 
 
@@ -99,7 +100,7 @@ def _diamond_tables():
 
 def planted(name):
     bip2 = bipartition_universe([1, 2])  # 0 = {}, 1 = {1}, 2 = {2}, 3 = {1,2}
-    inv, up, labels, join, meet = bip2._inv, bip2._up, bip2.labels, bip2._join, bip2._meet
+    inv, up, labels, (join, meet) = bip2._inv, bip2._up, bip2.labels, bip2._tables
     if name == "noncommutative-join":
         rows = [list(row) for row in join]
         rows[0][1] = 2
@@ -138,16 +139,15 @@ CASES = {
 def test_validator_agrees_with_oracle(name):
     uni = CASES[name]()
     want = naive_validate_lattice(uni)
-    got = validate_lattice(uni)
-    assert got.ok == want.ok
-    assert got.ok == (not name.startswith("planted-"))
-    if not got.ok:
-        assert got.failures[0][1] is not None
+    got = table_failure(uni)
+    assert (got is None) == want.ok == (not name.startswith("planted-"))
+    assert got is None or got[1] is not None
 
 
 def test_validator_agrees_with_oracle_on_random_universes():
     for uni in randoms():
-        assert validate_lattice(uni).ok == naive_validate_lattice(uni).ok
+        assert table_failure(uni) is None
+        assert naive_validate_lattice(uni).ok
 
 
 def test_planted_defects_are_the_named_ones():
@@ -158,9 +158,53 @@ def test_planted_defects_are_the_named_ones():
     assert "join-associative" in axioms["nonassociative-join"]
     assert "meet-lower-bound" in axioms["wrong-meet"]
     assert axioms["de-morgan"] == {"involution-de-morgan"}
-    assert validate_lattice(planted("de-morgan")).failures[0][0] == "involution-de-morgan"
-    first = validate_lattice(planted("two-minimal-upper-bounds")).failures[0]
+    assert pairwise_validate_lattice(planted("de-morgan")).failures[0][0] == "involution-de-morgan"
+    # the derivation names the pair without a least upper bound
+    first = table_failure(planted("two-minimal-upper-bounds"))
     assert first == ("join-least-upper-bound", (1, 2))
+
+
+# -- a document with wrong cells fails where the pairwise loop first fails --------
+
+
+PLANTING = {**{name: partial(ladder, name) for name in ("P3", "P4", "C4", "K1,4")},
+            **{f"B{k}": partial(bipartition_universe, range(k)) for k in (2, 3, 4)}}
+
+
+def _table_of(cells, n):
+    """The symmetric n x n table of a universe document's ``[a, b, c]`` cells."""
+    tab = [[-1] * n for _ in range(n)]
+    for a, b, c in cells:
+        tab[a][b] = tab[b][a] = c
+    return tab
+
+
+@pytest.mark.parametrize("name", [*PLANTING, "random"])
+def test_wrong_cells_raise_the_first_pairwise_failure(name):
+    # 1-3 join or meet cells get a random handle; where each is the right
+    # one, the document reads back and writes the same bytes
+    unis = randoms()[:20] if name == "random" else [PLANTING[name]()]
+    rng = random.Random(f"cells:{name}")
+    raised = 0
+    for uni in unis:
+        blob = json.dumps(uni.to_json(), sort_keys=True)
+        n = uni.n_ground
+        for _ in range(60 // len(unis)):
+            obj = json.loads(blob)
+            for _ in range(rng.randint(1, 3)):
+                rng.choice(obj[rng.choice(("join", "meet"))])[2] = rng.randrange(n)
+            bad = with_tables(uni._inv, uni._up, uni.labels,
+                              _table_of(obj["join"], n), _table_of(obj["meet"], n))
+            want = pairwise_validate_lattice(bad)
+            try:
+                got = Universe.from_json(obj)
+            except SystemValidationError as exc:
+                assert (exc.axiom, exc.witness) == want.failures[0]
+                raised += 1
+            else:
+                assert want.ok
+                assert json.dumps(got.to_json(), sort_keys=True) == blob
+    assert raised
 
 
 # -- every derived table entry is the bound that leq alone finds -----------------
@@ -243,7 +287,6 @@ def all_readers(uni, order, view):
     uni.join(0, uni.n_ground - 1)
     uni.meet(0, uni.n_ground - 1)
     uni.to_json()
-    validate_lattice(uni)
 
 
 def test_explicit_tables_are_never_derived(derivations):
@@ -278,7 +321,7 @@ def test_concurrent_first_reads_give_equal_tables():
     n, edges = LADDER["P5"]
     uni = graph_universe(range(n), edges)[0]
     seen = []
-    threads = [threading.Thread(target=lambda: seen.append((uni._join, uni._meet)))
+    threads = [threading.Thread(target=lambda: seen.append(uni._tables))
                for _ in range(8)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -298,7 +341,7 @@ NON_LATTICE_READERS = {
     "join": lambda uni: uni.join(0, 5),
     "meet": lambda uni: uni.meet(0, 5),
     "to_json": lambda uni: uni.to_json(),
-    "validate_lattice": validate_lattice,
+    "checked": lambda uni: uni._checked((), ()),
     "is_submodular": lambda uni: is_submodular(uni, constant_order(uni)),
 }
 
@@ -334,11 +377,14 @@ def test_cli_rejects_a_universe_json_that_is_not_a_lattice(tmp_path, capsys):
 # -- the check stays quadratic ----------------------------------------------------
 
 
-def test_validate_lattice_on_p7_is_quick():
+def test_checking_p7_tables_is_quick():
     uni = graph_universe(range(7), _path(7)[1])[0]
     assert uni.n_ground == 577
+    els = range(uni.n_ground)
+    leq = [(a, b) for a in els for b in els if uni.leq(a, b)]
+    join, meet = uni._tables
     started = time.perf_counter()
-    rep = validate_lattice(uni)
+    checked = from_tables(uni._inv, leq, join, meet, uni.labels)
     elapsed = time.perf_counter() - started
-    assert rep.ok
-    assert elapsed < 5, f"validate_lattice on P7 took {elapsed:.1f}s"
+    assert checked._tables == (join, meet)
+    assert elapsed < 5, f"checking P7's tables took {elapsed:.1f}s"

@@ -287,6 +287,22 @@ def test_one_universe_requirement():
     assert not found, f"universe checks outside _universe_of: {found}"
 
 
+def test_a_universe_holds_only_its_derived_tables():
+    # _tables is a cached_property of the poset; code that assigns it could
+    # keep tables other than the derived ones
+    found = []
+    for path, tree in package_trees():
+        for name, fn in functions(tree):
+            for node in ast.walk(fn):
+                targets = (node.targets if isinstance(node, ast.Assign) else
+                           [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                           else [])
+                if any(isinstance(t, ast.Attribute) and t.attr == "_tables"
+                       for target in targets for t in ast.walk(target)):
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, f"_tables assigned: {found}"
+
+
 # The steps of the two tree-of-tangles theorems, which the CLI reaches only
 # through tot.tree_of_tangles and tot.tree_of_tangles_in.
 TOT_STEPS = {"check_tot_hypotheses", "tangle_nodes", "classify_leaves", "build_tst_in_S"}
