@@ -114,10 +114,6 @@ def enumerate_tangles_in(system, family, order):
             for t in records]
 
 
-def maximal_tangles_in(system, family, order):
-    return [t for t in enumerate_tangles_in(system, family, order) if t.maximal]
-
-
 # -- standardness -------------------------------------------------------------
 
 

@@ -83,9 +83,10 @@ class OrderFunction:
         values = {}
         for s, v in typed(orders, dict, "malformed-orders").items():
             try:
-                if type(v) not in (int, str):  # a JSON float is binary, a bool no order
-                    raise TypeError(f"order value {v!r}: write an integer or a p/q string")
-                values[int(s)] = Fraction(v)
+                # a JSON float is binary, a bool no order, and a key is written in decimal
+                if type(v) not in (int, str) or str(h := int(s)) != s:
+                    raise TypeError(f"order entry {s!r}: {v!r}, not as to_json writes one")
+                values[h] = Fraction(v)
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise SystemValidationError("malformed-order-entry",
                                             witness=(s, v)) from exc

@@ -11,21 +11,10 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .core import iter_mask, mask_of
-from .errors import HypothesisFailure
-from .forbidden import (
-    enumerate_tangles,
-    is_rich,
-    is_standard,
-    maximal_tangles_in,
-    order_thresholds,
-    robustness_family,
-)
-from .tst import (
-    build_thorough_tst,
-    build_tst_in_S,
-    classify_leaves,
-    tangle_nodes,
-)
+from .errors import HypothesisFailure, TheoremViolation
+from .forbidden import is_rich, is_standard, order_thresholds, robustness_family
+from .tst import (_tst_report, build_thorough_tst, build_tst_in_S, classify_leaves,
+                  tangle_nodes, tangle_witnesses)
 from .universe import (_universe_of, is_order_threshold_restriction,
                        is_structurally_submodular, restrict_Sk)
 
@@ -40,7 +29,8 @@ DistinguisherReport = namedtuple("DistinguisherReport", "pairs optimal_union")
 
 # distinguishers: N, a frozenset of separations; tree: the SeparationTree read;
 # tangle_nodes: list; leaf_classes: leaf -> LeafClass; tangles: frozensets, the
-# F-tangles of S or the elements of the maximal tangles of the layers.
+# witnesses of the tree's tangle leaves in leaf order: the F-tangles of S, or
+# the elements of the maximal tangles of the layers.
 ToTResult = namedtuple("ToTResult", "distinguishers tree tangle_nodes leaf_classes tangles")
 
 
@@ -69,16 +59,16 @@ def check_tot_hypotheses(system, order, family, layered=False):
     HypothesisFailure names every hypothesis that fails, with its witness.
 
     The per-S_k theorem asks standardness and richness of S, the layered one
-    (``layered``) of every layer S_j.  Richness, the one check that walks
-    orientations, runs last, in one walk, and only once every other holds.
+    (``layered``) of every layer S_j.  Standardness of S decides it for every
+    layer: S is the top one, and s trivial in S_j stays trivial in each larger
+    layer, which holds its witness; the layers are walked only to name the least
+    failing one.  Richness, the one check that walks orientations, runs last,
+    in one walk, and only once every other holds.
     """
     uni = _universe_of(system, "the tree-of-tangles theorem")
     # a layer is named by its separation count, which no other layer shares:
     # the thresholds of a refined order are fractions too long to read
-    layers = ([(f"the layer of {len(sub.seps())} separations", sub)
-               for sub in (restrict_Sk(system, order, k)
-                           for k in order_thresholds(system, order))]
-              if layered else [("S", system)])
+    where = "the layer of {} separations" if layered else "S"
     failed = {}  # name -> witness, "" when there is none to report
     if not is_structurally_submodular(uni, order)[0]:
         failed["structurally_submodular"] = ""
@@ -90,20 +80,36 @@ def check_tot_hypotheses(system, order, family, layered=False):
     missing = [m for m in robustness_family(uni, order, target=system).masks if m not in members]
     if missing:
         failed["robustness_included"] = f"missing triple {sorted(iter_mask(missing[0]))}"
-    for name, sub in layers:
-        ok, singletons = is_standard(family, sub)
-        if not ok:
-            failed["standard"] = f"{name} misses {sorted(map(sorted, singletons))}"
-            break
+    ok, singletons = is_standard(family, system)
+    if not ok:
+        sub = system
+        if layered:  # walk up to the least failing layer; S fails, so one does
+            for k in order_thresholds(system, order):
+                ok, singletons = is_standard(family, sub := restrict_Sk(system, order, k))
+                if not ok:
+                    break
+        failed["standard"] = f"{where.format(len(sub))} misses {sorted(map(sorted, singletons))}"
     if not failed:
         rich, tau = is_rich(system, family, order, layered)
-        if not rich:  # tau orients the one layer of len(tau) separations
-            name = next(name for name, sub in layers if len(sub) == len(tau))
-            failed["rich"] = f"{name}, counterexample {sorted(tau)}"
+        if not rich:  # tau orients each separation of its layer once
+            failed["rich"] = f"{where.format(len(tau))}, counterexample {sorted(tau)}"
     if failed:
         raise HypothesisFailure(f"tree-of-tangles hypotheses failed: {list(failed)}"
                                 + "".join(f"; {name}: {w}" for name, w in failed.items() if w),
                                 failed=list(failed))
+
+
+def _read_off(tree, leaf_classes, family) -> ToTResult:
+    """The tree of tangles read off a structure tree that passes its check:
+    the witnesses of its tangle leaves, and N at its tangle nodes.  A failure
+    of the check, such as an unresolved leaf, raises TheoremViolation."""
+    rep = _tst_report(tree, family, leaf_classes)
+    if not rep.ok:
+        raise TheoremViolation(f"the structure tree fails its check: {rep.failures}",
+                               failures=rep.failures)
+    nodes = tangle_nodes(tree, leaf_classes)
+    return ToTResult(frozenset(tree.node_sep(v) for v in nodes), tree, nodes, leaf_classes,
+                     tangle_witnesses(leaf_classes))
 
 
 def tree_of_tangles(system, order, family) -> ToTResult:
@@ -115,10 +121,7 @@ def tree_of_tangles(system, order, family) -> ToTResult:
     """
     check_tot_hypotheses(system, order, family)
     tree = build_thorough_tst(system, order, family)
-    classes = classify_leaves(tree, family)
-    nodes = tangle_nodes(tree, classes)
-    return ToTResult(frozenset(tree.node_sep(v) for v in nodes), tree, nodes, classes,
-                     enumerate_tangles(system, family))
+    return _read_off(tree, classify_leaves(tree, family), family)
 
 
 # -- the layered tree of tangles -------------------------------------------------------
@@ -126,14 +129,14 @@ def tree_of_tangles(system, order, family) -> ToTResult:
 
 def tree_of_tangles_in(system, order, family) -> ToTResult:
     """The layered tree of tangles: separations at tangle nodes of the pruned
-    full-system tree, distinguishing every pair of maximal tangles optimally."""
+    full-system tree, distinguishing every pair of maximal tangles optimally.
+
+    The tangles are read off that tree, by the paper's statement that under
+    the hypotheses ``check_tot_hypotheses(layered=True)`` checks, the layered
+    structure tree displays every maximal F-tangle of the layers.
+    """
     check_tot_hypotheses(system, order, family, layered=True)
-    result = build_tst_in_S(system, order, family)
-    tree = result.tree
-    nodes = tangle_nodes(tree, result.leaf_classes)
-    return ToTResult(frozenset(tree.node_sep(v) for v in nodes), tree, nodes,
-                     result.leaf_classes,
-                     [t.elements for t in maximal_tangles_in(system, family, order)])
+    return _read_off(*build_tst_in_S(system, order, family), family)
 
 
 # -- validation ---------------------------------------------------------------------

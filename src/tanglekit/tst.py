@@ -28,7 +28,7 @@ from .errors import (
     SystemValidationError,
     TheoremViolation,
 )
-from .forbidden import avoids, is_efficient, is_standard, maximal_tangles_in
+from .forbidden import avoids, enumerate_tangles_in, is_efficient, is_standard
 
 TREE_SCHEMA = "tanglekit/tree-v1"
 
@@ -380,10 +380,14 @@ def necessity(tree, needs) -> NecessityReport:
     return NecessityReport(edge_necessary_for, node_necessary, all(node_necessary.values()))
 
 
+def tangle_witnesses(leaf_classes) -> list:
+    """The witnesses of the tangle leaves of ``leaf_classes``, in leaf order."""
+    return [c.witness for c in leaf_classes.values() if c.kind == LEAF_TANGLE]
+
+
 def displayed_tangles(tree, family) -> frozenset:
     """The set of tangles displayed at the tree's tangle leaves."""
-    return frozenset(c.witness for c in classify_leaves(tree, family).values()
-                     if c.kind == LEAF_TANGLE)
+    return frozenset(tangle_witnesses(classify_leaves(tree, family)))
 
 
 def tangle_nodes(tree, leaf_classes) -> list:
@@ -512,5 +516,6 @@ def build_tst_in_S(system, order, family) -> TstInS:
 
 def validate_tst_in_s(result: TstInS, family, order) -> TstReport:
     """Oracle-grade validation of a layered tree per the maximal-tangle notion."""
-    maximal = {t.elements for t in maximal_tangles_in(result.tree.system, family, order)}
+    maximal = {t.elements for t in enumerate_tangles_in(result.tree.system, family, order)
+               if t.maximal}
     return _tst_report(result.tree, family, result.leaf_classes, maximal)

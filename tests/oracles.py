@@ -16,7 +16,8 @@ from tanglekit import duality
 from tanglekit.core import mask_of
 from tanglekit.errors import (HypothesisFailure, PreconditionError, SystemValidationError,
                               TheoremViolation, UnknownHandle)
-from tanglekit.forbidden import _eclipsers, _replacements
+from tanglekit.forbidden import (_eclipsers, _replacements, enumerate_tangles,
+                                 enumerate_tangles_in)
 from tanglekit.orderfn import OrderFunction, refine_injective
 from tanglekit.universe import (Universe, _universe_of, is_order_threshold_restriction,
                                 is_structurally_submodular)
@@ -754,3 +755,12 @@ def lemma_shift_select(system, order, tau, sigma, s):
     if not duality.emulates(system, r, s):
         raise TheoremViolation(f"selected {r} fails to emulate {s}")
     return r, duality.shift_star(system, r, s, sigma)
+
+
+def assert_tangles_are_brute_force(res, system, family, order=None):
+    """The tangles a tree of tangles read off its tree, ``res.tangles``, are
+    the F-tangles of S by brute force; with ``order``, the maximal tangles of
+    the layers, the maximal records of ``enumerate_tangles_in``."""
+    want = (enumerate_tangles(system, family) if order is None else
+            [t.elements for t in enumerate_tangles_in(system, family, order) if t.maximal])
+    assert sorted(map(sorted, res.tangles)) == sorted(map(sorted, want))

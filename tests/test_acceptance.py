@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import pytest
 
 from oracles import (
+    assert_tangles_are_brute_force,
     check_nested_corollary,
     constant_order,
     default_iota,
@@ -375,6 +376,7 @@ def test_criterion_8_layered_tree_of_tangles(suite):
                 res = tree_of_tangles_in(system, order, fam)
             except TanglekitError:
                 continue
+            assert_tangles_are_brute_force(res, system, fam, order)
             maximal = res.tangles
             rep = verify_tot(system, order, res.distinguishers, maximal)
             assert rep.ok, (name, rep.missing, rep.extra, rep.undistinguished)

@@ -190,6 +190,62 @@ def test_hypothesis_failure_exit_2(workdir, capsys):
     assert err["kind"] == "HypothesisFailure"
 
 
+def test_layered_standardness_names_the_least_failing_layer(workdir, capsys):
+    # standardness of S decides every layer; the report still names the least
+    # layer that fails, and the singletons it misses there
+    code, _ = run(workdir, "totins", "--input", str(workdir / "p3.graph"))
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        "tree-of-tangles hypotheses failed: ['robustness_included', 'standard']; "
+        "robustness_included: missing triple [1, 5, 14]; "
+        "standard: the layer of 2 separations misses [[9]]")
+    # P4's k=2 stars with R, not standardized: S has 21 separations
+    from tanglekit.fixtures import p4_universe
+    edges = [("a", "b"), ("b", "c"), ("c", "d")]
+    (workdir / "p4.graph").write_text("".join(f"{a} {b}\n" for a, b in edges))
+    u, o = p4_universe()
+    assert len(u.seps()) == 21
+    obj = graph_tangle_stars(u, o, "abcd", edges, 2).to_json()
+    obj["generate"] = ["R"]
+    (workdir / "p4r.json").write_text(json.dumps(obj))
+    code, _ = run(workdir, "totins", "--input", str(workdir / "p4.graph"),
+                  "--forbidden", str(workdir / "p4r.json"), "--unsafe-bounds")
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        "tree-of-tangles hypotheses failed: ['standard']; "
+        "standard: the layer of 14 separations misses [[35]]")
+
+
+def test_an_unresolved_layered_leaf_is_a_theorem_violation(workdir, capsys, monkeypatch):
+    # totins reads its tangles off the layered tree only once every leaf is
+    # resolved: a builder that leaves one unresolved is named, exit 3
+    from tanglekit import tot
+    from tanglekit.errors import TheoremViolation
+    from tanglekit.orderfn import refine_injective
+    from tanglekit.tst import LEAF_TANGLE, LEAF_UNRESOLVED, LeafClass, TstInS
+    build = tot.build_tst_in_S
+
+    def one_unresolved(*args):
+        built = build(*args)
+        leaf = next(l for l, c in built.leaf_classes.items() if c.kind == LEAF_TANGLE)
+        unresolved = LeafClass(LEAF_UNRESOLVED, frozenset())
+        return TstInS(built.tree, {**built.leaf_classes, leaf: unresolved})
+
+    monkeypatch.setattr(tot, "build_tst_in_S", one_unresolved)
+    u, o, fam = stars2_r_family()
+    inj = refine_injective(u, o)
+    leaf = next(l for l, c in build(u, inj, fam).leaf_classes.items() if c.kind == LEAF_TANGLE)
+    with pytest.raises(TheoremViolation) as failure:
+        tot.tree_of_tangles_in(u, inj, fam)
+    assert failure.value.report["failures"] == [(leaf, "leaf-neither-tangle-nor-forbidden")]
+    code, out = run(workdir, "totins", "--input", str(workdir / "p3.graph"),
+                    "--forbidden", str(workdir / "stars2-R.json"))
+    assert code == 3 and not (out / "totins.json").exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "TheoremViolation"
+    assert err["failures"] == [[leaf, "leaf-neither-tangle-nor-forbidden"]]
+
+
 def test_hypothesis_failure_lists_the_failed_hypotheses(tmp_path, capsys):
     # the profile family of C4 lacks the robustness triples; the failed names
     # come as JSON beside the message
@@ -750,7 +806,7 @@ def test_stars2_r_without_k_builds_with_and_without_optimize(workdir, flags, com
     from pathlib import Path
 
     import tanglekit
-    from tanglekit.forbidden import maximal_tangles_in
+    from tanglekit.forbidden import enumerate_tangles_in
     from tanglekit.orderfn import refine_injective
     src = str(Path(tanglekit.__file__).resolve().parents[1])
     out = workdir / "out"
@@ -771,7 +827,7 @@ def test_stars2_r_without_k_builds_with_and_without_optimize(workdir, flags, com
     else:
         assert got["verified"] is True
     if command == "totins":
-        want = maximal_tangles_in(u, fam, refine_injective(u, o))
+        want = [t for t in enumerate_tangles_in(u, fam, refine_injective(u, o)) if t.maximal]
         assert got["maximal_tangles"] == sorted(sorted(t.elements) for t in want)
 
 
@@ -951,6 +1007,12 @@ def test_universe_json_malformed_field_exit_1(tmp_path, capsys, field, value, ax
     ({"0": "1/0"}, "malformed-order-entry", ("0", "1/0")),
     ({"0": 0.1}, "malformed-order-entry", ("0", 0.1)),
     ({"0": True}, "malformed-order-entry", ("0", True)),
+    # a key is the decimal that to_json writes, or two keys could name one handle
+    ({"0": "1", "0_2": "2"}, "malformed-order-entry", ("0_2", "2")),
+    ({"0": "1", " 2": "2"}, "malformed-order-entry", (" 2", "2")),
+    ({"0": "1", "+2": "2"}, "malformed-order-entry", ("+2", "2")),
+    ({"0": "1", "02": "2"}, "malformed-order-entry", ("02", "2")),
+    ({"0": "1", "\uff12": "2"}, "malformed-order-entry", ("\uff12", "2")),
 ])
 def test_order_json_malformed_exit_1(plain_system, capsys, orders, axiom, witness):
     (plain_system / "bad.json").write_text(json.dumps(

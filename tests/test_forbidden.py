@@ -30,7 +30,6 @@ from tanglekit.forbidden import (
     is_efficient,
     is_rich,
     is_standard,
-    maximal_tangles_in,
     order_thresholds,
     profile_family,
     robustness_family,
@@ -127,7 +126,7 @@ def test_tangles_in_thresholds_and_maximality(p3):
         sub = restrict_Sk(u, o, t.k)
         assert sub.is_orientation_mask(mask_of(t.elements))
         assert avoids(mask_of(t.elements), F)
-    maxima = maximal_tangles_in(u, F, o)
+    maxima = [t for t in records if t.maximal]
     for t in maxima:
         assert not any(t.elements < r.elements for r in records)
     # non-maximal records extend to some maximal one

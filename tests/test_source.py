@@ -267,6 +267,20 @@ def test_leaf_kinds_are_read_in_the_tree_layer():
     assert not found, f"leaf kinds read outside the tree layer: {found}"
 
 
+# The brute-force tangle enumerations, which the tests read as oracles.
+TANGLE_ENUMERATIONS = {"enumerate_tangles", "enumerate_tangles_in", "maximal_tangles_in"}
+
+
+def test_the_tree_of_tangles_enumerates_no_tangle():
+    # tot and totins read their tangles off the structure tree they checked,
+    # so neither command enumerates the tangles of a layer
+    found = [f"tot.py:{node.lineno} names {name}"
+             for node in ast.walk(ast.parse((PACKAGE / "tot.py").read_text()))
+             for name in (getattr(node, "id", getattr(node, "attr", None)),
+                          getattr(node, "name", None)) if name in TANGLE_ENUMERATIONS]
+    assert not found, f"tangle enumerations in tot.py: {found}"
+
+
 # The places that may ask whether a system lives in a universe: the one
 # requirement, and validate, which also reports on plain systems.
 UNIVERSE_TESTERS = {("universe.py", "_universe_of"), ("cli.py", "cmd_validate")}

@@ -6,7 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from oracles import constant_order, is_nested_set, naive_is_rich, tree_infimum
+from oracles import (assert_tangles_are_brute_force, constant_order, is_nested_set,
+                     naive_is_rich, tree_infimum)
 from tanglekit.core import mask_of
 from tanglekit.errors import HypothesisFailure, PreconditionError
 from tanglekit.fixtures import (
@@ -19,6 +20,7 @@ from tanglekit.forbidden import (
     ForbiddenFamily,
     enumerate_tangles,
     is_rich,
+    is_standard,
     profile_family,
     robustness_family,
     standardize,
@@ -140,6 +142,7 @@ def test_extraction_requires_robustness_triples():
     assert robust.sets
     F = standardize(robust, s2)
     res = tree_of_tangles(s2, o2, F)
+    assert_tangles_are_brute_force(res, s2, F)
     assert verify_tot(s2, o2, res.distinguishers, res.tangles).ok
     with pytest.raises(HypothesisFailure, match=r"\['robustness_included'\]"):
         tree_of_tangles(s2, o2, ForbiddenFamily(F.sets - robust.sets))
@@ -211,11 +214,43 @@ def p3_layered_tot():
     return u, o2, F
 
 
+def cycle_full_family(n):
+    """C_n on a, b, ... with the k=2 full family as totins loads it: the k=2
+    stars, R over the whole universe under the refined order, and the
+    standard singletons."""
+    names = "abcdefgh"[:n]
+    edges = [(names[i], names[(i + 1) % n]) for i in range(n)]
+    u, o = graph_universe(names, edges)
+    inj = refine_injective(u, o)
+    stars = graph_tangle_stars(u, o, names, edges, 2)
+    return u, inj, standardize(stars.extended(robustness_family(u, inj, target=u)), u)
+
+
+def test_c7_layered_tree_displays_the_brute_force_maximal_tangles():
+    # the largest layered case tier-1 runs: brute force takes about 2 s here
+    u, inj, F = cycle_full_family(7)
+    res = tree_of_tangles_in(u, inj, F)
+    assert_tangles_are_brute_force(res, u, F, inj)
+    assert verify_tot(u, inj, res.distinguishers, res.tangles).ok
+
+
+def test_a_passing_layered_check_tests_standardness_once(monkeypatch):
+    # a separation trivial in one layer stays trivial in every larger one, and
+    # S is the top layer: one check on S decides them all
+    from tanglekit import tot
+    u, inj, F = cycle_full_family(5)
+    calls = []
+    monkeypatch.setattr(tot, "is_standard", lambda *args: calls.append(args) or is_standard(*args))
+    check_tot_hypotheses(u, inj, F, layered=True)
+    assert len(calls) == 1
+
+
 def test_layered_single_tangle_empty_n(weighted_bip3):
     u, o2 = weighted_bip3
     robust = robustness_family(u, o2, target=u)
     F = eclipse_closure(u, standardize(robust, u), o2)
     res = tree_of_tangles_in(u, o2, F)
+    assert_tangles_are_brute_force(res, u, F, o2)
     maximal = res.tangles
     if len(maximal) <= 1:
         assert res.distinguishers == frozenset()
@@ -226,6 +261,7 @@ def test_layered_single_tangle_empty_n(weighted_bip3):
 def test_p3_layered_matches_oracle(p3_layered_tot):
     u, o2, F = p3_layered_tot
     res = tree_of_tangles_in(u, o2, F)
+    assert_tangles_are_brute_force(res, u, F, o2)
     maximal = res.tangles
     assert len(maximal) == 2
     rep = verify_tot(u, o2, res.distinguishers, maximal)
@@ -392,6 +428,7 @@ def test_tot_on_random_graphs_with_non_profile_tangles():
             res = tree_of_tangles(sk, inj, fam)
         except PreconditionError:
             continue
+        assert_tangles_are_brute_force(res, sk, fam)
         rep = verify_tot(sk, inj, res.distinguishers, res.tangles)
         assert rep.ok, (case, rep)
         verified += 1
@@ -416,6 +453,7 @@ def test_totins_on_random_graphs_with_non_profile_tangles():
             assert not tot_accepts, case
             continue
         assert tot_accepts, case
+        assert_tangles_are_brute_force(res, sk, fam, inj)
         rep = verify_tot(sk, inj, res.distinguishers, res.tangles)
         assert rep.ok, (case, rep)
         assert_layered_tangle_nodes(res)
@@ -449,6 +487,8 @@ def test_both_theorems_on_random_graphs_with_stars():
         assert len(results) in (0, 2), case
         if not results:
             continue
+        assert_tangles_are_brute_force(results[0], sk, fam)
+        assert_tangles_are_brute_force(results[1], sk, fam, inj)
         for res in results:
             rep = verify_tot(sk, inj, res.distinguishers, res.tangles)
             assert rep.ok, (case, rep)
