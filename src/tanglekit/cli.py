@@ -236,20 +236,20 @@ def cmd_validate(args):
 
 
 # One command's inputs after the shared set-up steps of ``prepare``.
-Run = namedtuple("Run", "uni system order k family notes")
+Run = namedtuple("Run", "system order k family notes")
 
 
-def prepare(args, order_use="optional", use_k=True) -> Run:
+def prepare(args, order_use="optional") -> Run:
     """Load, restrict to S_k, check the bound, refine the order, load the family.
 
-    ``system`` is S_k, or the whole input when no threshold applies.
-    ``order_use`` is "optional" (needed only to restrict to S_k), "required",
-    or "injective": a non-injective order is then refined before the family is
-    generated, so the R triples use the refined order, and ``notes.order``
-    says so.  With ``use_k`` false the command ignores --k.
+    ``system`` is S_k, or the whole input when no threshold applies: the one
+    system a command works on, and the one the bound counts.  ``order_use`` is
+    "optional" (needed only to restrict to S_k), "required", or "injective": a
+    non-injective order is then refined before the family is generated, so the
+    R triples use the refined order, and ``notes.order`` says so.
     """
     uni, order = load_inputs(args)
-    k = parse_threshold(args.k) if use_k else None
+    k = parse_threshold(args.k)
     if order_use != "optional" or k is not None:
         require_order(order)
     system = uni if k is None else restrict_Sk(uni, order, k)
@@ -258,7 +258,7 @@ def prepare(args, order_use="optional", use_k=True) -> Run:
     if order_use == "injective":
         order = ensure_injective(uni, order, notes)
     family = load_family(args, uni, system, order)
-    return Run(uni, system, order, k, family, notes)
+    return Run(system, order, k, family, notes)
 
 
 def cmd_tangles(args):
@@ -269,9 +269,7 @@ def cmd_tangles(args):
            "k": str(run.k) if run.k is not None else "inf",
            "tangles": tangle_list(enumerate_tangles(run.system, run.family))}
     if run.order is not None:
-        # tangles_in covers every threshold, so it walks the whole input
-        check_bound(run.uni, args)
-        records = enumerate_tangles_in(run.uni, run.family, run.order)
+        records = enumerate_tangles_in(run.system, run.family, run.order)
         out["tangles_in"] = [
             {"k": str(t.k), "elements": sorted(t.elements), "maximal": t.maximal}
             for t in records]
@@ -335,7 +333,7 @@ def cmd_newduality(args):
     from .duality import newduality
 
     run = prepare(args, "required")
-    res = newduality(run.uni, run.order, run.k, run.family,
+    res = newduality(run.system, run.order, run.family,
                      check_exclusive=args.check_exclusive)
     return emit_duality(args, "newduality", res, run)
 
@@ -366,7 +364,7 @@ def cmd_tot(args):
 def cmd_totins(args):
     from .tot import tree_of_tangles_in
 
-    run = prepare(args, "injective", use_k=False)
+    run = prepare(args, "injective")
     res = tree_of_tangles_in(run.system, run.order, run.family)
     return emit_tot(args, "totins", run, res, maximal_tangles=tangle_list(res.tangles))
 

@@ -37,7 +37,7 @@ from .tst import (
     reduce_irreducible,
     validate_tst,
 )
-from .universe import _universe_of, is_structurally_submodular, restrict_Sk
+from .universe import _universe_of, is_order_threshold_restriction, is_structurally_submodular
 
 STREE_SCHEMA = "tanglekit/stree-v1"
 
@@ -456,8 +456,8 @@ def dichotomy(system, order, family, check_exclusive=False) -> DichotomyResult:
                            conversion=cmap, feff=feff, notes=notes)
 
 
-def newduality(uni, order, ell, family, check_exclusive=False):
-    """The shifting-based dichotomy for S = U_ell.
+def newduality(system, order, family, check_exclusive=False):
+    """The shifting-based dichotomy for S = U_k, checked to be a threshold set of ``order``.
 
     Keeps an injective structurally submodular order as given and refines a
     submodular one with ``refine_injective``; the shifting machinery only
@@ -466,23 +466,23 @@ def newduality(uni, order, ell, family, check_exclusive=False):
     delegates to ``dichotomy``; a family that ``dichotomy`` still finds not
     rich refutes that implication.
     """
-    _universe_of(uni, "newduality")
+    uni = _universe_of(system, "newduality")
+    if not is_order_threshold_restriction(system, order):
+        raise HypothesisFailure("S must be a threshold set of the order (S = U_k)")
     if order.is_injective_on(uni) and is_structurally_submodular(uni, order)[0]:
         o2 = order
     else:
         try:
-            o2 = refine_injective(uni.ground, order)
+            o2 = refine_injective(uni, order)
         except NonSubmodularOrder as exc:
             raise HypothesisFailure("order must be submodular, or injective and "
                                     "structurally submodular") from exc
-        ok, witness = refines(o2, order, uni.ground)
+        ok, witness = refines(o2, order, uni)
         if not ok:
             raise TheoremViolation(
                 f"injective refinement does not refine the order; pair {witness}")
-    # S is a threshold set of o2 as well: of order by construction, and when o2
-    # refines order, order(r) < ell <= order(s) gives o2(r) < o2(s) for every
-    # member r and non-member s
-    system = restrict_Sk(uni, order, ell)
+    # S is a threshold set of o2 as well: o2 refines order, so order(r) < order(s)
+    # gives o2(r) < o2(s) for every member r and non-member s
     # checks the star family first; trivial elements only obstruct the S-tree
     # branch, and ``dichotomy`` raises when that branch is actually reached
     ok, witness = closed_under_shifting(system, family, o2)

@@ -455,9 +455,9 @@ def test_bipartition_with_a_repeated_name_exit_1(workdir, capsys):
     assert not (out / "tangles.json").exists()
 
 
-def test_tangles_in_counts_the_whole_input(tmp_path, capsys):
-    # tangles_in walks every S_j, up to all 21 separations of P4, not just
-    # the 7 of S_2; --unsafe-bounds acknowledges that count
+def test_tangles_in_stays_in_s_k(tmp_path, capsys):
+    # tangles_in walks the layers of S_2 only: the 7 separations that the
+    # bound counts, not all 21 of P4, so the default bound admits the run
     from tanglekit.forbidden import enumerate_tangles_in
     from tanglekit.universe import graph_universe
     edges = [("a", "b"), ("b", "c"), ("c", "d")]
@@ -467,15 +467,13 @@ def test_tangles_in_counts_the_whole_input(tmp_path, capsys):
     obj = fam.to_json()
     obj["generate"] = ["standardize"]
     (tmp_path / "stars.json").write_text(json.dumps(obj))
-    argv = ["tangles", "--input", str(tmp_path / "p4.graph"), "--k", "2",
-            "--forbidden", str(tmp_path / "stars.json"), "--out", str(tmp_path / "out")]
-    assert main(argv) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert (err["error"], err["seps"], err["bound"]) == (
-        "separation count exceeds bound", 21, 16)
-    assert main([*argv, "--unsafe-bounds"]) == 0
+    assert main(["tangles", "--input", str(tmp_path / "p4.graph"), "--k", "2",
+                 "--forbidden", str(tmp_path / "stars.json"),
+                 "--out", str(tmp_path / "out")]) == 0
     got = json.loads((tmp_path / "out" / "tangles.json").read_text())
-    want = enumerate_tangles_in(u, standardize(fam, restrict_Sk(u, o, 2)), o)
+    s2 = restrict_Sk(u, o, 2)
+    assert len(s2) == 7
+    want = enumerate_tangles_in(s2, standardize(fam, s2), o)
     assert want and got["tangles_in"] == [
         {"k": str(t.k), "elements": sorted(t.elements), "maximal": t.maximal}
         for t in want]
@@ -559,7 +557,7 @@ def test_bounds_must_be_positive(workdir, capsys):
 # named *.graph / *.json are resolved inside the work directory.
 PINNED_ARTIFACTS = {
     "tangles": (["--input", "p3.graph", "--k", "2", "--forbidden", "stars.json"], {
-        "tangles.json": "8880d9d64baf0297cd1ef45bc5fc9a2c64a0ddc6900ccdea4e5136ffa6660454"}),
+        "tangles.json": "4637d7c5f01fc96584d21b23cca1ec4b7d195669b0bad43e4c69eac38e09d3cd"}),
     "tst": (["--input", "p3.graph", "--k", "2", "--forbidden", "stars.json",
              "--emit", "dot"], {
         "tst.dot": "f299497b6d2bc60e30baef66c252636ea86075f805967c7d72226bff0afdd5c0",
@@ -913,7 +911,7 @@ def test_validate_on_a_plain_system_leaves_submodularity_open(plain_system):
 
 @pytest.mark.parametrize("command", ["tst", "reduce", "tot", "duality", "totins"])
 def test_non_injective_order_on_a_plain_system_exit_2(plain_system, capsys, command):
-    # totins ignores --k and refines over the whole system
+    # the order is refined over the whole system, whatever --k says
     assert run_plain(plain_system, command, "--k", "5") == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "submodularity needs a universe (joins and meets)"
@@ -1266,6 +1264,50 @@ def test_totins_names_the_first_layer_that_is_not_rich(workdir, capsys):
     err = json.loads(capsys.readouterr().err)
     assert (err["kind"], err["failed"]) == ("HypothesisFailure", ["rich"])
     assert "; rich: the layer of 25 separations, counterexample [" in err["error"]
+
+
+@pytest.mark.parametrize("graph", ["C6", "P6"])
+def test_tangles_with_a_threshold_walks_only_s_k(workdir, graph):
+    # tangles_in walks the layers of S_2 alone; a walk over every layer of the
+    # universe runs out of memory under the child's 1.5 GB address-space cap
+    # on both graphs (exit 1)
+    import os
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import tanglekit
+    argv = ["tangles", *write_full_family(workdir, graph, 2)[1:], "--k", "2"]
+    src = str(Path(tanglekit.__file__).resolve().parents[1])
+    cap = 1536 * 2 ** 20
+    proc = subprocess.run(
+        [sys.executable, "-m", "tanglekit.cli", *argv, "--out", str(workdir / "out")],
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads((workdir / "out" / "tangles.json").read_text())
+    assert {r["k"] for r in got["tangles_in"]} == {"0", "1", "2"}
+    assert sorted(r["elements"] for r in got["tangles_in"] if r["k"] == "2") == got["tangles"]
+
+
+def test_totins_restricts_to_s_k(workdir):
+    # --k restricts totins to S_2 as it does tot, so P4's k=2 family serves
+    # it; on the whole universe a layer above S_2 is not rich (exit 2)
+    from tanglekit.cli import load_graph_text
+    from tanglekit.forbidden import ForbiddenFamily, enumerate_tangles_in, robustness_family
+    from tanglekit.orderfn import refine_injective
+    code, out = run(workdir, *write_full_family(workdir, "P4", 2), "--k", "2")
+    assert code == 0
+    got = json.loads((out / "totins.json").read_text())
+    assert got["verified"] is True and len(got["N"]) == 2
+    u, o = graph_universe(*load_graph_text(workdir / "g.graph"))
+    s2, inj = restrict_Sk(u, o, 2), refine_injective(u, o)
+    stars = ForbiddenFamily.from_json(json.loads((workdir / "full.json").read_text()))
+    fam = standardize(stars.extended(robustness_family(u, inj, target=s2)), s2)
+    want = [t for t in enumerate_tangles_in(s2, fam, inj) if t.maximal]
+    assert got["maximal_tangles"] == sorted(sorted(t.elements) for t in want)
 
 
 def poor_family_text():

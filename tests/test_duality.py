@@ -716,7 +716,7 @@ def test_dichotomy_exactly_one(p3_set, tangleless):
 
 def test_newduality_empty_threshold(p3_set):
     u, o, o2, s2 = p3_set
-    res = newduality(u, o, 0, ForbiddenFamily([]))
+    res = newduality(restrict_Sk(u, o, 0), o, ForbiddenFamily([]))
     assert res.kind == "tangle" and res.tangle == frozenset()
 
 
@@ -724,7 +724,7 @@ def test_newduality_p3_matches_brute_force(p3_set):
     u, o, o2, s2 = p3_set
     fam = standardize(
         graph_tangle_stars(u, o, "abc", [("a", "b"), ("b", "c")], 2), s2)
-    res = newduality(u, o, 2, fam)
+    res = newduality(restrict_Sk(u, o, 2), o, fam)
     brute = enumerate_tangles(restrict_Sk(u, o, 2), fam)
     assert (res.kind == "tangle") == bool(brute)
     assert res.tangle in set(brute)
@@ -773,7 +773,7 @@ def enumeration_oracle(u, o, k, fam):
 @pytest.mark.parametrize("name", sorted(PATHS))
 def test_newduality_matches_the_enumeration_oracle(name, k):
     u, o, fam = path_setting(name, k)
-    got = outcome(lambda: newduality(u, o, k, fam))
+    got = outcome(lambda: newduality(restrict_Sk(u, o, k), o, fam))
     assert got == enumeration_oracle(u, o, k, fam)
 
 
@@ -783,7 +783,7 @@ def test_newduality_matches_the_enumeration_oracle_on_an_stree(name):
     # tangle, so the S-tree branch runs
     u, o, _ = path_setting(name, 1)
     fam = singleton_family(restrict_Sk(u, o, 1))
-    got = outcome(lambda: newduality(u, o, 1, fam))
+    got = outcome(lambda: newduality(restrict_Sk(u, o, 1), o, fam))
     assert got[0] == "stree"
     assert got == enumeration_oracle(u, o, 1, fam)
 
@@ -807,7 +807,7 @@ def test_newduality_checks_each_order_hypothesis_once(monkeypatch):
     u, o, fam = path_setting("P3", 2)
     sub = count_calls(monkeypatch, is_submodular)
     struct = count_calls(monkeypatch, is_structurally_submodular)
-    newduality(u, o, 2, fam)
+    newduality(restrict_Sk(u, o, 2), o, fam)
     assert (len(sub), len(struct)) == (1, 0)
 
 
@@ -820,7 +820,7 @@ def test_newduality_keeps_an_enumeration_unrefined(monkeypatch):
     ell = len(restrict_Sk(u, o, 2).seps()) + 1
     assert restrict_Sk(u, e, ell).members == restrict_Sk(u, o, 2).members
     refined = count_calls(monkeypatch, duality.refine_injective)
-    assert outcome(lambda: newduality(u, e, ell, fam)) == want
+    assert outcome(lambda: newduality(restrict_Sk(u, e, ell), e, fam)) == want
     assert refined == []
 
 
@@ -828,8 +828,21 @@ def test_newduality_rejects_a_nonsubmodular_noninjective_order(bip2):
     lab = by_label(bip2)
     vals = {bip2.sep(h): Fraction(0) for h in bip2.elements()}
     vals[bip2.sep(lab["{1,2}|{}"])] = Fraction(5)
+    order = OrderFunction(bip2, vals)
     with pytest.raises(HypothesisFailure, match="must be submodular"):
-        newduality(bip2, OrderFunction(bip2, vals), 1, ForbiddenFamily([]))
+        newduality(restrict_Sk(bip2, order, 1), order, ForbiddenFamily([]))
+
+
+def test_newduality_needs_a_threshold_set(p3_set):
+    # S keeps P3's separations of order 2 and drops one of order 1: closed
+    # under the involution, but a non-member lies below members
+    u, o, o2, s2 = p3_set
+    s3 = restrict_Sk(u, o, 3)
+    drop = next(h for h in s3.seps() if o.of(h) == 1)
+    system = s3.restrict(h for h in s3.elements() if s3.sep(h) != drop)
+    assert any(o.of(h) == 2 for h in system.seps())
+    with pytest.raises(HypothesisFailure, match="threshold set of the order"):
+        newduality(system, o, ForbiddenFamily([]))
 
 
 def test_dichotomy_rejects_a_noninjective_order(p3_set):

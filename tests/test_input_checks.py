@@ -348,7 +348,7 @@ NEEDS_A_UNIVERSE = {
     "emulates": ("shifting", lambda s, o, f: emulates(s, 0, 2)),
     "lemma_shift_select": (
         "shifting", lambda s, o, f: lemma_shift_select(s, o, {0, 2}, {2}, 2)),
-    "newduality": ("newduality", lambda s, o, f: newduality(s, o, 3, f)),
+    "newduality": ("newduality", lambda s, o, f: newduality(s, o, f)),
     "check_tot_hypotheses": (
         "the tree-of-tangles theorem", lambda s, o, f: check_tot_hypotheses(s, o, f)),
     "tree_of_tangles": (

@@ -365,6 +365,17 @@ def test_no_product_of_orientations_and_the_count_guard_only_on_searches():
     assert not found, f"orientation products or library count guards: {found}"
 
 
+def test_the_bound_counts_the_one_system_prepare_made():
+    # prepare restricts S and counts it once; Run holds no universe, so no
+    # command can count separations or enumerate tangles past S
+    import tanglekit.cli
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    calls = [f"cli.py:{node.lineno} {fn}" for node, fn in nodes_in_functions(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check_bound"]
+    assert len(calls) == 1 and calls[0].endswith(" prepare"), calls
+    assert "uni" not in tanglekit.cli.Run._fields
+
+
 FILE_READS = {"open", "read_text", "read_bytes"}
 
 
