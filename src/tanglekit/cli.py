@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from collections import namedtuple
 from pathlib import Path
@@ -105,43 +104,38 @@ def load_inputs(args):
 
 def check_family_document(obj, path, n):
     """An object whose ``sets`` lists lists of integer handles below ``n``, with
-    ``generate`` a list where present.  An optional ``provenance`` object is
-    not read, but its keys must be comma-separated integers."""
+    ``generate`` a list where present.  Any other key is not read."""
     if not isinstance(obj, dict):
         raise InputError("malformed forbidden family", file=path,
                          detail="the document is not an object")
-    for key, kind in (("sets", list), ("generate", list), ("provenance", dict)):
-        if not isinstance(obj.get(key, kind()), kind):
+    for key in ("sets", "generate"):
+        if not isinstance(obj.get(key, []), list):
             raise InputError("malformed forbidden family", file=path,
-                             detail=f"{key} is not a JSON {'array' if kind is list else 'object'}")
+                             detail=f"{key} is not a JSON array")
     for member in obj.get("sets", []):
         if not (isinstance(member, list)
                 and all(type(h) is int and 0 <= h < n for h in member)):
             raise InputError("malformed forbidden family", file=path, member=member,
                              detail=f"a member must be a list of handles 0..{n - 1}")
-    for key in obj.get("provenance", {}):
-        if not re.fullmatch(r"(-?\d+(,-?\d+)*)?", key):
-            raise InputError("malformed forbidden family", file=path,
-                             detail=f"provenance key {key!r} is not comma-separated integers")
 
 
-def load_family(args, uni, system, order):
+def load_family(args, system, order):
     from .forbidden import ForbiddenFamily, profile_family, robustness_family, standardize
 
     fam = ForbiddenFamily([])
     generate = []
     if args.forbidden:
         obj = _read_json(args.forbidden)
-        check_family_document(obj, args.forbidden, uni.n_ground)
+        check_family_document(obj, args.forbidden, system.n_ground)
         fam = ForbiddenFamily.from_json(obj)
         generate = obj.get("generate", [])
     for directive in generate:
         if directive == "R":
             if order is None:
                 raise PreconditionError("generator R needs an order function")
-            fam = fam.extended(robustness_family(uni, order, target=system))
+            fam = fam.extended(robustness_family(order, target=system))
         elif directive == "profiles":
-            fam = fam.extended(profile_family(uni, target=system))
+            fam = fam.extended(profile_family(target=system))
         elif directive == "standardize":
             fam = standardize(fam, system)
         else:
@@ -156,10 +150,11 @@ def require_order(order):
     return order
 
 
-def ensure_injective(uni, order, notes):
-    if order.is_injective_on(uni):
+def ensure_injective(order, notes):
+    """``order``, refined when it is not injective on the universe it is defined on."""
+    if order.is_injective_on(order.system):
         return order
-    refined = refine_injective(uni.ground, order)
+    refined = refine_injective(order)
     notes["order"] = "refined to an injective order (deterministic, default iota)"
     return refined
 
@@ -180,7 +175,7 @@ def _write_output(args, filename, text):
     path = Path(args.out or os.environ.get(OUT_ENV, ".")) / filename
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
     except OSError as exc:  # the directory is a file, or lies under one, ...
         raise InputError("unwritable output", file=str(path), detail=str(exc))
     return path
@@ -256,8 +251,8 @@ def prepare(args, order_use="optional") -> Run:
     check_bound(system, args)
     notes = {}
     if order_use == "injective":
-        order = ensure_injective(uni, order, notes)
-    family = load_family(args, uni, system, order)
+        order = ensure_injective(order, notes)
+    family = load_family(args, system, order)
     return Run(system, order, k, family, notes)
 
 
@@ -370,14 +365,13 @@ def cmd_totins(args):
 
 
 def cmd_refine_order(args):
-    uni, order = load_inputs(args)
-    require_order(order)
-    refined = refine_injective(uni.ground, order)
-    ok_sub, _ = is_submodular(uni, refined)
+    _, order = load_inputs(args)
+    refined = refine_injective(require_order(order))
+    uni = refined.system  # the universe the order is defined on, whatever the members
     obj = refined.to_json()
     obj["verified"] = {
         "injective": refined.is_injective_on(uni),
-        "submodular": ok_sub,
+        "submodular": is_submodular(uni, refined)[0],
         "refines": refines(refined, order, uni)[0],
     }
     write_artifact(args, "refine-order", obj)

@@ -473,7 +473,7 @@ def newduality(system, order, family, check_exclusive=False):
         o2 = order
     else:
         try:
-            o2 = refine_injective(uni, order)
+            o2 = refine_injective(order)
         except NonSubmodularOrder as exc:
             raise HypothesisFailure("order must be submodular, or injective and "
                                     "structurally submodular") from exc

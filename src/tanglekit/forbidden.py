@@ -264,34 +264,35 @@ def f_eff(system, family, order):
 # -- generators ---------------------------------------------------------------
 
 
-def robustness_family(uni, order, target) -> ForbiddenFamily:
+def robustness_family(order, target) -> ForbiddenFamily:
     """The triples {r->, r<- v s->, r<- v s<-} with both joins below |r|.
 
-    r-> ranges over oriented members, s over all unoriented separations of
-    the universe; only triples all of whose members lie in the target system
-    are kept, and triples touching a degenerate separation are dropped.
+    r-> ranges over the oriented members of ``target``, s over all unoriented
+    separations of the universe U it lives in; only triples all of whose
+    members lie in the target system are kept, and triples touching a
+    degenerate separation are dropped.
     """
-    g = _universe_of(uni, "generator R")
+    g = _universe_of(target, "generator R")
     val = order.num
     out = []
-    for r in filter(target.contains, uni.elements()):
-        ri, vr = uni.inv(r), val[r]
-        for s in uni.seps():
-            a, b = g.join(ri, s), g.join(ri, uni.inv(s))
+    for r in target.elements():
+        ri, vr = g.inv(r), val[r]
+        for s in g.seps():
+            a, b = g.join(ri, s), g.join(ri, g.inv(s))
             if (val[a] < vr and val[b] < vr and target.contains(a) and target.contains(b)
-                    and not any(map(uni.is_degenerate, (r, a, b)))):
+                    and not any(map(g.is_degenerate, (r, a, b)))):
                 out.append((r, a, b))
     return ForbiddenFamily(out)
 
 
-def profile_family(uni, target) -> ForbiddenFamily:
+def profile_family(target) -> ForbiddenFamily:
     """The profile triples {r->, s->, r<- v s<-} inside ``target``."""
-    g = _universe_of(uni, "generator profiles")
-    els = list(filter(target.contains, uni.elements()))
+    g = _universe_of(target, "generator profiles")
+    els = target.elements()
     out = []
     for i, r in enumerate(els):
         for s in els[i:]:
-            third = g.join(uni.inv(r), uni.inv(s))
-            if target.contains(third) and not any(map(uni.is_degenerate, (r, s, third))):
+            third = g.join(g.inv(r), g.inv(s))
+            if target.contains(third) and not any(map(g.is_degenerate, (r, s, third))):
                 out.append((r, s, third))
     return ForbiddenFamily(out)

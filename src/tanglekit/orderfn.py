@@ -12,8 +12,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .core import SeparationSystem, typed
-from .errors import (InputError, NonSubmodularOrder, PreconditionError, SystemValidationError,
-                     UnknownHandle)
+from .errors import InputError, NonSubmodularOrder, SystemValidationError, UnknownHandle
 from .universe import is_submodular
 
 ORDER_SCHEMA = "tanglekit/order-v1"
@@ -157,19 +156,16 @@ def _numeral(digits: str) -> int:
     return value
 
 
-def refine_injective(uni, o: OrderFunction) -> OrderFunction:
-    """An injective submodular order function refining a submodular one.
+def refine_injective(o: OrderFunction) -> OrderFunction:
+    """An injective submodular order function refining a submodular one, on
+    the ground universe ``o`` is defined on.
 
     Adds the perturbation delta(s) = (eps/2 / 3^|U->|) * (gamma3(s->) +
     gamma3(s<-)) where eps is the least gap between distinct values of o
     (eps = 1 when o is constant), and gamma3(s) sums 3^i over the i-th
-    members, in handle order, that are not >= s.  ``uni`` must hold every
-    separation of its ground universe, since the result is an order function
-    on the whole ground.
+    members of U, in handle order, that are not >= s.
     """
-    if uni.members != uni.ground.members:
-        raise PreconditionError("the injective refinement needs the whole ground "
-                                "universe, not a restricted view")
+    uni = o.system
     ok, witness = is_submodular(uni, o)
     if not ok:
         raise NonSubmodularOrder(f"witness pair {witness}")

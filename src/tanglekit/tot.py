@@ -77,7 +77,7 @@ def check_tot_hypotheses(system, order, family, layered=False):
     if not is_order_threshold_restriction(system, order):
         failed["threshold_form"] = ""
     members = set(family.masks)
-    missing = [m for m in robustness_family(uni, order, target=system).masks if m not in members]
+    missing = [m for m in robustness_family(order, target=system).masks if m not in members]
     if missing:
         failed["robustness_included"] = f"missing triple {sorted(iter_mask(missing[0]))}"
     ok, singletons = is_standard(family, system)

@@ -678,7 +678,7 @@ def enumeration_refinement(uni, o: OrderFunction) -> Enumeration:
     Composes the injective refinement with the order isomorphism onto
     1..|U|; structural submodularity survives the composition.
     """
-    o2 = refine_injective(uni, o)
+    o2 = refine_injective(o)
     seps = sorted(uni.seps(), key=o2.num.__getitem__)
     return Enumeration(uni, {s: i + 1 for i, s in enumerate(seps)})
 

@@ -121,9 +121,9 @@ def _case(name, system, order, family):
 def suite():
     cases = []
     p3, o3 = p3_universe()
-    o3i = refine_injective(p3, o3)
+    o3i = refine_injective(o3)
     p4, o4 = p4_universe()
-    o4i = refine_injective(p4, o4)
+    o4i = refine_injective(o4)
     p3_edges = [("a", "b"), ("b", "c")]
     p4_edges = [("a", "b"), ("b", "c"), ("c", "d")]
 
@@ -133,13 +133,12 @@ def suite():
         for k in ks:
             sk = restrict_Sk(uni, inj, k)
             fam = standardize(graph_tangle_stars(uni, base, verts, edges, k), sk)
-            fam = fam.extended(robustness_family(uni, inj, target=sk))
+            fam = fam.extended(robustness_family(inj, target=sk))
             cases.append(_case(f"{tag}-k{k}", sk, inj, fam))
 
     heavy = bipartition_universe([1, 2, 3])
-    oh = refine_injective(
-        heavy, _cut_order(heavy, {(0, 1): 4, (0, 2): 1, (1, 2): 1}, 3))
-    robust = robustness_family(heavy, oh, target=heavy)
+    oh = refine_injective(_cut_order(heavy, {(0, 1): 4, (0, 2): 1, (1, 2): 1}, 3))
+    robust = robustness_family(oh, target=heavy)
     fam = eclipse_closure(heavy, standardize(robust, heavy), oh)
     cases.append(_case("bip3-heavy", heavy, oh, fam))
 
@@ -147,8 +146,8 @@ def suite():
     rng = random.Random(99)
     randoms = []
     for i, (uni, o) in enumerate(random_universes(count=100, seed=2024)):
-        oi = refine_injective(uni.ground, o)
-        fam = standardize(robustness_family(uni.ground, oi, target=uni), uni)
+        oi = refine_injective(o)
+        fam = standardize(robustness_family(oi, target=uni), uni)
         fam = eclipse_closure(uni, fam.extended(random_star_family(uni, oi, rng)), oi)
         c = _case(f"rand-{i}", uni, oi, fam)
         randoms.append(c)
@@ -208,12 +207,12 @@ def dichotomy_runs(suite):
     cases, randoms = suite
     runs = []
     p3, o3 = p3_universe()
-    o3i = refine_injective(p3, o3)
+    o3i = refine_injective(o3)
     s2 = restrict_Sk(p3, o3i, 2)
     s2t = s2.restrict(naive_without_trivial(s2))
     runs.append(("p3-singletons", s2t, o3i, singleton_family(s2t)))
     p4, o4 = p4_universe()
-    o4i = refine_injective(p4, o4)
+    o4i = refine_injective(o4)
     s3 = restrict_Sk(p4, o4i, 3)
     s3t = s3.restrict(naive_without_trivial(s3))
     runs.append(("p4-singletons", s3t, o4i, singleton_family(s3t)))
@@ -302,7 +301,7 @@ def test_criterion_6_refinement(suite):
         for u, o in zip(universes, orders):
             if len(u.ground.seps()) > 10:
                 continue
-            o2 = refine_injective(u.ground, o)
+            o2 = refine_injective(o)
             assert o2.is_injective_on(u.ground)
             ok, witness = is_submodular(u.ground, o2)
             assert ok, witness
@@ -329,7 +328,7 @@ def test_criterion_7_tree_of_tangles(suite, trees):
         for c in cases:
             if not c.qualifies():
                 continue
-            robust = robustness_family(c.system.ground, c.order, target=c.system)
+            robust = robustness_family(c.order, target=c.system)
             if robust.sets - c.family.sets:
                 continue
             tree = trees[c.name]
@@ -355,21 +354,21 @@ def test_criterion_8_layered_tree_of_tangles(suite):
     with criterion(8, "layered trees of tangles and nested layer builds"):
         cases, randoms = suite
         p3, o3 = p3_universe()
-        o3i = refine_injective(p3, o3)
+        o3i = refine_injective(o3)
         fam3 = standardize(
             graph_tangle_stars(p3, o3, "abc", [("a", "b"), ("b", "c")], 4), p3)
-        fam3 = fam3.extended(robustness_family(p3, o3i, target=p3))
+        fam3 = fam3.extended(robustness_family(o3i, target=p3))
         p4, o4 = p4_universe()
-        o4i = refine_injective(p4, o4)
+        o4i = refine_injective(o4)
         fam4 = standardize(graph_tangle_stars(
             p4, o4, "abcd", [("a", "b"), ("b", "c"), ("c", "d")], 5), p4)
-        fam4 = fam4.extended(robustness_family(p4, o4i, target=p4))
+        fam4 = fam4.extended(robustness_family(o4i, target=p4))
         layered = [("p3-full", p3, o3i, fam3), ("p4-full", p4, o4i, fam4)]
         for c in randoms[:40]:
             layered.append((c.name, c.system, c.order, c.family))
         ran = 0
         for name, system, order, fam in layered:
-            robust = robustness_family(system.ground, order, target=system)
+            robust = robustness_family(order, target=system)
             if robust.sets - fam.sets:
                 continue
             try:
@@ -403,9 +402,9 @@ def test_criterion_9_shifting(suite):
     with criterion(9, "shift selection postconditions; closure implies richness"):
         cases, randoms = suite
         p3, o3 = p3_universe()
-        o3i = refine_injective(p3, o3)
+        o3i = refine_injective(o3)
         p4, o4 = p4_universe()
-        o4i = refine_injective(p4, o4)
+        o4i = refine_injective(o4)
         threshold_fixtures = [
             ("p3-s2", restrict_Sk(p3, o3i, 2), o3i),
             ("p4-s2", restrict_Sk(p4, o4i, 2), o4i),
@@ -474,7 +473,7 @@ def test_criterion_10_negative_controls():
         assert pairs and all(not bip4.is_nested(r, s) for r, s in pairs)
         # reducible tree flagged with the unnecessary node
         p3, o3 = p3_universe()
-        o3i = refine_injective(p3, o3)
+        o3i = refine_injective(o3)
         s2 = restrict_Sk(p3, o3i, 2)
         fam = standardize(
             graph_tangle_stars(p3, o3, "abc", [("a", "b"), ("b", "c")], 2), s2)

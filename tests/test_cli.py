@@ -233,7 +233,7 @@ def test_an_unresolved_layered_leaf_is_a_theorem_violation(workdir, capsys, monk
 
     monkeypatch.setattr(tot, "build_tst_in_S", one_unresolved)
     u, o, fam = stars2_r_family()
-    inj = refine_injective(u, o)
+    inj = refine_injective(o)
     leaf = next(l for l, c in build(u, inj, fam).leaf_classes.items() if c.kind == LEAF_TANGLE)
     with pytest.raises(TheoremViolation) as failure:
         tot.tree_of_tangles_in(u, inj, fam)
@@ -267,7 +267,7 @@ def test_richness_violation_exit_3(workdir, capsys):
     from tanglekit.forbidden import ForbiddenFamily
     from tanglekit.orderfn import refine_injective
     u, o = p3_universe()
-    o2 = refine_injective(u, o)
+    o2 = refine_injective(o)
     s2 = restrict_Sk(u, o, 2)
     top = max(s2.seps(), key=o2.of)
     fam = standardize(ForbiddenFamily([]), s2)
@@ -352,8 +352,7 @@ def test_malformed_forbidden_family_exit_1(workdir, capsys, doc, member):
         assert err.get("member") == member
 
 
-@pytest.mark.parametrize("key,value", [("sets", {"0": [0]}), ("generate", 5),
-                                       ("provenance", 5)])
+@pytest.mark.parametrize("key,value", [("sets", {"0": [0]}), ("generate", 5)])
 def test_forbidden_family_field_of_the_wrong_type_exit_1(workdir, capsys, key, value):
     (workdir / "bad.json").write_text(json.dumps({"sets": [], key: value}))
     code, _ = run(workdir, "tangles", "--input", str(workdir / "p3.graph"),
@@ -362,6 +361,19 @@ def test_forbidden_family_field_of_the_wrong_type_exit_1(workdir, capsys, key, v
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "malformed forbidden family"
     assert err["detail"].startswith(f"{key} is not a JSON")
+
+
+def test_a_family_provenance_is_not_read(workdir):
+    # a family is its member sets and directives: any provenance, of any
+    # type, leaves the run and its artifact as they are without one
+    stars = json.loads((workdir / "stars.json").read_text())
+    argv = ["tst", "--input", str(workdir / "p3.graph"), "--k", "2", "--forbidden"]
+    code, out = run(workdir, *argv, str(workdir / "stars.json"))
+    want = (code, (out / "tst.json").read_bytes())
+    for provenance in (5, "x", [[0]], {"x": 1}, {"0,2": "explicit"}):
+        (workdir / "prov.json").write_text(json.dumps({**stars, "provenance": provenance}))
+        code, out = run(workdir, *argv, str(workdir / "prov.json"))
+        assert (code, (out / "tst.json").read_bytes()) == want, provenance
 
 
 def test_forbidden_handles_may_lie_outside_Sk(workdir):
@@ -791,7 +803,7 @@ def stars2_r_family():
     from tanglekit.orderfn import refine_injective
     u, o = p3_universe()
     fam = graph_tangle_stars(u, o, "abc", [("a", "b"), ("b", "c")], 2)
-    r = robustness_family(u, refine_injective(u, o), target=u)
+    r = robustness_family(refine_injective(o), target=u)
     return u, o, standardize(fam.extended(r), u)
 
 
@@ -825,7 +837,7 @@ def test_stars2_r_without_k_builds_with_and_without_optimize(workdir, flags, com
     else:
         assert got["verified"] is True
     if command == "totins":
-        want = [t for t in enumerate_tangles_in(u, fam, refine_injective(u, o)) if t.maximal]
+        want = [t for t in enumerate_tangles_in(u, fam, refine_injective(o)) if t.maximal]
         assert got["maximal_tangles"] == sorted(sorted(t.elements) for t in want)
 
 
@@ -1090,7 +1102,7 @@ def test_profiles_directive_on_a_universe(workdir):
     assert code == 0
     u, o = p3_universe()
     s2 = restrict_Sk(u, o, 2)
-    fam = standardize(ForbiddenFamily(profile_family(u, target=s2).sets), s2)
+    fam = standardize(ForbiddenFamily(profile_family(target=s2).sets), s2)
     got = json.loads((out / "tangles.json").read_text())["tangles"]
     assert got == sorted(sorted(t) for t in enumerate_tangles(s2, fam))
 
@@ -1100,9 +1112,7 @@ def test_profiles_directive_on_a_universe(workdir):
      "unknown generator directive"),
     ({"sets": [], "generate": ["R"]}, "uni.json", 2,
      "generator R needs an order function"),
-    ({"sets": [[0]], "provenance": {"x": "explicit"}}, "p3.graph", 1,
-     "malformed forbidden family"),
-], ids=["unknown-directive", "R-without-order", "provenance-key-not-integers"])
+], ids=["unknown-directive", "R-without-order"])
 def test_family_document_errors(workdir, capsys, doc, input_name, code, error):
     u, _ = p3_universe()
     (workdir / "uni.json").write_text(json.dumps(u.to_json()))
@@ -1131,19 +1141,88 @@ def test_missing_input_file_exit_1(workdir, capsys):
     assert err["file"].endswith("absent.graph")
 
 
-def test_universe_json_with_members(workdir):
-    # P3's universe restricted to the members of S_2 runs as S_2 does
-    u, o = p3_universe()
-    obj = u.to_json()
-    obj["members"] = restrict_Sk(u, o, 2).to_json()["members"]
-    (workdir / "s2.json").write_text(json.dumps(obj))
-    (workdir / "order.json").write_text(json.dumps(o.to_json()))
-    source = ["--input", str(workdir / "s2.json"), "--order", str(workdir / "order.json")]
-    for command in ("validate", "refine-order"):
-        assert run(workdir, command, *source)[0] == 0
-    code, out = run(workdir, "tst", *source, "--forbidden", str(workdir / "stars.json"))
-    assert code == 0
-    got = json.loads((out / "tst.json").read_text())
+def order_not_injective_outside_s2(uni, order):
+    """The refined order of ``uni`` with the first two adjacent values outside
+    S_2 made equal that keeps it submodular: injective on S_2, not on ``uni``."""
+    from tanglekit.orderfn import OrderFunction, refine_injective
+    from tanglekit.universe import is_submodular
+    inj = refine_injective(order)
+    outside = sorted((inj.num[s], s) for s in uni.seps() if order.num[s] >= 2)
+    for (low, _), (_, s) in zip(outside, outside[1:]):
+        num = list(inj.num)
+        for t in uni.orientations(s):
+            num[t] = low
+        tied = OrderFunction._of_num(uni, num, inj.den)
+        if is_submodular(uni, tied)[0]:
+            return tied
+    raise AssertionError("every tie of adjacent values breaks submodularity")
+
+
+MEMBERS_COMMANDS = ("tangles", "tst", "reduce", "duality", "newduality", "tot", "totins")
+
+
+def test_universe_json_with_members(workdir, capsys):
+    # A universe JSON whose members are S_k of its order runs as the whole
+    # universe does with --k k: the same exit code, report and artifact
+    # bytes.  R joins members of S_k with every separation of U, and the
+    # order is refined when it is not injective on U, not on the members.
+    import hashlib
+
+    def digests(out, k):
+        got = {}
+        for path in sorted(out.iterdir()) if out.is_dir() else ():
+            data = path.read_bytes()
+            if path.name == "tangles.json":  # its k is the --k given, inf without one
+                obj = json.loads(data)
+                obj["k"] = str(k)
+                data = (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+            got[path.name] = hashlib.sha256(data).hexdigest()
+        return got
+
+    def result(argv, out, k):
+        code = main([*argv, "--unsafe-bounds", "--out", str(out)])
+        return code, capsys.readouterr().err, digests(out, k)
+
+    def graph(name):
+        n, edges = LADDER[name]
+        return graph_universe("abcde"[:n], [("abcde"[a], "abcde"[b]) for a, b in edges])
+
+    (workdir / "R.json").write_text('{"sets": [], "generate": ["R", "standardize"]}')
+    p4, p4_order = graph("P4")
+    p3, p3_order = p3_universe()
+    cases = [(f"{name}-k{k}", *graph(name), k, "R.json", MEMBERS_COMMANDS)
+             for name in ("P4", "C5", "K2,3") for k in (2, 3)]
+    cases += [("P4-tied-k2", p4, order_not_injective_outside_s2(p4, p4_order), 2, "R.json",
+               MEMBERS_COMMANDS),
+              ("P3-k2", p3, p3_order, 2, "stars.json", ("tst",))]
+    for name, uni, order, k, family, commands in cases:
+        members = restrict_Sk(uni, order, k)
+        if name == "P4-tied-k2":
+            assert order.is_injective_on(members) and not order.is_injective_on(uni)
+        case = workdir / name
+        case.mkdir()
+        obj = uni.to_json()
+        (case / "whole.json").write_text(json.dumps(obj))
+        obj["members"] = members.to_json()["members"]
+        (case / "members.json").write_text(json.dumps(obj))
+        (case / "order.json").write_text(json.dumps(order.to_json()))
+        order_args = ["--order", str(case / "order.json")]
+        for command in ("validate", "refine-order"):
+            got = result([command, "--input", str(case / "members.json"), *order_args],
+                         case / f"members-{command}", k)
+            assert got[0] == 0, (name, command, got[1])
+        assert digests(case / "members-refine-order", k) == result(
+            ["refine-order", "--input", str(case / "whole.json"), *order_args],
+            case / "whole-refine-order", k)[2], name
+        for command in commands:
+            source = [*order_args, "--forbidden", str(workdir / family)]
+            got = result([command, "--input", str(case / "members.json"), *source],
+                         case / f"members-{command}", k)
+            want = result([command, "--input", str(case / "whole.json"), *source, "--k", str(k)],
+                          case / f"whole-{command}", k)
+            assert got == want, (name, command)
+    # the P3 universe with the members of S_2 also runs as its graph input does
+    got = json.loads((workdir / "P3-k2" / "members-tst" / "tst.json").read_text())
     code, out = run(workdir, "tst", "--input", str(workdir / "p3.graph"), "--k", "2",
                     "--forbidden", str(workdir / "stars.json"))
     assert code == 0 and got == json.loads((out / "tst.json").read_text())
@@ -1292,6 +1371,33 @@ def test_tangles_with_a_threshold_walks_only_s_k(workdir, graph):
     assert sorted(r["elements"] for r in got["tangles_in"] if r["k"] == "2") == got["tangles"]
 
 
+def test_output_files_are_utf8_in_any_locale(tmp_path):
+    # DOT carries vertex names as they are given; an ASCII locale in the
+    # child must write the same UTF-8 bytes as a UTF-8 one
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import tanglekit
+    (tmp_path / "greek.graph").write_text("α β\nβ γ\n", encoding="utf-8")
+    (tmp_path / "std.json").write_text('{"generate": ["standardize"]}')
+    src = str(Path(tanglekit.__file__).resolve().parents[1])
+    dots = []
+    for locale in ("C", "C.UTF-8"):
+        out = tmp_path / locale
+        proc = subprocess.run(
+            [sys.executable, "-m", "tanglekit.cli", "tst", "--k", "2", "--emit", "dot",
+             "--input", str(tmp_path / "greek.graph"), "--forbidden", str(tmp_path / "std.json"),
+             "--out", str(out)],
+            capture_output=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONUTF8": "0",
+                 "PYTHONCOERCECLOCALE": "0", "LC_ALL": locale})
+        assert proc.returncode == 0, (locale, proc.stderr)
+        dots.append((out / "tst.dot").read_bytes())
+    assert dots[0] == dots[1] and "α".encode() in dots[0]
+
+
 def test_totins_restricts_to_s_k(workdir):
     # --k restricts totins to S_2 as it does tot, so P4's k=2 family serves
     # it; on the whole universe a layer above S_2 is not rich (exit 2)
@@ -1303,9 +1409,9 @@ def test_totins_restricts_to_s_k(workdir):
     got = json.loads((out / "totins.json").read_text())
     assert got["verified"] is True and len(got["N"]) == 2
     u, o = graph_universe(*load_graph_text(workdir / "g.graph"))
-    s2, inj = restrict_Sk(u, o, 2), refine_injective(u, o)
+    s2, inj = restrict_Sk(u, o, 2), refine_injective(o)
     stars = ForbiddenFamily.from_json(json.loads((workdir / "full.json").read_text()))
-    fam = standardize(stars.extended(robustness_family(u, inj, target=s2)), s2)
+    fam = standardize(stars.extended(robustness_family(inj, target=s2)), s2)
     want = [t for t in enumerate_tangles_in(s2, fam, inj) if t.maximal]
     assert got["maximal_tangles"] == sorted(sorted(t.elements) for t in want)
 
@@ -1317,10 +1423,18 @@ def poor_family_text():
     from tanglekit.orderfn import refine_injective
     u, o = p3_universe()
     s2 = restrict_Sk(u, o, 2)
-    top = max(s2.seps(), key=refine_injective(u, o).of)
+    top = max(s2.seps(), key=refine_injective(o).of)
     obj = standardize(ForbiddenFamily([]), s2).extended(
         ForbiddenFamily([{s2.orientations(top)[0]}])).to_json()
     obj["generate"] = ["standardize"]
+    return json.dumps(obj)
+
+
+def p3_universe_with_a_wrong_join_cell():
+    """P3's universe JSON with one well-formed join cell that is not the join."""
+    obj = p3_universe()[0].to_json()
+    cell = next(c for c in obj["join"] if c[2] not in c[:2])
+    cell[2] = cell[0]
     return json.dumps(obj)
 
 
@@ -1350,8 +1464,6 @@ CLI_FAILURES = {
     "family-not-an-object": ({"f.json": "[1]"}, ["tangles", *FAMILY], *MALFORMED),
     "family-field-type": ({"f.json": '{"sets": 5}'}, ["tangles", *FAMILY], *MALFORMED),
     "family-member": ({"f.json": '{"sets": [["x"]]}'}, ["tangles", *FAMILY], *MALFORMED),
-    "family-provenance-key": (
-        {"f.json": '{"sets": [], "provenance": {"x": 1}}'}, ["tangles", *FAMILY], *MALFORMED),
     "R-without-order": (
         {"f.json": '{"generate": ["R"]}'},
         ["tangles", "--bipartition", "1,2", "--forbidden", "{d}/f.json"],
@@ -1373,6 +1485,10 @@ CLI_FAILURES = {
         1, "InputError", "unwritable output"),
     "bounds-not-positive": (
         {}, ["tangles", *P3_GRAPH, "--bounds", "0"], 1, "InputError", "bounds must be positive"),
+    "wrong-join-cell": (
+        {"wrong.json": p3_universe_with_a_wrong_join_cell},
+        ["validate", "--input", "{d}/wrong.json"],
+        1, "SystemValidationError", "axiom join-least-upper-bound violated"),
     "library-input-tier": (
         {"label.json": '{"oriented": [{"id": 0, "inv": 1, "label": 5}, '
                        '{"id": 1, "inv": 0, "label": "b"}]}'},

@@ -116,11 +116,11 @@ def planted_singleton(system, index):
 def ladder_cases():
     for name in LADDER:
         (n, edges), (u, o) = LADDER[name], ladder(name)
-        o2 = refine_injective(u, o)
+        o2 = refine_injective(o)
         for k in (1, 2, 3):
             system = restrict_Sk(u, o, k)
             stars = graph_tangle_stars(u, o, range(n), edges, k)
-            with_r = stars.extended(robustness_family(u, o2, target=system))
+            with_r = stars.extended(robustness_family(o2, target=system))
             for fam in (stars, standardize(stars, system), standardize(with_r, system),
                         planted_singleton(system, 0)):
                 yield f"{name}-k{k}", system, fam, o2
@@ -129,9 +129,9 @@ def ladder_cases():
 def random_cases():
     rng = random.Random(18)
     for i, (u, o) in enumerate(randoms()):
-        o2 = refine_injective(u, o)
+        o2 = refine_injective(o)
         families = [random_star_family(u, o, rng), singleton_family(u),
-                    standardize(robustness_family(u, o2, target=u), u),
+                    standardize(robustness_family(o2, target=u), u),
                     planted_singleton(u, 0), planted_singleton(u, 1)]
         for order in (o, o2):
             for fam in families:
@@ -234,7 +234,7 @@ def test_no_orientation_search_when_no_member_extends(monkeypatch):
 
     for module in (core, forbidden, duality):
         monkeypatch.setattr(module, "_orientations", counted)
-    o2 = refine_injective(u, o)
+    o2 = refine_injective(o)
     assert is_rich(u, fam, o2) == (True, None)
     assert closed_under_eclipsing(u, fam, o2) == (True, None)
     assert closed_under_shifting(u, fam, o2) == (True, None)
@@ -255,5 +255,5 @@ def test_richness_walk_starts_when_a_member_extends(monkeypatch):
         return search(*args)
 
     monkeypatch.setattr(forbidden, "_orientations", counted)
-    is_rich(system, fam, refine_injective(u, o))
+    is_rich(system, fam, refine_injective(o))
     assert len(searches) == 1

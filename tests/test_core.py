@@ -382,7 +382,7 @@ def test_display_uniqueness_property(pick_bits):
     from tanglekit.orderfn import refine_injective
     from tanglekit.tst import build_thorough_tst
     u, o = p3_universe()
-    o2 = refine_injective(u, o)
+    o2 = refine_injective(o)
     s2 = restrict_Sk(u, o, 2)
     fam = standardize(
         graph_tangle_stars(u, o, "abc", [("a", "b"), ("b", "c")], 2), s2)

@@ -70,7 +70,7 @@ from tanglekit.universe import restrict_Sk
 @pytest.fixture(scope="module")
 def p3_set():
     u, o = p3_universe()
-    o2 = refine_injective(u, o)
+    o2 = refine_injective(o)
     s2 = restrict_Sk(u, o2, 2)
     return u, o, o2, s2
 
@@ -236,7 +236,7 @@ def test_conversion_rejects_reducible():
     # the thorough tree of a seeded tangle-free star family keeps three
     # unnecessary nodes: the conversion refuses it and takes its reduction
     u, o = random_universes()[0]
-    o2 = refine_injective(u.ground, o)
+    o2 = refine_injective(o)
     s = u.restrict(naive_without_trivial(u))
     fam = random_star_family(s, o2, random.Random("0:2"))
     assert (len(s.seps()), len(fam.sets)) == (7, 6)

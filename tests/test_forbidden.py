@@ -170,7 +170,7 @@ def test_eclipse_weak_only_on_tie(chain2):
 def test_injective_order_weak_implies_strict(p3):
     # distinct separations only: a small r> < r< always ties with itself
     u, o = p3
-    o2 = refine_injective(u, o)
+    o2 = refine_injective(o)
     for s in u.elements():
         others = u.members & ~(1 << s | 1 << u.inv(s))
         assert list(_eclipsers(u, o2, s, others)) == list(
@@ -273,9 +273,9 @@ def full_family(name, k):
     makes of its k-stars with ``"generate": ["R", "standardize"]``."""
     n, edges = LADDER[name]
     u, o = graph_universe(range(n), edges)
-    inj = refine_injective(u, o)
+    inj = refine_injective(o)
     stars = graph_tangle_stars(u, o, range(n), edges, k)
-    return u, inj, standardize(stars.extended(robustness_family(u, inj, target=u)), u)
+    return u, inj, standardize(stars.extended(robustness_family(inj, target=u)), u)
 
 
 # The oracle walks every consistent orientation of every layer: on C5 it takes
@@ -311,9 +311,9 @@ def test_richness_matches_the_oracle_on_random_universes():
     rng = random.Random(31)
     fails = 0
     for uni, o in random_universes():
-        inj = refine_injective(uni.ground, o)
+        inj = refine_injective(o)
         for fam in (random_stars(uni, rng),
-                    standardize(robustness_family(uni, inj, target=uni).extended(
+                    standardize(robustness_family(inj, target=uni).extended(
                         random_stars(uni, rng)), uni)):
             for order in (inj, o):
                 for layered in (False, True):
@@ -411,7 +411,7 @@ def test_minimal_members_strongly_efficient_under_eclipse_closure(p3):
 def test_robustness_family_single_separation():
     u = bipartition_universe([1])
     o = constant_order(u, 1)
-    assert len(robustness_family(u, o, target=u)) == 0
+    assert len(robustness_family(o, target=u)) == 0
 
 
 def test_robustness_family_crossing_bipartitions(bip4):
@@ -420,7 +420,7 @@ def test_robustness_family_crossing_bipartitions(bip4):
     for name in ("{1}|{2,3,4}", "{2}|{1,3,4}", "{3}|{1,2,4}", "{4}|{1,2,3}"):
         vals[bip4.sep(lab[name])] = Fraction(1)
     o = OrderFunction(bip4, vals)
-    R = robustness_family(bip4, o, target=bip4)
+    R = robustness_family(o, target=bip4)
     # r = {1,2}|{3,4} crossing s = {1,3}|{2,4}: the two corners on the r<- side
     r = lab["{1,2}|{3,4}"]
     a = bip4.join(bip4.inv(r), lab["{1,3}|{2,4}"])
@@ -432,12 +432,12 @@ def test_robustness_triples_consistent(bip4):
     vals = {bip4.sep(h): Fraction(bin(h).count("1") * (4 - bin(h).count("1")))
             for h in bip4.elements()}
     o = OrderFunction(bip4, vals)
-    for triple in robustness_family(bip4, o, target=bip4):
+    for triple in robustness_family(o, target=bip4):
         assert bip4.is_consistent_mask(mask_of(triple))
 
 
 def test_profile_family_matches_naive_double_loop(bip2):
-    got = profile_family(bip2, target=bip2)
+    got = profile_family(target=bip2)
     naive = set()
     for r in bip2.elements():
         for s in bip2.elements():
@@ -450,14 +450,14 @@ def test_profile_family_matches_naive_double_loop(bip2):
 def test_p3_tangles_avoid_profile_triples(p3):
     u, o = p3
     s2 = restrict_Sk(u, o, 2)
-    P = profile_family(u, target=s2)
+    P = profile_family(target=s2)
     for tau in enumerate_tangles(s2, p3_family(p3)):
         assert avoids(mask_of(tau), P)
 
 
 def test_profile_excludes_degenerates(p3):
     u, _ = p3
-    P = profile_family(u, target=u)
+    P = profile_family(target=u)
     d = [h for h in u.elements() if u.is_degenerate(h)][0]
     assert all(d not in t for t in P.sets)
 

@@ -61,7 +61,7 @@ def unknown_handle(call):
 def p3_s2():
     """P3's S_2 (5 separations) with an injective order."""
     u, o = p3_universe()
-    o2 = refine_injective(u, o)
+    o2 = refine_injective(o)
     return u, o2, restrict_Sk(u, o2, 2)
 
 
@@ -335,9 +335,9 @@ def test_tot_hypotheses_need_a_universe():
 # Each library call that reads joins or meets, with the name it stops under.
 # Arguments: the plain chain system, its injective order and the empty family.
 NEEDS_A_UNIVERSE = {
-    "robustness_family": ("generator R", lambda s, o, f: robustness_family(s, o, target=s)),
-    "profile_family": ("generator profiles", lambda s, o, f: profile_family(s, target=s)),
-    "refine_injective": ("submodularity", lambda s, o, f: refine_injective(s, o)),
+    "robustness_family": ("generator R", lambda s, o, f: robustness_family(o, target=s)),
+    "profile_family": ("generator profiles", lambda s, o, f: profile_family(target=s)),
+    "refine_injective": ("submodularity", lambda s, o, f: refine_injective(o)),
     "is_submodular": ("submodularity", lambda s, o, f: is_submodular(s, o)),
     "is_structurally_submodular": (
         "structural submodularity", lambda s, o, f: is_structurally_submodular(s, o)),
@@ -391,7 +391,7 @@ def p6_s3():
     s3 = restrict_Sk(u, o, 3)
     s = s3.restrict(naive_without_trivial(s3))
     fam = standardize(graph_tangle_stars(u, o, verts, edges, 3), s)
-    return s, refine_injective(u, o), fam
+    return s, refine_injective(o), fam
 
 
 def test_exclusion_check_has_no_bound_on_the_p6_s3(p6_s3):

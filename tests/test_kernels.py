@@ -96,7 +96,7 @@ def assert_eclipsing_pairwise(uni, order, rng):
 def test_eclipsing_is_the_pairwise_definition_on_the_ladder(name):
     uni, order = universe(name)
     rng = random.Random(name)
-    for o in (order, refine_injective(uni, order)):
+    for o in (order, refine_injective(order)):
         assert_eclipsing_pairwise(uni, o, rng)
 
 
@@ -495,7 +495,7 @@ def test_one_element_universe():
     assert uni._tables == (((0,),), ((0,),))
     assert table_failure(uni) is None
     assert_tables_are_bounds(uni)
-    refined = refine_injective(uni, constant_order(uni, 1))
+    refined = refine_injective(constant_order(uni, 1))
     assert refined.to_json()["orders"] == {"0": "1/1"}
 
 
@@ -538,7 +538,7 @@ def test_refine_injective_makes_no_leq_call(monkeypatch):
         return leq(self, a, b)
 
     monkeypatch.setattr(SeparationSystem, "leq", counted)
-    refine_injective(uni, order)
+    refine_injective(order)
     _gamma_fn(uni)(0)
     assert calls == []
 

@@ -278,12 +278,10 @@ def all_readers(uni, order, view):
     for system in (uni, view):
         is_submodular(system, order)
         is_structurally_submodular(system, order)
-        robustness_family(system, order, target=system)
-        profile_family(system, target=system)
+        robustness_family(order, target=system)
+        profile_family(target=system)
         els = system.elements() or uni.elements()
         corners(system, els[0], els[-1])
-    robustness_family(uni, order, target=view)
-    profile_family(uni, target=view)
     uni.join(0, uni.n_ground - 1)
     uni.meet(0, uni.n_ground - 1)
     uni.to_json()

@@ -97,7 +97,7 @@ def test_fixture_universes_agree_with_oracle():
     for uni, o in fixture_orders():
         assert_checks_agree(uni, o)
         if is_submodular(uni, o)[0]:
-            o2 = refine_injective(uni, o)
+            o2 = refine_injective(o)
             assert_checks_agree(uni, o2)
             assert_refines_agree(o2, o, uni)
             assert_refines_agree(o, o2, uni)
@@ -106,7 +106,7 @@ def test_fixture_universes_agree_with_oracle():
 @pytest.mark.parametrize("name", sorted(LADDER))
 def test_ladder_graphs_agree_with_oracle(name):
     uni, o = ladder_graph(name)
-    o2 = refine_injective(uni, o)
+    o2 = refine_injective(o)
     for order in (o, o2):
         assert_checks_agree(uni, order)
         assert_checks_agree(restrict_Sk(uni, o, 2), order)
@@ -118,7 +118,7 @@ def test_ladder_graphs_agree_with_oracle(name):
 def test_random_universes_agree_with_oracle():
     for uni, o in random_universes(count=100, seed=2024):
         assert_checks_agree(uni, o)
-        o2 = refine_injective(uni, o)
+        o2 = refine_injective(o)
         assert_checks_agree(uni, o2)
         assert_refines_agree(o2, o, uni)
         assert_refines_agree(o, o2, uni)
@@ -181,7 +181,7 @@ def exactness_orders():
                  [Fraction(3, 7) * v for v in bad]),
                 (uni, OrderFunction(uni, {s: Fraction(5, 2) * vals[s] for s in uni.seps()}),
                  [Fraction(5, 2) * v for v in vals]),
-                (uni, refine_injective(uni, o), refined_values(uni, vals))]
+                (uni, refine_injective(o), refined_values(uni, vals))]
         seps = uni.seps()
         rng.shuffle(seps)
         ranks = {s: i + 1 for i, s in enumerate(seps)}
@@ -221,7 +221,7 @@ def test_handle_values_keep_comparisons_exact():
 def test_order_checks_look_each_handle_up_once(monkeypatch):
     # the checks compare the integer vector ``num``: none rebuilds a Fraction
     uni, o = ladder_graph("P6")
-    o2 = refine_injective(uni, o)
+    o2 = refine_injective(o)
     calls = {}
     plain_of = OrderFunction.of
 
@@ -234,7 +234,7 @@ def test_order_checks_look_each_handle_up_once(monkeypatch):
         "is_submodular": lambda: is_submodular(uni, o2),
         "is_structurally_submodular": lambda: is_structurally_submodular(uni, o2),
         "refines": lambda: refines(o2, o, uni),
-        "robustness_family": lambda: robustness_family(uni, o2, target=uni),
+        "robustness_family": lambda: robustness_family(o2, target=uni),
     }
     for name, check in checks.items():
         calls.clear()

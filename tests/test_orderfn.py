@@ -13,7 +13,7 @@ from oracles import (
     naive_is_submodular,
 )
 
-from tanglekit.errors import NonSubmodularOrder, PreconditionError
+from tanglekit.errors import NonSubmodularOrder
 from tanglekit.fixtures import chain_universe, graph_tangle_stars, random_universes
 from tanglekit.forbidden import ForbiddenFamily, enumerate_tangles_in, standardize
 from tanglekit.orderfn import OrderFunction, refine_injective, refines
@@ -170,7 +170,7 @@ def test_symmetrize_preserves_submodularity(bip3):
 def test_refine_keeps_injective_orders_injective(bip2):
     o = OrderFunction(bip2, {s: Fraction(i) for i, s in enumerate(bip2.seps())})
     assert is_submodular(bip2, o)[0]
-    o2 = refine_injective(bip2, o)
+    o2 = refine_injective(o)
     assert o2.is_injective_on(bip2)
     assert refines(o2, o, bip2)[0]
 
@@ -178,7 +178,7 @@ def test_refine_keeps_injective_orders_injective(bip2):
 def test_refine_constant_order_spread_below_one():
     u = chain_universe(3)
     o = constant_order(u, 5)
-    o2 = refine_injective(u, o)
+    o2 = refine_injective(o)
     vals = list(o2.values_on(u).values())
     assert len(set(vals)) == len(vals)
     assert max(vals) - min(vals) < 1  # epsilon falls back to 1
@@ -186,7 +186,7 @@ def test_refine_constant_order_spread_below_one():
 
 def test_refine_p3_passes_all_oracles(p3):
     u, o = p3
-    o2 = refine_injective(u, o)
+    o2 = refine_injective(o)
     assert o2.is_injective_on(u)
     assert is_submodular(u, o2)[0]
     assert refines(o2, o, u)[0]
@@ -194,7 +194,7 @@ def test_refine_p3_passes_all_oracles(p3):
 
 def test_refine_delta_bounds(p3):
     u, o = p3
-    o2 = refine_injective(u, o)
+    o2 = refine_injective(o)
     distinct = sorted({o.of(s) for s in u.seps()})
     eps = min(b - a for a, b in zip(distinct, distinct[1:]))
     for s in u.seps():
@@ -207,40 +207,43 @@ def test_refine_rejects_nonsubmodular(bip2):
     vals = {bip2.sep(h): Fraction(0) for h in bip2.elements()}
     vals[bip2.sep(lab["{1,2}|{}"])] = Fraction(5)
     with pytest.raises(NonSubmodularOrder):
-        refine_injective(bip2, OrderFunction(bip2, vals))
+        refine_injective(OrderFunction(bip2, vals))
 
 
 def test_refine_idempotent_up_to_refinement(p3):
     u, o = p3
-    o2 = refine_injective(u, o)
-    o3 = refine_injective(u, o2)
+    o2 = refine_injective(o)
+    o3 = refine_injective(o2)
     assert refines(o3, o2, u)[0]
 
 
 def test_refine_deterministic_per_iota(p3):
     u, o = p3
-    assert refine_injective(u, o).to_json() == refine_injective(u, o).to_json()
+    assert refine_injective(o).to_json() == refine_injective(o).to_json()
 
 
 def test_refine_needs_the_whole_ground_universe(p3):
-    # S_2 of P3 holds 10 of the 17 oriented separations; refining on it used
-    # to fail inside OrderFunction with order-function-total
+    # an order function read on S_2, a view of 10 of P3's 17 oriented
+    # separations, is defined on the whole ground, and is refined there
     u, o = p3
     s2 = restrict_Sk(u, o, 2)
     assert len(s2.elements()) == 10
-    with pytest.raises(PreconditionError, match="whole ground universe"):
-        refine_injective(s2, o)
+    read_on_s2 = OrderFunction(s2, o.values_on(u))
+    assert read_on_s2.system is u
+    refined = refine_injective(read_on_s2)
+    assert refined.system is u and refined.is_injective_on(u)
+    assert refined.to_json() == refine_injective(o).to_json()
 
 
 def test_refine_on_a_view_of_every_member(p3):
     u, o = p3
-    assert refine_injective(restrict_Sk(u, o, None), o).to_json() == \
-        refine_injective(u, o).to_json()
+    every = OrderFunction(restrict_Sk(u, o, None), o.values_on(u))
+    assert refine_injective(every).to_json() == refine_injective(o).to_json()
 
 
 def test_refine_random_universes():
     for u, o in random_universes(count=15, seed=3):
-        o2 = refine_injective(u.ground, o)
+        o2 = refine_injective(o)
         assert o2.is_injective_on(u.ground)
         assert is_submodular(u.ground, o2)[0]
         assert refines(o2, o, u.ground)[0]
@@ -285,7 +288,7 @@ def test_tangles_preserved_trivially(p3):
 def test_tangles_preserved_under_injective_refinement(p3):
     u, o = p3
     F = standardize(graph_tangle_stars(u, o, "abc", [("a", "b"), ("b", "c")], 2), u)
-    o2 = refine_injective(u, o)
+    o2 = refine_injective(o)
     assert tangles_preserved_under_refinement(u, F, o, o2)[0]
 
 
@@ -309,7 +312,7 @@ def test_thresholds_rewritable_after_refinement(p3):
     u, o = p3
     pairs = [(u, o)] + [(a, b) for a, b in random_universes(count=10, seed=41)]
     for uni, order in pairs:
-        o2 = refine_injective(uni.ground, order)
+        o2 = refine_injective(order)
         for k in sorted({order.of(s) for s in uni.seps()} | {None}, key=str):
             sub = restrict_Sk(uni, order, k)
             inside = [o2.of(h) for h in sub.elements()]

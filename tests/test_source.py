@@ -379,18 +379,28 @@ def test_the_bound_counts_the_one_system_prepare_made():
 FILE_READS = {"open", "read_text", "read_bytes"}
 
 
+def utf8_encoding(call) -> bool:
+    """True iff ``call`` passes encoding="utf-8", so its bytes do not depend on the locale."""
+    return any(kw.arg == "encoding" and isinstance(kw.value, ast.Constant)
+               and kw.value.value == "utf-8" for kw in call.keywords)
+
+
 def test_the_cli_reads_input_files_in_one_place():
     # cli.read_input turns every unreadable file into an exit-1 report; a
-    # read anywhere else would end in a traceback
+    # read anywhere else would end in a traceback.  Its one read is UTF-8.
     tree = ast.parse((PACKAGE / "cli.py").read_text())
-    found = []
+    found, reads = [], []
     for node, fn in nodes_in_functions(tree):
         if not isinstance(node, ast.Call):
             continue
         name = getattr(node.func, "attr", getattr(node.func, "id", None))
         if name in FILE_READS and fn != "read_input":
             found.append(f"cli.py:{node.lineno} {fn} calls {name}")
+        elif name in FILE_READS:
+            reads.append(node)
     assert not found, f"input files read outside cli.read_input: {found}"
+    assert len(reads) == 1 and utf8_encoding(reads[0]), \
+        "cli.read_input must make one read, with encoding='utf-8'"
 
 
 FILE_WRITES = {"mkdir", "write_text", "write_bytes"}
@@ -398,16 +408,20 @@ FILE_WRITES = {"mkdir", "write_text", "write_bytes"}
 
 def test_the_cli_writes_output_files_in_one_place():
     # cli._write_output turns every unwritable output into an exit-1 report; a
-    # write anywhere else would end in a traceback
+    # write anywhere else would end in a traceback.  Its one write is UTF-8.
     tree = ast.parse((PACKAGE / "cli.py").read_text())
-    found = []
+    found, writes = [], []
     for node, fn in nodes_in_functions(tree):
         if not isinstance(node, ast.Call):
             continue
         name = getattr(node.func, "attr", getattr(node.func, "id", None))
         if name in FILE_WRITES and fn != "_write_output":
             found.append(f"cli.py:{node.lineno} {fn} calls {name}")
+        elif name in FILE_WRITES - {"mkdir"}:
+            writes.append(node)
     assert not found, f"output files written outside cli._write_output: {found}"
+    assert len(writes) == 1 and utf8_encoding(writes[0]), \
+        "cli._write_output must make one write, with encoding='utf-8'"
 
 
 def test_every_module_level_import_is_used():

@@ -47,10 +47,10 @@ from tanglekit.universe import bipartition_universe, graph_universe, restrict_Sk
 @pytest.fixture(scope="module")
 def p3_tot():
     u, o = p3_universe()
-    o2 = refine_injective(u, o)
+    o2 = refine_injective(o)
     s2 = restrict_Sk(u, o2, 2)
     F = standardize(graph_tangle_stars(u, o, "abc", [("a", "b"), ("b", "c")], 2), s2)
-    F = F.extended(robustness_family(u, o2, target=s2))
+    F = F.extended(robustness_family(o2, target=s2))
     tree = build_thorough_tst(s2, o2, F)
     return u, o2, s2, F, tree
 
@@ -61,7 +61,7 @@ def weighted_bip3():
     u = bipartition_universe([1, 2, 3])
     o = _cut_order(u, {(0, 1): Fraction(4), (0, 2): Fraction(1),
                        (1, 2): Fraction(1)}, 3)
-    o2 = refine_injective(u, o)
+    o2 = refine_injective(o)
     return u, o2
 
 
@@ -136,9 +136,9 @@ def test_extraction_requires_robustness_triples():
     # F = standardize(R) every hypothesis holds; without R only the
     # robustness hypothesis fails.
     u, o = graph_universe("abcde", [("a", x) for x in "bcde"])
-    o2 = refine_injective(u, o)
+    o2 = refine_injective(o)
     s2 = restrict_Sk(u, o2, 2)
-    robust = robustness_family(u, o2, target=s2)
+    robust = robustness_family(o2, target=s2)
     assert robust.sets
     F = standardize(robust, s2)
     res = tree_of_tangles(s2, o2, F)
@@ -166,8 +166,7 @@ def is_critical(tree, v, order) -> bool:
     sys = tree.system
     if tree.is_leaf(v):
         return False
-    uni = sys.ground
-    robust = robustness_family(uni, order, target=sys)
+    robust = robustness_family(order, target=sys)
     cl = sys.closure_mask(tree.paths[v])
     return any(sys.is_cotrivial(x) or robust.first_inside(cl | 1 << x) is not None
                for x in sys.orientations(tree.node_sep(v)))
@@ -181,7 +180,7 @@ def test_leaf_never_critical(p3_tot):
 
 def test_planted_robustness_triple_makes_node_critical(weighted_bip3):
     u, o2 = weighted_bip3
-    robust = robustness_family(u, o2, target=u)
+    robust = robustness_family(o2, target=u)
     assert robust.sets  # the heavy edge creates triples
     F = eclipse_closure(u, standardize(robust, u), o2)
     assert is_rich(u, F, o2)[0]
@@ -192,7 +191,7 @@ def test_planted_robustness_triple_makes_node_critical(weighted_bip3):
 
 def test_tangle_nodes_never_critical(weighted_bip3, p3_tot):
     u, o2 = weighted_bip3
-    robust = robustness_family(u, o2, target=u)
+    robust = robustness_family(o2, target=u)
     F = eclipse_closure(u, standardize(robust, u), o2)
     tree = build_thorough_tst(u, o2, F)
     for v in tangle_nodes(tree, classify_leaves(tree, F)):
@@ -208,9 +207,9 @@ def test_tangle_nodes_never_critical(weighted_bip3, p3_tot):
 @pytest.fixture(scope="module")
 def p3_layered_tot():
     u, o = p3_universe()
-    o2 = refine_injective(u, o)
+    o2 = refine_injective(o)
     F = standardize(graph_tangle_stars(u, o, "abc", [("a", "b"), ("b", "c")], 4), u)
-    F = F.extended(robustness_family(u, o2, target=u))
+    F = F.extended(robustness_family(o2, target=u))
     return u, o2, F
 
 
@@ -221,9 +220,9 @@ def cycle_full_family(n):
     names = "abcdefgh"[:n]
     edges = [(names[i], names[(i + 1) % n]) for i in range(n)]
     u, o = graph_universe(names, edges)
-    inj = refine_injective(u, o)
+    inj = refine_injective(o)
     stars = graph_tangle_stars(u, o, names, edges, 2)
-    return u, inj, standardize(stars.extended(robustness_family(u, inj, target=u)), u)
+    return u, inj, standardize(stars.extended(robustness_family(inj, target=u)), u)
 
 
 def test_c7_layered_tree_displays_the_brute_force_maximal_tangles():
@@ -247,7 +246,7 @@ def test_a_passing_layered_check_tests_standardness_once(monkeypatch):
 
 def test_layered_single_tangle_empty_n(weighted_bip3):
     u, o2 = weighted_bip3
-    robust = robustness_family(u, o2, target=u)
+    robust = robustness_family(o2, target=u)
     F = eclipse_closure(u, standardize(robust, u), o2)
     res = tree_of_tangles_in(u, o2, F)
     assert_tangles_are_brute_force(res, u, F, o2)
@@ -272,7 +271,7 @@ def test_p3_layered_matches_oracle(p3_layered_tot):
 
 def test_layered_requires_robustness(p3_layered_tot):
     u, o2, F = p3_layered_tot
-    robust = robustness_family(u, o2, target=u)
+    robust = robustness_family(o2, target=u)
     slim = ForbiddenFamily(F.sets - robust.sets)
     if robust.sets - slim.sets:
         with pytest.raises(HypothesisFailure):
@@ -299,9 +298,9 @@ def test_a_failed_layer_is_named_by_its_separation_count(p4):
     # a refined order's thresholds are fractions of twenty digits and more,
     # so the witness names the layer by its size instead
     u, o = p4
-    inj = refine_injective(u, o)
+    inj = refine_injective(o)
     stars = graph_tangle_stars(u, o, "abcd", [("a", "b"), ("b", "c"), ("c", "d")], 2)
-    F = standardize(stars.extended(robustness_family(u, inj, target=u)), u)
+    F = standardize(stars.extended(robustness_family(inj, target=u)), u)
     with pytest.raises(HypothesisFailure) as failure:
         tree_of_tangles_in(u, inj, F)
     assert str(failure.value) == (
@@ -314,10 +313,10 @@ def test_a_view_off_threshold_form_fails_only_that_hypothesis(p3):
     # no command reaches this hypothesis; a view on one separation that is
     # not of least order does
     u, o = p3
-    o2 = refine_injective(u, o)
+    o2 = refine_injective(o)
     s = sorted(u.seps(), key=lambda t: o2.num[t])[-2]
     view = u.restrict(u.orientations(s))
-    F = standardize(robustness_family(u, o2, target=view), view)
+    F = standardize(robustness_family(o2, target=view), view)
     for theorem in (tree_of_tangles, tree_of_tangles_in):
         with pytest.raises(HypothesisFailure) as failure:
             theorem(view, o2, F)
@@ -330,7 +329,7 @@ def test_only_richness_walks_orientations(monkeypatch, p3, p3_layered_tot):
     from tanglekit import forbidden
     u, o = p3
     _, o2, F = p3_layered_tot
-    slim = ForbiddenFamily(F.sets - robustness_family(u, o2, target=u).sets)
+    slim = ForbiddenFamily(F.sets - robustness_family(o2, target=u).sets)
     searches, search = [], forbidden._orientations
 
     def counted(*args):
@@ -381,7 +380,7 @@ def test_verify_tot_crossing_witness():
 
 
 def random_graph_cases(stars=False):
-    """((n, edges, k), uni, inj, sk, fam) for 60 graphs fixed by the seed: 4-6 vertices,
+    """((n, edges, k), inj, sk, fam) for 60 graphs fixed by the seed: 4-6 vertices,
     each pair joined with probability 0.45, edgeless ones skipped; F =
     standardize(R) on S_k for k = 2, 3, with S_k of at most 60 oriented
     separations (101 cases).  With ``stars``, F = standardize(stars + R)."""
@@ -392,21 +391,21 @@ def random_graph_cases(stars=False):
         if not edges:
             continue
         uni, order = graph_universe(range(n), edges)
-        inj = refine_injective(uni, order)
+        inj = refine_injective(order)
         for k in (2, 3):
             sk = restrict_Sk(uni, inj, k)
             if len(sk.elements()) > 60:
                 continue
-            fam = robustness_family(uni, inj, target=sk)
+            fam = robustness_family(inj, target=sk)
             if stars:
                 fam = fam.extended(graph_tangle_stars(uni, order, range(n), edges, k))
-            yield (n, edges, k), uni, inj, sk, standardize(fam, sk)
+            yield (n, edges, k), inj, sk, standardize(fam, sk)
 
 
-def is_non_profile_case(uni, sk, tangles):
+def is_non_profile_case(sk, tangles):
     """Two or more tangles, one of which holds a profile triple and so is no
     profile: a case the theorem covers beyond profiles."""
-    profiles = profile_family(uni, target=sk)
+    profiles = profile_family(target=sk)
     return len(tangles) >= 2 and any(profiles.first_inside(mask_of(t)) is not None for t in tangles)
 
 
@@ -423,7 +422,7 @@ def assert_layered_tangle_nodes(res):
 def test_tot_on_random_graphs_with_non_profile_tangles():
     # each case fails a hypothesis or satisfies the theorem
     verified = non_profile = 0
-    for case, uni, inj, sk, fam in random_graph_cases():
+    for case, inj, sk, fam in random_graph_cases():
         try:
             res = tree_of_tangles(sk, inj, fam)
         except PreconditionError:
@@ -432,7 +431,7 @@ def test_tot_on_random_graphs_with_non_profile_tangles():
         rep = verify_tot(sk, inj, res.distinguishers, res.tangles)
         assert rep.ok, (case, rep)
         verified += 1
-        non_profile += is_non_profile_case(uni, sk, res.tangles)
+        non_profile += is_non_profile_case(sk, res.tangles)
     assert verified >= 60  # 71 seen, of 101 cases
     assert non_profile >= 30  # 35 seen
 
@@ -441,7 +440,7 @@ def test_totins_on_random_graphs_with_non_profile_tangles():
     # the same cases through the layered theorem: tot and totins accept the
     # same ones, and each accepted case satisfies the theorem
     verified = non_profile = 0
-    for case, uni, inj, sk, fam in random_graph_cases():
+    for case, inj, sk, fam in random_graph_cases():
         try:
             check_tot_hypotheses(sk, inj, fam)
             tot_accepts = True
@@ -458,7 +457,7 @@ def test_totins_on_random_graphs_with_non_profile_tangles():
         assert rep.ok, (case, rep)
         assert_layered_tangle_nodes(res)
         verified += 1
-        non_profile += is_non_profile_case(uni, sk, res.tangles)
+        non_profile += is_non_profile_case(sk, res.tangles)
     assert verified >= 60  # 71 seen, of 101 cases
     assert non_profile >= 30  # 35 seen
 
@@ -466,7 +465,7 @@ def test_totins_on_random_graphs_with_non_profile_tangles():
 def test_layered_richness_matches_the_oracle_on_random_graphs():
     # the same cases, every layer walked by the oracle
     fails = 0
-    for case, uni, inj, sk, fam in random_graph_cases():
+    for case, inj, sk, fam in random_graph_cases():
         rich = is_rich(sk, fam, inj, layered=True)
         assert rich == naive_is_rich(sk, fam, inj, layered=True), case
         fails += not rich[0]
@@ -477,7 +476,7 @@ def test_both_theorems_on_random_graphs_with_stars():
     # the same graphs with the stars in F: both theorems accept the same
     # cases, and each accepted case satisfies both
     verified = several = 0
-    for case, uni, inj, sk, fam in random_graph_cases(stars=True):
+    for case, inj, sk, fam in random_graph_cases(stars=True):
         results = []
         for theorem in (tree_of_tangles, tree_of_tangles_in):
             try:

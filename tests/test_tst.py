@@ -56,7 +56,7 @@ from tanglekit.universe import restrict_Sk
 @pytest.fixture(scope="module")
 def p3_setting():
     u, o = p3_universe()
-    o2 = refine_injective(u, o)
+    o2 = refine_injective(o)
     s2 = restrict_Sk(u, o, 2)
     F = standardize(graph_tangle_stars(u, o, "abc", [("a", "b"), ("b", "c")], 2), s2)
     return u, o2, s2, F
@@ -398,11 +398,11 @@ def ladder_reduction_cases():
     for name in ("P4", "P5", "C4", "C5", "K4", "K2,3", "K1,4"):
         n, edges = LADDER[name]
         u, o = graph_universe(range(n), edges)
-        oi = refine_injective(u.ground, o)
+        oi = refine_injective(o)
         for k in (2, 3):
             system = restrict_Sk(u, o, k)
             stars = graph_tangle_stars(u, o, range(n), edges, k)
-            with_r = stars.extended(robustness_family(u, oi, target=system))
+            with_r = stars.extended(robustness_family(oi, target=system))
             for fam in (standardize(stars, system), standardize(with_r, system)):
                 yield name, k, system, fam, oi
 
@@ -453,7 +453,7 @@ def test_reduction_runs_its_gates_once(monkeypatch):
 @pytest.fixture(scope="module")
 def p3_layered():
     u, o = p3_universe()
-    o2 = refine_injective(u, o)
+    o2 = refine_injective(o)
     F = standardize(graph_tangle_stars(u, o, "abc", [("a", "b"), ("b", "c")], 4), u)
     return u, o2, F
 
@@ -593,8 +593,8 @@ def test_reduction_sweep_over_random_fixtures():
     rng = random.Random(99)
     cases = []
     for uni, o in random_universes(count=40, seed=2024):
-        oi = refine_injective(uni.ground, o)
-        fam = standardize(robustness_family(uni.ground, oi, target=uni), uni)
+        oi = refine_injective(o)
+        fam = standardize(robustness_family(oi, target=uni), uni)
         fam = eclipse_closure(uni, fam.extended(random_star_family(uni, oi, rng)), oi)
         if is_rich(uni, fam, oi)[0]:
             cases.append((uni, fam, oi))
@@ -679,9 +679,9 @@ def test_degenerate_layer_check_fires_exactly_when_a_closure_is_inconsistent(gra
     from tanglekit.universe import graph_universe
     vertices, edges = LAYER_GRAPHS[graph]
     u, o = graph_universe(vertices, edges)
-    o2 = refine_injective(u, o)
+    o2 = refine_injective(o)
     fam = graph_tangle_stars(u, o, vertices, edges, k)
-    fam = standardize(fam.extended(robustness_family(u, o2, target=u)), u)
+    fam = standardize(fam.extended(robustness_family(o2, target=u)), u)
     try:
         check_tot_hypotheses(u, o2, fam, layered=True)
     except HypothesisFailure:
