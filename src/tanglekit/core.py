@@ -392,9 +392,6 @@ class SeparationSystem:
                 raise SystemValidationError("malformed-members", witness=h)
         return sys.restrict(mask_of(members))
 
-    def __repr__(self):
-        return f"<SeparationSystem {len(self)} seps / {len(self.elements())} oriented>"
-
 
 def _orientations(system, forbidden, seps=None, depths=None):
     """The consistent orientations of the member separations containing no

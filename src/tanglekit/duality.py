@@ -127,9 +127,6 @@ class STree:
             alpha[(int(ids[1]), int(ids[2]))] = h
         return cls(system, n, alpha)
 
-    def __repr__(self):
-        return f"<STree {self.n_nodes} nodes>"
-
 
 # The witness map of the conversion: nodes to leaves, edges to tree edges.
 # node_to_leaf: S-tree node -> leaf of the rooted tree; edge_to_tree_edge:
@@ -443,7 +440,7 @@ def dichotomy(system, order, family, check_exclusive=False) -> DichotomyResult:
     rep = validate_conversion(reduced, stree, cmap)
     if not rep.ok:
         raise TheoremViolation(f"conversion fails clauses {rep.failures}")
-    feff, _ = f_eff(system, family, order)
+    feff = f_eff(system, family, order)
     if not stree.is_over(feff):
         raise TheoremViolation(f"conversion star at node {stree.over_witness(feff)} "
                                "is not efficient in its closure")

@@ -109,11 +109,11 @@ def eclipse_closure(system, family, order) -> ForbiddenFamily:
     what they yield extends too.  The result is closed under eclipsing,
     hence rich.
     """
-    sets, frontier = set(family.sets), family
-    while frontier:
+    sets, frontier = set(family), family
+    while frontier.masks:
         frontier = ForbiddenFamily({(sigma - {x}) | {y} for sigma, x, y
                                     in _replacements(system, frontier, order)} - sets)
-        sets |= frontier.sets
+        sets |= set(frontier)
     return ForbiddenFamily(sets)
 
 

@@ -21,7 +21,7 @@ FAMILY_SCHEMA = "tanglekit/forbidden-v1"
 
 class ForbiddenFamily:
     """An immutable collection of forbidden subsets of oriented handles, held
-    as masks; ``ordered``, ``sets`` and iteration report them as frozensets."""
+    as masks; ``ordered`` and iteration report them as frozensets."""
 
     def __init__(self, sets=()):
         self._masks = frozenset(map(mask_of, sets))
@@ -36,10 +36,6 @@ class ForbiddenFamily:
         """The members as frozensets, in witness order."""
         return tuple(frozenset(iter_mask(m)) for m in self.masks)
 
-    @cached_property
-    def sets(self) -> frozenset:
-        return frozenset(self.ordered)
-
     def __iter__(self):
         return iter(self.ordered)
 
@@ -48,17 +44,8 @@ class ForbiddenFamily:
         The empty set may be a member, with mask 0: test with ``is not None``."""
         return next((m for m in self.masks if not m & ~mask), None)
 
-    def __len__(self):
-        return len(self._masks)
-
     def __contains__(self, s):
         return mask_of(s) in self._masks
-
-    def __eq__(self, other):
-        return isinstance(other, ForbiddenFamily) and self._masks == other._masks
-
-    def __hash__(self):
-        return hash(self._masks)
 
     def extended(self, other) -> "ForbiddenFamily":
         """The union of this family and the family ``other``."""
@@ -73,9 +60,6 @@ class ForbiddenFamily:
     def from_json(cls, obj) -> "ForbiddenFamily":
         """The family of ``obj["sets"]``; any other key is ignored."""
         return cls(obj.get("sets", []))
-
-    def __repr__(self):
-        return f"<ForbiddenFamily of {len(self)} sets>"
 
 
 def avoids(tau: int, family: ForbiddenFamily) -> bool:
@@ -240,25 +224,14 @@ def _replacements(system, family, order):
                     yield sigma, x, y
 
 
-def f_eff(system, family, order):
-    """Members efficient in their own closure; the others reported.
-
-    Returns (subfamily, report) where report lists (member, reason) pairs for
-    everything dropped: "outside-system" for a member with a handle that is
-    no member of the system (it lies in no orientation of it, as in
-    ``extends``), "inconsistent", and "eclipsed-in-closure".
-    """
-    keep, report = [], []
-    for sigma, mask in zip(family, family.masks):
-        if mask & ~system.members:
-            report.append((sigma, "outside-system"))
-        elif not system.is_consistent_mask(mask):
-            report.append((sigma, "inconsistent"))
-        elif is_efficient(system, order, mask, system.closure_mask(mask)):
-            keep.append(sigma)
-        else:
-            report.append((sigma, "eclipsed-in-closure"))
-    return ForbiddenFamily(keep), report
+def f_eff(system, family, order) -> ForbiddenFamily:
+    """The members efficient in their own closure.  A member with a handle
+    that is no member of the system lies in no orientation of it, as in
+    ``extends``, and is dropped, as is an inconsistent one."""
+    return ForbiddenFamily(
+        sigma for sigma, mask in zip(family, family.masks)
+        if not mask & ~system.members and system.is_consistent_mask(mask)
+        and is_efficient(system, order, mask, system.closure_mask(mask)))
 
 
 # -- generators ---------------------------------------------------------------

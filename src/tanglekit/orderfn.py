@@ -91,9 +91,6 @@ class OrderFunction:
                                             witness=(s, v)) from exc
         return cls(system, values)
 
-    def __repr__(self):
-        return f"<OrderFunction on {len(self.system.seps())} seps>"
-
 
 def parse_threshold(text):
     """CLI threshold: an integer, a 'p/q' rational, or 'inf' for everything."""

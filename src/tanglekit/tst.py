@@ -79,9 +79,6 @@ class SeparationTree:
             paths[w] = paths[self.parent[w]] | 1 << self.edge_label[w]
         self.paths = tuple(paths)
 
-    def __len__(self):
-        return len(self.parent)
-
     def nodes(self):
         return range(len(self.parent))
 
@@ -156,9 +153,6 @@ class SeparationTree:
         if type(root) is not int or root != tree.root:
             raise SystemValidationError("tree-root", witness=root)
         return tree
-
-    def __repr__(self):
-        return f"<SeparationTree {len(self)} nodes, {len(self.leaves())} leaves>"
 
 
 # -- validation ----------------------------------------------------------------

@@ -284,9 +284,7 @@ def graph_universe(vertices, edges, bound: int = 8):
 
 
 def restrict_Sk(system: SeparationSystem, order, k) -> SeparationSystem:
-    """The subsystem of separations of order < k (k=None means everything)."""
-    if k is None:
-        return system.restrict(system.members)
+    """The subsystem of separations of order < k."""
     num, cut = order.num, order.cut(k)
     return system.restrict(h for h in system.elements() if num[h] < cut)
 

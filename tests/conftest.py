@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from oracles import crooked_p3_order
 from tanglekit.fixtures import (
     chain2_system,
     p3_universe,
@@ -12,7 +13,6 @@ from tanglekit.fixtures import (
     ptriv_system,
     single_sep_system,
 )
-from tanglekit.orderfn import OrderFunction
 from tanglekit.universe import bipartition_universe, is_structurally_submodular
 
 
@@ -60,7 +60,6 @@ def single():
 def p3_crooked_order(p3):
     """An order on the P3 universe that is not structurally submodular."""
     u, _ = p3
-    bumped = ("{c}|{a,b,c}", "{a,b,c}|{a,b,c}")
-    o = OrderFunction(u, {s: int(u.label(s) in bumped) for s in u.seps()})
+    o = crooked_p3_order(u)
     assert not is_structurally_submodular(u, o)[0]
     return o

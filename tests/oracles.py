@@ -83,7 +83,7 @@ def naive_consistent_orientations(system):
 def naive_first_inside(family, members):
     """The first member inside ``members`` in witness order (by size, then by
     sorted handles), found by a frozenset scan; None when there is none."""
-    hits = [s for s in family.sets if s <= members]
+    hits = [s for s in family if s <= members]
     return min(hits, key=lambda s: (len(s), sorted(s)), default=None)
 
 
@@ -139,7 +139,7 @@ def naive_closed_under_eclipsing(system, family, order):
                 continue
             for x in sorted(sigma):
                 for y in sorted(tau & eclipsers[x]):
-                    if (sigma - {x}) | {y} not in family.sets:
+                    if (sigma - {x}) | {y} not in family:
                         return False, (tau, sigma, x, y)
     return True, None
 
@@ -162,7 +162,7 @@ def naive_is_rich(system, family, order, layered=False):
                  for x in els}
     for layer in layers:
         for tau in naive_consistent_orientations(layer):
-            inside = [sigma for sigma in family.sets if sigma <= tau]
+            inside = [sigma for sigma in family if sigma <= tau]
             if inside and all(any(tau & eclipsers[x] for x in sigma) for sigma in inside):
                 return False, tau
     return True, None
@@ -188,7 +188,7 @@ def naive_closed_under_shifting(system, family, order):
             for s in sorted(sigma):
                 for r in sorted(tau & shifts.get(s, set())):
                     if (sigma, s, r) not in kept:
-                        kept[sigma, s, r] = shift_star(system, r, s, sigma) in family.sets
+                        kept[sigma, s, r] = shift_star(system, r, s, sigma) in family
                     if not kept[sigma, s, r]:
                         return False, (tau, sigma, s, r)
     return True, None
@@ -643,6 +643,13 @@ def corners(uni, r: int, s: int) -> CornerReport:
 def constant_order(system, value=0):
     """The order function with one value on every separation."""
     return OrderFunction(system, {s: Fraction(value) for s in system.ground.seps()})
+
+
+def crooked_p3_order(uni):
+    """An order on P3's universe that is not structurally submodular: 1 on
+    {c}|{a,b,c} and {a,b,c}|{a,b,c}, 0 on every other separation."""
+    bumped = ("{c}|{a,b,c}", "{a,b,c}|{a,b,c}")
+    return OrderFunction(uni, {s: int(uni.label(s) in bumped) for s in uni.seps()})
 
 
 def indicator(uni, t: int):

@@ -15,8 +15,10 @@ from tanglekit.universe import graph_universe, restrict_Sk
 P3_EDGES = "a b\nb c\n"
 
 
-@pytest.fixture()
-def workdir(tmp_path):
+def write_p3_inputs(tmp_path):
+    """P3's edge list and its star families: ``stars.json`` standardized on
+    S_2, ``stars-full.json`` (the k=4 stars) and ``stars2-R.json`` generating
+    R and standardizing."""
     (tmp_path / "p3.graph").write_text(P3_EDGES)
     u, o = p3_universe()
     fam = standardize(
@@ -32,6 +34,11 @@ def workdir(tmp_path):
     stars2["generate"] = ["R", "standardize"]
     (tmp_path / "stars2-R.json").write_text(json.dumps(stars2))
     return tmp_path
+
+
+@pytest.fixture()
+def workdir(tmp_path):
+    return write_p3_inputs(tmp_path)
 
 
 def run(workdir, *argv):
@@ -884,8 +891,7 @@ def test_generators_need_a_universe_exit_2(tmp_path, capsys, generator):
     assert err["error"] == f"generator {generator} needs a universe (joins and meets)"
 
 
-@pytest.fixture()
-def plain_system(tmp_path):
+def write_plain_inputs(tmp_path):
     """The two-separation chain (no joins or meets), a constant order, all singletons."""
     from tanglekit.fixtures import chain2_system, singleton_family
     from oracles import constant_order
@@ -894,6 +900,11 @@ def plain_system(tmp_path):
     (tmp_path / "const.json").write_text(json.dumps(constant_order(s, 1).to_json()))
     (tmp_path / "singles.json").write_text(json.dumps(singleton_family(s).to_json()))
     return tmp_path
+
+
+@pytest.fixture()
+def plain_system(tmp_path):
+    return write_plain_inputs(tmp_path)
 
 
 def run_plain(tmp_path, command, *extra):
@@ -1094,7 +1105,7 @@ def test_parser_rejects_what_it_rejected(argv, capsys):
 
 
 def test_profiles_directive_on_a_universe(workdir):
-    from tanglekit.forbidden import ForbiddenFamily, profile_family
+    from tanglekit.forbidden import profile_family
     (workdir / "profiles.json").write_text(
         json.dumps({"sets": [], "generate": ["profiles", "standardize"]}))
     code, out = run(workdir, "tangles", "--input", str(workdir / "p3.graph"),
@@ -1102,7 +1113,7 @@ def test_profiles_directive_on_a_universe(workdir):
     assert code == 0
     u, o = p3_universe()
     s2 = restrict_Sk(u, o, 2)
-    fam = standardize(ForbiddenFamily(profile_family(target=s2).sets), s2)
+    fam = standardize(profile_family(target=s2), s2)
     got = json.loads((out / "tangles.json").read_text())["tangles"]
     assert got == sorted(sorted(t) for t in enumerate_tangles(s2, fam))
 
@@ -1430,6 +1441,17 @@ def poor_family_text():
     return json.dumps(obj)
 
 
+def p3_order_not_submodular():
+    from oracles import crooked_p3_order
+    return json.dumps(crooked_p3_order(p3_universe()[0]).to_json())
+
+
+def p3_stars2_text():
+    """P3's k=2 stars with no directive: not standard."""
+    u, o = p3_universe()
+    return json.dumps(graph_tangle_stars(u, o, "abc", [("a", "b"), ("b", "c")], 2).to_json())
+
+
 def p3_universe_with_a_wrong_join_cell():
     """P3's universe JSON with one well-formed join cell that is not the join."""
     obj = p3_universe()[0].to_json()
@@ -1439,7 +1461,8 @@ def p3_universe_with_a_wrong_join_cell():
 
 
 # One failing run for each way the CLI itself rejects a run, then one library
-# raise per tier, then a failed gate on the reduced tree.  Each row: the files
+# raise per tier, then a failed gate on the reduced tree, then the library
+# failures that no other in-process run reaches.  Each row: the files
 # to write into the work directory (text, or a function returning it), the
 # argv with {d} for that directory (an --out there overrides the default one),
 # and the exit code, kind and start of the error the run must report.
@@ -1504,21 +1527,57 @@ CLI_FAILURES = {
     "reduction-gate": (
         {}, ["reduce", *P3_GRAPH, "--k", "2", "--forbidden", "{d}/stars.json"],
         3, "TheoremViolation", "reduced tree fails its is_ordered gate"),
+    "unknown-handle": (
+        {"o99.json": '{"orders": {"99": 1}}'}, ["tst", *P3_GRAPH, "--order", "{d}/o99.json"],
+        1, "UnknownHandle", "unknown oriented handle 99"),
+    "non-submodular-order": (
+        {"crooked.json": p3_order_not_submodular},
+        ["refine-order", *P3_GRAPH, "--order", "{d}/crooked.json"],
+        2, "NonSubmodularOrder", "witness pair"),
+    "non-star-family": (
+        {"f.json": '{"sets": [[1, 3]]}'}, ["newduality", *FAMILY, "--k", "2"],
+        2, "NonStarFamily", "family member [1, 3] is not a star"),
+    "inconsistent-closure": (
+        {"stars2.json": p3_stars2_text},
+        ["tst", *P3_GRAPH, "--forbidden", "{d}/stars2.json"],
+        3, "TheoremViolation",
+        "closure of the path [0, 1, 2, 3, 5, 8, 14] is inconsistent: pair (14, 16)"),
+}
+
+# The function of tanglekit.tst that a row replaces, to reach a branch that no
+# input reaches: the reduced tree's gate, and the builder's check that each
+# path closure is consistent, which a standard family always passes.
+FAILURE_PATCHES = {
+    "reduction-gate": ("is_ordered", lambda tree, order: False),
+    "inconsistent-closure": ("is_standard", lambda family, system: (True, ())),
 }
 
 
+def write_failure_files(d, case):
+    """Write the files of row ``case`` into ``d``, beside those of the
+    ``workdir`` and ``plain_system`` fixtures."""
+    write_plain_inputs(write_p3_inputs(d))
+    for name, text in CLI_FAILURES[case][0].items():
+        (d / name).write_bytes((text() if callable(text) else text).encode(
+            "utf-8", "surrogateescape"))
+
+
+def run_failure(d, monkeypatch, case):
+    """The exit code of row ``case`` run on ``d``, with its patch in place."""
+    import tanglekit.tst
+    with monkeypatch.context() as patched:
+        if case in FAILURE_PATCHES:
+            patched.setattr(tanglekit.tst, *FAILURE_PATCHES[case])
+        return main(["--out", str(d / "out"), *(a.format(d=d) for a in CLI_FAILURES[case][1])])
+
+
 @pytest.mark.parametrize("case", sorted(CLI_FAILURES))
-def test_every_failure_reports_its_tier(workdir, plain_system, capsys, monkeypatch, case):
+def test_every_failure_reports_its_tier(tmp_path, capsys, monkeypatch, case):
     # one report shape: the exit status is the code of the raised class's tier
     import tanglekit.errors
-    import tanglekit.tst
-    files, argv, want_code, want_kind, want_error = CLI_FAILURES[case]
-    for name, text in files.items():
-        (workdir / name).write_bytes((text() if callable(text) else text).encode(
-            "utf-8", "surrogateescape"))
-    if case == "reduction-gate":
-        monkeypatch.setattr(tanglekit.tst, "is_ordered", lambda tree, order: False)
-    code = main(["--out", str(workdir / "out"), *(a.format(d=workdir) for a in argv)])
+    want_code, want_kind, want_error = CLI_FAILURES[case][2:]
+    write_failure_files(tmp_path, case)
+    code = run_failure(tmp_path, monkeypatch, case)
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1, lines
     err = json.loads(lines[0])

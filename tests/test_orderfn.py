@@ -237,7 +237,7 @@ def test_refine_needs_the_whole_ground_universe(p3):
 
 def test_refine_on_a_view_of_every_member(p3):
     u, o = p3
-    every = OrderFunction(restrict_Sk(u, o, None), o.values_on(u))
+    every = OrderFunction(u.restrict(u.members), o.values_on(u))
     assert refine_injective(every).to_json() == refine_injective(o).to_json()
 
 
@@ -314,7 +314,7 @@ def test_thresholds_rewritable_after_refinement(p3):
     for uni, order in pairs:
         o2 = refine_injective(order)
         for k in sorted({order.of(s) for s in uni.seps()} | {None}, key=str):
-            sub = restrict_Sk(uni, order, k)
+            sub = uni if k is None else restrict_Sk(uni, order, k)
             inside = [o2.of(h) for h in sub.elements()]
             outside = [o2.of(h) for h in uni.elements() if not sub.contains(h)]
             if inside and outside:
@@ -322,4 +322,4 @@ def test_thresholds_rewritable_after_refinement(p3):
                 assert max(inside) < min(outside)
             else:
                 k2 = None if not outside else min(outside)
-            assert restrict_Sk(uni, o2, k2).members == sub.members
+            assert (uni if k2 is None else restrict_Sk(uni, o2, k2)).members == sub.members

@@ -139,13 +139,13 @@ def test_extraction_requires_robustness_triples():
     o2 = refine_injective(o)
     s2 = restrict_Sk(u, o2, 2)
     robust = robustness_family(o2, target=s2)
-    assert robust.sets
+    assert robust.masks
     F = standardize(robust, s2)
     res = tree_of_tangles(s2, o2, F)
     assert_tangles_are_brute_force(res, s2, F)
     assert verify_tot(s2, o2, res.distinguishers, res.tangles).ok
     with pytest.raises(HypothesisFailure, match=r"\['robustness_included'\]"):
-        tree_of_tangles(s2, o2, ForbiddenFamily(F.sets - robust.sets))
+        tree_of_tangles(s2, o2, ForbiddenFamily(set(F) - set(robust)))
 
 
 def test_reduced_tree_same_distinguishers(p3_tot):
@@ -181,7 +181,7 @@ def test_leaf_never_critical(p3_tot):
 def test_planted_robustness_triple_makes_node_critical(weighted_bip3):
     u, o2 = weighted_bip3
     robust = robustness_family(o2, target=u)
-    assert robust.sets  # the heavy edge creates triples
+    assert robust.masks  # the heavy edge creates triples
     F = eclipse_closure(u, standardize(robust, u), o2)
     assert is_rich(u, F, o2)[0]
     tree = build_thorough_tst(u, o2, F)
@@ -272,8 +272,8 @@ def test_p3_layered_matches_oracle(p3_layered_tot):
 def test_layered_requires_robustness(p3_layered_tot):
     u, o2, F = p3_layered_tot
     robust = robustness_family(o2, target=u)
-    slim = ForbiddenFamily(F.sets - robust.sets)
-    if robust.sets - slim.sets:
+    slim = ForbiddenFamily(set(F) - set(robust))
+    if set(robust) - set(slim):
         with pytest.raises(HypothesisFailure):
             tree_of_tangles_in(u, o2, slim)
 
@@ -329,7 +329,7 @@ def test_only_richness_walks_orientations(monkeypatch, p3, p3_layered_tot):
     from tanglekit import forbidden
     u, o = p3
     _, o2, F = p3_layered_tot
-    slim = ForbiddenFamily(F.sets - robustness_family(o2, target=u).sets)
+    slim = ForbiddenFamily(set(F) - set(robustness_family(o2, target=u)))
     searches, search = [], forbidden._orientations
 
     def counted(*args):

@@ -238,7 +238,7 @@ def test_empty_system_single_tangle_leaf(p3_setting):
     u, o2, s2, F = p3_setting
     empty = restrict_Sk(u, o2, 0)
     t = build_thorough_tst(empty, o2, ForbiddenFamily([]))
-    assert len(t) == 1
+    assert len(t.parent) == 1
     assert validate_tst(t, ForbiddenFamily([])).ok
 
 
@@ -284,7 +284,7 @@ def test_richness_violation_diagnostic(p3_setting):
     assert not is_rich(s2, fam, o2)[0]
     with pytest.raises(RichnessViolation) as e:
         build_thorough_tst(s2, o2, fam)
-    assert e.value.forbidden_subset in fam.sets
+    assert e.value.forbidden_subset in fam
     assert s2.is_orientation_mask(mask_of(e.value.closure))
 
 
@@ -461,7 +461,7 @@ def p3_layered():
 def test_layered_build_validates(p3_layered):
     u, o2, F = p3_layered
     res = build_tst_in_S(u, o2, F)
-    assert len(res.tree) > 1
+    assert len(res.tree.parent) > 1
     assert validate_tst_in_s(res, F, o2).ok
 
 
@@ -621,7 +621,7 @@ def test_tangle_leaves_never_forbidden(p3_tree, p3_setting):
     rep = validate_tst(p3_tree, F)
     for leaf, c in rep.leaf_classes.items():
         if c.kind == "tangle":
-            assert not any(s <= beta_by_path_walk(p3_tree, leaf) for s in F.sets)
+            assert not any(s <= beta_by_path_walk(p3_tree, leaf) for s in F)
 
 
 def test_minimality_in_beta_equals_minimality_in_closure(p3_tree, p3_setting):
@@ -649,7 +649,7 @@ def test_degenerate_separation_single_child_build():
     o = OrderFunction(d, {0: 1})
     fam = ForbiddenFamily([])
     tree = build_thorough_tst(d, o, fam)
-    assert len(tree) == 2 and tree.children[tree.root] != []
+    assert len(tree.parent) == 2 and tree.children[tree.root] != []
     rep = validate_tst(tree, fam)
     assert rep.ok
     leaf = tree.leaves()[0]

@@ -106,7 +106,7 @@ def test_restrict_below_min_is_empty(p3):
 
 def test_restrict_infinite_sentinel(p3):
     u, o = p3
-    assert restrict_Sk(u, o, None).members == u.members
+    assert u.restrict(u.members).members == u.members
 
 
 def test_restrict_k1_only_separator_free(p3):
