@@ -29,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cached_property, reduce
 from itertools import accumulate, chain, repeat
-from operator import itemgetter, or_
+from operator import or_
 
 from .errors import SystemValidationError, UnknownHandle
 
@@ -320,20 +320,10 @@ class SeparationSystem:
 
     def is_orientation_mask(self, mask: int) -> bool:
         """Exactly one orientation of each member separation: only members, as
-        many handles as separations, and with their inverses they cover the members."""
+        many handles as separations, and no handle with its distinct inverse."""
+        inv = self._inv
         return (not mask & ~self.members and mask.bit_count() == len(self)
-                and mask | self._inverses(mask) == self.members)
-
-    @cached_property
-    def _flip(self):
-        return itemgetter(*self._inv, self.n_ground)
-
-    def _inverses(self, mask: int) -> int:
-        """The mask of the inverses of ``mask``'s handles.  ``_flip`` moves index
-        inv(h) of its bit string, read low bit first with a sentinel 1 at index
-        n, to index h: one C call, as ``transpose`` reads its columns."""
-        bits = format(mask | 1 << self.n_ground, "b")[::-1]
-        return int("".join(self._flip(bits))[::-1], 2) ^ 1 << self.n_ground
+                and not any(inv[h] > h and mask >> inv[h] & 1 for h in iter_mask(mask)))
 
     def consistent_orientations(self):
         """All consistent orientations of the members, as ``orientations_avoiding``."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict, namedtuple
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .core import _orientations, iter_mask, mask_of, orientations_avoiding
 from .universe import _universe_of, restrict_Sk
@@ -237,23 +237,30 @@ def f_eff(system, family, order) -> ForbiddenFamily:
 # -- generators ---------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def robustness_family(order, target) -> ForbiddenFamily:
     """The triples {r->, r<- v s->, r<- v s<-} with both joins below |r|.
 
     r-> ranges over the oriented members of ``target``, s over all unoriented
     separations of the universe U it lives in; only triples all of whose
     members lie in the target system are kept, and triples touching a
-    degenerate separation are dropped.
+    degenerate separation are dropped.  r<- v s is read off the join row of r<-.
+
+    The last family built is kept, keyed on the identity of ``order`` and
+    ``target``: a run's ``load_family`` and ``check_tot_hypotheses`` pass the
+    same pair, so the R it generates is the R it tests, built once.
     """
     g = _universe_of(target, "generator R")
-    val = order.num
+    val, inv, members, seps = order.num, g._inv, target.members, g.seps()
     out = []
     for r in target.elements():
-        ri, vr = g.inv(r), val[r]
-        for s in g.seps():
-            a, b = g.join(ri, s), g.join(ri, g.inv(s))
-            if (val[a] < vr and val[b] < vr and target.contains(a) and target.contains(b)
-                    and not any(map(g.is_degenerate, (r, a, b)))):
+        if inv[r] == r:
+            continue
+        row, vr = g._tables[0][inv[r]], val[r]
+        for s in seps:
+            a, b = row[s], row[inv[s]]
+            if (val[a] < vr and val[b] < vr and members >> a & 1 and members >> b & 1
+                    and inv[a] != a and inv[b] != b):
                 out.append((r, a, b))
     return ForbiddenFamily(out)
 

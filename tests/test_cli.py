@@ -1356,6 +1356,36 @@ def test_totins_names_the_first_layer_that_is_not_rich(workdir, capsys):
     assert "; rich: the layer of 25 separations, counterexample [" in err["error"]
 
 
+# the triple a family without "R" misses first, in its exit-2 report
+MISSING_R = {"P3": [1, 2, 12], "C5": [1, 2, 54]}
+
+
+@pytest.mark.parametrize("command", ["tot", "totins"])
+@pytest.mark.parametrize("graph", sorted(MISSING_R))
+def test_r_is_built_once_per_run(workdir, capsys, graph, command):
+    # load_family builds R for the "R" directive, and check_tot_hypotheses
+    # tests R <= F on that same object; without the directive, R is built
+    # only for the inclusion test
+    from tanglekit.forbidden import robustness_family
+    argv = [command, *write_full_family(workdir, graph, 2)[1:]]
+    builds = []
+    for generate in (["R", "standardize"], ["standardize"]):
+        obj = json.loads((workdir / "full.json").read_text())
+        (workdir / "full.json").write_text(json.dumps({**obj, "generate": generate}))
+        robustness_family.cache_clear()
+        code, _ = run(workdir, *argv)
+        info = robustness_family.cache_info()
+        builds.append((info.misses, info.hits))
+        err = capsys.readouterr().err
+    assert builds == [(1, 1), (1, 0)]
+    assert code == 2
+    assert err == json.dumps({
+        "code": 2, "error": "tree-of-tangles hypotheses failed: ['robustness_included']; "
+        f"robustness_included: missing triple {MISSING_R[graph]}",
+        "failed": ["robustness_included"], "kind": "HypothesisFailure", "ok": False},
+        sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("graph", ["C6", "P6"])
 def test_tangles_with_a_threshold_walks_only_s_k(workdir, graph):
     # tangles_in walks the layers of S_2 alone; a walk over every layer of the

@@ -329,6 +329,36 @@ def test_mask_forms_agree_with_the_set_definitions():
             assert not small or consistent == naive_is_consistent(system, sigma), sorted(sigma)
 
 
+def orientation_cases():
+    """(system, masks): P7's S_3 (64 separations among 577 handles), P8's S_2
+    (15 among 1,393) and P3's whole universe, whose (V, V) is degenerate.
+    The masks: each consistent orientation, as it is, with one handle
+    flipped, and with one handle swapped for the inverse of another; then
+    seeded random member masks, of any size and of one handle per separation."""
+    rng = random.Random(17)
+    for name, k in (("P7", 3), ("P8", 2), ("P3", None)):
+        u, o = universe(name)
+        system = u if k is None else restrict_Sk(u, o, k)
+        inv, els = system._inv, system.elements()
+        masks = []
+        for tau in map(mask_of, system.consistent_orientations()):
+            x, y = rng.sample([*iter_mask(tau)], 2)
+            masks += [tau, tau ^ 1 << x ^ 1 << inv[x], tau ^ 1 << x | 1 << inv[y]]
+        masks += [rng.getrandbits(u.n_ground) & system.members for _ in range(200)]
+        masks += [mask_of(rng.sample(els, len(system))) for _ in range(200)]
+        yield system, masks
+
+
+def test_orientation_test_on_views_narrower_than_their_ground():
+    # the mask's own handles decide it, however wide the ground behind them
+    for system, masks in orientation_cases():
+        got = [system.is_orientation_mask(mask) for mask in masks]
+        for mask, orientation in zip(masks, got):
+            sigma = frozenset(iter_mask(mask))
+            assert orientation == naive_is_orientation(system, sigma), sorted(sigma)
+        assert True in got and False in got
+
+
 # -- graph separations and tangle stars ---------------------------------------------
 
 

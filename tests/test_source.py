@@ -534,16 +534,28 @@ def test_importing_the_cli_loads_no_command_layer():
      ["tanglekit.dot"]),
     ("duality", ["--input", "p3.graph", "--k", "2", "--forbidden", "stars.json"],
      ["tanglekit.dot"]),
-], ids=["refine-order", "validate", "tst", "reduce", "duality"])
+    ("tangles", ["--input", "p3.graph", "--k", "2", "--forbidden", "stars.json"],
+     ["tanglekit.dot", "tanglekit.duality", "tanglekit.tot", "tanglekit.tst"]),
+    ("tot", ["--input", "p3.graph", "--k", "2", "--forbidden", "stars-full.json"],
+     ["tanglekit.dot", "tanglekit.duality"]),
+    ("totins", ["--input", "p3.graph", "--forbidden", "stars-full.json"],
+     ["tanglekit.dot", "tanglekit.duality"]),
+    ("newduality", ["--input", "p3.graph", "--k", "2", "--forbidden", "stars.json"],
+     ["tanglekit.dot", "tanglekit.tot"]),
+], ids=["refine-order", "validate", "tst", "reduce", "duality", "tangles", "tot", "totins",
+        "newduality"])
 def test_a_command_loads_only_the_layers_it_runs(tmp_path, command, argv, unused):
-    # dot is loaded only with --emit dot, which no row passes
+    # dot is loaded only with --emit dot, which no row passes.  Spawning and
+    # compiling the modules are most of a short run, so no layer loads idle.
     (tmp_path / "p3.graph").write_text("a b\nb c\n")
     u, o = p3_universe()
     (tmp_path / "p3.json").write_text(json.dumps(u.to_json()))
     (tmp_path / "order.json").write_text(json.dumps(o.to_json()))
-    stars = graph_tangle_stars(u, o, "abc", [("a", "b"), ("b", "c")], 2).to_json()
-    stars["generate"] = ["standardize"]
-    (tmp_path / "stars.json").write_text(json.dumps(stars))
+    for name, k, generate in (("stars", 2, ["standardize"]),
+                              ("stars-full", 4, ["R", "standardize"])):
+        stars = graph_tangle_stars(u, o, "abc", [("a", "b"), ("b", "c")], k).to_json()
+        stars["generate"] = generate
+        (tmp_path / f"{name}.json").write_text(json.dumps(stars))
     args = [command, *argv, "--out", "out"]
     added = modules_added(f"import os; os.chdir({str(tmp_path)!r})\n"
                           "from tanglekit.cli import main\n"
