@@ -9,28 +9,31 @@ directory (and DOT files with --emit dot), and exits with
   2  precondition or hypothesis failure, with a structured report
   3  theorem-violation diagnostic (for example a richness refutation)
 
-Outputs are pure functions of the inputs; reruns are byte-identical.
+Outputs are pure functions of the inputs; reruns are byte-identical.  A run
+loads only the modules its command and its inputs need: ``ingest`` for a
+JSON input or order, and each command's layers in its own body.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
 from collections import namedtuple
 from pathlib import Path
+from types import SimpleNamespace
 
-from .core import SeparationSystem
-from .errors import BoundExceeded, InputError, PreconditionError, TanglekitError, TheoremViolation
-from .orderfn import OrderFunction, parse_threshold, refine_injective, refines
-from .universe import (
-    Universe,
-    bipartition_universe,
-    graph_universe,
-    is_submodular,
-    restrict_Sk,
+from .errors import (
+    BoundExceeded,
+    InputError,
+    PreconditionError,
+    TanglekitError,
+    TheoremViolation,
+    UsageError,
 )
+from .orderfn import parse_threshold, refine_injective, refines
+from .universe import Universe, bipartition_universe, graph_universe, is_submodular, restrict_Sk
 
 DEFAULT_BOUND = 16
 OUT_ENV = "TANGLEKIT_OUT"
@@ -89,16 +92,20 @@ def load_inputs(args):
     else:
         path = Path(args.input)
         if path.suffix == ".json":
+            from .ingest import system_from_json, universe_from_json
+
             obj = _read_json(path)
             if isinstance(obj, dict) and "join" in obj:
-                uni = Universe.from_json(obj)
+                uni = universe_from_json(obj)
             else:
-                uni = SeparationSystem.from_json(obj)
+                uni = system_from_json(obj)
         else:
             vertices, edges = load_graph_text(path)
             uni, order = graph_universe(vertices, edges)
     if args.order:
-        order = OrderFunction.from_json(uni, _read_json(args.order))
+        from .ingest import order_from_json
+
+        order = order_from_json(uni, _read_json(args.order))
     return uni, order
 
 
@@ -207,9 +214,9 @@ def require_self_check(ok, name, report):
 
 # -- subcommands ------------------------------------------------------------------
 #
-# Each command imports the forbidden, tst, duality and tot names it uses in its
-# own body, and ``write_dot`` imports dot only when it renders, so a command
-# loads only the layers it runs.
+# Each command imports the forbidden, tst, reduce, duality and tot names it uses
+# in its own body, and ``write_dot`` imports dot only when it renders, so a
+# command loads only the layers it runs.
 
 
 def cmd_validate(args):
@@ -294,7 +301,8 @@ def cmd_tst(args):
 
 
 def cmd_reduce(args):
-    from .tst import build_thorough_tst, reduce_irreducible
+    from .reduce import reduce_irreducible
+    from .tst import build_thorough_tst
 
     run = prepare(args, "injective")
     tree = build_thorough_tst(run.system, run.order, run.family)
@@ -392,28 +400,158 @@ COMMANDS = {
 }
 
 
-def build_parser():
-    """One parser for every command: they all take the same options."""
-    p = argparse.ArgumentParser(
-        prog="tanglekit",
-        description="Tangles of finite separation systems, with oracles.")
-    p.add_argument("command", choices=list(COMMANDS))
-    p.add_argument("--input", help="system/universe JSON or graph edge list")
-    p.add_argument("--bipartition", help="comma-separated ground set")
-    p.add_argument("--forbidden", help="forbidden family JSON")
-    p.add_argument("--order", help="order function JSON")
-    p.add_argument("--k", help="order threshold (int, p/q, or inf)")
-    p.add_argument("--emit", choices=["json", "dot"], default="json")
-    p.add_argument("--out", help=f"output directory (or ${OUT_ENV})")
-    p.add_argument("--bounds", type=int, default=DEFAULT_BOUND)
-    p.add_argument("--unsafe-bounds", action="store_true")
-    p.add_argument("--check-exclusive", action="store_true")
-    return p
+# -- the command line ------------------------------------------------------------------
+#
+# One fixed grammar, the same for every command: one COMMAND, given anywhere,
+# and the options of OPTIONS, each at most once in effect (the last given
+# wins).  An option is named in full or by a unique prefix, and takes its
+# value as the next argument or after "=".  An argument after the first "--"
+# is never an option.  It reads what an argparse parser of these options
+# reads, and reports what that parser rejects as a UsageError, exit 2.
+
+
+def _emit(value):
+    if value not in ("json", "dot"):
+        raise ValueError(value)
+    return value
+
+
+# option -> (attribute, reader of its value); a flag has no reader, and is True
+# when given.  A reader raises ValueError on a value it refuses.
+OPTIONS = {
+    "--input": ("input", str),
+    "--bipartition": ("bipartition", str),
+    "--forbidden": ("forbidden", str),
+    "--order": ("order", str),
+    "--k": ("k", str),
+    "--emit": ("emit", _emit),
+    "--out": ("out", str),
+    "--bounds": ("bounds", int),
+    "--unsafe-bounds": ("unsafe_bounds", None),
+    "--check-exclusive": ("check_exclusive", None),
+}
+DEFAULTS = {"command": None, "input": None, "bipartition": None, "forbidden": None,
+            "order": None, "k": None, "emit": "json", "out": None, "bounds": DEFAULT_BOUND,
+            "unsafe_bounds": False, "check_exclusive": False}
+HELP = ("-h", "--help")
+LONG = ["--help", *OPTIONS]
+# an argument that looks like a negative number is a value, not an option
+NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+USAGE = f"""usage: tanglekit COMMAND [options]
+
+Tangles of finite separation systems, with oracles.
+
+commands: {", ".join(COMMANDS)}
+
+options, given before or after the command; a unique prefix names an option,
+--opt=value is --opt value, and the last of a repeated option wins:
+  --input PATH          system/universe JSON or graph edge list
+  --bipartition NAMES   comma-separated ground set
+  --forbidden PATH      forbidden family JSON
+  --order PATH          order function JSON
+  --k K                 order threshold (int, p/q, or inf)
+  --emit {{json,dot}}     also write DOT files with dot (default: json)
+  --out DIR             output directory (or ${OUT_ENV}, else .)
+  --bounds N            separation count bound (default: {DEFAULT_BOUND})
+  --unsafe-bounds       run past the bound
+  --check-exclusive     check that the other branch of the dichotomy fails
+  -h, --help            print this and exit
+"""
+
+
+def _option(arg):
+    """(option, explicit value or None) for an argument that names an option,
+    (None, None) for one that looks like an option but names none, and None
+    for a value.  An ambiguous prefix raises UsageError."""
+    if not arg.startswith("-") or arg == "-":
+        return None
+    if arg in OPTIONS or arg in HELP:
+        return arg, None
+    name, eq, value = arg.partition("=")
+    if eq and (name in OPTIONS or name in HELP):
+        return name, value
+    if arg[1] == "-":
+        matches = [(o, value if eq else None) for o in LONG if o.startswith(name)]
+    else:  # only -h is short, and -hVALUE gives it VALUE
+        matches = [("-h", arg[2:])] if arg[1] == "h" else []
+    if len(matches) > 1:
+        raise UsageError(f"ambiguous option: {arg} could match "
+                         + ", ".join(o for o, _ in matches))
+    if matches:
+        return matches[0]
+    if NEGATIVE.match(arg) or " " in arg:
+        return None
+    return None, None
+
+
+def parse_args(argv):
+    """The run spec ``argv`` gives, or None when it asks for --help.
+
+    Two passes, as argparse makes them: every argument before the first "--"
+    is classified first, so an ambiguous prefix anywhere fails before any
+    other; then the arguments are read left to right.  The first value that
+    no option takes is the command; a later one, an unknown option, or a
+    "--" not next to the command is left over.  Leftovers and a missing
+    command fail only once --help had its turn.
+    """
+    split = argv.index("--") if "--" in argv else len(argv)
+    kinds = list(map(_option, argv[:split]))
+    if split < len(argv):
+        kinds += ["--"] + [None] * (len(argv) - split - 1)
+    spec, extras, command_at = dict(DEFAULTS), [], None
+    i = 0
+    while i < len(argv):
+        arg, kind = argv[i], kinds[i]
+        i += 1
+        if kind == "--":
+            if command_at != i - 2 and not (command_at is None and i < len(argv)):
+                extras.append(arg)
+        elif kind is None:
+            if command_at is not None:
+                extras.append(arg)
+            elif arg not in COMMANDS:
+                raise UsageError(f"argument command: invalid choice: {arg!r}")
+            else:
+                spec["command"], command_at = arg, i - 1
+        elif kind[0] is None:
+            extras.append(arg)
+        elif kind[0] in HELP:
+            explicit = kind[1]
+            if explicit is None or (kind[0] == "-h" and explicit and not explicit.strip("h")):
+                return None  # -hh is -h -h
+            raise UsageError(f"argument -h/--help: ignored explicit argument {explicit!r}")
+        else:
+            option, explicit = kind
+            attr, read = OPTIONS[option]
+            if read is None:
+                if explicit is not None:
+                    raise UsageError(f"argument {option}: ignored explicit argument "
+                                     f"{explicit!r}")
+                spec[attr] = True
+                continue
+            if explicit is None:
+                if i == len(argv) or kinds[i] is not None:
+                    raise UsageError(f"argument {option}: expected one argument")
+                explicit = argv[i]
+                i += 1
+            try:
+                spec[attr] = read(explicit)
+            except ValueError:
+                raise UsageError(f"argument {option}: invalid value: {explicit!r}") from None
+    if command_at is None:
+        raise UsageError("the following arguments are required: command")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**spec)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(USAGE, end="")
+            return 0
         if args.bounds < 1:
             raise InputError("bounds must be positive", bounds=args.bounds)
         result = COMMANDS[args.command](args)
@@ -436,17 +574,19 @@ def _summary(result):
 def run():
     """The process entry point: ``main()``, then exit with its code.
 
-    The heap is frozen first: the interpreter's final collections then skip
-    it, and the cycles in it are left for the operating system to reclaim
-    with the process.  atexit handlers and the flushing of stdout and stderr
-    still run.  ``main`` itself leaves the collector alone, for callers that
-    run it in-process.
+    The atexit handlers run and stdout and stderr are flushed, then
+    ``os._exit`` ends the process without the interpreter's teardown: no
+    module is cleared and no final collection runs, and the operating system
+    reclaims the heap with the process.  ``main`` itself returns, for
+    callers that run it in-process.
     """
-    import gc
+    import atexit
 
     code = main()
-    gc.freeze()
-    sys.exit(code)
+    atexit._run_exitfuncs()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

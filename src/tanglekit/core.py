@@ -27,7 +27,7 @@ inverse is trivial.  A system is *regular* if it has no small element.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import or_
 
@@ -59,25 +59,11 @@ def transpose(rows, width: int) -> list:
     return [int("".join(col), 2) for col in zip(*bits)]
 
 
-def int_cells(cells, width: int) -> bool:
-    """True iff every cell is a list of ``width`` integers; checked in bulk."""
-    return (set(map(type, cells)) <= {list} and set(map(len, cells)) <= {width}
-            and set(map(type, chain.from_iterable(cells))) <= {int})
-
-
-def typed(value, kind, axiom):
-    """``value`` when it is a ``kind``; else SystemValidationError(axiom), with
-    ``value`` as the witness.  The JSON readers check their containers so."""
-    if not isinstance(value, kind):
-        raise SystemValidationError(axiom, witness=value)
-    return value
-
-
 class SeparationSystem:
     """A finite poset of oriented separations with order-reversing involution.
 
-    Build ground systems with :meth:`from_relation` (validates the axioms) or
-    :meth:`from_json`; derive subsystems with :meth:`restrict`.
+    Build ground systems with ``ingest.from_relation`` (validates the axioms)
+    or ``ingest.system_from_json``; derive subsystems with :meth:`restrict`.
 
     A ground system takes its down-sets as ``down`` when the caller has them:
     ``down`` must be the transpose of ``up`` (bit b of ``down[a]`` is bit a of
@@ -108,59 +94,6 @@ class SeparationSystem:
             self._down = ground._down
             self._incompat = ground._incompat
             self._req = ground._req
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_relation(cls, inv, leq_pairs, labels=None):
-        """Build and validate a ground system from an explicit relation.
-
-        ``leq_pairs`` lists (a, b) with a <= b; reflexive pairs may be omitted.
-        Raises SystemValidationError naming the violated axiom and a witness.
-        """
-        inv = tuple(inv)
-        n = len(inv)
-        if sorted(inv[i] for i in range(n)) != list(range(n)):
-            raise SystemValidationError("involution-permutation", witness=inv)
-        for i in range(n):
-            if inv[inv[i]] != i:
-                raise SystemValidationError("involution-self-inverse", witness=i)
-        pairs = list(leq_pairs)
-        handles = list(chain.from_iterable(pairs))
-        if not (set(map(len, pairs)) <= {2}
-                and 0 <= min(handles, default=0) and max(handles, default=0) < n):
-            for a, b in pairs:  # the first bad pair is the witness
-                if not (0 <= a < n and 0 <= b < n):
-                    raise SystemValidationError("unknown-handle", witness=(a, b))
-        # above[a]: the handles b of the pairs (a, b); each up-set is made once
-        above = [[] for _ in range(n)]
-        for a, b in pairs:
-            above[a].append(b)
-        bit = [1 << i for i in range(n)]
-        up = [reduce(or_, map(bit.__getitem__, row), bit[a]) for a, row in enumerate(above)]
-        if labels is None:
-            labels = [str(i) for i in range(n)]
-        system = cls(inv, up, labels)
-        down = system._down
-        # Whole rows are checked; only the first failing row is walked pair by
-        # pair, so the axiom and witness are those of the first failing pair.
-        for a, row in enumerate(above):
-            if (up[a] & down[a] == bit[a]
-                    and reduce(or_, map(up.__getitem__, row), up[a]) == up[a]):
-                continue
-            for b in iter_mask(up[a]):
-                if a != b and (up[b] >> a) & 1:
-                    raise SystemValidationError("antisymmetry", witness=(a, b))
-                if up[b] & ~up[a]:
-                    c = next(iter_mask(up[b] & ~up[a]))
-                    raise SystemValidationError("transitivity", witness=(a, b, c))
-        # a <= b needs b* <= a*: the inverses of up[a] lie in down[a*]
-        bit_inv = [bit[i] for i in inv]
-        for a, row in enumerate(above):
-            if reduce(or_, map(bit_inv.__getitem__, row), 0) & ~down[inv[a]]:
-                b = next(b for b in iter_mask(up[a]) if not (up[inv[b]] >> inv[a]) & 1)
-                raise SystemValidationError("involution-order-reversing", witness=(a, b))
-        return system
 
     def restrict(self, handles) -> "SeparationSystem":
         """Subsystem view induced on ``handles`` (closed under the involution)."""
@@ -345,42 +278,6 @@ class SeparationSystem:
         if self.members != (1 << self.n_ground) - 1:
             obj["members"] = sorted(iter_mask(self.members))
         return obj
-
-    @classmethod
-    def from_json(cls, obj) -> "SeparationSystem":
-        try:
-            oriented = obj["oriented"]
-            ids = [e["id"] for e in oriented]
-            invs = [e["inv"] for e in oriented]
-        except (KeyError, TypeError) as exc:
-            raise SystemValidationError("schema", witness=str(exc)) from exc
-        for h in ids + invs:
-            if type(h) is not int:
-                raise SystemValidationError("handle-not-int", witness=h)
-        n = len(ids)
-        if sorted(ids) != list(range(n)):
-            raise SystemValidationError("ids-not-contiguous", witness=ids)
-        inv = [0] * n
-        labels = [""] * n
-        for e in oriented:
-            label = e.get("label", str(e["id"]))
-            if not isinstance(label, str):
-                raise SystemValidationError("malformed-label", witness=e)
-            inv[e["id"]], labels[e["id"]] = e["inv"], label
-        leq = typed(obj.get("leq", []), list, "malformed-leq")
-        if not int_cells(leq, 2):  # find the first bad pair
-            for pair in leq:
-                if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                        and all(type(h) is int for h in pair)):
-                    raise SystemValidationError("malformed-leq", witness=pair)
-        sys = cls.from_relation(inv, leq, labels)
-        if "members" not in obj:
-            return sys
-        members = typed(obj["members"], list, "malformed-members")
-        for h in members:
-            if not (type(h) is int and 0 <= h < n):
-                raise SystemValidationError("malformed-members", witness=h)
-        return sys.restrict(mask_of(members))
 
 
 def _orientations(system, forbidden, seps=None, depths=None):

@@ -45,6 +45,11 @@ class PreconditionError(TanglekitError):
     code = 2
 
 
+class UsageError(PreconditionError):
+    """The command line names no command, an unknown option, or a value an
+    option refuses; reported as every other failure is, with exit 2."""
+
+
 class BoundExceeded(PreconditionError):
     pass
 

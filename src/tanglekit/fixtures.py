@@ -15,6 +15,7 @@ from fractions import Fraction
 from .core import SeparationSystem, iter_mask, mask_of
 from .errors import SystemValidationError
 from .forbidden import ForbiddenFamily, _replacements
+from .ingest import from_relation
 from .orderfn import OrderFunction
 from .universe import Universe, _graph_sides, graph_universe, restrict_Sk, subset_universe
 
@@ -23,20 +24,20 @@ def ptriv_system() -> SeparationSystem:
     """The 4-element poset with r->, r<- < s->: s-> trivial, s<- co-trivial."""
     # handles: 0 = r->, 1 = r<-, 2 = s->, 3 = s<-
     leq = [(0, 2), (1, 2), (3, 1), (3, 0), (3, 2)]
-    return SeparationSystem.from_relation(
+    return from_relation(
         [1, 0, 3, 2], leq, labels=["r>", "r<", "s>", "s<"])
 
 
 def chain2_system() -> SeparationSystem:
     """Two regular separations with r-> < s-> (and so s<- < r<-)."""
     # handles: 0 = r->, 1 = r<-, 2 = s->, 3 = s<-
-    return SeparationSystem.from_relation(
+    return from_relation(
         [1, 0, 3, 2], [(0, 2), (3, 1)], labels=["r>", "r<", "s>", "s<"])
 
 
 def single_sep_system(small=False) -> SeparationSystem:
     leq = [(0, 1)] if small else []
-    return SeparationSystem.from_relation([1, 0], leq, labels=["s>", "s<"])
+    return from_relation([1, 0], leq, labels=["s>", "s<"])
 
 
 def chain_universe(seps: int) -> Universe:

@@ -10,7 +10,6 @@ through the extension test ``extends``.
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .core import _orientations, iter_mask, mask_of, orientations_avoiding
@@ -80,6 +79,8 @@ def enumerate_tangles(system, family):
 
 def order_thresholds(system, order):
     """One threshold per distinct order value, plus a sentinel above the max."""
+    from fractions import Fraction
+
     vals = sorted({order.num[s] for s in system.seps()})
     return [Fraction(v, order.den) for v in vals + [vals[-1] + order.den if vals else 0]]
 
@@ -222,16 +223,6 @@ def _replacements(system, family, order):
             for y in _eclipsers(system, order, x, system.members, weak=True):
                 if not _clashes(system, mask, y):
                     yield sigma, x, y
-
-
-def f_eff(system, family, order) -> ForbiddenFamily:
-    """The members efficient in their own closure.  A member with a handle
-    that is no member of the system lies in no orientation of it, as in
-    ``extends``, and is dropped, as is an inconsistent one."""
-    return ForbiddenFamily(
-        sigma for sigma, mask in zip(family, family.masks)
-        if not mask & ~system.members and system.is_consistent_mask(mask)
-        and is_efficient(system, order, mask, system.closure_mask(mask)))
 
 
 # -- generators ---------------------------------------------------------------

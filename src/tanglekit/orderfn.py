@@ -3,15 +3,17 @@
 An order function holds its exact rational values as integers over one
 common denominator, and the base-3 perturbation values are exact big
 integers, so no order comparison in the package goes through floating point.
+``fractions`` (and ``decimal`` with it) is imported only where a rational is
+made: an order read from given values, ``of``, and a p/q threshold.  A graph
+order and an integer threshold never load it.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import itemgetter
 
-from .core import SeparationSystem, typed
+from .core import SeparationSystem
 from .errors import InputError, NonSubmodularOrder, SystemValidationError, UnknownHandle
 from .universe import is_submodular
 
@@ -27,6 +29,8 @@ class OrderFunction:
     """
 
     def __init__(self, system: SeparationSystem, values):
+        from fractions import Fraction
+
         g = self.system = system.ground
         fracs = [None] * g.n_ground
         for h, v in values.items():
@@ -52,11 +56,13 @@ class OrderFunction:
         return order
 
     def of(self, h: int) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.num[h], self.den)
 
     def cut(self, k) -> int:
-        """The integer ceil(k * den): num[h] < cut(k) exactly when of(h) < k."""
-        k = Fraction(k)
+        """The integer ceil(k * den), for an int or Fraction ``k``: num[h] <
+        cut(k) exactly when of(h) < k."""
         return -(-k.numerator * self.den // k.denominator)
 
     def values_on(self, system) -> dict:
@@ -73,29 +79,20 @@ class OrderFunction:
                        for s, v in self.values_on(self.system).items()},
         }
 
-    @classmethod
-    def from_json(cls, system, obj) -> "OrderFunction":
-        try:
-            orders = obj["orders"]
-        except (KeyError, TypeError) as exc:
-            raise SystemValidationError("schema", witness=str(exc)) from exc
-        values = {}
-        for s, v in typed(orders, dict, "malformed-orders").items():
-            try:
-                # a JSON float is binary, a bool no order, and a key is written in decimal
-                if type(v) not in (int, str) or str(h := int(s)) != s:
-                    raise TypeError(f"order entry {s!r}: {v!r}, not as to_json writes one")
-                values[h] = Fraction(v)
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
-                raise SystemValidationError("malformed-order-entry",
-                                            witness=(s, v)) from exc
-        return cls(system, values)
-
 
 def parse_threshold(text):
-    """CLI threshold: an integer, a 'p/q' rational, or 'inf' for everything."""
+    """CLI threshold: an integer, a 'p/q' rational, or 'inf' for everything.
+
+    A threshold is what ``Fraction(text)`` reads, and a run of ASCII digits
+    after an optional sign is read as the equal int, without ``fractions``.
+    """
     if text is None or text in ("inf", "Inf", "INF"):
         return None
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if digits.isascii() and digits.isdigit():
+        return int(text)
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

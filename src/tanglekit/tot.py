@@ -3,7 +3,8 @@
 The brute-force oracle computes, for every pair of tangles, the set of
 separations they orient differently and keeps the cheapest; the extraction
 reads the same set off the tangle nodes of a thoroughly ordered structure
-tree, and the layered variant off the pruned tree of maximal tangles.
+tree, and the layered variant off the pruned tree of maximal tangles, which
+is built here (``build_tst_in_S``), beside its one caller.
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ from collections import namedtuple
 
 from .core import iter_mask, mask_of
 from .errors import HypothesisFailure, TheoremViolation
-from .forbidden import is_rich, is_standard, order_thresholds, robustness_family
-from .tst import (_tst_report, build_thorough_tst, build_tst_in_S, classify_leaves,
-                  tangle_nodes, tangle_witnesses)
+from .forbidden import avoids, is_rich, is_standard, order_thresholds, robustness_family
+from .tst import (LEAF_FORBIDDEN, LEAF_TANGLE, LEAF_UNRESOLVED, _UNRESOLVED, LeafClass,
+                  SeparationTree, TstReport, _least_unoriented, _tst_report,
+                  build_thorough_tst, classify_leaf, classify_leaves, tangle_nodes,
+                  tangle_witnesses)
 from .universe import (_universe_of, is_order_threshold_restriction,
                        is_structurally_submodular, restrict_Sk)
 
@@ -125,6 +128,70 @@ def tree_of_tangles(system, order, family) -> ToTResult:
 
 
 # -- the layered tree of tangles -------------------------------------------------------
+
+
+# tree: the pruned SeparationTree; leaf_classes: leaf -> LeafClass.
+TstInS = namedtuple("TstInS", "tree leaf_classes")
+
+
+def _leaf_class_in_s(tree, family, order, leaf) -> LeafClass:
+    """Def-6.9 leaf classification: maximal tangles in the whole system.
+
+    A leaf keeps the class ``classify_leaf`` resolves.  Otherwise the tangle
+    at an ex-non-leaf lives in S_k for k the least order not oriented by the
+    path closure; maximality is certified intrinsically by both one-step
+    extensions being forbidden.
+    """
+    sys = tree.system
+    known = classify_leaf(sys, family, tree.paths[leaf])
+    if known.kind != LEAF_UNRESOLVED:
+        return known
+    cl = sys.closure_mask(tree.paths[leaf])
+    s = _least_unoriented(sys, order, cl) if sys.is_consistent_mask(cl) else None
+    if s is None:
+        return _UNRESOLVED
+    num, k = order.num, order.num[s]
+    below = mask_of(h for h in sys.elements() if num[h] < k)
+    tau = cl & below
+    if not sys.restrict(below).is_orientation_mask(tau) or not avoids(tau, family):
+        return _UNRESOLVED
+    if any(avoids(tree.paths[leaf] | 1 << h, family) for h in sys.orientations(s)):
+        return _UNRESOLVED
+    return LeafClass(LEAF_TANGLE, frozenset(iter_mask(tau)))
+
+
+def build_tst_in_S(system, order, family) -> TstInS:
+    """Layered structure tree: the full thorough tree minus forbidden leaf pairs.
+
+    Leaves classify per the maximal-tangle notion; sibling forbidden-leaf
+    pairs are deleted in a single pass, so the tree may be the root alone,
+    which displays no tangle.  Standardness and richness on every layer are
+    the caller's to check (``check_tot_hypotheses`` with ``layered``).
+    """
+    full = build_thorough_tst(system, order, family)
+    classes = classify_leaves(full, family)
+    drop = set()
+    for v in full.nodes():
+        kids = full.children[v]
+        if len(kids) == 2 and all(
+                full.is_leaf(w) and classes[w].kind == LEAF_FORBIDDEN for w in kids):
+            drop.update(kids)
+    keep = [u for u in full.nodes() if u not in drop]
+    remap = {u: i for i, u in enumerate(keep)}
+    pruned = SeparationTree(system, [remap.get(full.parent[u], -1) for u in keep],
+                            [full.edge_label[u] for u in keep])
+    leaf_classes = {l: _leaf_class_in_s(pruned, family, order, l)
+                    for l in pruned.leaves()}
+    return TstInS(tree=pruned, leaf_classes=leaf_classes)
+
+
+def validate_tst_in_s(result: TstInS, family, order) -> TstReport:
+    """Oracle-grade validation of a layered tree per the maximal-tangle notion."""
+    from .forbidden import enumerate_tangles_in
+
+    maximal = {t.elements for t in enumerate_tangles_in(result.tree.system, family, order)
+               if t.maximal}
+    return _tst_report(result.tree, family, result.leaf_classes, maximal)
 
 
 def tree_of_tangles_in(system, order, family) -> ToTResult:

@@ -10,17 +10,15 @@ paths.
 The thorough builder expands nodes with the minimum-order separation not yet
 oriented by the path closure, which makes the tree the unique thoroughly
 ordered structure tree when the order function is injective.  Reduction to
-an irreducible tree contracts one unnecessary edge per round and checks the
-result once against four gates; see reduce_irreducible.
+an irreducible tree is in ``reduce``, the layered tree in ``tot``, and the
+reader of a tree document in ``ingest``: only the runs that use them load them.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache, reduce
-from operator import and_
 
-from .core import iter_mask, mask_of, typed
+from .core import iter_mask, mask_of
 from .errors import (
     NonInjectiveOrder,
     NotStandard,
@@ -28,7 +26,7 @@ from .errors import (
     SystemValidationError,
     TheoremViolation,
 )
-from .forbidden import avoids, enumerate_tangles_in, is_efficient, is_standard
+from .forbidden import avoids, is_efficient, is_standard
 
 TREE_SCHEMA = "tanglekit/tree-v1"
 
@@ -117,42 +115,6 @@ class SeparationTree:
                 for v, c in sorted(leaf_classes.items())
             }
         return obj
-
-    @classmethod
-    def from_json(cls, system, obj) -> "SeparationTree":
-        """The tree of a ``to_json`` document.  A document, ``nodes``, node
-        entry, ``children`` or ``beta`` of another JSON type than written
-        (``tree-document``, ``tree-nodes``, ``tree-node``, ``tree-children``,
-        ``tree-beta``), a ``schema`` other than TREE_SCHEMA (``tree-schema``),
-        an entry whose ``id`` is not its int index (``tree-node-id``), a child
-        that is no int node or is listed twice (``tree-child``), a ``beta`` key
-        that is not the decimal id of a non-root node (``tree-beta-key``), or a
-        ``root`` that is not the node without a parent (``tree-root``) stops
-        it; the witness is that value, None when absent.  An absent
-        ``schema``, ``beta`` or ``root`` is not checked."""
-        if typed(obj, dict, "tree-document").get("schema", TREE_SCHEMA) != TREE_SCHEMA:
-            raise SystemValidationError("tree-schema", witness=obj["schema"])
-        nodes = typed(obj.get("nodes"), list, "tree-nodes")
-        n = len(nodes)
-        parent, labels = [-1] * n, [-1] * n
-        for v, entry in enumerate(nodes):
-            i = typed(entry, dict, "tree-node").get("id")
-            if type(i) is not int or i != v:  # JSON true is 1 to Python
-                raise SystemValidationError("tree-node-id", witness=i)
-            for c in typed(entry.get("children"), list, "tree-children"):
-                if type(c) is not int or c not in range(n) or parent[c] >= 0:
-                    raise SystemValidationError("tree-child", witness=c)
-                parent[c] = v
-        slots = {str(v): v for v in range(n) if parent[v] >= 0}
-        for key, h in typed(obj.get("beta", {}), dict, "tree-beta").items():
-            if key not in slots:
-                raise SystemValidationError("tree-beta-key", witness=key)
-            labels[slots[key]] = h
-        tree = cls(system, parent, labels)
-        root = obj.get("root", tree.root)
-        if type(root) is not int or root != tree.root:
-            raise SystemValidationError("tree-root", witness=root)
-        return tree
 
 
 # -- validation ----------------------------------------------------------------
@@ -334,44 +296,7 @@ def is_efficient_tree(tree, order) -> bool:
                for leaf in tree.leaves())
 
 
-# -- necessity and reduction --------------------------------------------------------
-
-
-def leaf_needs(system, family):
-    """A cached function from a leaf's root-path mask beta to the labels the
-    leaf needs: for a forbidden leaf, those every member inside beta holds;
-    for a tangle leaf, those of beta that no label of beta lies below; else none."""
-
-    @cache
-    def needs(beta):
-        kind = classify_leaf(system, family, beta).kind
-        if kind == LEAF_FORBIDDEN:
-            return reduce(and_, (m for m in family.masks if not m & ~beta))
-        if kind == LEAF_TANGLE:
-            return mask_of(x for x in iter_mask(beta) if not system._below(beta, x))
-        return 0
-
-    return needs
-
-
-# edge_necessary_for: child node -> list of leaves the edge is necessary for;
-# node_necessary: non-leaf node -> bool; irreducible: bool.
-NecessityReport = namedtuple("NecessityReport", "edge_necessary_for node_necessary irreducible")
-
-
-def necessity(tree, needs) -> NecessityReport:
-    """Per-edge and per-node necessity flags (edges are keyed by child node);
-    ``needs`` gives a leaf's needed labels from its path mask (``leaf_needs``)."""
-    edge_necessary_for = {v: [] for v in tree.nodes() if tree.parent[v] >= 0}
-    for leaf in tree.leaves():
-        need, w = needs(tree.paths[leaf]), leaf
-        while tree.parent[w] >= 0:
-            if need >> tree.edge_label[w] & 1:
-                edge_necessary_for[w].append(leaf)
-            w = tree.parent[w]
-    node_necessary = {v: all(edge_necessary_for[w] for w in tree.children[v])
-                      for v in tree.nodes() if not tree.is_leaf(v)}
-    return NecessityReport(edge_necessary_for, node_necessary, all(node_necessary.values()))
+# -- tangle leaves and tangle nodes ----------------------------------------------------
 
 
 def tangle_witnesses(leaf_classes) -> list:
@@ -397,119 +322,3 @@ def tangle_nodes(tree, leaf_classes) -> list:
             v = tree.parent[v]
     return [v for v in tree.nodes() if len(tree.children[v]) == 2
             and all(w in marked for w in tree.children[v])]
-
-
-def _contract_move(tree, v, keep_child) -> SeparationTree:
-    """Contract the edge v--keep_child and drop the sibling subtrees of v.
-
-    One walk from the root renumbers the result in DFS order, children in
-    label order: at v it takes keep_child's children, elsewhere the node's own.
-    """
-    label = tree.edge_label
-    parent, labels = [], []
-    stack = [(tree.root, -1)]
-    while stack:
-        old, par = stack.pop()
-        new = len(parent)
-        parent.append(par)
-        labels.append(label[old])
-        kids = tree.children[keep_child if old == v else old]
-        stack.extend((w, new) for w in sorted(kids, key=label.__getitem__, reverse=True))
-    return SeparationTree(tree.system, parent, labels)
-
-
-def reduce_irreducible(tree, family, order) -> SeparationTree:
-    """Irreducible reduction by edge contractions, one per round.
-
-    A round contracts the edge vw from the least unnecessary node v to its
-    first child w that no leaf needs (one exists, as v is unnecessary) and
-    drops the siblings of w.  An irreducible input is returned as it is.  The
-    gates ``validate_tst``, ``is_ordered``, ``is_efficient_tree`` and "displays
-    the input's tangles" are the checked postcondition, not a cited theorem:
-    they run once on the result, in that order, and the first that fails
-    raises TheoremViolation naming it.  The rounds share one ``leaf_needs``
-    table; the gates classify the result afresh and read none of it.
-    """
-    needs = leaf_needs(tree.system, family)
-    current, rep = tree, necessity(tree, needs)
-    while not rep.irreducible:
-        v = min(v for v, needed in rep.node_necessary.items() if not needed)
-        w = next(w for w in current.children[v] if not rep.edge_necessary_for[w])
-        current = _contract_move(current, v, w)
-        rep = necessity(current, needs)
-    if current is tree:
-        return tree
-    gates = (("validate_tst", lambda: validate_tst(current, family).ok),
-             ("is_ordered", lambda: is_ordered(current, order)),
-             ("is_efficient_tree", lambda: is_efficient_tree(current, order)),
-             ("displayed_tangles", lambda: displayed_tangles(current, family)
-              == displayed_tangles(tree, family)))
-    for name, passes in gates:
-        if not passes():
-            raise TheoremViolation(f"reduced tree fails its {name} gate", gate=name)
-    return current
-
-
-# -- layered trees (structure trees in S->) --------------------------------------
-
-
-# tree: the pruned SeparationTree; leaf_classes: leaf -> LeafClass.
-TstInS = namedtuple("TstInS", "tree leaf_classes")
-
-
-def _leaf_class_in_s(tree, family, order, leaf) -> LeafClass:
-    """Def-6.9 leaf classification: maximal tangles in the whole system.
-
-    A leaf keeps the class ``classify_leaf`` resolves.  Otherwise the tangle
-    at an ex-non-leaf lives in S_k for k the least order not oriented by the
-    path closure; maximality is certified intrinsically by both one-step
-    extensions being forbidden.
-    """
-    sys = tree.system
-    known = classify_leaf(sys, family, tree.paths[leaf])
-    if known.kind != LEAF_UNRESOLVED:
-        return known
-    cl = sys.closure_mask(tree.paths[leaf])
-    s = _least_unoriented(sys, order, cl) if sys.is_consistent_mask(cl) else None
-    if s is None:
-        return _UNRESOLVED
-    num, k = order.num, order.num[s]
-    below = mask_of(h for h in sys.elements() if num[h] < k)
-    tau = cl & below
-    if not sys.restrict(below).is_orientation_mask(tau) or not avoids(tau, family):
-        return _UNRESOLVED
-    if any(avoids(tree.paths[leaf] | 1 << h, family) for h in sys.orientations(s)):
-        return _UNRESOLVED
-    return LeafClass(LEAF_TANGLE, frozenset(iter_mask(tau)))
-
-
-def build_tst_in_S(system, order, family) -> TstInS:
-    """Layered structure tree: the full thorough tree minus forbidden leaf pairs.
-
-    Leaves classify per the maximal-tangle notion; sibling forbidden-leaf
-    pairs are deleted in a single pass, so the tree may be the root alone,
-    which displays no tangle.  Standardness and richness on every layer are
-    the caller's to check (``tot.check_tot_hypotheses`` with ``layered``).
-    """
-    full = build_thorough_tst(system, order, family)
-    classes = classify_leaves(full, family)
-    drop = set()
-    for v in full.nodes():
-        kids = full.children[v]
-        if len(kids) == 2 and all(
-                full.is_leaf(w) and classes[w].kind == LEAF_FORBIDDEN for w in kids):
-            drop.update(kids)
-    keep = [u for u in full.nodes() if u not in drop]
-    remap = {u: i for i, u in enumerate(keep)}
-    pruned = SeparationTree(system, [remap.get(full.parent[u], -1) for u in keep],
-                            [full.edge_label[u] for u in keep])
-    leaf_classes = {l: _leaf_class_in_s(pruned, family, order, l)
-                    for l in pruned.leaves()}
-    return TstInS(tree=pruned, leaf_classes=leaf_classes)
-
-
-def validate_tst_in_s(result: TstInS, family, order) -> TstReport:
-    """Oracle-grade validation of a layered tree per the maximal-tangle notion."""
-    maximal = {t.elements for t in enumerate_tangles_in(result.tree.system, family, order)
-               if t.maximal}
-    return _tst_report(result.tree, family, result.leaf_classes, maximal)

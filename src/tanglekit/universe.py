@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import chain, islice
 from operator import itemgetter
 
-from .core import SeparationSystem, int_cells, transpose, typed
+from .core import SeparationSystem, transpose
 from .errors import BoundExceeded, PreconditionError, SystemValidationError
 
 UNIVERSE_SCHEMA = "tanglekit/universe-v1"
@@ -30,10 +30,10 @@ class Universe(SeparationSystem):
     tables); its views are the ``SeparationSystem``s of :meth:`restrict`.
 
     Both tables are derived from the poset the first time either is read,
-    and kept; ``from_json`` accepts given tables only if they are the derived
-    ones.  A pair without a least upper (greatest lower) bound raises
-    SystemValidationError at the first read, so a poset that is no lattice
-    builds, but none of its tables reads.
+    and kept; ``ingest.universe_from_json`` accepts given tables only if
+    they are the derived ones.  A pair without a least upper (greatest
+    lower) bound raises SystemValidationError at the first read, so a poset
+    that is no lattice builds, but none of its tables reads.
 
     Only the generators that know their side masks (``graph_universe``,
     ``subset_universe``) pass ``SeparationSystem``'s ``down``.
@@ -44,31 +44,6 @@ class Universe(SeparationSystem):
         """(join, meet): a pure function of the poset, so a concurrent first
         read may derive it twice, with equal results."""
         return _lattice_tables(self._up, self._inv)
-
-    def _checked(self, join, meet):
-        """This universe, if the given tables are its derived ones.
-
-        Otherwise raises SystemValidationError at the first pair (a, b), row
-        by row, whose join is not the least upper bound
-        (``join-least-upper-bound``), whose meet is not the greatest lower
-        bound (``meet-greatest-lower-bound``), or with (a v b)* != a* ^ b*
-        (``involution-de-morgan``).  A poset that is no lattice raises at the
-        derivation, with its witness.
-        """
-        gj, gm = given = tuple(map(tuple, join)), tuple(map(tuple, meet))
-        dj, dm = derived = self._tables
-        if given == derived:
-            return self
-        inv = self._inv
-        for a, ia in enumerate(inv):  # some row differs, so this loop raises
-            if gj[a] == dj[a] and gm[a] == dm[a] and gm[ia] == dm[ia]:
-                continue  # (a v b)* is dm[a*][b*], so no check fails in row a
-            for b, ib in enumerate(inv):
-                for axiom, ok in (("join-least-upper-bound", gj[a][b] == dj[a][b]),
-                                  ("meet-greatest-lower-bound", gm[a][b] == dm[a][b]),
-                                  ("involution-de-morgan", inv[gj[a][b]] == gm[ia][ib])):
-                    if not ok:
-                        raise SystemValidationError(axiom, witness=(a, b))
 
     def join(self, a: int, b: int) -> int:
         return self._tables[0][a][b]
@@ -84,48 +59,6 @@ class Universe(SeparationSystem):
         obj["join"] = [[a, b, join[a][b]] for a in range(n) for b in range(a, n)]
         obj["meet"] = [[a, b, meet[a][b]] for a in range(n) for b in range(a, n)]
         return obj
-
-    @classmethod
-    def from_json(cls, obj) -> "Universe":
-        # base is the members' view of the one Universe built; its ground takes the tables
-        base = super(Universe, cls).from_json({k: v for k, v in obj.items()
-                                               if k not in ("join", "meet")})
-        n = base.n_ground
-        join, meet = (_table_of_cells(obj.get(name, []), n) for name in ("join", "meet"))
-        if any(-1 in row for row in join) or any(-1 in row for row in meet):
-            raise SystemValidationError("lattice-tables-total", witness=None)
-        base.ground._checked(join, meet)
-        return base
-
-
-def _table_of_cells(cells, n):
-    """The symmetric n x n table of ``[a, b, c]`` cells; -1 where no cell is given.
-
-    A pair may be given more than once, but only with one value; a pair given
-    two values raises SystemValidationError("table-cell-repeated").
-
-    The cells are checked in bulk; only a list with a bad cell is walked cell
-    by cell, so the first bad cell is the witness.
-    """
-    typed(cells, list, "malformed-table")
-    values = int_cells(cells, 3) and set(chain.from_iterable(cells))
-    if values is False or not 0 <= min(values, default=0) <= max(values, default=0) < n:
-        for cell in cells:
-            if not (isinstance(cell, list) and len(cell) == 3
-                    and all(type(h) is int for h in cell)):
-                raise SystemValidationError("malformed-table-cell", witness=cell)
-            if not all(0 <= h < n for h in cell):
-                raise SystemValidationError("unknown-handle", witness=tuple(cell))
-    tab = [[-1] * n for _ in range(n)]
-    for a, b, c in cells:
-        tab[a][b] = tab[b][a] = c
-    if len(cells) > n * (n + 1) // 2:
-        # more cells than pairs, so some pair is given twice; with fewer, a
-        # repeated pair leaves another out and the totality check fails
-        for a, b, c in cells:
-            if tab[a][b] != c:
-                raise SystemValidationError("table-cell-repeated", witness=(a, b))
-    return tab
 
 
 def _lattice_tables(up, inv):

@@ -18,6 +18,7 @@ from tanglekit.errors import (HypothesisFailure, PreconditionError, SystemValida
                               TheoremViolation, UnknownHandle)
 from tanglekit.forbidden import (_eclipsers, _replacements, enumerate_tangles,
                                  enumerate_tangles_in)
+from tanglekit.ingest import _checked, from_relation
 from tanglekit.orderfn import OrderFunction, refine_injective
 from tanglekit.universe import (Universe, _universe_of, is_order_threshold_restriction,
                                 is_structurally_submodular)
@@ -267,9 +268,8 @@ def naive_gated_reduce(tree, family, order):
     Each round classifies its leaves with a fresh ``leaf_needs`` table, so
     nothing is shared across rounds.  Raises AssertionError when a
     reducible tree has no such move."""
-    from tanglekit.tst import (
-        _contract_move, displayed_tangles, is_efficient_tree, is_ordered,
-        leaf_needs, necessity, validate_tst)
+    from tanglekit.reduce import _contract_move, leaf_needs, necessity
+    from tanglekit.tst import displayed_tangles, is_efficient_tree, is_ordered, validate_tst
 
     target = displayed_tangles(tree, family)
 
@@ -486,7 +486,7 @@ def pairwise_validate_lattice(uni):
 
     The failure list is at most 20 long, row-major, in the order of the
     checks.  Its first entry other than a commutativity one is the failure
-    that ``Universe.from_json`` (and ``from_tables``) raises.
+    that ``ingest.universe_from_json`` (and ``from_tables``) raises.
     """
     failures = []
     up, down, inv = uni._up, uni._down, uni._inv
@@ -509,7 +509,7 @@ def pairwise_validate_lattice(uni):
 
 
 def pairwise_from_relation(inv, leq_pairs, labels=None):
-    """``SeparationSystem.from_relation`` by one test per pair: the up-sets
+    """``ingest.from_relation`` by one test per pair: the up-sets
     filled pair by pair, then antisymmetry and transitivity, then order
     reversal, each checked on every pair of every up-set.  Raises the first
     failure's SystemValidationError."""
@@ -575,7 +575,8 @@ def naive_without_trivial(system):
 
 def from_tables(inv, leq_pairs, join, meet, labels=None):
     """A validated universe with the given tables; raises on the first failure."""
-    return Universe.from_relation(inv, leq_pairs, labels)._checked(join, meet)
+    g = from_relation(inv, leq_pairs, labels)
+    return _checked(Universe(g._inv, g._up, g.labels, down=g._down), join, meet)
 
 
 def table_failure(uni):
@@ -592,7 +593,7 @@ def table_failure(uni):
 
 def with_tables(inv, up, labels, join, meet):
     """A universe on the up-sets ``up`` that keeps the given tables unchecked,
-    as they are, in place of the derived ones; ``from_json`` and
+    as they are, in place of the derived ones; ``universe_from_json`` and
     ``from_tables`` accept only the derived tables."""
     uni = Universe(inv, up, labels)
     uni._tables = tuple(map(tuple, join)), tuple(map(tuple, meet))

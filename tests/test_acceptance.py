@@ -29,13 +29,7 @@ from oracles import (
 )
 
 from tanglekit.core import mask_of
-from tanglekit.duality import (
-    closed_under_shifting,
-    dichotomy,
-    emulates,
-    stree_excludes_tangles,
-    validate_conversion,
-)
+from tanglekit.duality import closed_under_shifting, dichotomy, emulates
 from tanglekit.errors import TanglekitError
 from tanglekit.fixtures import (
     _cut_order,
@@ -51,13 +45,14 @@ from tanglekit.fixtures import (
 from tanglekit.forbidden import (
     ForbiddenFamily,
     enumerate_tangles,
-    f_eff,
     is_rich,
     is_standard,
     robustness_family,
     standardize,
 )
 from tanglekit.orderfn import OrderFunction, refine_injective, refines
+from tanglekit.reduce import leaf_needs, necessity
+from tanglekit.stree import f_eff, stree_excludes_tangles, validate_conversion
 from tanglekit.tot import (
     distinguisher_report,
     tangle_nodes,
@@ -71,8 +66,6 @@ from tanglekit.tst import (
     classify_leaves,
     display,
     displayed_tangles,
-    leaf_needs,
-    necessity,
     validate_tst,
 )
 from tanglekit.universe import (

@@ -9,7 +9,7 @@ from test_lattice_rule import LADDER
 from tanglekit.cli import COMMANDS, main
 from tanglekit.fixtures import graph_tangle_stars, p3_universe
 from tanglekit.forbidden import enumerate_tangles, standardize
-from tanglekit.tst import SeparationTree
+from tanglekit.ingest import tree_from_json
 from tanglekit.universe import graph_universe, restrict_Sk
 
 P3_EDGES = "a b\nb c\n"
@@ -140,7 +140,7 @@ def test_tst_deterministic_and_round_trips(workdir):
     u, o = p3_universe()
     s2 = restrict_Sk(u, o, 2)
     obj = json.loads(blob1)
-    tree = SeparationTree.from_json(s2, obj)
+    tree = tree_from_json(s2, obj)
     again = tree.to_json()
     assert again["beta"] == obj["beta"] and again["nodes"] == obj["nodes"]
 
@@ -229,7 +229,8 @@ def test_an_unresolved_layered_leaf_is_a_theorem_violation(workdir, capsys, monk
     from tanglekit import tot
     from tanglekit.errors import TheoremViolation
     from tanglekit.orderfn import refine_injective
-    from tanglekit.tst import LEAF_TANGLE, LEAF_UNRESOLVED, LeafClass, TstInS
+    from tanglekit.tot import TstInS
+    from tanglekit.tst import LEAF_TANGLE, LEAF_UNRESOLVED, LeafClass
     build = tot.build_tst_in_S
 
     def one_unresolved(*args):
@@ -300,19 +301,20 @@ def _failing_report(real, **fields):
     ("tot", "stars-full.json"), ("totins", "stars-full.json")])
 def test_failed_self_check_exit_3_after_the_artifact(workdir, capsys, monkeypatch,
                                                      command, family):
+    import tanglekit.reduce
     import tanglekit.tot
     import tanglekit.tst
     if command in ("tst", "reduce"):
         failing = _failing_report(tanglekit.tst.validate_tst, ok=False,
                                   failures=[(0, "planted")])
-        real_reduce = tanglekit.tst.reduce_irreducible
+        real_reduce = tanglekit.reduce.reduce_irreducible
 
         def reduce_then_fail(*args):
             # the reduction's gate on its result keeps the real validator
             tree = real_reduce(*args)
             monkeypatch.setattr(tanglekit.tst, "validate_tst", failing)
             return tree
-        monkeypatch.setattr(tanglekit.tst, "reduce_irreducible", reduce_then_fail)
+        monkeypatch.setattr(tanglekit.reduce, "reduce_irreducible", reduce_then_fail)
         if command == "tst":
             monkeypatch.setattr(tanglekit.tst, "validate_tst", failing)
         field = "valid"
@@ -774,10 +776,11 @@ def test_artifacts_pinned_under_every_other_python(workdir):
     (["refine-order", "--input", "p3.graph"], 0),
     (["refine-order", "--bipartition", "a,b"], 2),
 ], ids=["success", "precondition-failure"])
-def test_run_freezes_the_heap_and_exits_with_the_code_of_main(workdir, capsys, monkeypatch,
-                                                               argv, code):
+def test_run_skips_teardown_and_exits_with_the_code_of_main(workdir, capsys, monkeypatch,
+                                                             argv, code):
     # the process entry point: the same exit code, stdout and stderr as main,
-    # with atexit handlers run and the heap frozen before they run
+    # with atexit handlers run, and then no interpreter teardown: a global
+    # of a module, whose __del__ teardown would run, is never collected
     import os
     import subprocess
     import sys
@@ -785,16 +788,21 @@ def test_run_freezes_the_heap_and_exits_with_the_code_of_main(workdir, capsys, m
 
     import tanglekit
     src = str(Path(tanglekit.__file__).resolve().parents[1])
-    probe = ("import atexit, gc, sys\n"
+    probe = ("import atexit, os, sys\n"
+             "class Teardown:\n"
+             "    def __del__(self, write=os.write):\n"
+             "        write(1, b'torn down\\n')\n"
+             "sys.modules['teardown_probe'] = module = type(sys)('teardown_probe')\n"
+             "module.kept = Teardown()\n"
              f"sys.argv = ['tanglekit', *{argv!r}, '--out', 'spawned']\n"
-             "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+             "atexit.register(lambda: print('atexit ran'))\n"
              "from tanglekit.cli import run\n"
              "run()\n")
     proc = subprocess.run([sys.executable, "-c", probe], cwd=workdir, capture_output=True,
                           text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == code
-    *printed, frozen = proc.stdout.splitlines()
-    assert frozen == "frozen True"
+    *printed, last = proc.stdout.splitlines()
+    assert last == "atexit ran"
     monkeypatch.chdir(workdir)
     assert main([*argv, "--out", "in-process"]) == code
     out, err = capsys.readouterr()
@@ -1062,43 +1070,85 @@ def test_order_json_orientations_disagree_exit_1(workdir, capsys):
 
 
 def old_parser():
-    """The CLI parser as it was built with one subparser per command."""
+    """The argparse parser the CLI had: the oracle of ``cli.parse_args``."""
     import argparse
     from tanglekit.cli import COMMANDS, DEFAULT_BOUND
     p = argparse.ArgumentParser(prog="tanglekit")
-    sub = p.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sp = sub.add_parser(name)
-        for flag in ("--input", "--bipartition", "--forbidden", "--order", "--k", "--out"):
-            sp.add_argument(flag)
-        sp.add_argument("--emit", choices=["json", "dot"], default="json")
-        sp.add_argument("--bounds", type=int, default=DEFAULT_BOUND)
-        for flag in ("--unsafe-bounds", "--check-exclusive"):
-            sp.add_argument(flag, action="store_true")
+    p.add_argument("command", choices=list(COMMANDS))
+    for flag in ("--input", "--bipartition", "--forbidden", "--order", "--k"):
+        p.add_argument(flag)
+    p.add_argument("--emit", choices=["json", "dot"], default="json")
+    p.add_argument("--out")
+    p.add_argument("--bounds", type=int, default=DEFAULT_BOUND)
+    for flag in ("--unsafe-bounds", "--check-exclusive"):
+        p.add_argument(flag, action="store_true")
     return p
 
 
-@pytest.mark.parametrize("extra", [
-    [],
-    ["--input", "g.graph", "--k", "2", "--forbidden", "f.json", "--unsafe-bounds"],
-    ["--bipartition", "1,2", "--order", "o.json", "--emit", "dot", "--out", "o",
+EVERY_OPTION = ["--input", "g.graph", "--bipartition", "1,2", "--forbidden", "f.json",
+                "--order", "o.json", "--k", "2", "--emit", "dot", "--out", "o", "--bounds", "7",
+                "--unsafe-bounds", "--check-exclusive"]
+
+
+@pytest.mark.parametrize("argv", [
+    # rejected: no command, an unknown one, a refused value, an unknown option
+    [], ["nosuch"], ["tst", "--emit", "svg"], ["tst", "--bounds", "x"], ["tst", "--nosuch"],
+    # every command, and every option
+    *([command] for command in COMMANDS),
+    ["tst", *EVERY_OPTION],
+    ["tst", "--input", "g.graph", "--k", "2", "--forbidden", "f.json", "--unsafe-bounds"],
+    ["duality", "--bipartition", "1,2", "--order", "o.json", "--emit", "dot", "--out", "o",
      "--bounds", "7", "--check-exclusive", "--k", "inf"],
+    # unique prefixes, and ambiguous ones (--order/--out, --bipartition/--bounds)
+    ["tst", "--in", "g", "--bi", "1,2", "--f", "f", "--or", "o", "--k", "2", "--e", "dot",
+     "--ou", "d", "--bo", "3", "--u", "--c"],
+    ["tst", "--o", "x"], ["tst", "--b", "3"], ["--o=x", "tst"], ["tst", "--=x"],
+    # --opt=value, and a flag that takes none
+    ["tst", "--input=g.graph", "--k=3/2", "--emit=dot", "--bounds=5", "--out="],
+    ["tst", "--in=g.graph", "--k=-1/2"], ["tst", "--unsafe-bounds=yes"],
+    ["tst", "--check-exclusive="], ["tst", "--emit=svg"],
+    # options before the command
+    ["--input", "g.graph", "--k", "2", "tst"], ["--unsafe-bounds", "--k=2", "reduce"],
+    ["--input", "tst", "reduce"],
+    # a missing value, and an option-like one
+    ["tst", "--input"], ["tst", "--k"], ["tst", "--input", "--k", "2"], ["tst", "--k", "-x"],
+    ["tst", "--k", "-1/2"], ["tst", "--input", "-h"], ["tst", "--input", "-x y"],
+    ["tst", "--input", "-"],
+    # a negative --k, read as a value
+    ["tst", "--k", "-1"], ["tst", "--k", "-1.5"], ["tst", "--k", "-.5"], ["tst", "--k", "-1e2"],
+    # a repeated option: the last wins
+    ["tst", "--k", "2", "--k", "3"], ["tst", "--emit", "dot", "--emit", "json"],
+    ["tst", "--unsafe-bounds", "--unsafe-bounds"], ["tst", "--bounds", "x", "--bounds", "3"],
+    # two commands, and "--" beside the command or away from it
+    ["tst", "reduce"], ["tst", "tst"], ["--", "tst"], ["tst", "--"], ["--k", "2", "--", "tst"],
+    ["tst", "--k", "2", "--"], ["tst", "--", "--k", "2"], ["tst", "--k", "--", "2"],
+    ["--", "tst", "--"],
+    # --help, where it has its turn first
+    ["--help"], ["-h"], ["--he"], ["-hh"], ["tst", "--k", "2", "-h"], ["--help", "nosuch"],
+    ["tst", "extra", "--help"], ["nosuch", "--help"], ["--help", "--o", "x"], ["-hx"],
+    ["--help=x"], ["-h="],
 ])
-def test_one_parser_parses_every_command_as_the_subparsers_did(extra):
-    from tanglekit.cli import COMMANDS, build_parser
-    for command in COMMANDS:
-        argv = [command, *extra]
-        assert vars(build_parser().parse_args(argv)) == vars(old_parser().parse_args(argv))
-
-
-@pytest.mark.parametrize("argv", [[], ["nosuch"], ["tst", "--emit", "svg"],
-                                  ["tst", "--bounds", "x"], ["tst", "--nosuch"]])
 def test_parser_rejects_what_it_rejected(argv, capsys):
-    from tanglekit.cli import build_parser
-    for parser in (old_parser(), build_parser()):
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(argv)
-        assert exc.value.code == 2
+    # one differential test against the argparse parser the CLI had: a form
+    # it accepted parses to the same run spec; one it rejected exits 2 from
+    # main with the one-line JSON report; --help prints the usage and exits 0
+    from tanglekit.cli import parse_args
+    try:
+        want = vars(old_parser().parse_args(argv))
+    except SystemExit as exc:
+        want = exc.code
+    capsys.readouterr()
+    if isinstance(want, dict):
+        assert vars(parse_args(argv)) == want
+        return
+    assert main(argv) == want
+    out, err = capsys.readouterr()
+    if want == 0:
+        assert out.startswith("usage: tanglekit COMMAND [options]") and not err
+    else:
+        assert not out and err.count("\n") == 1
+        report = json.loads(err)
+        assert (report["ok"], report["code"], report["kind"]) == (False, 2, "UsageError")
 
 
 # -- ingest branches: family directives, missing inputs, restricted universes ------
@@ -1284,13 +1334,13 @@ def test_a_label_that_is_not_a_string_exit_1(plain_system, capsys):
         assert err["witness"] == repr(obj["oriented"][1])
 
 
-def test_trust_rich_is_an_unknown_option():
+def test_trust_rich_is_an_unknown_option(capsys):
     # richness is checked in one walk on every run; there is no flag to skip it
-    from tanglekit.cli import build_parser
     for command in ("tot", "totins"):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args([command, "--input", "g.graph", "--trust-rich"])
-        assert exc.value.code == 2
+        assert main([command, "--input", "g.graph", "--trust-rich"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["kind"], err["error"]) == ("UsageError",
+                                               "unrecognized arguments: --trust-rich")
 
 
 def run_newduality(workdir):
@@ -1574,12 +1624,13 @@ CLI_FAILURES = {
         "closure of the path [0, 1, 2, 3, 5, 8, 14] is inconsistent: pair (14, 16)"),
 }
 
-# The function of tanglekit.tst that a row replaces, to reach a branch that no
-# input reaches: the reduced tree's gate, and the builder's check that each
-# path closure is consistent, which a standard family always passes.
+# The function that a row replaces, where its caller reads it, to reach a
+# branch that no input reaches: the reduced tree's gate, and the builder's
+# check that each path closure is consistent, which a standard family always
+# passes.
 FAILURE_PATCHES = {
-    "reduction-gate": ("is_ordered", lambda tree, order: False),
-    "inconsistent-closure": ("is_standard", lambda family, system: (True, ())),
+    "reduction-gate": ("tanglekit.reduce.is_ordered", lambda tree, order: False),
+    "inconsistent-closure": ("tanglekit.tst.is_standard", lambda family, system: (True, ())),
 }
 
 
@@ -1594,10 +1645,9 @@ def write_failure_files(d, case):
 
 def run_failure(d, monkeypatch, case):
     """The exit code of row ``case`` run on ``d``, with its patch in place."""
-    import tanglekit.tst
     with monkeypatch.context() as patched:
         if case in FAILURE_PATCHES:
-            patched.setattr(tanglekit.tst, *FAILURE_PATCHES[case])
+            patched.setattr(*FAILURE_PATCHES[case])
         return main(["--out", str(d / "out"), *(a.format(d=d) for a in CLI_FAILURES[case][1])])
 
 

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from oracles import (constant_order, is_nested_set, naive_closure,
                      naive_consistent_orientations, naive_is_consistent)
-from tanglekit.core import SeparationSystem, iter_mask, mask_of
+from tanglekit.core import iter_mask, mask_of
 from tanglekit.errors import (
     SystemValidationError,
     UnknownHandle,
 )
+from tanglekit.ingest import from_relation, system_from_json
 from tanglekit.tot import distinguisher_report
 from tanglekit.universe import bipartition_universe, restrict_Sk
 
@@ -28,20 +29,20 @@ def system_of(request, name):
 
 
 def test_reflexive_added_implicitly():
-    s = SeparationSystem.from_relation([1, 0], [])
+    s = from_relation([1, 0], [])
     assert s.leq(0, 0) and s.leq(1, 1)
 
 
 def test_antisymmetry_violation_reported():
     with pytest.raises(SystemValidationError) as e:
-        SeparationSystem.from_relation([1, 0, 3, 2], [(0, 2), (2, 0)])
+        from_relation([1, 0, 3, 2], [(0, 2), (2, 0)])
     assert e.value.axiom == "antisymmetry"
     assert set(e.value.witness) == {0, 2}
 
 
 def test_transitivity_violation_reported():
     with pytest.raises(SystemValidationError) as e:
-        SeparationSystem.from_relation(
+        from_relation(
             [1, 0, 3, 2, 5, 4], [(0, 2), (2, 4), (5, 3), (3, 1)])
     assert e.value.axiom == "transitivity"
 
@@ -49,13 +50,13 @@ def test_transitivity_violation_reported():
 def test_order_reversing_violation_reported():
     # r -> < s -> without the dual s<- < r<-
     with pytest.raises(SystemValidationError) as e:
-        SeparationSystem.from_relation([1, 0, 3, 2], [(0, 2)])
+        from_relation([1, 0, 3, 2], [(0, 2)])
     assert e.value.axiom == "involution-order-reversing"
 
 
 def test_involution_must_be_self_inverse():
     with pytest.raises(SystemValidationError):
-        SeparationSystem.from_relation([1, 2, 0], [])
+        from_relation([1, 2, 0], [])
 
 
 @pytest.mark.parametrize("name", ALL_SYSTEMS)
@@ -351,13 +352,13 @@ def test_member_lists_are_fresh_copies():
 def test_json_round_trip(request, name):
     s = system_of(request, name)
     blob = json.dumps(s.to_json())
-    back = SeparationSystem.from_json(json.loads(blob))
+    back = system_from_json(json.loads(blob))
     assert back.to_json() == s.to_json()
 
 
 def test_json_rejects_bad_ids():
     with pytest.raises(SystemValidationError):
-        SeparationSystem.from_json({"oriented": [{"id": 0, "inv": 0}, {"id": 2, "inv": 2}],
+        system_from_json({"oriented": [{"id": 0, "inv": 0}, {"id": 2, "inv": 2}],
                                     "leq": []})
 
 

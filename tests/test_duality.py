@@ -18,22 +18,16 @@ from oracles import (
     naive_without_trivial,
 )
 
+from tanglekit import duality
+from tanglekit.core import iter_mask, mask_of
 from tanglekit.duality import (
-    STree,
     closed_under_shifting,
-    convert_ftree,
     dichotomy,
     emulates,
     newduality,
     shift_map,
     shift_star,
-    stree_excludes_tangles,
-    stree_from_nested,
-    stree_order_preserving,
-    validate_conversion,
 )
-from tanglekit import duality
-from tanglekit.core import iter_mask, mask_of
 from tanglekit.errors import (
     BothOrNeither,
     HypothesisFailure,
@@ -62,8 +56,18 @@ from tanglekit.forbidden import (
     is_rich,
     standardize,
 )
+from tanglekit.ingest import stree_from_json
 from tanglekit.orderfn import OrderFunction, refine_injective
-from tanglekit.tst import SeparationTree, build_thorough_tst, reduce_irreducible
+from tanglekit.reduce import reduce_irreducible
+from tanglekit.stree import (
+    STree,
+    convert_ftree,
+    stree_excludes_tangles,
+    stree_from_nested,
+    stree_order_preserving,
+    validate_conversion,
+)
+from tanglekit.tst import SeparationTree, build_thorough_tst
 from tanglekit.universe import restrict_Sk
 
 
@@ -285,7 +289,8 @@ def test_reducible_star_ftree_may_cross(bip4):
     sub = bip4.restrict([r, ri, s, si])
     fam = ForbiddenFamily([{s}, {si}, {ri}])
     tree = SeparationTree(sub, [-1, 0, 0, 1, 1], [-1, r, ri, s, si])
-    from tanglekit.tst import leaf_needs, necessity, validate_tst
+    from tanglekit.reduce import leaf_needs, necessity
+    from tanglekit.tst import validate_tst
     assert validate_tst(tree, fam).ok
     assert not necessity(tree, leaf_needs(sub, fam)).irreducible
     assert not check_nested_corollary(tree)
@@ -637,7 +642,8 @@ def test_dichotomy_validates_the_conversion(tangleless, monkeypatch):
     # a map with the two orientations of one edge swapped fails clauses of
     # the conversion theorem, and the S-tree branch reports them
     s2t, o2, fam, _ = tangleless
-    convert, seen = duality.convert_ftree, []
+    import tanglekit.stree
+    convert, seen = tanglekit.stree.convert_ftree, []
 
     def swapped(tree, family):
         stree, cmap = convert(tree, family)
@@ -648,7 +654,7 @@ def test_dichotomy_validates_the_conversion(tangleless, monkeypatch):
         seen.append(validate_conversion(tree, stree, cmap).failures)
         return stree, cmap
 
-    monkeypatch.setattr(duality, "convert_ftree", swapped)
+    monkeypatch.setattr(tanglekit.stree, "convert_ftree", swapped)
     with pytest.raises(TheoremViolation) as err:
         dichotomy(s2t, o2, fam)
     assert "clause5-alpha-beta-gamma" in seen[0]
@@ -856,7 +862,7 @@ def test_stree_json_round_trip(tangleless):
     s2t, o2, fam, red = tangleless
     st, _ = convert_ftree(red, fam)
     blob = st.to_json()
-    back = STree.from_json(s2t, blob)
+    back = stree_from_json(s2t, blob)
     assert back.to_json() == blob
     assert back.is_over(fam)
 

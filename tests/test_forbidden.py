@@ -10,7 +10,7 @@ from oracles import (closed_under_eclipsing, constant_order, naive_avoids, naive
                      naive_tangles)
 from test_lattice_rule import LADDER
 from tanglekit import forbidden
-from tanglekit.core import SeparationSystem, iter_mask, mask_of
+from tanglekit.core import iter_mask, mask_of
 from tanglekit.fixtures import (
     eclipse_closure,
     graph_tangle_stars,
@@ -26,7 +26,6 @@ from tanglekit.forbidden import (
     enumerate_tangles,
     enumerate_tangles_in,
     extends,
-    f_eff,
     is_efficient,
     is_rich,
     is_standard,
@@ -35,7 +34,9 @@ from tanglekit.forbidden import (
     robustness_family,
     standardize,
 )
+from tanglekit.ingest import from_relation
 from tanglekit.orderfn import OrderFunction, refine_injective
+from tanglekit.stree import f_eff
 from tanglekit.universe import bipartition_universe, graph_universe, restrict_Sk
 
 
@@ -352,7 +353,7 @@ def test_a_degenerate_weak_eclipser_keeps_its_member_from_pruning():
     # d = d* < s->: every orientation holds d, so {s->} is never strongly
     # efficient; forbidding {s->, d} as its P_s would prune the counterexample
     # handles: 0 = d, 1 = s->, 2 = s<-
-    system = SeparationSystem.from_relation([0, 2, 1], [(0, 1), (2, 0), (2, 1)])
+    system = from_relation([0, 2, 1], [(0, 1), (2, 0), (2, 1)])
     o = constant_order(system)
     assert system.consistent_orientations() == [frozenset({0, 1})]
     for layered in (False, True):

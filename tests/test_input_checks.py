@@ -10,15 +10,7 @@ import pytest
 from oracles import corners, is_submodular_subsystem, lemma_shift_select, naive_without_trivial
 
 from tanglekit.cli import main
-from tanglekit.core import SeparationSystem
-from tanglekit.duality import (
-    STree,
-    dichotomy,
-    emulates,
-    newduality,
-    shift_map,
-    stree_excludes_tangles,
-)
+from tanglekit.duality import dichotomy, emulates, newduality, shift_map
 from tanglekit.errors import (
     BoundExceeded,
     PreconditionError,
@@ -31,11 +23,18 @@ from tanglekit.fixtures import (
     p3_universe,
 )
 from tanglekit.forbidden import ForbiddenFamily, profile_family, robustness_family, standardize
+from tanglekit.ingest import (
+    from_relation,
+    order_from_json,
+    stree_from_json,
+    tree_from_json,
+    universe_from_json,
+)
 from tanglekit.orderfn import OrderFunction, refine_injective
+from tanglekit.stree import stree_excludes_tangles
 from tanglekit.tot import check_tot_hypotheses, tree_of_tangles, tree_of_tangles_in
 from tanglekit.tst import SeparationTree
 from tanglekit.universe import (
-    Universe,
     _universe_of,
     bipartition_universe,
     graph_universe,
@@ -69,12 +68,12 @@ def p3_s2():
 
 
 def test_from_relation_rejects_an_involution_that_is_no_permutation():
-    got = axiom_and_witness(lambda: SeparationSystem.from_relation([1, 1], []))
+    got = axiom_and_witness(lambda: from_relation([1, 1], []))
     assert got == ("involution-permutation", (1, 1))
 
 
 def test_from_relation_rejects_a_pair_with_an_unknown_handle():
-    got = axiom_and_witness(lambda: SeparationSystem.from_relation([1, 0], [(0, 2)]))
+    got = axiom_and_witness(lambda: from_relation([1, 0], [(0, 2)]))
     assert got == ("unknown-handle", (0, 2))
 
 
@@ -112,7 +111,7 @@ def test_separation_tree_read_back_needs_a_handle_on_every_edge(beta, want):
     obj = {"schema": "tanglekit/tree-v1", "root": 0, "beta": beta,
            "nodes": [{"id": 0, "children": [1, 2]}, {"id": 1, "children": []},
                      {"id": 2, "children": []}]}
-    got = axiom_and_witness(lambda: SeparationTree.from_json(chain2_system(), obj))
+    got = axiom_and_witness(lambda: tree_from_json(chain2_system(), obj))
     assert got == ("tree-edge-label", want)
 
 
@@ -132,7 +131,7 @@ def test_separation_tree_read_back_needs_each_node_once_by_its_index(nodes, axio
     # a stray id is never read, and JSON true passed as node 1
     beta = {str(v): 0 for v in range(1, len(nodes))}
     obj = {"schema": "tanglekit/tree-v1", "root": 0, "nodes": nodes, "beta": beta}
-    got = axiom_and_witness(lambda: SeparationTree.from_json(chain2_system(), obj))
+    got = axiom_and_witness(lambda: tree_from_json(chain2_system(), obj))
     assert got == (axiom, want)
 
 
@@ -144,7 +143,7 @@ def test_separation_tree_read_back_needs_each_label_on_a_non_root_node(key):
     # label on the root is kept but never written
     obj = {"schema": "tanglekit/tree-v1", "root": 0, "beta": {"1": 0, key: 1},
            "nodes": [{"id": 0, "children": [1]}, {"id": 1, "children": []}]}
-    got = axiom_and_witness(lambda: SeparationTree.from_json(chain2_system(), obj))
+    got = axiom_and_witness(lambda: tree_from_json(chain2_system(), obj))
     assert got == ("tree-beta-key", key)
 
 
@@ -158,7 +157,7 @@ def test_separation_tree_read_back_needs_its_own_schema_and_root(key, value, axi
     # document: from_json read neither key
     obj = {"schema": "tanglekit/tree-v1", "root": 0, "beta": {"1": 0},
            "nodes": [{"id": 0, "children": [1]}, {"id": 1, "children": []}], key: value}
-    got = axiom_and_witness(lambda: SeparationTree.from_json(chain2_system(), obj))
+    got = axiom_and_witness(lambda: tree_from_json(chain2_system(), obj))
     assert got == (axiom, value)
 
 
@@ -168,27 +167,28 @@ STREE_DOCUMENT = {"schema": "tanglekit/stree-v1", "nodes": 2, "alpha": {"0>1": 0
 
 
 @pytest.mark.parametrize("reader,obj,axiom,witness", [
-    (SeparationTree, [TREE_DOCUMENT], "tree-document", [TREE_DOCUMENT]),
-    (SeparationTree, {k: v for k, v in TREE_DOCUMENT.items() if k != "nodes"},
+    (tree_from_json, [TREE_DOCUMENT], "tree-document", [TREE_DOCUMENT]),
+    (tree_from_json, {k: v for k, v in TREE_DOCUMENT.items() if k != "nodes"},
      "tree-nodes", None),
-    (SeparationTree, {**TREE_DOCUMENT, "beta": [0]}, "tree-beta", [0]),
-    (SeparationTree, {**TREE_DOCUMENT, "nodes": [[0, [1]], {"id": 1, "children": []}]},
+    (tree_from_json, {**TREE_DOCUMENT, "beta": [0]}, "tree-beta", [0]),
+    (tree_from_json, {**TREE_DOCUMENT, "nodes": [[0, [1]], {"id": 1, "children": []}]},
      "tree-node", [0, [1]]),
-    (SeparationTree, {**TREE_DOCUMENT, "nodes": [{"id": 0, "children": 1},
+    (tree_from_json, {**TREE_DOCUMENT, "nodes": [{"id": 0, "children": 1},
                                                  {"id": 1, "children": []}]},
      "tree-children", 1),
-    (STree, [STREE_DOCUMENT], "stree-document", [STREE_DOCUMENT]),
-    (STree, {k: v for k, v in STREE_DOCUMENT.items() if k != "nodes"}, "stree-nodes", None),
-    (STree, {**STREE_DOCUMENT, "alpha": [0, 1]}, "stree-alpha", [0, 1]),
+    (stree_from_json, [STREE_DOCUMENT], "stree-document", [STREE_DOCUMENT]),
+    (stree_from_json, {k: v for k, v in STREE_DOCUMENT.items() if k != "nodes"},
+     "stree-nodes", None),
+    (stree_from_json, {**STREE_DOCUMENT, "alpha": [0, 1]}, "stree-alpha", [0, 1]),
 ], ids=["tree-not-an-object", "tree-nodes-missing", "tree-beta-a-list", "tree-node-a-list",
         "tree-children-not-a-list", "stree-not-an-object", "stree-nodes-missing",
         "stree-alpha-a-list"])
 def test_tree_read_back_needs_containers_of_the_written_types(reader, obj, axiom, witness):
     # each raised AttributeError, KeyError or TypeError, not an exit-1 report;
     # the document each one changes reads back as it is
-    base = TREE_DOCUMENT if reader is SeparationTree else STREE_DOCUMENT
-    assert reader.from_json(chain2_system(), base).to_json() == base
-    assert axiom_and_witness(lambda: reader.from_json(chain2_system(), obj)) == (axiom, witness)
+    base = TREE_DOCUMENT if reader is tree_from_json else STREE_DOCUMENT
+    assert reader(chain2_system(), base).to_json() == base
+    assert axiom_and_witness(lambda: reader(chain2_system(), obj)) == (axiom, witness)
 
 
 def p3_stree_document(p3_s2, **changes):
@@ -196,7 +196,7 @@ def p3_stree_document(p3_s2, **changes):
     u, _, _ = p3_s2
     h = u.elements()[3]
     obj = {"schema": "tanglekit/stree-v1", "nodes": 2, "alpha": {"0>1": h, "1>0": u.inv(h)}}
-    assert STree.from_json(u, obj).to_json() == obj
+    assert stree_from_json(u, obj).to_json() == obj
     return u, {**obj, **changes}
 
 
@@ -207,7 +207,7 @@ def test_stree_read_back_needs_each_key_an_edge_of_decimal_ids(p3_s2, key):
     # as "1>1"
     u, obj = p3_stree_document(p3_s2)
     obj["alpha"] = {key: obj["alpha"]["0>1"], "1>0": obj["alpha"]["1>0"]}
-    assert axiom_and_witness(lambda: STree.from_json(u, obj)) == ("stree-alpha-key", key)
+    assert axiom_and_witness(lambda: stree_from_json(u, obj)) == ("stree-alpha-key", key)
 
 
 @pytest.mark.parametrize("nodes", ["2", -1, True], ids=["string", "negative", "bool"])
@@ -215,7 +215,7 @@ def test_stree_read_back_needs_a_node_count(p3_s2, nodes):
     # "2" raised TypeError; -1 and True were taken as counts, so the two
     # nodes of the edges were reported out of range
     u, obj = p3_stree_document(p3_s2, nodes=nodes)
-    assert axiom_and_witness(lambda: STree.from_json(u, obj)) == ("stree-nodes", nodes)
+    assert axiom_and_witness(lambda: stree_from_json(u, obj)) == ("stree-nodes", nodes)
 
 
 @pytest.mark.parametrize("label", [999, -1, "3"], ids=["past-the-end", "minus-one", "string"])
@@ -223,14 +223,14 @@ def test_stree_read_back_needs_a_ground_handle_on_every_edge(p3_s2, label):
     # 999 raised IndexError, -1 indexed from the end, "3" raised TypeError
     u, obj = p3_stree_document(p3_s2)
     obj["alpha"] = {**obj["alpha"], "0>1": label}
-    assert axiom_and_witness(lambda: STree.from_json(u, obj)) == ("stree-edge-label", (0, 1))
+    assert axiom_and_witness(lambda: stree_from_json(u, obj)) == ("stree-edge-label", (0, 1))
 
 
 def test_stree_read_back_needs_its_own_schema(p3_s2):
     u, obj = p3_stree_document(p3_s2, schema="nope")
-    assert axiom_and_witness(lambda: STree.from_json(u, obj)) == ("stree-schema", "nope")
+    assert axiom_and_witness(lambda: stree_from_json(u, obj)) == ("stree-schema", "nope")
     del obj["schema"]
-    assert STree.from_json(u, obj).n_nodes == 2
+    assert stree_from_json(u, obj).n_nodes == 2
 
 
 # -- universes ----------------------------------------------------------------------
@@ -240,7 +240,7 @@ def test_universe_json_rejects_a_missing_table_cell():
     uni, _ = p3_universe()
     obj = uni.to_json()
     obj["join"] = obj["join"][1:]
-    got = axiom_and_witness(lambda: Universe.from_json(obj))
+    got = axiom_and_witness(lambda: universe_from_json(obj))
     assert got == ("lattice-tables-total", None)
 
 
@@ -249,9 +249,9 @@ def test_universe_json_rejects_a_pair_given_two_values():
     obj = uni.to_json()
     a, b, c = obj["meet"][3]
     obj["meet"].append([b, a, c])  # the same pair and value, mirrored
-    assert Universe.from_json(obj).ground.meet(a, b) == c
+    assert universe_from_json(obj).ground.meet(a, b) == c
     obj["meet"].append([b, a, (c + 1) % uni.n_ground])
-    got = axiom_and_witness(lambda: Universe.from_json(obj))
+    got = axiom_and_witness(lambda: universe_from_json(obj))
     assert got == ("table-cell-repeated", (a, b))
 
 
@@ -305,7 +305,7 @@ def test_order_function_orientations_must_agree():
     got = axiom_and_witness(lambda: OrderFunction(u, {**values, 0: 1, 9: 7}))
     assert got == ("order-orientations-disagree", 9)
     orders = {**{str(s): str(v) for s, v in values.items()}, "0": "1", "9": "7"}
-    got = axiom_and_witness(lambda: OrderFunction.from_json(u, {"orders": orders}))
+    got = axiom_and_witness(lambda: order_from_json(u, {"orders": orders}))
     assert got == ("order-orientations-disagree", 9)
     # either orientation may be the key, and both may be when they agree
     del values[0]
@@ -317,7 +317,7 @@ def test_order_function_orientations_must_agree():
 
 
 def test_order_json_without_orders_is_a_schema_error():
-    axiom, _ = axiom_and_witness(lambda: OrderFunction.from_json(chain2_system(), {}))
+    axiom, _ = axiom_and_witness(lambda: order_from_json(chain2_system(), {}))
     assert axiom == "schema"
 
 

@@ -45,14 +45,9 @@ from tanglekit.fixtures import (
     random_universes,
 )
 from tanglekit.forbidden import _eclipsers, standardize
+from tanglekit.ingest import from_relation, universe_from_json
 from tanglekit.orderfn import _gamma_fn, _numeral, refine_injective
-from tanglekit.universe import (
-    Universe,
-    _graph_sides,
-    bipartition_universe,
-    graph_universe,
-    restrict_Sk,
-)
+from tanglekit.universe import _graph_sides, bipartition_universe, graph_universe, restrict_Sk
 
 
 GRAPHS = {**LADDER, "P7": _path(7), "P8": _path(8), "C8": _cycle(8)}
@@ -153,7 +148,7 @@ def test_generators_transpose_only_vertex_wide_matrices(monkeypatch):
         del shapes[:calls]
     # a relation has no side masks: its down-sets are the transposed up-sets
     for uni, _, _ in built[:3]:
-        SeparationSystem.from_relation(*relation_of(uni))
+        from_relation(*relation_of(uni))
         assert shapes == [(uni.n_ground, uni.n_ground)]
         shapes.clear()
 
@@ -171,7 +166,7 @@ def read_both(inv, leq):
     """``from_relation`` and the pairwise oracle on one relation: the up-sets
     each built, or the axiom and witness each raised."""
     out = []
-    for read in (SeparationSystem.from_relation, pairwise_from_relation):
+    for read in (from_relation, pairwise_from_relation):
         try:
             out.append(read(inv, leq)._up)
         except SystemValidationError as exc:
@@ -634,7 +629,7 @@ def corrupted(uni, axiom, a, b):
                       _table_of(obj["meet"], n))
     first = pairwise_validate_lattice(bad).failures[0]
     with pytest.raises(SystemValidationError) as exc:
-        Universe.from_json(obj)
+        universe_from_json(obj)
     assert (exc.value.axiom, exc.value.witness) == table_failure(bad) == first
     return bad
 

@@ -20,7 +20,6 @@ from oracles import (constant_order, corners, from_tables, naive_join_table, nai
 
 import tanglekit.universe
 from tanglekit.cli import main
-from tanglekit.core import SeparationSystem
 from tanglekit.errors import SystemValidationError
 from tanglekit.fixtures import chain_universe, graph_tangle_stars, random_universes
 from tanglekit.forbidden import (
@@ -29,6 +28,7 @@ from tanglekit.forbidden import (
     robustness_family,
     standardize,
 )
+from tanglekit.ingest import _checked, from_relation, universe_from_json
 from tanglekit.orderfn import OrderFunction
 from tanglekit.universe import (
     Universe,
@@ -84,7 +84,7 @@ def _diamond_pair():
     """
     leq = [(0, h) for h in range(1, 6)] + [(h, 5) for h in range(1, 5)]
     leq += [(a, b) for a in (1, 2) for b in (3, 4)]
-    return SeparationSystem.from_relation([5, 3, 4, 1, 2, 0], leq)
+    return from_relation([5, 3, 4, 1, 2, 0], leq)
 
 
 def _diamond_tables():
@@ -197,7 +197,7 @@ def test_wrong_cells_raise_the_first_pairwise_failure(name):
                               _table_of(obj["join"], n), _table_of(obj["meet"], n))
             want = pairwise_validate_lattice(bad)
             try:
-                got = Universe.from_json(obj)
+                got = universe_from_json(obj)
             except SystemValidationError as exc:
                 assert (exc.axiom, exc.witness) == want.failures[0]
                 raised += 1
@@ -294,7 +294,7 @@ def test_explicit_tables_are_never_derived(derivations):
            if made.leq(a, b)]
     given = with_tables(made._inv, made._up, made.labels, join, meet)
     checked = from_tables(made._inv, leq, join, meet, made.labels)
-    loaded = Universe.from_json(checked.to_json())
+    loaded = universe_from_json(checked.to_json())
     # each checked universe derives its tables once, to compare the given ones
     assert derivations == [made.n_ground] * 2
     for uni in (given, checked, loaded):
@@ -339,7 +339,7 @@ NON_LATTICE_READERS = {
     "join": lambda uni: uni.join(0, 5),
     "meet": lambda uni: uni.meet(0, 5),
     "to_json": lambda uni: uni.to_json(),
-    "checked": lambda uni: uni._checked((), ()),
+    "checked": lambda uni: _checked(uni, (), ()),
     "is_submodular": lambda uni: is_submodular(uni, constant_order(uni)),
 }
 

@@ -29,6 +29,7 @@ from tanglekit.fixtures import (
     random_universes,
 )
 from tanglekit.forbidden import robustness_family
+from tanglekit.ingest import order_from_json
 from tanglekit.orderfn import OrderFunction, refine_injective, refines
 from tanglekit.universe import (
     bipartition_universe,
@@ -210,7 +211,7 @@ def test_handle_values_keep_comparisons_exact():
         for k in range(int(values[0]) - 1, int(values[-1]) + 2):
             assert [n < order.cut(k) for n in num] == [f < k for f in fracs], k
         text = json.dumps(order.to_json())
-        again = OrderFunction.from_json(uni, json.loads(text))
+        again = order_from_json(uni, json.loads(text))
         assert json.dumps(again.to_json()) == text
         assert [again.of(h) for h in range(uni.n_ground)] == fracs
 

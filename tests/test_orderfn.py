@@ -16,6 +16,7 @@ from oracles import (
 from tanglekit.errors import NonSubmodularOrder
 from tanglekit.fixtures import chain_universe, graph_tangle_stars, random_universes
 from tanglekit.forbidden import ForbiddenFamily, enumerate_tangles_in, standardize
+from tanglekit.ingest import order_from_json
 from tanglekit.orderfn import OrderFunction, refine_injective, refines
 from tanglekit.universe import (
     is_structurally_submodular,
@@ -302,7 +303,7 @@ def test_tangles_not_preserved_with_planted_inversion(chain2):
 
 def test_order_json_round_trip(p3):
     u, o = p3
-    back = OrderFunction.from_json(u, o.to_json())
+    back = order_from_json(u, o.to_json())
     assert back.to_json() == o.to_json()
 
 
@@ -323,3 +324,38 @@ def test_thresholds_rewritable_after_refinement(p3):
             else:
                 k2 = None if not outside else min(outside)
             assert (uni if k2 is None else restrict_Sk(uni, o2, k2)).members == sub.members
+
+
+@pytest.mark.parametrize("text", ["2", "+2", " 2 ", "-1", "3/2", "2.5", "1e2", "2_0", "٢",
+                                  "1/0", "x", "inf"])
+def test_a_threshold_is_what_fraction_reads(text):
+    # a run of ASCII digits, after an optional sign, is read as an int without
+    # loading fractions; anything else as Fraction reads it.  "inf" is the
+    # whole system, which no Fraction names
+    from tanglekit.errors import InputError
+    from tanglekit.orderfn import parse_threshold
+    if text == "inf":
+        assert parse_threshold(text) is None
+        return
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(InputError, match="malformed threshold"):
+            parse_threshold(text)
+        return
+    got = parse_threshold(text)
+    assert got == want
+    assert type(got) is (int if text in ("2", "+2", "-1") else Fraction)
+
+
+def test_an_int_threshold_restricts_as_the_equal_fraction():
+    # restrict_Sk cuts an int k and a Fraction k the same way, with the graph
+    # order over 1 and with its refinement over a larger denominator
+    from test_lattice_rule import LADDER
+    from tanglekit.universe import graph_universe
+    for n, edges in LADDER.values():
+        uni, order = graph_universe(range(n), edges)
+        for o in (order, refine_injective(order)):
+            for k in range(-1, n + 2):
+                as_int, as_fraction = restrict_Sk(uni, o, k), restrict_Sk(uni, o, Fraction(k))
+                assert as_int.members == as_fraction.members

@@ -133,18 +133,13 @@ def command_corpus(d, monkeypatch):
 def library_roots():
     """One call of each name of ``LIBRARY_API`` on a P3 fixture or the
     two-separation chain, its arguments built first."""
-    from tanglekit.duality import STree, stree_from_nested
     from tanglekit.fixtures import chain2_system, graph_tangle_stars, p3_universe
     from tanglekit.forbidden import enumerate_tangles, standardize
+    from tanglekit.ingest import stree_from_json, tree_from_json
     from tanglekit.orderfn import refine_injective
-    from tanglekit.tst import (
-        SeparationTree,
-        build_thorough_tst,
-        build_tst_in_S,
-        display,
-        is_thoroughly_ordered,
-        validate_tst_in_s,
-    )
+    from tanglekit.stree import stree_from_nested
+    from tanglekit.tot import build_tst_in_S, validate_tst_in_s
+    from tanglekit.tst import build_thorough_tst, display, is_thoroughly_ordered
     from tanglekit.universe import restrict_Sk
     u, o = p3_universe()
     inj, s2 = refine_injective(o), restrict_Sk(u, o, 2)
@@ -159,10 +154,10 @@ def library_roots():
     return {
         "tst.display": lambda: display(tree, tau),
         "tst.is_thoroughly_ordered": lambda: is_thoroughly_ordered(tree, inj),
-        "tst.validate_tst_in_s": lambda: validate_tst_in_s(layered, layered_family, inj),
-        "tst.SeparationTree.from_json": lambda: SeparationTree.from_json(s2, tree_doc),
-        "duality.stree_from_nested": lambda: stree_from_nested(chain),
-        "duality.STree.from_json": lambda: STree.from_json(chain, stree_doc),
+        "tot.validate_tst_in_s": lambda: validate_tst_in_s(layered, layered_family, inj),
+        "ingest.tree_from_json": lambda: tree_from_json(s2, tree_doc),
+        "stree.stree_from_nested": lambda: stree_from_nested(chain),
+        "ingest.stree_from_json": lambda: stree_from_json(chain, stree_doc),
     }
 
 

@@ -12,11 +12,19 @@ import pytest
 
 import tanglekit
 from tanglekit.fixtures import graph_tangle_stars, p3_universe
+from tanglekit.forbidden import standardize
+from tanglekit.universe import graph_universe, restrict_Sk
 
 PACKAGE = Path(tanglekit.__file__).parent
 # The layers only some commands run; importing the CLI loads none of them.
 COMMAND_LAYERS = ["tanglekit.dot", "tanglekit.duality", "tanglekit.forbidden",
+                  "tanglekit.ingest", "tanglekit.reduce", "tanglekit.stree",
                   "tanglekit.tot", "tanglekit.tst"]
+# What no command loads: the stdlib parser and what it brings.  And the
+# rationals, loaded only to read an order from JSON, to parse a p/q
+# threshold or to report a rational.
+NO_COMMAND_LOADS = ["argparse", "gettext", "locale"]
+RATIONALS = ["fractions", "decimal"]
 
 
 def package_trees():
@@ -71,7 +79,8 @@ def test_one_refinement_path_in_package():
 # The down-set searches that may read ``_below`` directly: the eclipse
 # definition, and leaf_needs's test that nothing of a tangle path lies below x
 # (its cached ``needs``, which the walk below also counts inside leaf_needs).
-BELOW_CALLERS = {("forbidden.py", "_eclipsers"), ("tst.py", "leaf_needs"), ("tst.py", "needs")}
+BELOW_CALLERS = {("forbidden.py", "_eclipsers"), ("reduce.py", "leaf_needs"),
+                 ("reduce.py", "needs")}
 
 
 def test_one_eclipse_definition_in_package():
@@ -151,16 +160,17 @@ def test_orientation_search_only_where_whole_orientations_are_needed():
 
 
 # The reader of a family that reports its members as sets, and the functions
-# of tst.py that make a set of handles from a mask: a leaf's witness, the
-# builder's richness refutation and the layered tangle witness.
+# of the tree code that make a set of handles from a mask: a leaf's witness,
+# the builder's richness refutation and the layered tangle witness.
 FAMILY_SET_READERS = {"ordered"}
-TST_SET_MAKERS = {"classify_leaf", "build_thorough_tst", "_leaf_class_in_s"}
+TREE_SET_MAKERS = {("tst.py", "classify_leaf"), ("tst.py", "build_thorough_tst"),
+                   ("tot.py", "_leaf_class_in_s")}
 
 
 def test_family_masks_are_read_and_sets_made_only_where_reported():
     # a family holds its members as masks; a function outside forbidden.py
     # that reads them as sets and masks them again pays a round trip, and so
-    # does tst.py turning a mask into a set it does not report
+    # does the tree code turning a mask into a set it does not report
     reads = {}
     found = []
     for path, tree in package_trees():
@@ -168,12 +178,12 @@ def test_family_masks_are_read_and_sets_made_only_where_reported():
             name = getattr(node, "attr", getattr(node, "id", None))
             if isinstance(node, ast.Attribute) and name in FAMILY_SET_READERS or name == "mask_of":
                 reads.setdefault((path.name, fn), set()).add(name)
-            if (path.name == "tst.py" and isinstance(node, ast.Call)
+            if (path.name in ("tst.py", "reduce.py", "tot.py") and isinstance(node, ast.Call)
                     and getattr(node.func, "id", None) == "frozenset" and node.args
                     and isinstance(node.args[0], ast.Call)
                     and getattr(node.args[0].func, "id", None) == "iter_mask"
-                    and fn not in TST_SET_MAKERS):
-                found.append(f"tst.py:{node.lineno} {fn} makes a set from a mask")
+                    and (path.name, fn) not in TREE_SET_MAKERS):
+                found.append(f"{path.name}:{node.lineno} {fn} makes a set from a mask")
     found += [f"{file} {fn} masks a family's {sorted(names & FAMILY_SET_READERS)}"
               for (file, fn), names in reads.items()
               if file != "forbidden.py" and "mask_of" in names and names & FAMILY_SET_READERS]
@@ -245,10 +255,12 @@ def test_the_tree_layers_state_the_tot_hypotheses_once():
     assert not found, f"hypothesis predicates outside check_tot_hypotheses: {found}"
 
 
-# The leaf kinds of a structure tree, and the modules that read them: the tree
-# layer, and the DOT writer, which colours leaves by kind.
+# The leaf kinds of a structure tree, and the code that reads them: the tree
+# layer, the DOT writer, which colours leaves by kind, and the layered tree,
+# which lives in tot.py, its one caller (None: tot.py's imports).
 LEAF_KINDS = {"LEAF_TANGLE", "LEAF_FORBIDDEN", "LEAF_UNRESOLVED"}
-LEAF_KIND_READERS = {"tst.py", "dot.py"}
+LEAF_KIND_READERS = {"tst.py", "dot.py", "reduce.py"}
+LAYERED_TREE = {("tot.py", None), ("tot.py", "_leaf_class_in_s"), ("tot.py", "build_tst_in_S")}
 
 
 def test_leaf_kinds_are_read_in_the_tree_layer():
@@ -258,7 +270,9 @@ def test_leaf_kinds_are_read_in_the_tree_layer():
     for path, tree in package_trees():
         if path.name in LEAF_KIND_READERS:
             continue
-        for node in ast.walk(tree):
+        for node, fn in nodes_in_functions(tree):
+            if (path.name, fn) in LAYERED_TREE:
+                continue
             if isinstance(node, ast.ImportFrom):
                 names = [alias.name for alias in node.names]
             else:
@@ -273,9 +287,11 @@ TANGLE_ENUMERATIONS = {"enumerate_tangles", "enumerate_tangles_in", "maximal_tan
 
 def test_the_tree_of_tangles_enumerates_no_tangle():
     # tot and totins read their tangles off the structure tree they checked,
-    # so neither command enumerates the tangles of a layer
+    # so neither command enumerates the tangles of a layer; the library's
+    # oracle-grade check of a layered tree, which no command runs, does
     found = [f"tot.py:{node.lineno} names {name}"
-             for node in ast.walk(ast.parse((PACKAGE / "tot.py").read_text()))
+             for node, fn in nodes_in_functions(ast.parse((PACKAGE / "tot.py").read_text()))
+             if fn != "validate_tst_in_s"
              for name in (getattr(node, "id", getattr(node, "attr", None)),
                           getattr(node, "name", None)) if name in TANGLE_ENUMERATIONS]
     assert not found, f"tangle enumerations in tot.py: {found}"
@@ -470,9 +486,8 @@ REPO = Path(__file__).resolve().parent.parent
 # the ROADMAP item that gives it a caller, item 11's ``check`` or item 3's
 # tree-decomposition.  README names each, with that item, under "Library API
 # that no command runs"; tests/test_reach.py runs each once as a library root.
-LIBRARY_API = {"tst.display", "tst.is_thoroughly_ordered", "tst.validate_tst_in_s",
-               "tst.SeparationTree.from_json", "duality.stree_from_nested",
-               "duality.STree.from_json"}
+LIBRARY_API = {"tst.display", "tst.is_thoroughly_ordered", "tot.validate_tst_in_s",
+               "ingest.tree_from_json", "stree.stree_from_nested", "ingest.stree_from_json"}
 
 
 def test_every_definition_is_referenced():
@@ -522,58 +537,92 @@ def test_importing_the_cli_loads_no_command_layer():
     assert modules_added("import tanglekit") == ["tanglekit"]
     added = modules_added("import tanglekit.cli")
     assert "tanglekit.cli" in added
-    assert not set(added) & {"dataclasses", *COMMAND_LAYERS}
+    assert not set(added) & {"dataclasses", *COMMAND_LAYERS, *NO_COMMAND_LOADS, *RATIONALS}
 
 
+def layers_but(*used):
+    return [m for m in COMMAND_LAYERS if m not in {f"tanglekit.{u}" for u in used}]
+
+
+GRAPH_OP = ["--input", "P4.graph", "--k", "2", "--unsafe-bounds"]
+UNIVERSE_OP = ["--input", "P4.universe.json", "--order", "P4.order.json"]
+
+
+# Each graph-k2 and universe-json command as the benchmark runs it, on P4,
+# then the commands no workload runs; with the modules it must not load.
 @pytest.mark.parametrize("command,argv,unused", [
-    ("refine-order", ["--input", "p3.graph"], COMMAND_LAYERS),
-    ("validate", ["--input", "p3.json", "--order", "order.json"], COMMAND_LAYERS),
-    ("tst", ["--input", "p3.graph", "--k", "2", "--forbidden", "stars.json"],
-     ["tanglekit.dot", "tanglekit.duality", "tanglekit.tot"]),
-    ("reduce", ["--input", "p3.graph", "--k", "2", "--forbidden", "stars.json"],
-     ["tanglekit.dot"]),
-    ("duality", ["--input", "p3.graph", "--k", "2", "--forbidden", "stars.json"],
-     ["tanglekit.dot"]),
-    ("tangles", ["--input", "p3.graph", "--k", "2", "--forbidden", "stars.json"],
-     ["tanglekit.dot", "tanglekit.duality", "tanglekit.tot", "tanglekit.tst"]),
-    ("tot", ["--input", "p3.graph", "--k", "2", "--forbidden", "stars-full.json"],
-     ["tanglekit.dot", "tanglekit.duality"]),
-    ("totins", ["--input", "p3.graph", "--forbidden", "stars-full.json"],
-     ["tanglekit.dot", "tanglekit.duality"]),
-    ("newduality", ["--input", "p3.graph", "--k", "2", "--forbidden", "stars.json"],
-     ["tanglekit.dot", "tanglekit.tot"]),
-], ids=["refine-order", "validate", "tst", "reduce", "duality", "tangles", "tot", "totins",
-        "newduality"])
+    ("tst", [*GRAPH_OP, "--forbidden", "P4.stars2.json", "--emit", "dot"],
+     layers_but("forbidden", "tst", "dot") + RATIONALS),
+    ("reduce", [*GRAPH_OP, "--forbidden", "P4.stars2.json"],
+     layers_but("forbidden", "tst", "reduce") + RATIONALS),
+    ("duality", [*GRAPH_OP, "--forbidden", "P4.stars2.json"],
+     layers_but("forbidden", "tst", "duality") + RATIONALS),
+    ("newduality", [*GRAPH_OP, "--forbidden", "P4.stars2.json"],
+     layers_but("forbidden", "tst", "duality") + RATIONALS),
+    ("tot", [*GRAPH_OP, "--forbidden", "P4.full2.json", "--emit", "dot"],
+     layers_but("forbidden", "tst", "tot", "dot") + RATIONALS),
+    ("refine-order", ["--input", "P4.graph"], COMMAND_LAYERS),
+    ("validate", UNIVERSE_OP, layers_but("ingest")),
+    ("tst", [*UNIVERSE_OP, "--k", "2", "--forbidden", "P4.stars2.json", "--unsafe-bounds"],
+     layers_but("ingest", "forbidden", "tst")),
+    ("tangles", ["--input", "P4.graph", "--k", "2", "--forbidden", "P4.stars2.json"],
+     layers_but("forbidden")),
+    ("totins", ["--input", "p3.graph", "--forbidden", "p3.stars-full.json"],
+     layers_but("forbidden", "tst", "tot") + RATIONALS),
+], ids=["tst", "reduce", "duality", "newduality", "tot", "refine-order", "validate",
+        "tst-universe-json", "tangles", "totins"])
 def test_a_command_loads_only_the_layers_it_runs(tmp_path, command, argv, unused):
-    # dot is loaded only with --emit dot, which no row passes.  Spawning and
-    # compiling the modules are most of a short run, so no layer loads idle.
-    (tmp_path / "p3.graph").write_text("a b\nb c\n")
-    u, o = p3_universe()
-    (tmp_path / "p3.json").write_text(json.dumps(u.to_json()))
-    (tmp_path / "order.json").write_text(json.dumps(o.to_json()))
-    for name, k, generate in (("stars", 2, ["standardize"]),
-                              ("stars-full", 4, ["R", "standardize"])):
-        stars = graph_tangle_stars(u, o, "abc", [("a", "b"), ("b", "c")], k).to_json()
-        stars["generate"] = generate
-        (tmp_path / f"{name}.json").write_text(json.dumps(stars))
-    args = [command, *argv, "--out", "out"]
-    added = modules_added(f"import os; os.chdir({str(tmp_path)!r})\n"
-                          "from tanglekit.cli import main\n"
-                          f"assert main({args!r}) == 0")
+    # spawned as benchmark/run.py spawns an op, under -X importtime: in the
+    # directory of its inputs, with src/ as PYTHONPATH.  Spawning and
+    # compiling the modules are most of a short run, so none loads idle;
+    # both duality rows find a tangle, so neither converts an S-tree.
+    write_benchmark_inputs(tmp_path)
+    env = {k: v for k, v in os.environ.items() if k != "TANGLEKIT_OUT"}
+    env["PYTHONPATH"] = str(PACKAGE.parent)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "tanglekit.cli", command, *argv,
+         "--out", "out"], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
     assert (tmp_path / "out" / f"{command}.json").exists()
-    assert not set(added) & set(unused)
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert not loaded & {*unused, *NO_COMMAND_LOADS}, sorted(loaded & {*unused,
+                                                                      *NO_COMMAND_LOADS})
 
 
-def test_only_the_process_entry_point_touches_the_collector():
-    # cli.run freezes the heap before the process exits; main and the library
-    # are called in-process and must leave the collector as they found it
+def write_benchmark_inputs(d):
+    """P4's inputs as ``benchmark/workloads.write_inputs`` writes a graph's at
+    k=2, and P3's edge list with its k=4 stars generating R."""
+    names, edges = "abcd", [("a", "b"), ("b", "c"), ("c", "d")]
+    (d / "P4.graph").write_text("".join(f"{a} {b}\n" for a, b in edges))
+    uni, order = graph_universe(names, edges)
+    stars = graph_tangle_stars(uni, order, names, edges, 2)
+    for name, family, generate in (
+            ("stars2", standardize(stars, restrict_Sk(uni, order, 2)), ["standardize"]),
+            ("full2", stars, ["R", "standardize"])):
+        (d / f"P4.{name}.json").write_text(json.dumps({**family.to_json(),
+                                                       "generate": generate}))
+    (d / "P4.universe.json").write_text(json.dumps(uni.to_json()))
+    (d / "P4.order.json").write_text(json.dumps(order.to_json()))
+    (d / "p3.graph").write_text("a b\nb c\n")
+    u, o = p3_universe()
+    full = graph_tangle_stars(u, o, "abc", [("a", "b"), ("b", "c")], 4)
+    (d / "p3.stars-full.json").write_text(json.dumps({**full.to_json(),
+                                                      "generate": ["R", "standardize"]}))
+
+
+def test_only_the_process_entry_point_ends_the_process():
+    # cli.run runs the atexit handlers and ends the process with os._exit,
+    # skipping the interpreter's teardown; main and the library are called
+    # in-process and must return, and nothing touches the collector
     found = []
     for path, tree in package_trees():
         for node, fn in nodes_in_functions(tree):
-            name = getattr(node, "id", getattr(node, "name", None))
-            if name == "gc" and (path.name, fn) != ("cli.py", "run"):
-                found.append(f"{path.name}:{node.lineno} {fn}")
-    assert not found, f"gc referenced outside cli.run: {found}"
+            name = getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+            if name == "gc" or (name in ("_exit", "atexit", "_run_exitfuncs")
+                                and (path.name, fn) != ("cli.py", "run")):
+                found.append(f"{path.name}:{node.lineno} {fn} names {name}")
+    assert not found, f"process exit or collector outside cli.run: {found}"
     script = 'tanglekit = "tanglekit.cli:run"'
     assert script in (REPO / "pyproject.toml").read_text().splitlines()
 

@@ -26,6 +26,7 @@ from tanglekit.forbidden import (
     standardize,
 )
 from tanglekit.orderfn import OrderFunction, refine_injective
+from tanglekit.reduce import reduce_irreducible
 from tanglekit.tot import (
     check_tot_hypotheses,
     distinguisher_report,
@@ -34,13 +35,7 @@ from tanglekit.tot import (
     tree_of_tangles_in,
     verify_tot,
 )
-from tanglekit.tst import (
-    LEAF_FORBIDDEN,
-    build_thorough_tst,
-    classify_leaves,
-    display,
-    reduce_irreducible,
-)
+from tanglekit.tst import LEAF_FORBIDDEN, build_thorough_tst, classify_leaves, display
 from tanglekit.universe import bipartition_universe, graph_universe, restrict_Sk
 
 

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from oracles import beta_by_path_walk, constant_order, naive_gated_reduce
-from tanglekit.core import SeparationSystem, mask_of
+from tanglekit.core import mask_of
 from tanglekit.errors import (
     NonInjectiveOrder,
     NotStandard,
@@ -27,28 +27,24 @@ from tanglekit.forbidden import (
     is_rich,
     standardize,
 )
+from tanglekit.ingest import from_relation, tree_from_json
 from tanglekit.orderfn import OrderFunction, refine_injective
+from tanglekit.reduce import leaf_needs, necessity, reduce_irreducible
+from tanglekit.tot import TstInS, _leaf_class_in_s, build_tst_in_S, validate_tst_in_s
 from tanglekit.tst import (
     LEAF_TANGLE,
     LEAF_UNRESOLVED,
     LeafClass,
     SeparationTree,
-    TstInS,
-    _leaf_class_in_s,
     build_thorough_tst,
-    build_tst_in_S,
     classify_leaf,
     display,
     displayed_tangles,
     is_efficient_tree,
     is_ordered,
     is_thoroughly_ordered,
-    leaf_needs,
-    necessity,
-    reduce_irreducible,
     validate_separation_tree,
     validate_tst,
-    validate_tst_in_s,
 )
 from tanglekit.universe import restrict_Sk
 
@@ -411,9 +407,9 @@ def ladder_reduction_cases():
                                   "displayed_tangles"])
 def test_a_failed_gate_raises_theorem_violation_naming_it(p3_tree, p3_setting,
                                                           monkeypatch, gate):
-    import tanglekit.tst
+    import tanglekit.reduce
     u, o2, s2, F = p3_setting
-    real = getattr(tanglekit.tst, gate)
+    real = getattr(tanglekit.reduce, gate)
     spoil = {"validate_tst": lambda rep: rep._replace(ok=False),
              "displayed_tangles": lambda tangles: tangles | {frozenset()}}.get(
                  gate, lambda verdict: False)
@@ -422,7 +418,7 @@ def test_a_failed_gate_raises_theorem_violation_naming_it(p3_tree, p3_setting,
         # the input's own tangles are read through the same function
         out = real(tree, *args)
         return out if tree is p3_tree else spoil(out)
-    monkeypatch.setattr(tanglekit.tst, gate, failing)
+    monkeypatch.setattr(tanglekit.reduce, gate, failing)
     with pytest.raises(TheoremViolation, match=f"fails its {gate} gate") as exc:
         reduce_irreducible(p3_tree, F, o2)
     assert exc.value.report == {"gate": gate}
@@ -431,18 +427,24 @@ def test_a_failed_gate_raises_theorem_violation_naming_it(p3_tree, p3_setting,
 def test_reduction_runs_its_gates_once(monkeypatch):
     # K1,4's S_3 with the standardized stars takes 21 contractions; the rounds
     # classify each root path once, and the gates classify the result afresh
+    import tanglekit.reduce
     import tanglekit.tst
     _, _, system, fam, oi = next(case for case in ladder_reduction_cases()
                                  if case[:2] == ("K1,4", 3))
     tree = build_thorough_tst(system, oi, fam)
     calls = {"_contract_move": 0, "validate_tst": 0, "classify_leaf": 0}
-    for name in calls:
-        real = getattr(tanglekit.tst, name)
+    # each name where its callers read it: the rounds and gates in reduce,
+    # the classification of a whole tree in tst
+    for mod in (tanglekit.reduce, tanglekit.tst):
+        for name in calls:
+            if not hasattr(mod, name):
+                continue
+            real = getattr(mod, name)
 
-        def counted(*args, name=name, real=real):
-            calls[name] += 1
-            return real(*args)
-        monkeypatch.setattr(tanglekit.tst, name, counted)
+            def counted(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(mod, name, counted)
     reduce_irreducible(tree, fam, oi)
     assert calls == {"_contract_move": 21, "validate_tst": 1, "classify_leaf": 298}
 
@@ -496,11 +498,11 @@ UNRESOLVED_LEAVES = {
         chain2_system, [-1, 0, 0, 1, 1], [-1, 0, 1, 2, 3], {0: 1, 2: 2}, [], 4),
     # r oriented twice: tau holds both orientations of r, of order below s
     "tau-no-orientation-of-its-layer": (
-        lambda: SeparationSystem.from_relation([1, 0, 3, 2], []),
+        lambda: from_relation([1, 0, 3, 2], []),
         [-1, 0, 0, 1, 1], [-1, 0, 1, 0, 1], {0: 1, 2: 2}, [(2,), (3,)], 4),
     # the path {r->} avoids {s->}, its closure {r->, s->} does not
     "tau-holds-a-member-the-path-does-not": (
-        lambda: SeparationSystem.from_relation([1, 0, 3, 2, 5, 4], [(0, 2), (3, 1)]),
+        lambda: from_relation([1, 0, 3, 2, 5, 4], [(0, 2), (3, 1)]),
         [-1, 0, 0], [-1, 0, 1], {2: 1, 0: 2, 4: 3}, [(2,), (4,), (5,)], 1),
     # the empty family forbids neither orientation of r
     "extension-not-forbidden": (chain2_system, [-1], [-1], {0: 1, 2: 2}, [], 0),
@@ -553,7 +555,7 @@ def test_layer_trees_nest(p3_layered):
 def test_tree_json_round_trip(p3_tree, p3_setting):
     u, o2, s2, F = p3_setting
     blob = p3_tree.to_json(validate_tst(p3_tree, F).leaf_classes)
-    back = SeparationTree.from_json(s2, blob)
+    back = tree_from_json(s2, blob)
     assert back.to_json() == p3_tree.to_json()
 
 
@@ -643,9 +645,8 @@ def test_minimality_in_beta_equals_minimality_in_closure(p3_tree, p3_setting):
 def test_degenerate_separation_single_child_build():
     # a lone degenerate separation: the builder attaches one child, the
     # validator accepts the one-edge bijection, display walks through it
-    from tanglekit.core import SeparationSystem
     from tanglekit.orderfn import OrderFunction
-    d = SeparationSystem.from_relation([0], [], labels=["d"])
+    d = from_relation([0], [], labels=["d"])
     o = OrderFunction(d, {0: 1})
     fam = ForbiddenFamily([])
     tree = build_thorough_tst(d, o, fam)

@@ -8,9 +8,9 @@ from oracles import (corners, from_tables, is_submodular_subsystem, pairwise_val
 
 from tanglekit.errors import SystemValidationError
 from tanglekit.fixtures import random_universes
+from tanglekit.ingest import universe_from_json
 from tanglekit.orderfn import OrderFunction
 from tanglekit.universe import (
-    Universe,
     bipartition_universe,
     is_structurally_submodular,
     is_submodular,
@@ -217,7 +217,7 @@ def test_cross_corner_lemma_on_random_universes():
 
 def test_universe_json_round_trip(bip2):
     blob = bip2.to_json()
-    back = Universe.from_json(blob)
+    back = universe_from_json(blob)
     assert back.to_json() == blob
     assert pairwise_validate_lattice(back.ground).ok
 
