@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import sys
 from collections import namedtuple
 from pathlib import Path
@@ -80,11 +79,9 @@ def _read_json(path):
 
 def load_inputs(args):
     """Resolve (system_or_universe, order) from the run spec."""
-    sources = [s for s in (args.input, args.bipartition) if s]
-    if len(sources) != 1:
-        raise InputError("exactly one input source required",
-                         given=[s for s in ("--input" if args.input else None,
-                                            "--bipartition" if args.bipartition else None) if s])
+    given = [name for name in ("--input", "--bipartition") if getattr(args, name[2:])]
+    if len(given) != 1:
+        raise InputError("exactly one input source required", given=given)
     order = None
     if args.bipartition:
         ground = [tok for tok in args.bipartition.split(",") if tok]
@@ -402,12 +399,14 @@ COMMANDS = {
 
 # -- the command line ------------------------------------------------------------------
 #
-# One fixed grammar, the same for every command: one COMMAND, given anywhere,
-# and the options of OPTIONS, each at most once in effect (the last given
-# wins).  An option is named in full or by a unique prefix, and takes its
-# value as the next argument or after "=".  An argument after the first "--"
-# is never an option.  It reads what an argparse parser of these options
-# reads, and reports what that parser rejects as a UsageError, exit 2.
+# One grammar for every command.  Options are named in full: a prefix names
+# none, so a new option leaves every working line as it reads.  An option that
+# takes a value takes the text after "=", or else the next argument, whatever
+# it is, and the last of a repeated option wins.  After the first "--" every
+# argument is positional, and the first positional is the command.  -h or
+# --help before that "--" prints the usage, whatever else the line holds;
+# otherwise no command, a further positional, an unknown option, or a missing
+# or refused value is a UsageError, exit 2, reported once the line is read.
 
 
 def _emit(value):
@@ -416,27 +415,29 @@ def _emit(value):
     return value
 
 
-# option -> (attribute, reader of its value); a flag has no reader, and is True
-# when given.  A reader raises ValueError on a value it refuses.
+def _positive(value):
+    if int(value) < 1:
+        raise ValueError(value)
+    return int(value)
+
+
+# option -> its value's reader, which raises ValueError on a value it refuses
+# (a flag has none, and is True when given), its default, and its --help line.
+# The run spec's attribute is the option's name, with "_" for "-".
+Option = namedtuple("Option", "read default meta text")
 OPTIONS = {
-    "--input": ("input", str),
-    "--bipartition": ("bipartition", str),
-    "--forbidden": ("forbidden", str),
-    "--order": ("order", str),
-    "--k": ("k", str),
-    "--emit": ("emit", _emit),
-    "--out": ("out", str),
-    "--bounds": ("bounds", int),
-    "--unsafe-bounds": ("unsafe_bounds", None),
-    "--check-exclusive": ("check_exclusive", None),
+    "--input": Option(str, None, "PATH", "system/universe JSON or graph edge list"),
+    "--bipartition": Option(str, None, "NAMES", "comma-separated ground set"),
+    "--forbidden": Option(str, None, "PATH", "forbidden family JSON"),
+    "--order": Option(str, None, "PATH", "order function JSON"),
+    "--k": Option(str, None, "K", "order threshold (int, p/q, or inf)"),
+    "--emit": Option(_emit, "json", "{json,dot}", "also write DOT files with dot"),
+    "--out": Option(str, None, "DIR", f"output directory (or ${OUT_ENV}, else .)"),
+    "--bounds": Option(_positive, DEFAULT_BOUND, "N", "separation count bound, at least 1"),
+    "--unsafe-bounds": Option(None, False, "", "run past the bound"),
+    "--check-exclusive": Option(None, False, "",
+                                "check that the other branch of the dichotomy fails"),
 }
-DEFAULTS = {"command": None, "input": None, "bipartition": None, "forbidden": None,
-            "order": None, "k": None, "emit": "json", "out": None, "bounds": DEFAULT_BOUND,
-            "unsafe_bounds": False, "check_exclusive": False}
-HELP = ("-h", "--help")
-LONG = ["--help", *OPTIONS]
-# an argument that looks like a negative number is a value, not an option
-NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 USAGE = f"""usage: tanglekit COMMAND [options]
 
@@ -444,106 +445,54 @@ Tangles of finite separation systems, with oracles.
 
 commands: {", ".join(COMMANDS)}
 
-options, given before or after the command; a unique prefix names an option,
---opt=value is --opt value, and the last of a repeated option wins:
-  --input PATH          system/universe JSON or graph edge list
-  --bipartition NAMES   comma-separated ground set
-  --forbidden PATH      forbidden family JSON
-  --order PATH          order function JSON
-  --k K                 order threshold (int, p/q, or inf)
-  --emit {{json,dot}}     also write DOT files with dot (default: json)
-  --out DIR             output directory (or ${OUT_ENV}, else .)
-  --bounds N            separation count bound (default: {DEFAULT_BOUND})
-  --unsafe-bounds       run past the bound
-  --check-exclusive     check that the other branch of the dichotomy fails
-  -h, --help            print this and exit
-"""
-
-
-def _option(arg):
-    """(option, explicit value or None) for an argument that names an option,
-    (None, None) for one that looks like an option but names none, and None
-    for a value.  An ambiguous prefix raises UsageError."""
-    if not arg.startswith("-") or arg == "-":
-        return None
-    if arg in OPTIONS or arg in HELP:
-        return arg, None
-    name, eq, value = arg.partition("=")
-    if eq and (name in OPTIONS or name in HELP):
-        return name, value
-    if arg[1] == "-":
-        matches = [(o, value if eq else None) for o in LONG if o.startswith(name)]
-    else:  # only -h is short, and -hVALUE gives it VALUE
-        matches = [("-h", arg[2:])] if arg[1] == "h" else []
-    if len(matches) > 1:
-        raise UsageError(f"ambiguous option: {arg} could match "
-                         + ", ".join(o for o, _ in matches))
-    if matches:
-        return matches[0]
-    if NEGATIVE.match(arg) or " " in arg:
-        return None
-    return None, None
+options, given before or after the command and named in full; --opt=value is
+--opt value, and the last of a repeated option wins:
+""" + "".join(
+    f"  {f'{name} {o.meta}'.strip():<22}{o.text}"
+    + (f" (default: {o.default})" if o.default else "") + "\n"
+    for name, o in OPTIONS.items()) + f"  {'-h, --help':<22}print this and exit\n"
 
 
 def parse_args(argv):
-    """The run spec ``argv`` gives, or None when it asks for --help.
-
-    Two passes, as argparse makes them: every argument before the first "--"
-    is classified first, so an ambiguous prefix anywhere fails before any
-    other; then the arguments are read left to right.  The first value that
-    no option takes is the command; a later one, an unknown option, or a
-    "--" not next to the command is left over.  Leftovers and a missing
-    command fail only once --help had its turn.
-    """
-    split = argv.index("--") if "--" in argv else len(argv)
-    kinds = list(map(_option, argv[:split]))
-    if split < len(argv):
-        kinds += ["--"] + [None] * (len(argv) - split - 1)
-    spec, extras, command_at = dict(DEFAULTS), [], None
-    i = 0
-    while i < len(argv):
-        arg, kind = argv[i], kinds[i]
-        i += 1
-        if kind == "--":
-            if command_at != i - 2 and not (command_at is None and i < len(argv)):
-                extras.append(arg)
-        elif kind is None:
-            if command_at is not None:
-                extras.append(arg)
-            elif arg not in COMMANDS:
-                raise UsageError(f"argument command: invalid choice: {arg!r}")
+    """The run spec ``argv`` gives, or None when it asks for --help."""
+    command, given, extras, ended = None, [], [], False
+    args = iter(argv)
+    for arg in args:
+        name, eq, value = arg.partition("=")
+        if ended or not arg.startswith("-"):
+            if command is None:
+                command = arg
             else:
-                spec["command"], command_at = arg, i - 1
-        elif kind[0] is None:
-            extras.append(arg)
-        elif kind[0] in HELP:
-            explicit = kind[1]
-            if explicit is None or (kind[0] == "-h" and explicit and not explicit.strip("h")):
-                return None  # -hh is -h -h
-            raise UsageError(f"argument -h/--help: ignored explicit argument {explicit!r}")
+                extras.append(arg)
+        elif arg == "--":
+            ended = True
+        elif arg in ("-h", "--help"):
+            return None
+        elif name in OPTIONS:
+            if not eq:  # a flag takes no value, and any other option the next argument
+                value = next(args, None) if OPTIONS[name].read else None
+            given.append((name, value))
         else:
-            option, explicit = kind
-            attr, read = OPTIONS[option]
-            if read is None:
-                if explicit is not None:
-                    raise UsageError(f"argument {option}: ignored explicit argument "
-                                     f"{explicit!r}")
-                spec[attr] = True
-                continue
-            if explicit is None:
-                if i == len(argv) or kinds[i] is not None:
-                    raise UsageError(f"argument {option}: expected one argument")
-                explicit = argv[i]
-                i += 1
-            try:
-                spec[attr] = read(explicit)
-            except ValueError:
-                raise UsageError(f"argument {option}: invalid value: {explicit!r}") from None
-    if command_at is None:
+            extras.append(arg)
+    if command is None:
         raise UsageError("the following arguments are required: command")
+    if command not in COMMANDS:
+        raise UsageError(f"argument command: invalid choice: {command!r}")
+    spec = {name: o.default for name, o in OPTIONS.items()}
+    for name, value in given:
+        read = OPTIONS[name].read
+        if read is None and value is not None:
+            raise UsageError(f"argument {name}: ignored explicit argument {value!r}")
+        if read is not None and value is None:
+            raise UsageError(f"argument {name}: expected one argument")
+        try:
+            spec[name] = read(value) if read else True
+        except ValueError:
+            raise UsageError(f"argument {name}: invalid value: {value!r}") from None
     if extras:
         raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
-    return SimpleNamespace(**spec)
+    return SimpleNamespace(command=command,
+                           **{name[2:].replace("-", "_"): v for name, v in spec.items()})
 
 
 def main(argv=None) -> int:
@@ -552,8 +501,6 @@ def main(argv=None) -> int:
         if args is None:
             print(USAGE, end="")
             return 0
-        if args.bounds < 1:
-            raise InputError("bounds must be positive", bounds=args.bounds)
         result = COMMANDS[args.command](args)
     except TanglekitError as exc:
         print(json.dumps({**exc.report, "ok": False, "code": exc.code,

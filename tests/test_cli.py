@@ -569,8 +569,22 @@ def test_malformed_edge_line_location(workdir, capsys):
 
 
 def test_bounds_must_be_positive(workdir, capsys):
+    # a bound below 1 is a value --bounds refuses, as it refuses one not an int
     code, _ = run(workdir, "tangles", "--bipartition", "1,2", "--bounds", "0")
-    assert code == 1
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["kind"], err["error"]) == ("UsageError", "argument --bounds: invalid value: '0'")
+
+
+def test_a_value_may_look_like_an_option(workdir, capsys):
+    # --k takes the next argument as its value, as it takes the text after "="
+    for k in ("-1/2", "-1e2"):
+        got = []
+        for form in (["--k", k], [f"--k={k}"]):
+            code, out = run(workdir, "tst", "--input", str(workdir / "p3.graph"), *form)
+            assert code == 0, capsys.readouterr().err
+            got.append((out / "tst.json").read_bytes())
+        assert got[0] == got[1]
 
 
 # sha256 of every artifact each subcommand writes on the P3 fixture, keyed by
@@ -1070,7 +1084,8 @@ def test_order_json_orientations_disagree_exit_1(workdir, capsys):
 
 
 def old_parser():
-    """The argparse parser the CLI had: the oracle of ``cli.parse_args``."""
+    """The argparse parser the CLI had: the oracle of ``cli.parse_args``, but
+    for the forms of ``CHANGED_FORMS``."""
     import argparse
     from tanglekit.cli import COMMANDS, DEFAULT_BOUND
     p = argparse.ArgumentParser(prog="tanglekit")
@@ -1084,6 +1099,34 @@ def old_parser():
         p.add_argument(flag, action="store_true")
     return p
 
+
+def tst_spec(**given):
+    """The run spec of ``tst`` with the options ``given``."""
+    return {**vars(old_parser().parse_args(["tst"])), **given}
+
+
+# The forms the parser reads otherwise than the argparse parser did, each with
+# that parser's outcome and the parser's own: a run spec, or the exit code of
+# main.  A prefix names no option; --he and -hh are not --help; an option
+# takes the next argument as its value, whatever it is; a "--" away from the
+# command ends the options as any other does; and --help is read before any
+# error.
+CHANGED_FORMS = {
+    ("tst", "--in", "g", "--bi", "1,2", "--f", "f", "--or", "o", "--k", "2", "--e", "dot",
+     "--ou", "d", "--bo", "3", "--u", "--c"): (
+        tst_spec(input="g", bipartition="1,2", forbidden="f", order="o", k="2", emit="dot",
+                 out="d", bounds=3, unsafe_bounds=True, check_exclusive=True), 2),
+    ("tst", "--in=g.graph", "--k=-1/2"): (tst_spec(input="g.graph", k="-1/2"), 2),
+    ("--he",): (0, 2),
+    ("-hh",): (0, 2),
+    ("tst", "--k", "-x"): (2, tst_spec(k="-x")),
+    ("tst", "--k", "-1/2"): (2, tst_spec(k="-1/2")),
+    ("tst", "--input", "-h"): (2, tst_spec(input="-h")),
+    ("tst", "--k", "-1e2"): (2, tst_spec(k="-1e2")),
+    ("tst", "--k", "2", "--"): (2, tst_spec(k="2")),
+    ("nosuch", "--help"): (2, 0),
+    ("--help", "--o", "x"): (2, 0),
+}
 
 EVERY_OPTION = ["--input", "g.graph", "--bipartition", "1,2", "--forbidden", "f.json",
                 "--order", "o.json", "--k", "2", "--emit", "dot", "--out", "o", "--bounds", "7",
@@ -1099,7 +1142,7 @@ EVERY_OPTION = ["--input", "g.graph", "--bipartition", "1,2", "--forbidden", "f.
     ["tst", "--input", "g.graph", "--k", "2", "--forbidden", "f.json", "--unsafe-bounds"],
     ["duality", "--bipartition", "1,2", "--order", "o.json", "--emit", "dot", "--out", "o",
      "--bounds", "7", "--check-exclusive", "--k", "inf"],
-    # unique prefixes, and ambiguous ones (--order/--out, --bipartition/--bounds)
+    # prefixes, unique and ambiguous (--order/--out, --bipartition/--bounds)
     ["tst", "--in", "g", "--bi", "1,2", "--f", "f", "--or", "o", "--k", "2", "--e", "dot",
      "--ou", "d", "--bo", "3", "--u", "--c"],
     ["tst", "--o", "x"], ["tst", "--b", "3"], ["--o=x", "tst"], ["tst", "--=x"],
@@ -1131,13 +1174,18 @@ EVERY_OPTION = ["--input", "g.graph", "--bipartition", "1,2", "--forbidden", "f.
 def test_parser_rejects_what_it_rejected(argv, capsys):
     # one differential test against the argparse parser the CLI had: a form
     # it accepted parses to the same run spec; one it rejected exits 2 from
-    # main with the one-line JSON report; --help prints the usage and exits 0
+    # main with the one-line JSON report; --help prints the usage and exits 0.
+    # A form of CHANGED_FORMS has that parser's outcome there, and the new one.
     from tanglekit.cli import parse_args
     try:
         want = vars(old_parser().parse_args(argv))
     except SystemExit as exc:
         want = exc.code
     capsys.readouterr()
+    if tuple(argv) in CHANGED_FORMS:
+        was, now = CHANGED_FORMS[tuple(argv)]
+        assert want == was
+        want = now
     if isinstance(want, dict):
         assert vars(parse_args(argv)) == want
         return
@@ -1587,7 +1635,8 @@ CLI_FAILURES = {
         {"afile": "not a directory\n"}, ["refine-order", *P3_GRAPH, "--out", "{d}/afile"],
         1, "InputError", "unwritable output"),
     "bounds-not-positive": (
-        {}, ["tangles", *P3_GRAPH, "--bounds", "0"], 1, "InputError", "bounds must be positive"),
+        {}, ["tangles", *P3_GRAPH, "--bounds", "0"],
+        2, "UsageError", "argument --bounds: invalid value: '0'"),
     "wrong-join-cell": (
         {"wrong.json": p3_universe_with_a_wrong_join_cell},
         ["validate", "--input", "{d}/wrong.json"],
